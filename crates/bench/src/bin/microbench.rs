@@ -1,10 +1,10 @@
-//! `microbench` — statistical microbenchmarks for the three hot paths the
+//! `microbench` — statistical microbenchmarks for the hot paths the
 //! profiler attributes most time to: the parallel conversion farm, the
-//! B-stationary online kernel, and the comparator tree's frontier
-//! min-scan. Each target runs through the harness (warmup, fixed
-//! iteration count, MAD outlier rejection, bootstrap CIs) and prints one
-//! table row; CI runs the reduced `--iters`/`--warmup` variant as a
-//! smoke check.
+//! B-stationary online kernel, the comparator tree's frontier min-scan,
+//! and the simulator's per-probe memory path. Each target runs through
+//! the harness (warmup, fixed iteration count, MAD outlier rejection,
+//! bootstrap CIs) and prints one table row; CI runs the reduced
+//! `--iters`/`--warmup` variant as a smoke check.
 //!
 //! Besides wall time, every target is measured for **steady-state
 //! allocation pressure**: pools are reset, one warm iteration shelves its
@@ -20,12 +20,12 @@
 //! ```
 
 use nmt_bench::harness::{run, BenchConfig};
-use nmt_bench::{print_table, EXPERIMENT_SEED};
+use nmt_bench::{experiment_gpu, print_table, EXPERIMENT_SEED};
 use nmt_engine::{convert_matrix_farm, ComparatorTree, FarmConfig, MinScratch};
 use nmt_formats::SparseMatrix;
 use nmt_kernels::bstat_tiled_dcsr_online;
-use nmt_matgen::{random_dense, GenKind, MatrixDesc};
-use nmt_sim::{Gpu, GpuConfig};
+use nmt_matgen::{random_dense, GenKind, MatrixDesc, SuiteScale};
+use nmt_sim::{Gpu, GpuConfig, TrafficClass};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -212,6 +212,41 @@ fn run_benches() -> Result<(), String> {
     });
     add_row("find_min_x1024", stats, alloc);
 
+    // 4. The simulator's probe path: the B gathers of the cuSPARSE
+    // stand-in replayed through `ld_global_gather` on the small-scale GPU.
+    // For each 32-non-zero chunk of each row and each k, every lane loads
+    // B[col][k] from column-major B. The stream is built once; an iteration
+    // flushes the L2 and replays it in one launch, so it allocates nothing.
+    let mut gpu = Gpu::new(experiment_gpu(SuiteScale::Small)).map_err(|e| e.to_string())?;
+    let warp = gpu.config().warp_size;
+    let k_stride = a.shape().ncols as u64 * 4;
+    let mut stream = Vec::new();
+    let mut gathers = Vec::new();
+    for r in 0..a.shape().nrows {
+        for chunk in a.row(r).0.chunks(warp) {
+            for kc in 0..k as u64 {
+                let start = stream.len();
+                stream.extend(chunk.iter().map(|&col| col as u64 * 4 + kc * k_stride));
+                gathers.push(start..stream.len());
+            }
+        }
+    }
+    let b_dev = gpu.alloc(k_stride * k as u64, TrafficClass::MatB);
+    let mut replay = || {
+        gpu.flush_l2();
+        let stats = gpu
+            .launch(0, 1, |ctx| {
+                for g in &gathers {
+                    ctx.ld_global_gather(&b_dev, &stream[g.clone()], 4, true);
+                }
+            })
+            .expect("a launch without shared memory cannot fail");
+        std::hint::black_box(stats.l2_hits);
+    };
+    let stats = run(&cfg, &mut replay);
+    let alloc = measure_alloc(&mut replay);
+    add_row("sim_probe", stats, alloc);
+
     print_table(
         &[
             "target", "median_us", "ci_lo_us", "ci_hi_us", "mad_us", "kept", "rejected",
@@ -222,17 +257,21 @@ fn run_benches() -> Result<(), String> {
 
     if let Some(path) = write_budgets_path {
         // Headroom: 50% relative + small absolute slack, so pool shelving
-        // wobble and allocator-internal variance never flake the gate.
+        // wobble and allocator-internal variance never flake the gate. A
+        // target that allocates nothing keeps a zero budget: it has no
+        // pool to wobble, and any allocation there is a regression.
         let with_headroom: BTreeMap<String, AllocBudget> = measured
             .iter()
             .map(|(name, m)| {
-                (
-                    name.clone(),
+                let budget = if m.count == 0 {
+                    *m
+                } else {
                     AllocBudget {
                         count: m.count + m.count / 2 + 64,
                         bytes: m.bytes + m.bytes / 2 + 65_536,
-                    },
-                )
+                    }
+                };
+                (name.clone(), budget)
             })
             .collect();
         let json = serde_json::to_string_pretty(&with_headroom)

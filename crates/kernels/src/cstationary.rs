@@ -34,10 +34,13 @@ pub fn csrmm_cusparse(gpu: &mut Gpu, a: &Csr, b: &DenseMatrix) -> Result<KernelR
     // (col * nrows + row) * 4.
     let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
     let c_dev = DenseDevice::upload(gpu, &DenseMatrix::zeros(n, k), TrafficClass::MatC);
-    let b_rows = b.nrows() as u64;
+    // One column of the column-major B apart.
+    let k_stride = b.nrows() as u64 * WORD;
 
     let mut c = DenseMatrix::zeros(n, k);
     let num_blocks = n.div_ceil(WARPS_PER_BLOCK).max(1);
+    // The lanes' gather offsets, reused by every chunk of every row.
+    let mut offsets: Vec<u64> = Vec::with_capacity(gpu.config().warp_size);
     let stats = gpu.launch(0, num_blocks, |ctx| {
         let warp = ctx.warp_size();
         let row_lo = ctx.block_id * WARPS_PER_BLOCK;
@@ -61,16 +64,14 @@ pub fn csrmm_cusparse(gpu: &mut Gpu, a: &Csr, b: &DenseMatrix) -> Result<KernelR
             // coalesced only when the column indices are clustered.
             for chunk in cols.chunks(warp) {
                 ctx.warp_instr(InstrClass::Integer, chunk.len(), 1);
-                let base_offsets: Vec<u64> = chunk.iter().map(|&col| col as u64 * WORD).collect();
-                let mut offsets = base_offsets.clone();
-                for kc in 0..k {
-                    if kc > 0 {
-                        for (o, b) in offsets.iter_mut().zip(&base_offsets) {
-                            *o = b + kc as u64 * b_rows * WORD;
-                        }
-                    }
+                offsets.clear();
+                offsets.extend(chunk.iter().map(|&col| col as u64 * WORD));
+                for _ in 0..k {
                     ctx.ld_global_gather(&b_dev.buf, &offsets, WORD, true);
                     ctx.fma(chunk.len(), 1);
+                    for o in &mut offsets {
+                        *o += k_stride;
+                    }
                 }
             }
             for (&col, &v) in cols.iter().zip(vals) {

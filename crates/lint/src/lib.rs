@@ -69,15 +69,21 @@ pub const WALLCLOCK_ALLOWED: &[&str] = &[
 ];
 
 /// The allocation hot paths: the conversion farm, the strip converter,
-/// the comparator tree, and the online B-stationary kernel. These draw
-/// their working buffers from the `nmt_engine::mem` pools; the
-/// `hot-alloc` rule bans ad-hoc `Vec::new`/`vec![]` here so per-strip
-/// allocation churn cannot silently return.
+/// the comparator tree, the simulator's per-probe path (L2 slice, memory
+/// subsystem, block context), the online B-stationary kernel and the
+/// C-stationary kernels. The engine draws its working buffers from the
+/// `nmt_engine::mem` pools; the `hot-alloc` rule bans ad-hoc
+/// `Vec::new`/`vec![]` here so per-strip and per-probe allocation churn
+/// cannot silently return.
 pub const HOT_PATH_SCOPED: &[&str] = &[
     "crates/engine/src/comparator.rs",
     "crates/engine/src/convert.rs",
     "crates/engine/src/farm.rs",
     "crates/kernels/src/bstationary.rs",
+    "crates/kernels/src/cstationary.rs",
+    "crates/sim/src/cache.rs",
+    "crates/sim/src/machine.rs",
+    "crates/sim/src/memory.rs",
 ];
 
 /// Modules that coordinate across threads with atomics or feed the

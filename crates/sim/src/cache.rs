@@ -17,18 +17,43 @@ pub enum Probe {
     },
 }
 
+/// Tag of an invalid way. A line number is `addr / line_bytes`, and the
+/// last byte of the address space is never the start of an access, so no
+/// real line is `u64::MAX`.
+const INVALID: u64 = u64::MAX;
+
+/// One way of a set. An invalid way holds [`INVALID`], is clean and has
+/// stamp 0, below every stamp a fill or hit assigns (the tick starts at 1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Way {
+    tag: u64,
+    /// LRU stamp (larger = more recent).
+    stamp: u64,
+    dirty: bool,
+}
+
+const EMPTY_WAY: Way = Way {
+    tag: INVALID,
+    stamp: 0,
+    dirty: false,
+};
+
 /// One L2 slice: `sets × ways` lines, LRU within a set.
+///
+/// Each set is one contiguous run of ways, so a probe scans a single
+/// slice once: it returns on a tag match and otherwise remembers the first
+/// way with the smallest stamp. Invalid ways carry stamp 0, so that way is
+/// the first invalid one if any, else the least recently used.
 #[derive(Debug, Clone)]
 pub struct L2Slice {
-    line_bytes: u64,
+    line_shift: u32,
     sets: usize,
+    /// `sets - 1` when `sets` is a power of two: the set index is then a
+    /// mask of the line number instead of a modulo.
+    set_mask: Option<u64>,
     ways: usize,
-    /// tags[set * ways + way]; `None` = invalid.
-    tags: Vec<Option<u64>>,
-    /// LRU stamps parallel to `tags` (larger = more recent).
-    stamps: Vec<u64>,
-    /// Dirty bits parallel to `tags`.
-    dirty: Vec<bool>,
+    /// ways[set * ways + way].
+    lines: Vec<Way>,
     tick: u64,
 }
 
@@ -43,17 +68,17 @@ impl L2Slice {
         );
         let lines = capacity_bytes / line_bytes;
         assert!(
-            lines >= ways && lines.is_multiple_of(ways),
+            ways > 0 && lines >= ways && lines.is_multiple_of(ways),
             "capacity must divide into whole sets"
         );
         let sets = lines / ways;
         Self {
-            line_bytes: line_bytes as u64,
+            line_shift: line_bytes.trailing_zeros(),
             sets,
+            set_mask: sets.is_power_of_two().then_some(sets as u64 - 1),
             ways,
-            tags: vec![None; lines],
-            stamps: vec![0; lines],
-            dirty: vec![false; lines],
+            // nmt-lint: allow(hot-alloc) — one allocation per slice, at GPU construction
+            lines: vec![EMPTY_WAY; lines],
             tick: 0,
         }
     }
@@ -65,50 +90,54 @@ impl L2Slice {
 
     /// Line size in bytes.
     pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
+        1 << self.line_shift
     }
 
     /// Probe the line containing `addr`; fill on miss. `write` marks the
     /// line dirty.
     pub fn access(&mut self, addr: u64, write: bool) -> Probe {
-        self.tick += 1;
-        let line = addr / self.line_bytes;
-        let set = (line % self.sets as u64) as usize;
-        let base = set * self.ways;
-        let slot_range = base..base + self.ways;
+        self.access_line(addr >> self.line_shift, write)
+    }
 
-        // Hit?
-        for i in slot_range.clone() {
-            if self.tags[i] == Some(line) {
-                self.stamps[i] = self.tick;
-                if write {
-                    self.dirty[i] = true;
-                }
+    /// [`L2Slice::access`] for a line number (`addr / line_bytes`) the
+    /// caller has already computed.
+    #[inline]
+    pub(crate) fn access_line(&mut self, line: u64, write: bool) -> Probe {
+        self.tick += 1;
+        let set = match self.set_mask {
+            Some(mask) => (line & mask) as usize,
+            None => (line % self.sets as u64) as usize,
+        };
+        let base = set * self.ways;
+        let ways = &mut self.lines[base..base + self.ways];
+        let mut victim = 0;
+        let mut victim_stamp = u64::MAX;
+        for (i, way) in ways.iter_mut().enumerate() {
+            if way.tag == line {
+                way.stamp = self.tick;
+                way.dirty |= write;
                 return Probe::Hit;
             }
+            if way.stamp < victim_stamp {
+                victim = i;
+                victim_stamp = way.stamp;
+            }
         }
-        // Miss: fill invalid slot or evict LRU.
-        let victim = slot_range
-            .clone()
-            .find(|&i| self.tags[i].is_none())
-            .unwrap_or_else(|| {
-                slot_range
-                    .min_by_key(|&i| self.stamps[i])
-                    .unwrap_or(base)
-            });
-        let dirty_writeback = self.tags[victim].is_some() && self.dirty[victim];
-        self.tags[victim] = Some(line);
-        self.stamps[victim] = self.tick;
-        self.dirty[victim] = write;
+        let way = &mut ways[victim];
+        // Invalid ways are clean, so only a valid victim writes back.
+        let dirty_writeback = way.dirty;
+        *way = Way {
+            tag: line,
+            stamp: self.tick,
+            dirty: write,
+        };
         Probe::Miss { dirty_writeback }
     }
 
     /// Drop all contents (between kernels, when desired).
     pub fn flush(&mut self) -> usize {
-        let dirty_lines = self.dirty.iter().filter(|&&d| d).count();
-        self.tags.fill(None);
-        self.dirty.fill(false);
-        self.stamps.fill(0);
+        let dirty_lines = self.lines.iter().filter(|w| w.dirty).count();
+        self.lines.fill(EMPTY_WAY);
         dirty_lines
     }
 }

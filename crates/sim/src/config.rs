@@ -172,30 +172,84 @@ impl GpuConfig {
         1.0 / self.clock_ghz
     }
 
-    /// Validate internal consistency (positive sizes, power-of-two line).
-    pub fn validate(&self) -> Result<(), String> {
+    /// Validate internal consistency: positive sizes, a power-of-two line,
+    /// a non-zero interleave, and an L2 slice of at least one whole set.
+    /// The memory model's address decode relies on this geometry.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_sms == 0 || self.num_partitions == 0 {
-            return Err("SM and partition counts must be positive".into());
+            return Err(ConfigError::NoSmsOrPartitions);
         }
         if !self.l2_line_bytes.is_power_of_two() {
-            return Err("L2 line size must be a power of two".into());
+            return Err(ConfigError::LineNotPowerOfTwo);
+        }
+        if self.interleave_bytes == 0 {
+            return Err(ConfigError::ZeroInterleave);
         }
         if !self.l2_bytes.is_multiple_of(self.num_partitions) {
-            return Err("L2 must slice evenly across partitions".into());
+            return Err(ConfigError::UnevenSlices);
+        }
+        if self.l2_ways == 0 {
+            return Err(ConfigError::ZeroWays);
         }
         let slice_lines = self.l2_slice_bytes() / self.l2_line_bytes;
+        if slice_lines < self.l2_ways {
+            return Err(ConfigError::SliceBelowOneSet);
+        }
         if !slice_lines.is_multiple_of(self.l2_ways) {
-            return Err("L2 slice must divide into whole sets".into());
+            return Err(ConfigError::PartialSet);
         }
         if self.warp_size == 0 || self.clock_ghz <= 0.0 || self.channel_gbps <= 0.0 {
-            return Err("clock, warp size and bandwidth must be positive".into());
+            return Err(ConfigError::NonPositiveRate);
         }
         if self.xbar_gbps < self.total_bandwidth_gbps() {
-            return Err("crossbar must carry at least the aggregate DRAM bandwidth".into());
+            return Err(ConfigError::XbarBelowDram);
         }
         Ok(())
     }
 }
+
+/// Why a [`GpuConfig`] failed [`GpuConfig::validate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `num_sms` or `num_partitions` is zero.
+    NoSmsOrPartitions,
+    /// `l2_line_bytes` is not a power of two.
+    LineNotPowerOfTwo,
+    /// `interleave_bytes` is zero, so no address has a partition.
+    ZeroInterleave,
+    /// `l2_bytes` does not split evenly across the partitions.
+    UnevenSlices,
+    /// `l2_ways` is zero.
+    ZeroWays,
+    /// An L2 slice holds fewer lines than one set has ways.
+    SliceBelowOneSet,
+    /// An L2 slice's lines do not divide into whole sets.
+    PartialSet,
+    /// Clock, warp size or channel bandwidth is not positive.
+    NonPositiveRate,
+    /// The crossbar carries less than the aggregate DRAM bandwidth.
+    XbarBelowDram,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ConfigError::NoSmsOrPartitions => "SM and partition counts must be positive",
+            ConfigError::LineNotPowerOfTwo => "L2 line size must be a power of two",
+            ConfigError::ZeroInterleave => "partition interleave must be positive",
+            ConfigError::UnevenSlices => "L2 must slice evenly across partitions",
+            ConfigError::ZeroWays => "L2 associativity must be positive",
+            ConfigError::SliceBelowOneSet => "L2 slice must hold at least one set",
+            ConfigError::PartialSet => "L2 slice must divide into whole sets",
+            ConfigError::NonPositiveRate => "clock, warp size and bandwidth must be positive",
+            ConfigError::XbarBelowDram => {
+                "crossbar must carry at least the aggregate DRAM bandwidth"
+            }
+        })
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -236,16 +290,61 @@ mod tests {
         }
     }
 
+    fn check(edit: impl FnOnce(&mut GpuConfig)) -> Result<(), ConfigError> {
+        let mut c = GpuConfig::test_small();
+        edit(&mut c);
+        c.validate()
+    }
+
     #[test]
     fn validation_catches_bad_configs() {
-        let mut c = GpuConfig::test_small();
-        c.l2_line_bytes = 100;
-        assert!(c.validate().is_err());
-        let mut c = GpuConfig::test_small();
-        c.num_partitions = 0;
-        assert!(c.validate().is_err());
-        let mut c = GpuConfig::test_small();
-        c.l2_bytes = 64 * 1024 + 1;
-        assert!(c.validate().is_err());
+        assert_eq!(
+            check(|c| c.l2_line_bytes = 100),
+            Err(ConfigError::LineNotPowerOfTwo)
+        );
+        assert_eq!(
+            check(|c| c.num_partitions = 0),
+            Err(ConfigError::NoSmsOrPartitions)
+        );
+        assert_eq!(
+            check(|c| c.l2_bytes = 64 * 1024 + 1),
+            Err(ConfigError::UnevenSlices)
+        );
+        assert_eq!(check(|c| c.l2_ways = 6), Err(ConfigError::PartialSet));
+    }
+
+    #[test]
+    fn zero_interleave_is_rejected() {
+        assert_eq!(
+            check(|c| c.interleave_bytes = 0),
+            Err(ConfigError::ZeroInterleave)
+        );
+    }
+
+    #[test]
+    fn zero_ways_is_rejected() {
+        assert_eq!(check(|c| c.l2_ways = 0), Err(ConfigError::ZeroWays));
+    }
+
+    #[test]
+    fn slice_below_one_set_is_rejected() {
+        // 16 KB slices of 128 B lines hold 128 lines: 256 ways is half a set.
+        assert_eq!(
+            check(|c| c.l2_ways = 256),
+            Err(ConfigError::SliceBelowOneSet)
+        );
+        // A slice smaller than one line holds no set at all.
+        assert_eq!(
+            check(|c| c.l2_bytes = 4 * 64),
+            Err(ConfigError::SliceBelowOneSet)
+        );
+        // Exactly one set per slice is valid (the small-scale GV100).
+        check(|c| c.l2_ways = 128).unwrap();
+    }
+
+    #[test]
+    fn config_errors_display_their_reason() {
+        let e = check(|c| c.interleave_bytes = 0).unwrap_err();
+        assert_eq!(e.to_string(), "partition interleave must be positive");
     }
 }

@@ -31,7 +31,7 @@ pub mod memory;
 pub mod stats;
 pub mod trace;
 
-pub use config::GpuConfig;
+pub use config::{ConfigError, GpuConfig};
 pub use machine::{publish_kernel_stats, BlockCtx, Buffer, Gpu, SimError};
 pub use memory::{FbPartition, MemorySubsystem, PartitionCounters};
 pub use stats::{

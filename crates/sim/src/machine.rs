@@ -17,7 +17,7 @@
 //! roofline-with-latency approximation for throughput processors.
 
 use crate::config::GpuConfig;
-use crate::memory::MemorySubsystem;
+use crate::memory::{MemSnapshot, MemorySubsystem};
 use crate::stats::{InstrClass, KernelStats, TrafficClass, WarpExecStats};
 
 /// Errors produced by the machine model.
@@ -114,14 +114,24 @@ pub struct Gpu {
     config: GpuConfig,
     mem: MemorySubsystem,
     next_addr: u64,
+    /// Per-launch scratch, kept so a launch does not allocate: warp
+    /// instructions per SM, and the memory counters at launch start.
+    sm_instrs: Vec<u64>,
+    before: MemSnapshot,
 }
 
 impl Gpu {
     /// Build a GPU from a validated configuration.
     pub fn new(config: GpuConfig) -> Result<Self, SimError> {
-        config.validate().map_err(SimError::BadConfig)?;
+        config
+            .validate()
+            .map_err(|e| SimError::BadConfig(e.to_string()))?;
         let mem = MemorySubsystem::new(&config);
+        let before = mem.snapshot();
         Ok(Self {
+            // nmt-lint: allow(hot-alloc) — one per GPU, at construction; launches reuse it
+            sm_instrs: vec![0; config.num_sms],
+            before,
             config,
             mem,
             next_addr: 0,
@@ -198,8 +208,8 @@ impl Gpu {
                 available: self.config.shared_mem_bytes,
             });
         }
-        let before = self.mem.snapshot();
-        let mut sm_instrs = vec![0u64; self.config.num_sms];
+        self.before.capture(&self.mem);
+        self.sm_instrs.fill(0);
         let mut warp_exec = WarpExecStats::default();
         let mut chain_loads = 0u64;
         let mut flops = 0u64;
@@ -209,7 +219,7 @@ impl Gpu {
             let mut ctx = BlockCtx {
                 block_id,
                 warp_size: self.config.warp_size,
-                line_bytes: self.config.l2_line_bytes as u64,
+                line_shift: self.config.l2_line_bytes.trailing_zeros(),
                 mem: &mut self.mem,
                 warp_exec: WarpExecStats::default(),
                 warp_instrs: 0,
@@ -219,14 +229,15 @@ impl Gpu {
             };
             f(&mut ctx);
             let sm = block_id % self.config.num_sms;
-            sm_instrs[sm] += ctx.warp_instrs;
+            self.sm_instrs[sm] += ctx.warp_instrs;
             warp_exec.merge(&ctx.warp_exec);
             chain_loads += ctx.chain_loads;
             flops += ctx.flops;
             xbar_bytes += ctx.xbar_bytes;
         }
 
-        let max_sm_instrs = sm_instrs.iter().copied().max().unwrap_or(0);
+        let before = &self.before;
+        let max_sm_instrs = self.sm_instrs.iter().copied().max().unwrap_or(0);
         let t_compute_ns =
             max_sm_instrs as f64 / self.config.issue_per_cycle as f64 * self.config.cycle_ns();
         let t_memory_ns = before.max_busy_delta(&self.mem);
@@ -326,7 +337,8 @@ pub struct BlockCtx<'a> {
     /// This block's index within the grid.
     pub block_id: usize,
     warp_size: usize,
-    line_bytes: u64,
+    /// log2 of the L2 line size (a validated power of two).
+    line_shift: u32,
     mem: &'a mut MemorySubsystem,
     warp_exec: WarpExecStats,
     warp_instrs: u64,
@@ -379,12 +391,10 @@ impl BlockCtx<'_> {
         self.mem
             .access(buf.at(offset), nbytes, buf.class, write, atomic);
         // A fully-coalesced warp moves one line per memory instruction.
-        let instrs = nbytes.div_ceil(self.line_bytes).max(1);
+        let instrs = nbytes.div_ceil(1 << self.line_shift).max(1);
         let lanes = ((nbytes / 4).max(1) as usize).min(self.warp_size);
-        for _ in 0..instrs {
-            self.warp_exec
-                .record(InstrClass::Memory, lanes, self.warp_size);
-        }
+        self.warp_exec
+            .record_n(InstrClass::Memory, lanes, self.warp_size, instrs);
         self.warp_instrs += instrs;
         if dependent {
             self.chain_loads += instrs;
@@ -429,20 +439,19 @@ impl BlockCtx<'_> {
         let mut last_line = u64::MAX;
         for &off in offsets {
             let addr = buf.at(off);
-            let line = addr / self.line_bytes;
+            let line = addr >> self.line_shift;
             if line != last_line {
                 self.mem.access(addr, elem_bytes, buf.class, false, false);
                 last_line = line;
             }
         }
         let instrs = (offsets.len() as u64).div_ceil(self.warp_size as u64);
-        for _ in 0..instrs {
-            self.warp_exec.record(
-                InstrClass::Memory,
-                self.warp_size.min(offsets.len()),
-                self.warp_size,
-            );
-        }
+        self.warp_exec.record_n(
+            InstrClass::Memory,
+            self.warp_size.min(offsets.len()),
+            self.warp_size,
+            instrs,
+        );
         self.warp_instrs += instrs;
         if dependent {
             self.chain_loads += instrs;
@@ -483,7 +492,7 @@ impl BlockCtx<'_> {
         let mut last_line = u64::MAX;
         for i in 0..count as u64 {
             let addr = buf.at(base + i * stride);
-            let line = addr / self.line_bytes;
+            let line = addr >> self.line_shift;
             // Coalesce only exact same-line repeats from adjacent lanes.
             if line != last_line {
                 self.mem.access(addr, elem_bytes, buf.class, write, false);
@@ -491,13 +500,12 @@ impl BlockCtx<'_> {
             }
         }
         let instrs = (count as u64).div_ceil(self.warp_size as u64);
-        for _ in 0..instrs {
-            self.warp_exec.record(
-                InstrClass::Memory,
-                self.warp_size.min(count),
-                self.warp_size,
-            );
-        }
+        self.warp_exec.record_n(
+            InstrClass::Memory,
+            self.warp_size.min(count),
+            self.warp_size,
+            instrs,
+        );
         self.warp_instrs += instrs;
         if dependent {
             self.chain_loads += instrs;
@@ -512,11 +520,9 @@ impl BlockCtx<'_> {
             return;
         }
         self.xbar_bytes += nbytes;
-        let instrs = nbytes.div_ceil(self.line_bytes).max(1);
-        for _ in 0..instrs {
-            self.warp_exec
-                .record(InstrClass::Memory, self.warp_size, self.warp_size);
-        }
+        let instrs = nbytes.div_ceil(1 << self.line_shift).max(1);
+        self.warp_exec
+            .record_n(InstrClass::Memory, self.warp_size, self.warp_size, instrs);
         self.warp_instrs += instrs;
     }
 
@@ -524,13 +530,12 @@ impl BlockCtx<'_> {
     /// global traffic.
     pub fn shared_op(&mut self, nbytes: u64, active_lanes: usize) {
         let instrs = nbytes.div_ceil((self.warp_size * 4) as u64).max(1);
-        for _ in 0..instrs {
-            self.warp_exec.record(
-                InstrClass::Memory,
-                active_lanes.min(self.warp_size),
-                self.warp_size,
-            );
-        }
+        self.warp_exec.record_n(
+            InstrClass::Memory,
+            active_lanes.min(self.warp_size),
+            self.warp_size,
+            instrs,
+        );
         self.warp_instrs += instrs;
     }
 
@@ -538,9 +543,7 @@ impl BlockCtx<'_> {
     /// lanes doing useful work (the rest are predicated off / divergent).
     pub fn warp_instr(&mut self, class: InstrClass, active_lanes: usize, count: u64) {
         let lanes = active_lanes.min(self.warp_size);
-        for _ in 0..count {
-            self.warp_exec.record(class, lanes, self.warp_size);
-        }
+        self.warp_exec.record_n(class, lanes, self.warp_size, count);
         self.warp_instrs += count;
     }
 
@@ -548,9 +551,8 @@ impl BlockCtx<'_> {
     /// active lanes: records FP issue and 2 FLOPs per active lane.
     pub fn fma(&mut self, active_lanes: usize, count: u64) {
         let lanes = active_lanes.min(self.warp_size);
-        for _ in 0..count {
-            self.warp_exec.record(InstrClass::Fp, lanes, self.warp_size);
-        }
+        self.warp_exec
+            .record_n(InstrClass::Fp, lanes, self.warp_size, count);
         self.warp_instrs += count;
         self.flops += 2 * lanes as u64 * count;
     }

@@ -62,23 +62,23 @@ impl FbPartition {
         }
     }
 
-    /// Access one cache line, of which `touched` bytes (sector-rounded)
-    /// are actually demanded. Returns whether it hit in L2.
+    /// Access cache line number `line` (`addr / line_bytes`), of which
+    /// `touched` bytes (sector-rounded, at most one line) are actually
+    /// demanded. Returns whether it hit in L2.
     ///
     /// `force_miss` models a prefetch-buffer overflow: the line may still
     /// be resident (cache state is untouched on a hit), but the fill was
     /// dropped and must be re-fetched, so a hit is billed as a miss.
     fn access_line(
         &mut self,
-        addr: u64,
+        line: u64,
         write: bool,
         cost_factor: f64,
         touched: u64,
         force_miss: bool,
     ) -> bool {
-        let line = self.l2.line_bytes();
-        let touched = touched.min(line) as f64;
-        match self.l2.access(addr, write) {
+        let touched = touched as f64;
+        match self.l2.access_line(line, write) {
             Probe::Hit if force_miss => {
                 self.counters.l2_misses += 1;
                 self.counters.dram_bytes += touched as u64;
@@ -96,7 +96,7 @@ impl FbPartition {
                 let mut bytes = touched;
                 if dirty_writeback {
                     // Dirty victims write back whole-line granularity.
-                    bytes += line as f64;
+                    bytes += self.l2.line_bytes() as f64;
                 }
                 self.counters.dram_bytes += bytes as u64;
                 self.counters.dram_busy_ns += bytes * self.channel_ns_per_byte * cost_factor;
@@ -123,6 +123,10 @@ impl FbPartition {
 pub struct MemorySubsystem {
     partitions: Vec<FbPartition>,
     interleave: u64,
+    /// `(log2 interleave, num_partitions - 1)` when both are powers of two:
+    /// [`MemorySubsystem::partition_of`] is then a shift and a mask.
+    partition_shift_mask: Option<(u32, u64)>,
+    line_shift: u32,
     line_bytes: u64,
     atomic_cost_factor: f64,
     /// Bytes requested by SMs (pre-L2), per traffic class.
@@ -149,6 +153,15 @@ impl MemorySubsystem {
                 .map(|_| FbPartition::new(config))
                 .collect(),
             interleave: config.interleave_bytes,
+            partition_shift_mask: (config.interleave_bytes.is_power_of_two()
+                && config.num_partitions.is_power_of_two())
+            .then(|| {
+                (
+                    config.interleave_bytes.trailing_zeros(),
+                    config.num_partitions as u64 - 1,
+                )
+            }),
+            line_shift: config.l2_line_bytes.trailing_zeros(),
             line_bytes: config.l2_line_bytes as u64,
             atomic_cost_factor: config.atomic_cost_factor,
             requested: TrafficBytes::default(),
@@ -203,7 +216,10 @@ impl MemorySubsystem {
     /// The partition owning byte address `addr`.
     #[inline]
     pub fn partition_of(&self, addr: u64) -> usize {
-        ((addr / self.interleave) % self.partitions.len() as u64) as usize
+        match self.partition_shift_mask {
+            Some((shift, mask)) => ((addr >> shift) & mask) as usize,
+            None => ((addr / self.interleave) % self.partitions.len() as u64) as usize,
+        }
     }
 
     /// Perform a global-memory access of `nbytes` starting at `addr`.
@@ -259,27 +275,52 @@ impl MemorySubsystem {
                 self.fault_prefetch_overflows += 1;
             }
         }
-        let first_line = addr / self.line_bytes;
-        let last_line = (addr + nbytes - 1) / self.line_bytes;
-        for line in first_line..=last_line {
-            let line_addr = line * self.line_bytes;
-            // Sector-rounded bytes of this line the access demands.
-            let lo = addr.max(line_addr);
-            let hi = (addr + nbytes).min(line_addr + self.line_bytes);
-            let sec_lo = (lo - line_addr) / SECTOR_BYTES * SECTOR_BYTES;
-            let sec_hi = (hi - line_addr).div_ceil(SECTOR_BYTES) * SECTOR_BYTES;
-            let touched = (sec_hi - sec_lo).min(self.line_bytes);
-            let p = self.partition_of(line_addr);
-            let hit = self.partitions[p].access_line(
-                line_addr,
-                write || atomic,
+        let write = write || atomic;
+        let end = addr + nbytes;
+        let first_line = addr >> self.line_shift;
+        let last_line = (end - 1) >> self.line_shift;
+        // A one-line access (every narrow gather) needs no clipping.
+        if first_line == last_line {
+            let line_addr = first_line << self.line_shift;
+            self.access_line(
+                first_line,
+                addr - line_addr,
+                end - line_addr,
+                class,
+                write,
                 cost,
-                touched,
                 force_miss,
             );
-            if !hit {
-                self.dram.add(class, touched);
-            }
+            return;
+        }
+        for line in first_line..=last_line {
+            let line_addr = line << self.line_shift;
+            let lo = addr.max(line_addr) - line_addr;
+            let hi = end.min(line_addr + self.line_bytes) - line_addr;
+            self.access_line(line, lo, hi, class, write, cost, force_miss);
+        }
+    }
+
+    /// Route bytes `[lo, hi)` of line number `line` to the partition that
+    /// owns it, and bill the sector-rounded span to `class` on a miss.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn access_line(
+        &mut self,
+        line: u64,
+        lo: u64,
+        hi: u64,
+        class: TrafficClass,
+        write: bool,
+        cost: f64,
+        force_miss: bool,
+    ) {
+        let sec_lo = lo / SECTOR_BYTES * SECTOR_BYTES;
+        let sec_hi = hi.div_ceil(SECTOR_BYTES) * SECTOR_BYTES;
+        let touched = (sec_hi - sec_lo).min(self.line_bytes);
+        let p = self.partition_of(line << self.line_shift);
+        if !self.partitions[p].access_line(line, write, cost, touched, force_miss) {
+            self.dram.add(class, touched);
         }
     }
 
@@ -332,6 +373,11 @@ impl MemorySubsystem {
         self.partitions.len()
     }
 
+    /// The FB partitions in partition order, for per-partition counters.
+    pub fn partitions(&self) -> &[FbPartition] {
+        &self.partitions
+    }
+
     /// Invalidate all L2 contents (cold-cache experiments).
     pub fn flush_l2(&mut self) {
         for p in &mut self.partitions {
@@ -341,20 +387,15 @@ impl MemorySubsystem {
 
     /// Snapshot used by the machine to compute per-kernel deltas.
     pub fn snapshot(&self) -> MemSnapshot {
-        MemSnapshot {
-            busy: self.partitions.iter().map(FbPartition::busy_ns).collect(),
-            requested: self.requested,
-            dram: self.dram,
-            l2_hits: self.aggregate().l2_hits,
-            l2_misses: self.aggregate().l2_misses,
-            atomics: self.atomics,
-        }
+        let mut snap = MemSnapshot::default();
+        snap.capture(self);
+        snap
     }
 }
 
 /// Point-in-time copy of the memory counters (see
 /// [`MemorySubsystem::snapshot`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MemSnapshot {
     /// Per-partition busy ns at snapshot time.
     pub busy: Vec<f64>,
@@ -371,10 +412,25 @@ pub struct MemSnapshot {
 }
 
 impl MemSnapshot {
+    /// Overwrite this snapshot with `mem`'s current counters, reusing its
+    /// per-partition buffer (a launch snapshots without allocating).
+    pub fn capture(&mut self, mem: &MemorySubsystem) {
+        self.busy.clear();
+        self.busy
+            .extend(mem.partitions.iter().map(FbPartition::busy_ns));
+        let agg = mem.aggregate();
+        self.requested = mem.requested;
+        self.dram = mem.dram;
+        self.l2_hits = agg.l2_hits;
+        self.l2_misses = agg.l2_misses;
+        self.atomics = mem.atomics;
+    }
+
     /// Max over partitions of busy-time growth since this snapshot.
     pub fn max_busy_delta(&self, now: &MemorySubsystem) -> f64 {
-        now.partition_busy_ns()
+        now.partitions
             .iter()
+            .map(FbPartition::busy_ns)
             .zip(&self.busy)
             .map(|(a, b)| a - b)
             .fold(0.0, f64::max)

@@ -136,13 +136,14 @@ pub struct WarpExecStats {
 }
 
 impl WarpExecStats {
-    /// Record one warp instruction of `class` with `active_lanes` of
-    /// `warp_size` lanes doing useful work.
-    pub fn record(&mut self, class: InstrClass, active_lanes: usize, warp_size: usize) {
+    /// Record `n` warp instructions of `class`, each with `active_lanes`
+    /// of `warp_size` lanes doing useful work. The counts are integers, so
+    /// one call equals `n` calls with `n = 1`.
+    pub fn record_n(&mut self, class: InstrClass, active_lanes: usize, warp_size: usize, n: u64) {
         debug_assert!(active_lanes <= warp_size);
         // nmt-lint: allow(slice-index) — idx() is an enum discriminant < COUNT
-        self.active[class.idx()] += active_lanes as u64;
-        self.inactive += (warp_size - active_lanes) as u64;
+        self.active[class.idx()] += active_lanes as u64 * n;
+        self.inactive += (warp_size - active_lanes) as u64 * n;
     }
 
     /// Total thread-slot executions (active + inactive).
@@ -322,13 +323,24 @@ mod tests {
     #[test]
     fn warp_exec_tracks_inactive() {
         let mut w = WarpExecStats::default();
-        w.record(InstrClass::Fp, 32, 32);
-        w.record(InstrClass::Integer, 1, 32); // 1 active, 31 inactive
+        w.record_n(InstrClass::Fp, 32, 32, 1);
+        w.record_n(InstrClass::Integer, 1, 32, 1); // 1 active, 31 inactive
         assert_eq!(w.inactive, 31);
         assert_eq!(w.active_for(InstrClass::Fp), 32);
         assert_eq!(w.total_slots(), 64);
         assert!((w.inactive_fraction() - 31.0 / 64.0).abs() < 1e-12);
         assert_eq!(w.warp_instructions(32), 2);
+    }
+
+    #[test]
+    fn record_n_counts_every_instruction() {
+        let mut w = WarpExecStats::default();
+        w.record_n(InstrClass::Memory, 7, 32, 3);
+        assert_eq!(w.active_for(InstrClass::Memory), 3 * 7);
+        assert_eq!(w.inactive, 3 * 25);
+        assert_eq!(w.warp_instructions(32), 3);
+        w.record_n(InstrClass::Fp, 32, 32, 0);
+        assert_eq!(w.total_slots(), 3 * 32, "n = 0 records nothing");
     }
 
     #[test]

@@ -1,7 +1,16 @@
-//! Property test: the L2 slice agrees with a brute-force reference model
-//! of a set-associative LRU cache on arbitrary access sequences.
+//! Property tests: the L2 slice agrees with a brute-force reference model
+//! of a set-associative LRU cache on arbitrary access sequences, and the
+//! memory subsystem's fast path (shift/mask decode, single-line shortcut,
+//! packed one-pass sets) agrees bit for bit with the straightforward
+//! per-line model it replaced.
 
+use nmt_fault::{FaultPlan, FaultSite};
 use nmt_sim::cache::{L2Slice, Probe};
+use nmt_sim::memory::{DRAM_SPIKE_COST_FACTOR, SECTOR_BYTES};
+use nmt_sim::{
+    AccessKind, GpuConfig, MemorySubsystem, PartitionCounters, TraceEvent, TrafficBytes,
+    TrafficClass,
+};
 use proptest::prelude::*;
 
 /// Reference model: per-set vector of (line, dirty) in LRU order
@@ -96,6 +105,363 @@ proptest! {
                 let miss = matches!(dut.access(addr, false), Probe::Miss { .. });
                 prop_assert!(miss, "post-flush access must miss");
             }
+        }
+    }
+}
+
+/// Reference L2 slice: `Option` tags with separate stamp and dirty
+/// vectors, a hit scan, then a victim scan (first invalid way, else LRU).
+struct RefSlice {
+    line_bytes: u64,
+    sets: usize,
+    ways: usize,
+    tags: Vec<Option<u64>>,
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
+    tick: u64,
+}
+
+impl RefSlice {
+    fn new(capacity_bytes: usize, line_bytes: usize, ways: usize) -> Self {
+        let lines = capacity_bytes / line_bytes;
+        Self {
+            line_bytes: line_bytes as u64,
+            sets: lines / ways,
+            ways,
+            tags: vec![None; lines],
+            stamps: vec![0; lines],
+            dirty: vec![false; lines],
+            tick: 0,
+        }
+    }
+
+    fn access(&mut self, addr: u64, write: bool) -> Probe {
+        self.tick += 1;
+        let line = addr / self.line_bytes;
+        let set = (line % self.sets as u64) as usize;
+        let slots = set * self.ways..(set + 1) * self.ways;
+        for i in slots.clone() {
+            if self.tags[i] == Some(line) {
+                self.stamps[i] = self.tick;
+                if write {
+                    self.dirty[i] = true;
+                }
+                return Probe::Hit;
+            }
+        }
+        let victim = slots
+            .clone()
+            .find(|&i| self.tags[i].is_none())
+            .unwrap_or_else(|| slots.min_by_key(|&i| self.stamps[i]).unwrap());
+        let dirty_writeback = self.tags[victim].is_some() && self.dirty[victim];
+        self.tags[victim] = Some(line);
+        self.stamps[victim] = self.tick;
+        self.dirty[victim] = write;
+        Probe::Miss { dirty_writeback }
+    }
+}
+
+/// Reference FB partition: the same `f64` accumulation as the model.
+struct RefPartition {
+    l2: RefSlice,
+    counters: PartitionCounters,
+    channel_ns_per_byte: f64,
+    l2_ns_per_byte: f64,
+}
+
+impl RefPartition {
+    fn access_line(
+        &mut self,
+        addr: u64,
+        write: bool,
+        cost: f64,
+        touched: u64,
+        force_miss: bool,
+    ) -> bool {
+        let line = self.l2.line_bytes;
+        let touched = touched.min(line) as f64;
+        let c = &mut self.counters;
+        match self.l2.access(addr, write) {
+            Probe::Hit if force_miss => {
+                c.l2_misses += 1;
+                c.dram_bytes += touched as u64;
+                c.dram_busy_ns += touched * self.channel_ns_per_byte * cost;
+                c.l2_busy_ns += touched * self.l2_ns_per_byte * cost;
+                false
+            }
+            Probe::Hit => {
+                c.l2_hits += 1;
+                c.l2_busy_ns += touched * self.l2_ns_per_byte * cost;
+                true
+            }
+            Probe::Miss { dirty_writeback } => {
+                c.l2_misses += 1;
+                let mut bytes = touched;
+                if dirty_writeback {
+                    bytes += line as f64;
+                }
+                c.dram_bytes += bytes as u64;
+                c.dram_busy_ns += bytes * self.channel_ns_per_byte * cost;
+                c.l2_busy_ns += touched * self.l2_ns_per_byte * cost;
+                false
+            }
+        }
+    }
+}
+
+/// Reference memory subsystem: `/` and `%` partition decode and one loop
+/// iteration per line, however short the access.
+struct RefMemory {
+    partitions: Vec<RefPartition>,
+    interleave: u64,
+    line_bytes: u64,
+    atomic_cost_factor: f64,
+    requested: TrafficBytes,
+    dram: TrafficBytes,
+    atomics: u64,
+    trace: Vec<TraceEvent>,
+    fault: Option<FaultPlan>,
+    ordinal: u64,
+    spikes: u64,
+    overflows: u64,
+}
+
+impl RefMemory {
+    fn new(config: &GpuConfig, fault: Option<FaultPlan>) -> Self {
+        let partitions = (0..config.num_partitions)
+            .map(|_| RefPartition {
+                l2: RefSlice::new(
+                    config.l2_slice_bytes(),
+                    config.l2_line_bytes,
+                    config.l2_ways,
+                ),
+                counters: PartitionCounters::default(),
+                channel_ns_per_byte: 1.0 / config.channel_gbps,
+                l2_ns_per_byte: 1.0 / config.l2_slice_gbps,
+            })
+            .collect();
+        Self {
+            partitions,
+            interleave: config.interleave_bytes,
+            line_bytes: config.l2_line_bytes as u64,
+            atomic_cost_factor: config.atomic_cost_factor,
+            requested: TrafficBytes::default(),
+            dram: TrafficBytes::default(),
+            atomics: 0,
+            trace: Vec::new(),
+            fault,
+            ordinal: 0,
+            spikes: 0,
+            overflows: 0,
+        }
+    }
+
+    fn access(&mut self, addr: u64, nbytes: u64, class: TrafficClass, write: bool, atomic: bool) {
+        if nbytes == 0 {
+            return;
+        }
+        self.requested.add(class, nbytes);
+        if atomic {
+            self.atomics += 1;
+        }
+        let kind = if atomic {
+            AccessKind::Atomic
+        } else if write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        self.trace.push(TraceEvent {
+            addr,
+            bytes: nbytes,
+            class,
+            kind,
+        });
+        let mut cost = if atomic { self.atomic_cost_factor } else { 1.0 };
+        let ordinal = self.ordinal;
+        self.ordinal += 1;
+        let mut force_miss = false;
+        if let Some(plan) = self.fault {
+            if plan.fires(FaultSite::DramLatencySpike, ordinal) {
+                cost *= DRAM_SPIKE_COST_FACTOR;
+                self.spikes += 1;
+            }
+            if plan.fires(FaultSite::PrefetchOverflow, ordinal) {
+                force_miss = true;
+                self.overflows += 1;
+            }
+        }
+        for line in addr / self.line_bytes..=(addr + nbytes - 1) / self.line_bytes {
+            let line_addr = line * self.line_bytes;
+            let lo = addr.max(line_addr);
+            let hi = (addr + nbytes).min(line_addr + self.line_bytes);
+            let sec_lo = (lo - line_addr) / SECTOR_BYTES * SECTOR_BYTES;
+            let sec_hi = (hi - line_addr).div_ceil(SECTOR_BYTES) * SECTOR_BYTES;
+            let touched = (sec_hi - sec_lo).min(self.line_bytes);
+            let p = ((line_addr / self.interleave) % self.partitions.len() as u64) as usize;
+            if !self.partitions[p].access_line(
+                line_addr,
+                write || atomic,
+                cost,
+                touched,
+                force_miss,
+            ) {
+                self.dram.add(class, touched);
+            }
+        }
+    }
+}
+
+/// The experiments' small-scale GPU: a GV100 with a 128 KB L2, so each
+/// of the 64 slices is one 16-way set.
+fn small_scale_gv100() -> GpuConfig {
+    GpuConfig {
+        l2_bytes: 128 * 1024,
+        ..GpuConfig::gv100()
+    }
+}
+
+/// Smallest address stride that maps to the same partition and the same
+/// set, so accesses `j * stride + off` for a few dozen `j` fill a set past
+/// its associativity and force evictions.
+fn conflict_stride(c: &GpuConfig) -> u64 {
+    let partition_period = c.interleave_bytes * c.num_partitions as u64;
+    let sets = (c.l2_slice_bytes() / c.l2_line_bytes / c.l2_ways) as u64;
+    let set_period = c.l2_line_bytes as u64 * sets;
+    let (mut a, mut b) = (partition_period, set_period);
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    partition_period / a * set_period
+}
+
+/// One access: `((conflict slot j, byte offset, nbytes), (class, write,
+/// atomic))`.
+type Access = ((u64, u64, u64), (usize, bool, bool));
+
+fn access_stream() -> impl Strategy<Value = Vec<Access>> {
+    proptest::collection::vec(
+        (
+            (0u64..40, 0u64..1024, 0u64..=512),
+            (
+                0usize..TrafficClass::COUNT,
+                proptest::bool::ANY,
+                proptest::bool::ANY,
+            ),
+        ),
+        1..300,
+    )
+}
+
+/// Replay `stream` through the model and the reference and require every
+/// counter to agree exactly, `f64` busy times to the bit.
+fn assert_same_counters(
+    config: &GpuConfig,
+    fault: Option<FaultPlan>,
+    stream: &[Access],
+) -> Result<(), TestCaseError> {
+    let stride = conflict_stride(config);
+    let mut dut = MemorySubsystem::new(config);
+    dut.set_fault_plan(fault);
+    dut.enable_trace(stream.len());
+    let mut reference = RefMemory::new(config, fault);
+    for &((j, off, nbytes), (class, write, atomic)) in stream {
+        let class = TrafficClass::ALL[class];
+        dut.access(j * stride + off, nbytes, class, write, atomic);
+        reference.access(j * stride + off, nbytes, class, write, atomic);
+    }
+    prop_assert_eq!(dut.partitions().len(), reference.partitions.len());
+    for (p, (got, want)) in dut
+        .partitions()
+        .iter()
+        .zip(&reference.partitions)
+        .enumerate()
+    {
+        let (got, want) = (got.counters(), want.counters);
+        prop_assert_eq!(
+            got.dram_busy_ns.to_bits(),
+            want.dram_busy_ns.to_bits(),
+            "partition {} DRAM busy time",
+            p
+        );
+        prop_assert_eq!(
+            got.l2_busy_ns.to_bits(),
+            want.l2_busy_ns.to_bits(),
+            "partition {} L2 busy time",
+            p
+        );
+        prop_assert_eq!(
+            got.dram_bytes,
+            want.dram_bytes,
+            "partition {} DRAM bytes",
+            p
+        );
+        prop_assert_eq!(got.l2_hits, want.l2_hits, "partition {} hits", p);
+        prop_assert_eq!(got.l2_misses, want.l2_misses, "partition {} misses", p);
+    }
+    for class in TrafficClass::ALL {
+        prop_assert_eq!(
+            dut.requested_traffic().get(class),
+            reference.requested.get(class)
+        );
+        prop_assert_eq!(dut.dram_traffic().get(class), reference.dram.get(class));
+    }
+    prop_assert_eq!(dut.atomics(), reference.atomics);
+    prop_assert_eq!(dut.fault_dram_spikes(), reference.spikes);
+    prop_assert_eq!(dut.fault_prefetch_overflows(), reference.overflows);
+    let trace = dut.take_trace().unwrap();
+    prop_assert_eq!(trace.dropped(), 0);
+    prop_assert_eq!(trace.events(), reference.trace);
+    Ok(())
+}
+
+fn fault_plan() -> FaultPlan {
+    FaultPlan::from_rate(0x5eed, 0.3)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn fast_path_matches_reference_on_small_scale_gv100(stream in access_stream()) {
+        let config = small_scale_gv100();
+        prop_assert_eq!(config.l2_slice_bytes() / config.l2_line_bytes / config.l2_ways, 1);
+        assert_same_counters(&config, None, &stream)?;
+        assert_same_counters(&config, Some(fault_plan()), &stream)?;
+    }
+
+    #[test]
+    fn fast_path_matches_reference_on_test_small(stream in access_stream()) {
+        let config = GpuConfig::test_small();
+        prop_assert_eq!(config.l2_slice_bytes() / config.l2_line_bytes / config.l2_ways, 16);
+        assert_same_counters(&config, None, &stream)?;
+        assert_same_counters(&config, Some(fault_plan()), &stream)?;
+    }
+
+    #[test]
+    fn fast_path_matches_reference_on_paper_gv100(stream in access_stream()) {
+        // 48 sets per slice: the set index takes the modulo path.
+        let config = GpuConfig::gv100();
+        prop_assert_eq!(config.l2_slice_bytes() / config.l2_line_bytes / config.l2_ways, 48);
+        assert_same_counters(&config, None, &stream)?;
+        assert_same_counters(&config, Some(fault_plan()), &stream)?;
+    }
+}
+
+#[test]
+fn conflict_stride_pins_partition_and_set() {
+    for config in [
+        small_scale_gv100(),
+        GpuConfig::test_small(),
+        GpuConfig::gv100(),
+    ] {
+        let stride = conflict_stride(&config);
+        let m = MemorySubsystem::new(&config);
+        let sets = (config.l2_slice_bytes() / config.l2_line_bytes / config.l2_ways) as u64;
+        let line = config.l2_line_bytes as u64;
+        for j in 1..40 {
+            assert_eq!(m.partition_of(j * stride), 0);
+            assert_eq!(j * stride / line % sets, 0);
         }
     }
 }
