@@ -95,30 +95,46 @@ impl HistoryRecord {
 
 /// Append one record to the JSONL history at `path`, creating the file
 /// (and parent directory) if needed. Returns the assigned run ordinal.
-pub fn append_history(path: &Path, mut record: HistoryRecord) -> Result<u64, String> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("create {}: {e}", parent.display()))?;
-        }
-    }
-    let existing = load_history(path).unwrap_or_default();
-    record.run = existing.len() as u64;
-    let line =
-        serde_json::to_string(&record).map_err(|e| format!("serialize history record: {e:?}"))?;
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("open {}: {e}", path.display()))?;
-    writeln!(file, "{line}").map_err(|e| format!("append {}: {e}", path.display()))?;
-    Ok(record.run)
+pub fn append_history(path: &Path, record: HistoryRecord) -> Result<u64, String> {
+    append_jsonl(path, record, |r| &mut r.run)
 }
 
 /// Load every parseable record from the JSONL history. Blank and torn
 /// lines are skipped (a crashed writer must not poison the timeline);
 /// a missing file is an empty history.
 pub fn load_history(path: &Path) -> Result<Vec<HistoryRecord>, String> {
+    load_jsonl(path)
+}
+
+/// Append `row` as one JSON line, creating the file and its parent
+/// directory if needed. The row's ordinal (reached through `run_of`) is
+/// set to the number of rows already loadable as `T`, and returned.
+pub(crate) fn append_jsonl<T: Serialize + Deserialize>(
+    path: &Path,
+    mut row: T,
+    run_of: fn(&mut T) -> &mut u64,
+) -> Result<u64, String> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)
+                .map_err(|e| format!("create {}: {e}", parent.display()))?;
+        }
+    }
+    let ordinal = load_jsonl::<T>(path).unwrap_or_default().len() as u64;
+    *run_of(&mut row) = ordinal;
+    let line = serde_json::to_string(&row).map_err(|e| format!("serialize row: {e:?}"))?;
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .map_err(|e| format!("open {}: {e}", path.display()))?;
+    writeln!(file, "{line}").map_err(|e| format!("append {}: {e}", path.display()))?;
+    Ok(ordinal)
+}
+
+/// Load every line of `path` that parses as `T`: blank and torn lines are
+/// skipped, and a missing file is an empty timeline.
+pub(crate) fn load_jsonl<T: Deserialize>(path: &Path) -> Result<Vec<T>, String> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -127,7 +143,7 @@ pub fn load_history(path: &Path) -> Result<Vec<HistoryRecord>, String> {
     Ok(text
         .lines()
         .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| serde_json::from_str::<HistoryRecord>(l).ok())
+        .filter_map(|l| serde_json::from_str::<T>(l).ok())
         .collect())
 }
 

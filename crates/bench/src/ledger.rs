@@ -345,18 +345,6 @@ pub fn scale_label(scale: SuiteScale) -> &'static str {
 }
 
 impl Ledger {
-    /// Aggregate a set of audits (in suite order) into a ledger with no
-    /// error rows — the common clean-sweep case.
-    pub fn from_audits(
-        scale: SuiteScale,
-        seed: u64,
-        k: usize,
-        tile: usize,
-        audits: &[DecisionAudit],
-    ) -> Self {
-        Self::from_sweep(scale, seed, k, tile, audits, Vec::new())
-    }
-
     /// Aggregate a sweep's successful audits plus its per-matrix errors
     /// (both in suite order) into a clean (unfaulted) ledger.
     pub fn from_sweep(
@@ -725,25 +713,18 @@ impl LedgerRow {
 /// both rows and error rows come out in suite order regardless of
 /// thread count.
 pub fn sweep_ledger(scale: SuiteScale) -> Result<Ledger, SimError> {
-    sweep_ledger_faulted(scale, None)
+    sweep_ledger_instrumented(scale, None, None, None)
 }
 
 /// [`sweep_ledger`] with a [`FaultPlan`] installed in every per-matrix
-/// planner. Faults fire at `(seed, site, key)`-determined points, so the
-/// faulted ledger is just as byte-reproducible as the clean one; engine
-/// faults that exhaust their retry are absorbed per-matrix by the B→C
-/// degraded-mode fallback (visible in `fault.*` metrics and the audit),
-/// and any error that still stops a matrix carries its fault attribution
-/// in [`ErrorRow::fault`].
-pub fn sweep_ledger_faulted(
-    scale: SuiteScale,
-    fault: Option<FaultPlan>,
-) -> Result<Ledger, SimError> {
-    sweep_ledger_instrumented(scale, fault, None, None)
-}
-
-/// [`sweep_ledger_faulted`] with the observability extras wired in:
+/// planner and the observability extras wired in.
 ///
+/// * `fault` — faults fire at `(seed, site, key)`-determined points, so
+///   the faulted ledger is just as byte-reproducible as the clean one;
+///   engine faults that exhaust their retry are absorbed per-matrix by
+///   the B→C degraded-mode fallback (visible in the audit), and any error
+///   that still stops a matrix carries its fault attribution in
+///   [`ErrorRow::fault`].
 /// * `progress` — a [`ProgressReporter`] fed from inside the parallel
 ///   sweep (per-matrix phase updates + completion counts). Reporting only
 ///   observes; the ledger bytes are unaffected.
@@ -1003,7 +984,7 @@ mod tests {
                     .expect("audit runs")
             })
             .collect();
-        Ledger::from_audits(SuiteScale::Small, seed, 8, tile, &audits)
+        Ledger::from_sweep(SuiteScale::Small, seed, 8, tile, &audits, Vec::new())
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub use history::{
     append_history, change_point, load_history, render_history, scan_history, HistoryRecord,
 };
 pub use ledger::{
-    ledger_filename, scale_label, sweep_ledger, sweep_ledger_faulted, sweep_ledger_instrumented,
+    ledger_filename, scale_label, sweep_ledger, sweep_ledger_instrumented,
     CorpusSummary, ErrorRow, GateTolerance, LatencyPercentiles, Ledger, LedgerEvent, LedgerRow,
     MatrixPerf, PerfSection, PerfTolerance, PhasePerf, LEDGER_SCHEMA_VERSION,
 };

@@ -13,8 +13,8 @@
 //! mirroring how [`HistoryRecord`](crate::history::HistoryRecord)
 //! flattens the bench ledger rather than embedding it.
 
+use crate::history::{append_jsonl, load_jsonl};
 use serde::{Deserialize, Serialize};
-use std::io::Write;
 use std::path::Path;
 
 /// One serve replay's row in the serve history file.
@@ -59,39 +59,14 @@ impl ServeRunRow {
 /// Append one row, assigning its `run` ordinal. Same contract as
 /// [`append_history`](crate::history::append_history): parents are
 /// created, the ordinal is the current row count.
-pub fn append_serve_history(path: &Path, mut row: ServeRunRow) -> Result<u64, String> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("create {}: {e}", parent.display()))?;
-        }
-    }
-    let existing = load_serve_history(path).unwrap_or_default();
-    row.run = existing.len() as u64;
-    let line =
-        serde_json::to_string(&row).map_err(|e| format!("serialize serve row: {e:?}"))?;
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("open {}: {e}", path.display()))?;
-    writeln!(file, "{line}").map_err(|e| format!("append {}: {e}", path.display()))?;
-    Ok(row.run)
+pub fn append_serve_history(path: &Path, row: ServeRunRow) -> Result<u64, String> {
+    append_jsonl(path, row, |r| &mut r.run)
 }
 
 /// Load every parseable row. Blank and torn lines are skipped; a missing
 /// file is an empty timeline.
 pub fn load_serve_history(path: &Path) -> Result<Vec<ServeRunRow>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(format!("read {}: {e}", path.display())),
-    };
-    Ok(text
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| serde_json::from_str::<ServeRunRow>(l).ok())
-        .collect())
+    load_jsonl(path)
 }
 
 /// Render the serve timeline as a table.

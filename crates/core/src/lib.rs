@@ -33,4 +33,4 @@ pub use audit::{DecisionAudit, KernelAudit, TrafficValidation};
 pub use fingerprint::MatrixFingerprint;
 pub use multi_gpu::{LargeSpmmProblem, MultiGpuConfig, MultiGpuReport};
 pub use planner::{Algorithm, PlanReport, PlannerConfig, SpmmPlanner, DEFAULT_SSF_THRESHOLD};
-pub use report::{RunRecord, SuiteReport};
+pub use report::RunRecord;

@@ -4,7 +4,9 @@ use crate::audit::{DecisionAudit, KernelAudit};
 use nmt_engine::{conversion_energy_pj, ConversionStats};
 use nmt_fault::{FaultPlan, FaultRecord, FaultSite};
 use nmt_formats::{Csr, Dcsr, DenseMatrix, SparseMatrix};
-use nmt_kernels::{bstat_tiled_dcsr_online_obs, csrmm_cusparse, dcsrmm_row_per_warp};
+use nmt_kernels::{
+    bstat_tiled_dcsr_online_obs, csrmm_cusparse, dcsrmm_row_per_warp, KernelRun,
+};
 use nmt_model::ssf::{classify, Choice, SsfProfile, SsfThreshold};
 use nmt_model::{Dataflow, TrafficModel};
 use nmt_obs::ObsContext;
@@ -24,8 +26,6 @@ pub const DEFAULT_SSF_THRESHOLD: SsfThreshold = SsfThreshold {
 /// Which concrete kernel the planner ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Algorithm {
-    /// C-stationary, untiled CSR, row-per-warp (also the baseline).
-    CStationaryCsr,
     /// C-stationary, untiled DCSR, row-per-warp.
     CStationaryDcsr,
     /// B-stationary, online-tiled DCSR via the near-memory engine.
@@ -156,6 +156,14 @@ impl SpmmPlanner {
         let mut root = obs.span("planner.execute");
         root.counter("nrows", a.shape().nrows as f64);
         root.counter("nnz", a.nnz() as f64);
+        let phase = |n: u32| {
+            obs.flight.record(
+                nmt_obs::EventSite::PlannerPhase,
+                n,
+                a.shape().nrows as u64,
+                a.nnz() as u64,
+            )
+        };
 
         let t0 = obs.recorder.now_ns();
         let (profile, choice) = {
@@ -165,117 +173,34 @@ impl SpmmPlanner {
             (profile, choice)
         };
         let t_plan = obs.recorder.now_ns();
-        obs.flight.record(
-            nmt_obs::EventSite::PlannerPhase,
-            0,
-            a.shape().nrows as u64,
-            a.nnz() as u64,
-        );
+        phase(0);
 
         let baseline = {
             let _s = obs.span("planner.baseline");
-            let mut base_gpu = Gpu::new(self.config.gpu.clone())?;
-            csrmm_cusparse(&mut base_gpu, a, b)?
+            self.run_baseline(a, b)?
         };
         publish_kernel_stats(obs, "kernels.baseline", &baseline.stats);
         let t_baseline = obs.recorder.now_ns();
-        obs.flight.record(
-            nmt_obs::EventSite::PlannerPhase,
-            1,
-            a.shape().nrows as u64,
-            a.nnz() as u64,
-        );
+        phase(1);
 
-        let chosen_span = obs.span("planner.chosen");
-        let mut gpu = Gpu::new(self.config.gpu.clone())?;
-        gpu.set_fault_plan(self.config.fault);
-        let (algorithm, stats, c, engine, fault) = match choice {
-            Choice::CStationary => {
-                let dcsr = {
-                    let _s = obs.span("engine.convert");
-                    Dcsr::from_csr(a)
-                };
-                let run = {
-                    let _s = obs.span("kernels.launch");
-                    dcsrmm_row_per_warp(&mut gpu, &dcsr, b)?
-                };
-                (Algorithm::CStationaryDcsr, run.stats, run.c, None, None)
-            }
-            Choice::BStationary => {
-                let csc = a.to_csc();
-                match bstat_tiled_dcsr_online_obs(
-                    &mut gpu,
-                    &csc,
-                    b,
-                    self.config.tile_w,
-                    self.config.tile_h,
-                    obs,
-                ) {
-                    Ok(online) => (
-                        Algorithm::BStationaryOnline,
-                        online.run.stats,
-                        online.run.c,
-                        Some(online.engine),
-                        None,
-                    ),
-                    Err(SimError::InjectedFault { site, key, detail }) => {
-                        // Degraded mode: the engine-side fault survived its
-                        // strip retry, so fall back per-matrix to the
-                        // untiled C-stationary path — the paper's hybrid
-                        // switch used as a fault response. Fresh cold-cache
-                        // GPU, same fault plan (memory-site faults remain
-                        // active but are timing-only).
-                        obs.flight.record(
-                            nmt_obs::EventSite::PlannerFallback,
-                            site.code() as u32,
-                            key,
-                            0,
-                        );
-                        let mut fb_gpu = Gpu::new(self.config.gpu.clone())?;
-                        fb_gpu.set_fault_plan(self.config.fault);
-                        let dcsr = {
-                            let _s = obs.span("engine.convert");
-                            Dcsr::from_csr(a)
-                        };
-                        let run = {
-                            let _s = obs.span("kernels.launch");
-                            dcsrmm_row_per_warp(&mut fb_gpu, &dcsr, b)?
-                        };
-                        gpu = fb_gpu;
-                        let record = FaultRecord {
-                            retried: site == FaultSite::ConvertStrip,
-                            fell_back: true,
-                            site,
-                            key,
-                            detail,
-                        };
-                        (Algorithm::CStationaryDcsr, run.stats, run.c, None, Some(record))
-                    }
-                    Err(other) => return Err(other),
-                }
-            }
+        let chosen = {
+            let _s = obs.span("planner.chosen");
+            self.run_candidate(choice, a, b, obs)?
         };
-        drop(chosen_span);
         let t_chosen = obs.recorder.now_ns();
-        obs.flight.record(
-            nmt_obs::EventSite::PlannerPhase,
-            2,
-            a.shape().nrows as u64,
-            a.nnz() as u64,
-        );
+        phase(2);
 
+        let stats = chosen.run.stats;
         publish_kernel_stats(obs, "kernels.chosen", &stats);
-        if fault.is_some() {
+        if chosen.fault.is_some() {
             obs.metrics.counter_add("fault.fallbacks", 1);
         }
-        let mem = gpu.memory();
-        if mem.fault_dram_spikes() > 0 {
-            obs.metrics
-                .counter_add("fault.dram_spikes", mem.fault_dram_spikes());
+        if chosen.dram_spikes > 0 {
+            obs.metrics.counter_add("fault.dram_spikes", chosen.dram_spikes);
         }
-        if mem.fault_prefetch_overflows() > 0 {
+        if chosen.prefetch_overflows > 0 {
             obs.metrics
-                .counter_add("fault.prefetch_overflows", mem.fault_prefetch_overflows());
+                .counter_add("fault.prefetch_overflows", chosen.prefetch_overflows);
         }
         obs.metrics
             .gauge_set("planner.phase.plan_ns", (t_plan - t0) as f64);
@@ -285,10 +210,11 @@ impl SpmmPlanner {
             .gauge_set("planner.phase.chosen_ns", (t_chosen - t_baseline) as f64);
 
         debug_assert!(
-            c.approx_eq(&baseline.c, 1e-3),
+            chosen.run.c.approx_eq(&baseline.c, 1e-3),
             "planner kernel disagrees with baseline output"
         );
-        let engine_energy_pj = engine
+        let engine_energy_pj = chosen
+            .engine
             .as_ref()
             .map_or(0.0, |e| conversion_energy_pj(e, false));
         let speedup = baseline.stats.total_ns / stats.total_ns.max(1e-9);
@@ -296,14 +222,14 @@ impl SpmmPlanner {
         Ok(PlanReport {
             profile,
             choice,
-            algorithm,
+            algorithm: chosen.algorithm,
             speedup,
             stats,
             baseline_stats: baseline.stats,
-            engine,
+            engine: chosen.engine,
             engine_energy_pj,
-            c,
-            fault,
+            c: chosen.run.c,
+            fault: chosen.fault,
         })
     }
 
@@ -332,66 +258,40 @@ impl SpmmPlanner {
 
         let baseline = {
             let _s = obs.span("audit.baseline");
-            let mut gpu = Gpu::new(self.config.gpu.clone())?;
-            csrmm_cusparse(&mut gpu, a, b)?
+            self.run_baseline(a, b)?
         };
         let model = TrafficModel::measure(a, self.config.tile_w);
         let k = b.ncols() as f64;
-        let c_run = {
+        let c_side = {
             let _s = obs.span("audit.cstationary");
-            let mut gpu = Gpu::new(self.config.gpu.clone())?;
-            gpu.set_fault_plan(self.config.fault);
-            dcsrmm_row_per_warp(&mut gpu, &Dcsr::from_csr(a), b)?
+            self.run_candidate(Choice::CStationary, a, b, obs)?
         };
-        // The B-stationary candidate may escalate an injected fault; the
-        // degraded-mode policy then substitutes the untiled C-stationary
-        // run for this matrix's b-side, exactly as `execute` would.
-        let mut fault = None;
-        let (b_stats, b_predicted) = {
+        let b_side = {
             let _s = obs.span("audit.bstationary");
-            let mut gpu = Gpu::new(self.config.gpu.clone())?;
-            gpu.set_fault_plan(self.config.fault);
-            match bstat_tiled_dcsr_online_obs(
-                &mut gpu,
-                &a.to_csc(),
-                b,
-                self.config.tile_w,
-                self.config.tile_h,
-                obs,
-            ) {
-                Ok(online) => (online.run.stats, model.estimate_online_bstationary(k)),
-                Err(SimError::InjectedFault { site, key, detail }) => {
-                    obs.flight.record(
-                        nmt_obs::EventSite::PlannerFallback,
-                        site.code() as u32,
-                        key,
-                        0,
-                    );
-                    fault = Some(FaultRecord {
-                        retried: site == FaultSite::ConvertStrip,
-                        fell_back: chosen == Choice::BStationary,
-                        site,
-                        key,
-                        detail,
-                    });
-                    let mut fb_gpu = Gpu::new(self.config.gpu.clone())?;
-                    fb_gpu.set_fault_plan(self.config.fault);
-                    let run = dcsrmm_row_per_warp(&mut fb_gpu, &Dcsr::from_csr(a), b)?;
-                    // The degraded side actually ran C-stationary, so
-                    // validate it against the C-stationary prediction.
-                    (run.stats, model.estimate_with_ncols(Dataflow::CStationary, k))
-                }
-                Err(other) => return Err(other),
-            }
+            self.run_candidate(Choice::BStationary, a, b, obs)?
         };
-
-        let baseline_ns = baseline.stats.total_ns;
-        let cstationary = KernelAudit::new(
-            "c-stationary",
-            baseline_ns,
-            &c_run.stats,
-            &model.estimate_with_ncols(Dataflow::CStationary, k),
+        debug_assert!(
+            c_side.run.c.approx_eq(&baseline.c, 1e-3)
+                && b_side.run.c.approx_eq(&baseline.c, 1e-3),
+            "audited kernel disagrees with baseline output"
         );
+
+        let c_predicted = model.estimate_with_ncols(Dataflow::CStationary, k);
+        // A B-stationary side that fell back actually ran C-stationary, so
+        // it is validated against the C-stationary prediction.
+        let b_predicted = match b_side.algorithm {
+            Algorithm::BStationaryOnline => model.estimate_online_bstationary(k),
+            Algorithm::CStationaryDcsr => c_predicted,
+        };
+        // The audit records the escalation either way, but only a run that
+        // chose B-stationary actually fell back.
+        let fault = b_side.fault.map(|f| FaultRecord {
+            fell_back: chosen == Choice::BStationary,
+            ..f
+        });
+        let (c_stats, b_stats) = (&c_side.run.stats, &b_side.run.stats);
+        let baseline_ns = baseline.stats.total_ns;
+        let cstationary = KernelAudit::new("c-stationary", baseline_ns, c_stats, &c_predicted);
         let bstationary = KernelAudit::new(
             if fault.is_some() {
                 "b-stationary-fallback"
@@ -399,18 +299,18 @@ impl SpmmPlanner {
                 "b-stationary-online"
             },
             baseline_ns,
-            &b_stats,
+            b_stats,
             &b_predicted,
         );
 
         // Oracle: measured winner; ties prefer C-stationary (no atomics).
-        let oracle = if b_stats.total_ns < c_run.stats.total_ns {
+        let oracle = if b_stats.total_ns < c_stats.total_ns {
             Choice::BStationary
         } else {
             Choice::CStationary
         };
         let time_of = |c: Choice| match c {
-            Choice::CStationary => c_run.stats.total_ns,
+            Choice::CStationary => c_stats.total_ns,
             Choice::BStationary => b_stats.total_ns,
         };
         let mispick = chosen != oracle;
@@ -441,35 +341,115 @@ impl SpmmPlanner {
 
     /// Run *both* algorithms and report `(t_cstationary, t_bstationary)` —
     /// the measurement behind Figure 4's y-axis and threshold learning.
+    /// Under a fault plan the B-stationary side falls back exactly as in
+    /// [`execute`](Self::execute), so its time is then the fallback's.
     pub fn profile_both(&self, a: &Csr, b: &DenseMatrix) -> Result<(f64, f64), SimError> {
-        let dcsr = Dcsr::from_csr(a);
-        let mut g1 = Gpu::new(self.config.gpu.clone())?;
-        let c_run = dcsrmm_row_per_warp(&mut g1, &dcsr, b)?;
-        let mut g2 = Gpu::new(self.config.gpu.clone())?;
-        let online = bstat_tiled_dcsr_online_obs(
-            &mut g2,
-            &a.to_csc(),
-            b,
-            self.config.tile_w,
-            self.config.tile_h,
-            &ObsContext::disabled(),
-        )?;
-        Ok((c_run.stats.total_ns, online.run.stats.total_ns))
+        let obs = ObsContext::disabled();
+        let c_side = self.run_candidate(Choice::CStationary, a, b, &obs)?;
+        let b_side = self.run_candidate(Choice::BStationary, a, b, &obs)?;
+        Ok((c_side.run.stats.total_ns, b_side.run.stats.total_ns))
+    }
+
+    /// The cuSPARSE-baseline stand-in on a fresh GPU with no fault plan.
+    fn run_baseline(&self, a: &Csr, b: &DenseMatrix) -> Result<KernelRun, SimError> {
+        csrmm_cusparse(&mut Gpu::new(self.config.gpu.clone())?, a, b)
+    }
+
+    /// Run one candidate dataflow on a fresh GPU carrying the configured
+    /// fault plan. This is the one home of the degraded-mode policy: when
+    /// the B-stationary engine escalates an injected fault (it survived
+    /// its strip retry), the matrix falls back to the untiled C-stationary
+    /// path on another fresh cold-cache GPU — the paper's hybrid switch
+    /// used as a fault response. Memory-site faults stay active there but
+    /// are timing-only.
+    fn run_candidate(
+        &self,
+        choice: Choice,
+        a: &Csr,
+        b: &DenseMatrix,
+        obs: &ObsContext,
+    ) -> Result<CandidateRun, SimError> {
+        let fresh_gpu = || -> Result<Gpu, SimError> {
+            let mut gpu = Gpu::new(self.config.gpu.clone())?;
+            gpu.set_fault_plan(self.config.fault);
+            Ok(gpu)
+        };
+        let mut fault = None;
+        if choice == Choice::BStationary {
+            let mut gpu = fresh_gpu()?;
+            let csc = a.to_csc();
+            let (tile_w, tile_h) = (self.config.tile_w, self.config.tile_h);
+            match bstat_tiled_dcsr_online_obs(&mut gpu, &csc, b, tile_w, tile_h, obs) {
+                Ok(online) => {
+                    return Ok(CandidateRun::new(
+                        Algorithm::BStationaryOnline,
+                        online.run,
+                        Some(online.engine),
+                        None,
+                        &gpu,
+                    ))
+                }
+                Err(SimError::InjectedFault { site, key, detail }) => {
+                    obs.flight.record(
+                        nmt_obs::EventSite::PlannerFallback,
+                        site.code() as u32,
+                        key,
+                        0,
+                    );
+                    fault = Some(FaultRecord {
+                        retried: site == FaultSite::ConvertStrip,
+                        fell_back: true,
+                        site,
+                        key,
+                        detail,
+                    });
+                }
+                Err(other) => return Err(other),
+            }
+        }
+        let mut gpu = fresh_gpu()?;
+        let dcsr = {
+            let _s = obs.span("engine.convert");
+            Dcsr::from_csr(a)
+        };
+        let run = {
+            let _s = obs.span("kernels.launch");
+            dcsrmm_row_per_warp(&mut gpu, &dcsr, b)?
+        };
+        Ok(CandidateRun::new(Algorithm::CStationaryDcsr, run, None, fault, &gpu))
     }
 }
 
-/// Convenience: run the full planner once with the paper configuration.
-pub fn auto_spmm(a: &Csr, b: &DenseMatrix) -> Result<PlanReport, SimError> {
-    if a.shape().ncols != b.nrows() {
-        return Err(SimError::ShapeMismatch {
-            detail: format!(
-                "inner dimensions must agree: A has {} cols, B has {} rows",
-                a.shape().ncols,
-                b.nrows()
-            ),
-        });
+/// One candidate's outcome from [`SpmmPlanner::run_candidate`].
+struct CandidateRun {
+    /// The kernel that produced `run` (C-stationary after a fallback).
+    algorithm: Algorithm,
+    run: KernelRun,
+    engine: Option<ConversionStats>,
+    fault: Option<FaultRecord>,
+    /// Fault counters of the GPU that produced `run`.
+    dram_spikes: u64,
+    prefetch_overflows: u64,
+}
+
+impl CandidateRun {
+    fn new(
+        algorithm: Algorithm,
+        run: KernelRun,
+        engine: Option<ConversionStats>,
+        fault: Option<FaultRecord>,
+        gpu: &Gpu,
+    ) -> Self {
+        let mem = gpu.memory();
+        Self {
+            algorithm,
+            run,
+            engine,
+            fault,
+            dram_spikes: mem.fault_dram_spikes(),
+            prefetch_overflows: mem.fault_prefetch_overflows(),
+        }
     }
-    SpmmPlanner::new(PlannerConfig::paper_default()).execute(a, b)
 }
 
 #[cfg(test)]
@@ -735,18 +715,45 @@ mod tests {
             22,
         ));
         let b = random_dense(128, 16, 23);
-        let cfg = PlannerConfig::test_small().with_fault(Some(FaultPlan::from_rate(3, 1.0)));
-        let p = SpmmPlanner::new(cfg);
-        let report = p.execute(&a, &b).unwrap();
-        let audit = p.explain("t", &a, &b, &ObsContext::disabled()).unwrap();
-        let audit2 = p.explain("t", &a, &b, &ObsContext::disabled()).unwrap();
-        assert_eq!(audit, audit2, "faulted explain must be reproducible");
-        assert!(audit.fault.is_some(), "explain audits the escalation");
-        assert_eq!(audit.chosen, report.choice);
-        assert!((audit.chosen_audit().time_ns - report.stats.total_ns).abs() < 1e-9);
-        if report.choice == Choice::BStationary {
+        // Force each branch, B-stationary first, so both the fallback and
+        // the audit-only escalation are compared.
+        let mut escalation = None;
+        for threshold in [-1.0, f64::INFINITY] {
+            let mut cfg =
+                PlannerConfig::test_small().with_fault(Some(FaultPlan::from_rate(3, 1.0)));
+            cfg.threshold = SsfThreshold {
+                threshold,
+                accuracy: 1.0,
+            };
+            let p = SpmmPlanner::new(cfg);
+            let report = p.execute(&a, &b).unwrap();
+            let audit = p.explain("t", &a, &b, &ObsContext::disabled()).unwrap();
+            let audit2 = p.explain("t", &a, &b, &ObsContext::disabled()).unwrap();
+            assert_eq!(audit, audit2, "faulted explain must be reproducible");
+            assert_eq!(audit.chosen, report.choice);
+            assert_eq!(
+                audit.chosen_audit().time_ns.to_bits(),
+                report.stats.total_ns.to_bits(),
+                "threshold {threshold}"
+            );
+            let audited = audit.fault.clone().expect("explain audits the escalation");
+            assert_eq!(audited.fell_back, audit.chosen == Choice::BStationary);
             assert_eq!(audit.bstationary.dataflow, "b-stationary-fallback");
-            assert!(report.fault.is_some());
+            // Only a B-stationary execute meets the escalation; the audit
+            // records the same one under either choice.
+            if report.choice == Choice::BStationary {
+                escalation = report.fault.clone();
+            } else {
+                assert!(report.fault.is_none());
+            }
+            let executed = escalation.clone().expect("B-stationary execute fell back");
+            assert_eq!(
+                FaultRecord {
+                    fell_back: true,
+                    ..audited
+                },
+                executed
+            );
         }
     }
 
@@ -783,7 +790,11 @@ mod tests {
             6,
         ));
         let b = random_dense(96, 16, 7);
-        let (tc, tb) = planner().profile_both(&a, &b).unwrap();
+        let p = planner();
+        let (tc, tb) = p.profile_both(&a, &b).unwrap();
         assert!(tc > 0.0 && tb > 0.0);
+        let audit = p.explain("t", &a, &b, &ObsContext::disabled()).unwrap();
+        assert_eq!(tc.to_bits(), audit.cstationary.time_ns.to_bits());
+        assert_eq!(tb.to_bits(), audit.bstationary.time_ns.to_bits());
     }
 }

@@ -1,5 +1,5 @@
 //! Structured reports: serializable summaries of planner runs, suitable
-//! for the CLI's `--json` output and for suite-level aggregation.
+//! for the CLI's `--json` output.
 
 use crate::planner::{Algorithm, PlanReport};
 use nmt_model::ssf::Choice;
@@ -61,7 +61,6 @@ impl RunRecord {
                 Choice::CStationary => "c-stationary".into(),
             },
             algorithm: match r.algorithm {
-                Algorithm::CStationaryCsr => "cstat-csr".into(),
                 Algorithm::CStationaryDcsr => "cstat-dcsr".into(),
                 Algorithm::BStationaryOnline => "bstat-online".into(),
             },
@@ -86,69 +85,6 @@ impl RunRecord {
     pub fn to_json(&self) -> String {
         // nmt-lint: allow(panic) — serializing a plain data struct cannot fail
         serde_json::to_string_pretty(self).expect("record serializes")
-    }
-}
-
-/// Aggregate over a set of runs (a suite sweep).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SuiteReport {
-    /// Individual records.
-    pub runs: Vec<RunRecord>,
-    /// Geometric-mean speedup across runs.
-    pub geomean_speedup: f64,
-    /// Fraction of runs that improved on the baseline.
-    pub improved_fraction: f64,
-    /// Runs routed to the B-stationary (online engine) path.
-    pub bstationary_count: usize,
-    /// Runs routed to the C-stationary path.
-    pub cstationary_count: usize,
-}
-
-impl SuiteReport {
-    /// Aggregate a set of records.
-    pub fn aggregate(runs: Vec<RunRecord>) -> Self {
-        let positive: Vec<f64> = runs
-            .iter()
-            .map(|r| r.speedup)
-            .filter(|&s| s > 0.0)
-            .collect();
-        let geomean_speedup = if positive.is_empty() {
-            0.0
-        } else {
-            (positive.iter().map(|s| s.ln()).sum::<f64>() / positive.len() as f64).exp()
-        };
-        let improved = runs.iter().filter(|r| r.speedup > 1.0).count();
-        let b = runs.iter().filter(|r| r.choice == "b-stationary").count();
-        let c = runs.len() - b;
-        Self {
-            improved_fraction: if runs.is_empty() {
-                0.0
-            } else {
-                improved as f64 / runs.len() as f64
-            },
-            geomean_speedup,
-            bstationary_count: b,
-            cstationary_count: c,
-            runs,
-        }
-    }
-
-    /// Serialize as pretty JSON.
-    pub fn to_json(&self) -> String {
-        // nmt-lint: allow(panic) — serializing a plain data struct cannot fail
-        serde_json::to_string_pretty(self).expect("report serializes")
-    }
-
-    /// Render a compact text summary.
-    pub fn render_summary(&self) -> String {
-        format!(
-            "{} matrices | geomean speedup {:.2}x | improved {:.0}% | routed B/C = {}/{}",
-            self.runs.len(),
-            self.geomean_speedup,
-            self.improved_fraction * 100.0,
-            self.bstationary_count,
-            self.cstationary_count
-        )
     }
 }
 
@@ -204,37 +140,5 @@ mod tests {
         assert!(flat.contains_key("kernels.chosen.dram_bytes.mat_a"));
         let back: RunRecord = serde_json::from_str(&r.to_json()).expect("parses");
         assert_eq!(back.metrics, r.metrics);
-    }
-
-    #[test]
-    fn suite_aggregation() {
-        let runs = vec![
-            record(GenKind::Uniform { density: 0.02 }, 2),
-            record(
-                GenKind::RowBursts {
-                    density: 0.02,
-                    burst_len: 8,
-                },
-                3,
-            ),
-        ];
-        let report = SuiteReport::aggregate(runs);
-        assert_eq!(report.runs.len(), 2);
-        assert_eq!(report.bstationary_count + report.cstationary_count, 2);
-        assert!(report.geomean_speedup > 0.0);
-        let summary = report.render_summary();
-        assert!(summary.contains("2 matrices"));
-        let back: SuiteReport = serde_json::from_str(&report.to_json()).expect("parses");
-        assert_eq!(back.runs.len(), report.runs.len());
-        assert!((back.geomean_speedup - report.geomean_speedup).abs() < 1e-9);
-        assert_eq!(back.bstationary_count, report.bstationary_count);
-    }
-
-    #[test]
-    fn empty_suite_is_handled() {
-        let report = SuiteReport::aggregate(vec![]);
-        assert_eq!(report.geomean_speedup, 0.0);
-        assert_eq!(report.improved_fraction, 0.0);
-        assert!(report.render_summary().contains("0 matrices"));
     }
 }

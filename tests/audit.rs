@@ -153,7 +153,7 @@ fn ledger_from_fixture_audits_is_byte_stable_and_gates_itself() {
             .iter()
             .map(|a| explain(a, PlannerConfig::test_small()))
             .collect();
-        Ledger::from_audits(SuiteScale::Small, 3, 8, 16, &audits)
+        Ledger::from_sweep(SuiteScale::Small, 3, 8, 16, &audits, Vec::new())
     };
     let one = build();
     let two = build();

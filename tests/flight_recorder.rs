@@ -166,10 +166,12 @@ fn panic_bundle_doctor_and_thread_invariant_event_content() {
     // harvesting in the closure) stays byte-identical across thread
     // counts, clean and faulted. ---
     let faulted_1 = with_threads(1, || {
-        spmm_nmt::bench::sweep_ledger_faulted(SuiteScale::Small, Some(plan)).expect("sweeps")
+        spmm_nmt::bench::sweep_ledger_instrumented(SuiteScale::Small, Some(plan), None, None)
+            .expect("sweeps")
     });
     let faulted_4 = with_threads(4, || {
-        spmm_nmt::bench::sweep_ledger_faulted(SuiteScale::Small, Some(plan)).expect("sweeps")
+        spmm_nmt::bench::sweep_ledger_instrumented(SuiteScale::Small, Some(plan), None, None)
+            .expect("sweeps")
     });
     assert_eq!(
         faulted_1.to_json(),

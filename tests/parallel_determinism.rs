@@ -41,7 +41,14 @@ fn audit_suite() -> Vec<DecisionAudit> {
 
 fn quick_ledger() -> Ledger {
     let audits = audit_suite();
-    Ledger::from_audits(SuiteScale::Small, 29, 8, PlannerConfig::test_small().tile_w, &audits)
+    Ledger::from_sweep(
+        SuiteScale::Small,
+        29,
+        8,
+        PlannerConfig::test_small().tile_w,
+        &audits,
+        Vec::new(),
+    )
 }
 
 // One test function on purpose: `build_global` is process-wide state, and

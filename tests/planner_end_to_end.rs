@@ -10,6 +10,7 @@ use spmm_nmt::model::ssf::Choice;
 use spmm_nmt::planner::api::{ConversionQueue, GetDcsrTileRequest};
 use spmm_nmt::planner::multi_gpu::{plan_streamed_spmm, LargeSpmmProblem, MultiGpuConfig};
 use spmm_nmt::planner::planner::{PlannerConfig, SpmmPlanner};
+use spmm_nmt::sim::SimError;
 
 fn planner() -> SpmmPlanner {
     SpmmPlanner::new(PlannerConfig::test_small())
@@ -210,4 +211,25 @@ fn planner_handles_zero_dimension_matrix() {
     assert_eq!(strips[0].len(), 1, "zero-height strip still owns one tile");
     assert_eq!(strips[0][0].nnz(), 0);
     assert_eq!(stats.elements, 0);
+}
+
+#[test]
+fn planner_rejects_mismatched_inner_dimensions() {
+    // A is 64×64 but B has 48 rows: both entry points must return the
+    // typed shape error from the baseline's pre-check, not panic.
+    let a = generators::generate(&MatrixDesc::new("m", 64, GenKind::Uniform { density: 0.05 }, 3));
+    let b = random_dense(48, 8, 4);
+    let p = planner();
+    let executed = p.execute(&a, &b);
+    assert!(
+        matches!(executed, Err(SimError::ShapeMismatch { .. })),
+        "execute: {:?}",
+        executed.map(|r| r.algorithm)
+    );
+    let explained = p.explain("m", &a, &b, &spmm_nmt::obs::ObsContext::disabled());
+    assert!(
+        matches!(explained, Err(SimError::ShapeMismatch { .. })),
+        "explain: {:?}",
+        explained.map(|r| r.chosen)
+    );
 }

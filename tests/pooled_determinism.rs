@@ -105,7 +105,7 @@ fn quick_ledger() -> Ledger {
                 .expect("audit runs")
         })
         .collect();
-    Ledger::from_audits(SuiteScale::Small, 29, 8, config.tile_w, &audits)
+    Ledger::from_sweep(SuiteScale::Small, 29, 8, config.tile_w, &audits, Vec::new())
 }
 
 // One test function on purpose: `build_global` and the engine pools are
