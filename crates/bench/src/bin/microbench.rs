@@ -1,6 +1,6 @@
 //! `microbench` — statistical microbenchmarks for the hot paths the
-//! profiler attributes most time to: the parallel conversion farm, the
-//! B-stationary online kernel, the comparator tree's frontier min-scan,
+//! profiler attributes most time to: the parallel conversion farm (alone
+//! and nested under an outer parallel map), the B-stationary online kernel, the comparator tree's frontier min-scan,
 //! and the simulator's per-probe memory path. Each target runs through
 //! the harness (warmup, fixed iteration count, MAD outlier rejection,
 //! bootstrap CIs) and prints one table row; CI runs the reduced
@@ -26,6 +26,7 @@ use nmt_formats::SparseMatrix;
 use nmt_kernels::bstat_tiled_dcsr_online;
 use nmt_matgen::{random_dense, GenKind, MatrixDesc, SuiteScale};
 use nmt_sim::{Gpu, GpuConfig, TrafficClass};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -173,6 +174,29 @@ fn run_benches() -> Result<(), String> {
         nmt_engine::mem::recycle_strips(farm.strips);
     });
     add_row("farm_convert", stats, alloc);
+
+    // 1b. Two farm conversions under an outer parallel map, the way the
+    // sweep runs one per matrix: the inner strip loops run inline on the
+    // outer workers instead of spawning threads of their own.
+    let nested = || {
+        (0..2)
+            .into_par_iter()
+            .map(|_| {
+                convert_matrix_farm(&csc, tile, tile, farm_cfg)
+                    .expect("clean farm conversion cannot fail")
+            })
+            .collect::<Vec<_>>()
+    };
+    let stats = run(&cfg, || {
+        std::hint::black_box(nested());
+    });
+    let alloc = measure_alloc(|| {
+        for farm in nested() {
+            std::hint::black_box(farm.stats.elements);
+            nmt_engine::mem::recycle_strips(farm.strips);
+        }
+    });
+    add_row("farm_convert_nested", stats, alloc);
 
     // 2. The B-stationary online kernel (engine + kernel pipeline).
     let stats = run(&cfg, || {

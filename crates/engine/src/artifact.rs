@@ -65,7 +65,11 @@ impl ConversionArtifact {
                 mem::put_idx(true, colidx);
                 mem::put_val(true, values);
             }
-            ConversionArtifact::Tiled(t) => mem::recycle_strips(t.into_strips()),
+            ConversionArtifact::Tiled(t) => {
+                for tile in t.into_strips().into_iter().flatten() {
+                    mem::recycle_tile(tile);
+                }
+            }
         }
     }
 }

@@ -18,9 +18,12 @@
 //! access repositions the frontier by binary search on the CSC columns —
 //! both properties §4.1 credits to the CSC baseline format.
 
-use crate::comparator::{ComparatorTree, MinScratch};
+use crate::comparator::{ComparatorTree, MinScratch, MAX_LANES};
 use crate::mem;
-use nmt_formats::{Csc, CscView, DcsrTile, Index, SparseMatrix};
+use nmt_formats::{
+    Csc, CscView, DcsrTile, FormatError, Index, SparseMatrix, Value, INDEX_BYTES, VALUE_BYTES,
+};
+use std::ops::Range;
 
 /// Byte cost of one streamed CSC element: a 4-byte row index plus a 4-byte
 /// fp32 value ("8-byte input data", §5.3).
@@ -104,6 +107,174 @@ pub fn publish_conversion(obs: &nmt_obs::ObsContext, stats: &ConversionStats) {
     );
 }
 
+/// Where one tile sits inside its [`DcsrStrip`], plus the converter work
+/// spent on it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TileHeader {
+    /// First global row covered by the tile.
+    pub row_start: Index,
+    /// Tile height (rows covered; ≤ nominal tile height at the bottom edge).
+    pub height: usize,
+    /// The tile's entries in the strip's `rowidx`; its `rowptr` segment
+    /// is the same range shifted by the tile index (one extra entry each).
+    rows: Range<usize>,
+    /// The tile's entries in the strip's `colidx` and `values`.
+    elems: Range<usize>,
+    /// Converter counters spent on this tile. The first tile also carries
+    /// the strip's pointer loads (Figure 14 ❶), so a strip's deltas sum
+    /// to its converter's total.
+    pub stats: ConversionStats,
+}
+
+/// One strip's converted tiles, stored back to back in one set of
+/// buffers — the unit an SM consumes (one block per strip, `GetDCSRTile`
+/// per tile, Figure 11). Tile `t`'s `rowptr` segment starts at 0, exactly
+/// as in a standalone [`DcsrTile`]; [`Self::tile`] borrows it as a
+/// [`DcsrTileView`] and [`Self::to_tiles`] copies the strip out as owned
+/// tiles.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DcsrStrip {
+    col_start: Index,
+    width: usize,
+    rowidx: Vec<Index>,
+    rowptr: Vec<Index>,
+    colidx: Vec<Index>,
+    values: Vec<Value>,
+    tiles: Vec<TileHeader>,
+}
+
+/// A borrowed tile of a [`DcsrStrip`], with [`DcsrTile`]'s field names.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DcsrTileView<'a> {
+    /// First global row covered by the tile.
+    pub row_start: Index,
+    /// First global column covered by the tile.
+    pub col_start: Index,
+    /// Tile height (rows covered).
+    pub height: usize,
+    /// Tile width (columns covered).
+    pub width: usize,
+    /// Local indices of non-empty rows within the tile.
+    pub rowidx: &'a [Index],
+    /// Row pointers over the densified rows (`rowidx.len() + 1` entries).
+    pub rowptr: &'a [Index],
+    /// Local column indices (`0 .. width`).
+    pub colidx: &'a [Index],
+    /// Values.
+    pub values: &'a [Value],
+}
+
+impl DcsrTileView<'_> {
+    /// Number of non-zeros in the tile.
+    pub fn nnz(&self) -> usize {
+        self.colidx.len()
+    }
+
+    /// Number of non-empty row segments.
+    pub fn nnz_rows(&self) -> usize {
+        self.rowidx.len()
+    }
+
+    /// Metadata bytes: colidx + rowptr + rowidx, all 4-byte entries.
+    pub fn metadata_bytes(&self) -> usize {
+        (self.colidx.len() + self.rowptr.len() + self.rowidx.len()) * INDEX_BYTES
+    }
+
+    /// Value payload bytes.
+    pub fn data_bytes(&self) -> usize {
+        self.values.len() * VALUE_BYTES
+    }
+
+    /// An owned copy of the tile.
+    pub fn to_tile(&self) -> DcsrTile {
+        DcsrTile {
+            row_start: self.row_start,
+            col_start: self.col_start,
+            height: self.height,
+            width: self.width,
+            rowidx: self.rowidx.to_vec(),
+            rowptr: self.rowptr.to_vec(),
+            colidx: self.colidx.to_vec(),
+            values: self.values.to_vec(),
+        }
+    }
+
+    /// [`DcsrTile::validate`] on this tile (checks an owned copy).
+    pub fn validate(&self) -> Result<(), FormatError> {
+        self.to_tile().validate()
+    }
+}
+
+impl DcsrStrip {
+    /// An empty strip whose buffers hold `elems` elements, `rows`
+    /// non-empty rows and `ntiles` tiles without growing — checked out of
+    /// the engine pools when `pooled`.
+    fn with_capacity(
+        pooled: bool,
+        col_start: Index,
+        width: usize,
+        elems: usize,
+        rows: usize,
+        ntiles: usize,
+    ) -> Self {
+        DcsrStrip {
+            col_start,
+            width,
+            rowidx: mem::take_idx(pooled, rows),
+            rowptr: mem::take_idx(pooled, rows + ntiles),
+            colidx: mem::take_idx(pooled, elems),
+            values: mem::take_val(pooled, elems),
+            tiles: mem::take_headers(pooled, ntiles),
+        }
+    }
+
+    /// Return the strip's buffers to the engine pools.
+    pub(crate) fn recycle(self) {
+        mem::put_idx(true, self.rowidx);
+        mem::put_idx(true, self.rowptr);
+        mem::put_idx(true, self.colidx);
+        mem::put_val(true, self.values);
+        mem::put_headers(true, self.tiles);
+    }
+
+    /// Number of tiles in the strip.
+    pub fn num_tiles(&self) -> usize {
+        self.tiles.len()
+    }
+
+    /// Strip width (columns covered; ≤ nominal width at the right edge).
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Per-tile headers, top to bottom.
+    pub fn headers(&self) -> &[TileHeader] {
+        &self.tiles
+    }
+
+    /// Tile `t` (top to bottom), borrowed. Panics if `t` is out of range.
+    pub fn tile(&self, t: usize) -> DcsrTileView<'_> {
+        let h = &self.tiles[t];
+        DcsrTileView {
+            row_start: h.row_start,
+            col_start: self.col_start,
+            height: h.height,
+            width: self.width,
+            rowidx: &self.rowidx[h.rows.clone()],
+            rowptr: &self.rowptr[h.rows.start + t..h.rows.end + t + 1],
+            colidx: &self.colidx[h.elems.clone()],
+            values: &self.values[h.elems.clone()],
+        }
+    }
+
+    /// Owned copies of every tile, top to bottom.
+    pub fn to_tiles(&self) -> Vec<DcsrTile> {
+        (0..self.num_tiles())
+            .map(|t| self.tile(t).to_tile())
+            .collect()
+    }
+}
+
 /// Stateful converter for one vertical strip of a CSC matrix.
 #[derive(Debug, Clone)]
 pub struct StripConverter<'a> {
@@ -111,36 +282,44 @@ pub struct StripConverter<'a> {
     strip_id: usize,
     col_start: usize,
     width: usize,
+    /// Live lanes: `width`, or 0 for the phantom strip of a zero-column
+    /// matrix.
+    lanes: usize,
     /// Absolute index of each lane's next element in the CSC arrays.
-    frontier: Vec<usize>,
+    frontier: [usize; MAX_LANES],
     /// Absolute end index of each lane's column.
-    boundary: Vec<usize>,
-    /// Lane-coordinate staging reused across every comparator pass (the
-    /// hot-path buffer that used to be allocated per pass).
-    coords: Vec<Option<u32>>,
+    boundary: [usize; MAX_LANES],
+    /// Lane-coordinate staging reused across every comparator pass.
+    coords: [Option<u32>; MAX_LANES],
     /// Comparator reduction scratch (fixed-size, stack-style).
     min_scratch: MinScratch,
-    /// Whether scratch and tile buffers come from the global pools
-    /// ([`crate::mem`]) and go back there on [`Self::recycle`].
+    /// Whether [`Self::convert_strip`] checks its strip buffers out of
+    /// the engine pools ([`crate::mem`]).
     pooled: bool,
     tree: ComparatorTree,
     stats: ConversionStats,
+    /// `stats` when the last tile was emitted: each tile's header records
+    /// the difference.
+    mark: ConversionStats,
 }
 
 impl<'a> StripConverter<'a> {
     /// Position a converter at the top of strip `strip_id` (width
     /// `tile_w`). Panics if the strip is outside the matrix.
-    /// Unpooled: scratch is freshly allocated and dropped with the
-    /// converter (the farm's hot path uses [`Self::with_view`]).
+    /// Unpooled: strip buffers are freshly allocated (the farm's hot path
+    /// uses [`Self::with_view`]).
     pub fn new(csc: &'a Csc, strip_id: usize, tile_w: usize) -> Self {
         Self::with_view(csc.view(), strip_id, tile_w, false)
     }
 
-    /// [`Self::new`] over a borrowed [`CscView`], with scratch and tile
-    /// buffers checked out of the global pools when `pooled` — return
-    /// them with [`Self::recycle`] when the strip is done.
+    /// [`Self::new`] over a borrowed [`CscView`]; with `pooled`,
+    /// [`Self::convert_strip`] checks its buffers out of the global
+    /// pools — return them with [`crate::mem::recycle_strips`].
     pub fn with_view(csc: CscView<'a>, strip_id: usize, tile_w: usize, pooled: bool) -> Self {
-        assert!(tile_w > 0 && tile_w <= 64, "engine width is 1..=64 columns");
+        assert!(
+            tile_w > 0 && tile_w <= MAX_LANES,
+            "engine width is 1..=64 columns"
+        );
         let ncols = csc.shape().ncols;
         let col_start = strip_id * tile_w;
         assert!(col_start < ncols.max(1), "strip {strip_id} beyond matrix");
@@ -152,11 +331,18 @@ impl<'a> StripConverter<'a> {
             .max(1)
             .min(ncols.max(1));
         let lanes = width.min(ncols.saturating_sub(col_start));
-        let colptr = csc.colptr();
-        let mut frontier = mem::take_ptr(pooled, lanes);
-        frontier.extend((0..lanes).map(|i| colptr[col_start + i] as usize));
-        let mut boundary = mem::take_ptr(pooled, lanes);
-        boundary.extend((0..lanes).map(|i| colptr[col_start + i + 1] as usize));
+        let mut frontier = [0; MAX_LANES];
+        let mut boundary = [0; MAX_LANES];
+        let lane_ptrs = csc.colptr().get(col_start..).unwrap_or_default().windows(2);
+        for ((f, b), ptr) in frontier
+            .iter_mut()
+            .zip(&mut boundary)
+            .zip(lane_ptrs)
+            .take(lanes)
+        {
+            *f = ptr[0] as usize;
+            *b = ptr[1] as usize;
+        }
         let mut stats = ConversionStats::default();
         // Loading boundary_ptr + frontier_ptr from col_ptr: 2 N-element
         // 4-byte arrays (Figure 14 ❶).
@@ -166,24 +352,17 @@ impl<'a> StripConverter<'a> {
             strip_id,
             col_start,
             width,
+            lanes,
             frontier,
             boundary,
-            coords: mem::take_coords(pooled, lanes.max(1)),
+            coords: [None; MAX_LANES],
             min_scratch: MinScratch::new(),
             pooled,
             // nmt-lint: allow(panic) — lanes is clamped to 1..=64 two lines up, within ComparatorTree's bound
             tree: ComparatorTree::new(lanes.max(1)).expect("lanes clamped to 1..=64"),
             stats,
+            mark: ConversionStats::default(),
         }
-    }
-
-    /// Return this converter's scratch buffers to the global pools (a
-    /// no-op for unpooled converters). The farm calls this after each
-    /// strip so the next strip's converter allocates nothing.
-    pub fn recycle(self) {
-        mem::put_ptr(self.pooled, self.frontier);
-        mem::put_ptr(self.pooled, self.boundary);
-        mem::put_coords(self.pooled, self.coords);
     }
 
     /// The strip index this converter serves.
@@ -199,9 +378,18 @@ impl<'a> StripConverter<'a> {
     /// Reposition every lane to the first element with row ≥ `row_start`
     /// (random tile access; binary search per column, §4.1).
     pub fn seek(&mut self, row_start: Index) {
-        for i in 0..self.frontier.len() {
-            self.frontier[i] = self.csc.col_frontier_at(self.col_start + i, row_start);
+        for (lane, f) in self.frontier.iter_mut().enumerate().take(self.lanes) {
+            *f = self.csc.col_frontier_at(self.col_start + lane, row_start);
         }
+    }
+
+    /// Elements left between the lanes' frontiers and their column ends —
+    /// an upper bound on what the converter can still emit, and exactly
+    /// the strip's element count on a fresh converter.
+    fn remaining(&self) -> usize {
+        (0..self.lanes)
+            .map(|lane| self.boundary[lane] - self.frontier[lane])
+            .sum()
     }
 
     /// Convert the next `tile_h` rows starting at `row_start` into one
@@ -209,115 +397,103 @@ impl<'a> StripConverter<'a> {
     /// request plumbing). Lanes must already be at or past `row_start`
     /// (they are, after sequential use or `seek`).
     pub fn next_tile(&mut self, row_start: Index, tile_h: usize) -> DcsrTile {
+        let elems = self.remaining();
+        let mut strip = DcsrStrip::with_capacity(
+            false,
+            self.col_start as Index,
+            self.width,
+            elems,
+            elems.min(tile_h),
+            1,
+        );
+        self.push_tile(row_start, tile_h, &mut strip);
+        strip.tile(0).to_tile()
+    }
+
+    /// Convert the whole strip as consecutive `tile_h`-tall tiles into
+    /// one set of buffers, sized up front: the element count is exact
+    /// from `col_ptr`, and a tile emits at most one row per element and
+    /// per covered row, so the rows total at most `min(nnz, nrows)`.
+    pub fn convert_strip(&mut self, tile_h: usize) -> DcsrStrip {
+        let nrows = self.csc.shape().nrows;
+        let ntiles = nmt_formats::tile_count(nrows, tile_h);
+        let elems = self.remaining();
+        let mut strip = DcsrStrip::with_capacity(
+            self.pooled,
+            self.col_start as Index,
+            self.width,
+            elems,
+            elems.min(nrows),
+            ntiles,
+        );
+        for t in 0..ntiles {
+            self.push_tile((t * tile_h) as Index, tile_h, &mut strip);
+        }
+        strip
+    }
+
+    /// The converter loop: append the tile of `tile_h` rows starting at
+    /// `row_start` to `strip`, one comparator pass per emitted row.
+    fn push_tile(&mut self, row_start: Index, tile_h: usize, strip: &mut DcsrStrip) {
         let nrows = self.csc.shape().nrows;
         let height = tile_h.min(nrows.saturating_sub(row_start as usize)).max(1);
         let row_end = row_start + height as Index;
-        // Exact capacity bounds for the pooled buffers: per lane, find the
-        // end of this tile's element run (first element at or past
-        // `row_end`) by binary search — the hardware analogue is the
-        // boundary-pointer computation of Figure 14 ❶. The sum is exactly
-        // the element count the pass loop will emit, and emitted rows are
-        // bounded by `min(height, elems)`. Exact bounds mean checked-out
-        // buffers never grow mid-tile, so steady-state pool reuse performs
-        // zero allocations (a grown buffer would reshelve at a new
-        // capacity and churn the best-fit pairing forever).
-        let rowidx_all = self.csc.rowidx();
-        let tile_elems: usize = self
-            .frontier
-            .iter()
-            .zip(&self.boundary)
-            .map(|(&f, &b)| rowidx_all[f..b].partition_point(|&r| r < row_end))
-            .sum();
-        let max_rows = height.min(tile_elems);
-        let mut rowptr = mem::take_idx(self.pooled, max_rows + 1);
-        rowptr.push(0);
-        let mut tile = DcsrTile {
-            row_start,
-            col_start: self.col_start as Index,
-            height,
-            width: self.width,
-            rowptr,
-            rowidx: mem::take_idx(self.pooled, max_rows),
-            colidx: mem::take_idx(self.pooled, tile_elems),
-            values: mem::take_val(self.pooled, tile_elems),
-        };
+        let (rows_lo, elems_lo) = (strip.rowidx.len(), strip.colidx.len());
+        let rowidx = self.csc.rowidx();
         let values = self.csc.values();
+        let lanes = self.lanes;
+        strip.rowptr.push(0);
         loop {
             self.stats.comparator_passes += 1;
-            self.stats.lane_slots += self.frontier.len() as u64;
-            fill_lane_coords(
-                &self.csc,
-                &self.frontier,
-                &self.boundary,
-                row_end,
-                &mut self.coords,
-            );
-            if self.coords.is_empty() {
-                self.coords.push(None); // zero-lane converter: always exhausted
+            self.stats.lane_slots += lanes as u64;
+            // Present each lane's frontier row (masked to the tile) to
+            // the tree. A zero-lane converter keeps its one `None`.
+            for lane in 0..lanes {
+                let f = self.frontier[lane];
+                self.coords[lane] = (f < self.boundary[lane])
+                    .then(|| rowidx[f])
+                    .filter(|&r| r < row_end);
             }
-            let Some(min) = self.tree.find_min_in(&self.coords, &mut self.min_scratch) else {
+            let Some(min) = self
+                .tree
+                .find_min_in(&self.coords[..lanes.max(1)], &mut self.min_scratch)
+            else {
                 break;
             };
             // Emit one DCSR row: all lanes at the minimum row coordinate,
             // in ascending lane (= column) order.
-            tile.rowidx.push(min.min - row_start);
-            for lane in 0..self.frontier.len() {
-                if min.mask & (1 << lane) != 0 {
-                    tile.colidx.push(lane as Index);
-                    tile.values.push(values[self.frontier[lane]]);
-                    self.frontier[lane] += 1;
-                    self.stats.elements += 1;
-                    self.stats.input_bytes += INPUT_BYTES_PER_ELEM;
-                }
+            strip.rowidx.push(min.min - row_start);
+            let mut mask = min.mask;
+            while mask != 0 {
+                let lane = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                strip.colidx.push(lane as Index);
+                strip.values.push(values[self.frontier[lane]]);
+                self.frontier[lane] += 1;
             }
-            tile.rowptr.push(tile.colidx.len() as Index);
+            let emitted = min.mask.count_ones() as u64;
+            self.stats.elements += emitted;
+            self.stats.input_bytes += emitted * INPUT_BYTES_PER_ELEM;
+            strip.rowptr.push((strip.colidx.len() - elems_lo) as Index);
             self.stats.rows_emitted += 1;
         }
+        let (rows, elems) = (strip.rowidx.len() - rows_lo, strip.colidx.len() - elems_lo);
         self.stats.tiles += 1;
-        self.stats.output_bytes += (tile.values.len() * 4
-            + tile.colidx.len() * 4
-            + tile.rowidx.len() * 4
-            + tile.rowptr.len() * 4) as u64;
-        debug_assert!(tile.validate().is_ok(), "engine produced an invalid tile");
-        tile
+        // values + colidx + rowidx + rowptr, 4 bytes each.
+        self.stats.output_bytes += 4 * (2 * elems + 2 * rows + 1) as u64;
+        strip.tiles.push(TileHeader {
+            row_start,
+            height,
+            rows: rows_lo..rows_lo + rows,
+            elems: elems_lo..elems_lo + elems,
+            stats: self.stats.delta(&self.mark),
+        });
+        self.mark = self.stats;
+        debug_assert!(
+            strip.tile(strip.num_tiles() - 1).validate().is_ok(),
+            "engine produced an invalid tile"
+        );
     }
-
-    /// Convert the whole strip as consecutive `tile_h`-tall tiles.
-    pub fn convert_strip(&mut self, tile_h: usize) -> Vec<DcsrTile> {
-        let nrows = self.csc.shape().nrows;
-        let mut tiles = mem::take_tiles(self.pooled, nrows.div_ceil(tile_h.max(1)));
-        let mut row_start = 0;
-        while (row_start as usize) < nrows.max(1) {
-            tiles.push(self.next_tile(row_start, tile_h));
-            row_start += tile_h as Index;
-            if nrows == 0 {
-                break;
-            }
-        }
-        tiles
-    }
-}
-
-/// Stage the current lane coordinates (masked to rows below `row_end`)
-/// into `coords`, reusing its capacity. A free function over disjoint
-/// converter fields so the borrow checker permits in-place reuse.
-fn fill_lane_coords(
-    csc: &CscView<'_>,
-    frontier: &[usize],
-    boundary: &[usize],
-    row_end: Index,
-    coords: &mut Vec<Option<u32>>,
-) {
-    let rowidx = csc.rowidx();
-    coords.clear();
-    coords.extend(frontier.iter().zip(boundary).map(|(&f, &b)| {
-        if f < b {
-            let r = rowidx[f];
-            (r < row_end).then_some(r)
-        } else {
-            None
-        }
-    }));
 }
 
 /// Convert an entire CSC matrix to tiled DCSR through the engine model —
@@ -337,9 +513,8 @@ pub fn convert_matrix(
 
 /// [`convert_matrix`] over a borrowed [`CscView`] — the zero-copy entry
 /// point (a CSR image of the transpose converts without materializing an
-/// owned `Csc`). Strip converters draw scratch and tile buffers from the
-/// global pools; pass the output to [`crate::mem::recycle_strips`] once
-/// consumed to make the next conversion allocation-free.
+/// owned `Csc`). Each strip converts through [`StripConverter::convert_strip`]
+/// and is copied out as owned tiles.
 pub fn convert_matrix_view(
     csc: CscView<'_>,
     tile_w: usize,
@@ -351,11 +526,9 @@ pub fn convert_matrix_view(
     let per_strip: Vec<(Vec<DcsrTile>, ConversionStats)> = (0..nstrips)
         .into_par_iter()
         .map(|s| {
-            let mut conv = StripConverter::with_view(csc, s, tile_w, true);
-            let tiles = conv.convert_strip(tile_h);
-            let stats = conv.stats();
-            conv.recycle();
-            (tiles, stats)
+            let mut conv = StripConverter::with_view(csc, s, tile_w, false);
+            let tiles = conv.convert_strip(tile_h).to_tiles();
+            (tiles, conv.stats())
         })
         .collect();
     let mut strips = Vec::with_capacity(nstrips);
@@ -547,10 +720,11 @@ mod tests {
         let csr = random_csr(40, 120, 9);
         let csc = csr.to_csc();
         let mut conv = StripConverter::new(&csc, 1, 16);
-        let tiles = conv.convert_strip(16);
-        for t in &tiles {
-            assert_eq!(t.col_start, 16);
-            t.validate().unwrap();
+        let strip = conv.convert_strip(16);
+        for t in 0..strip.num_tiles() {
+            let tile = strip.tile(t);
+            assert_eq!(tile.col_start, 16);
+            tile.validate().unwrap();
         }
     }
 
@@ -560,7 +734,7 @@ mod tests {
         let coo = Coo::from_triplets(8, 8, &[0, 3], &[0, 0], &[1.0, 2.0]).unwrap();
         let csc = Csc::from_coo(&coo);
         let mut conv = StripConverter::new(&csc, 1, 4);
-        let tiles = conv.convert_strip(4);
+        let tiles = conv.convert_strip(4).to_tiles();
         assert_eq!(tiles.len(), 2);
         assert!(tiles.iter().all(nmt_formats::DcsrTile::is_empty));
         assert_eq!(conv.stats().elements, 0);

@@ -14,10 +14,10 @@
 //! ascending order and partitions in ascending order, so the merge order
 //! (and therefore every sum) never depends on scheduling.
 
-use crate::convert::{ConversionStats, StripConverter};
+use crate::convert::{ConversionStats, DcsrStrip, StripConverter};
 use crate::placement::{Layout, PlacementError, SwitchCost};
 use nmt_fault::{FaultPlan, FaultRecord, FaultSite};
-use nmt_formats::{Csc, DcsrTile, Index, SparseMatrix};
+use nmt_formats::{Csc, SparseMatrix};
 use nmt_obs::{EventSite, FlightRecorder};
 use rayon::prelude::*;
 
@@ -69,7 +69,7 @@ pub struct FarmConfig {
     /// strip/partition id)` only, so a faulted farm is as deterministic
     /// as a clean one.
     pub fault: Option<FaultPlan>,
-    /// Draw converter scratch and tile buffers from the global pools
+    /// Draw each strip's buffer set from the global pools
     /// ([`crate::mem`]). Pooling is output-invariant — pooled buffers
     /// are always handed out empty — so this only changes allocator
     /// traffic; `false` is the reference path the determinism proptests
@@ -105,7 +105,7 @@ impl FarmConfig {
     }
 
     /// The same farm with buffer pooling disabled (fresh allocations per
-    /// strip/tile — the pre-pool reference behaviour).
+    /// strip — the pre-pool reference behaviour).
     pub fn without_pool(mut self) -> Self {
         self.pool = false;
         self
@@ -124,8 +124,8 @@ pub struct PartitionWork {
 /// Result of a whole-matrix farm conversion.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FarmRun {
-    /// The converted tiles, strip-major: `strips[s][t]`.
-    pub strips: Vec<Vec<DcsrTile>>,
+    /// The converted strips; tile `t` of strip `s` is `strips[s].tile(t)`.
+    pub strips: Vec<DcsrStrip>,
     /// Totals across every engine (equals the serial conversion's stats).
     pub stats: ConversionStats,
     /// Merged counters per strip, index = strip id — the kernel layer's
@@ -183,49 +183,11 @@ pub fn publish_farm(obs: &nmt_obs::ObsContext, farm: &FarmRun) {
     }
 }
 
-/// Per-strip result produced by one parallel worker: the strip's tiles
-/// plus a stats delta per tile, so the reducer can attribute each tile to
-/// its owning partition without re-running the converter.
-struct StripOutput {
-    tiles: Vec<DcsrTile>,
-    per_tile: Vec<ConversionStats>,
-}
-
-/// Convert one strip, snapshotting the converter counters around every
-/// tile. The converter's setup cost (the Figure 14 ❶ pointer loads) lands
-/// in the first tile's delta so the per-tile deltas sum to the strip total.
-fn convert_strip_tracked(
-    csc: &Csc,
-    strip_id: usize,
-    tile_w: usize,
-    tile_h: usize,
-    pool: bool,
-) -> StripOutput {
-    let nrows = csc.shape().nrows;
-    let mut conv = StripConverter::with_view(csc.view(), strip_id, tile_w, pool);
-    let ntiles = nrows.max(1).div_ceil(tile_h.max(1));
-    let mut tiles = crate::mem::take_tiles(pool, ntiles);
-    let mut per_tile = crate::mem::take_stats(pool, ntiles);
-    let mut before = ConversionStats::default();
-    let mut row_start: Index = 0;
-    while (row_start as usize) < nrows.max(1) {
-        tiles.push(conv.next_tile(row_start, tile_h));
-        let after = conv.stats();
-        per_tile.push(after.delta(&before));
-        before = after;
-        row_start += tile_h as Index;
-        if nrows == 0 {
-            break;
-        }
-    }
-    conv.recycle();
-    StripOutput { tiles, per_tile }
-}
-
 /// Convert one strip under a fault plan, applying the local degraded-mode
 /// policy: a `ConvertStrip` fault is retried once (a distinct deterministic
-/// draw); a `MetadataCorruption` fault corrupts a *clone* of a produced
-/// tile and must be rejected by [`DcsrTile::validate`] with a typed error,
+/// draw); a `MetadataCorruption` fault corrupts an owned copy of a
+/// produced tile and must be rejected by
+/// [`nmt_formats::DcsrTile::validate`] with a typed error,
 /// after which the strip's (uncorrupted) output is used and the event is
 /// recorded as a retry. Only a failed retry escalates to [`FarmError`].
 fn convert_strip_faulted(
@@ -236,7 +198,7 @@ fn convert_strip_faulted(
     plan: Option<FaultPlan>,
     pool: bool,
     flight: &FlightRecorder,
-) -> Result<(StripOutput, Vec<FaultRecord>), FarmError> {
+) -> Result<(DcsrStrip, Vec<FaultRecord>), FarmError> {
     let key = strip_id as u64;
     // nmt-lint: allow(hot-alloc) — Vec::new defers allocation until a fault actually fires (cold path)
     let mut faults = Vec::new();
@@ -262,12 +224,12 @@ fn convert_strip_faulted(
             });
         }
     }
-    let out = convert_strip_tracked(csc, strip_id, tile_w, tile_h, pool);
+    let out = StripConverter::with_view(csc.view(), strip_id, tile_w, pool).convert_strip(tile_h);
     if let Some(plan) = plan {
         if plan.fires(FaultSite::MetadataCorruption, key) {
-            // Corrupt a clone — never the real output — and require the
+            // Corrupt a copy — never the real output — and require the
             // validator to reject it with a typed FormatError.
-            let mut corrupted = out.tiles[0].clone();
+            let mut corrupted = out.tile(0).to_tile();
             corrupted
                 .rowptr
                 .push(corrupted.rowptr.last().copied().unwrap_or(0) + 1);
@@ -371,7 +333,7 @@ pub fn convert_matrix_farm_obs(
         });
     }
     let nstrips = nmt_formats::strip_count(csc.shape().ncols, tile_w);
-    let outputs: Vec<Result<(StripOutput, Vec<FaultRecord>), FarmError>> = (0..nstrips)
+    let outputs: Vec<Result<(DcsrStrip, Vec<FaultRecord>), FarmError>> = (0..nstrips)
         .into_par_iter()
         .map(|s| {
             let mut strip_span = watching.then(|| obs.span("engine.farm.strip"));
@@ -398,11 +360,12 @@ pub fn convert_matrix_farm_obs(
     let mut switches = 0u64;
     let mut strips = Vec::with_capacity(nstrips);
     for (s, res) in outputs.into_iter().enumerate() {
-        let (out, strip_faults) = res?;
+        let (strip, strip_faults) = res?;
         faults.extend(strip_faults);
         let mut prev_partition = None;
         let mut strip_total = ConversionStats::default();
-        for (t, delta) in out.per_tile.iter().enumerate() {
+        for (t, header) in strip.headers().iter().enumerate() {
+            let delta = &header.stats;
             // nmt-lint: allow(slice-index) — partition_index reduces modulo active.len(), so the index is always in bounds
             let p = active[config.layout.partition_index(s, t, active.len())];
             if let Some(slot) = per_partition.get_mut(p) {
@@ -417,8 +380,7 @@ pub fn convert_matrix_farm_obs(
             prev_partition = Some(p);
         }
         per_strip.push(strip_total);
-        strips.push(out.tiles);
-        crate::mem::put_stats(config.pool, out.per_tile);
+        strips.push(strip);
     }
     Ok(FarmRun {
         strips,
@@ -461,7 +423,8 @@ mod tests {
         let csc = sample_csc(96, 7);
         let (serial_tiles, serial_stats) = convert_matrix(&csc, 16, 16);
         let farm = convert_matrix_farm(&csc, 16, 16, FarmConfig::for_partitions(4)).unwrap();
-        assert_eq!(farm.strips, serial_tiles);
+        let farm_tiles: Vec<_> = farm.strips.iter().map(DcsrStrip::to_tiles).collect();
+        assert_eq!(farm_tiles, serial_tiles);
         assert_eq!(farm.stats, serial_stats);
     }
 
@@ -518,7 +481,7 @@ mod tests {
         let tile_steps: u64 = rotated
             .strips
             .iter()
-            .map(|s| (s.len() as u64).saturating_sub(1))
+            .map(|s| (s.num_tiles() as u64).saturating_sub(1))
             .sum();
         assert_eq!(rotated.switches, tile_steps);
         assert_eq!(
@@ -560,8 +523,8 @@ mod tests {
         let csc = Csc::new(0, 0, vec![0], vec![], vec![]).unwrap();
         let farm = convert_matrix_farm(&csc, 8, 8, FarmConfig::for_partitions(2)).unwrap();
         assert_eq!(farm.strips.len(), 1, "phantom strip for ncols == 0");
-        assert_eq!(farm.strips[0].len(), 1, "phantom tile for nrows == 0");
-        assert_eq!(farm.strips[0][0].nnz(), 0);
+        assert_eq!(farm.strips[0].num_tiles(), 1, "phantom tile for nrows == 0");
+        assert_eq!(farm.strips[0].tile(0).nnz(), 0);
         assert_eq!(farm.stats.elements, 0);
         assert_eq!(farm.switches, 0);
     }

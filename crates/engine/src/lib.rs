@@ -43,7 +43,7 @@ pub use artifact::ConversionArtifact;
 pub use comparator::{ComparatorError, ComparatorTree, MinResult, MinScratch, TreeStructure};
 pub use convert::{
     convert_matrix, convert_matrix_dcsc, convert_matrix_view, publish_conversion, ConversionStats,
-    StripConverter,
+    DcsrStrip, DcsrTileView, StripConverter, TileHeader,
 };
 pub use farm::{
     convert_matrix_farm, convert_matrix_farm_obs, publish_farm, FarmConfig, FarmError, FarmRun,

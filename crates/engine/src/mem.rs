@@ -1,15 +1,19 @@
 //! Global buffer pools for the conversion hot paths.
 //!
 //! One set of process-wide [`SharedSlicePool`]s backs every pooled
-//! conversion: strip converters check scratch out per strip and return
-//! it when the strip completes, tile output buffers are checked out per
-//! tile and come back when a consumer calls [`recycle_strips`] — so in
-//! steady state (microbench iterations, repeated sweep matrices) the
-//! farm performs O(1) allocations per matrix instead of O(strips·tiles).
+//! conversion. The farm converts each strip into one [`DcsrStrip`] — four
+//! element/index arrays plus a tile-header array, checked out once per
+//! strip with sizes known up front — and a consumer hands them back with
+//! [`recycle_strips`]. In steady state (microbench iterations, repeated
+//! sweep matrices) the farm therefore performs O(1) allocations per
+//! matrix and takes each pool lock a handful of times per strip, never
+//! per tile. Converter scratch lives in fixed arrays inside the
+//! converter and needs no pool.
 //!
 //! The pools are deliberately *global* rather than thread-local: the
-//! rayon shim spawns fresh scoped threads per parallel call, so
-//! thread-local scratch would die between matrices and reuse nothing.
+//! rayon shim's workers are scoped threads that live for one top-level
+//! parallel call, so thread-local scratch would die between matrices and
+//! reuse nothing.
 //!
 //! Every helper takes a `pooled` flag; with `pooled = false` it degrades
 //! to plain allocation (and `put_*` drops), which is the reference path
@@ -18,30 +22,28 @@
 //! so pooled and unpooled runs produce bitwise-identical output — only
 //! capacities (never serialized) differ.
 
-use crate::convert::ConversionStats;
+use crate::convert::{DcsrStrip, TileHeader};
 use nmt_formats::DcsrTile;
 use nmt_mem::{PoolStats, SharedSlicePool};
 
-/// Tile metadata buffers (`rowidx`/`rowptr`/`colidx`) and frontier
-/// staging. Sized generously: a matrix's worth of tile buffers must fit
-/// idle so the next matrix reuses all of them.
+/// Strip index arrays (`rowidx`/`rowptr`/`colidx`, three per strip) and
+/// recycled tile and DCSR index buffers. Sized generously: a matrix's
+/// worth of strip buffers must fit idle so the next matrix reuses all of
+/// them.
 static IDX_POOL: SharedSlicePool<u32> = SharedSlicePool::with_max_idle(8192);
-/// Tile value buffers and kernel accumulators.
+/// Strip value arrays and kernel accumulators.
 static VAL_POOL: SharedSlicePool<f32> = SharedSlicePool::with_max_idle(8192);
-/// Converter frontier/boundary pointer arrays (two per strip).
-static PTR_POOL: SharedSlicePool<usize> = SharedSlicePool::with_max_idle(1024);
-/// Comparator lane-coordinate staging (one per strip).
-static COORD_POOL: SharedSlicePool<Option<u32>> = SharedSlicePool::with_max_idle(512);
-/// Per-strip tile vectors (`Vec<DcsrTile>`).
-static TILES_POOL: SharedSlicePool<DcsrTile> = SharedSlicePool::with_max_idle(1024);
-/// Per-strip per-tile stats vectors.
-static STATS_POOL: SharedSlicePool<ConversionStats> = SharedSlicePool::with_max_idle(1024);
+/// Strip tile-header arrays (one per strip).
+static HEADER_POOL: SharedSlicePool<TileHeader> = SharedSlicePool::with_max_idle(2048);
 
 macro_rules! pool_pair {
-    ($take:ident, $put:ident, $pool:ident, $t:ty, $doc:literal) => {
+    ($vis:vis $take:ident, $put:ident, $pool:ident, $t:ty, $doc:literal) => {
         #[doc = concat!("Check out an empty ", $doc, " buffer (capacity ≥ `cap`).")]
-        pub fn $take(pooled: bool, cap: usize) -> Vec<$t> {
-            if pooled {
+        #[doc = ""]
+        #[doc = "A zero-capacity request (an empty strip's arrays) allocates"]
+        #[doc = "nothing, so it skips the pool lock and leaves the shelves alone."]
+        $vis fn $take(pooled: bool, cap: usize) -> Vec<$t> {
+            if pooled && cap > 0 {
                 $pool.take(cap)
             } else {
                 Vec::with_capacity(cap)
@@ -49,32 +51,17 @@ macro_rules! pool_pair {
         }
 
         #[doc = concat!("Return a ", $doc, " buffer to its pool (dropped when unpooled).")]
-        pub fn $put(pooled: bool, buf: Vec<$t>) {
-            if pooled {
+        $vis fn $put(pooled: bool, buf: Vec<$t>) {
+            if pooled && buf.capacity() > 0 {
                 $pool.put(buf);
             }
         }
     };
 }
 
-pool_pair!(take_idx, put_idx, IDX_POOL, u32, "tile-index (`u32`)");
-pool_pair!(take_val, put_val, VAL_POOL, f32, "value (`f32`)");
-pool_pair!(take_ptr, put_ptr, PTR_POOL, usize, "frontier-pointer (`usize`)");
-pool_pair!(
-    take_coords,
-    put_coords,
-    COORD_POOL,
-    Option<u32>,
-    "lane-coordinate"
-);
-pool_pair!(take_tiles, put_tiles, TILES_POOL, DcsrTile, "per-strip tile");
-pool_pair!(
-    take_stats,
-    put_stats,
-    STATS_POOL,
-    ConversionStats,
-    "per-tile stats"
-);
+pool_pair!(pub take_idx, put_idx, IDX_POOL, u32, "tile-index (`u32`)");
+pool_pair!(pub take_val, put_val, VAL_POOL, f32, "value (`f32`)");
+pool_pair!(pub(crate) take_headers, put_headers, HEADER_POOL, TileHeader, "tile-header");
 
 /// Return one tile's four buffers to the pools.
 pub fn recycle_tile(tile: DcsrTile) {
@@ -85,22 +72,19 @@ pub fn recycle_tile(tile: DcsrTile) {
         values,
         ..
     } = tile;
-    IDX_POOL.put(rowidx);
-    IDX_POOL.put(rowptr);
-    IDX_POOL.put(colidx);
-    VAL_POOL.put(values);
+    put_idx(true, rowidx);
+    put_idx(true, rowptr);
+    put_idx(true, colidx);
+    put_val(true, values);
 }
 
-/// Recycle a whole farm output (`FarmRun::strips`): every tile's buffers
-/// and every per-strip vector go back to the pools, making the *next*
-/// conversion of a similar matrix allocation-free. Call this when the
-/// tiles have been consumed (e.g. after the online kernel's launch).
-pub fn recycle_strips(strips: Vec<Vec<DcsrTile>>) {
-    for mut strip in strips {
-        for tile in strip.drain(..) {
-            recycle_tile(tile);
-        }
-        TILES_POOL.put(strip);
+/// Recycle a whole farm output (`FarmRun::strips`): every strip's buffers
+/// go back to the pools, making the *next* conversion of a similar matrix
+/// allocation-free. Call this when the tiles have been consumed (e.g.
+/// after the online kernel's launch).
+pub fn recycle_strips(strips: Vec<DcsrStrip>) {
+    for strip in strips {
+        strip.recycle();
     }
 }
 
@@ -110,10 +94,7 @@ pub fn pool_stats() -> PoolStats {
     let mut total = PoolStats::default();
     total.merge(&IDX_POOL.stats());
     total.merge(&VAL_POOL.stats());
-    total.merge(&PTR_POOL.stats());
-    total.merge(&COORD_POOL.stats());
-    total.merge(&TILES_POOL.stats());
-    total.merge(&STATS_POOL.stats());
+    total.merge(&HEADER_POOL.stats());
     total
 }
 
@@ -122,12 +103,7 @@ pub fn pool_stats() -> PoolStats {
 /// [`pool_stats`], observability only: occupancy depends on schedule and
 /// must never be serialized into a gated artifact.
 pub fn pool_idle_capacity() -> usize {
-    IDX_POOL.idle_capacity()
-        + VAL_POOL.idle_capacity()
-        + PTR_POOL.idle_capacity()
-        + COORD_POOL.idle_capacity()
-        + TILES_POOL.idle_capacity()
-        + STATS_POOL.idle_capacity()
+    IDX_POOL.idle_capacity() + VAL_POOL.idle_capacity() + HEADER_POOL.idle_capacity()
 }
 
 /// Drop every shelved buffer and zero the counters in all engine pools.
@@ -138,10 +114,7 @@ pub fn pool_idle_capacity() -> usize {
 pub fn reset_pools() {
     IDX_POOL.reset();
     VAL_POOL.reset();
-    PTR_POOL.reset();
-    COORD_POOL.reset();
-    TILES_POOL.reset();
-    STATS_POOL.reset();
+    HEADER_POOL.reset();
 }
 
 #[cfg(test)]
@@ -178,20 +151,20 @@ mod tests {
 
     #[test]
     fn recycle_strips_then_take_reuses() {
-        let tile = DcsrTile {
-            rowidx: Vec::with_capacity(100),
-            ..DcsrTile::default()
-        };
-        let mut strip = Vec::with_capacity(3);
-        strip.push(tile);
+        let csc = nmt_formats::Csc::new(4, 2, vec![0, 2, 3], vec![0, 3, 1], vec![1.0, 2.0, 3.0])
+            .expect("valid csc");
+        let strip =
+            crate::convert::StripConverter::with_view(csc.view(), 0, 2, true).convert_strip(2);
         let hits_before = pool_stats().hits;
+        let reclaimed_before = pool_stats().reclaimed;
         recycle_strips(vec![strip]);
-        let buf = take_idx(true, 100);
-        assert!(buf.capacity() >= 100);
-        let tiles = take_tiles(true, 3);
-        assert!(tiles.capacity() >= 3);
-        assert!(pool_stats().hits >= hits_before + 2);
-        put_idx(true, buf);
-        put_tiles(true, tiles);
+        assert!(
+            pool_stats().reclaimed >= reclaimed_before + 5,
+            "five buffers per strip"
+        );
+        let headers = take_headers(true, 2);
+        assert!(headers.capacity() >= 2);
+        assert!(pool_stats().hits > hits_before);
+        put_headers(true, headers);
     }
 }

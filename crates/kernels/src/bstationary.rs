@@ -468,7 +468,7 @@ pub fn bstat_tiled_dcsr_online_obs(
     }
     publish_conversion(obs, &engine);
     publish_farm(obs, &farm);
-    let tiles = farm.strips;
+    let strips = farm.strips;
 
     let mut c = DenseMatrix::zeros(n, k);
     // One block per strip, exactly the device loop of Figure 11: the block
@@ -482,7 +482,8 @@ pub fn bstat_tiled_dcsr_online_obs(
     let mut acc = nmt_engine::mem::take_val(farm_cfg.pool, k);
     let stats = gpu.launch(shared, num_blocks, |ctx| {
         let s = ctx.block_id;
-        let first_width = tiles[s].first().map_or(tile_w, |t| t.width);
+        let strip = &strips[s];
+        let first_width = strip.width();
         let b_rows = first_width.min(b.nrows().saturating_sub(s * tile_w));
         load_b_tile(ctx, &b_dev, s * tile_w, b_rows, k);
         // Engine loads boundary/frontier pointers from col_ptr once per
@@ -494,9 +495,8 @@ pub fn bstat_tiled_dcsr_online_obs(
             false,
         );
         let mut consumed_before = 0u64;
-        #[allow(clippy::needless_range_loop)] // t also names the tile for requests
         for t in 0..tiles_per_strip {
-            let tile = &tiles[s][t];
+            let tile = strip.tile(t);
             // GetDCSRTile request: much like a warp vector store (Fig. 11).
             ctx.warp_instr(InstrClass::Memory, ctx.warp_size(), 1);
             // Engine streams the tile's CSC elements from DRAM inside the
@@ -536,10 +536,11 @@ pub fn bstat_tiled_dcsr_online_obs(
         }
     })?;
     nmt_engine::mem::put_val(farm_cfg.pool, acc);
-    // The freshly-minted tiles have been consumed; hand their buffers back
-    // so the next online conversion of a similar matrix allocates nothing.
+    // The freshly-minted strips have been consumed; hand their buffers
+    // back so the next online conversion of a similar matrix allocates
+    // nothing.
     if farm_cfg.pool {
-        nmt_engine::mem::recycle_strips(tiles);
+        nmt_engine::mem::recycle_strips(strips);
     }
     drop(launch_span);
     Ok(OnlineRun {

@@ -20,6 +20,7 @@
 //! [`SharedSlicePool`] wraps a pool in a `Mutex` for use as a `static`
 //! shared across worker threads; both types are const-constructible.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 // Under `--cfg loom` the shared pool's lock comes from the loom shim so
@@ -73,6 +74,9 @@ pub struct SlicePool<T> {
     /// best-fit scan is ordered and the pool never introduces iteration
     /// nondeterminism anywhere.
     shelves: BTreeMap<usize, Vec<Vec<T>>>,
+    /// Emptied shelf vectors: a shelf leaves the map with its last buffer,
+    /// and re-creating it reuses one of these instead of allocating.
+    spare: Vec<Vec<Vec<T>>>,
     /// Total idle buffers across all shelves.
     idle: usize,
     /// Cap on `idle`; `put` evicts beyond it.
@@ -97,6 +101,7 @@ impl<T> SlicePool<T> {
     pub const fn with_max_idle(max_idle: usize) -> Self {
         SlicePool {
             shelves: BTreeMap::new(),
+            spare: Vec::new(),
             idle: 0,
             max_idle,
             stats: PoolStats {
@@ -114,21 +119,24 @@ impl<T> SlicePool<T> {
     /// that still fits (best-fit-at-least), then a fresh allocation.
     /// The returned vector always has `len() == 0`.
     pub fn take(&mut self, min_capacity: usize) -> Vec<T> {
-        // Best-fit-at-least: the first occupied shelf at or above the
-        // request; `range` makes the exact match the first candidate.
-        let key = self
-            .shelves
-            .range(min_capacity..)
-            .find(|(_, bufs)| !bufs.is_empty())
-            .map(|(&cap, _)| cap);
-        if let Some(cap) = key {
-            if let Some(bufs) = self.shelves.get_mut(&cap) {
-                if let Some(buf) = bufs.pop() {
-                    self.idle -= 1;
-                    self.stats.hits += 1;
-                    return buf;
+        // Best-fit-at-least: the first shelf at or above the request;
+        // `range` makes the exact match the first candidate. A shelf is
+        // removed when its last buffer leaves, so every shelf in the map
+        // is occupied and the first one in range is the answer — the
+        // lookup never walks emptied keys while the shared lock is held.
+        let mut found = None;
+        if let Some((&cap, bufs)) = self.shelves.range_mut(min_capacity..).next() {
+            found = bufs.pop().map(|buf| (cap, buf, bufs.is_empty()));
+        }
+        if let Some((cap, buf, emptied)) = found {
+            if emptied {
+                if let Some(shelf) = self.shelves.remove(&cap) {
+                    self.spare.push(shelf);
                 }
             }
+            self.idle -= 1;
+            self.stats.hits += 1;
+            return buf;
         }
         self.stats.misses += 1;
         Vec::with_capacity(min_capacity)
@@ -145,7 +153,14 @@ impl<T> SlicePool<T> {
         }
         self.idle += 1;
         self.stats.reclaimed += 1;
-        self.shelves.entry(buf.capacity()).or_default().push(buf);
+        match self.shelves.entry(buf.capacity()) {
+            Entry::Occupied(shelf) => shelf.into_mut().push(buf),
+            Entry::Vacant(slot) => {
+                let mut shelf = self.spare.pop().unwrap_or_default();
+                shelf.push(buf);
+                slot.insert(shelf);
+            }
+        }
     }
 
     /// Buffers currently shelved.
@@ -175,6 +190,7 @@ impl<T> SlicePool<T> {
     /// left on the shelves.
     pub fn reset(&mut self) {
         self.shelves.clear();
+        self.spare.clear();
         self.idle = 0;
         self.stats = PoolStats::default();
     }
@@ -330,6 +346,27 @@ mod tests {
     }
 
     #[test]
+    fn emptied_shelves_are_removed() {
+        let mut pool: SlicePool<u8> = SlicePool::with_max_idle(2000);
+        for cap in 1..=1000usize {
+            pool.put(Vec::with_capacity(cap));
+        }
+        let caps: Vec<usize> = (0..1000).map(|_| pool.take(1).capacity()).collect();
+        assert_eq!(caps, (1..=1000).collect::<Vec<_>>(), "best fit walks up");
+        assert!(pool.shelves.is_empty(), "no emptied shelf keeps its key");
+        assert_eq!(pool.idle_len(), 0);
+        // Best fit still returns the smallest fitting buffer afterwards.
+        for cap in [300usize, 40, 7] {
+            pool.put(Vec::with_capacity(cap));
+        }
+        assert_eq!(pool.take(8).capacity(), 40);
+        assert_eq!(pool.take(8).capacity(), 300);
+        assert_eq!(pool.take(5).capacity(), 7);
+        assert!(pool.shelves.is_empty());
+        assert_eq!(pool.stats().misses, 0);
+    }
+
+    #[test]
     fn zero_capacity_buffers_are_not_shelved() {
         let mut pool: SlicePool<u8> = SlicePool::new();
         pool.put(Vec::new());
@@ -385,11 +422,14 @@ mod tests {
             reclaimed: 30,
             evicted: 40,
         });
-        assert_eq!(a, PoolStats {
-            hits: 11,
-            misses: 22,
-            reclaimed: 33,
-            evicted: 44,
-        });
+        assert_eq!(
+            a,
+            PoolStats {
+                hits: 11,
+                misses: 22,
+                reclaimed: 33,
+                evicted: 44,
+            }
+        );
     }
 }

@@ -16,7 +16,14 @@
 //!
 //! With one thread (or one item) everything runs inline on the caller's
 //! thread, so `RAYON_NUM_THREADS=1` is an exact serial execution.
+//!
+//! A parallel call made from inside a worker also runs inline, on that
+//! worker: the outer call already keeps every thread busy, so spawning
+//! another set of OS threads per nested call would only add spawn cost
+//! and oversubscribe the cores. Real rayon gets the same effect from
+//! work stealing on its one global pool.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -107,13 +114,18 @@ impl ThreadPoolBuilder {
 // Executor
 // ---------------------------------------------------------------------------
 
+thread_local! {
+    /// Set on the threads [`run_parallel`] spawns, for their lifetime.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
 /// Run `f` over `items` on the shim's thread pool and return the results
 /// in input order. Panics in `f` are propagated to the caller after all
-/// workers stop.
+/// workers stop. Called from a worker, it runs inline on that worker.
 fn run_parallel<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
     let n = items.len();
     let threads = current_num_threads().min(n);
-    if threads <= 1 {
+    if threads <= 1 || IN_WORKER.with(Cell::get) {
         return items.into_iter().map(f).collect();
     }
     let queue = Mutex::new(items.into_iter().enumerate());
@@ -123,6 +135,7 @@ fn run_parallel<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> V
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
+                    IN_WORKER.with(|w| w.set(true));
                     let mut done: Vec<(usize, R)> = Vec::new();
                     loop {
                         let next = queue.lock().expect("work queue poisoned").next();
@@ -407,8 +420,101 @@ mod tests {
         }
     }
 
+    /// Serializes the tests that re-point the global thread count, so
+    /// each sees the count it set.
+    static COUNT_LOCK: Mutex<()> = Mutex::new(());
+
+    fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
+        let _guard = COUNT_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build_global()
+            .expect("shim build_global always succeeds");
+        f()
+    }
+
+    /// Outer items each run an inner parallel map; returns, per outer
+    /// item, the outer thread and the inner `(thread, value)` pairs.
+    #[allow(clippy::type_complexity)]
+    fn nested_run() -> Vec<(std::thread::ThreadId, Vec<(std::thread::ThreadId, usize)>)> {
+        (0..4usize)
+            .into_par_iter()
+            .map(|i| {
+                let inner: Vec<_> = (0..64usize)
+                    .into_par_iter()
+                    .map(|j| (std::thread::current().id(), i * 100 + j))
+                    .collect();
+                (std::thread::current().id(), inner)
+            })
+            .collect()
+    }
+
+    fn assert_nested_inline(runs: &[(std::thread::ThreadId, Vec<(std::thread::ThreadId, usize)>)]) {
+        assert_eq!(runs.len(), 4);
+        for (i, (outer, inner)) in runs.iter().enumerate() {
+            assert!(
+                inner.iter().all(|(id, _)| id == outer),
+                "inner ran off its worker"
+            );
+            let values: Vec<usize> = inner.iter().map(|&(_, v)| v).collect();
+            assert_eq!(values, (0..64).map(|j| i * 100 + j).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn nested_call_runs_inline_on_the_outer_worker() {
+        let caller = std::thread::current().id();
+        let runs = with_threads(4, nested_run);
+        assert_nested_inline(&runs);
+        assert!(
+            runs.iter().all(|(outer, _)| *outer != caller),
+            "with 4 threads the outer items run on spawned workers"
+        );
+    }
+
+    #[test]
+    fn one_thread_runs_everything_on_the_caller() {
+        // What `RAYON_NUM_THREADS=1` resolves to: an exact serial run,
+        // nested calls included.
+        let caller = std::thread::current().id();
+        let runs = with_threads(1, nested_run);
+        assert_nested_inline(&runs);
+        assert!(runs.iter().all(|(outer, _)| *outer == caller));
+    }
+
+    #[test]
+    fn nested_panic_reaches_the_top_level_caller() {
+        let result = with_threads(4, || {
+            std::panic::catch_unwind(|| {
+                (0..4usize)
+                    .into_par_iter()
+                    .map(|i| {
+                        (0..8usize)
+                            .into_par_iter()
+                            .map(|j| {
+                                assert!(i != 2 || j != 5, "nested boom");
+                                j
+                            })
+                            .sum::<usize>()
+                    })
+                    .collect::<Vec<usize>>()
+            })
+        });
+        let payload = result.expect_err("the nested panic must propagate");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert_eq!(msg, Some("nested boom"));
+    }
+
     #[test]
     fn build_global_overrides_thread_count() {
+        let _guard = COUNT_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         ThreadPoolBuilder::new()
             .num_threads(3)
             .build_global()

@@ -1,10 +1,13 @@
 //! The engine's defining property: **online CSC→DCSR conversion is
 //! bit-identical to offline tiling**, for any matrix, any tile geometry,
-//! and any request order.
+//! and any request order — including through the farm's one-buffer-set
+//! strips.
 
 use proptest::prelude::*;
 use spmm_nmt::engine::comparator::ComparatorTree;
-use spmm_nmt::engine::{convert_matrix, ConversionStats, EngineTiming, StripConverter};
+use spmm_nmt::engine::{
+    convert_matrix, convert_matrix_farm, ConversionStats, EngineTiming, FarmConfig, StripConverter,
+};
 use spmm_nmt::formats::{Coo, Csr, SparseMatrix, TiledDcsr};
 
 fn csr_strategy() -> impl Strategy<Value = Csr> {
@@ -21,8 +24,105 @@ fn csr_strategy() -> impl Strategy<Value = Csr> {
     })
 }
 
+/// Matrices with zero dimensions (one phantom strip and tile) and with
+/// every column from a random cut onward empty (all-empty strips); tile
+/// sizes rarely divide the dimensions, so last strips and tiles are
+/// ragged.
+fn edge_case_strategy() -> impl Strategy<Value = (Csr, usize, usize)> {
+    (0usize..=40, 0usize..=40, 1usize..=16, 1usize..=16).prop_flat_map(
+        |(nrows, ncols, tile_w, tile_h)| {
+            let entries = proptest::collection::vec((0u32..1000, 0u32..1000, 1i32..100), 0..120);
+            (entries, 0usize..=ncols).prop_map(move |(entries, filled_cols)| {
+                (
+                    edge_csr(nrows, ncols, filled_cols, &entries),
+                    tile_w,
+                    tile_h,
+                )
+            })
+        },
+    )
+}
+
+/// An `nrows × ncols` matrix with entries only in columns below
+/// `filled_cols`; `(r, c, v)` are reduced into range.
+fn edge_csr(nrows: usize, ncols: usize, filled_cols: usize, entries: &[(u32, u32, i32)]) -> Csr {
+    let mut coo = Coo::new(nrows, ncols).expect("small dims");
+    if nrows > 0 && filled_cols > 0 {
+        for &(r, c, v) in entries {
+            coo.push(r % nrows as u32, c % filled_cols as u32, v as f32)
+                .expect("in bounds");
+        }
+    }
+    coo.canonicalize();
+    Csr::from_coo(&coo)
+}
+
+/// The farm's strips against offline tiling: owned copies equal
+/// `TiledDcsr::from_csc` bit for bit, every borrowed view reports its
+/// owned tile's sizes, and the per-tile header deltas sum to the farm's
+/// per-strip and total counters.
+fn check_strips(csr: &Csr, tile_w: usize, tile_h: usize) -> Result<(), TestCaseError> {
+    let csc = csr.to_csc();
+    let offline = TiledDcsr::from_csc(&csc, tile_w, tile_h).expect("tiling");
+    let farm = convert_matrix_farm(&csc, tile_w, tile_h, FarmConfig::for_partitions(4))
+        .expect("clean farm");
+    prop_assert_eq!(farm.strips.len(), offline.strips().len());
+    let mut total = ConversionStats::default();
+    for (s, strip) in farm.strips.iter().enumerate() {
+        let owned = strip.to_tiles();
+        let expected = &offline.strips()[s];
+        prop_assert_eq!(&owned, expected, "strip {}", s);
+        for (tile, want) in owned.iter().zip(expected) {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&tile.values), bits(&want.values));
+        }
+        for (t, tile) in owned.iter().enumerate() {
+            let view = strip.tile(t);
+            prop_assert_eq!(view.nnz(), tile.nnz());
+            prop_assert_eq!(view.nnz_rows(), tile.nnz_rows());
+            prop_assert_eq!(view.metadata_bytes(), tile.metadata_bytes());
+            prop_assert_eq!(view.data_bytes(), tile.data_bytes());
+            prop_assert!(view.validate().is_ok(), "strip {} tile {} invalid", s, t);
+        }
+        let mut strip_sum = ConversionStats::default();
+        for header in strip.headers() {
+            strip_sum.merge(&header.stats);
+        }
+        prop_assert_eq!(strip_sum, farm.per_strip[s], "strip {} header deltas", s);
+        total.merge(&strip_sum);
+    }
+    prop_assert_eq!(total, farm.stats);
+    Ok(())
+}
+
+#[test]
+fn strips_equal_offline_tiling_on_edge_shapes() {
+    // Fixed cases so every edge shape runs on every seed: zero rows,
+    // zero columns, both, ragged last strip and tile, all-empty strips.
+    let entries: Vec<(u32, u32, i32)> = (0..90u32).map(|i| (i * 7, i * 13, 1 + i as i32)).collect();
+    for (nrows, ncols, filled, tile_w, tile_h) in [
+        (0, 0, 0, 8, 8),
+        (0, 20, 0, 8, 8),
+        (20, 0, 0, 8, 8),
+        (37, 29, 29, 8, 16),
+        (40, 40, 5, 8, 8),
+        (33, 50, 0, 16, 4),
+        (64, 64, 64, 64, 64),
+    ] {
+        let csr = edge_csr(nrows, ncols, filled, &entries);
+        if let Err(e) = check_strips(&csr, tile_w, tile_h) {
+            panic!("{nrows}x{ncols} (filled {filled}), tile {tile_w}x{tile_h}: {e}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn strips_equal_offline_tiling((csr, tile_w, tile_h) in edge_case_strategy()) {
+        check_strips(&csr, tile_w, tile_h)?;
+    }
 
     #[test]
     fn online_equals_offline(csr in csr_strategy(), tile_w in 1usize..=32, tile_h in 1usize..=32) {
@@ -47,7 +147,7 @@ proptest! {
         for s in 0..nstrips {
             // Sequential pass.
             let mut seq = StripConverter::new(&csc, s, tile_w);
-            let seq_tiles = seq.convert_strip(tile_h);
+            let seq_tiles = seq.convert_strip(tile_h).to_tiles();
             // Reverse-order random access via seek.
             let mut rnd = StripConverter::new(&csc, s, tile_w);
             for t in (0..ntiles).rev() {

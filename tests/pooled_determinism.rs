@@ -15,17 +15,26 @@ use spmm_nmt::matgen::{generators, random_dense, GenKind, MatrixDesc, SuiteScale
 use spmm_nmt::obs::ObsContext;
 use spmm_nmt::planner::planner::{PlannerConfig, SpmmPlanner};
 
+/// Includes zero-dimension matrices (one phantom strip and tile) and
+/// matrices whose columns from a random cut onward are empty, so whole
+/// strips convert to empty tiles; most tile sizes leave a ragged last
+/// strip and tile.
 fn csr_strategy() -> impl Strategy<Value = Csr> {
-    (2usize..=48, 2usize..=48).prop_flat_map(|(nrows, ncols)| {
-        let entry = (0..nrows as u32, 0..ncols as u32, 1i32..100);
-        proptest::collection::vec(entry, 0..150).prop_map(move |entries| {
-            let mut coo = Coo::new(nrows, ncols).expect("small dims");
-            for (r, c, v) in entries {
-                coo.push(r, c, v as f32).expect("in bounds");
-            }
-            coo.canonicalize();
-            Csr::from_coo(&coo)
-        })
+    (0usize..=48, 0usize..=48).prop_flat_map(|(nrows, ncols)| {
+        let entry = (0u32..1000, 0u32..1000, 1i32..100);
+        (proptest::collection::vec(entry, 0..150), 0usize..=ncols).prop_map(
+            move |(entries, filled_cols)| {
+                let mut coo = Coo::new(nrows, ncols).expect("small dims");
+                if nrows > 0 && filled_cols > 0 {
+                    for (r, c, v) in entries {
+                        coo.push(r % nrows as u32, c % filled_cols as u32, v as f32)
+                            .expect("in bounds");
+                    }
+                }
+                coo.canonicalize();
+                Csr::from_coo(&coo)
+            },
+        )
     })
 }
 
