@@ -10,40 +10,20 @@
 //! flags wall-time deltas that clear the baseline's bootstrap confidence
 //! interval, per matrix and per pipeline phase.
 //!
-//! CI-significance is deliberately strict by default
-//! ([`DiffOptions::default`] has zero margin and zero slack): a median is
-//! flagged as a regression exactly when it lies **above** the baseline's
-//! CI upper bound (and as an improvement when below the lower bound).
-//! Identical ledgers therefore flag nothing — a median always lies inside
-//! its own CI — while a doctored timing column lights up precisely the
-//! doctored matrices and phases.
+//! A is the baseline and B the run. The identity check and the perf pass
+//! are the gate's own ([`crate::ledger`]), run at zero margin and zero
+//! slack: a median is flagged as a regression exactly when it lies
+//! **above** A's CI upper bound (and as an improvement when below the
+//! lower bound). Identical ledgers therefore flag nothing — a median
+//! always lies inside its own CI — while a doctored timing column lights
+//! up precisely the doctored matrices and phases.
 
-use crate::ledger::{Ledger, PerfSection};
+use crate::ledger::{
+    compare_perf, identity_mismatches, perf_sections, same_schema, Ledger, LedgerRow, PerfSection,
+};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-
-/// Significance thresholds for the perf comparison. Defaults to zero
-/// margin / zero slack: anything outside the baseline CI is reported.
-/// Loosen for cross-machine comparisons (the gate's noise-aware
-/// tolerances live in [`crate::PerfTolerance`]; these are intentionally
-/// separate — the differ reports, the gate judges).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiffOptions {
-    /// Relative headroom above/below the baseline CI bound (0.1 = 10%).
-    pub margin_frac: f64,
-    /// Absolute headroom, ns.
-    pub abs_slack_ns: f64,
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        Self {
-            margin_frac: 0.0,
-            abs_slack_ns: 0.0,
-        }
-    }
-}
 
 /// Headline geomean movement between the two ledgers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -107,7 +87,7 @@ pub struct PhaseDelta {
 }
 
 /// One CI-significant wall-time delta: B's median cleared A's bootstrap
-/// confidence interval (plus the configured margin/slack).
+/// confidence interval.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PerfFlag {
     /// Suite matrix name.
@@ -162,11 +142,6 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// Whether any CI-significant slowdown was flagged.
-    pub fn has_regressions(&self) -> bool {
-        !self.perf_regressions.is_empty()
-    }
-
     /// Serialize for `--json`.
     pub fn to_json(&self) -> String {
         // nmt-lint: allow(panic) — serializing a plain data struct cannot fail
@@ -263,63 +238,27 @@ impl DiffReport {
     }
 }
 
-/// Geometric mean of an iterator of positive values (1.0 when empty).
-fn geomean_of(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = values.iter().map(|v| v.ln()).sum();
-    (sum / values.len() as f64).exp()
-}
+/// Compare two schema-v4 ledgers, A the baseline and B the run. Errors
+/// only on a schema-version mismatch (the field sets are not comparable);
+/// every identity difference becomes a note in the report.
+pub fn diff_ledgers(a: &Ledger, b: &Ledger) -> Result<DiffReport, String> {
+    same_schema(a, b)?;
+    let identity_notes = identity_mismatches(a, b)
+        .into_iter()
+        .map(|(what, va, vb)| format!("{what} {va} vs {vb}"))
+        .collect();
 
-/// Compare two schema-v4 ledgers. Errors only on a schema-version
-/// mismatch (the field sets are not comparable); every other identity
-/// difference becomes a note in the report.
-pub fn diff_ledgers(a: &Ledger, b: &Ledger, opts: DiffOptions) -> Result<DiffReport, String> {
-    if a.schema_version != b.schema_version {
-        return Err(format!(
-            "schema version mismatch: A is v{}, B is v{} — not comparable",
-            a.schema_version, b.schema_version
-        ));
-    }
-
-    let mut identity_notes = Vec::new();
-    if a.scale != b.scale {
-        identity_notes.push(format!("scale {} vs {}", a.scale, b.scale));
-    }
-    if a.seed != b.seed {
-        identity_notes.push(format!("seed {} vs {}", a.seed, b.seed));
-    }
-    if a.k != b.k {
-        identity_notes.push(format!("k {} vs {}", a.k, b.k));
-    }
-    if a.tile != b.tile {
-        identity_notes.push(format!("tile {} vs {}", a.tile, b.tile));
-    }
-    if a.fault_seed != b.fault_seed || a.fault_rate_ppm != b.fault_rate_ppm {
-        identity_notes.push(format!(
-            "fault plan {:?}@{:?} vs {:?}@{:?}",
-            a.fault_seed, a.fault_rate_ppm, b.fault_seed, b.fault_rate_ppm
-        ));
-    }
-
-    let rows_a: BTreeMap<&str, &crate::ledger::LedgerRow> =
+    let rows_a: BTreeMap<&str, &LedgerRow> =
         a.rows.iter().map(|r| (r.matrix.as_str(), r)).collect();
-    let rows_b: BTreeMap<&str, &crate::ledger::LedgerRow> =
+    let rows_b: BTreeMap<&str, &LedgerRow> =
         b.rows.iter().map(|r| (r.matrix.as_str(), r)).collect();
-    let only_in_a: Vec<String> = rows_a
-        .keys()
-        .filter(|k| !rows_b.contains_key(**k))
-        .map(|k| (*k).to_string())
-        .collect();
-    let only_in_b: Vec<String> = rows_b
-        .keys()
-        .filter(|k| !rows_a.contains_key(**k))
-        .map(|k| (*k).to_string())
-        .collect();
+    let only = |x: &BTreeMap<&str, &LedgerRow>, y: &BTreeMap<&str, &LedgerRow>| -> Vec<String> {
+        x.keys().filter(|k| !y.contains_key(*k)).map(|k| (*k).to_string()).collect()
+    };
+    let (only_in_a, only_in_b) = (only(&rows_a, &rows_b), only(&rows_b, &rows_a));
 
     // Per-matrix movement over the common set; shares of dln(geomean).
-    let common: Vec<(&crate::ledger::LedgerRow, &crate::ledger::LedgerRow)> = rows_a
+    let common: Vec<(&LedgerRow, &LedgerRow)> = rows_a
         .iter()
         .filter_map(|(k, ra)| rows_b.get(k).map(|rb| (*ra, *rb)))
         .collect();
@@ -356,8 +295,8 @@ pub fn diff_ledgers(a: &Ledger, b: &Ledger, opts: DiffOptions) -> Result<DiffRep
     let classes: Vec<ClassDelta> = class_members
         .into_iter()
         .map(|(class, (sa, sb))| {
-            let ga = geomean_of(&sa);
-            let gb = geomean_of(&sb);
+            let ga = crate::geomean(&sa);
+            let gb = crate::geomean(&sb);
             ClassDelta {
                 count_a: count_by(a, &class),
                 count_b: count_by(b, &class),
@@ -369,31 +308,18 @@ pub fn diff_ledgers(a: &Ledger, b: &Ledger, opts: DiffOptions) -> Result<DiffRep
         })
         .collect();
 
-    let (phases, perf_regressions, perf_improvements, perf_note) =
-        match (a.perf.as_ref(), b.perf.as_ref()) {
-            (Some(pa), Some(pb)) => {
-                let (ph, reg, imp) = diff_perf(pa, pb, opts);
-                (ph, reg, imp, None)
-            }
-            (None, None) => (
-                Vec::new(),
-                Vec::new(),
-                Vec::new(),
-                Some("no perf section in either ledger (run bench with --perf)".to_string()),
-            ),
-            (Some(_), None) => (
-                Vec::new(),
-                Vec::new(),
-                Vec::new(),
-                Some("perf section only in A — wall-time comparison skipped".to_string()),
-            ),
-            (None, Some(_)) => (
-                Vec::new(),
-                Vec::new(),
-                Vec::new(),
-                Some("perf section only in B — wall-time comparison skipped".to_string()),
-            ),
-        };
+    let (phases, perf_regressions, perf_improvements, perf_note) = match perf_sections(a, b) {
+        Ok((pa, pb)) => {
+            let (ph, reg, imp) = diff_perf(pa, pb);
+            (ph, reg, imp, None)
+        }
+        Err(why) => (
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Some(format!("{why} — wall-time comparison skipped (run bench with --perf)")),
+        ),
+    };
 
     Ok(DiffReport {
         identity_notes,
@@ -417,87 +343,39 @@ pub fn diff_ledgers(a: &Ledger, b: &Ledger, opts: DiffOptions) -> Result<DiffRep
     })
 }
 
-/// Compare two perf sections: per-phase aggregates plus CI-significance
-/// flags for every (matrix, phase) pair present in both, and the
-/// per-matrix totals.
+/// Attribute the perf pass: per-phase aggregates over every (matrix,
+/// phase) pair present in both sections, plus the CI-significant flags
+/// (totals included) from [`compare_perf`] at zero margin and slack.
 fn diff_perf(
     pa: &PerfSection,
     pb: &PerfSection,
-    opts: DiffOptions,
 ) -> (Vec<PhaseDelta>, Vec<PerfFlag>, Vec<PerfFlag>) {
-    let by_name_a: BTreeMap<&str, &crate::ledger::MatrixPerf> =
-        pa.matrices.iter().map(|m| (m.matrix.as_str(), m)).collect();
-
     let mut phase_totals: BTreeMap<String, (f64, f64)> = BTreeMap::new();
     let mut regressions = Vec::new();
     let mut improvements = Vec::new();
-
-    // B's median must clear A's CI bound by margin + slack to flag.
-    let reg_bound = |ci_hi: f64| ci_hi * (1.0 + opts.margin_frac) + opts.abs_slack_ns;
-    let imp_bound = |ci_lo: f64| ci_lo * (1.0 - opts.margin_frac) - opts.abs_slack_ns;
-
-    for mb in &pb.matrices {
-        let Some(ma) = by_name_a.get(mb.matrix.as_str()) else {
-            continue;
+    for p in compare_perf(pa, pb, 0.0, 0.0).0 {
+        if p.phases.is_some() {
+            let entry = phase_totals.entry(p.phase.to_string()).or_default();
+            entry.0 += p.base_median_ns;
+            entry.1 += p.run_median_ns;
+        }
+        let (flags, bound, zero_base_ratio) = match p.shift {
+            Ordering::Greater => (&mut regressions, p.base_ci_hi_ns, f64::INFINITY),
+            Ordering::Less => (&mut improvements, p.base_ci_lo_ns, 0.0),
+            Ordering::Equal => continue,
         };
-
-        if mb.total_median_ns > reg_bound(ma.total_ci_hi_ns) {
-            regressions.push(PerfFlag {
-                matrix: mb.matrix.clone(),
-                phase: "total".to_string(),
-                a_median_ns: ma.total_median_ns,
-                a_ci_bound_ns: ma.total_ci_hi_ns,
-                b_median_ns: mb.total_median_ns,
-                ratio: mb.total_median_ns / ma.total_median_ns,
-            });
-        } else if mb.total_median_ns < imp_bound(ma.total_ci_lo_ns) {
-            improvements.push(PerfFlag {
-                matrix: mb.matrix.clone(),
-                phase: "total".to_string(),
-                a_median_ns: ma.total_median_ns,
-                a_ci_bound_ns: ma.total_ci_lo_ns,
-                b_median_ns: mb.total_median_ns,
-                ratio: mb.total_median_ns / ma.total_median_ns,
-            });
-        }
-
-        let phases_a: BTreeMap<&str, &crate::ledger::PhasePerf> =
-            ma.phases.iter().map(|p| (p.phase.as_str(), p)).collect();
-        for phb in &mb.phases {
-            let Some(pha) = phases_a.get(phb.phase.as_str()) else {
-                continue;
-            };
-            let entry = phase_totals.entry(phb.phase.clone()).or_default();
-            entry.0 += pha.median_ns;
-            entry.1 += phb.median_ns;
-            if phb.median_ns > reg_bound(pha.ci_hi_ns) {
-                regressions.push(PerfFlag {
-                    matrix: mb.matrix.clone(),
-                    phase: phb.phase.clone(),
-                    a_median_ns: pha.median_ns,
-                    a_ci_bound_ns: pha.ci_hi_ns,
-                    b_median_ns: phb.median_ns,
-                    ratio: if pha.median_ns > 0.0 {
-                        phb.median_ns / pha.median_ns
-                    } else {
-                        f64::INFINITY
-                    },
-                });
-            } else if phb.median_ns < imp_bound(pha.ci_lo_ns) {
-                improvements.push(PerfFlag {
-                    matrix: mb.matrix.clone(),
-                    phase: phb.phase.clone(),
-                    a_median_ns: pha.median_ns,
-                    a_ci_bound_ns: pha.ci_lo_ns,
-                    b_median_ns: phb.median_ns,
-                    ratio: if pha.median_ns > 0.0 {
-                        phb.median_ns / pha.median_ns
-                    } else {
-                        0.0
-                    },
-                });
-            }
-        }
+        flags.push(PerfFlag {
+            matrix: p.matrix.to_string(),
+            phase: p.phase.to_string(),
+            a_median_ns: p.base_median_ns,
+            a_ci_bound_ns: bound,
+            b_median_ns: p.run_median_ns,
+            ratio: if p.base_median_ns > 0.0 {
+                p.run_median_ns / p.base_median_ns
+            } else {
+                zero_base_ratio
+            },
+        });
     }
 
     let phases: Vec<PhaseDelta> = phase_totals
@@ -512,20 +390,10 @@ fn diff_perf(
 
     // Worst slowdown first; best speedup first; ties by (matrix, phase)
     // so the report is deterministic.
-    regressions.sort_by(|x, y| {
-        y.ratio
-            .partial_cmp(&x.ratio)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| x.matrix.cmp(&y.matrix))
-            .then_with(|| x.phase.cmp(&y.phase))
-    });
-    improvements.sort_by(|x, y| {
-        x.ratio
-            .partial_cmp(&y.ratio)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| x.matrix.cmp(&y.matrix))
-            .then_with(|| x.phase.cmp(&y.phase))
-    });
+    let ratio = |x: &PerfFlag, y: &PerfFlag| x.ratio.total_cmp(&y.ratio);
+    let name = |x: &PerfFlag, y: &PerfFlag| (&x.matrix, &x.phase).cmp(&(&y.matrix, &y.phase));
+    regressions.sort_by(|x, y| ratio(y, x).then_with(|| name(x, y)));
+    improvements.sort_by(|x, y| ratio(x, y).then_with(|| name(x, y)));
     (phases, regressions, improvements)
 }
 
@@ -618,14 +486,14 @@ mod tests {
             ledger.rows.push(row);
         }
         let speeds: Vec<f64> = ledger.rows.iter().map(|r| r.speedup).collect();
-        ledger.summary.geomean_speedup = geomean_of(&speeds);
+        ledger.summary.geomean_speedup = crate::geomean(&speeds);
         ledger
     }
 
     #[test]
     fn identical_ledgers_diff_clean() {
         let a = toy_ledger(&[("m0", "c-stationary", 2.0), ("m1", "b-stationary", 3.0)]);
-        let report = diff_ledgers(&a, &a, DiffOptions::default()).expect("diffs");
+        let report = diff_ledgers(&a, &a).expect("diffs");
         assert!(report.identity_notes.is_empty());
         assert!((report.geomean.ratio - 1.0).abs() < 1e-12);
         assert!(report.only_in_a.is_empty() && report.only_in_b.is_empty());
@@ -633,14 +501,14 @@ mod tests {
             assert!(m.contribution.abs() < 1e-12);
         }
         assert!(report.perf_note.is_some(), "no perf sections to compare");
-        assert!(!report.has_regressions());
+        assert!(report.perf_regressions.is_empty());
     }
 
     #[test]
     fn matrix_contributions_sum_to_geomean_movement() {
         let a = toy_ledger(&[("m0", "c-stationary", 2.0), ("m1", "b-stationary", 3.0)]);
         let b = toy_ledger(&[("m0", "c-stationary", 1.0), ("m1", "b-stationary", 3.3)]);
-        let report = diff_ledgers(&a, &b, DiffOptions::default()).expect("diffs");
+        let report = diff_ledgers(&a, &b).expect("diffs");
         let total: f64 = report.matrices.iter().map(|m| m.contribution).sum();
         assert!(
             (total - report.geomean.ratio.ln()).abs() < 1e-12,
@@ -666,7 +534,7 @@ mod tests {
         let mut b = toy_ledger(&[("m0", "c-stationary", 2.0), ("new", "c-stationary", 2.0)]);
         b.seed = 7;
         b.fault_seed = Some(1);
-        let report = diff_ledgers(&a, &b, DiffOptions::default()).expect("diffs");
+        let report = diff_ledgers(&a, &b).expect("diffs");
         assert_eq!(report.only_in_a, vec!["gone".to_string()]);
         assert_eq!(report.only_in_b, vec!["new".to_string()]);
         assert!(report.identity_notes.iter().any(|n| n.contains("seed 1 vs 7")));
@@ -678,7 +546,7 @@ mod tests {
         let a = toy_ledger(&[("m0", "c-stationary", 2.0)]);
         let mut b = a.clone();
         b.schema_version += 1;
-        assert!(diff_ledgers(&a, &b, DiffOptions::default()).is_err());
+        assert!(diff_ledgers(&a, &b).is_err());
     }
 
     #[test]
@@ -706,7 +574,7 @@ mod tests {
             kernel.ci_lo_ns *= 1000.0;
             kernel.ci_hi_ns *= 1000.0;
         }
-        let report = diff_ledgers(&a, &b, DiffOptions::default()).expect("diffs");
+        let report = diff_ledgers(&a, &b).expect("diffs");
         let flagged: Vec<(String, String)> = report
             .perf_regressions
             .iter()
@@ -721,13 +589,13 @@ mod tests {
             "exactly the doctored pairs flag, worst ratio first"
         );
         assert!(report.perf_improvements.is_empty());
-        assert!(report.has_regressions());
+        assert!(!report.perf_regressions.is_empty());
         // Reverse direction: the same deltas read as improvements.
-        let reverse = diff_ledgers(&b, &a, DiffOptions::default()).expect("diffs");
+        let reverse = diff_ledgers(&b, &a).expect("diffs");
         assert!(reverse.perf_regressions.is_empty());
         assert_eq!(reverse.perf_improvements.len(), 2);
         // Identical perf flags nothing: a median sits inside its own CI.
-        let same = diff_ledgers(&a, &a, DiffOptions::default()).expect("diffs");
+        let same = diff_ledgers(&a, &a).expect("diffs");
         assert!(same.perf_regressions.is_empty());
         assert!(same.perf_improvements.is_empty());
         // Text + JSON both name the doctored pair.
@@ -739,26 +607,57 @@ mod tests {
         assert_eq!(parsed, report);
     }
 
+    /// The `(matrix, phase)` pairs named by the perf gate's time
+    /// regressions (`m: total regressed`, `m/p: phase regressed`).
+    fn gate_flagged(errs: &[String]) -> Vec<(String, String)> {
+        let mut flagged: Vec<(String, String)> = errs
+            .iter()
+            .filter_map(|e| {
+                let (label, rest) = e.split_once(": ")?;
+                if rest.starts_with("total regressed") {
+                    Some((label.to_string(), "total".to_string()))
+                } else if rest.starts_with("phase regressed") {
+                    let (m, p) = label.split_once('/')?;
+                    Some((m.to_string(), p.to_string()))
+                } else {
+                    None
+                }
+            })
+            .collect();
+        flagged.sort();
+        flagged
+    }
+
     #[test]
-    fn margin_suppresses_borderline_flags() {
+    fn diff_and_perf_gate_share_one_comparison() {
         let a = ledger_with_perf();
-        let mut b = a.clone();
+        // CI's doctoring: one matrix's totals x1000, phases untouched.
+        let mut doctored = a.clone();
         {
-            let perf = b.perf.as_mut().expect("perf present");
-            // +10%: outside the +-5% CI, inside a 50% margin.
-            perf.matrices[0].total_median_ns *= 1.10;
+            let victim = &mut doctored.perf.as_mut().expect("perf present").matrices[0];
+            victim.total_median_ns *= 1000.0;
+            victim.total_ci_lo_ns *= 1000.0;
+            victim.total_ci_hi_ns *= 1000.0;
         }
-        let strict = diff_ledgers(&a, &b, DiffOptions::default()).expect("diffs");
-        assert_eq!(strict.perf_regressions.len(), 1);
-        let loose = diff_ledgers(
-            &a,
-            &b,
-            DiffOptions {
-                margin_frac: 0.5,
-                abs_slack_ns: 0.0,
-            },
-        )
-        .expect("diffs");
-        assert!(loose.perf_regressions.is_empty());
+        let report = diff_ledgers(&a, &doctored).expect("diffs");
+        let flagged: Vec<(String, String)> = report
+            .perf_regressions
+            .iter()
+            .map(|f| (f.matrix.clone(), f.phase.clone()))
+            .collect();
+        let victim = vec![("m0".to_string(), "total".to_string())];
+        assert_eq!(flagged, victim, "diff flags exactly the doctored total");
+        assert!(report.perf_improvements.is_empty());
+        let errs = doctored.perf_gate(&a, 0.5).expect_err("doctored run must fail the gate");
+        assert_eq!(gate_flagged(&errs), victim, "{errs:?}");
+
+        // A x1.2 median wobble clears A's CI (the differ reports it) but
+        // stays inside the gate's margin + slack.
+        let mut wobble = a.clone();
+        wobble.perf.as_mut().expect("perf present").matrices[0].total_median_ns *= 1.2;
+        let report = diff_ledgers(&a, &wobble).expect("diffs");
+        assert_eq!(report.perf_regressions.len(), 1);
+        assert_eq!(report.perf_regressions[0].matrix, "m0");
+        assert!(wobble.perf_gate(&a, 0.5).is_ok());
     }
 }

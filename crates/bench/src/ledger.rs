@@ -23,6 +23,7 @@ use nmt_obs::{MetricRegistry, ObsContext, Phase, Profiler};
 use nmt_sim::SimError;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Version of the `BENCH_*.json` schema. Bump on any change to the field
@@ -244,42 +245,6 @@ pub struct PerfSection {
     pub matrices: Vec<MatrixPerf>,
 }
 
-/// Noise tolerance for [`Ledger::perf_gate`]: a run median must exceed
-/// the baseline's CI upper bound by both the relative margin and the
-/// absolute slack before it counts as a regression. The slack keeps
-/// microsecond-scale phases (where a scheduler blip is a large fraction)
-/// from firing the gate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PerfTolerance {
-    /// Relative headroom above the baseline CI (0.5 = 50%).
-    pub margin_frac: f64,
-    /// Absolute headroom, ns.
-    pub abs_slack_ns: f64,
-    /// Relative headroom above the baseline per-phase allocation count
-    /// and bytes (0.5 = 50%). Allocation counts are near-deterministic
-    /// (pools are reset before the measurement pass), but steady-state
-    /// shelving can differ slightly run to run.
-    pub alloc_margin_frac: f64,
-    /// Absolute allocation-count headroom per phase.
-    pub alloc_slack_count: f64,
-    /// Absolute allocation-bytes headroom per phase.
-    pub alloc_slack_bytes: f64,
-}
-
-impl Default for PerfTolerance {
-    fn default() -> Self {
-        Self {
-            // Generous by default: CI machines differ; tighten locally
-            // with --perf-margin for same-machine comparisons.
-            margin_frac: 0.5,
-            abs_slack_ns: 100_000.0,
-            alloc_margin_frac: 0.5,
-            alloc_slack_count: 64.0,
-            alloc_slack_bytes: 65_536.0,
-        }
-    }
-}
-
 /// A full suite sweep: rows plus summary, versioned for diffing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Ledger {
@@ -312,24 +277,6 @@ pub struct Ledger {
     pub perf: Option<PerfSection>,
 }
 
-/// Tolerances for [`Ledger::gate`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GateTolerance {
-    /// Allowed fractional drop in geomean speedup (0.05 = 5 %).
-    pub speedup_frac: f64,
-    /// Allowed absolute drop in SSF accuracy (0.05 = 5 points).
-    pub accuracy_abs: f64,
-}
-
-impl Default for GateTolerance {
-    fn default() -> Self {
-        Self {
-            speedup_frac: 0.05,
-            accuracy_abs: 0.05,
-        }
-    }
-}
-
 /// The ledger's canonical filename for a scale (`BENCH_small.json`).
 pub fn ledger_filename(scale: SuiteScale) -> String {
     format!("BENCH_{}.json", scale_label(scale))
@@ -346,27 +293,13 @@ pub fn scale_label(scale: SuiteScale) -> &'static str {
 
 impl Ledger {
     /// Aggregate a sweep's successful audits plus its per-matrix errors
-    /// (both in suite order) into a clean (unfaulted) ledger.
+    /// (both in suite order) into a clean (unfaulted) ledger. A faulted
+    /// sweep stamps its plan into `fault_seed`/`fault_rate_ppm` afterwards.
     pub fn from_sweep(
         scale: SuiteScale,
         seed: u64,
         k: usize,
         tile: usize,
-        audits: &[DecisionAudit],
-        errors: Vec<ErrorRow>,
-    ) -> Self {
-        Self::from_sweep_faulted(scale, seed, k, tile, None, audits, errors)
-    }
-
-    /// Aggregate a sweep that ran under `fault` (or `None` for a clean
-    /// sweep); the plan's identity is stamped into the ledger so the gate
-    /// can tell faulted and clean runs apart.
-    pub fn from_sweep_faulted(
-        scale: SuiteScale,
-        seed: u64,
-        k: usize,
-        tile: usize,
-        fault: Option<FaultPlan>,
         audits: &[DecisionAudit],
         errors: Vec<ErrorRow>,
     ) -> Self {
@@ -432,8 +365,8 @@ impl Ledger {
             seed,
             k,
             tile,
-            fault_seed: fault.map(|p| p.seed),
-            fault_rate_ppm: fault.map(|p| p.rate_ppm),
+            fault_seed: None,
+            fault_rate_ppm: None,
             rows,
             errors,
             summary,
@@ -479,71 +412,50 @@ impl Ledger {
         )
     }
 
-    /// Diff this ledger (the fresh run) against a committed `baseline`.
+    /// Gate this ledger (the fresh run) against a committed `baseline`.
     ///
-    /// Returns `Ok(notes)` when the run is no worse than the baseline
-    /// within `tol`, `Err(regressions)` otherwise. Checks, in order:
-    /// schema version and suite identity (scale/seed/k/tile/row count)
-    /// must match exactly — a mismatch means the baseline must be
-    /// consciously refreshed, not silently accepted — then geomean
-    /// speedup may not drop more than `tol.speedup_frac` relatively and
-    /// SSF accuracy not more than `tol.accuracy_abs` absolutely.
-    pub fn gate(&self, baseline: &Ledger, tol: GateTolerance) -> Result<Vec<String>, Vec<String>> {
-        let mut regressions = Vec::new();
-        let mut notes = Vec::new();
-        if self.schema_version != baseline.schema_version {
-            regressions.push(format!(
-                "schema version changed: baseline v{} vs run v{} — refresh the baseline",
-                baseline.schema_version, self.schema_version
-            ));
-            return Err(regressions);
-        }
-        for (what, run, base) in [
-            ("scale", self.scale.clone(), baseline.scale.clone()),
-            ("seed", self.seed.to_string(), baseline.seed.to_string()),
-            ("k", self.k.to_string(), baseline.k.to_string()),
-            ("tile", self.tile.to_string(), baseline.tile.to_string()),
-            (
-                "fault seed",
-                format!("{:?}", self.fault_seed),
-                format!("{:?}", baseline.fault_seed),
-            ),
-            (
-                "fault rate (ppm)",
-                format!("{:?}", self.fault_rate_ppm),
-                format!("{:?}", baseline.fault_rate_ppm),
-            ),
-            (
-                "matrix count",
-                self.rows.len().to_string(),
-                baseline.rows.len().to_string(),
-            ),
-            (
-                "error-row count",
-                self.errors.len().to_string(),
-                baseline.errors.len().to_string(),
-            ),
+    /// Returns `Ok(notes)` when the run is no worse than the baseline,
+    /// `Err(regressions)` otherwise. Checks, in order: schema version,
+    /// then the suite identity (`identity_mismatches`) plus matrix and
+    /// error-row counts must match exactly — a mismatch means the baseline
+    /// must be consciously refreshed, not silently accepted — then geomean
+    /// speedup may not drop more than `SPEEDUP_TOL_FRAC` relatively and
+    /// SSF accuracy not more than `ACCURACY_TOL_ABS` absolutely.
+    pub fn gate(&self, baseline: &Ledger) -> Result<Vec<String>, Vec<String>> {
+        same_schema(baseline, self).map_err(|e| vec![e])?;
+        let mut changed = identity_mismatches(baseline, self);
+        for (what, base, run) in [
+            ("matrix count", baseline.rows.len(), self.rows.len()),
+            ("error-row count", baseline.errors.len(), self.errors.len()),
         ] {
-            if run != base {
-                regressions.push(format!(
-                    "suite identity changed: {what} was {base}, now {run} — refresh the baseline"
-                ));
+            if base != run {
+                changed.push((what, base.to_string(), run.to_string()));
             }
         }
-        if !regressions.is_empty() {
-            return Err(regressions);
+        if !changed.is_empty() {
+            return Err(changed
+                .into_iter()
+                .map(|(what, base, run)| {
+                    format!(
+                        "suite identity changed: {what} was {base}, now {run} \
+                         — refresh the baseline"
+                    )
+                })
+                .collect());
         }
 
+        let mut regressions = Vec::new();
+        let mut notes = Vec::new();
         let run = &self.summary;
         let base = &baseline.summary;
-        let speedup_floor = base.geomean_speedup * (1.0 - tol.speedup_frac);
+        let speedup_floor = base.geomean_speedup * (1.0 - SPEEDUP_TOL_FRAC);
         if run.geomean_speedup < speedup_floor {
             regressions.push(format!(
                 "geomean speedup regressed: {:.4}x < floor {:.4}x (baseline {:.4}x − {:.0}%)",
                 run.geomean_speedup,
                 speedup_floor,
                 base.geomean_speedup,
-                tol.speedup_frac * 100.0
+                SPEEDUP_TOL_FRAC * 100.0
             ));
         } else {
             notes.push(format!(
@@ -551,14 +463,14 @@ impl Ledger {
                 run.geomean_speedup, base.geomean_speedup, speedup_floor
             ));
         }
-        let accuracy_floor = base.ssf_accuracy - tol.accuracy_abs;
+        let accuracy_floor = base.ssf_accuracy - ACCURACY_TOL_ABS;
         if run.ssf_accuracy < accuracy_floor {
             regressions.push(format!(
                 "SSF accuracy regressed: {:.1}% < floor {:.1}% (baseline {:.1}% − {:.0} pts)",
                 run.ssf_accuracy * 100.0,
                 accuracy_floor * 100.0,
                 base.ssf_accuracy * 100.0,
-                tol.accuracy_abs * 100.0
+                ACCURACY_TOL_ABS * 100.0
             ));
         } else {
             notes.push(format!(
@@ -576,111 +488,69 @@ impl Ledger {
     }
 
     /// Noise-aware wall-time gate: compare this run's `perf` section
-    /// against `baseline`'s.
-    ///
-    /// A matrix (total or phase) regresses only when the run's median
-    /// lies above the **baseline's CI upper bound** scaled by
-    /// `tol.margin_frac` plus `tol.abs_slack_ns` — so the gate is quiet
-    /// on timer jitter (which stays inside the CI) and strict on real
-    /// slowdowns (which move the median past any plausible noise band).
-    /// Ledgers without perf data on either side pass with a note: the
-    /// deterministic byte-identity sweeps never carry timings.
+    /// against `baseline`'s with `compare_perf` at `margin_frac` and
+    /// `PERF_SLACK_NS` — so the gate is quiet on timer jitter (which
+    /// stays inside the CI) and strict on real slowdowns (which move the
+    /// median past any plausible noise band). Per-phase allocation means
+    /// may not exceed the baseline's by `ALLOC_MARGIN_FRAC` plus a fixed
+    /// slack. Ledgers without perf data on either side pass with a note:
+    /// the deterministic byte-identity sweeps never carry timings.
     pub fn perf_gate(
         &self,
         baseline: &Ledger,
-        tol: PerfTolerance,
+        margin_frac: f64,
     ) -> Result<Vec<String>, Vec<String>> {
-        let mut regressions = Vec::new();
-        let mut notes = Vec::new();
-        if self.schema_version != baseline.schema_version {
-            return Err(vec![format!(
-                "schema version changed: baseline v{} vs run v{} — refresh the baseline",
-                baseline.schema_version, self.schema_version
-            )]);
-        }
-        let (run, base) = match (&self.perf, &baseline.perf) {
-            (Some(r), Some(b)) => (r, b),
-            (r, b) => {
-                notes.push(format!(
-                    "perf gate skipped: perf section {} in run, {} in baseline",
-                    if r.is_some() { "present" } else { "absent" },
-                    if b.is_some() { "present" } else { "absent" },
-                ));
-                return Ok(notes);
-            }
+        same_schema(baseline, self).map_err(|e| vec![e])?;
+        let (pairs, missing) = match perf_sections(baseline, self) {
+            Ok((base, run)) => compare_perf(base, run, margin_frac, PERF_SLACK_NS),
+            Err(why) => return Ok(vec![format!("perf gate skipped: {why}")]),
         };
-        let ceiling = |ci_hi: f64| ci_hi * (1.0 + tol.margin_frac) + tol.abs_slack_ns;
-        for bm in &base.matrices {
-            let Some(rm) = run.matrices.iter().find(|m| m.matrix == bm.matrix) else {
-                regressions.push(format!(
-                    "perf matrix set changed: '{}' in baseline but not in run — refresh the baseline",
-                    bm.matrix
-                ));
-                continue;
+        let mut regressions: Vec<String> = missing
+            .iter()
+            .map(|m| {
+                format!(
+                    "perf matrix set changed: '{m}' in baseline but not in run \
+                     — refresh the baseline"
+                )
+            })
+            .collect();
+        let mut notes = Vec::new();
+        for p in &pairs {
+            let (label, kind) = match p.phases {
+                None => (p.matrix.to_string(), "total"),
+                Some(_) => (format!("{}/{}", p.matrix, p.phase), "phase"),
             };
-            let limit = ceiling(bm.total_ci_hi_ns);
-            if rm.total_median_ns > limit {
+            if p.shift == Ordering::Greater {
                 regressions.push(format!(
-                    "{}: total regressed: median {:.0} ns > ceiling {:.0} ns \
+                    "{label}: {kind} regressed: median {:.0} ns > ceiling {:.0} ns \
                      (baseline CI [{:.0}, {:.0}] ns + {:.0}% + {:.0} ns slack)",
-                    bm.matrix,
-                    rm.total_median_ns,
-                    limit,
-                    bm.total_ci_lo_ns,
-                    bm.total_ci_hi_ns,
-                    tol.margin_frac * 100.0,
-                    tol.abs_slack_ns
+                    p.run_median_ns,
+                    p.ceiling_ns,
+                    p.base_ci_lo_ns,
+                    p.base_ci_hi_ns,
+                    margin_frac * 100.0,
+                    PERF_SLACK_NS
                 ));
-            } else {
+            } else if p.phases.is_none() {
                 notes.push(format!(
-                    "{}: total median {:.0} ns within ceiling {:.0} ns — ok",
-                    bm.matrix, rm.total_median_ns, limit
+                    "{label}: total median {:.0} ns within ceiling {:.0} ns — ok",
+                    p.run_median_ns, p.ceiling_ns
                 ));
             }
-            for bp in &bm.phases {
-                let Some(rp) = rm.phases.iter().find(|p| p.phase == bp.phase) else {
-                    continue;
-                };
-                let limit = ceiling(bp.ci_hi_ns);
-                if rp.median_ns > limit {
+            // Allocation budget: a hot path that starts allocating per
+            // strip again blows well past margin + slack even though wall
+            // time may hide inside the noise band.
+            let Some((bp, rp)) = p.phases else { continue };
+            for (what, base, run, slack) in [
+                ("count", bp.alloc_count, rp.alloc_count, ALLOC_SLACK_COUNT),
+                ("bytes", bp.alloc_bytes, rp.alloc_bytes, ALLOC_SLACK_BYTES),
+            ] {
+                let (shift, ceiling) = against_ci(run, base, base, ALLOC_MARGIN_FRAC, slack);
+                if shift == Ordering::Greater {
                     regressions.push(format!(
-                        "{}/{}: phase regressed: median {:.0} ns > ceiling {:.0} ns \
-                         (baseline CI [{:.0}, {:.0}] ns)",
-                        bm.matrix, bp.phase, rp.median_ns, limit, bp.ci_lo_ns, bp.ci_hi_ns
-                    ));
-                }
-                // Allocation budget: a hot path that starts allocating
-                // per strip again blows well past margin + slack even
-                // though wall time may hide inside the noise band.
-                let alloc_ceiling = |base: f64, slack: f64| {
-                    base * (1.0 + tol.alloc_margin_frac) + slack
-                };
-                let count_limit = alloc_ceiling(bp.alloc_count, tol.alloc_slack_count);
-                if rp.alloc_count > count_limit {
-                    regressions.push(format!(
-                        "{}/{}: allocation count regressed: {:.0} > ceiling {:.0} \
-                         (baseline {:.0} + {:.0}% + {:.0} slack)",
-                        bm.matrix,
-                        bp.phase,
-                        rp.alloc_count,
-                        count_limit,
-                        bp.alloc_count,
-                        tol.alloc_margin_frac * 100.0,
-                        tol.alloc_slack_count
-                    ));
-                }
-                let bytes_limit = alloc_ceiling(bp.alloc_bytes, tol.alloc_slack_bytes);
-                if rp.alloc_bytes > bytes_limit {
-                    regressions.push(format!(
-                        "{}/{}: allocation bytes regressed: {:.0} > ceiling {:.0} \
-                         (baseline {:.0} + {:.0}% + {:.0} slack)",
-                        bm.matrix,
-                        bp.phase,
-                        rp.alloc_bytes,
-                        bytes_limit,
-                        bp.alloc_bytes,
-                        tol.alloc_margin_frac * 100.0,
-                        tol.alloc_slack_bytes
+                        "{label}: allocation {what} regressed: {run:.0} > ceiling {ceiling:.0} \
+                         (baseline {base:.0} + {:.0}% + {slack:.0} slack)",
+                        ALLOC_MARGIN_FRAC * 100.0
                     ));
                 }
             }
@@ -691,6 +561,175 @@ impl Ledger {
             Err(regressions)
         }
     }
+}
+
+/// Allowed fractional drop in geomean speedup before [`Ledger::gate`] fails.
+const SPEEDUP_TOL_FRAC: f64 = 0.05;
+/// Allowed absolute drop in SSF accuracy before [`Ledger::gate`] fails.
+const ACCURACY_TOL_ABS: f64 = 0.05;
+/// Absolute headroom over the widened baseline CI in [`Ledger::perf_gate`],
+/// ns: keeps microsecond-scale phases (where a scheduler blip is a large
+/// fraction) from firing the gate.
+const PERF_SLACK_NS: f64 = 100_000.0;
+/// Relative headroom over the baseline per-phase allocation means.
+/// Counts are near-deterministic (pools are reset before the measurement
+/// pass), but steady-state shelving can differ slightly run to run.
+const ALLOC_MARGIN_FRAC: f64 = 0.5;
+/// Absolute per-phase allocation-count headroom.
+const ALLOC_SLACK_COUNT: f64 = 64.0;
+/// Absolute per-phase allocation-bytes headroom.
+const ALLOC_SLACK_BYTES: f64 = 65_536.0;
+
+/// The schema check every ledger comparison starts with: field sets of
+/// different versions are not comparable.
+pub(crate) fn same_schema(base: &Ledger, run: &Ledger) -> Result<(), String> {
+    if base.schema_version == run.schema_version {
+        return Ok(());
+    }
+    Err(format!(
+        "schema version changed: baseline v{} vs run v{} — refresh the baseline",
+        base.schema_version, run.schema_version
+    ))
+}
+
+/// The suite identity two ledgers must share to be comparable — scale,
+/// seed, k, tile, fault seed and fault rate — as `(field, baseline, run)`
+/// for each field that differs. The gate fails on any of them; the differ
+/// reports them as notes.
+pub(crate) fn identity_mismatches(
+    base: &Ledger,
+    run: &Ledger,
+) -> Vec<(&'static str, String, String)> {
+    let fault = |v: Option<u64>| {
+        v.map_or_else(|| "none (no fault plan)".to_string(), |v| v.to_string())
+    };
+    [
+        ("scale", base.scale.clone(), run.scale.clone()),
+        ("seed", base.seed.to_string(), run.seed.to_string()),
+        ("k", base.k.to_string(), run.k.to_string()),
+        ("tile", base.tile.to_string(), run.tile.to_string()),
+        ("fault seed", fault(base.fault_seed), fault(run.fault_seed)),
+        (
+            "fault rate (ppm)",
+            fault(base.fault_rate_ppm.map(u64::from)),
+            fault(run.fault_rate_ppm.map(u64::from)),
+        ),
+    ]
+    .into_iter()
+    .filter(|(_, base, run)| base != run)
+    .collect()
+}
+
+/// Both ledgers' perf sections, or why the wall-time comparison is
+/// skipped (a side without a `--perf` pass).
+pub(crate) fn perf_sections<'a>(
+    base: &'a Ledger,
+    run: &'a Ledger,
+) -> Result<(&'a PerfSection, &'a PerfSection), String> {
+    match (&base.perf, &run.perf) {
+        (Some(b), Some(r)) => Ok((b, r)),
+        (b, r) => {
+            let state = |s: &Option<PerfSection>| if s.is_some() { "present" } else { "absent" };
+            Err(format!("perf section {} in run, {} in baseline", state(r), state(b)))
+        }
+    }
+}
+
+/// Where `median` lies against the baseline interval `[lo, hi]` widened
+/// by `margin` (relative) and `slack` (absolute): `Greater` above the
+/// widened ceiling (regressed), `Less` below the widened floor (improved),
+/// `Equal` inside. Also returns the ceiling. The one definition of
+/// "regressed" behind the perf gate, its allocation ceilings and the
+/// differ.
+pub(crate) fn against_ci(
+    median: f64,
+    lo: f64,
+    hi: f64,
+    margin: f64,
+    slack: f64,
+) -> (Ordering, f64) {
+    let ceiling = hi * (1.0 + margin) + slack;
+    let shift = if median > ceiling {
+        Ordering::Greater
+    } else if median < lo * (1.0 - margin) - slack {
+        Ordering::Less
+    } else {
+        Ordering::Equal
+    };
+    (shift, ceiling)
+}
+
+/// One `(matrix, total | phase)` median of a run paired with the
+/// baseline's, judged by [`against_ci`].
+pub(crate) struct PerfPair<'a> {
+    /// Suite matrix name.
+    pub matrix: &'a str,
+    /// Phase name, or `total` for the end-to-end median.
+    pub phase: &'a str,
+    /// The phase records on both sides, `(baseline, run)`; `None` for the
+    /// total.
+    pub phases: Option<(&'a PhasePerf, &'a PhasePerf)>,
+    /// Baseline median, ns.
+    pub base_median_ns: f64,
+    /// Baseline CI lower bound, ns.
+    pub base_ci_lo_ns: f64,
+    /// Baseline CI upper bound, ns.
+    pub base_ci_hi_ns: f64,
+    /// Run median, ns.
+    pub run_median_ns: f64,
+    /// The widened baseline ceiling, ns.
+    pub ceiling_ns: f64,
+    /// Where the run median lies against the widened baseline CI.
+    pub shift: Ordering,
+}
+
+/// The perf pass shared by [`Ledger::perf_gate`] and
+/// [`diff_ledgers`](crate::diff::diff_ledgers): pair every baseline
+/// matrix's total and phases with the run's, in baseline order, and judge
+/// each run median against the baseline CI at `margin`/`slack_ns`. Also
+/// returns the baseline matrices the run has no record for.
+pub(crate) fn compare_perf<'a>(
+    base: &'a PerfSection,
+    run: &'a PerfSection,
+    margin: f64,
+    slack_ns: f64,
+) -> (Vec<PerfPair<'a>>, Vec<&'a str>) {
+    let mut pairs = Vec::new();
+    let mut missing = Vec::new();
+    for bm in &base.matrices {
+        let Some(rm) = run.matrices.iter().find(|m| m.matrix == bm.matrix) else {
+            missing.push(bm.matrix.as_str());
+            continue;
+        };
+        let total = (
+            bm.total_median_ns,
+            bm.total_ci_lo_ns,
+            bm.total_ci_hi_ns,
+            rm.total_median_ns,
+        );
+        let phases = bm.phases.iter().filter_map(|bp| {
+            let rp = rm.phases.iter().find(|p| p.phase == bp.phase)?;
+            let medians = (bp.median_ns, bp.ci_lo_ns, bp.ci_hi_ns, rp.median_ns);
+            Some((bp.phase.as_str(), Some((bp, rp)), medians))
+        });
+        for (phase, records, (base_median_ns, lo, hi, run_median_ns)) in
+            std::iter::once(("total", None, total)).chain(phases)
+        {
+            let (shift, ceiling_ns) = against_ci(run_median_ns, lo, hi, margin, slack_ns);
+            pairs.push(PerfPair {
+                matrix: &bm.matrix,
+                phase,
+                phases: records,
+                base_median_ns,
+                base_ci_lo_ns: lo,
+                base_ci_hi_ns: hi,
+                run_median_ns,
+                ceiling_ns,
+                shift,
+            });
+        }
+    }
+    (pairs, missing)
 }
 
 impl LedgerRow {
@@ -820,15 +859,9 @@ pub fn sweep_ledger_instrumented(
             }),
         }
     }
-    let mut ledger = Ledger::from_sweep_faulted(
-        scale,
-        EXPERIMENT_SEED,
-        k,
-        tile,
-        fault,
-        &audits,
-        errors,
-    );
+    let mut ledger = Ledger::from_sweep(scale, EXPERIMENT_SEED, k, tile, &audits, errors);
+    ledger.fault_seed = fault.map(|p| p.seed);
+    ledger.fault_rate_ppm = fault.map(|p| p.rate_ppm);
     if let Some(cfg) = perf {
         ledger.perf = Some(measure_perf(&suite, &config, k, cfg, progress));
     }
@@ -859,10 +892,11 @@ fn harvest_events(obs: &ObsContext) -> Vec<LedgerEvent> {
 }
 
 /// The serial wall-time pass behind `--perf`: rerun each buildable suite
-/// matrix through the **instrumented** planner `cfg.warmup + cfg.iters`
-/// times, attribute each repetition's spans to phases with
-/// [`Profiler::analyze`], and summarize the per-phase self-time samples
-/// with the statistical harness.
+/// matrix through [`SpmmPlanner::explain`] — the path that produces its
+/// ledger row — with observability on, `cfg.warmup + cfg.iters` times,
+/// attribute each repetition's spans to phases with [`Profiler::analyze`],
+/// and summarize the per-phase self-time samples with the statistical
+/// harness.
 ///
 /// Allocation counting is switched on for the duration of the pass (a
 /// no-op unless the binary installed [`nmt_obs::CountingAlloc`] as its
@@ -897,7 +931,7 @@ fn measure_perf(
                 let b = random_dense(a.shape().ncols, k, desc.seed ^ 0x16);
                 s.counter("cells", (b.nrows() * b.ncols()) as f64);
                 drop(s);
-                planner.execute_with_obs(a, &b, &obs).ok()?;
+                planner.explain(&desc.name, a, &b, &obs).ok()?;
             }
             Some(Profiler::analyze(&obs.recorder.snapshot()))
         };
@@ -1022,14 +1056,14 @@ mod tests {
     fn gate_passes_identical_and_catches_regressions() {
         let ledger = quick_ledger(7);
         // Identical run passes.
-        let notes = ledger.gate(&ledger, GateTolerance::default()).expect("ok");
+        let notes = ledger.gate(&ledger).expect("ok");
         assert_eq!(notes.len(), 2);
 
         // Injected speedup regression beyond tolerance fails.
         let mut slow = ledger.clone();
         slow.summary.geomean_speedup *= 0.80;
         let errs = slow
-            .gate(&ledger, GateTolerance::default())
+            .gate(&ledger)
             .expect_err("regression must fire");
         assert!(errs.iter().any(|e| e.contains("geomean speedup regressed")));
 
@@ -1037,14 +1071,14 @@ mod tests {
         let mut inaccurate = ledger.clone();
         inaccurate.summary.ssf_accuracy = (ledger.summary.ssf_accuracy - 0.2).max(0.0);
         let errs = inaccurate
-            .gate(&ledger, GateTolerance::default())
+            .gate(&ledger)
             .expect_err("accuracy gate must fire");
         assert!(errs.iter().any(|e| e.contains("SSF accuracy regressed")));
 
         // Within-tolerance wobble passes.
         let mut wobble = ledger.clone();
         wobble.summary.geomean_speedup *= 0.98;
-        assert!(wobble.gate(&ledger, GateTolerance::default()).is_ok());
+        assert!(wobble.gate(&ledger).is_ok());
     }
 
     #[test]
@@ -1053,7 +1087,7 @@ mod tests {
         let mut other_schema = ledger.clone();
         other_schema.schema_version += 1;
         let errs = other_schema
-            .gate(&ledger, GateTolerance::default())
+            .gate(&ledger)
             .expect_err("schema mismatch");
         assert!(errs[0].contains("schema version"));
 
@@ -1061,7 +1095,7 @@ mod tests {
         other_suite.seed ^= 1;
         other_suite.rows.pop();
         let errs = other_suite
-            .gate(&ledger, GateTolerance::default())
+            .gate(&ledger)
             .expect_err("identity mismatch");
         assert!(errs.iter().any(|e| e.contains("seed")));
         assert!(errs.iter().any(|e| e.contains("matrix count")));
@@ -1107,13 +1141,13 @@ mod tests {
             events: None,
         });
         let errs = errored
-            .gate(&clean, GateTolerance::default())
+            .gate(&clean)
             .expect_err("new error row must gate");
         assert!(errs.iter().any(|e| e.contains("error-row count")));
         // Symmetric: a baseline with errors and a clean run also mismatch
         // (the baseline must be consciously refreshed).
         let errs = clean
-            .gate(&errored, GateTolerance::default())
+            .gate(&errored)
             .expect_err("count mismatch either way");
         assert!(errs.iter().any(|e| e.contains("error-row count")));
     }
@@ -1129,23 +1163,17 @@ mod tests {
         faulted.fault_seed = Some(plan.seed);
         faulted.fault_rate_ppm = Some(plan.rate_ppm);
         let errs = faulted
-            .gate(&clean, GateTolerance::default())
+            .gate(&clean)
             .expect_err("faulted vs clean must mismatch");
         assert!(errs.iter().any(|e| e.contains("fault seed")));
         assert!(errs.iter().any(|e| e.contains("fault rate")));
         // Same plan on both sides compares normally.
-        assert!(faulted.gate(&faulted, GateTolerance::default()).is_ok());
+        assert!(faulted.gate(&faulted).is_ok());
 
-        // A faulted aggregation stamps the plan identity.
-        let stamped = Ledger::from_sweep_faulted(
-            SuiteScale::Small,
-            15,
-            8,
-            clean.tile,
-            Some(plan),
-            &[],
-            Vec::new(),
-        );
+        // A faulted sweep stamps the plan identity onto the aggregation.
+        let mut stamped = Ledger::from_sweep(SuiteScale::Small, 15, 8, clean.tile, &[], Vec::new());
+        stamped.fault_seed = Some(plan.seed);
+        stamped.fault_rate_ppm = Some(plan.rate_ppm);
         assert_eq!(stamped.fault_seed, Some(0xFA17));
         assert_eq!(stamped.fault_rate_ppm, Some(250_000));
         let back = Ledger::from_json(&stamped.to_json()).expect("parses");
@@ -1254,14 +1282,14 @@ mod tests {
     fn perf_gate_skips_without_perf_sections() {
         let ledger = quick_ledger(17);
         let notes = ledger
-            .perf_gate(&ledger, PerfTolerance::default())
+            .perf_gate(&ledger, 0.5)
             .expect("no perf on either side is a skip, not a failure");
         assert!(notes[0].contains("skipped"), "{notes:?}");
 
         let mut with = ledger.clone();
         with.perf = Some(perf_section(1.0));
         let notes = with
-            .perf_gate(&ledger, PerfTolerance::default())
+            .perf_gate(&ledger, 0.5)
             .expect("one-sided perf also skips");
         assert!(notes[0].contains("absent in baseline"), "{notes:?}");
     }
@@ -1271,7 +1299,7 @@ mod tests {
         let mut run = quick_ledger(19);
         run.perf = Some(perf_section(1.0));
         let notes = run
-            .perf_gate(&run, PerfTolerance::default())
+            .perf_gate(&run, 0.5)
             .expect("identical run passes");
         assert!(notes.iter().any(|n| n.contains("within ceiling")), "{notes:?}");
 
@@ -1281,14 +1309,14 @@ mod tests {
         let mut p = perf_section(1.0);
         p.matrices[0].total_median_ns = 1_200_000.0;
         wobble.perf = Some(p);
-        assert!(wobble.perf_gate(&run, PerfTolerance::default()).is_ok());
+        assert!(wobble.perf_gate(&run, 0.5).is_ok());
 
         // A baseline doctored 1000x faster puts the run far past any
         // noise band: both the total and the phase gates must fire.
         let mut doctored = run.clone();
         doctored.perf = Some(perf_section(0.001));
         let errs = run
-            .perf_gate(&doctored, PerfTolerance::default())
+            .perf_gate(&doctored, 0.5)
             .expect_err("doctored baseline must fire");
         assert!(errs.iter().any(|e| e.contains("total regressed")), "{errs:?}");
         assert!(errs.iter().any(|e| e.contains("phase regressed")), "{errs:?}");
@@ -1307,7 +1335,7 @@ mod tests {
         p.matrices[0].phases[0].alloc_bytes = 50_000_000.0;
         run.perf = Some(p);
         let errs = run
-            .perf_gate(&base, PerfTolerance::default())
+            .perf_gate(&base, 0.5)
             .expect_err("alloc blowup must fire");
         assert!(
             errs.iter().any(|e| e.contains("allocation count regressed")),
@@ -1324,7 +1352,7 @@ mod tests {
         p.matrices[0].phases[0].alloc_count = 14.0;
         p.matrices[0].phases[0].alloc_bytes = 6_000.0;
         wobble.perf = Some(p);
-        assert!(wobble.perf_gate(&base, PerfTolerance::default()).is_ok());
+        assert!(wobble.perf_gate(&base, 0.5).is_ok());
     }
 
     #[test]
@@ -1336,7 +1364,7 @@ mod tests {
         p.matrices[0].matrix = "renamed".to_string();
         base.perf = Some(p);
         let errs = run
-            .perf_gate(&base, PerfTolerance::default())
+            .perf_gate(&base, 0.5)
             .expect_err("baseline matrix missing from run");
         assert!(errs[0].contains("matrix set changed"), "{errs:?}");
     }

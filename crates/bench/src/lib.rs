@@ -11,22 +11,19 @@ pub mod harness;
 pub mod history;
 pub mod ledger;
 pub mod progress;
-pub mod serve_rows;
 
-pub use diff::{diff_ledgers, DiffOptions, DiffReport};
+pub use diff::{diff_ledgers, DiffReport};
 pub use harness::{median, summarize, BenchConfig, BenchStats};
 pub use history::{
-    append_history, change_point, load_history, render_history, scan_history, HistoryRecord,
+    append_history, change_point, load_history, render_history, scan_history, BenchRun,
+    HistoryRecord, ServeRun,
 };
 pub use ledger::{
     ledger_filename, scale_label, sweep_ledger, sweep_ledger_instrumented,
-    CorpusSummary, ErrorRow, GateTolerance, LatencyPercentiles, Ledger, LedgerEvent, LedgerRow,
-    MatrixPerf, PerfSection, PerfTolerance, PhasePerf, LEDGER_SCHEMA_VERSION,
+    CorpusSummary, ErrorRow, LatencyPercentiles, Ledger, LedgerEvent, LedgerRow,
+    MatrixPerf, PerfSection, PhasePerf, LEDGER_SCHEMA_VERSION,
 };
 pub use progress::ProgressReporter;
-pub use serve_rows::{
-    append_serve_history, load_serve_history, render_serve_history, ServeRunRow,
-};
 
 /// The seed shared by every experiment so figures are reproducible.
 pub const EXPERIMENT_SEED: u64 = 0x5C19;

@@ -2,38 +2,14 @@
 //! system: profile Matrix Market files, run the conversion engine, and
 //! simulate auto-tuned SpMM.
 //!
-//! ```text
-//! nmt-cli profile <file.mtx> [--tile N]
-//! nmt-cli convert <file.mtx> [--tile N]
-//! nmt-cli spmm    <file.mtx> [--k N] [--tile N] [--threads N] [--json]
-//!                 [--trace-out <trace.json>] [--flame-out <folded.txt>]
-//!                 [--metrics-json <metrics.json>]
-//!                 [--fault-seed N [--fault-rate F]]
-//! nmt-cli audit   <file.mtx> [--k N] [--tile N] [--threads N] [--json]
-//!                 [--metrics-json <metrics.json>] [--fault-seed N [--fault-rate F]]
-//! nmt-cli bench   [--scale small|medium|paper] [--threads N] [--out <BENCH.json>]
-//!                 [--baseline <BENCH.json>] [--tol-speedup F] [--tol-accuracy F]
-//!                 [--perf] [--perf-iters N] [--perf-warmup N] [--perf-margin F] [--alloc-margin F]
-//!                 [--progress] [--fault-seed N [--fault-rate F]]
-//!                 [--history <HISTORY.jsonl>] [--diag-dir <dir>]
-//! nmt-cli serve   [--requests <trace.jsonl> | --synth N] [--threads N]
-//!                 [--matrices N] [--tenants N] [--seed N] [--k N] [--tile N]
-//!                 [--queue-depth N] [--quantum N] [--service-rate N]
-//!                 [--cache-bytes N] [--stats] [--out <SERVE.json>]
-//!                 [--baseline <SERVE.json>] [--trace-out <trace.jsonl>]
-//!                 [--history <SERVE_HISTORY.jsonl>] [--diag-dir <dir>]
-//! nmt-cli doctor  <nmt-diag-*.json>
-//! nmt-cli diff    <ledger-A.json> <ledger-B.json> [--json]
-//!                 [--diff-margin F] [--diff-slack-ns NS]
-//! nmt-cli history <HISTORY.jsonl>
-//! nmt-cli suite   [--scale small|medium|paper]
-//! nmt-cli help
-//! ```
+//! `nmt-cli help` prints the synopsis of every subcommand ([`USAGE`]).
+//!
+//! Each subcommand rejects any `--flag` it does not read ([`FLAGS`]).
 
 use spmm_nmt::bench::{
     append_history, diff_ledgers, load_history, parse_scale, render_history,
-    sweep_ledger_instrumented, BenchConfig, DiffOptions, GateTolerance, HistoryRecord, Ledger,
-    PerfTolerance, ProgressReporter, EXPERIMENT_SEED,
+    sweep_ledger_instrumented, BenchConfig, HistoryRecord, Ledger, ProgressReporter, ServeRun,
+    EXPERIMENT_SEED,
 };
 use spmm_nmt::fault::FaultPlan;
 use spmm_nmt::engine::{conversion_energy_pj, convert_matrix, ComparatorTree, EngineTiming};
@@ -76,7 +52,7 @@ fn main() -> ExitCode {
         }
     };
     let rest: Vec<&String> = it.collect();
-    let result = match cmd {
+    let result = check_flags(cmd, &rest).and_then(|()| match cmd {
         "profile" => cmd_profile(&rest),
         "convert" => cmd_convert(&rest),
         "spmm" => cmd_spmm(&rest),
@@ -92,7 +68,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown command {other:?}\n{USAGE}")),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -124,9 +100,10 @@ USAGE:
                                           dataflow, and Table-1 predicted
                                           vs measured traffic per operand
   nmt-cli bench   [--scale small|medium|paper] [--threads N] [--out <BENCH.json>]
-                  [--baseline <BENCH.json>] [--tol-speedup F] [--tol-accuracy F]
-                  [--perf] [--perf-iters N] [--perf-warmup N] [--perf-margin F] [--alloc-margin F]
+                  [--baseline <BENCH.json>]
+                  [--perf] [--perf-iters N] [--perf-warmup N] [--perf-margin F]
                   [--progress] [--fault-seed N [--fault-rate F]]
+                  [--history <HISTORY.jsonl>] [--diag-dir <dir>]
                                           sweep the synthetic suite into a
                                           schema-versioned run ledger; with
                                           --baseline, gate against it and
@@ -143,15 +120,16 @@ USAGE:
                                           --baseline it also gates timings,
                                           failing only when a median exceeds
                                           the baseline CI by --perf-margin
-                                          (fraction, default 0.5); per-phase
-                                          alloc.count/alloc.bytes gate the
-                                          same way via --alloc-margin
+                                          (fraction, default 0.5) plus 100 us;
+                                          per-phase alloc.count/alloc.bytes
+                                          may exceed the baseline by 50%
+                                          plus a fixed slack
                                           --progress draws a live done/total
                                           + ETA line on stderr (auto-off when
                                           stderr is not a TTY)
-                                          --history appends one timeline
-                                          record (commit, geomean, per-phase
-                                          medians + CIs) to a JSONL file
+                                          --history appends one row (commit,
+                                          geomean, per-phase medians + CIs)
+                                          to a JSONL history file
                                           --diag-dir (or NMT_DIAG_DIR) arms
                                           crash diagnostics: a panic or gate
                                           failure writes an nmt-diag-*.json
@@ -188,24 +166,57 @@ USAGE:
                                           miss latency + alloc medians) —
                                           excluded from the gate either
                                           way. --history appends one
-                                          summary row to a JSONL timeline
+                                          summary row to a JSONL history
+                                          file (the same format as bench's)
   nmt-cli doctor  <nmt-diag-*.json>       render a crash bundle as a
                                           human-readable post-mortem:
                                           failing site, strip/partition,
                                           thread, span stack, and the last
                                           flight-recorder events
   nmt-cli diff    <ledger-A.json> <ledger-B.json> [--json]
-                  [--diff-margin F] [--diff-slack-ns NS]
-                                          forensic ledger comparison:
-                                          attribute geomean movement to
-                                          matrices / dataflow classes /
-                                          phases and flag wall-time deltas
-                                          outside A's bootstrap CIs
-  nmt-cli history <HISTORY.jsonl>         render the perf timeline and scan
-                                          each series for change points
+                                          forensic ledger comparison (A the
+                                          baseline, B the run): attribute
+                                          geomean movement to matrices /
+                                          dataflow classes / phases and flag
+                                          wall-time deltas outside A's
+                                          bootstrap CIs
+  nmt-cli history <HISTORY.jsonl>         render a bench/serve history: the
+                                          bench timeline with a change-point
+                                          scan per series, and the serve runs
   nmt-cli suite   [--scale small|medium|paper]
                                           enumerate the synthetic suite
   nmt-cli help                            this message";
+
+/// The `--flags` each subcommand reads; any other `--flag` is an error, so
+/// a typo or a retired option cannot silently run with defaults.
+const FLAGS: &[(&str, &str)] = &[
+    ("profile", "--tile"),
+    ("convert", "--tile"),
+    ("spmm", "--k --tile --threads --json --trace-out --flame-out --metrics-json \
+              --fault-seed --fault-rate"),
+    ("audit", "--k --tile --threads --json --metrics-json --fault-seed --fault-rate"),
+    ("bench", "--scale --threads --out --baseline --perf --perf-iters --perf-warmup \
+               --perf-margin --progress --fault-seed --fault-rate --history --diag-dir"),
+    ("serve", "--requests --synth --threads --matrices --tenants --seed --n --k --tile \
+               --queue-depth --quantum --service-rate --cache-bytes --stats --out \
+               --baseline --trace-out --history --diag-dir"),
+    ("doctor", ""),
+    ("diff", "--json"),
+    ("history", ""),
+    ("suite", "--scale"),
+];
+
+/// Reject any `--flag` that `cmd` does not read ([`FLAGS`]).
+fn check_flags(cmd: &str, rest: &[&String]) -> Result<(), String> {
+    let Some((_, known)) = FLAGS.iter().find(|(c, _)| *c == cmd) else {
+        return Ok(());
+    };
+    let reads = |a: &str| known.split_whitespace().any(|k| k == a);
+    match rest.iter().find(|a| a.starts_with("--") && !reads(a)) {
+        Some(bad) => Err(format!("unknown flag {bad} for {cmd}")),
+        None => Ok(()),
+    }
+}
 
 fn flag(rest: &[&String], name: &str) -> Option<String> {
     rest.iter()
@@ -221,22 +232,27 @@ fn parse_flag<T: std::str::FromStr>(rest: &[&String], name: &str, default: T) ->
     }
 }
 
-/// Positional (non-flag) arguments, in order: `--name value` pairs for
-/// the listed value-taking flags are skipped whole, bare `--switch`es are
-/// skipped alone.
-fn positionals(rest: &[&String], value_flags: &[&str]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        let tok = rest[i].as_str();
-        if tok.starts_with("--") {
-            i += if value_flags.contains(&tok) { 2 } else { 1 };
-            continue;
-        }
-        out.push(rest[i].clone());
-        i += 1;
+/// Positional (non-flag) arguments, in order, for the subcommands whose
+/// only flags are bare `--switch`es.
+fn positionals<'a>(rest: &[&'a String]) -> Vec<&'a String> {
+    rest.iter().copied().filter(|a| !a.starts_with("--")).collect()
+}
+
+/// The commit a history row is stamped with: `NMT_COMMIT`, else CI's
+/// `GITHUB_SHA`, else `unknown` — never read from git, so the ledger stack
+/// takes no VCS dependency.
+fn commit_id() -> String {
+    std::env::var("NMT_COMMIT")
+        .or_else(|_| std::env::var("GITHUB_SHA"))
+        .unwrap_or_else(|_| "unknown".to_string())
+}
+
+/// `--tile N` (default `default`), which must fit the 64-lane engine.
+fn parse_tile(rest: &[&String], default: usize) -> Result<usize, String> {
+    match parse_flag(rest, "--tile", default)? {
+        tile @ 1..=64 => Ok(tile),
+        _ => Err("--tile must be in 1..=64 (the engine is 64 lanes wide)".into()),
     }
-    out
 }
 
 /// Parse `--fault-seed N` / `--fault-rate F` into an optional
@@ -288,10 +304,7 @@ fn load(rest: &[&String]) -> Result<Csr, String> {
 }
 
 fn cmd_profile(rest: &[&String]) -> Result<(), String> {
-    let tile: usize = parse_flag(rest, "--tile", 64)?;
-    if tile == 0 || tile > 64 {
-        return Err("--tile must be in 1..=64 (the engine is 64 lanes wide)".into());
-    }
+    let tile = parse_tile(rest, 64)?;
     let a = load(rest)?;
     let p = SsfProfile::compute(&a, tile);
     println!("shape            : {}", a.shape());
@@ -323,10 +336,7 @@ fn cmd_profile(rest: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_convert(rest: &[&String]) -> Result<(), String> {
-    let tile: usize = parse_flag(rest, "--tile", 64)?;
-    if tile == 0 || tile > 64 {
-        return Err("--tile must be in 1..=64 (the engine is 64 lanes wide)".into());
-    }
+    let tile = parse_tile(rest, 64)?;
     let a = load(rest)?;
     let csc = a.to_csc();
     let (tiles, stats) = convert_matrix(&csc, tile, tile);
@@ -361,10 +371,7 @@ fn cmd_convert(rest: &[&String]) -> Result<(), String> {
 fn cmd_spmm(rest: &[&String]) -> Result<(), String> {
     init_threads(rest)?;
     let k: usize = parse_flag(rest, "--k", 64)?;
-    let tile: usize = parse_flag(rest, "--tile", 64)?;
-    if tile == 0 || tile > 64 {
-        return Err("--tile must be in 1..=64 (the engine is 64 lanes wide)".into());
-    }
+    let tile = parse_tile(rest, 64)?;
     let trace_out = flag(rest, "--trace-out");
     let flame_out = flag(rest, "--flame-out");
     let metrics_json = flag(rest, "--metrics-json");
@@ -445,10 +452,7 @@ fn cmd_spmm(rest: &[&String]) -> Result<(), String> {
 fn cmd_audit(rest: &[&String]) -> Result<(), String> {
     init_threads(rest)?;
     let k: usize = parse_flag(rest, "--k", 64)?;
-    let tile: usize = parse_flag(rest, "--tile", 64)?;
-    if tile == 0 || tile > 64 {
-        return Err("--tile must be in 1..=64 (the engine is 64 lanes wide)".into());
-    }
+    let tile = parse_tile(rest, 64)?;
     let metrics_json = flag(rest, "--metrics-json");
     let fault = parse_fault(rest)?;
     let a = load(rest)?;
@@ -477,27 +481,14 @@ fn cmd_audit(rest: &[&String]) -> Result<(), String> {
 
 fn cmd_bench(rest: &[&String]) -> Result<(), String> {
     init_threads(rest)?;
-    let scale = match flag(rest, "--scale") {
-        None => SuiteScale::Small,
-        Some(v) => parse_scale(&v)?,
-    };
-    let tol = GateTolerance {
-        speedup_frac: parse_flag(rest, "--tol-speedup", 0.05)?,
-        accuracy_abs: parse_flag(rest, "--tol-accuracy", 0.05)?,
-    };
+    let scale = flag(rest, "--scale").map_or(Ok(SuiteScale::Small), |v| parse_scale(&v))?;
     let baseline_path = flag(rest, "--baseline");
     let out = flag(rest, "--out");
     let fault = parse_fault(rest)?;
     let perf_requested = rest.iter().any(|x| x.as_str() == "--perf");
-    let perf_tol = PerfTolerance {
-        margin_frac: parse_flag(rest, "--perf-margin", PerfTolerance::default().margin_frac)?,
-        alloc_margin_frac: parse_flag(
-            rest,
-            "--alloc-margin",
-            PerfTolerance::default().alloc_margin_frac,
-        )?,
-        ..PerfTolerance::default()
-    };
+    // Generous by default for same-machine runs; CI hosts are not the
+    // baseline host and pass a wider margin.
+    let perf_margin: f64 = parse_flag(rest, "--perf-margin", 0.5)?;
     let perf_cfg = if perf_requested {
         let mut cfg = BenchConfig::default();
         cfg.iters = parse_flag(rest, "--perf-iters", cfg.iters)?;
@@ -514,19 +505,7 @@ fn cmd_bench(rest: &[&String]) -> Result<(), String> {
         }
         None
     };
-    // Crash diagnostics: --diag-dir (or NMT_DIAG_DIR) arms the panic
-    // hook; a worker panic mid-sweep — or a gate failure below — leaves
-    // an nmt-diag-*.json bundle for `nmt-cli doctor`.
-    let diag_dir = flag(rest, "--diag-dir").or_else(|| std::env::var("NMT_DIAG_DIR").ok());
-    if let Some(dir) = &diag_dir {
-        install_diagnostics(
-            dir.as_str(),
-            &ObsContext::disabled(),
-            fault.map(|p| p.seed),
-            fault.map(|p| p.rate_ppm),
-        );
-        eprintln!("crash diagnostics armed: bundles land in {dir}");
-    }
+    arm_diagnostics(rest, fault);
     let progress = ProgressReporter::new(
         SuiteSpec::new(scale, EXPERIMENT_SEED).descriptors().len(),
         rest.iter().any(|x| x.as_str() == "--progress"),
@@ -549,58 +528,16 @@ fn cmd_bench(rest: &[&String]) -> Result<(), String> {
         eprintln!("wrote run ledger to {path}");
     }
     if let Some(hist) = flag(rest, "--history") {
-        // Commit id comes from the environment (CI pins GITHUB_SHA), not
-        // from running git — the ledger stack takes no wall-clock or VCS
-        // dependencies.
-        let commit = std::env::var("NMT_COMMIT")
-            .or_else(|_| std::env::var("GITHUB_SHA"))
-            .unwrap_or_else(|_| "unknown".to_string());
-        let record = HistoryRecord::from_ledger(&ledger, &commit);
+        let record = HistoryRecord::from_ledger(&ledger, &commit_id());
         let run = append_history(std::path::Path::new(&hist), record)?;
         eprintln!("history: appended run {run} to {hist}");
     }
     if let Some(path) = &baseline_path {
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-        let baseline = Ledger::from_json(&json)?;
-        match ledger.gate(&baseline, tol) {
-            Ok(notes) => {
-                for note in notes {
-                    println!("gate: {note}");
-                }
-                println!("gate: PASS vs {path}");
-            }
-            Err(regressions) => {
-                for r in &regressions {
-                    eprintln!("gate: REGRESSION: {r}");
-                }
-                write_failure_bundle(&format!("bench gate failure vs {path}"));
-                return Err(format!(
-                    "{} regression(s) vs baseline {path}",
-                    regressions.len()
-                ));
-            }
-        }
+        let baseline = read_ledger(path)?;
+        report_gate("gate", path, ledger.gate(&baseline))?;
         // The wall-time gate runs alongside the functional one; it
         // self-skips (with a note) when either side has no perf section.
-        match ledger.perf_gate(&baseline, perf_tol) {
-            Ok(notes) => {
-                for note in notes {
-                    println!("perf gate: {note}");
-                }
-                println!("perf gate: PASS vs {path}");
-            }
-            Err(regressions) => {
-                for r in &regressions {
-                    eprintln!("perf gate: REGRESSION: {r}");
-                }
-                write_failure_bundle(&format!("bench perf gate failure vs {path}"));
-                return Err(format!(
-                    "{} perf regression(s) vs baseline {path}",
-                    regressions.len()
-                ));
-            }
-        }
+        report_gate("perf gate", path, ledger.perf_gate(&baseline, perf_margin))?;
     }
     Ok(())
 }
@@ -609,7 +546,6 @@ fn cmd_bench(rest: &[&String]) -> Result<(), String> {
 /// broker (single-flight plan cache + admission control) and emit the
 /// deterministic response ledger.
 fn cmd_serve(rest: &[&String]) -> Result<(), String> {
-    use spmm_nmt::bench::{append_serve_history, ServeRunRow};
     use spmm_nmt::serve::{
         parse_jsonl, serve_trace, synth_trace, to_jsonl, BrokerConfig, ServeLedger, SynthSpec,
     };
@@ -620,12 +556,7 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
         // Hit-vs-miss allocation medians need live thread-local counters.
         spmm_nmt::obs::alloc::enable_counting(true);
     }
-    // Same contract as `bench`: --diag-dir (or NMT_DIAG_DIR) arms the
-    // panic hook so a replay crash or gate failure leaves a bundle.
-    if let Some(dir) = flag(rest, "--diag-dir").or_else(|| std::env::var("NMT_DIAG_DIR").ok()) {
-        install_diagnostics(dir.as_str(), &ObsContext::disabled(), None, None);
-        eprintln!("crash diagnostics armed: bundles land in {dir}");
-    }
+    arm_diagnostics(rest, None);
 
     let trace = match (flag(rest, "--requests"), flag(rest, "--synth")) {
         (Some(_), Some(_)) => {
@@ -659,10 +590,7 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
         eprintln!("wrote {} requests to {path}", trace.len());
     }
 
-    let tile: usize = parse_flag(rest, "--tile", 16)?;
-    if tile == 0 || tile > 64 {
-        return Err("--tile must be in 1..=64 (the engine is 64 lanes wide)".into());
-    }
+    let tile = parse_tile(rest, 16)?;
     let mut config = BrokerConfig::test_small();
     config.planner.tile_w = tile;
     config.planner.tile_h = tile;
@@ -681,14 +609,9 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
         eprintln!("wrote serve ledger to {path}");
     }
     if let Some(hist) = flag(rest, "--history") {
-        let commit = std::env::var("NMT_COMMIT")
-            .or_else(|_| std::env::var("GITHUB_SHA"))
-            .unwrap_or_else(|_| "unknown".to_string());
         let c = &ledger.counts;
         let s = ledger.stats.as_ref();
-        let row = ServeRunRow {
-            run: 0,
-            commit,
+        let serve = Some(ServeRun {
             requests: c.requests,
             admitted: c.admitted,
             rejected: c.rejected_queue_full + c.rejected_malformed,
@@ -698,8 +621,9 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
             cache_evictions: s.map_or(0, |s| s.cache_evictions),
             hit_p50_ns: s.map_or(0, |s| s.hit_p50_ns),
             miss_p50_ns: s.map_or(0, |s| s.miss_p50_ns),
-        };
-        let run = append_serve_history(std::path::Path::new(&hist), row)?;
+        });
+        let record = HistoryRecord { run: 0, commit: commit_id(), bench: None, serve };
+        let run = append_history(std::path::Path::new(&hist), record)?;
         eprintln!("serve history: appended run {run} to {hist}");
     }
     if let Some(path) = flag(rest, "--baseline") {
@@ -720,6 +644,43 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Print a bench gate's verdict as `<label>:` lines; on regression, leave a
+/// `bench <label> failure` bundle and fail.
+fn report_gate(
+    label: &str,
+    path: &str,
+    verdict: Result<Vec<String>, Vec<String>>,
+) -> Result<(), String> {
+    match verdict {
+        Ok(notes) => {
+            for note in notes {
+                println!("{label}: {note}");
+            }
+            println!("{label}: PASS vs {path}");
+            Ok(())
+        }
+        Err(regressions) => {
+            for r in &regressions {
+                eprintln!("{label}: REGRESSION: {r}");
+            }
+            write_failure_bundle(&format!("bench {label} failure vs {path}"));
+            Err(format!("{} {label} regression(s) vs baseline {path}", regressions.len()))
+        }
+    }
+}
+
+/// Crash diagnostics for `bench` and `serve`: `--diag-dir` (or
+/// `NMT_DIAG_DIR`) arms the panic hook, so a worker panic — or a gate
+/// failure, via [`write_failure_bundle`] — leaves an nmt-diag-*.json
+/// bundle for `nmt-cli doctor`.
+fn arm_diagnostics(rest: &[&String], fault: Option<FaultPlan>) {
+    if let Some(dir) = flag(rest, "--diag-dir").or_else(|| std::env::var("NMT_DIAG_DIR").ok()) {
+        let (seed, rate) = (fault.map(|p| p.seed), fault.map(|p| p.rate_ppm));
+        install_diagnostics(dir.as_str(), &ObsContext::disabled(), seed, rate);
+        eprintln!("crash diagnostics armed: bundles land in {dir}");
+    }
+}
+
 /// When `--diag-dir` armed diagnostics, capture a bundle for a
 /// non-panic failure (gate regressions) so CI uploads the same artifact
 /// either way. A no-op when diagnostics are not installed.
@@ -734,7 +695,7 @@ fn write_failure_bundle(reason: &str) {
 /// `nmt-cli doctor <bundle>`: render a crash diagnostics bundle as a
 /// human-readable post-mortem.
 fn cmd_doctor(rest: &[&String]) -> Result<(), String> {
-    let args = positionals(rest, &[]);
+    let args = positionals(rest);
     let path = args.first().ok_or("missing <nmt-diag-*.json> argument")?;
     let json = std::fs::read_to_string(path.as_str())
         .map_err(|e| format!("cannot read bundle {path}: {e}"))?;
@@ -743,24 +704,20 @@ fn cmd_doctor(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Read and parse a bench ledger file.
+fn read_ledger(path: &str) -> Result<Ledger, String> {
+    let json =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read ledger {path}: {e}"))?;
+    Ledger::from_json(&json).map_err(|e| format!("{path}: {e}"))
+}
+
 /// `nmt-cli diff <A> <B>`: forensic comparison of two run ledgers.
 fn cmd_diff(rest: &[&String]) -> Result<(), String> {
-    let args = positionals(rest, &["--diff-margin", "--diff-slack-ns"]);
+    let args = positionals(rest);
     let [a_path, b_path] = args.as_slice() else {
         return Err("diff needs exactly two ledger paths: <ledger-A> <ledger-B>".into());
     };
-    let read = |path: &String| -> Result<Ledger, String> {
-        let json = std::fs::read_to_string(path.as_str())
-            .map_err(|e| format!("cannot read ledger {path}: {e}"))?;
-        Ledger::from_json(&json).map_err(|e| format!("{path}: {e}"))
-    };
-    let a = read(a_path)?;
-    let b = read(b_path)?;
-    let opts = DiffOptions {
-        margin_frac: parse_flag(rest, "--diff-margin", 0.0)?,
-        abs_slack_ns: parse_flag(rest, "--diff-slack-ns", 0.0)?,
-    };
-    let report = diff_ledgers(&a, &b, opts)?;
+    let report = diff_ledgers(&read_ledger(a_path)?, &read_ledger(b_path)?)?;
     if rest.iter().any(|x| x.as_str() == "--json") {
         println!("{}", report.to_json());
     } else {
@@ -770,34 +727,19 @@ fn cmd_diff(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `nmt-cli history <HISTORY.jsonl>`: render the perf timeline and its
-/// change points.
+/// `nmt-cli history <HISTORY.jsonl>`: render a bench/serve history, with
+/// the change points of its bench series.
 fn cmd_history(rest: &[&String]) -> Result<(), String> {
-    use spmm_nmt::bench::{load_serve_history, render_serve_history};
-    let args = positionals(rest, &[]);
+    let args = positionals(rest);
     let path = args.first().ok_or("missing <HISTORY.jsonl> argument")?;
     let records = load_history(std::path::Path::new(path.as_str()))?;
-    if records.is_empty() {
-        // Not a perf timeline — it may be a serve replay history
-        // (`serve --history`), whose rows the perf loader skips.
-        let serve = load_serve_history(std::path::Path::new(path.as_str()))?;
-        if !serve.is_empty() {
-            print!("{}", render_serve_history(&serve));
-            return Ok(());
-        }
-    }
     print!("{}", render_history(&records));
     Ok(())
 }
 
 fn cmd_suite(rest: &[&String]) -> Result<(), String> {
-    let scale = match flag(rest, "--scale").as_deref() {
-        None | Some("small") => SuiteScale::Small,
-        Some("medium") => SuiteScale::Medium,
-        Some("paper") => SuiteScale::Paper,
-        Some(other) => return Err(format!("unknown scale {other:?}")),
-    };
-    let spec = SuiteSpec::new(scale, 0x5C19);
+    let scale = flag(rest, "--scale").map_or(Ok(SuiteScale::Small), |v| parse_scale(&v))?;
+    let spec = SuiteSpec::new(scale, EXPERIMENT_SEED);
     let descs = spec.descriptors();
     println!("{} matrices at {scale:?} scale:", descs.len());
     for d in descs {

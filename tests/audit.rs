@@ -3,7 +3,7 @@
 //! cost, and stability of `explain()` and the ledger across runs.
 
 use spmm_nmt::bench::{
-    experiment_gpu, experiment_k, experiment_tile, GateTolerance, Ledger, LEDGER_SCHEMA_VERSION,
+    experiment_gpu, experiment_k, experiment_tile, Ledger, LEDGER_SCHEMA_VERSION,
 };
 use spmm_nmt::formats::{Csr, SparseMatrix};
 use spmm_nmt::matgen::generators::{generate, GenKind, MatrixDesc};
@@ -160,7 +160,7 @@ fn ledger_from_fixture_audits_is_byte_stable_and_gates_itself() {
     assert_eq!(one.to_json(), two.to_json(), "ledger must be byte-stable");
     assert_eq!(one.schema_version, LEDGER_SCHEMA_VERSION);
     assert_eq!(one.summary.matrices, 2);
-    one.gate(&two, GateTolerance::default())
+    one.gate(&two)
         .expect("identical ledgers pass the gate");
 
     let parsed = Ledger::from_json(&one.to_json()).expect("round-trips");

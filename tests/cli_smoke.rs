@@ -230,3 +230,28 @@ fn suite_subcommand_and_errors() {
         .expect("spawn");
     assert!(!out.status.success(), "tile > 64 must be rejected");
 }
+
+#[test]
+fn unknown_and_retired_flags_are_rejected() {
+    // Retired tolerance flags (and typos) fail before any work runs,
+    // instead of silently running with the defaults.
+    for (args, expected) in [
+        (
+            vec!["bench", "--alloc-margin", "2"],
+            "unknown flag --alloc-margin for bench",
+        ),
+        (
+            vec!["diff", "A.json", "B.json", "--diff-margin", "0.1"],
+            "unknown flag --diff-margin for diff",
+        ),
+        (
+            vec!["bench", "--perf-margn", "9"],
+            "unknown flag --perf-margn for bench",
+        ),
+    ] {
+        let out = cli().args(&args).output().expect("spawn");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+    }
+}

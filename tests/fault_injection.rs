@@ -53,15 +53,11 @@ fn faulted_audits(fault: Option<FaultPlan>) -> Vec<DecisionAudit> {
 /// The quick-suite faulted ledger (mirrors the bench sweep at test scale).
 fn faulted_ledger(fault: FaultPlan) -> Ledger {
     let audits = faulted_audits(Some(fault));
-    Ledger::from_sweep_faulted(
-        SuiteScale::Small,
-        31,
-        8,
-        PlannerConfig::test_small().tile_w,
-        Some(fault),
-        &audits,
-        Vec::new(),
-    )
+    let tile = PlannerConfig::test_small().tile_w;
+    let mut ledger = Ledger::from_sweep(SuiteScale::Small, 31, 8, tile, &audits, Vec::new());
+    ledger.fault_seed = Some(fault.seed);
+    ledger.fault_rate_ppm = Some(fault.rate_ppm);
+    ledger
 }
 
 // One test function on purpose: `build_global` is process-wide state, and
