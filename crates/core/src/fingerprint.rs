@@ -23,8 +23,6 @@
 use nmt_formats::{Csr, Index, SparseMatrix, StripStats, Value};
 use nmt_model::SsfProfile;
 
-use crate::DecisionAudit;
-
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
@@ -116,18 +114,6 @@ impl MatrixFingerprint {
             "fp-{}x{}-nnz{}-w{}-{:016x}",
             self.nrows, self.ncols, self.nnz, self.tile_w, self.digest
         )
-    }
-
-    /// Whether this fingerprint was taken from the same decision inputs
-    /// a [`DecisionAudit`] records: shape, nnz, tile width, and the SSF
-    /// profile must all agree bit-for-bit. Used to cross-check that a
-    /// cached plan's key really derives from what the audit would have
-    /// computed for the request's matrix.
-    pub fn matches_audit(&self, audit: &DecisionAudit) -> bool {
-        self.nrows == audit.nrows
-            && self.ncols == audit.ncols
-            && self.nnz == audit.nnz
-            && self.tile_w == audit.tile
     }
 }
 

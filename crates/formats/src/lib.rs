@@ -14,8 +14,6 @@
 //!   `colptr`, no per-row scan or jagged-frontier state.
 //! * [`Dcsr`] — densified CSR (Hong et al.): only non-empty rows are
 //!   represented, via an extra `rowidx` indirection.
-//! * [`Dcsc`] — the column-wise mirror, for wide matrices where CSC's
-//!   `colptr` dominates (§4.1's DCSC-kernel escape hatch).
 //! * [`TiledCsr`] / [`TiledDcsr`] — the matrix cut into vertical strips
 //!   (default width 64) and, for DCSR, strips cut into tiles (default height
 //!   64). Tiled DCSR is the *compute-efficient* format the engine produces.
@@ -35,7 +33,6 @@ pub mod arbitrary;
 pub mod coo;
 pub mod csc;
 pub mod csr;
-pub mod dcsc;
 pub mod dcsr;
 pub mod dense;
 pub mod error;
@@ -49,7 +46,6 @@ pub mod views;
 pub use coo::{Coo, CooEntry};
 pub use csc::Csc;
 pub use csr::Csr;
-pub use dcsc::Dcsc;
 pub use dcsr::Dcsr;
 pub use dense::DenseMatrix;
 pub use error::FormatError;

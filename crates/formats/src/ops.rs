@@ -1,9 +1,9 @@
 //! Structural and algebraic operations on CSR matrices.
 //!
 //! Utilities a downstream SpMM user needs around the core formats:
-//! scaling, sparse addition, submatrix extraction, row/column permutation
-//! (the knob that moves a matrix between the clustered and scattered
-//! regimes of the SSF heuristic), filtering and diagonal access.
+//! scaling, sparse addition, row/column permutation (the knob that moves
+//! a matrix between the clustered and scattered regimes of the SSF
+//! heuristic), filtering and diagonal access.
 
 use crate::{Coo, Csr, FormatError, Index, SparseMatrix, Value};
 
@@ -72,37 +72,6 @@ pub fn add(a: &Csr, b: &Csr) -> Result<Csr, FormatError> {
         rowptr[r + 1] = colidx.len() as Index;
     }
     Csr::new(shape.nrows, shape.ncols, rowptr, colidx, values)
-}
-
-/// Extract the dense-block submatrix `rows × cols` (half-open ranges),
-/// re-based to local indices.
-pub fn submatrix(
-    csr: &Csr,
-    rows: core::ops::Range<usize>,
-    cols: core::ops::Range<usize>,
-) -> Result<Csr, FormatError> {
-    let shape = csr.shape();
-    if rows.end > shape.nrows || cols.end > shape.ncols {
-        return Err(FormatError::ShapeMismatch {
-            detail: format!("submatrix {rows:?}x{cols:?} exceeds {shape}",),
-        });
-    }
-    let nrows = rows.len();
-    let ncols = cols.len();
-    let mut rowptr = vec![0 as Index; nrows + 1];
-    let mut colidx = Vec::new();
-    let mut values = Vec::new();
-    for (out_r, r) in rows.clone().enumerate() {
-        let (cs, vs) = csr.row(r);
-        let lo = cs.partition_point(|&c| (c as usize) < cols.start);
-        let hi = cs.partition_point(|&c| (c as usize) < cols.end);
-        for k in lo..hi {
-            colidx.push(cs[k] - cols.start as Index);
-            values.push(vs[k]);
-        }
-        rowptr[out_r + 1] = colidx.len() as Index;
-    }
-    Csr::new(nrows, ncols, rowptr, colidx, values)
 }
 
 /// Permute rows: output row `i` is input row `perm[i]`. `perm` must be a
@@ -174,13 +143,6 @@ pub fn diagonal(csr: &Csr) -> Vec<Value> {
         }
     }
     d
-}
-
-/// Per-row sums of absolute values (the ∞-norm contributions).
-pub fn row_abs_sums(csr: &Csr) -> Vec<Value> {
-    (0..csr.shape().nrows)
-        .map(|r| csr.row(r).1.iter().map(|v| v.abs()).sum())
-        .collect()
 }
 
 fn validate_permutation(perm: &[usize], n: usize) -> Result<(), FormatError> {
@@ -263,18 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn submatrix_rebases_indices() {
-        let s = submatrix(&sample(), 0..2, 1..4).unwrap();
-        assert_eq!(s.shape().nrows, 2);
-        assert_eq!(s.shape().ncols, 3);
-        let d = s.to_dense();
-        assert_eq!(d.get(0, 1), 2.0); // was (0,2)
-        assert_eq!(d.get(1, 0), 3.0); // was (1,1)
-        assert_eq!(s.nnz(), 2);
-        assert!(submatrix(&sample(), 0..5, 0..4).is_err());
-    }
-
-    #[test]
     fn permute_rows_roundtrip() {
         let a = sample();
         let perm = vec![3, 1, 0, 2];
@@ -320,8 +270,7 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_and_norms() {
+    fn diagonal_reads_stored_diagonal() {
         assert_eq!(diagonal(&sample()), vec![1.0, 3.0, 0.0, 5.0]);
-        assert_eq!(row_abs_sums(&sample()), vec![3.0, 3.0, 0.0, 9.0]);
     }
 }

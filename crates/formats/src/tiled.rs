@@ -206,12 +206,6 @@ impl DcsrTile {
         self.colidx.is_empty()
     }
 
-    /// Per-row-segment nnz counts — the `r.nnz` terms of the normalized
-    /// entropy H_norm (§3.1.4).
-    pub fn row_segment_nnz(&self) -> impl Iterator<Item = usize> + '_ {
-        self.rowptr.windows(2).map(|w| (w[1] - w[0]) as usize)
-    }
-
     /// Metadata bytes: colidx + rowptr + rowidx, all 4-byte entries.
     pub fn metadata_bytes(&self) -> usize {
         (self.colidx.len() + self.rowptr.len() + self.rowidx.len()) * INDEX_BYTES

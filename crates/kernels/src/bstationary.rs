@@ -423,7 +423,8 @@ pub fn bstat_tiled_dcsr_online_obs(
     let tiles_per_strip = nmt_formats::tile_count(n, tile_h);
     let farm_cfg =
         FarmConfig::for_partitions(gpu.config().num_partitions).with_fault(gpu.fault_plan());
-    let farm = convert_matrix_farm_obs(csc, tile_w, tile_h, farm_cfg, obs).map_err(|e| match e {
+    let farm = convert_matrix_farm_obs(csc.view(), tile_w, tile_h, farm_cfg, obs);
+    let farm = farm.map_err(|e| match e {
         nmt_engine::FarmError::Fault { site, key, detail } => {
             SimError::InjectedFault { site, key, detail }
         }

@@ -50,7 +50,7 @@ impl Diagnostic {
     ///
     /// ```text
     /// error[nmt::panic]: `.unwrap()` in a pub fn can panic; ...
-    ///   --> crates/core/src/api.rs:91:14
+    ///   --> crates/core/src/planner.rs:91:14
     ///    |
     /// 91 |         .expect("...")
     ///    |              ^

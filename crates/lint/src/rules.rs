@@ -124,7 +124,7 @@ pub const RULES: &[RuleInfo] = &[
         severity: "error",
         scope: "all library sources",
         rationale: "obs metric names must be lowercase dotted `crate.subsystem.name` \
-                    so the Prometheus export stays stable",
+                    so metrics snapshots and bundles keep stable keys",
     },
     RuleInfo {
         name: "atomic-ordering",

@@ -1,5 +1,4 @@
-//! Exporters: a JSONL event stream, Chrome trace-event JSON, and a
-//! Prometheus text-format metrics page.
+//! Exporters: Chrome trace-event JSON and folded-stack flamegraph text.
 //!
 //! The Chrome format is the `traceEvents` array of `"ph": "B"` / `"ph": "E"`
 //! pairs understood by Perfetto (<https://ui.perfetto.dev>) and
@@ -7,44 +6,10 @@
 //! depth-first per thread so begin/end events always nest correctly, even
 //! when adjacent spans share a timestamp.
 
-use crate::metrics::MetricsSnapshot;
 use crate::span::SpanRecord;
 use serde::{Serialize, Value};
 use std::fmt::Write as _;
 use std::io::{self, Write};
-
-/// Streams one JSON object per line — the classic JSONL event format.
-pub struct JsonlExporter<W: Write> {
-    writer: W,
-}
-
-impl<W: Write> JsonlExporter<W> {
-    /// Wrap a writer.
-    pub fn new(writer: W) -> Self {
-        JsonlExporter { writer }
-    }
-
-    /// Write `value` as one compact JSON line.
-    pub fn write<T: Serialize + ?Sized>(&mut self, value: &T) -> io::Result<()> {
-        let line = serde_json::to_string(value)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        writeln!(self.writer, "{line}")
-    }
-
-    /// Write every span as one line.
-    pub fn write_spans(&mut self, spans: &[SpanRecord]) -> io::Result<()> {
-        for s in spans {
-            self.write(s)?;
-        }
-        Ok(())
-    }
-
-    /// Flush and hand back the writer.
-    pub fn into_inner(mut self) -> io::Result<W> {
-        self.writer.flush()?;
-        Ok(self.writer)
-    }
-}
 
 fn event(ph: &str, name: &str, ts_ns: u64, tid: u64, args: Option<Value>) -> Value {
     let mut fields = vec![
@@ -127,35 +92,6 @@ pub fn write_chrome_trace<W: Write>(mut w: W, spans: &[SpanRecord]) -> io::Resul
     w.write_all(b"\n")
 }
 
-/// Sanitize a dotted metric name into a legal Prometheus metric name:
-/// `[a-zA-Z_:][a-zA-Z0-9_:]*`. Every illegal character (including the
-/// registry's dots) becomes `_`; a digit at the start of the name **or of
-/// any dotted segment** gains a `_` prefix. The segment rule keeps dotted
-/// names collision-free after flattening: without it `fault.4x` and a
-/// literal `fault_4x` would both render as `fault_4x`; with it the dotted
-/// name becomes `fault__4x`.
-pub fn sanitize_prometheus_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 1);
-    let mut prev: Option<char> = None;
-    for ch in name.chars() {
-        let legal = ch.is_ascii_alphanumeric() || ch == '_' || ch == ':';
-        let segment_start = match prev {
-            None => true,
-            Some('.') => true,
-            Some(_) => false,
-        };
-        if segment_start && ch.is_ascii_digit() {
-            out.push('_');
-        }
-        out.push(if legal { ch } else { '_' });
-        prev = Some(ch);
-    }
-    if out.is_empty() {
-        out.push('_');
-    }
-    out
-}
-
 /// Render spans as inferno-compatible folded stacks: one line per unique
 /// call path, `frame;frame;... <self_ns>`, value = the path's **self**
 /// time in nanoseconds (duration minus same-thread children). Each stack
@@ -225,64 +161,10 @@ pub fn write_flamegraph<W: Write>(mut w: W, spans: &[SpanRecord]) -> io::Result<
     w.write_all(flamegraph_folded(spans).as_bytes())
 }
 
-/// Format a float the way the Prometheus text format expects (`+Inf`,
-/// `-Inf`, `NaN`, otherwise Rust's shortest round-trip decimal).
-fn prom_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
-    }
-}
-
-/// Render a [`MetricsSnapshot`] in the Prometheus text exposition format.
-///
-/// Counters and gauges emit a `# TYPE` header and one sample each;
-/// histograms emit cumulative `<name>_bucket{le="..."}` samples over the
-/// non-empty log₂ buckets (upper bound = the bucket's inclusive `hi`),
-/// the mandatory `le="+Inf"` bucket, and `<name>_sum` / `<name>_count`.
-/// Names are passed through [`sanitize_prometheus_name`]; output is
-/// deterministic (registry maps are ordered).
-pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for (name, &v) in &snap.counters {
-        let n = sanitize_prometheus_name(name);
-        let _ = writeln!(out, "# TYPE {n} counter");
-        let _ = writeln!(out, "{n} {v}");
-    }
-    for (name, &v) in &snap.gauges {
-        let n = sanitize_prometheus_name(name);
-        let _ = writeln!(out, "# TYPE {n} gauge");
-        let _ = writeln!(out, "{n} {}", prom_f64(v));
-    }
-    for (name, h) in &snap.histograms {
-        let n = sanitize_prometheus_name(name);
-        let _ = writeln!(out, "# TYPE {n} histogram");
-        let mut cum = 0u64;
-        for b in &h.buckets {
-            cum += b.count;
-            let _ = writeln!(out, "{n}_bucket{{le=\"{}\"}} {cum}", b.hi);
-        }
-        let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {}", h.count);
-        let _ = writeln!(out, "{n}_sum {}", h.sum);
-        let _ = writeln!(out, "{n}_count {}", h.count);
-    }
-    out
-}
-
-/// Write the Prometheus text page to `w`.
-pub fn write_prometheus<W: Write>(mut w: W, snap: &MetricsSnapshot) -> io::Result<()> {
-    w.write_all(render_prometheus(snap).as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MetricRegistry, Recorder};
+    use crate::Recorder;
 
     fn sample_spans() -> Vec<SpanRecord> {
         let rec = Recorder::with_capacity(16);
@@ -295,22 +177,6 @@ mod tests {
             drop(rec.span("kernel"));
         }
         rec.snapshot()
-    }
-
-    #[test]
-    fn jsonl_is_one_valid_object_per_line() {
-        let spans = sample_spans();
-        let mut exp = JsonlExporter::new(Vec::new());
-        exp.write_spans(&spans).unwrap();
-        let buf = exp.into_inner().unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), spans.len());
-        for line in lines {
-            let v: Value = serde_json::from_str(line).unwrap();
-            assert!(v.get("name").and_then(Value::as_str).is_some());
-            assert!(v.get("end_ns").and_then(Value::as_u64).is_some());
-        }
     }
 
     #[test]
@@ -370,59 +236,6 @@ mod tests {
         }];
         let doc: Value = serde_json::from_str(&chrome_trace_json(&spans)).unwrap();
         assert_eq!(doc["traceEvents"].as_array().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn prometheus_names_are_sanitized() {
-        assert_eq!(
-            sanitize_prometheus_name("planner.phase.plan_ns"),
-            "planner_phase_plan_ns"
-        );
-        assert_eq!(sanitize_prometheus_name("a.b-c/d e"), "a_b_c_d_e");
-        assert_eq!(sanitize_prometheus_name("9lives"), "_9lives");
-        assert_eq!(sanitize_prometheus_name(""), "_");
-        assert_eq!(sanitize_prometheus_name("ok:name_1"), "ok:name_1");
-    }
-
-    #[test]
-    fn segment_initial_digits_get_the_leading_digit_guard() {
-        // A digit right after a dot gets the same `_` prefix as a
-        // name-initial digit, so `fault.4x` cannot collide with a literal
-        // `fault_4x`.
-        assert_eq!(sanitize_prometheus_name("fault.4x"), "fault__4x");
-        assert_eq!(sanitize_prometheus_name("fault_4x"), "fault_4x");
-        assert_eq!(sanitize_prometheus_name("a.1.b2"), "a__1_b2");
-        assert_eq!(sanitize_prometheus_name("9.9"), "_9__9");
-        // Digits *inside* a segment stay untouched.
-        assert_eq!(sanitize_prometheus_name("engine.x4.bytes"), "engine_x4_bytes");
-    }
-
-    #[test]
-    fn sanitization_collision_triangle_is_documented() {
-        // The three spellings the digit guard has to keep straight:
-        let dotted = sanitize_prometheus_name("fault.4x");
-        let single = sanitize_prometheus_name("fault_4x");
-        let double = sanitize_prometheus_name("fault__4x");
-        assert_eq!(dotted, "fault__4x");
-        assert_eq!(single, "fault_4x");
-        assert_ne!(dotted, single, "the guard keeps `.4` and `_4` apart");
-        // Residual, accepted collision: a literal `__4` is spelled the
-        // same as a sanitized `.4`. Registry names are lint-enforced
-        // lowercase-dotted (`metric-name` rule), so the literal form
-        // cannot occur in-tree; this pins the boundary of the guarantee.
-        assert_eq!(double, dotted);
-
-        // When colliding names *are* forced in, both samples still render
-        // (same exposition name twice) — collision degrades the page, it
-        // does not drop data.
-        let reg = MetricRegistry::new();
-        reg.counter_add("fault.4x", 1);
-        reg.counter_add("fault__4x", 2);
-        reg.counter_add("fault_4x", 4);
-        let page = render_prometheus(&reg.snapshot());
-        assert_eq!(page.matches("fault__4x 1").count(), 1);
-        assert_eq!(page.matches("fault__4x 2").count(), 1);
-        assert_eq!(page.matches("fault_4x 4").count(), 1);
     }
 
     #[test]
@@ -503,94 +316,6 @@ mod tests {
         assert!(folded.contains("tid1;planner.execute 100"));
         assert!(folded.contains("tid2;engine.farm.strip 30"));
         assert!(folded.contains("tid3;engine.farm.strip 40"));
-    }
-
-    #[test]
-    fn prometheus_special_floats() {
-        let m = crate::MetricRegistry::new();
-        m.gauge_set("g.inf", f64::INFINITY);
-        m.gauge_set("g.nan", f64::NAN);
-        m.gauge_set("g.neg", f64::NEG_INFINITY);
-        let page = render_prometheus(&m.snapshot());
-        assert!(page.contains("g_inf +Inf"));
-        assert!(page.contains("g_nan NaN"));
-        assert!(page.contains("g_neg -Inf"));
-    }
-
-    /// `(name, le, cumulative count)` for one parsed `_bucket` sample.
-    type ParsedBucket = (String, String, u64);
-
-    /// Minimal text-format parser used to round-trip the exporter output.
-    fn parse_prometheus(page: &str) -> (Vec<(String, f64)>, Vec<ParsedBucket>) {
-        let mut scalars = Vec::new(); // (name, value) for counters/gauges/_sum/_count
-        let mut buckets = Vec::new(); // (name, le, cumulative count)
-        for line in page.lines() {
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (name_part, value) = line.rsplit_once(' ').expect("sample line");
-            if let Some((name, rest)) = name_part.split_once('{') {
-                let le = rest
-                    .strip_prefix("le=\"")
-                    .and_then(|s| s.strip_suffix("\"}"))
-                    .expect("le label");
-                buckets.push((
-                    name.trim_end_matches("_bucket").to_string(),
-                    le.to_string(),
-                    value.parse().expect("bucket count"),
-                ));
-            } else {
-                scalars.push((name_part.to_string(), value.parse().expect("value")));
-            }
-        }
-        (scalars, buckets)
-    }
-
-    #[test]
-    fn prometheus_round_trips_counters_gauges_histograms() {
-        let m = crate::MetricRegistry::new();
-        m.counter_add("sim.dram.bytes", 4096);
-        m.counter_add("kernels.chosen.flops", 123);
-        m.gauge_set("engine.comparator.occupancy", 0.75);
-        for v in [1u64, 1, 5, 5, 5, 1000] {
-            m.histogram_record("kernel.strip.nnz", v);
-        }
-        let snap = m.snapshot();
-        let page = render_prometheus(&snap);
-        let (scalars, buckets) = parse_prometheus(&page);
-        let scalar = |n: &str| {
-            scalars
-                .iter()
-                .find(|(k, _)| k == n)
-                .unwrap_or_else(|| panic!("missing {n}"))
-                .1
-        };
-        // Every counter and gauge survives with its value.
-        assert_eq!(scalar("sim_dram_bytes"), 4096.0);
-        assert_eq!(scalar("kernels_chosen_flops"), 123.0);
-        assert_eq!(scalar("engine_comparator_occupancy"), 0.75);
-        // Histogram count/sum survive.
-        let h = &snap.histograms["kernel.strip.nnz"];
-        assert_eq!(scalar("kernel_strip_nnz_count"), h.count as f64);
-        assert_eq!(scalar("kernel_strip_nnz_sum"), h.sum as f64);
-        // Buckets are cumulative, end at +Inf == count, and their
-        // increments reproduce the snapshot's per-bucket counts.
-        let hb: Vec<&(String, String, u64)> = buckets
-            .iter()
-            .filter(|(n, _, _)| n == "kernel_strip_nnz")
-            .collect();
-        assert_eq!(*hb.last().expect("has +Inf"), &(
-            "kernel_strip_nnz".to_string(),
-            "+Inf".to_string(),
-            h.count
-        ));
-        let mut prev = 0;
-        for ((_, le, cum), want) in hb.iter().zip(&h.buckets) {
-            assert_eq!(le.parse::<u64>().expect("le bound"), want.hi);
-            assert_eq!(cum - prev, want.count, "bucket le={le}");
-            assert!(*cum >= prev, "cumulative counts are monotone");
-            prev = *cum;
-        }
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! * **Metrics** ([`MetricRegistry`]) — named monotonic counters, gauges,
 //!   and log₂-bucketed histograms. Names follow
 //!   `<crate>.<component>.<name>` (e.g. `engine.pipeline.prefetch_miss`).
-//! * **Export** ([`export`]) — a JSONL event stream, a Chrome trace-event
-//!   file loadable in Perfetto / `chrome://tracing`, a folded-stack
-//!   flamegraph ([`flamegraph_folded`]), and a Prometheus text-format
-//!   metrics page ([`render_prometheus`]).
+//! * **Export** ([`export`]) — a Chrome trace-event file loadable in
+//!   Perfetto / `chrome://tracing`, and a folded-stack flamegraph
+//!   ([`flamegraph_folded`]).
 //! * **Profiling** ([`profile`], [`alloc`]) — [`Profiler`] folds the span
 //!   tree into per-phase self-time, per-worker busy/idle, and farm
 //!   concurrency; [`CountingAlloc`] optionally attributes allocation
@@ -28,10 +27,7 @@ pub mod span;
 pub(crate) mod sync;
 
 pub use alloc::{AllocScope, CountingAlloc};
-pub use export::{
-    chrome_trace_json, flamegraph_folded, render_prometheus, sanitize_prometheus_name,
-    write_chrome_trace, write_flamegraph, write_prometheus, JsonlExporter,
-};
+pub use export::{chrome_trace_json, flamegraph_folded, write_chrome_trace, write_flamegraph};
 pub use metrics::{HistogramSnapshot, MetricRegistry, MetricsSnapshot};
 pub use profile::{Phase, PhaseTotals, Profile, Profiler, WorkerStats};
 pub use recorder::{
@@ -90,7 +86,7 @@ impl ObsContext {
 
     /// Publish the ring-buffer loss counters as gauges
     /// (`obs.dropped_spans`, `obs.dropped_events`) so silent data loss
-    /// is visible on every metrics surface (Prometheus page, bundles).
+    /// is visible on every metrics surface (metrics snapshots, bundles).
     pub fn publish_dropped(&self) {
         self.metrics
             .gauge_set("obs.dropped_spans", self.recorder.dropped() as f64);

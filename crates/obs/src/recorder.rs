@@ -317,14 +317,6 @@ impl FlightRecorder {
         ring.events.push_back(event);
     }
 
-    /// Record an injected-fault event given an `nmt-fault` site code
-    /// (unknown codes are dropped rather than mislabeled).
-    pub fn record_fault(&self, fault_code: u64, sub_code: u32, key: u64) {
-        if let Some(site) = EventSite::from_fault_code(fault_code) {
-            self.record(site, sub_code, key, 0);
-        }
-    }
-
     fn thread_buf(&self) -> Arc<ThreadBuf> {
         FLIGHT_BUFS.with(|cache| {
             let mut cache = cache.borrow_mut();

@@ -7,7 +7,6 @@
 //! exported trace shows `plan → convert → kernel` nesting without any
 //! explicit plumbing.
 
-use serde::{Serialize, Value};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -36,32 +35,6 @@ impl SpanRecord {
     /// Wall-clock duration in nanoseconds.
     pub fn duration_ns(&self) -> u64 {
         self.end_ns - self.start_ns
-    }
-}
-
-impl Serialize for SpanRecord {
-    fn to_value(&self) -> Value {
-        let counters = Value::Object(
-            self.counters
-                .iter()
-                .map(|(k, v)| (k.clone(), Serialize::to_value(v)))
-                .collect(),
-        );
-        Value::Object(vec![
-            ("id".to_string(), Value::U64(self.id)),
-            (
-                "parent".to_string(),
-                match self.parent {
-                    Some(p) => Value::U64(p),
-                    None => Value::Null,
-                },
-            ),
-            ("name".to_string(), Value::Str(self.name.clone())),
-            ("tid".to_string(), Value::U64(self.tid)),
-            ("start_ns".to_string(), Value::U64(self.start_ns)),
-            ("end_ns".to_string(), Value::U64(self.end_ns)),
-            ("counters".to_string(), counters),
-        ])
     }
 }
 

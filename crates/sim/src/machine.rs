@@ -401,25 +401,6 @@ impl BlockCtx<'_> {
         }
     }
 
-    /// An uncoalesced warp load: `count` elements of `elem_bytes` at
-    /// addresses `base, base + stride, base + 2·stride, …` within `buf`.
-    ///
-    /// When `stride` exceeds the line size every lane touches its own
-    /// cache line (the column-major-B pathology of cuSPARSE `csrmm`); the
-    /// warp still issues only `ceil(count / warp_size)` memory
-    /// instructions, but the memory system sees one transaction per line.
-    pub fn ld_global_strided(
-        &mut self,
-        buf: &Buffer,
-        base: u64,
-        stride: u64,
-        count: usize,
-        elem_bytes: u64,
-        dependent: bool,
-    ) {
-        self.strided_access(buf, base, stride, count, elem_bytes, dependent, false);
-    }
-
     /// A warp gather: one element of `elem_bytes` per offset in `offsets`
     /// (at most one warp's worth per call is idiomatic, but any length
     /// works). Adjacent offsets landing in the same 128 B line coalesce
@@ -458,8 +439,14 @@ impl BlockCtx<'_> {
         }
     }
 
-    /// The store counterpart of [`BlockCtx::ld_global_strided`]
-    /// (column-major C writes of the cuSPARSE layout).
+    /// An uncoalesced warp store (the column-major C writes of the
+    /// cuSPARSE layout): `count` elements of `elem_bytes` at addresses
+    /// `base, base + stride, base + 2·stride, …` within `buf`.
+    ///
+    /// When `stride` exceeds the line size every lane touches its own
+    /// cache line; the warp still issues only `ceil(count / warp_size)`
+    /// memory instructions, but the memory system sees one transaction
+    /// per line.
     pub fn st_global_strided(
         &mut self,
         buf: &Buffer,
@@ -467,20 +454,6 @@ impl BlockCtx<'_> {
         stride: u64,
         count: usize,
         elem_bytes: u64,
-    ) {
-        self.strided_access(buf, base, stride, count, elem_bytes, false, true);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn strided_access(
-        &mut self,
-        buf: &Buffer,
-        base: u64,
-        stride: u64,
-        count: usize,
-        elem_bytes: u64,
-        dependent: bool,
-        write: bool,
     ) {
         if count == 0 {
             return;
@@ -495,7 +468,7 @@ impl BlockCtx<'_> {
             let line = addr >> self.line_shift;
             // Coalesce only exact same-line repeats from adjacent lanes.
             if line != last_line {
-                self.mem.access(addr, elem_bytes, buf.class, write, false);
+                self.mem.access(addr, elem_bytes, buf.class, true, false);
                 last_line = line;
             }
         }
@@ -507,9 +480,6 @@ impl BlockCtx<'_> {
             instrs,
         );
         self.warp_instrs += instrs;
-        if dependent {
-            self.chain_loads += instrs;
-        }
     }
 
     /// Receive `nbytes` streamed over the SM↔FB crossbar into shared

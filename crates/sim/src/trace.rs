@@ -123,7 +123,7 @@ impl TraceBuffer {
 }
 
 /// Serializes as `{capacity, dropped, events: [...]}` with events in
-/// arrival order, so a buffer can stream through the JSONL exporter.
+/// arrival order, so a serialized buffer reads oldest-first.
 /// (Hand-written: the ring's internal `head` split must not leak into the
 /// serialized form.)
 impl Serialize for TraceBuffer {
@@ -282,15 +282,13 @@ mod tests {
     }
 
     #[test]
-    fn serializes_in_arrival_order_through_jsonl() {
+    fn serializes_in_arrival_order() {
         let mut t = TraceBuffer::new(2);
         for i in 0..3 {
             t.record(ev(i * 100));
         }
-        let mut exporter = nmt_obs::JsonlExporter::new(Vec::new());
-        exporter.write(&t).unwrap();
-        let line = String::from_utf8(exporter.into_inner().unwrap()).unwrap();
-        let v: serde::Value = serde_json::from_str(line.trim()).unwrap();
+        let json = serde_json::to_string(&t).unwrap();
+        let v: serde::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(v["capacity"].as_u64(), Some(2));
         assert_eq!(v["dropped"].as_u64(), Some(1));
         let events = v["events"].as_array().unwrap();

@@ -1,17 +1,15 @@
 //! End-to-end smoke test of the `nmt-cli` binary: write a Matrix Market
 //! file, then run every subcommand against it as a user would.
 
+use spmm_nmt::formats::{strip_count, tile_count, Csr, SparseMatrix};
 use std::process::Command;
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_nmt-cli"))
 }
 
-fn demo_matrix() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("nmt_cli_smoke");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("demo.mtx");
-    let m = spmm_nmt::matgen::generators::generate(&spmm_nmt::matgen::MatrixDesc::new(
+fn demo_csr() -> Csr {
+    spmm_nmt::matgen::generators::generate(&spmm_nmt::matgen::MatrixDesc::new(
         "demo",
         256,
         spmm_nmt::matgen::GenKind::RowBursts {
@@ -19,8 +17,14 @@ fn demo_matrix() -> std::path::PathBuf {
             burst_len: 8,
         },
         3,
-    ));
-    spmm_nmt::formats::market::write_market_file(&path, &m.to_coo()).expect("write mtx");
+    ))
+}
+
+fn demo_matrix() -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("nmt_cli_smoke");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("demo.mtx");
+    spmm_nmt::formats::market::write_market_file(&path, &demo_csr().to_coo()).expect("write mtx");
     path
 }
 
@@ -52,6 +56,21 @@ fn convert_subcommand() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("comparator passes"));
     assert!(text.contains("energy"));
+    // The counts the farm reports agree with the library's strip and
+    // tile geometry and the matrix's nnz.
+    let m = demo_csr();
+    let strips = strip_count(m.shape().ncols, 16);
+    let tiles = strips * tile_count(m.shape().nrows, 16);
+    for line in [
+        format!("strips           : {strips}"),
+        format!("tiles            : {tiles}"),
+        format!("elements         : {}", m.nnz()),
+    ] {
+        assert!(
+            text.lines().any(|l| l == line),
+            "missing `{line}` in: {text}"
+        );
+    }
 }
 
 #[test]

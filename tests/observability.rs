@@ -9,7 +9,7 @@ use spmm_nmt::fault::FaultPlan;
 use spmm_nmt::formats::SparseMatrix;
 use spmm_nmt::matgen::{generators, random_dense, GenKind, MatrixDesc};
 use spmm_nmt::model::ssf::SsfThreshold;
-use spmm_nmt::obs::{chrome_trace_json, flamegraph_folded, render_prometheus, ObsContext, Profiler};
+use spmm_nmt::obs::{chrome_trace_json, flamegraph_folded, ObsContext, Profiler};
 use spmm_nmt::planner::planner::{Algorithm, PlannerConfig, SpmmPlanner};
 use std::collections::BTreeSet;
 use std::process::Command;
@@ -193,7 +193,7 @@ fn trace_round_trips_nesting_lanes_and_flamegraph_totals() {
 }
 
 #[test]
-fn prometheus_page_exports_fault_counters_and_perf_gauges() {
+fn metrics_snapshot_holds_fault_counters_and_perf_gauges() {
     let (a, b) = demo_inputs();
     let obs = ObsContext::enabled();
     let mut cfg = PlannerConfig::test_small();
@@ -207,26 +207,22 @@ fn prometheus_page_exports_fault_counters_and_perf_gauges() {
     SpmmPlanner::new(cfg)
         .execute_with_obs(&a, &b, &obs)
         .expect("faults are absorbed by retry/fallback");
-    assert!(
-        obs.metrics.counter("fault.injected") > 0,
-        "the seeded plan must actually fire"
-    );
 
     // Fold the span tree into per-phase gauges alongside the counters.
     Profiler::analyze(&obs.recorder.snapshot()).publish(&obs.metrics);
 
-    let page = render_prometheus(&obs.metrics.snapshot());
+    let snap = obs.metrics.snapshot();
     assert!(
-        page.contains("# TYPE fault_injected counter"),
-        "missing TYPE line for fault_injected in:\n{page}"
+        snap.counters.get("fault.injected").is_some_and(|&n| n > 0),
+        "the seeded plan must actually fire: {:?}",
+        snap.counters
     );
-    assert!(page.lines().any(|l| l.starts_with("fault_injected ")));
-    for gauge in ["perf_window_ns", "perf_phase_kernel_self_ns", "perf_workers"] {
+    for gauge in ["perf.window_ns", "perf.phase.kernel.self_ns", "perf.workers"] {
         assert!(
-            page.contains(&format!("# TYPE {gauge} gauge")),
-            "missing TYPE line for {gauge} in:\n{page}"
+            snap.gauges.contains_key(gauge),
+            "missing gauge {gauge} in {:?}",
+            snap.gauges.keys().collect::<Vec<_>>()
         );
-        assert!(page.lines().any(|l| l.starts_with(&format!("{gauge} "))));
     }
 }
 

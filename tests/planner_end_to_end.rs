@@ -1,13 +1,10 @@
 //! End-to-end planner tests: profile → choose → execute across every
-//! structural family, plus the conversion-queue API and the multi-GPU
-//! streaming model.
+//! structural family, plus the multi-GPU streaming model.
 
-use spmm_nmt::engine::Layout;
-use spmm_nmt::formats::{SparseMatrix, TiledDcsr};
+use spmm_nmt::formats::SparseMatrix;
 use spmm_nmt::kernels::host;
 use spmm_nmt::matgen::{generators, random_dense, GenKind, MatrixDesc};
 use spmm_nmt::model::ssf::Choice;
-use spmm_nmt::planner::api::{ConversionQueue, GetDcsrTileRequest};
 use spmm_nmt::planner::multi_gpu::{plan_streamed_spmm, LargeSpmmProblem, MultiGpuConfig};
 use spmm_nmt::planner::planner::{PlannerConfig, SpmmPlanner};
 use spmm_nmt::sim::SimError;
@@ -130,42 +127,6 @@ fn heuristic_separates_clustered_from_scattered() {
     );
     // And entropy orders the other way.
     assert!(pc.h_norm < ps.h_norm);
-}
-
-#[test]
-fn conversion_queue_serves_a_full_matrix_correctly() {
-    let a = generators::generate(&MatrixDesc::new(
-        "q",
-        96,
-        GenKind::ZipfBoth {
-            density: 0.03,
-            exponent: 1.0,
-        },
-        11,
-    ));
-    let csc = a.to_csc();
-    let offline = TiledDcsr::from_csc(&csc, 16, 16).expect("tiling");
-    let mut queue = ConversionQueue::new(&csc, 16, 16, Layout::TileRotated, 8);
-    // SMs request tiles in an interleaved order, as concurrent blocks would.
-    let nstrips = queue.num_strips();
-    let ntiles = 96usize.div_ceil(16);
-    for t in 0..ntiles {
-        for s in 0..nstrips {
-            queue.submit(GetDcsrTileRequest {
-                strip_id: s,
-                row_start: (t * 16) as u32,
-                sm_id: (s + t) % 4,
-            });
-        }
-    }
-    let responses = queue.drain();
-    assert_eq!(responses.len(), nstrips * ntiles);
-    for resp in responses {
-        let expected =
-            &offline.strips()[resp.request.strip_id][resp.request.row_start as usize / 16];
-        assert_eq!(&resp.tile, expected);
-    }
-    assert_eq!(queue.stats().elements as usize, a.nnz());
 }
 
 #[test]
