@@ -238,9 +238,10 @@ fn run_benches() -> Result<(), String> {
 
     // 4. The simulator's probe path: the B gathers of the cuSPARSE
     // stand-in replayed through `ld_global_gather` on the small-scale GPU.
-    // For each 32-non-zero chunk of each row and each k, every lane loads
-    // B[col][k] from column-major B. The stream is built once; an iteration
-    // flushes the L2 and replays it in one launch, so it allocates nothing.
+    // For each 32-non-zero chunk of each row, one strided call gathers
+    // B[col][k] from column-major B for every lane and every k. The stream
+    // is built once; an iteration flushes the L2 and replays it in one
+    // launch, so it allocates nothing.
     let mut gpu = Gpu::new(experiment_gpu(SuiteScale::Small)).map_err(|e| e.to_string())?;
     let warp = gpu.config().warp_size;
     let k_stride = a.shape().ncols as u64 * 4;
@@ -248,11 +249,9 @@ fn run_benches() -> Result<(), String> {
     let mut gathers = Vec::new();
     for r in 0..a.shape().nrows {
         for chunk in a.row(r).0.chunks(warp) {
-            for kc in 0..k as u64 {
-                let start = stream.len();
-                stream.extend(chunk.iter().map(|&col| col as u64 * 4 + kc * k_stride));
-                gathers.push(start..stream.len());
-            }
+            let start = stream.len();
+            stream.extend(chunk.iter().map(|&col| col as u64 * 4));
+            gathers.push(start..stream.len());
         }
     }
     let b_dev = gpu.alloc(k_stride * k as u64, TrafficClass::MatB);
@@ -261,7 +260,7 @@ fn run_benches() -> Result<(), String> {
         let stats = gpu
             .launch(0, 1, |ctx| {
                 for g in &gathers {
-                    ctx.ld_global_gather(&b_dev, &stream[g.clone()], 4, true);
+                    ctx.ld_global_gather(&b_dev, &stream[g.clone()], k_stride, k, 4, true);
                 }
             })
             .expect("a launch without shared memory cannot fail");

@@ -162,7 +162,7 @@ impl SpmmPlanner {
                 n,
                 a.shape().nrows as u64,
                 a.nnz() as u64,
-            )
+            );
         };
 
         let t0 = obs.recorder.now_ns();

@@ -58,21 +58,17 @@ pub fn csrmm_cusparse(gpu: &mut Gpu, a: &Csr, b: &DenseMatrix) -> Result<KernelR
             ctx.ld_global(&a_dev.colidx, lo, len, false);
             ctx.ld_global(&a_dev.values, lo, len, false);
             let out = c.row_mut(r);
-            // Vector kernel: warp lanes own the row's non-zeros; an outer
-            // loop walks the K columns of the column-major B. Lane `i`
-            // gathers B[cols[i]][kc] at address (kc·n + cols[i])·4 —
-            // coalesced only when the column indices are clustered.
+            // Vector kernel: warp lanes own the row's non-zeros, and one
+            // strided gather per chunk walks the K columns of the
+            // column-major B. Lane `i` gathers B[cols[i]][kc] at address
+            // (kc·n + cols[i])·4 — coalesced only when the column indices
+            // are clustered.
             for chunk in cols.chunks(warp) {
                 ctx.warp_instr(InstrClass::Integer, chunk.len(), 1);
                 offsets.clear();
                 offsets.extend(chunk.iter().map(|&col| col as u64 * WORD));
-                for _ in 0..k {
-                    ctx.ld_global_gather(&b_dev.buf, &offsets, WORD, true);
-                    ctx.fma(chunk.len(), 1);
-                    for o in &mut offsets {
-                        *o += k_stride;
-                    }
-                }
+                ctx.ld_global_gather(&b_dev.buf, &offsets, k_stride, k, WORD, true);
+                ctx.fma(chunk.len(), k as u64);
             }
             for (&col, &v) in cols.iter().zip(vals) {
                 let brow = b.row(col as usize);

@@ -17,33 +17,18 @@ pub enum Probe {
     },
 }
 
-/// Tag of an invalid way. A line number is `addr / line_bytes`, and the
-/// last byte of the address space is never the start of an access, so no
-/// real line is `u64::MAX`.
+/// An invalid way. A valid way holds `line << 1 | dirty`; a line number is
+/// `addr / line_bytes`, far below 2^63 for any address a buffer reaches, so
+/// the shift loses no bit and no real line encodes to `u64::MAX`.
 const INVALID: u64 = u64::MAX;
-
-/// One way of a set. An invalid way holds [`INVALID`], is clean and has
-/// stamp 0, below every stamp a fill or hit assigns (the tick starts at 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Way {
-    tag: u64,
-    /// LRU stamp (larger = more recent).
-    stamp: u64,
-    dirty: bool,
-}
-
-const EMPTY_WAY: Way = Way {
-    tag: INVALID,
-    stamp: 0,
-    dirty: false,
-};
 
 /// One L2 slice: `sets × ways` lines, LRU within a set.
 ///
-/// Each set is one contiguous run of ways, so a probe scans a single
-/// slice once: it returns on a tag match and otherwise remembers the first
-/// way with the smallest stamp. Invalid ways carry stamp 0, so that way is
-/// the first invalid one if any, else the least recently used.
+/// Each set is one contiguous run of ways kept in recency order, most
+/// recent first, with the invalid ways at the tail. A hit moves its way to
+/// the front; a miss drops the tail way and fills the front. The tail is
+/// the first invalid way if there is one, else the least recently used
+/// line: the LRU victim.
 #[derive(Debug, Clone)]
 pub struct L2Slice {
     line_shift: u32,
@@ -52,9 +37,8 @@ pub struct L2Slice {
     /// mask of the line number instead of a modulo.
     set_mask: Option<u64>,
     ways: usize,
-    /// ways[set * ways + way].
-    lines: Vec<Way>,
-    tick: u64,
+    /// ways[set * ways + way], each `line << 1 | dirty` or [`INVALID`].
+    lines: Vec<u64>,
 }
 
 impl L2Slice {
@@ -78,8 +62,7 @@ impl L2Slice {
             set_mask: sets.is_power_of_two().then_some(sets as u64 - 1),
             ways,
             // nmt-lint: allow(hot-alloc) — one allocation per slice, at GPU construction
-            lines: vec![EMPTY_WAY; lines],
-            tick: 0,
+            lines: vec![INVALID; lines],
         }
     }
 
@@ -103,41 +86,45 @@ impl L2Slice {
     /// caller has already computed.
     #[inline]
     pub(crate) fn access_line(&mut self, line: u64, write: bool) -> Probe {
-        self.tick += 1;
         let set = match self.set_mask {
             Some(mask) => (line & mask) as usize,
             None => (line % self.sets as u64) as usize,
         };
         let base = set * self.ways;
         let ways = &mut self.lines[base..base + self.ways];
-        let mut victim = 0;
-        let mut victim_stamp = u64::MAX;
-        for (i, way) in ways.iter_mut().enumerate() {
-            if way.tag == line {
-                way.stamp = self.tick;
-                way.dirty |= write;
+        let key = line << 1;
+        let write = u64::from(write);
+        // Shift each way one place back while scanning; a hit stops the
+        // shift at its own way, and a miss shifts the tail way out.
+        let mut prev = ways[0];
+        if prev & !1 == key {
+            ways[0] = prev | write;
+            return Probe::Hit;
+        }
+        for way in &mut ways[1..] {
+            let cur = *way;
+            *way = prev;
+            if cur & !1 == key {
+                ways[0] = cur | write;
                 return Probe::Hit;
             }
-            if way.stamp < victim_stamp {
-                victim = i;
-                victim_stamp = way.stamp;
-            }
+            prev = cur;
         }
-        let way = &mut ways[victim];
+        ways[0] = key | write;
         // Invalid ways are clean, so only a valid victim writes back.
-        let dirty_writeback = way.dirty;
-        *way = Way {
-            tag: line,
-            stamp: self.tick,
-            dirty: write,
-        };
-        Probe::Miss { dirty_writeback }
+        Probe::Miss {
+            dirty_writeback: prev != INVALID && prev & 1 == 1,
+        }
     }
 
     /// Drop all contents (between kernels, when desired).
     pub fn flush(&mut self) -> usize {
-        let dirty_lines = self.lines.iter().filter(|w| w.dirty).count();
-        self.lines.fill(EMPTY_WAY);
+        let dirty_lines = self
+            .lines
+            .iter()
+            .filter(|&&w| w != INVALID && w & 1 == 1)
+            .count();
+        self.lines.fill(INVALID);
         dirty_lines
     }
 }

@@ -401,32 +401,35 @@ impl BlockCtx<'_> {
         }
     }
 
-    /// A warp gather: one element of `elem_bytes` per offset in `offsets`
-    /// (at most one warp's worth per call is idiomatic, but any length
-    /// works). Adjacent offsets landing in the same 128 B line coalesce
-    /// into one transaction, so clustered index vectors behave like
-    /// coalesced loads and scattered ones pay per-lane sectors — exactly
-    /// the behaviour of real warp gathers through a sectored L2.
+    /// `count` warp gathers of one element of `elem_bytes` per offset in
+    /// `offsets` (at most one warp's worth is idiomatic, but any length
+    /// works); the i-th gather reads `offsets + i·stride`. Adjacent
+    /// offsets landing in the same 128 B line coalesce into one
+    /// transaction, so clustered index vectors behave like coalesced loads
+    /// and scattered ones pay per-lane sectors — exactly the behaviour of
+    /// real warp gathers through a sectored L2.
     pub fn ld_global_gather(
         &mut self,
         buf: &Buffer,
         offsets: &[u64],
+        stride: u64,
+        count: usize,
         elem_bytes: u64,
         dependent: bool,
     ) {
-        if offsets.is_empty() {
+        if offsets.is_empty() || count == 0 {
             return;
         }
-        let mut last_line = u64::MAX;
-        for &off in offsets {
-            let addr = buf.at(off);
-            let line = addr >> self.line_shift;
-            if line != last_line {
-                self.mem.access(addr, elem_bytes, buf.class, false, false);
-                last_line = line;
-            }
-        }
-        let instrs = (offsets.len() as u64).div_ceil(self.warp_size as u64);
+        debug_assert!(
+            offsets
+                .iter()
+                .all(|&off| off + (count as u64 - 1) * stride + elem_bytes <= buf.len),
+            "gather beyond buffer length {}",
+            buf.len
+        );
+        self.mem
+            .gather(buf.addr, offsets, stride, count, elem_bytes, buf.class);
+        let instrs = (offsets.len() as u64).div_ceil(self.warp_size as u64) * count as u64;
         self.warp_exec.record_n(
             InstrClass::Memory,
             self.warp_size.min(offsets.len()),

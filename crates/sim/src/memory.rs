@@ -143,6 +143,8 @@ pub struct MemorySubsystem {
     access_ordinal: u64,
     fault_dram_spikes: u64,
     fault_prefetch_overflows: u64,
+    /// [`MemorySubsystem::gather`]'s run addresses, reused across calls.
+    runs: Vec<u64>,
 }
 
 impl MemorySubsystem {
@@ -172,6 +174,8 @@ impl MemorySubsystem {
             access_ordinal: 0,
             fault_dram_spikes: 0,
             fault_prefetch_overflows: 0,
+            // nmt-lint: allow(hot-alloc) — one per GPU, at construction; gathers reuse it
+            runs: Vec::new(),
         }
     }
 
@@ -299,6 +303,43 @@ impl MemorySubsystem {
             let hi = end.min(line_addr + self.line_bytes) - line_addr;
             self.access_line(line, lo, hi, class, write, cost, force_miss);
         }
+    }
+
+    /// `count` warp gathers of `elem_bytes` per offset, the i-th reading
+    /// `base + offsets[j] + i·stride` for every `j`. Adjacent offsets that
+    /// land in the same line coalesce into one [`MemorySubsystem::access`]
+    /// (a read) at the first of them, so each gather is one access per run
+    /// of same-line lanes, issued in lane order, gather after gather.
+    /// When `stride` is a whole number of lines, every gather splits into
+    /// the same runs, shifted by `i·stride`, so the runs are found once.
+    pub fn gather(
+        &mut self,
+        base: u64,
+        offsets: &[u64],
+        stride: u64,
+        count: usize,
+        elem_bytes: u64,
+        class: TrafficClass,
+    ) {
+        let whole_lines = stride & (self.line_bytes - 1) == 0;
+        let mut runs = std::mem::take(&mut self.runs);
+        for i in 0..count as u64 {
+            if i == 0 || !whole_lines {
+                runs.clear();
+                let mut last_line = u64::MAX;
+                for addr in offsets.iter().map(|&off| base + i * stride + off) {
+                    if addr >> self.line_shift != last_line {
+                        last_line = addr >> self.line_shift;
+                        runs.push(addr);
+                    }
+                }
+            }
+            let shift = if whole_lines { i * stride } else { 0 };
+            for &addr in &runs {
+                self.access(addr + shift, elem_bytes, class, false, false);
+            }
+        }
+        self.runs = runs;
     }
 
     /// Route bytes `[lo, hi)` of line number `line` to the partition that

@@ -1,8 +1,8 @@
 //! Property tests: the L2 slice agrees with a brute-force reference model
 //! of a set-associative LRU cache on arbitrary access sequences, and the
 //! memory subsystem's fast path (shift/mask decode, single-line shortcut,
-//! packed one-pass sets) agrees bit for bit with the straightforward
-//! per-line model it replaced.
+//! recency-ordered sets, strided gathers) agrees bit for bit with the
+//! straightforward per-line model it replaced.
 
 use nmt_fault::{FaultPlan, FaultSite};
 use nmt_sim::cache::{L2Slice, Probe};
@@ -33,24 +33,66 @@ impl RefCache {
         }
     }
 
-    fn access(&mut self, addr: u64, write: bool) -> (bool, bool) {
+    /// Returns whether the access hit, and the evicted line's dirtiness
+    /// when a miss evicted one.
+    fn access(&mut self, addr: u64, write: bool) -> (bool, Option<bool>) {
         let line = addr / self.line_bytes;
         let set = (line % self.sets as u64) as usize;
         let entries = &mut self.content[set];
         if let Some(pos) = entries.iter().position(|&(l, _)| l == line) {
             let (l, d) = entries.remove(pos);
             entries.push((l, d || write));
-            (true, false)
+            (true, None)
         } else {
-            let mut wb = false;
-            if entries.len() == self.ways {
-                let (_, dirty) = entries.remove(0);
-                wb = dirty;
-            }
+            let evicted = (entries.len() == self.ways).then(|| entries.remove(0).1);
             entries.push((line, write));
-            (false, wb)
+            (false, evicted)
         }
     }
+}
+
+/// Replay `accesses` through an `L2Slice` and the reference LRU and
+/// require the same hit, miss and write-back on every access. Returns the
+/// number of (dirty, clean) evictions.
+fn assert_matches_reference_lru(
+    capacity: usize,
+    line_bytes: usize,
+    ways: usize,
+    accesses: &[(u64, bool)],
+) -> Result<(u64, u64), TestCaseError> {
+    let mut dut = L2Slice::new(capacity, line_bytes, ways);
+    let mut reference = RefCache::new(capacity, line_bytes, ways);
+    let (mut dirty, mut clean) = (0, 0);
+    for (i, &(addr, write)) in accesses.iter().enumerate() {
+        let got = dut.access(addr, write);
+        let (hit, evicted) = reference.access(addr, write);
+        match got {
+            Probe::Hit => prop_assert!(hit, "access {i} (addr {addr}): dut hit, ref miss"),
+            Probe::Miss { dirty_writeback } => {
+                prop_assert!(!hit, "access {i} (addr {addr}): dut miss, ref hit");
+                prop_assert_eq!(
+                    dirty_writeback,
+                    evicted == Some(true),
+                    "writeback mismatch at access {}",
+                    i
+                );
+            }
+        }
+        match evicted {
+            Some(true) => dirty += 1,
+            Some(false) => clean += 1,
+            None => {}
+        }
+    }
+    Ok((dirty, clean))
+}
+
+/// `2 × ways` lines of set 0 of a `sets`-set slice, alternately written
+/// and read: the second half evicts the first, half of it dirty.
+fn dirty_and_clean_evictions(sets: u64, line_bytes: u64, ways: u64) -> Vec<(u64, bool)> {
+    (0..2 * ways)
+        .map(|j| (j * sets * line_bytes, j % 2 == 0))
+        .collect()
 }
 
 proptest! {
@@ -61,19 +103,38 @@ proptest! {
         accesses in proptest::collection::vec((0u64..8192, proptest::bool::ANY), 1..400)
     ) {
         // 1 KB cache, 64 B lines, 4 ways => 4 sets.
-        let mut dut = L2Slice::new(1024, 64, 4);
-        let mut reference = RefCache::new(1024, 64, 4);
-        for (i, &(addr, write)) in accesses.iter().enumerate() {
-            let got = dut.access(addr, write);
-            let (hit, wb) = reference.access(addr, write);
-            match got {
-                Probe::Hit => prop_assert!(hit, "access {i} (addr {addr}): dut hit, ref miss"),
-                Probe::Miss { dirty_writeback } => {
-                    prop_assert!(!hit, "access {i} (addr {addr}): dut miss, ref hit");
-                    prop_assert_eq!(dirty_writeback, wb, "writeback mismatch at access {}", i);
-                }
-            }
-        }
+        assert_matches_reference_lru(1024, 64, 4, &accesses)?;
+    }
+
+    #[test]
+    fn l2_matches_reference_lru_on_one_set_of_sixteen_ways(
+        accesses in proptest::collection::vec(((0u64..40, 0u64..128), proptest::bool::ANY), 1..400)
+    ) {
+        // The small-scale GV100's slice (the sweep's): 16 ways of 128 B
+        // lines in one set, so the set index is `line & 0`.
+        let mut stream = dirty_and_clean_evictions(1, 128, 16);
+        stream.extend(accesses.iter().map(|&((line, off), write)| (line * 128 + off, write)));
+        let (dirty, clean) = assert_matches_reference_lru(16 * 128, 128, 16, &stream)?;
+        prop_assert!(dirty >= 8 && clean >= 8, "dirty {} clean {}", dirty, clean);
+    }
+
+    #[test]
+    fn l2_matches_reference_lru_on_48_sets(
+        accesses in proptest::collection::vec(
+            ((0u64..40, 0u64..3, 0u64..128), proptest::bool::ANY),
+            1..400,
+        )
+    ) {
+        // The paper GV100's slice: 48 sets of 16 ways, so the set index
+        // takes the modulo path. Lines `j·48 + s` crowd three sets.
+        let mut stream = dirty_and_clean_evictions(48, 128, 16);
+        stream.extend(
+            accesses
+                .iter()
+                .map(|&((j, set, off), write)| ((j * 48 + set) * 128 + off, write)),
+        );
+        let (dirty, clean) = assert_matches_reference_lru(48 * 16 * 128, 128, 16, &stream)?;
+        prop_assert!(dirty >= 8 && clean >= 8, "dirty {} clean {}", dirty, clean);
     }
 
     #[test]
@@ -370,6 +431,15 @@ fn assert_same_counters(
         dut.access(j * stride + off, nbytes, class, write, atomic);
         reference.access(j * stride + off, nbytes, class, write, atomic);
     }
+    assert_same_state(&mut dut, &reference)
+}
+
+/// Require every counter of `dut` and `reference` to agree exactly, `f64`
+/// busy times to the bit, and the trace to hold the reference's events.
+fn assert_same_state(
+    dut: &mut MemorySubsystem,
+    reference: &RefMemory,
+) -> Result<(), TestCaseError> {
     prop_assert_eq!(dut.partitions().len(), reference.partitions.len());
     for (p, (got, want)) in dut
         .partitions()
@@ -411,12 +481,88 @@ fn assert_same_counters(
     prop_assert_eq!(dut.fault_prefetch_overflows(), reference.overflows);
     let trace = dut.take_trace().unwrap();
     prop_assert_eq!(trace.dropped(), 0);
-    prop_assert_eq!(trace.events(), reference.trace);
+    prop_assert_eq!(&trace.events(), &reference.trace);
     Ok(())
 }
 
 fn fault_plan() -> FaultPlan {
     FaultPlan::from_rate(0x5eed, 0.3)
+}
+
+/// One strided gather: `((base, stride kind, stride lines, stride words),
+/// (lanes, count, elem_bytes choice, class))`. A lane is `(kind, slot)`:
+/// kind 0 repeats the previous lane's offset, kind 1 is the next word
+/// after it, and any other kind is `slot` word `slot % 64` of conflict
+/// slot `slot / 64`.
+type Gather = ((u64, u8, u64, u64), (Vec<(u8, u64)>, usize, usize, usize));
+
+fn gather_stream() -> impl Strategy<Value = Vec<Gather>> {
+    proptest::collection::vec(
+        (
+            (0u64..8, 0u8..3, 0u64..40, 1u64..32),
+            (
+                proptest::collection::vec((0u8..4, 0u64..2048), 0..40),
+                0usize..12,
+                0usize..4,
+                0usize..TrafficClass::COUNT,
+            ),
+        ),
+        1..8,
+    )
+}
+
+/// Replay `stream` as strided gathers through the model, and through the
+/// reference as one `access` per run of adjacent same-line lanes of each
+/// of the `count` gathers; then require the same state.
+fn assert_gather_matches_reference(
+    config: &GpuConfig,
+    fault: Option<FaultPlan>,
+    stream: &[Gather],
+) -> Result<(), TestCaseError> {
+    let conflict = conflict_stride(config);
+    let line = config.l2_line_bytes as u64;
+    let mut dut = MemorySubsystem::new(config);
+    dut.set_fault_plan(fault);
+    let events = stream
+        .iter()
+        .map(|(_, (lanes, count, ..))| lanes.len() * count);
+    dut.enable_trace(events.sum());
+    let mut reference = RefMemory::new(config, fault);
+    let mut offsets = Vec::new();
+    for &((base, stride_kind, lines, words), (ref lanes, count, elem, class)) in stream {
+        // Buffers start interleave-aligned, but the model takes any base:
+        // steps of 96 B are not even line-aligned.
+        let base = base * 96;
+        // Whole lines, lines plus a few words, or the conflict stride.
+        let stride = match stride_kind {
+            0 => lines * line,
+            1 => lines * line + words * 4,
+            _ => lines * conflict,
+        };
+        let elem_bytes = [4, 8, 48, 0][elem];
+        let class = TrafficClass::ALL[class];
+        offsets.clear();
+        for &(kind, slot) in lanes {
+            let off = match (kind, offsets.last()) {
+                (0, Some(&prev)) => prev,
+                (1, Some(&prev)) => prev + 4,
+                _ => slot / 64 * conflict + slot % 64 * 4,
+            };
+            offsets.push(off);
+        }
+        dut.gather(base, &offsets, stride, count, elem_bytes, class);
+        for i in 0..count as u64 {
+            let mut last_line = None;
+            for &off in &offsets {
+                let addr = base + off + i * stride;
+                if last_line != Some(addr / line) {
+                    last_line = Some(addr / line);
+                    reference.access(addr, elem_bytes, class, false, false);
+                }
+            }
+        }
+    }
+    assert_same_state(&mut dut, &reference)
 }
 
 proptest! {
@@ -446,6 +592,27 @@ proptest! {
         assert_same_counters(&config, None, &stream)?;
         assert_same_counters(&config, Some(fault_plan()), &stream)?;
     }
+
+    #[test]
+    fn strided_gather_matches_per_run_accesses(stream in gather_stream()) {
+        for config in [small_scale_gv100(), GpuConfig::test_small(), GpuConfig::gv100()] {
+            assert_gather_matches_reference(&config, None, &stream)?;
+            assert_gather_matches_reference(&config, Some(fault_plan()), &stream)?;
+        }
+    }
+}
+
+#[test]
+fn empty_gathers_touch_nothing() {
+    let config = GpuConfig::test_small();
+    let mut m = MemorySubsystem::new(&config);
+    m.enable_trace(16);
+    m.gather(0, &[], 128, 8, 4, TrafficClass::MatB);
+    m.gather(0, &[0, 4, 512], 128, 0, 4, TrafficClass::MatB);
+    m.gather(0, &[0, 4, 512], 100, 0, 4, TrafficClass::MatB);
+    assert_eq!(m.requested_traffic().total(), 0);
+    assert_eq!(m.aggregate(), PartitionCounters::default());
+    assert!(m.take_trace().unwrap().events().is_empty());
 }
 
 #[test]
