@@ -871,13 +871,18 @@ pub fn sweep_ledger_instrumented(
 /// How many flight-recorder events an error row retains.
 const ERROR_ROW_EVENT_CAP: usize = 32;
 
-/// Scrub a matrix-local flight recorder into ledger-safe events: take the
-/// tail of the content-ordered snapshot (fault-class sites have the
-/// highest site codes, so they sort last and are never evicted by the
-/// cap) and drop the schedule-dependent fields (timestamp, thread id).
-/// The result is byte-identical across thread counts for a fixed seed.
+/// Scrub a matrix-local flight recorder into ledger-safe events: drop
+/// span events, take the tail of the content-ordered rest (the fault
+/// sites sort after every sweep-path site, so the cap never evicts them)
+/// and drop the schedule-dependent fields (timestamp, thread id). The
+/// result is byte-identical across thread counts for a fixed seed.
 fn harvest_events(obs: &ObsContext) -> Vec<LedgerEvent> {
-    let events = obs.flight.snapshot();
+    let events: Vec<_> = obs
+        .flight
+        .snapshot()
+        .into_iter()
+        .filter(|e| !e.site.is_span())
+        .collect();
     let skip = events.len().saturating_sub(ERROR_ROW_EVENT_CAP);
     events
         .iter()
@@ -922,18 +927,17 @@ fn measure_perf(
             p.update(&desc.name, "perf");
         }
         let planner = SpmmPlanner::new(config.clone());
-        // One instrumented repetition: spans + counters land in a fresh
-        // recorder, then the profiler folds them into per-phase self time.
+        // One instrumented repetition: span events land in a fresh
+        // flight recorder, then the profiler folds them into per-phase
+        // self time.
         let measure = || -> Option<nmt_obs::Profile> {
             let obs = ObsContext::enabled();
-            {
-                let mut s = obs.span("matgen.generate");
-                let b = random_dense(a.shape().ncols, k, desc.seed ^ 0x16);
-                s.counter("cells", (b.nrows() * b.ncols()) as f64);
-                drop(s);
-                planner.explain(&desc.name, a, &b, &obs).ok()?;
-            }
-            Some(Profiler::analyze(&obs.recorder.snapshot()))
+            let b = {
+                let _s = obs.span("matgen.generate");
+                random_dense(a.shape().ncols, k, desc.seed ^ 0x16)
+            };
+            planner.explain(&desc.name, a, &b, &obs).ok()?;
+            Some(Profiler::analyze(&obs.flight.lanes()))
         };
         for _ in 0..cfg.warmup {
             if measure().is_none() {
@@ -1242,6 +1246,38 @@ mod tests {
         obs2.flight.record(EventSite::FaultConvertStrip, 2, 7, 0xBEEF);
         obs2.flight.record(EventSite::FaultPartitionDropout, 1, 3, 0);
         assert_eq!(harvested, harvest_events(&obs2));
+    }
+
+    #[test]
+    fn harvest_events_keeps_the_fault_and_drops_span_events() {
+        use nmt_obs::EventSite;
+        // Span sites sort after the fault sites: unfiltered, the tail
+        // would be all span events and the fault would be cut.
+        let obs = ObsContext::enabled();
+        {
+            let _explain = obs.span("planner.explain");
+            for i in 0..40u64 {
+                let _strip = obs.span("engine.farm.strip");
+                obs.flight.record(EventSite::FarmStrip, 0, i, 0);
+            }
+            obs.flight
+                .record(EventSite::FaultConvertStrip, 2, 7, 0xBEEF);
+        }
+        let spans = obs
+            .flight
+            .snapshot()
+            .iter()
+            .filter(|e| e.site.is_span())
+            .count();
+        assert!(spans > ERROR_ROW_EVENT_CAP, "the context holds span events");
+        let harvested = harvest_events(&obs);
+        assert_eq!(harvested.len(), ERROR_ROW_EVENT_CAP);
+        assert!(harvested.iter().all(|e| !e.site.starts_with("span-")));
+        let fault = harvested.last().expect("fault kept");
+        assert_eq!(
+            (fault.site.as_str(), fault.a, fault.b),
+            ("fault-convert-strip", 7, 0xBEEF)
+        );
     }
 
     #[test]

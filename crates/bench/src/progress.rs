@@ -10,8 +10,8 @@
 //! observes (an atomic done-counter and a mutexed "current" label) and
 //! never feeds anything back, so enabling it cannot perturb the ledger's
 //! byte-identical output. Elapsed time comes from a private
-//! [`nmt_obs::Recorder`]'s monotonic clock, keeping wall-clock reads
-//! routed through the sanctioned obs core.
+//! [`nmt_obs::Clock`], keeping wall-clock reads routed through the
+//! sanctioned obs core.
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -31,7 +31,7 @@ pub struct ProgressReporter {
     total: usize,
     done: AtomicUsize,
     current: Mutex<String>,
-    clock: nmt_obs::Recorder,
+    clock: nmt_obs::Clock,
 }
 
 impl ProgressReporter {
@@ -49,8 +49,7 @@ impl ProgressReporter {
             total,
             done: AtomicUsize::new(0),
             current: Mutex::new(String::new()),
-            // Capacity 0: the clock is all we use, no spans are retained.
-            clock: nmt_obs::Recorder::with_capacity(0),
+            clock: nmt_obs::Clock::start(),
         }
     }
 

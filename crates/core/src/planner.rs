@@ -153,9 +153,7 @@ impl SpmmPlanner {
         b: &DenseMatrix,
         obs: &ObsContext,
     ) -> Result<PlanReport, SimError> {
-        let mut root = obs.span("planner.execute");
-        root.counter("nrows", a.shape().nrows as f64);
-        root.counter("nnz", a.nnz() as f64);
+        let _root = obs.span("planner.execute");
         let phase = |n: u32| {
             obs.flight.record(
                 nmt_obs::EventSite::PlannerPhase,
@@ -165,14 +163,12 @@ impl SpmmPlanner {
             );
         };
 
-        let t0 = obs.recorder.now_ns();
+        let t0 = obs.flight.now_ns();
         let (profile, choice) = {
-            let mut s = obs.span("planner.plan");
-            let (profile, choice) = self.plan(a);
-            s.counter("ssf", profile.ssf);
-            (profile, choice)
+            let _s = obs.span("planner.plan");
+            self.plan(a)
         };
-        let t_plan = obs.recorder.now_ns();
+        let t_plan = obs.flight.now_ns();
         phase(0);
 
         let baseline = {
@@ -180,14 +176,14 @@ impl SpmmPlanner {
             self.run_baseline(a, b)?
         };
         publish_kernel_stats(obs, "kernels.baseline", &baseline.stats);
-        let t_baseline = obs.recorder.now_ns();
+        let t_baseline = obs.flight.now_ns();
         phase(1);
 
         let chosen = {
             let _s = obs.span("planner.chosen");
             self.run_candidate(choice, a, b, obs)?
         };
-        let t_chosen = obs.recorder.now_ns();
+        let t_chosen = obs.flight.now_ns();
         phase(2);
 
         let stats = chosen.run.stats;
@@ -218,7 +214,6 @@ impl SpmmPlanner {
             .as_ref()
             .map_or(0.0, |e| conversion_energy_pj(e, false));
         let speedup = baseline.stats.total_ns / stats.total_ns.max(1e-9);
-        root.counter("speedup", speedup);
         Ok(PlanReport {
             profile,
             choice,
@@ -252,8 +247,7 @@ impl SpmmPlanner {
         b: &DenseMatrix,
         obs: &ObsContext,
     ) -> Result<DecisionAudit, SimError> {
-        let mut root = obs.span("planner.explain");
-        root.counter("nnz", a.nnz() as f64);
+        let _root = obs.span("planner.explain");
         let (profile, chosen) = self.plan(a);
 
         let baseline = {
@@ -315,7 +309,6 @@ impl SpmmPlanner {
         };
         let mispick = chosen != oracle;
         let mispick_cost = time_of(chosen) / time_of(oracle).max(1e-9);
-        root.counter("mispick", mispick as u64 as f64);
 
         let audit = DecisionAudit {
             matrix: name.to_string(),
@@ -545,21 +538,30 @@ mod tests {
             .unwrap();
         assert_eq!(rep.algorithm, Algorithm::BStationaryOnline);
 
-        let spans = obs.recorder.snapshot();
-        let by_name = |n: &str| {
-            spans
+        // Nesting comes from the order of each thread's span events.
+        let mut paths = Vec::new();
+        nmt_obs::span::walk(&obs.flight.lanes(), |step| {
+            if let nmt_obs::span::Step::End { span, path } = step {
+                paths.push((span.name, path.to_vec()));
+            }
+        });
+        let path_of = |n: &str| {
+            paths
                 .iter()
-                .find(|s| s.name == n)
-                .unwrap_or_else(|| panic!("missing span {n}"))
+                .find(|(name, _)| *name == n)
+                .map_or_else(|| panic!("missing span {n}"), |(_, path)| path.clone())
         };
-        let root = by_name("planner.execute");
-        assert_eq!(root.parent, None);
+        assert!(path_of("planner.execute").is_empty());
         for child in ["planner.plan", "planner.baseline", "planner.chosen"] {
-            assert_eq!(by_name(child).parent, Some(root.id), "{child}");
+            assert_eq!(path_of(child), ["planner.execute"], "{child}");
         }
-        let chosen = by_name("planner.chosen");
-        assert_eq!(by_name("engine.convert").parent, Some(chosen.id));
-        assert_eq!(by_name("kernels.launch").parent, Some(chosen.id));
+        for grandchild in ["engine.convert", "kernels.launch"] {
+            assert_eq!(
+                path_of(grandchild),
+                ["planner.execute", "planner.chosen"],
+                "{grandchild}"
+            );
+        }
 
         // Per-phase wall clock and both kernel-stat bridges landed.
         for g in [

@@ -295,11 +295,7 @@ pub fn convert_matrix_farm_obs(
     config: FarmConfig,
     obs: &nmt_obs::ObsContext,
 ) -> Result<FarmRun, FarmError> {
-    // Spans are skipped (not opened-and-dropped) on a disabled context:
-    // a dead span still costs a sink lock on drop, which would serialize
-    // the per-strip workers for nothing.
-    let watching = obs.is_enabled();
-    let _farm_span = watching.then(|| obs.span("engine.farm"));
+    let _farm_span = obs.span("engine.farm");
     if config.partitions == 0 {
         return Err(PlacementError::NoPartitions.into());
     }
@@ -340,10 +336,7 @@ pub fn convert_matrix_farm_obs(
     let outputs: Vec<Result<(DcsrStrip, Vec<FaultRecord>), FarmError>> = (0..nstrips)
         .into_par_iter()
         .map(|s| {
-            let mut strip_span = watching.then(|| obs.span("engine.farm.strip"));
-            if let Some(sp) = strip_span.as_mut() {
-                sp.counter("strip", s as f64);
-            }
+            let _strip_span = obs.span("engine.farm.strip");
             obs.flight.record(EventSite::FarmStrip, 0, s as u64, 0);
             convert_strip_faulted(csc, s, tile_w, tile_h, config.fault, config.pool, &obs.flight)
         })
@@ -353,7 +346,7 @@ pub fn convert_matrix_farm_obs(
     // strip, partition collectors indexed (not ordered by completion). A
     // failed strip surfaces as the *lowest-strip-id* error regardless of
     // which worker hit it first in wall-clock terms.
-    let _reduce_span = watching.then(|| obs.span("engine.farm.reduce"));
+    let _reduce_span = obs.span("engine.farm.reduce");
     obs.flight
         .record(EventSite::FarmReduce, 0, nstrips as u64, active.len() as u64);
     let cost = SwitchCost { lanes: tile_w };

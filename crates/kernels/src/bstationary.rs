@@ -432,7 +432,7 @@ pub fn bstat_tiled_dcsr_online_obs(
     })?;
     let engine = farm.stats;
     {
-        let mut convert_span = obs.span("engine.convert");
+        let _convert_span = obs.span("engine.convert");
         // The discrete prefetch-pipeline model is priced per strip only
         // when someone is watching; it does not change the run. It is pure
         // per strip, so it runs in the same parallel fashion as the farm
@@ -448,13 +448,9 @@ pub fn bstat_tiled_dcsr_online_obs(
             // nmt-lint: allow(hot-alloc) — cold branch, empty Vec never allocates
             Vec::new()
         };
-        // Record spans and histograms serially, strips ascending: span
-        // parentage and histogram contents stay identical to a serial run.
+        // Record events and histograms serially, strips ascending: their
+        // order and contents stay identical to a serial run.
         for (s, st) in farm.per_strip.iter().enumerate() {
-            let mut strip_span = obs.span("engine.convert.strip");
-            strip_span.counter("strip", s as f64);
-            strip_span.counter("elements", st.elements as f64);
-            strip_span.counter("output_bytes", st.output_bytes as f64);
             obs.flight
                 .record(nmt_obs::EventSite::KernelStrip, 0, s as u64, st.elements);
             let m = &obs.metrics;
@@ -465,7 +461,6 @@ pub fn bstat_tiled_dcsr_online_obs(
                 publish_pipeline(obs, pipe);
             }
         }
-        convert_span.counter("strips", nstrips as f64);
     }
     publish_conversion(obs, &engine);
     publish_farm(obs, &farm);
@@ -686,19 +681,29 @@ mod tests {
         assert!(online.engine.lane_slots > 0);
         assert!(online.engine.comparator_occupancy() > 0.0);
 
-        let spans = obs.recorder.snapshot();
-        let convert = spans
-            .iter()
-            .find(|s| s.name == "engine.convert")
-            .expect("engine.convert span");
+        // One kernel-strip event per strip, recorded inside the
+        // engine.convert span on its thread, carrying the strip's elements.
+        let mut convert = None;
+        let mut launched = false;
+        let mut strips = Vec::new();
+        nmt_obs::span::walk(&obs.flight.lanes(), |step| match step {
+            nmt_obs::span::Step::End { span, .. } if span.name == "engine.convert" => {
+                convert = Some(span);
+            }
+            nmt_obs::span::Step::End { span, .. } => launched |= span.name == "kernels.launch",
+            nmt_obs::span::Step::Event(e) if e.site == nmt_obs::EventSite::KernelStrip => {
+                strips.push(*e);
+            }
+            _ => {}
+        });
+        let convert = convert.expect("engine.convert span");
         let nstrips = 128usize.div_ceil(16);
-        let strips: Vec<_> = spans
-            .iter()
-            .filter(|s| s.name == "engine.convert.strip")
-            .collect();
         assert_eq!(strips.len(), nstrips);
-        assert!(strips.iter().all(|s| s.parent == Some(convert.id)));
-        assert!(spans.iter().any(|s| s.name == "kernels.launch"));
+        assert!(strips.iter().all(
+            |e| e.tid == convert.tid && (convert.start_ns..=convert.end_ns).contains(&e.ts_ns)
+        ));
+        assert_eq!(strips.iter().map(|e| e.b).sum::<u64>(), a.nnz() as u64);
+        assert!(launched, "kernels.launch span");
 
         let snap = obs.metrics.snapshot();
         let h = &snap.histograms["kernels.bstat_online.strip_elements"];

@@ -1,13 +1,17 @@
 //! Exporters: Chrome trace-event JSON and folded-stack flamegraph text.
 //!
-//! The Chrome format is the `traceEvents` array of `"ph": "B"` / `"ph": "E"`
-//! pairs understood by Perfetto (<https://ui.perfetto.dev>) and
-//! `chrome://tracing`; timestamps are microseconds. Spans are emitted
-//! depth-first per thread so begin/end events always nest correctly, even
-//! when adjacent spans share a timestamp.
+//! Both read flight-recorder lanes ([`crate::FlightRecorder::lanes`])
+//! through [`walk`]. The Chrome format is the `traceEvents` array
+//! understood by Perfetto (<https://ui.perfetto.dev>) and
+//! `chrome://tracing`; timestamps are microseconds. Spans become
+//! `"ph": "B"` / `"ph": "E"` pairs and every other flight event an
+//! instant (`"ph": "i"`) carrying its `code`/`a`/`b`, each lane in ring
+//! order, so begin/end events nest exactly as the thread ran them.
 
-use crate::span::SpanRecord;
-use serde::{Serialize, Value};
+use crate::recorder::Event;
+use crate::span::{span_name, walk, Step};
+use serde::Value;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
 
@@ -27,68 +31,36 @@ fn event(ph: &str, name: &str, ts_ns: u64, tid: u64, args: Option<Value>) -> Val
     Value::Object(fields)
 }
 
-fn push_span_events(spans: &[SpanRecord], children: &[Vec<usize>], i: usize, out: &mut Vec<Value>) {
-    let s = &spans[i];
-    out.push(event("B", &s.name, s.start_ns, s.tid, None));
-    for &c in &children[i] {
-        push_span_events(spans, children, c, out);
-    }
-    let args = if s.counters.is_empty() {
-        None
-    } else {
-        Some(Value::Object(
-            s.counters
-                .iter()
-                .map(|(k, v)| (k.clone(), Serialize::to_value(v)))
-                .collect(),
-        ))
-    };
-    out.push(event("E", &s.name, s.end_ns, s.tid, args));
-}
-
 /// Build the Chrome trace document as a JSON value tree.
-pub fn chrome_trace_value(spans: &[SpanRecord]) -> Value {
-    // Index spans, then emit each parent's subtree depth-first so B/E
-    // events pair up by construction. Spans whose parent was evicted from
-    // the ring buffer become roots.
-    let index_of = |id: u64| spans.iter().position(|s| s.id == id);
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
-    let mut roots: Vec<usize> = Vec::new();
-    for (i, s) in spans.iter().enumerate() {
-        match s.parent.and_then(index_of) {
-            Some(p) => children[p].push(i),
-            None => roots.push(i),
+pub fn chrome_trace_value(lanes: &[Vec<Event>]) -> Value {
+    let mut events = Vec::new();
+    walk(lanes, |step| match step {
+        Step::Begin(e) => events.push(event("B", span_name(e.code), e.ts_ns, e.tid, None)),
+        Step::End { span, .. } => events.push(event("E", span.name, span.end_ns, span.tid, None)),
+        Step::Event(e) => {
+            let args = Value::Object(vec![
+                ("code".to_string(), Value::U64(u64::from(e.code))),
+                ("a".to_string(), Value::U64(e.a)),
+                ("b".to_string(), Value::U64(e.b)),
+            ]);
+            events.push(event("i", e.site.name(), e.ts_ns, e.tid, Some(args)));
         }
-    }
-    let by_start = |a: &usize, b: &usize| {
-        (spans[*a].start_ns, spans[*a].id).cmp(&(spans[*b].start_ns, spans[*b].id))
-    };
-    roots.sort_by(by_start);
-    for c in &mut children {
-        c.sort_by(by_start);
-    }
-    let mut events = Vec::with_capacity(spans.len() * 2);
-    for r in roots {
-        push_span_events(spans, &children, r, &mut events);
-    }
+    });
     Value::Object(vec![
         ("traceEvents".to_string(), Value::Array(events)),
-        (
-            "displayTimeUnit".to_string(),
-            Value::Str("ns".to_string()),
-        ),
+        ("displayTimeUnit".to_string(), Value::Str("ns".to_string())),
     ])
 }
 
 /// Render the Chrome trace document as a JSON string.
-pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
+pub fn chrome_trace_json(lanes: &[Vec<Event>]) -> String {
     // nmt-lint: allow(panic) — serializing a plain data struct cannot fail
-    serde_json::to_string(&chrome_trace_value(spans)).expect("trace serializes")
+    serde_json::to_string(&chrome_trace_value(lanes)).expect("trace serializes")
 }
 
 /// Write the Chrome trace document to `w`.
-pub fn write_chrome_trace<W: Write>(mut w: W, spans: &[SpanRecord]) -> io::Result<()> {
-    w.write_all(chrome_trace_json(spans).as_bytes())?;
+pub fn write_chrome_trace<W: Write>(mut w: W, lanes: &[Vec<Event>]) -> io::Result<()> {
+    w.write_all(chrome_trace_json(lanes).as_bytes())?;
     w.write_all(b"\n")
 }
 
@@ -99,56 +71,22 @@ pub fn write_chrome_trace<W: Write>(mut w: W, spans: &[SpanRecord]) -> io::Resul
 /// show up as separate towers. Because self-times partition every span
 /// exactly, the values of all lines sum to the total wall-time of the
 /// root spans — feed the text to `inferno-flamegraph` (or any
-/// `flamegraph.pl`-compatible tool) unchanged.
-pub fn flamegraph_folded(spans: &[SpanRecord]) -> String {
-    let index_of = |id: u64| spans.iter().position(|s| s.id == id);
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
-    let mut roots: Vec<usize> = Vec::new();
-    for (i, s) in spans.iter().enumerate() {
-        match s.parent.and_then(index_of) {
-            Some(p) => children[p].push(i),
-            None => roots.push(i),
+/// `flamegraph.pl`-compatible tool) unchanged. Span names are frame-safe
+/// by construction (no `;` or space; see [`crate::span::SPAN_NAMES`]).
+pub fn flamegraph_folded(lanes: &[Vec<Event>]) -> String {
+    let mut folded: BTreeMap<String, u64> = BTreeMap::new();
+    walk(lanes, |step| {
+        if let Step::End { span, path } = step {
+            if span.self_ns > 0 {
+                let mut stack = format!("tid{}", span.tid);
+                for frame in path.iter().chain([&span.name]) {
+                    stack.push(';');
+                    stack.push_str(frame);
+                }
+                *folded.entry(stack).or_default() += span.self_ns;
+            }
         }
-    }
-    let by_start = |a: &usize, b: &usize| {
-        (spans[*a].start_ns, spans[*a].id).cmp(&(spans[*b].start_ns, spans[*b].id))
-    };
-    roots.sort_by(by_start);
-    for c in &mut children {
-        c.sort_by(by_start);
-    }
-
-    // Frame separator is ';' and the count separator is the last space,
-    // so both must be scrubbed from span names.
-    let frame = |name: &str| name.replace([';', ' '], "_");
-
-    fn walk(
-        spans: &[SpanRecord],
-        children: &[Vec<usize>],
-        i: usize,
-        path: &mut String,
-        frame: &dyn Fn(&str) -> String,
-        folded: &mut std::collections::BTreeMap<String, u64>,
-    ) {
-        let depth = path.len();
-        path.push(';');
-        path.push_str(&frame(&spans[i].name));
-        let kids_ns: u64 = children[i].iter().map(|&c| spans[c].duration_ns()).sum();
-        let self_ns = spans[i].duration_ns().saturating_sub(kids_ns);
-        if self_ns > 0 {
-            *folded.entry(path.clone()).or_default() += self_ns;
-        }
-        for &c in &children[i] {
-            walk(spans, children, c, path, frame, folded);
-        }
-        path.truncate(depth);
-    }
-
-    let mut folded = std::collections::BTreeMap::new();
-    for r in roots {
-        let mut path = format!("tid{}", spans[r].tid);
-        walk(spans, &children, r, &mut path, &frame, &mut folded);
-    }
+    });
     let mut out = String::new();
     for (stack, ns) in folded {
         let _ = writeln!(out, "{stack} {ns}");
@@ -157,35 +95,36 @@ pub fn flamegraph_folded(spans: &[SpanRecord]) -> String {
 }
 
 /// Write the folded-stack flamegraph text to `w`.
-pub fn write_flamegraph<W: Write>(mut w: W, spans: &[SpanRecord]) -> io::Result<()> {
-    w.write_all(flamegraph_folded(spans).as_bytes())
+pub fn write_flamegraph<W: Write>(mut w: W, lanes: &[Vec<Event>]) -> io::Result<()> {
+    w.write_all(flamegraph_folded(lanes).as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Recorder;
+    use crate::span::script;
+    use crate::{EventSite, ObsContext};
 
-    fn sample_spans() -> Vec<SpanRecord> {
-        let rec = Recorder::with_capacity(16);
+    fn sample_lanes() -> Vec<Vec<Event>> {
+        let obs = ObsContext::enabled();
         {
-            let _plan = rec.span("plan");
+            let _plan = obs.span("planner.plan");
             {
-                let mut convert = rec.span("convert");
-                convert.counter("elements", 8.0);
+                let _convert = obs.span("engine.convert");
+                obs.flight.record(EventSite::KernelStrip, 0, 3, 8);
             }
-            drop(rec.span("kernel"));
+            drop(obs.span("kernels.launch"));
         }
-        rec.snapshot()
+        obs.flight.lanes()
     }
 
     #[test]
     fn chrome_trace_has_matched_nested_events() {
-        let spans = sample_spans();
-        let json = chrome_trace_json(&spans);
+        let lanes = sample_lanes();
+        let json = chrome_trace_json(&lanes);
         let doc: Value = serde_json::from_str(&json).expect("trace is valid JSON");
         let events = doc["traceEvents"].as_array().expect("traceEvents array");
-        assert_eq!(events.len(), spans.len() * 2);
+        assert_eq!(events.len(), lanes[0].len());
         // Walk the stream: every E must close the innermost open B.
         let mut stack: Vec<&str> = Vec::new();
         for e in events {
@@ -193,6 +132,7 @@ mod tests {
             match e["ph"].as_str().unwrap() {
                 "B" => stack.push(name),
                 "E" => assert_eq!(stack.pop(), Some(name), "E closes innermost B"),
+                "i" => assert_eq!(stack.last(), Some(&"engine.convert")),
                 other => panic!("unexpected phase {other}"),
             }
         }
@@ -202,61 +142,46 @@ mod tests {
             .iter()
             .map(|e| (e["ph"].as_str().unwrap(), e["name"].as_str().unwrap()))
             .collect();
-        assert_eq!(order[0], ("B", "plan"));
-        assert_eq!(order[1], ("B", "convert"));
-        assert_eq!(order[2], ("E", "convert"));
-        assert_eq!(*order.last().unwrap(), ("E", "plan"));
+        assert_eq!(order[0], ("B", "planner.plan"));
+        assert_eq!(order[1], ("B", "engine.convert"));
+        assert_eq!(order[2], ("i", "kernel-strip"));
+        assert_eq!(order[3], ("E", "engine.convert"));
+        assert_eq!(*order.last().unwrap(), ("E", "planner.plan"));
     }
 
     #[test]
-    fn chrome_trace_counters_become_args() {
-        let spans = sample_spans();
-        let doc: Value = serde_json::from_str(&chrome_trace_json(&spans)).unwrap();
+    fn chrome_trace_instants_carry_event_content() {
+        let doc: Value = serde_json::from_str(&chrome_trace_json(&sample_lanes())).unwrap();
         let events = doc["traceEvents"].as_array().unwrap();
-        let end_convert = events
+        let strip = events
             .iter()
-            .find(|e| {
-                e["ph"].as_str() == Some("E") && e["name"].as_str() == Some("convert")
-            })
+            .find(|e| e["ph"].as_str() == Some("i"))
             .unwrap();
-        assert_eq!(end_convert["args"]["elements"].as_f64(), Some(8.0));
+        assert_eq!(strip["name"].as_str(), Some("kernel-strip"));
+        assert_eq!(strip["args"]["code"].as_u64(), Some(0));
+        assert_eq!(strip["args"]["a"].as_u64(), Some(3));
+        assert_eq!(strip["args"]["b"].as_u64(), Some(8));
     }
 
     #[test]
-    fn orphaned_children_become_roots() {
-        // A child whose parent id is missing (evicted) must still export.
-        let spans = vec![SpanRecord {
-            id: 7,
-            parent: Some(3),
-            name: "orphan".into(),
-            tid: 1,
-            start_ns: 10,
-            end_ns: 20,
-            counters: vec![],
-        }];
-        let doc: Value = serde_json::from_str(&chrome_trace_json(&spans)).unwrap();
+    fn orphaned_ends_are_skipped() {
+        // An end whose begin wrapped away exports nothing; the pair
+        // after it still does.
+        let lanes = vec![script::lane(
+            1,
+            &[
+                (5, "engine.farm", false),
+                (10, "kernels.launch", true),
+                (20, "kernels.launch", false),
+            ],
+        )];
+        let doc: Value = serde_json::from_str(&chrome_trace_json(&lanes)).unwrap();
         assert_eq!(doc["traceEvents"].as_array().unwrap().len(), 2);
     }
 
     #[test]
     fn flamegraph_lines_sum_to_root_wall_time() {
-        // execute [0,100] > plan [10,30] + chosen [30,90] > launch [40,80]
-        let mk = |id, parent, name: &str, s, e| SpanRecord {
-            id,
-            parent,
-            name: name.into(),
-            tid: 1,
-            start_ns: s,
-            end_ns: e,
-            counters: vec![],
-        };
-        let spans = vec![
-            mk(1, None, "planner.execute", 0, 100),
-            mk(2, Some(1), "planner.plan", 10, 30),
-            mk(3, Some(1), "planner.chosen", 30, 90),
-            mk(4, Some(3), "kernels.launch", 40, 80),
-        ];
-        let folded = flamegraph_folded(&spans);
+        let folded = flamegraph_folded(&[script::planner_lane(1)]);
         let mut total = 0u64;
         for line in folded.lines() {
             let (stack, ns) = line.rsplit_once(' ').expect("folded line");
@@ -271,48 +196,35 @@ mod tests {
     }
 
     #[test]
-    fn flamegraph_merges_identical_stacks_and_scrubs_frames() {
-        let mk = |id, parent, name: &str, s, e| SpanRecord {
-            id,
-            parent,
-            name: name.into(),
-            tid: 1,
-            start_ns: s,
-            end_ns: e,
-            counters: vec![],
-        };
-        let spans = vec![
-            mk(1, None, "root", 0, 100),
-            mk(2, Some(1), "strip; odd name", 0, 10),
-            mk(3, Some(1), "strip; odd name", 10, 30),
-        ];
-        let folded = flamegraph_folded(&spans);
-        // Two same-named children fold into one line with summed time,
-        // and ';'/' ' in the name are scrubbed to keep the format parseable.
-        assert!(folded.contains("tid1;root;strip__odd_name 30"), "{folded}");
-        assert_eq!(
-            folded.lines().filter(|l| l.contains("odd_name")).count(),
-            1
+    fn flamegraph_merges_identical_stacks() {
+        let lanes = vec![script::lane(
+            1,
+            &[
+                (0, "engine.farm", true),
+                (0, "engine.farm.strip", true),
+                (10, "engine.farm.strip", false),
+                (10, "engine.farm.strip", true),
+                (30, "engine.farm.strip", false),
+                (100, "engine.farm", false),
+            ],
+        )];
+        let folded = flamegraph_folded(&lanes);
+        // Two same-named children fold into one line with summed time.
+        assert!(
+            folded.contains("tid1;engine.farm;engine.farm.strip 30"),
+            "{folded}"
         );
+        assert_eq!(folded.lines().filter(|l| l.contains("strip")).count(), 1);
     }
 
     #[test]
     fn flamegraph_separates_thread_lanes() {
-        let mk = |id, name: &str, tid, s, e| SpanRecord {
-            id,
-            parent: None,
-            name: name.into(),
-            tid,
-            start_ns: s,
-            end_ns: e,
-            counters: vec![],
-        };
-        let spans = vec![
-            mk(1, "planner.execute", 1, 0, 100),
-            mk(2, "engine.farm.strip", 2, 10, 40),
-            mk(3, "engine.farm.strip", 3, 10, 50),
+        let lanes = vec![
+            script::flat(1, &[("planner.execute", 0, 100)]),
+            script::flat(2, &[("engine.farm.strip", 10, 40)]),
+            script::flat(3, &[("engine.farm.strip", 10, 50)]),
         ];
-        let folded = flamegraph_folded(&spans);
+        let folded = flamegraph_folded(&lanes);
         assert!(folded.contains("tid1;planner.execute 100"));
         assert!(folded.contains("tid2;engine.farm.strip 30"));
         assert!(folded.contains("tid3;engine.farm.strip 40"));
@@ -320,16 +232,8 @@ mod tests {
 
     #[test]
     fn timestamps_are_microseconds() {
-        let spans = vec![SpanRecord {
-            id: 1,
-            parent: None,
-            name: "s".into(),
-            tid: 1,
-            start_ns: 1500,
-            end_ns: 2500,
-            counters: vec![],
-        }];
-        let doc: Value = serde_json::from_str(&chrome_trace_json(&spans)).unwrap();
+        let lanes = vec![script::flat(1, &[("planner.plan", 1500, 2500)])];
+        let doc: Value = serde_json::from_str(&chrome_trace_json(&lanes)).unwrap();
         let events = doc["traceEvents"].as_array().unwrap();
         assert_eq!(events[0]["ts"].as_f64(), Some(1.5));
         assert_eq!(events[1]["ts"].as_f64(), Some(2.5));

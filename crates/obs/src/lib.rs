@@ -1,22 +1,25 @@
 //! Unified observability layer for the near-memory-transform SpMM stack.
 //!
-//! Three pieces, deliberately small and dependency-free:
+//! Five pieces, deliberately small and dependency-free:
 //!
-//! * **Spans** ([`Recorder`], [`Span`], [`span!`]) — hierarchical wall-clock
-//!   regions with optional user counters, stored in a bounded ring buffer.
+//! * **Flight recorder** ([`FlightRecorder`], [`recorder`]) — the one
+//!   event ring: per-thread buffers of fixed-size [`Event`]s, plus crash
+//!   diagnostics bundles for `nmt-cli doctor`.
+//! * **Spans** ([`Span`], [`span!`], [`span`]) — hierarchical wall-clock
+//!   regions, recorded as begin/end events in the flight recorder.
 //! * **Metrics** ([`MetricRegistry`]) — named monotonic counters, gauges,
 //!   and log₂-bucketed histograms. Names follow
 //!   `<crate>.<component>.<name>` (e.g. `engine.pipeline.prefetch_miss`).
 //! * **Export** ([`export`]) — a Chrome trace-event file loadable in
 //!   Perfetto / `chrome://tracing`, and a folded-stack flamegraph
 //!   ([`flamegraph_folded`]).
-//! * **Profiling** ([`profile`], [`alloc`]) — [`Profiler`] folds the span
-//!   tree into per-phase self-time, per-worker busy/idle, and farm
+//! * **Profiling** ([`profile`], [`alloc`]) — [`Profiler`] folds the spans
+//!   into per-phase self-time, per-worker busy/idle, and farm
 //!   concurrency; [`CountingAlloc`] optionally attributes allocation
 //!   counts/bytes to spans.
 //!
 //! Instrumented code takes an [`ObsContext`] (cheaply cloneable); callers
-//! that don't care pass [`ObsContext::disabled()`], which records nothing.
+//! that don't care pass [`ObsContext::disabled()`], which records no spans.
 
 pub mod alloc;
 pub mod export;
@@ -35,63 +38,54 @@ pub use recorder::{
     write_bundle_file, write_bundle_now, DiagScope, DiagnosticsBundle, Event, EventSite,
     FlightRecorder,
 };
-pub use span::{Recorder, Span, SpanRecord};
+pub use span::{Clock, Span, SpanRecord};
 
 use std::sync::Arc;
 
-/// Bundle of a span recorder, a metric registry, and a flight recorder,
-/// threaded through the planner, engine, and kernels.
+/// A metric registry and a flight recorder, threaded through the planner,
+/// engine, and kernels, plus the one switch: whether spans are recorded.
 #[derive(Clone)]
 pub struct ObsContext {
-    /// Span sink.
-    pub recorder: Arc<Recorder>,
     /// Metric sink.
     pub metrics: Arc<MetricRegistry>,
     /// Black-box event log. Always on — even for
     /// [`ObsContext::disabled`] — so a crash in an uninstrumented run
-    /// still leaves a diagnosable trail (see [`recorder`]).
+    /// still leaves a diagnosable trail (see [`recorder`]). Span events
+    /// land here only when the context is enabled.
     pub flight: Arc<FlightRecorder>,
+    enabled: bool,
 }
 
 impl ObsContext {
-    /// A context that records spans (up to `capacity` retained) and metrics.
-    pub fn with_capacity(capacity: usize) -> Self {
+    fn new(enabled: bool) -> Self {
         ObsContext {
-            recorder: Arc::new(Recorder::with_capacity(capacity)),
             metrics: Arc::new(MetricRegistry::new()),
             flight: Arc::new(FlightRecorder::new()),
+            enabled,
         }
     }
 
-    /// A context with the default span capacity.
+    /// A context that records spans and metrics.
     pub fn enabled() -> Self {
-        Self::with_capacity(Recorder::DEFAULT_CAPACITY)
+        Self::new(true)
     }
 
-    /// A context that drops every span (metrics stay live — they are a
-    /// handful of map slots, not a stream).
+    /// A context that records no span events (metrics and the other
+    /// flight events stay live — they are a handful of slots, not a
+    /// stream).
     pub fn disabled() -> Self {
-        Self::with_capacity(0)
+        Self::new(false)
     }
 
-    /// Whether the span recorder retains anything.
+    /// Whether spans are recorded.
     pub fn is_enabled(&self) -> bool {
-        self.recorder.capacity() > 0
+        self.enabled
     }
 
-    /// Open a span named `name`; prefer the [`span!`] macro.
-    pub fn span(&self, name: impl Into<String>) -> Span<'_> {
-        self.recorder.span(name)
-    }
-
-    /// Publish the ring-buffer loss counters as gauges
-    /// (`obs.dropped_spans`, `obs.dropped_events`) so silent data loss
-    /// is visible on every metrics surface (metrics snapshots, bundles).
-    pub fn publish_dropped(&self) {
-        self.metrics
-            .gauge_set("obs.dropped_spans", self.recorder.dropped() as f64);
-        self.metrics
-            .gauge_set("obs.dropped_events", self.flight.dropped() as f64);
+    /// Open a span named `name` (an entry of [`span::SPAN_NAMES`]);
+    /// prefer the [`span!`] macro.
+    pub fn span(&self, name: &'static str) -> Span<'_> {
+        Span::open(name, self.enabled.then_some(&*self.flight))
     }
 }
 
@@ -107,10 +101,9 @@ impl Default for ObsContext {
 /// ```
 /// let obs = nmt_obs::ObsContext::enabled();
 /// {
-///     let mut s = nmt_obs::span!(obs, "plan");
-///     s.counter("rows", 128.0);
-/// } // recorded here
-/// assert_eq!(obs.recorder.snapshot().len(), 1);
+///     let _s = nmt_obs::span!(obs, "planner.plan");
+/// } // the end event is recorded here
+/// assert_eq!(obs.flight.len(), 2);
 /// ```
 #[macro_export]
 macro_rules! span {

@@ -1,12 +1,15 @@
 //! Phase-attributed profiling over the span tree.
 //!
-//! The [`Profiler`] folds a [`Recorder`](crate::Recorder) snapshot into:
+//! The [`Profiler`] folds flight-recorder lanes
+//! ([`crate::FlightRecorder::lanes`]), walked by [`crate::span::walk`],
+//! into:
 //!
 //! * **per-phase self-time** — every span name maps onto the pipeline
 //!   phase taxonomy (parse → plan → convert → kernel → reduce, plus
-//!   `other` for orchestration shells), and each span contributes its
-//!   *self* time (duration minus same-thread children) so nested spans
-//!   never double-count;
+//!   `other` for orchestration shells) through
+//!   [`SPAN_NAMES`](crate::span::SPAN_NAMES), and each span contributes
+//!   its *self* time (duration minus same-thread children) so nested
+//!   spans never double-count;
 //! * **per-worker busy/idle** — for every thread lane, busy is the union
 //!   of its root spans and idle is the remainder of the profile window
 //!   (the engine farm's rayon workers each get a lane);
@@ -20,31 +23,31 @@
 //! legitimately exceed the window. Wall-clock questions are answered by
 //! the per-worker table and `window_ns`.
 //!
-//! When allocation counting is on (see [`crate::alloc`]), spans carry
-//! `alloc.count` / `alloc.bytes` counters; these are attributed to phases
-//! with the same self-time rule (parent deltas include children, so
-//! children are subtracted).
+//! When allocation counting is on (see [`crate::alloc`]), span end events
+//! carry allocation deltas; these are attributed to phases with the same
+//! self-time rule (parent deltas include children, so children are
+//! subtracted).
 
-use crate::SpanRecord;
+use crate::recorder::Event;
+use crate::span::{span_code, span_phase, walk, Step};
 use std::collections::BTreeMap;
 
-/// Pipeline phase taxonomy. Every span name maps to exactly one phase via
-/// [`phase_of`]; orchestration shells (`planner.execute`,
-/// `planner.chosen`) land in [`Phase::Other`] and contribute only their
-/// self-time (scheduling overhead).
+/// Pipeline phase taxonomy. Every span name maps to exactly one phase in
+/// [`SPAN_NAMES`](crate::span::SPAN_NAMES); orchestration shells
+/// (`planner.execute`, `planner.chosen`) land in [`Phase::Other`] and
+/// contribute only their self-time (scheduling overhead).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
-    /// Matrix ingestion: synthesis (`matgen.*`) and format construction
-    /// (`formats.*`).
+    /// Matrix ingestion: synthesis (`matgen.generate`).
     Parse,
     /// SSF profiling and the hybrid decision (`planner.plan`,
     /// `planner.explain`).
     Plan,
-    /// Near-memory strip conversion: the engine farm and the serial
-    /// converter (`engine.convert*`, `engine.farm*`).
+    /// Near-memory strip conversion: the engine farm and its strips
+    /// (`engine.farm`, `engine.farm.strip`) and `engine.convert`.
     Convert,
     /// Simulated kernel execution, including the cuSPARSE baseline and
-    /// audit re-runs (`kernels.*`, `planner.baseline`, `audit.*`).
+    /// audit re-runs (`kernels.launch`, `planner.baseline`, `audit.*`).
     Kernel,
     /// The farm's deterministic index-ordered reduction
     /// (`engine.farm.reduce`).
@@ -85,28 +88,6 @@ impl Phase {
 impl std::fmt::Display for Phase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Map a span name onto its phase. Order matters: `engine.farm.reduce`
-/// is the reduce phase even though it shares the `engine.farm` prefix
-/// with convert-phase worker spans.
-pub fn phase_of(span_name: &str) -> Phase {
-    if span_name.starts_with("matgen.") || span_name.starts_with("formats.") {
-        Phase::Parse
-    } else if span_name == "planner.plan" || span_name == "planner.explain" {
-        Phase::Plan
-    } else if span_name.starts_with("engine.farm.reduce") {
-        Phase::Reduce
-    } else if span_name.starts_with("engine.convert") || span_name.starts_with("engine.farm") {
-        Phase::Convert
-    } else if span_name.starts_with("kernels.")
-        || span_name.starts_with("audit.")
-        || span_name == "planner.baseline"
-    {
-        Phase::Kernel
-    } else {
-        Phase::Other
     }
 }
 
@@ -192,17 +173,10 @@ impl Profile {
     }
 }
 
-/// Folds span snapshots into [`Profile`]s. Stateless; the methods are
-/// associated functions so call sites read `Profiler::analyze(&spans)`.
+/// Folds flight-recorder lanes into [`Profile`]s. Stateless; the
+/// methods are associated functions so call sites read
+/// `Profiler::analyze(&obs.flight.lanes())`.
 pub struct Profiler;
-
-fn span_counter(span: &SpanRecord, name: &str) -> u64 {
-    span.counters
-        .iter()
-        .find(|(n, _)| n == name)
-        .map_or(0, |&(_, v)| v.max(0.0) as u64)
-    // Counters are f64 by API; alloc deltas are exact below 2^53.
-}
 
 /// Union length of a set of `[start, end)` intervals.
 fn interval_union_ns(mut iv: Vec<(u64, u64)>) -> u64 {
@@ -226,64 +200,52 @@ fn interval_union_ns(mut iv: Vec<(u64, u64)>) -> u64 {
 }
 
 impl Profiler {
-    /// Fold a recorder snapshot into per-phase, per-worker, and farm
-    /// concurrency totals. Deterministic: output depends only on the span
-    /// records, and all orderings are by phase/tid/time, never map order.
-    pub fn analyze(spans: &[SpanRecord]) -> Profile {
-        let mut phases: BTreeMap<Phase, PhaseTotals> =
-            Phase::ALL.iter().map(|&p| (p, PhaseTotals::default())).collect();
-
-        // Sum of children durations / alloc deltas, keyed by parent id.
-        // The ring buffer may have evicted a parent; those children simply
-        // have no slot to subtract from, which only over-attributes the
-        // (already evicted) parent, never a retained span.
-        let mut child_ns: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut child_alloc: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-        let mut has_parent: BTreeMap<u64, bool> = BTreeMap::new();
-        for s in spans {
-            has_parent.insert(s.id, s.parent.is_some());
-            if let Some(p) = s.parent {
-                *child_ns.entry(p).or_default() += s.duration_ns();
-                let slot = child_alloc.entry(p).or_default();
-                slot.0 += span_counter(s, "alloc.count");
-                slot.1 += span_counter(s, "alloc.bytes");
-            }
-        }
-
+    /// Fold flight-recorder lanes into per-phase, per-worker, and farm
+    /// concurrency totals. Deterministic: output depends only on the
+    /// events, and all orderings are by phase/tid/time, never map order.
+    pub fn analyze(lanes: &[Vec<Event>]) -> Profile {
+        let mut phases: BTreeMap<Phase, PhaseTotals> = Phase::ALL
+            .iter()
+            .map(|&p| (p, PhaseTotals::default()))
+            .collect();
         let mut window_lo = u64::MAX;
         let mut window_hi = 0u64;
         let mut lane_roots: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
         let mut lane_spans: BTreeMap<u64, u64> = BTreeMap::new();
         let mut farm_events: Vec<(u64, i64)> = Vec::new();
 
-        for s in spans {
+        walk(lanes, |step| {
+            let Step::End { span: s, .. } = step else {
+                return;
+            };
             window_lo = window_lo.min(s.start_ns);
             window_hi = window_hi.max(s.end_ns);
-            let self_ns = s
-                .duration_ns()
-                .saturating_sub(child_ns.get(&s.id).copied().unwrap_or(0));
-            let (kids_c, kids_b) = child_alloc.get(&s.id).copied().unwrap_or((0, 0));
-            let slot = phases.entry(phase_of(&s.name)).or_default();
-            slot.self_ns += self_ns;
+            let slot = phases.entry(span_phase(span_code(s.name))).or_default();
+            slot.self_ns += s.self_ns;
             slot.spans += 1;
-            slot.alloc_count += span_counter(s, "alloc.count").saturating_sub(kids_c);
-            slot.alloc_bytes += span_counter(s, "alloc.bytes").saturating_sub(kids_b);
+            slot.alloc_count += s.self_alloc_count;
+            slot.alloc_bytes += s.self_alloc_bytes;
 
             *lane_spans.entry(s.tid).or_default() += 1;
             // Roots only: a lane's busy time is the union of its top-level
-            // spans (descendants are contained in them). A span whose
-            // parent was evicted still has `parent: Some(..)`, so it is
-            // not mistaken for a root.
-            if s.parent.is_none() {
-                lane_roots.entry(s.tid).or_default().push((s.start_ns, s.end_ns));
+            // spans (descendants are contained in them).
+            if s.depth == 0 {
+                lane_roots
+                    .entry(s.tid)
+                    .or_default()
+                    .push((s.start_ns, s.end_ns));
             }
             if s.name == "engine.farm.strip" {
                 farm_events.push((s.start_ns, 1));
                 farm_events.push((s.end_ns, -1));
             }
-        }
+        });
 
-        let window_ns = if spans.is_empty() { 0 } else { window_hi - window_lo };
+        let window_ns = if lane_spans.is_empty() {
+            0
+        } else {
+            window_hi - window_lo
+        };
 
         let workers: Vec<WorkerStats> = lane_spans
             .iter()
@@ -338,35 +300,15 @@ impl Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn span(
-        id: u64,
-        parent: Option<u64>,
-        name: &str,
-        tid: u64,
-        start_ns: u64,
-        end_ns: u64,
-    ) -> SpanRecord {
-        SpanRecord {
-            id,
-            parent,
-            name: name.to_string(),
-            tid,
-            start_ns,
-            end_ns,
-            counters: Vec::new(),
-        }
-    }
+    use crate::span::{script, SPAN_NAMES};
 
     #[test]
     fn phase_taxonomy_covers_known_span_names() {
         for (name, want) in [
             ("matgen.generate", Phase::Parse),
-            ("formats.load", Phase::Parse),
             ("planner.plan", Phase::Plan),
             ("planner.explain", Phase::Plan),
             ("engine.convert", Phase::Convert),
-            ("engine.convert.strip", Phase::Convert),
             ("engine.farm", Phase::Convert),
             ("engine.farm.strip", Phase::Convert),
             ("engine.farm.reduce", Phase::Reduce),
@@ -376,20 +318,17 @@ mod tests {
             ("planner.execute", Phase::Other),
             ("planner.chosen", Phase::Other),
         ] {
-            assert_eq!(phase_of(name), want, "{name}");
+            assert_eq!(span_phase(span_code(name)), want, "{name}");
+        }
+        // Every phase has a span that lands in it.
+        for phase in Phase::ALL {
+            assert!(SPAN_NAMES.iter().any(|&(_, p)| p == phase), "{phase}");
         }
     }
 
     #[test]
     fn self_time_subtracts_children() {
-        // execute [0,100] > plan [10,30] + chosen [30,90] > launch [40,80]
-        let spans = vec![
-            span(1, None, "planner.execute", 1, 0, 100),
-            span(2, Some(1), "planner.plan", 1, 10, 30),
-            span(3, Some(1), "planner.chosen", 1, 30, 90),
-            span(4, Some(3), "kernels.launch", 1, 40, 80),
-        ];
-        let p = Profiler::analyze(&spans);
+        let p = Profiler::analyze(&[script::planner_lane(1)]);
         assert_eq!(p.window_ns, 100);
         assert_eq!(p.phase(Phase::Plan).self_ns, 20);
         assert_eq!(p.phase(Phase::Kernel).self_ns, 40);
@@ -401,13 +340,15 @@ mod tests {
 
     #[test]
     fn workers_get_busy_and_idle_lanes() {
-        let spans = vec![
-            span(1, None, "planner.execute", 1, 0, 100),
-            span(2, None, "engine.farm.strip", 2, 10, 30),
-            span(3, None, "engine.farm.strip", 2, 50, 70),
-            span(4, None, "engine.farm.strip", 3, 10, 70),
+        let lanes = vec![
+            script::flat(1, &[("planner.execute", 0, 100)]),
+            script::flat(
+                2,
+                &[("engine.farm.strip", 10, 30), ("engine.farm.strip", 50, 70)],
+            ),
+            script::flat(3, &[("engine.farm.strip", 10, 70)]),
         ];
-        let p = Profiler::analyze(&spans);
+        let p = Profiler::analyze(&lanes);
         assert_eq!(p.workers.len(), 3);
         let lane = |tid| p.workers.iter().find(|w| w.tid == tid).unwrap();
         assert_eq!(lane(1).busy_ns, 100);
@@ -419,12 +360,12 @@ mod tests {
 
     #[test]
     fn farm_concurrency_sweep() {
-        let spans = vec![
-            span(1, None, "engine.farm.strip", 2, 0, 40),
-            span(2, None, "engine.farm.strip", 3, 10, 30),
-            span(3, None, "engine.farm.strip", 4, 20, 60),
+        let lanes = vec![
+            script::flat(2, &[("engine.farm.strip", 0, 40)]),
+            script::flat(3, &[("engine.farm.strip", 10, 30)]),
+            script::flat(4, &[("engine.farm.strip", 20, 60)]),
         ];
-        let p = Profiler::analyze(&spans);
+        let p = Profiler::analyze(&lanes);
         assert_eq!(p.farm_max_in_flight, 3);
         // Integral: [0,10)=1, [10,20)=2, [20,30)=3, [30,40)=2, [40,60)=1
         // = (10 + 20 + 30 + 20 + 20) / 60
@@ -432,12 +373,20 @@ mod tests {
     }
 
     #[test]
-    fn alloc_counters_attribute_self_deltas() {
-        let mut parent = span(1, None, "engine.convert", 1, 0, 100);
-        parent.counters = vec![("alloc.count".into(), 10.0), ("alloc.bytes".into(), 1000.0)];
-        let mut child = span(2, Some(1), "kernels.launch", 1, 10, 90);
-        child.counters = vec![("alloc.count".into(), 4.0), ("alloc.bytes".into(), 400.0)];
-        let p = Profiler::analyze(&[parent, child]);
+    fn alloc_deltas_attribute_self_deltas() {
+        let mut lane = script::lane(
+            1,
+            &[
+                (0, "engine.convert", true),
+                (10, "kernels.launch", true),
+                (90, "kernels.launch", false),
+                (100, "engine.convert", false),
+            ],
+        );
+        // End events carry (count, bytes) over the whole span.
+        (lane[2].a, lane[2].b) = (4, 400);
+        (lane[3].a, lane[3].b) = (10, 1000);
+        let p = Profiler::analyze(&[lane]);
         assert_eq!(p.phase(Phase::Convert).alloc_count, 6);
         assert_eq!(p.phase(Phase::Convert).alloc_bytes, 600);
         assert_eq!(p.phase(Phase::Kernel).alloc_count, 4);
@@ -445,7 +394,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_snapshot_is_all_zero() {
+    fn empty_lanes_are_all_zero() {
         let p = Profiler::analyze(&[]);
         assert_eq!(p.window_ns, 0);
         assert!(p.workers.is_empty());
@@ -457,12 +406,17 @@ mod tests {
 
     #[test]
     fn publish_emits_perf_gauges() {
-        let spans = vec![
-            span(1, None, "planner.execute", 1, 0, 100),
-            span(2, Some(1), "engine.convert", 1, 10, 60),
-        ];
+        let lanes = vec![script::lane(
+            1,
+            &[
+                (0, "planner.execute", true),
+                (10, "engine.convert", true),
+                (60, "engine.convert", false),
+                (100, "planner.execute", false),
+            ],
+        )];
         let reg = crate::MetricRegistry::new();
-        Profiler::analyze(&spans).publish(&reg);
+        Profiler::analyze(&lanes).publish(&reg);
         let snap = reg.snapshot();
         let flat = snap.flat();
         let get = |n: &str| {

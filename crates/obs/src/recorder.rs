@@ -1,14 +1,16 @@
 //! Black-box flight recorder and crash diagnostics bundles.
 //!
-//! Spans and metrics answer "how long / how much" after a run finishes;
-//! the flight recorder answers "what was happening right before it died".
-//! It is an always-on, fixed-capacity event log: producers (engine farm,
-//! kernels, planner fallback, fault injection, the sweep driver) call
-//! [`FlightRecorder::record`] with a tiny fixed-size [`Event`], each
-//! thread appends to its own private ring buffer (the hot path takes an
-//! uncontended per-thread lock — no shared state is touched), and
-//! [`FlightRecorder::snapshot`] merges the buffers into a deterministic,
-//! content-ordered view.
+//! The flight recorder is the crate's one event ring. It is an always-on,
+//! fixed-capacity event log: producers (engine farm, kernels, planner
+//! fallback, fault injection, the sweep driver, the serve broker, and
+//! every span of an enabled context) call [`FlightRecorder::record`] with
+//! a tiny fixed-size [`Event`]. Each thread appends to its own private
+//! ring buffer, a `VecDeque` that grows up to the capacity and then
+//! evicts its oldest event; the hot path takes that buffer's uncontended
+//! mutex. [`FlightRecorder::snapshot`] merges the buffers into a
+//! deterministic, content-ordered view, and [`FlightRecorder::lanes`]
+//! returns each buffer in ring order for the span readers
+//! ([`crate::span::walk`]).
 //!
 //! On panic — or on demand, e.g. when a regression gate fires — the
 //! active [`DiagnosticsBundle`] target serializes the retained events,
@@ -21,12 +23,15 @@
 //! given seed is identical at any thread count; only `ts_ns` and `tid`
 //! are schedule-dependent. [`FlightRecorder::snapshot`] therefore sorts
 //! by content, so two runs of the same work agree event-for-event modulo
-//! timestamps and thread ids. Timestamps come from an embedded span-layer
-//! clock ([`crate::Recorder::now_ns`]) so this module never reads the
-//! wall clock directly.
+//! timestamps and thread ids. The one exception is a
+//! [`EventSite::SpanEnd`]'s allocation delta while allocation counting is
+//! on: it counts the allocations of the span's own thread, and how much
+//! of a span's work stays on its thread depends on the pool size.
+//! Timestamps come from a [`crate::Clock`], so this module never reads
+//! the wall clock directly.
 
 use crate::metrics::MetricsSnapshot;
-use crate::span;
+use crate::span::{self, Clock};
 use crate::ObsContext;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
@@ -86,11 +91,18 @@ pub enum EventSite {
     /// Serve response completion. `a` = request id, `b` = simulated
     /// kernel ns; `code` 0 = cold plan, 1 = cached plan.
     ServeResponse,
+    /// A span opened. `code` = the span name's index in
+    /// [`span::SPAN_NAMES`]; `a` = `b` = 0.
+    SpanBegin,
+    /// A span closed. `code` as for [`EventSite::SpanBegin`]; `a`/`b` =
+    /// allocations/bytes over the span on its thread (zero unless
+    /// allocation counting is on).
+    SpanEnd,
 }
 
 impl EventSite {
     /// Every site, in stable-code order (handy for tests and docs).
-    pub const ALL: [EventSite; 15] = [
+    pub const ALL: [EventSite; 17] = [
         EventSite::SweepMatrix,
         EventSite::PlannerPhase,
         EventSite::PlannerFallback,
@@ -106,6 +118,8 @@ impl EventSite {
         EventSite::ServeAdmission,
         EventSite::ServePlanCache,
         EventSite::ServeResponse,
+        EventSite::SpanBegin,
+        EventSite::SpanEnd,
     ];
 
     /// Stable numeric identity used as the primary merge-sort key.
@@ -126,6 +140,8 @@ impl EventSite {
             EventSite::ServeAdmission => 13,
             EventSite::ServePlanCache => 14,
             EventSite::ServeResponse => 15,
+            EventSite::SpanBegin => 16,
+            EventSite::SpanEnd => 17,
         }
     }
 
@@ -147,6 +163,8 @@ impl EventSite {
             EventSite::ServeAdmission => "serve-admission",
             EventSite::ServePlanCache => "serve-plan-cache",
             EventSite::ServeResponse => "serve-response",
+            EventSite::SpanBegin => "span-begin",
+            EventSite::SpanEnd => "span-end",
         }
     }
 
@@ -166,6 +184,7 @@ impl EventSite {
             EventSite::ServeAdmission | EventSite::ServePlanCache | EventSite::ServeResponse => {
                 "request"
             }
+            EventSite::SpanBegin | EventSite::SpanEnd => "allocations",
         }
     }
 
@@ -179,6 +198,11 @@ impl EventSite {
                 | EventSite::FaultPrefetchOverflow
                 | EventSite::FaultDramLatencySpike
         )
+    }
+
+    /// True for the span boundary sites.
+    pub fn is_span(self) -> bool {
+        matches!(self, EventSite::SpanBegin | EventSite::SpanEnd)
     }
 
     /// Map an `nmt-fault` site code (`FaultSite::code()`, 1–5) to the
@@ -199,13 +223,13 @@ impl EventSite {
 
 /// One flight-recorder event: 6 fixed-size fields, cheap to record and
 /// stable to serialize. `ts_ns` is nanoseconds since the recorder's
-/// creation; `tid` is the span-layer sequential thread id. Both are
+/// creation; `tid` is the sequential thread id. Both are
 /// schedule-dependent — everything else is deterministic per seed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Event {
     /// Nanoseconds since the owning recorder was created.
     pub ts_ns: u64,
-    /// Span-layer sequential thread id of the emitting thread.
+    /// Sequential thread id of the emitting thread.
     pub tid: u64,
     /// Emitting site.
     pub site: EventSite,
@@ -253,16 +277,16 @@ pub struct FlightRecorder {
     uid: u64,
     /// Per-thread retained-event budget; 0 disables recording.
     capacity: usize,
-    /// Clock only — capacity 0, so it retains nothing. Keeping the
-    /// `Instant` reads inside `span.rs` keeps this module off the
-    /// wallclock-reader list.
-    clock: span::Recorder,
+    clock: Clock,
     bufs: Mutex<Vec<Arc<ThreadBuf>>>,
 }
 
 impl FlightRecorder {
-    /// Default per-thread retained-event budget (40 B each — a few
-    /// hundred KiB per thread at most).
+    /// Default per-thread retained-event budget (40 B each, so at most
+    /// 160 KiB per thread; a ring grows only as events arrive). Span
+    /// events included, the busiest committed enabled run — a test, the
+    /// CI trace smoke or a `bench --perf` repetition — peaks below 1,024
+    /// events on one thread.
     pub const DEFAULT_CAPACITY: usize = 4096;
 
     /// A recorder with the default per-thread capacity.
@@ -278,7 +302,7 @@ impl FlightRecorder {
             // no other data is published through it.
             uid: NEXT_FLIGHT_UID.fetch_add(1, Ordering::Relaxed),
             capacity,
-            clock: span::Recorder::with_capacity(0),
+            clock: Clock::start(),
             bufs: Mutex::new(Vec::new()),
         }
     }
@@ -358,6 +382,23 @@ impl FlightRecorder {
         all
     }
 
+    /// Each thread's retained events in ring (recording) order, one lane
+    /// per thread in ascending tid order — the input of the span readers.
+    pub fn lanes(&self) -> Vec<Vec<Event>> {
+        let bufs = self.bufs.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut lanes: Vec<Vec<Event>> = bufs
+            .iter()
+            .map(|b| {
+                let ring = b.ring.lock().unwrap_or_else(PoisonError::into_inner);
+                ring.events.iter().copied().collect()
+            })
+            .filter(|lane: &Vec<Event>| !lane.is_empty())
+            .collect();
+        drop(bufs);
+        lanes.sort_by_key(|lane| lane[0].tid);
+        lanes
+    }
+
     /// Events evicted because a per-thread ring wrapped, summed over all
     /// threads that ever wrote to this recorder.
     pub fn dropped(&self) -> u64 {
@@ -416,16 +457,15 @@ pub struct DiagnosticsBundle {
     /// Matrix being processed on the capturing thread, if a
     /// [`DiagScope`] was active ("" otherwise).
     pub matrix: String,
-    /// Span-layer thread id of the capturing thread.
+    /// Sequential thread id of the capturing thread.
     pub thread: u64,
-    /// Live span names on the capturing thread, outermost first.
+    /// Spans open on the capturing thread, outermost first — recorded
+    /// for disabled contexts too.
     pub active_spans: Vec<String>,
     /// Retained flight-recorder events in deterministic content order.
     pub events: Vec<Event>,
     /// Flight-recorder events lost to ring wrap-around.
     pub dropped_events: u64,
-    /// Span records lost to ring wrap-around (or a disabled recorder).
-    pub dropped_spans: u64,
     /// Fault-injection seed, when a fault plan was active.
     pub fault_seed: Option<u64>,
     /// Fault-injection rate in parts-per-million, when active.
@@ -434,8 +474,9 @@ pub struct DiagnosticsBundle {
     pub metrics: MetricsSnapshot,
 }
 
-/// Current [`DiagnosticsBundle`] schema version.
-pub const BUNDLE_SCHEMA_VERSION: u32 = 1;
+/// Current [`DiagnosticsBundle`] schema version. v2 dropped the
+/// `dropped_spans` field when spans moved into the flight recorder.
+pub const BUNDLE_SCHEMA_VERSION: u32 = 2;
 
 impl DiagnosticsBundle {
     /// Serialize to pretty JSON (the on-disk bundle format).
@@ -488,12 +529,6 @@ impl DiagnosticsBundle {
         } else {
             out.push_str(&format!("active spans: {}\n", self.active_spans.join(" > ")));
         }
-        if self.dropped_spans > 0 {
-            out.push_str(&format!(
-                "warning: {} span(s) dropped from the span ring buffer\n",
-                self.dropped_spans
-            ));
-        }
         if self.dropped_events > 0 {
             out.push_str(&format!(
                 "warning: {} flight-recorder event(s) dropped (ring wrapped)\n",
@@ -525,12 +560,16 @@ impl DiagnosticsBundle {
             timeline.len()
         ));
         for e in timeline.iter().skip(timeline.len() - shown) {
+            let code = if e.site.is_span() {
+                span::span_name(e.code).to_string()
+            } else {
+                format!("code={}", e.code)
+            };
             out.push_str(&format!(
-                "  +{:>12} ns  tid {:>2}  {:<26} code={} a={} b={}\n",
+                "  +{:>12} ns  tid {:>2}  {:<26} {code} a={} b={}\n",
                 e.ts_ns,
                 e.tid,
                 e.site.name(),
-                e.code,
                 e.a,
                 e.b
             ));
@@ -547,16 +586,18 @@ pub fn build_bundle(
     fault_seed: Option<u64>,
     fault_rate_ppm: Option<u32>,
 ) -> DiagnosticsBundle {
-    obs.publish_dropped();
+    let dropped_events = obs.flight.dropped();
+    // Silent data loss stays visible on every metrics surface.
+    obs.metrics
+        .gauge_set("obs.dropped_events", dropped_events as f64);
     DiagnosticsBundle {
         schema_version: BUNDLE_SCHEMA_VERSION,
         reason: reason.to_string(),
         matrix: matrix.to_string(),
         thread: span::thread_id(),
-        active_spans: obs.recorder.active_stack(),
+        active_spans: span::open_spans(),
         events: obs.flight.snapshot(),
-        dropped_events: obs.flight.dropped(),
-        dropped_spans: obs.recorder.dropped(),
+        dropped_events,
         fault_seed,
         fault_rate_ppm,
         metrics: obs.metrics.snapshot(),
@@ -822,15 +863,48 @@ mod tests {
     }
 
     #[test]
-    fn postmortem_warns_on_dropped_data() {
+    fn postmortem_warns_on_dropped_events_only() {
         let obs = ObsContext::disabled();
-        drop(obs.recorder.span("discarded")); // disabled recorder counts a drop
+        drop(obs.span("planner.explain")); // disabled: nothing recorded, nothing lost
         let bundle = build_bundle("r", "", &obs, None, None);
-        assert!(bundle.dropped_spans > 0);
+        assert_eq!(bundle.dropped_events, 0);
+        assert!(!bundle.render_postmortem().contains("dropped"));
+
+        for i in 0..=FlightRecorder::DEFAULT_CAPACITY as u64 {
+            obs.flight.record(EventSite::FarmStrip, 0, i, 0);
+        }
+        let bundle = build_bundle("r", "", &obs, None, None);
+        assert_eq!(bundle.dropped_events, 1);
         let text = bundle.render_postmortem();
-        assert!(text.contains("span(s) dropped"), "{text}");
-        // The dropped-span gauge was published into the snapshot too.
-        assert!(bundle.metrics.gauges.contains_key("obs.dropped_spans"));
+        assert!(text.contains("1 flight-recorder event(s) dropped"), "{text}");
+        // The dropped-event gauge was published into the snapshot too.
+        assert_eq!(bundle.metrics.gauges.get("obs.dropped_events"), Some(&1.0));
+    }
+
+    #[test]
+    fn postmortem_names_span_events() {
+        let obs = ObsContext::enabled();
+        drop(obs.span("engine.farm.reduce"));
+        let text = build_bundle("r", "", &obs, None, None).render_postmortem();
+        assert!(text.contains("span-begin"), "{text}");
+        assert!(text.contains("span-end"), "{text}");
+        assert!(text.contains("engine.farm.reduce"), "{text}");
+    }
+
+    #[test]
+    fn lanes_keep_ring_order_per_thread() {
+        let fr = FlightRecorder::new();
+        fr.record(EventSite::KernelStrip, 0, 2, 0);
+        fr.record(EventSite::FarmStrip, 0, 1, 0);
+        std::thread::scope(|s| {
+            s.spawn(|| fr.record(EventSite::FarmStrip, 0, 9, 0));
+        });
+        let lanes = fr.lanes();
+        assert_eq!(lanes.len(), 2);
+        assert!(lanes[0][0].tid < lanes[1][0].tid);
+        let a: Vec<u64> = lanes[0].iter().map(|e| e.a).collect();
+        assert_eq!(a, [2, 1], "recording order, not content order");
+        assert_eq!(lanes[1][0].a, 9);
     }
 
     #[test]

@@ -1,53 +1,98 @@
-//! Hierarchical wall-clock spans with a bounded, thread-safe sink.
+//! Hierarchical wall-clock spans, recorded as begin/end flight events.
 //!
-//! A [`Span`] is an RAII guard: it notes the start time when opened and
-//! writes one [`SpanRecord`] into the owning [`Recorder`] when dropped.
-//! Parentage is tracked per thread — a span opened while another span from
-//! the same recorder is live on the same thread becomes its child — so the
-//! exported trace shows `plan → convert → kernel` nesting without any
-//! explicit plumbing.
+//! A [`Span`] is an RAII guard. Opening one pushes its name onto the
+//! thread's open-span stack and, on an enabled [`crate::ObsContext`],
+//! records an [`EventSite::SpanBegin`] event in the context's flight
+//! recorder; dropping it records the matching [`EventSite::SpanEnd`] and
+//! pops the name. Nothing else is stored: a thread's ring holds its
+//! events in order, so [`walk`] rebuilds the `plan → convert → kernel`
+//! nesting by pairing begins with ends. That one walk feeds the
+//! profiler, the Chrome trace and the flamegraph.
+//!
+//! This module also owns the crate's one wall clock ([`Clock`]).
 
+use crate::alloc::AllocScope;
+use crate::profile::Phase;
+use crate::recorder::{Event, EventSite, FlightRecorder};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
-/// One completed span: times are nanoseconds since the recorder's epoch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanRecord {
-    /// Unique id within the recorder.
-    pub id: u64,
-    /// Enclosing span on the same thread, if any survived in the buffer.
-    pub parent: Option<u64>,
-    /// Span name, e.g. `"planner.execute"`.
-    pub name: String,
-    /// Small sequential thread id (not the OS tid).
-    pub tid: u64,
-    /// Start, ns since the recorder was created.
-    pub start_ns: u64,
-    /// End, ns since the recorder was created. Always `>= start_ns`.
-    pub end_ns: u64,
-    /// User-attached counters, in attachment order.
-    pub counters: Vec<(String, f64)>,
+/// Every span name with its pipeline phase. A span event's `code` is
+/// the name's index here, and bundles are read across commits, so only
+/// ever append.
+pub const SPAN_NAMES: [(&str, Phase); 14] = [
+    ("planner.execute", Phase::Other),
+    ("planner.plan", Phase::Plan),
+    ("planner.baseline", Phase::Kernel),
+    ("planner.chosen", Phase::Other),
+    ("planner.explain", Phase::Plan),
+    ("audit.baseline", Phase::Kernel),
+    ("audit.cstationary", Phase::Kernel),
+    ("audit.bstationary", Phase::Kernel),
+    ("matgen.generate", Phase::Parse),
+    ("engine.convert", Phase::Convert),
+    ("engine.farm", Phase::Convert),
+    ("engine.farm.strip", Phase::Convert),
+    ("engine.farm.reduce", Phase::Reduce),
+    ("kernels.launch", Phase::Kernel),
+];
+
+/// The event code of a span name: its index in [`SPAN_NAMES`], or one
+/// past the end for a name the table lacks.
+pub(crate) fn span_code(name: &str) -> u32 {
+    SPAN_NAMES
+        .iter()
+        .position(|&(n, _)| n == name)
+        .unwrap_or(SPAN_NAMES.len()) as u32
 }
 
-impl SpanRecord {
-    /// Wall-clock duration in nanoseconds.
-    pub fn duration_ns(&self) -> u64 {
-        self.end_ns - self.start_ns
+/// The span name behind an event code (`"unknown"` off the table).
+pub(crate) fn span_name(code: u32) -> &'static str {
+    SPAN_NAMES.get(code as usize).map_or("unknown", |&(n, _)| n)
+}
+
+/// The phase of a span event code ([`Phase::Other`] off the table).
+pub(crate) fn span_phase(code: u32) -> Phase {
+    SPAN_NAMES
+        .get(code as usize)
+        .map_or(Phase::Other, |&(_, p)| p)
+}
+
+/// Nanoseconds since creation: the timestamp source of every flight
+/// event, and the only wall-clock reader in the crate.
+#[derive(Debug)]
+pub struct Clock {
+    epoch: Instant,
+}
+
+impl Clock {
+    /// A clock reading zero now.
+    pub fn start() -> Self {
+        Clock {
+            epoch: Instant::now(),
+        }
+    }
+
+    /// Nanoseconds elapsed since [`Clock::start`].
+    pub fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
     }
 }
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
+/// Open spans kept by name per thread; deeper ones are counted only.
+const MAX_OPEN: usize = 32;
+
 thread_local! {
-    /// Sequential id of this thread, assigned on first span.
+    /// Sequential id of this thread, assigned on first use.
     static THREAD_ID: Cell<u64> = const { Cell::new(0) };
-    /// Stack of live spans on this thread: (recorder address, span id,
-    /// span name). Keyed by address so two recorders in one test don't
-    /// cross-link; the name is kept so a panic hook can report which
-    /// spans were still open (live spans only land in the ring on drop).
-    static SPAN_STACK: RefCell<Vec<(usize, u64, String)>> = const { RefCell::new(Vec::new()) };
+    /// Names of the spans open on this thread, outermost first, and the
+    /// open depth. A fixed array, so opening a span never allocates; the
+    /// panic hook reads it to name the call path that was executing.
+    static OPEN: RefCell<([&'static str; MAX_OPEN], usize)> =
+        const { RefCell::new(([""; MAX_OPEN], 0)) };
 }
 
 pub(crate) fn thread_id() -> u64 {
@@ -61,333 +106,401 @@ pub(crate) fn thread_id() -> u64 {
     })
 }
 
-struct Inner {
-    spans: std::collections::VecDeque<SpanRecord>,
-    dropped: u64,
-    next_id: u64,
+/// Names of the spans open on the current thread, outermost first, from
+/// every context, enabled or not.
+pub(crate) fn open_spans() -> Vec<String> {
+    OPEN.with(|o| {
+        let (names, depth) = &*o.borrow();
+        names[..(*depth).min(MAX_OPEN)]
+            .iter()
+            .map(|n| (*n).to_string())
+            .collect()
+    })
 }
 
-/// Thread-safe sink holding up to `capacity` completed spans in a ring
-/// buffer; older records are evicted (and counted) when it wraps. A
-/// capacity of `0` disables recording entirely.
-pub struct Recorder {
-    epoch: Instant,
-    capacity: usize,
-    inner: Mutex<Inner>,
+/// RAII guard for one open span; the end event is written when it drops.
+pub struct Span<'a> {
+    name: &'static str,
+    /// The sink and the span's code and allocation scope, when the
+    /// context records events.
+    live: Option<(&'a FlightRecorder, u32, AllocScope)>,
 }
 
-impl Recorder {
-    /// Default retained-span budget (~64 B each, so a few MiB at most).
-    pub const DEFAULT_CAPACITY: usize = 65_536;
-
-    /// A recorder retaining at most `capacity` spans (0 = disabled).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Recorder {
-            epoch: Instant::now(),
-            capacity,
-            inner: Mutex::new(Inner {
-                spans: std::collections::VecDeque::new(),
-                dropped: 0,
-                next_id: 1,
-            }),
-        }
-    }
-
-    /// Retained-span budget; 0 means disabled.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Nanoseconds elapsed since this recorder was created.
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Open a span; it records itself when the returned guard drops.
-    pub fn span(&self, name: impl Into<String>) -> Span<'_> {
-        if self.capacity == 0 {
-            return Span {
-                recorder: self,
-                id: 0,
-                parent: None,
-                name: String::new(),
-                start_ns: 0,
-                counters: Vec::new(),
-                live: false,
-                alloc: crate::alloc::AllocScope::begin(),
-            };
-        }
-        let key = self as *const Recorder as usize;
-        let id = {
-            let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let id = inner.next_id;
-            inner.next_id += 1;
-            id
-        };
-        let name = name.into();
-        let parent = SPAN_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            let parent = s
-                .iter()
-                .rev()
-                .find(|(k, _, _)| *k == key)
-                .map(|&(_, id, _)| id);
-            s.push((key, id, name.clone()));
-            parent
+impl<'a> Span<'a> {
+    /// Open `name`, recording a begin event into `flight` when given.
+    pub(crate) fn open(name: &'static str, flight: Option<&'a FlightRecorder>) -> Self {
+        OPEN.with(|o| {
+            let (names, depth) = &mut *o.borrow_mut();
+            if *depth < MAX_OPEN {
+                names[*depth] = name;
+            }
+            *depth += 1;
         });
-        Span {
-            recorder: self,
-            id,
-            parent,
-            name,
-            start_ns: self.now_ns(),
-            counters: Vec::new(),
-            live: true,
-            alloc: crate::alloc::AllocScope::begin(),
-        }
-    }
-
-    /// Copy out all retained spans, oldest first.
-    pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.spans.iter().cloned().collect()
-    }
-
-    /// Spans evicted because the ring wrapped (plus all spans, if disabled).
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner).dropped
-    }
-
-    /// Names of this recorder's spans still open on the *current* thread,
-    /// outermost first. Live spans only reach [`Recorder::snapshot`] when
-    /// their guard drops, so this is the only view a panic hook gets of
-    /// the call path that was executing when the panic unwound.
-    pub fn active_stack(&self) -> Vec<String> {
-        let key = self as *const Recorder as usize;
-        SPAN_STACK.with(|s| {
-            s.borrow()
-                .iter()
-                .filter(|(k, _, _)| *k == key)
-                .map(|(_, _, name)| name.clone())
-                .collect()
-        })
-    }
-
-    fn finish(&self, record: SpanRecord) {
-        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if inner.spans.len() == self.capacity {
-            inner.spans.pop_front();
-            inner.dropped += 1;
-        }
-        inner.spans.push_back(record);
-    }
-}
-
-impl std::fmt::Debug for Recorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        f.debug_struct("Recorder")
-            .field("capacity", &self.capacity)
-            .field("retained", &inner.spans.len())
-            .field("dropped", &inner.dropped)
-            .finish()
-    }
-}
-
-/// RAII guard for one open span. Attach counters with [`Span::counter`];
-/// the record is written when this drops.
-pub struct Span<'r> {
-    recorder: &'r Recorder,
-    id: u64,
-    parent: Option<u64>,
-    name: String,
-    start_ns: u64,
-    counters: Vec<(String, f64)>,
-    live: bool,
-    /// Allocation delta over the span's lifetime on this thread; inert
-    /// (zeros) unless [`crate::alloc::enable_counting`] was on at open.
-    alloc: crate::alloc::AllocScope,
-}
-
-impl Span<'_> {
-    /// Attach (or overwrite) a named counter on this span.
-    pub fn counter(&mut self, name: impl Into<String>, value: f64) {
-        if !self.live {
-            return;
-        }
-        let name = name.into();
-        match self.counters.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, v)) => *v = value,
-            None => self.counters.push((name, value)),
-        }
-    }
-
-    /// This span's id (0 when the recorder is disabled).
-    pub fn id(&self) -> u64 {
-        self.id
+        let live = flight.map(|f| {
+            let code = span_code(name);
+            f.record(EventSite::SpanBegin, code, 0, 0);
+            // Begun after the begin event, so the ring's own growth is
+            // not billed to this span.
+            (f, code, AllocScope::begin())
+        });
+        Span { name, live }
     }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if !self.live {
-            if self.recorder.capacity == 0 {
-                self.recorder.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner).dropped += 1;
-            }
-            return;
+        if let Some((flight, code, alloc)) = &self.live {
+            let (count, bytes) = alloc.finish();
+            flight.record(EventSite::SpanEnd, *code, count, bytes);
         }
-        let key = self.recorder as *const Recorder as usize;
-        SPAN_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            // Normally ours is the top entry for this recorder; remove by
-            // id to stay correct even if guards drop out of order.
-            if let Some(pos) = s.iter().rposition(|(k, id, _)| *k == key && *id == self.id) {
-                s.remove(pos);
+        // `try_*`: a drop must not panic, even during thread teardown.
+        let _ = OPEN.try_with(|o| {
+            let Ok(mut open) = o.try_borrow_mut() else {
+                return;
+            };
+            let (names, depth) = &mut *open;
+            // Normally ours is the innermost name; remove by name so a
+            // guard dropped out of order leaves the others in place.
+            if *depth <= MAX_OPEN {
+                if let Some(i) = names[..*depth].iter().rposition(|n| *n == self.name) {
+                    names.copy_within(i + 1..*depth, i);
+                }
             }
+            *depth = depth.saturating_sub(1);
         });
-        let (alloc_count, alloc_bytes) = self.alloc.finish();
-        if alloc_count > 0 {
-            self.counters
-                .push(("alloc.count".to_string(), alloc_count as f64));
-            self.counters
-                .push(("alloc.bytes".to_string(), alloc_bytes as f64));
+    }
+}
+
+/// One completed span, rebuilt by [`walk`] from a begin/end pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanRecord {
+    /// Span name, e.g. `"planner.execute"`.
+    pub name: &'static str,
+    /// Small sequential thread id (not the OS tid).
+    pub tid: u64,
+    /// Start, ns on the recorder's clock.
+    pub start_ns: u64,
+    /// End, ns on the recorder's clock. Always `>= start_ns`.
+    pub end_ns: u64,
+    /// Spans enclosing this one on its thread (0 = a root of its lane).
+    pub depth: usize,
+    /// Duration minus the durations of the spans directly inside it.
+    pub self_ns: u64,
+    /// Allocations over the span minus those of the spans directly
+    /// inside it (zero unless allocation counting was on).
+    pub self_alloc_count: u64,
+    /// Allocated bytes, attributed like `self_alloc_count`.
+    pub self_alloc_bytes: u64,
+}
+
+impl SpanRecord {
+    /// Wall-clock duration in nanoseconds.
+    pub fn duration_ns(&self) -> u64 {
+        self.end_ns - self.start_ns
+    }
+}
+
+/// One step of [`walk`] over a lane, in ring order.
+#[derive(Debug)]
+pub enum Step<'s> {
+    /// A span opens.
+    Begin(&'s Event),
+    /// A span closes. `path` names the spans enclosing it, outermost first.
+    End {
+        /// The completed span.
+        span: SpanRecord,
+        /// Enclosing span names, outermost first (`span.depth` of them).
+        path: &'s [&'static str],
+    },
+    /// Any event that is not a span boundary.
+    Event(&'s Event),
+}
+
+/// Walk each lane (one thread's events in ring order, as
+/// [`FlightRecorder::lanes`] returns them), pairing every span end with
+/// the innermost open begin of the same name. A begin whose end is not
+/// in the ring (the span is still open) and an end whose begin wrapped
+/// away are skipped, so `Begin` and `End` steps always balance.
+pub fn walk(lanes: &[Vec<Event>], mut visit: impl FnMut(Step<'_>)) {
+    struct Open {
+        begin: usize,
+        child_ns: u64,
+        child_alloc: (u64, u64),
+    }
+    for lane in lanes {
+        // Which begins have their end in the ring.
+        let mut closed = vec![false; lane.len()];
+        let mut stack: Vec<usize> = Vec::new();
+        for (i, e) in lane.iter().enumerate() {
+            match e.site {
+                EventSite::SpanBegin => stack.push(i),
+                EventSite::SpanEnd => {
+                    if let Some(k) = stack.iter().rposition(|&b| lane[b].code == e.code) {
+                        closed[stack.remove(k)] = true;
+                    }
+                }
+                _ => {}
+            }
         }
-        let end_ns = self.recorder.now_ns().max(self.start_ns);
-        self.recorder.finish(SpanRecord {
-            id: self.id,
-            parent: self.parent,
-            name: std::mem::take(&mut self.name),
-            tid: thread_id(),
-            start_ns: self.start_ns,
-            end_ns,
-            counters: std::mem::take(&mut self.counters),
-        });
+        let mut open: Vec<Open> = Vec::new();
+        let mut path: Vec<&'static str> = Vec::new();
+        for (i, e) in lane.iter().enumerate() {
+            match e.site {
+                EventSite::SpanBegin => {
+                    if closed[i] {
+                        open.push(Open {
+                            begin: i,
+                            child_ns: 0,
+                            child_alloc: (0, 0),
+                        });
+                        path.push(span_name(e.code));
+                        visit(Step::Begin(e));
+                    }
+                }
+                EventSite::SpanEnd => {
+                    let Some(depth) = open.iter().rposition(|o| lane[o.begin].code == e.code)
+                    else {
+                        continue;
+                    };
+                    let o = open.remove(depth);
+                    path.remove(depth);
+                    let start_ns = lane[o.begin].ts_ns;
+                    let end_ns = e.ts_ns.max(start_ns);
+                    let duration = end_ns - start_ns;
+                    if let Some(parent) = depth.checked_sub(1).map(|p| &mut open[p]) {
+                        parent.child_ns += duration;
+                        parent.child_alloc.0 += e.a;
+                        parent.child_alloc.1 += e.b;
+                    }
+                    let span = SpanRecord {
+                        name: span_name(e.code),
+                        tid: e.tid,
+                        start_ns,
+                        end_ns,
+                        depth,
+                        self_ns: duration.saturating_sub(o.child_ns),
+                        self_alloc_count: e.a.saturating_sub(o.child_alloc.0),
+                        self_alloc_bytes: e.b.saturating_sub(o.child_alloc.1),
+                    };
+                    visit(Step::End {
+                        span,
+                        path: &path[..depth],
+                    });
+                }
+                _ => visit(Step::Event(e)),
+            }
+        }
+    }
+}
+
+/// Build lanes from scripted events, for the readers' tests.
+#[cfg(test)]
+pub(crate) mod script {
+    use super::*;
+
+    /// One lane's events: `(ts_ns, name, is_begin)` per span boundary,
+    /// in ring order, all on thread `tid`.
+    pub fn lane(tid: u64, steps: &[(u64, &str, bool)]) -> Vec<Event> {
+        steps
+            .iter()
+            .map(|&(ts_ns, name, begin)| Event {
+                ts_ns,
+                tid,
+                site: if begin {
+                    EventSite::SpanBegin
+                } else {
+                    EventSite::SpanEnd
+                },
+                code: span_code(name),
+                a: 0,
+                b: 0,
+            })
+            .collect()
+    }
+
+    /// A lane holding one `[start, end]` span per entry, each a root.
+    pub fn flat(tid: u64, spans: &[(&str, u64, u64)]) -> Vec<Event> {
+        let steps: Vec<(u64, &str, bool)> = spans
+            .iter()
+            .flat_map(|&(n, s, e)| [(s, n, true), (e, n, false)])
+            .collect();
+        lane(tid, &steps)
+    }
+
+    /// `execute [0,100] > plan [10,30] + chosen [30,90] > launch [40,80]`.
+    pub fn planner_lane(tid: u64) -> Vec<Event> {
+        lane(
+            tid,
+            &[
+                (0, "planner.execute", true),
+                (10, "planner.plan", true),
+                (30, "planner.plan", false),
+                (30, "planner.chosen", true),
+                (40, "kernels.launch", true),
+                (80, "kernels.launch", false),
+                (90, "planner.chosen", false),
+                (100, "planner.execute", false),
+            ],
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ObsContext;
+
+    fn spans_of(lanes: &[Vec<Event>]) -> Vec<(SpanRecord, Vec<&'static str>)> {
+        let mut out = Vec::new();
+        walk(lanes, |step| {
+            if let Step::End { span, path } = step {
+                out.push((span, path.to_vec()));
+            }
+        });
+        out
+    }
 
     #[test]
-    fn nested_spans_link_and_nest_in_time() {
-        let rec = Recorder::with_capacity(16);
-        {
-            let _outer = rec.span("outer");
-            let mut inner = rec.span("inner");
-            inner.counter("n", 3.0);
+    fn span_table_round_trips_and_names_are_frame_safe() {
+        for (code, &(name, phase)) in SPAN_NAMES.iter().enumerate() {
+            assert_eq!(span_code(name), code as u32);
+            assert_eq!(span_name(code as u32), name);
+            assert_eq!(span_phase(code as u32), phase);
+            // Folded stacks separate frames by ';' and counts by ' '.
+            assert!(!name.contains([';', ' ']), "{name}");
         }
-        let spans = rec.snapshot();
+        let unknown = span_code("not.a.span");
+        assert_eq!(span_name(unknown), "unknown");
+        assert_eq!(span_phase(unknown), Phase::Other);
+    }
+
+    #[test]
+    fn nested_spans_pair_and_nest_in_time() {
+        let obs = ObsContext::enabled();
+        {
+            let _outer = obs.span("planner.execute");
+            let _inner = obs.span("planner.plan");
+        }
+        let spans = spans_of(&obs.flight.lanes());
         assert_eq!(spans.len(), 2);
-        // Children drop first, so "inner" is recorded first.
-        let (inner, outer) = (&spans[0], &spans[1]);
-        assert_eq!(inner.name, "inner");
-        assert_eq!(outer.name, "outer");
-        assert_eq!(inner.parent, Some(outer.id));
-        assert_eq!(outer.parent, None);
-        assert_eq!(inner.counters, vec![("n".to_string(), 3.0)]);
+        // Children close first, so "planner.plan" is walked first.
+        let ((inner, inner_path), (outer, outer_path)) = (&spans[0], &spans[1]);
+        assert_eq!(inner.name, "planner.plan");
+        assert_eq!(outer.name, "planner.execute");
+        assert_eq!(inner_path, &["planner.execute"]);
+        assert!(outer_path.is_empty());
+        assert_eq!((inner.depth, outer.depth), (1, 0));
         // Timing monotonicity: child is contained in the parent.
         assert!(inner.start_ns >= outer.start_ns);
         assert!(inner.end_ns <= outer.end_ns);
-        assert!(inner.end_ns >= inner.start_ns);
         assert_eq!(inner.tid, outer.tid);
+        assert_eq!(outer.self_ns, outer.duration_ns() - inner.duration_ns());
     }
 
     #[test]
     fn siblings_share_a_parent() {
-        let rec = Recorder::with_capacity(16);
+        let obs = ObsContext::enabled();
         {
-            let _outer = rec.span("outer");
-            drop(rec.span("a"));
-            drop(rec.span("b"));
+            let _outer = obs.span("planner.execute");
+            drop(obs.span("planner.plan"));
+            drop(obs.span("planner.chosen"));
         }
-        let spans = rec.snapshot();
-        let outer_id = spans.iter().find(|s| s.name == "outer").unwrap().id;
-        for name in ["a", "b"] {
-            let s = spans.iter().find(|s| s.name == name).unwrap();
-            assert_eq!(s.parent, Some(outer_id), "{name} should nest in outer");
+        for (span, path) in spans_of(&obs.flight.lanes()) {
+            if span.name != "planner.execute" {
+                assert_eq!(path, ["planner.execute"], "{} nests in the root", span.name);
+            }
         }
     }
 
     #[test]
-    fn ring_wraps_and_counts_drops() {
-        let rec = Recorder::with_capacity(2);
-        for i in 0..5 {
-            drop(rec.span(format!("s{i}")));
+    fn two_contexts_do_not_cross_link() {
+        let a = ObsContext::enabled();
+        let b = ObsContext::enabled();
+        {
+            let _pa = a.span("planner.execute");
+            drop(b.span("planner.plan")); // nothing open in b's ring => root
         }
-        let spans = rec.snapshot();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].name, "s3");
-        assert_eq!(spans[1].name, "s4");
-        assert_eq!(rec.dropped(), 3);
+        assert_eq!(spans_of(&b.flight.lanes())[0].0.depth, 0);
+        assert_eq!(spans_of(&a.flight.lanes())[0].0.depth, 0);
     }
 
     #[test]
-    fn zero_capacity_records_nothing() {
-        let rec = Recorder::with_capacity(0);
-        {
-            let mut s = rec.span("ignored");
-            s.counter("n", 1.0); // must not panic
-            assert_eq!(s.id(), 0);
-        }
-        assert!(rec.snapshot().is_empty());
-        assert_eq!(rec.dropped(), 1);
+    fn disabled_context_records_nothing_and_drops_nothing() {
+        let obs = ObsContext::disabled();
+        drop(obs.span("planner.execute"));
+        assert!(obs.flight.is_empty());
+        assert_eq!(obs.flight.dropped(), 0);
     }
 
     #[test]
-    fn two_recorders_do_not_cross_link() {
-        let a = Recorder::with_capacity(4);
-        let b = Recorder::with_capacity(4);
+    fn open_spans_track_every_context_outermost_first() {
+        let on = ObsContext::enabled();
+        let off = ObsContext::disabled();
+        assert!(open_spans().is_empty());
         {
-            let _pa = a.span("pa");
-            drop(b.span("cb")); // no live span in b => root
+            let _outer = on.span("planner.explain");
+            let _inner = off.span("audit.baseline");
+            assert_eq!(open_spans(), vec!["planner.explain", "audit.baseline"]);
         }
-        assert_eq!(b.snapshot()[0].parent, None);
-        assert_eq!(a.snapshot()[0].parent, None);
+        assert!(open_spans().is_empty());
+        // Out-of-order drops remove the right name.
+        let a = off.span("engine.farm");
+        let b = off.span("engine.farm.reduce");
+        drop(a);
+        assert_eq!(open_spans(), vec!["engine.farm.reduce"]);
+        drop(b);
+        assert!(open_spans().is_empty());
     }
 
     #[test]
-    fn counter_overwrites_by_name() {
-        let rec = Recorder::with_capacity(4);
-        {
-            let mut s = rec.span("s");
-            s.counter("x", 1.0);
-            s.counter("x", 2.0);
-            s.counter("y", 3.0);
-        }
-        let spans = rec.snapshot();
+    fn unpaired_events_are_skipped_and_instants_pass_through() {
+        let mut lane = script::lane(
+            1,
+            &[
+                (0, "engine.farm", false), // its begin wrapped away
+                (5, "engine.farm.strip", true),
+                (9, "engine.farm.strip", false),
+                (12, "kernels.launch", true), // still open
+            ],
+        );
+        lane.insert(
+            2,
+            Event {
+                ts_ns: 7,
+                tid: 1,
+                site: EventSite::FarmStrip,
+                code: 0,
+                a: 3,
+                b: 0,
+            },
+        );
+        let mut steps = Vec::new();
+        walk(&[lane], |step| {
+            steps.push(match step {
+                Step::Begin(e) => format!("B {}", span_name(e.code)),
+                Step::End { span, .. } => format!("E {} {}", span.name, span.duration_ns()),
+                Step::Event(e) => format!("i {} {}", e.site.name(), e.a),
+            });
+        });
         assert_eq!(
-            spans[0].counters,
-            vec![("x".to_string(), 2.0), ("y".to_string(), 3.0)]
+            steps,
+            [
+                "B engine.farm.strip",
+                "i farm-strip 3",
+                "E engine.farm.strip 4"
+            ]
         );
     }
 
     #[test]
-    fn active_stack_tracks_live_spans_outermost_first() {
-        let rec = Recorder::with_capacity(16);
-        let other = Recorder::with_capacity(16);
-        assert!(rec.active_stack().is_empty());
-        {
-            let _outer = rec.span("outer");
-            let _elsewhere = other.span("elsewhere");
-            let _inner = rec.span("inner");
-            assert_eq!(rec.active_stack(), vec!["outer", "inner"]);
-            assert_eq!(other.active_stack(), vec!["elsewhere"]);
-        }
-        assert!(rec.active_stack().is_empty());
-        assert!(other.active_stack().is_empty());
-    }
-
-    #[test]
-    fn spans_from_threads_get_distinct_tids() {
-        let rec = std::sync::Arc::new(Recorder::with_capacity(16));
-        drop(rec.span("main"));
-        let r2 = rec.clone();
-        std::thread::spawn(move || drop(r2.span("worker")))
-            .join()
-            .unwrap();
-        let spans = rec.snapshot();
+    fn spans_from_threads_get_distinct_lanes() {
+        let obs = ObsContext::enabled();
+        drop(obs.span("planner.execute"));
+        std::thread::scope(|s| {
+            s.spawn(|| drop(obs.span("engine.farm.strip")));
+        });
+        let spans = spans_of(&obs.flight.lanes());
         assert_eq!(spans.len(), 2);
-        assert_ne!(spans[0].tid, spans[1].tid);
+        assert_ne!(spans[0].0.tid, spans[1].0.tid);
     }
 }

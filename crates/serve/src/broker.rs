@@ -275,7 +275,7 @@ fn execute_one(
     let fp = MatrixFingerprint::of(&a, cfg.tile_w);
     let key = fp.key();
 
-    let t0 = obs.recorder.now_ns();
+    let t0 = obs.flight.now_ns();
     let scope = AllocScope::begin();
     let lookup = cache.get_or_compute(&key, || -> Result<(CachedPlan, u64), ServeError> {
         let (_profile, choice) = planner.plan(&a);
@@ -288,7 +288,7 @@ fn execute_one(
         Ok((CachedPlan { choice, artifact }, bytes))
     })?;
     let (acquire_allocs, _bytes) = scope.finish();
-    let acquire_ns = obs.recorder.now_ns().saturating_sub(t0);
+    let acquire_ns = obs.flight.now_ns().saturating_sub(t0);
 
     // Evicted artifacts whose last handle just dropped go back to the
     // engine pools; ones still pinned by a concurrent request are freed

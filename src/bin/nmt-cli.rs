@@ -395,14 +395,14 @@ fn cmd_spmm(rest: &[&String]) -> Result<(), String> {
     if let Some(path) = &trace_out {
         let file = std::fs::File::create(path)
             .map_err(|e| format!("cannot create trace file {path}: {e}"))?;
-        write_chrome_trace(std::io::BufWriter::new(file), &obs.recorder.snapshot())
+        write_chrome_trace(std::io::BufWriter::new(file), &obs.flight.lanes())
             .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
         eprintln!("wrote Chrome trace to {path} (open in Perfetto or chrome://tracing)");
     }
     if let Some(path) = &flame_out {
         let file = std::fs::File::create(path)
             .map_err(|e| format!("cannot create flamegraph file {path}: {e}"))?;
-        write_flamegraph(std::io::BufWriter::new(file), &obs.recorder.snapshot())
+        write_flamegraph(std::io::BufWriter::new(file), &obs.flight.lanes())
             .map_err(|e| format!("cannot write flamegraph to {path}: {e}"))?;
         eprintln!("wrote folded stacks to {path} (render with inferno or flamegraph.pl)");
     }

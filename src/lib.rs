@@ -11,7 +11,8 @@
 //! * [`fault`] — deterministic fault-injection plans, sites, and records.
 //! * [`kernels`] — SpMM kernels (all dataflows) + host references.
 //! * [`model`] — analytical traffic model, entropy, SSF heuristic.
-//! * [`obs`] — spans, metric registry, Chrome-trace/flamegraph export.
+//! * [`obs`] — flight-recorder event ring, spans, metric registry,
+//!   Chrome-trace/flamegraph export.
 //! * [`planner`] — the auto-tuned SpMM planner (core crate `nmt`).
 //! * [`bench`] — experiment harness: suite sweeps, run ledger, gate.
 //! * [`serve`] — SpMM-as-a-service broker: single-flight plan cache,

@@ -274,3 +274,35 @@ fn unknown_and_retired_flags_are_rejected() {
         assert!(stderr.contains(expected), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn doctor_rejects_old_and_broken_bundles() {
+    let dir = std::env::temp_dir().join(format!("nmt_cli_doctor_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let obs = spmm_nmt::obs::ObsContext::disabled();
+    let current = spmm_nmt::obs::build_bundle("r", "m", &obs, None, None).to_json();
+    let version = format!(
+        "\"schema_version\": {}",
+        spmm_nmt::obs::recorder::BUNDLE_SCHEMA_VERSION
+    );
+    assert!(current.contains(&version), "{current}");
+    // A v1 bundle: the old version and v1's `dropped_spans` field.
+    let v1 = current.replace(&version, "\"schema_version\": 1,\n  \"dropped_spans\": 0");
+    let truncated = &current[..current.len() / 2];
+    for (name, body, expected) in [
+        ("v1.json", v1.as_str(), "bundle schema v1"),
+        ("truncated.json", truncated, "malformed bundle"),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, body).expect("write bundle");
+        let out = cli()
+            .args(["doctor", path.to_str().expect("utf8 path")])
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{name} must be rejected");
+        assert!(stderr.contains(expected), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

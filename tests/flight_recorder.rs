@@ -1,8 +1,9 @@
 //! Flight recorder + crash diagnostics end-to-end: a panic injected in
 //! the middle of faulted parallel work leaves an `nmt-diag-*.json`
 //! bundle that `nmt-cli doctor` turns into a post-mortem naming the
-//! fault site, the strip, and the thread; recorded event *content* is
-//! identical at 1 and 4 threads; and `nmt-cli diff` on the committed
+//! fault site, the strip, and the thread; a panic inside an
+//! uninstrumented span names that span; recorded event *content*, span
+//! events included, is identical at 1 and 4 threads; and `nmt-cli diff` on the committed
 //! baseline vs a doctored copy flags exactly the doctored
 //! matrices/phases — and nothing else.
 
@@ -130,14 +131,44 @@ fn panic_bundle_doctor_and_thread_invariant_event_content() {
     assert!(text.contains("fault site fault-convert-strip at strip 5"), "{text}");
     assert!(text.contains("seed=0xfa117"), "{text}");
 
+    // --- 1b. A disabled context still names its open spans. ---
+    // The sweep runs `planner.explain` under a disabled context and a
+    // DiagScope; a panic inside that span must name it in the bundle.
+    install_diagnostics(&dir, &ObsContext::disabled(), None, None);
+    let before = bundle_files(&dir).len();
+    let crashed = std::panic::catch_unwind(|| {
+        let obs = ObsContext::disabled();
+        let _scope = DiagScope::enter("explain-crash", &obs);
+        let _explain = obs.span("planner.explain");
+        panic!("injected crash inside planner.explain");
+    });
+    assert!(crashed.is_err());
+    uninstall_diagnostics();
+    let files = bundle_files(&dir);
+    assert_eq!(files.len(), before + 1, "one bundle for the one panic");
+    let bundle = files
+        .iter()
+        .map(|p| DiagnosticsBundle::from_json(&std::fs::read_to_string(p).expect("readable")))
+        .map(|b| b.expect("parses"))
+        .find(|b| b.matrix == "explain-crash")
+        .expect("the explain bundle");
+    assert!(
+        bundle.active_spans.iter().any(|s| s == "planner.explain"),
+        "{:?}",
+        bundle.active_spans
+    );
+    let post = bundle.render_postmortem();
+    assert!(post.contains("active spans: planner.explain"), "{post}");
+    assert!(!post.contains("dropped"), "no ring wrapped: {post}");
+
     // --- 2. Event content is thread-count invariant. ---
     // Sweep a slice of the quick suite through the faulted planner with
     // a shared recorder at 1 and at 4 threads: timestamps and tids move,
-    // the content-ordered (site, code, a, b) stream must not.
+    // the content-ordered (site, code, a, b) stream must not — with span
+    // events (an enabled context, allocation counting off) and without.
     let plan = FaultPlan::new(0xFA117, 300_000);
-    let sweep_content = |threads: usize| -> Vec<(String, u32, u64, u64)> {
+    let sweep_content = |threads: usize, obs: ObsContext| -> Vec<(String, u32, u64, u64)> {
         with_threads(threads, || {
-            let obs = ObsContext::disabled();
             let config = PlannerConfig::test_small().with_fault(Some(plan));
             let suite: Vec<_> = SuiteSpec::quick(31).build().into_iter().take(4).collect();
             suite.par_iter().for_each(|(desc, a)| {
@@ -154,12 +185,23 @@ fn panic_bundle_doctor_and_thread_invariant_event_content() {
                 .collect()
         })
     };
-    let serial = sweep_content(1);
-    let parallel = sweep_content(4);
+    let serial = sweep_content(1, ObsContext::disabled());
+    let parallel = sweep_content(4, ObsContext::disabled());
     assert!(!serial.is_empty(), "planner and farm must emit events");
     assert_eq!(
         serial, parallel,
         "event content must be identical at 1 vs 4 threads"
+    );
+    assert!(!spmm_nmt::obs::alloc::counting_enabled());
+    let serial = sweep_content(1, ObsContext::enabled());
+    let parallel = sweep_content(4, ObsContext::enabled());
+    assert!(
+        serial.iter().any(|(site, ..)| site == "span-end"),
+        "an enabled context records span events"
+    );
+    assert_eq!(
+        serial, parallel,
+        "event content, span events included, must be identical at 1 vs 4 threads"
     );
 
     // --- 3. The instrumented sweep (DiagScope + sweep events + error-row

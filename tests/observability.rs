@@ -9,7 +9,10 @@ use spmm_nmt::fault::FaultPlan;
 use spmm_nmt::formats::SparseMatrix;
 use spmm_nmt::matgen::{generators, random_dense, GenKind, MatrixDesc};
 use spmm_nmt::model::ssf::SsfThreshold;
-use spmm_nmt::obs::{chrome_trace_json, flamegraph_folded, ObsContext, Profiler};
+use spmm_nmt::obs::span::{walk, Step};
+use spmm_nmt::obs::{
+    chrome_trace_json, flamegraph_folded, Event, ObsContext, Profiler, SpanRecord,
+};
 use spmm_nmt::planner::planner::{Algorithm, PlannerConfig, SpmmPlanner};
 use std::collections::BTreeSet;
 use std::process::Command;
@@ -39,6 +42,17 @@ fn demo_inputs() -> (spmm_nmt::formats::Csr, spmm_nmt::formats::DenseMatrix) {
     (a, b)
 }
 
+/// Every completed span with the names enclosing it, outermost first.
+fn spans_with_paths(lanes: &[Vec<Event>]) -> Vec<(SpanRecord, Vec<&'static str>)> {
+    let mut spans = Vec::new();
+    walk(lanes, |step| {
+        if let Step::End { span, path } = step {
+            spans.push((span, path.to_vec()));
+        }
+    });
+    spans
+}
+
 #[test]
 fn planner_run_produces_nested_trace_and_acceptance_metrics() {
     let (a, b) = demo_inputs();
@@ -49,45 +63,50 @@ fn planner_run_produces_nested_trace_and_acceptance_metrics() {
     assert_eq!(report.algorithm, Algorithm::BStationaryOnline);
 
     // --- Span hierarchy: plan/convert/kernel nested under the root. ---
-    let spans = obs.recorder.snapshot();
+    let lanes = obs.flight.lanes();
+    let spans = spans_with_paths(&lanes);
     let find = |n: &str| {
         spans
             .iter()
-            .find(|s| s.name == n)
+            .find(|(s, _)| s.name == n)
             .unwrap_or_else(|| panic!("missing span {n}"))
     };
-    let root = find("planner.execute");
-    let plan = find("planner.plan");
-    let chosen = find("planner.chosen");
-    let convert = find("engine.convert");
-    let launch = find("kernels.launch");
-    assert_eq!(root.parent, None);
-    assert_eq!(plan.parent, Some(root.id));
-    assert_eq!(chosen.parent, Some(root.id));
-    assert_eq!(convert.parent, Some(chosen.id));
-    assert_eq!(launch.parent, Some(chosen.id));
-    for s in [plan, chosen, convert, launch] {
+    let (root, root_path) = find("planner.execute");
+    assert!(root_path.is_empty());
+    for (name, parents) in [
+        ("planner.plan", &["planner.execute"][..]),
+        ("planner.chosen", &["planner.execute"][..]),
+        ("engine.convert", &["planner.execute", "planner.chosen"][..]),
+        ("kernels.launch", &["planner.execute", "planner.chosen"][..]),
+    ] {
+        let (s, path) = find(name);
+        assert_eq!(path, parents, "{name}");
         assert!(s.start_ns >= root.start_ns && s.end_ns <= root.end_ns);
     }
 
     // --- Chrome trace: valid JSON, every B has a matching E. ---
     let trace: serde_json::Value =
-        serde_json::from_str(&chrome_trace_json(&spans)).expect("trace is valid JSON");
+        serde_json::from_str(&chrome_trace_json(&lanes)).expect("trace is valid JSON");
     let events = trace["traceEvents"].as_array().expect("traceEvents array");
-    let mut stack: Vec<&str> = Vec::new();
+    let mut stacks: std::collections::BTreeMap<u64, Vec<&str>> = std::collections::BTreeMap::new();
     let mut seen = Vec::new();
     for ev in events {
         let name = ev["name"].as_str().expect("name");
+        let stack = stacks.entry(ev["tid"].as_u64().expect("tid")).or_default();
         match ev["ph"].as_str().expect("ph") {
             "B" => {
                 stack.push(name);
                 seen.push(name);
             }
             "E" => assert_eq!(stack.pop(), Some(name), "unbalanced E for {name}"),
+            "i" => {}
             other => panic!("unexpected phase {other}"),
         }
     }
-    assert!(stack.is_empty(), "unmatched B events: {stack:?}");
+    assert!(
+        stacks.values().all(Vec::is_empty),
+        "unmatched B events: {stacks:?}"
+    );
     assert!(seen.contains(&"planner.plan"));
     assert!(seen.contains(&"engine.convert"));
     assert!(seen.contains(&"kernels.launch"));
@@ -135,35 +154,46 @@ fn trace_round_trips_nesting_lanes_and_flamegraph_totals() {
     bstationary_planner()
         .execute_with_obs(&a, &b, &obs)
         .expect("planner runs");
-    let spans = obs.recorder.snapshot();
+    let lanes = obs.flight.lanes();
+    let spans = spans_with_paths(&lanes);
 
     // --- Chrome export re-parses and preserves the span forest. ---
     let trace: serde_json::Value =
-        serde_json::from_str(&chrome_trace_json(&spans)).expect("trace is valid JSON");
+        serde_json::from_str(&chrome_trace_json(&lanes)).expect("trace is valid JSON");
     let events = trace["traceEvents"].as_array().expect("traceEvents array");
     // Per-lane begin/end balance: nesting must hold within each thread.
     let mut stacks: std::collections::BTreeMap<u64, Vec<&str>> = std::collections::BTreeMap::new();
-    let mut event_tids = BTreeSet::new();
+    let mut span_event_tids = BTreeSet::new();
+    let mut instants = 0;
     for ev in events {
         let tid = ev["tid"].as_u64().expect("tid");
-        event_tids.insert(tid);
         let name = ev["name"].as_str().expect("name");
         let lane = stacks.entry(tid).or_default();
         match ev["ph"].as_str().expect("ph") {
             "B" => lane.push(name),
             "E" => assert_eq!(lane.pop(), Some(name), "unbalanced E on lane {tid}"),
+            "i" => {
+                instants += 1;
+                continue;
+            }
             other => panic!("unexpected phase {other}"),
         }
+        span_event_tids.insert(tid);
     }
     for (tid, lane) in &stacks {
         assert!(lane.is_empty(), "unmatched B events on lane {tid}: {lane:?}");
     }
+    // The other flight events ride along as instants.
+    assert!(instants > 0, "flight events export as instants");
     // Thread lanes survive the export: exactly the recorded tids appear.
-    let span_tids: BTreeSet<u64> = spans.iter().map(|s| s.tid).collect();
-    assert_eq!(event_tids, span_tids, "trace lanes must mirror span tids");
+    let span_tids: BTreeSet<u64> = spans.iter().map(|(s, _)| s.tid).collect();
+    assert_eq!(
+        span_event_tids, span_tids,
+        "trace lanes must mirror span tids"
+    );
 
     // --- Folded stacks partition the recorded time exactly. ---
-    let folded = flamegraph_folded(&spans);
+    let folded = flamegraph_folded(&lanes);
     let mut by_lane_folded: std::collections::BTreeMap<&str, u64> =
         std::collections::BTreeMap::new();
     for line in folded.lines() {
@@ -173,11 +203,11 @@ fn trace_round_trips_nesting_lanes_and_flamegraph_totals() {
     }
     // Every lane's folded total equals that lane's root wall time: self
     // times are a partition of each root span.
-    for &tid in stacks.keys() {
+    for &tid in &span_tids {
         let root_ns: u64 = spans
             .iter()
-            .filter(|s| s.tid == tid && s.parent.is_none())
-            .map(|s| s.end_ns - s.start_ns)
+            .filter(|(s, path)| s.tid == tid && path.is_empty())
+            .map(|(s, _)| s.end_ns - s.start_ns)
             .sum();
         let lane = format!("tid{tid}");
         assert_eq!(
@@ -209,7 +239,7 @@ fn metrics_snapshot_holds_fault_counters_and_perf_gauges() {
         .expect("faults are absorbed by retry/fallback");
 
     // Fold the span tree into per-phase gauges alongside the counters.
-    Profiler::analyze(&obs.recorder.snapshot()).publish(&obs.metrics);
+    Profiler::analyze(&obs.flight.lanes()).publish(&obs.metrics);
 
     let snap = obs.metrics.snapshot();
     assert!(
@@ -295,6 +325,7 @@ fn cli_writes_trace_and_metrics_artifacts() {
         let ts = ev["ts"].as_f64().expect("ts");
         let entry = depth_by_tid.entry(tid).or_insert((0, 0));
         match ev["ph"].as_str().expect("ph") {
+            "i" => {}
             "B" => {
                 if entry.0 == 0 {
                     entry.1 = (ts * 1e3).round() as u64;
