@@ -28,7 +28,7 @@ fn main() {
             .strips()
             .iter()
             .map(|s| {
-                s.iter()
+                s.tiles()
                     .map(|t| (t.metadata_bytes() + t.data_bytes()) as u64)
                     .collect()
             })

@@ -198,15 +198,6 @@ pub fn run<F: FnMut()>(cfg: &BenchConfig, mut f: F) -> BenchStats {
     summarize(&samples, cfg)
 }
 
-/// Time one closure invocation, returning its value and the elapsed
-/// nanoseconds. The sanctioned single-shot timer for callers that build
-/// their own sample vectors (e.g. the ledger's per-phase perf pass).
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let t0 = Instant::now();
-    let out = f();
-    (out, t0.elapsed().as_nanos() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,13 +276,6 @@ mod tests {
         let stats = run(&cfg, || calls += 1);
         assert_eq!(calls, 11, "warmup + timed, nothing adaptive");
         assert_eq!(stats.samples + stats.rejected, 9);
-    }
-
-    #[test]
-    fn time_once_returns_value_and_nonnegative_ns() {
-        let (v, ns) = time_once(|| 6 * 7);
-        assert_eq!(v, 42);
-        assert!(ns >= 0.0);
     }
 
     #[test]

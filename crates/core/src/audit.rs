@@ -157,11 +157,6 @@ impl DecisionAudit {
         }
     }
 
-    /// Speedup of the heuristic's pick over the baseline.
-    pub fn chosen_speedup(&self) -> f64 {
-        self.chosen_audit().speedup
-    }
-
     /// Speedup of the oracle's pick over the baseline.
     pub fn oracle_speedup(&self) -> f64 {
         self.oracle_audit().speedup

@@ -621,7 +621,7 @@ mod tests {
         assert_eq!(audit1.chosen, report.choice);
         assert!((audit1.baseline_ns - report.baseline_stats.total_ns).abs() < 1e-9);
         assert!((audit1.chosen_audit().time_ns - report.stats.total_ns).abs() < 1e-9);
-        assert!((audit1.chosen_speedup() - report.speedup).abs() < 1e-9);
+        assert!((audit1.chosen_audit().speedup - report.speedup).abs() < 1e-9);
 
         // Oracle bookkeeping is internally consistent.
         let faster = audit1

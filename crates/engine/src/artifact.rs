@@ -9,12 +9,11 @@
 //! operand) and skip the conversion entirely.
 //!
 //! Artifacts know their byte footprint (the cache's eviction currency,
-//! from the same [`StorageSize`] accounting Figures 8/9 use) and how to
-//! [`recycle`](ConversionArtifact::recycle) themselves into the engine's
-//! buffer pools on eviction, so a churning cache reuses allocations
-//! instead of thrashing the allocator.
+//! from the same [`StorageSize`] accounting Figures 8/9 use). An evicted
+//! artifact is dropped, not shelved in the engine pools: nothing on the
+//! serve path takes artifact-sized buffers from those pools, so shelving
+//! would only keep every evicted artifact's memory alive.
 
-use crate::mem;
 use nmt_formats::{Csr, Dcsr, FormatError, StorageSize, TiledDcsr};
 
 /// A pre-converted SpMM operand, ready for the offline kernels.
@@ -53,24 +52,10 @@ impl ConversionArtifact {
         }
     }
 
-    /// Consume the artifact, returning its buffers to the engine pools
-    /// (`engine::mem`), so the next conversion of a similar matrix is
-    /// allocation-free. Call on cache eviction once no handle remains.
+    /// Release an evicted artifact: its buffers are freed, not returned
+    /// to the engine pools (see the module docs).
     pub fn recycle(self) {
-        match self {
-            ConversionArtifact::RowMajor(d) => {
-                let (rowidx, rowptr, colidx, values) = d.into_parts();
-                mem::put_idx(true, rowidx);
-                mem::put_idx(true, rowptr);
-                mem::put_idx(true, colidx);
-                mem::put_val(true, values);
-            }
-            ConversionArtifact::Tiled(t) => {
-                for tile in t.into_strips().into_iter().flatten() {
-                    mem::recycle_tile(tile);
-                }
-            }
-        }
+        drop(self);
     }
 }
 
@@ -103,19 +88,6 @@ mod tests {
             TiledDcsr::from_csr(&a, 4, 4).unwrap().storage_bytes()
         );
         assert_eq!(tiled.kind(), "tiled-dcsr");
-    }
-
-    #[test]
-    fn recycling_reshelves_buffers() {
-        let a = sample();
-        let reclaimed_before = mem::pool_stats().reclaimed;
-        ConversionArtifact::row_major(&a).recycle();
-        // Four buffers per DCSR; pools are process-global so assert
-        // monotone growth, like the other engine pool tests.
-        assert!(mem::pool_stats().reclaimed >= reclaimed_before + 4);
-        let reclaimed_mid = mem::pool_stats().reclaimed;
-        ConversionArtifact::tiled(&a, 4, 4).unwrap().recycle();
-        assert!(mem::pool_stats().reclaimed > reclaimed_mid);
     }
 
     #[test]

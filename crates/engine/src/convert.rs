@@ -19,13 +19,10 @@
 //! both properties §4.1 credits to the CSC baseline format.
 
 use crate::comparator::{ComparatorTree, MinScratch, MAX_LANES};
-use crate::farm::{convert_matrix_farm_obs, FarmConfig, FarmError, FarmRun};
+use crate::farm::{convert_matrix_farm_obs, FarmConfig, FarmError};
 use crate::mem;
 use crate::placement::Layout;
-use nmt_formats::{
-    Csc, CscView, DcsrTile, FormatError, Index, SparseMatrix, Value, INDEX_BYTES, VALUE_BYTES,
-};
-use std::ops::Range;
+use nmt_formats::{Csc, CscView, DcsrStrip, DcsrTileView, Index, SparseMatrix, TiledDcsr};
 
 /// Byte cost of one streamed CSC element: a 4-byte row index plus a 4-byte
 /// fp32 value ("8-byte input data", §5.3).
@@ -64,19 +61,24 @@ impl ConversionStats {
         self.lane_slots += other.lane_slots;
     }
 
-    /// Counter-wise difference `self - before`, for attributing the work
-    /// of one tile (or one drain step) out of a cumulative counter. All
-    /// counters are monotone, so `before` must be an earlier snapshot of
-    /// the same converter.
-    pub fn delta(&self, before: &ConversionStats) -> ConversionStats {
+    /// The converter work behind one converted tile, in closed form: one
+    /// comparator pass per emitted row plus a concluding one, each
+    /// offering `lanes` slots; 8 input bytes per element; 4 output bytes
+    /// per `values`/`colidx`/`rowidx`/`rowptr` entry. The strip's first
+    /// tile also carries its pointer loads (Figure 14 ❶), so a strip's
+    /// tiles sum to its [`StripConverter::stats`].
+    pub fn of_tile(tile: &DcsrTileView<'_>, lanes: usize, first: bool) -> ConversionStats {
+        let (rows, elems) = (tile.nnz_rows() as u64, tile.nnz() as u64);
+        let passes = rows + 1;
+        let pointer_loads = if first { 2 * tile.width as u64 * 4 } else { 0 };
         ConversionStats {
-            comparator_passes: self.comparator_passes - before.comparator_passes,
-            elements: self.elements - before.elements,
-            rows_emitted: self.rows_emitted - before.rows_emitted,
-            tiles: self.tiles - before.tiles,
-            input_bytes: self.input_bytes - before.input_bytes,
-            output_bytes: self.output_bytes - before.output_bytes,
-            lane_slots: self.lane_slots - before.lane_slots,
+            comparator_passes: passes,
+            elements: elems,
+            rows_emitted: rows,
+            tiles: 1,
+            input_bytes: elems * INPUT_BYTES_PER_ELEM + pointer_loads,
+            output_bytes: 4 * (2 * elems + 2 * rows + 1),
+            lane_slots: passes * lanes as u64,
         }
     }
 
@@ -109,174 +111,6 @@ pub fn publish_conversion(obs: &nmt_obs::ObsContext, stats: &ConversionStats) {
     );
 }
 
-/// Where one tile sits inside its [`DcsrStrip`], plus the converter work
-/// spent on it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TileHeader {
-    /// First global row covered by the tile.
-    pub row_start: Index,
-    /// Tile height (rows covered; ≤ nominal tile height at the bottom edge).
-    pub height: usize,
-    /// The tile's entries in the strip's `rowidx`; its `rowptr` segment
-    /// is the same range shifted by the tile index (one extra entry each).
-    rows: Range<usize>,
-    /// The tile's entries in the strip's `colidx` and `values`.
-    elems: Range<usize>,
-    /// Converter counters spent on this tile. The first tile also carries
-    /// the strip's pointer loads (Figure 14 ❶), so a strip's deltas sum
-    /// to its converter's total.
-    pub stats: ConversionStats,
-}
-
-/// One strip's converted tiles, stored back to back in one set of
-/// buffers — the unit an SM consumes (one block per strip, `GetDCSRTile`
-/// per tile, Figure 11). Tile `t`'s `rowptr` segment starts at 0, exactly
-/// as in a standalone [`DcsrTile`]; [`Self::tile`] borrows it as a
-/// [`DcsrTileView`] and [`Self::to_tiles`] copies the strip out as owned
-/// tiles.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DcsrStrip {
-    col_start: Index,
-    width: usize,
-    rowidx: Vec<Index>,
-    rowptr: Vec<Index>,
-    colidx: Vec<Index>,
-    values: Vec<Value>,
-    tiles: Vec<TileHeader>,
-}
-
-/// A borrowed tile of a [`DcsrStrip`], with [`DcsrTile`]'s field names.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DcsrTileView<'a> {
-    /// First global row covered by the tile.
-    pub row_start: Index,
-    /// First global column covered by the tile.
-    pub col_start: Index,
-    /// Tile height (rows covered).
-    pub height: usize,
-    /// Tile width (columns covered).
-    pub width: usize,
-    /// Local indices of non-empty rows within the tile.
-    pub rowidx: &'a [Index],
-    /// Row pointers over the densified rows (`rowidx.len() + 1` entries).
-    pub rowptr: &'a [Index],
-    /// Local column indices (`0 .. width`).
-    pub colidx: &'a [Index],
-    /// Values.
-    pub values: &'a [Value],
-}
-
-impl DcsrTileView<'_> {
-    /// Number of non-zeros in the tile.
-    pub fn nnz(&self) -> usize {
-        self.colidx.len()
-    }
-
-    /// Number of non-empty row segments.
-    pub fn nnz_rows(&self) -> usize {
-        self.rowidx.len()
-    }
-
-    /// Metadata bytes: colidx + rowptr + rowidx, all 4-byte entries.
-    pub fn metadata_bytes(&self) -> usize {
-        (self.colidx.len() + self.rowptr.len() + self.rowidx.len()) * INDEX_BYTES
-    }
-
-    /// Value payload bytes.
-    pub fn data_bytes(&self) -> usize {
-        self.values.len() * VALUE_BYTES
-    }
-
-    /// An owned copy of the tile.
-    pub fn to_tile(&self) -> DcsrTile {
-        DcsrTile {
-            row_start: self.row_start,
-            col_start: self.col_start,
-            height: self.height,
-            width: self.width,
-            rowidx: self.rowidx.to_vec(),
-            rowptr: self.rowptr.to_vec(),
-            colidx: self.colidx.to_vec(),
-            values: self.values.to_vec(),
-        }
-    }
-
-    /// [`DcsrTile::validate`] on this tile (checks an owned copy).
-    pub fn validate(&self) -> Result<(), FormatError> {
-        self.to_tile().validate()
-    }
-}
-
-impl DcsrStrip {
-    /// An empty strip whose buffers hold `elems` elements, `rows`
-    /// non-empty rows and `ntiles` tiles without growing — checked out of
-    /// the engine pools when `pooled`.
-    fn with_capacity(
-        pooled: bool,
-        col_start: Index,
-        width: usize,
-        elems: usize,
-        rows: usize,
-        ntiles: usize,
-    ) -> Self {
-        DcsrStrip {
-            col_start,
-            width,
-            rowidx: mem::take_idx(pooled, rows),
-            rowptr: mem::take_idx(pooled, rows + ntiles),
-            colidx: mem::take_idx(pooled, elems),
-            values: mem::take_val(pooled, elems),
-            tiles: mem::take_headers(pooled, ntiles),
-        }
-    }
-
-    /// Return the strip's buffers to the engine pools.
-    pub(crate) fn recycle(self) {
-        mem::put_idx(true, self.rowidx);
-        mem::put_idx(true, self.rowptr);
-        mem::put_idx(true, self.colidx);
-        mem::put_val(true, self.values);
-        mem::put_headers(true, self.tiles);
-    }
-
-    /// Number of tiles in the strip.
-    pub fn num_tiles(&self) -> usize {
-        self.tiles.len()
-    }
-
-    /// Strip width (columns covered; ≤ nominal width at the right edge).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Per-tile headers, top to bottom.
-    pub fn headers(&self) -> &[TileHeader] {
-        &self.tiles
-    }
-
-    /// Tile `t` (top to bottom), borrowed. Panics if `t` is out of range.
-    pub fn tile(&self, t: usize) -> DcsrTileView<'_> {
-        let h = &self.tiles[t];
-        DcsrTileView {
-            row_start: h.row_start,
-            col_start: self.col_start,
-            height: h.height,
-            width: self.width,
-            rowidx: &self.rowidx[h.rows.clone()],
-            rowptr: &self.rowptr[h.rows.start + t..h.rows.end + t + 1],
-            colidx: &self.colidx[h.elems.clone()],
-            values: &self.values[h.elems.clone()],
-        }
-    }
-
-    /// Owned copies of every tile, top to bottom.
-    pub fn to_tiles(&self) -> Vec<DcsrTile> {
-        (0..self.num_tiles())
-            .map(|t| self.tile(t).to_tile())
-            .collect()
-    }
-}
-
 /// Stateful converter for one vertical strip of a CSC matrix.
 #[derive(Debug, Clone)]
 pub struct StripConverter<'a> {
@@ -300,9 +134,6 @@ pub struct StripConverter<'a> {
     pooled: bool,
     tree: ComparatorTree,
     stats: ConversionStats,
-    /// `stats` when the last tile was emitted: each tile's header records
-    /// the difference.
-    mark: ConversionStats,
 }
 
 impl<'a> StripConverter<'a> {
@@ -363,7 +194,6 @@ impl<'a> StripConverter<'a> {
             // nmt-lint: allow(panic) — lanes is clamped to 1..=64 two lines up, within ComparatorTree's bound
             tree: ComparatorTree::new(lanes.max(1)).expect("lanes clamped to 1..=64"),
             stats,
-            mark: ConversionStats::default(),
         }
     }
 
@@ -394,22 +224,16 @@ impl<'a> StripConverter<'a> {
             .sum()
     }
 
-    /// Convert the next `tile_h` rows starting at `row_start` into one
-    /// DCSR tile (the `GetDCSRTile` operation of Figure 11, minus the
-    /// request plumbing). Lanes must already be at or past `row_start`
-    /// (they are, after sequential use or `seek`).
-    pub fn next_tile(&mut self, row_start: Index, tile_h: usize) -> DcsrTile {
+    /// Convert the next `tile_h` rows starting at `row_start` into a
+    /// one-tile strip (the `GetDCSRTile` operation of Figure 11, minus
+    /// the request plumbing). Lanes must already be at or past
+    /// `row_start` (they are, after sequential use or `seek`).
+    pub fn next_tile(&mut self, row_start: Index, tile_h: usize) -> DcsrStrip {
         let elems = self.remaining();
-        let mut strip = DcsrStrip::with_capacity(
-            false,
-            self.col_start as Index,
-            self.width,
-            elems,
-            elems.min(tile_h),
-            1,
-        );
+        let buffers = mem::take_strip(false, elems, elems.min(tile_h), 1);
+        let mut strip = DcsrStrip::new(self.col_start as Index, self.width, buffers);
         self.push_tile(row_start, tile_h, &mut strip);
-        strip.tile(0).to_tile()
+        strip
     }
 
     /// Convert the whole strip as consecutive `tile_h`-tall tiles into
@@ -420,14 +244,8 @@ impl<'a> StripConverter<'a> {
         let nrows = self.csc.shape().nrows;
         let ntiles = nmt_formats::tile_count(nrows, tile_h);
         let elems = self.remaining();
-        let mut strip = DcsrStrip::with_capacity(
-            self.pooled,
-            self.col_start as Index,
-            self.width,
-            elems,
-            elems.min(nrows),
-            ntiles,
-        );
+        let buffers = mem::take_strip(self.pooled, elems, elems.min(nrows), ntiles);
+        let mut strip = DcsrStrip::new(self.col_start as Index, self.width, buffers);
         for t in 0..ntiles {
             self.push_tile((t * tile_h) as Index, tile_h, &mut strip);
         }
@@ -440,11 +258,11 @@ impl<'a> StripConverter<'a> {
         let nrows = self.csc.shape().nrows;
         let height = tile_h.min(nrows.saturating_sub(row_start as usize)).max(1);
         let row_end = row_start + height as Index;
-        let (rows_lo, elems_lo) = (strip.rowidx.len(), strip.colidx.len());
+        let (mut rows, mut elems) = (0usize, 0usize);
         let rowidx = self.csc.rowidx();
         let values = self.csc.values();
         let lanes = self.lanes;
-        strip.rowptr.push(0);
+        strip.start_tile(row_start, height);
         loop {
             self.stats.comparator_passes += 1;
             self.stats.lane_slots += lanes as u64;
@@ -464,33 +282,25 @@ impl<'a> StripConverter<'a> {
             };
             // Emit one DCSR row: all lanes at the minimum row coordinate,
             // in ascending lane (= column) order.
-            strip.rowidx.push(min.min - row_start);
+            strip.push_row(min.min - row_start);
             let mut mask = min.mask;
             while mask != 0 {
                 let lane = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                strip.colidx.push(lane as Index);
-                strip.values.push(values[self.frontier[lane]]);
+                strip.push_elem(lane as Index, values[self.frontier[lane]]);
                 self.frontier[lane] += 1;
             }
-            let emitted = min.mask.count_ones() as u64;
-            self.stats.elements += emitted;
-            self.stats.input_bytes += emitted * INPUT_BYTES_PER_ELEM;
-            strip.rowptr.push((strip.colidx.len() - elems_lo) as Index);
+            let emitted = min.mask.count_ones() as usize;
+            self.stats.elements += emitted as u64;
+            self.stats.input_bytes += emitted as u64 * INPUT_BYTES_PER_ELEM;
             self.stats.rows_emitted += 1;
+            rows += 1;
+            elems += emitted;
         }
-        let (rows, elems) = (strip.rowidx.len() - rows_lo, strip.colidx.len() - elems_lo);
+        strip.finish_tile();
         self.stats.tiles += 1;
         // values + colidx + rowidx + rowptr, 4 bytes each.
         self.stats.output_bytes += 4 * (2 * elems + 2 * rows + 1) as u64;
-        strip.tiles.push(TileHeader {
-            row_start,
-            height,
-            rows: rows_lo..rows_lo + rows,
-            elems: elems_lo..elems_lo + elems,
-            stats: self.stats.delta(&self.mark),
-        });
-        self.mark = self.stats;
         debug_assert!(
             strip.tile(strip.num_tiles() - 1).validate().is_ok(),
             "engine produced an invalid tile"
@@ -499,7 +309,7 @@ impl<'a> StripConverter<'a> {
 }
 
 /// One engine, fresh buffers, no fault plan: the farm configuration behind
-/// the owned-tile conversions below.
+/// the whole-matrix conversions below.
 const SINGLE_ENGINE: FarmConfig = FarmConfig {
     partitions: 1,
     layout: Layout::TileRotated,
@@ -507,34 +317,38 @@ const SINGLE_ENGINE: FarmConfig = FarmConfig {
     pool: false,
 };
 
-/// Copy a [`SINGLE_ENGINE`] farm run out as owned tiles per strip.
-fn owned_tiles(run: Result<FarmRun, FarmError>) -> (Vec<Vec<DcsrTile>>, ConversionStats) {
-    let run = run.expect("a one-engine farm without a fault plan cannot fail");
-    (
-        run.strips.iter().map(DcsrStrip::to_tiles).collect(),
-        run.stats,
-    )
-}
-
-/// Convert an entire CSC matrix to tiled DCSR through the engine model —
-/// the online equivalent of [`nmt_formats::TiledDcsr::from_csr`]. Returns
-/// the tiles per strip and the merged hardware-activity counters.
-///
-/// Runs the engine farm ([`convert_matrix_farm_obs`]) with one engine and
-/// copies its strips out as owned tiles, so the output is identical at
-/// any thread count.
-pub fn convert_matrix(
-    csc: &Csc,
+/// Run a [`SINGLE_ENGINE`] farm over `csc` and wrap its strips, uncopied,
+/// as a [`TiledDcsr`].
+fn convert_view(
+    csc: CscView<'_>,
     tile_w: usize,
     tile_h: usize,
-) -> (Vec<Vec<DcsrTile>>, ConversionStats) {
-    owned_tiles(convert_matrix_farm_obs(
-        csc.view(),
+) -> Result<(TiledDcsr, ConversionStats), FarmError> {
+    let shape = csc.shape();
+    let run = convert_matrix_farm_obs(
+        csc,
         tile_w,
         tile_h,
         SINGLE_ENGINE,
         &nmt_obs::ObsContext::disabled(),
-    ))
+    )?;
+    let tiled = TiledDcsr::from_strips_unchecked(shape.nrows, shape.ncols, tile_w, run.strips);
+    Ok((tiled, run.stats))
+}
+
+/// Convert an entire CSC matrix to tiled DCSR through the engine model —
+/// the online equivalent of [`TiledDcsr::from_csr`]. Returns the tiling
+/// and the merged hardware-activity counters.
+///
+/// Runs the engine farm ([`convert_matrix_farm_obs`]) with one engine, so
+/// the output is identical at any thread count. Fails only on a tile
+/// geometry the engine cannot convert (`tile_w ∉ 1..=64`, `tile_h == 0`).
+pub fn convert_matrix(
+    csc: &Csc,
+    tile_w: usize,
+    tile_h: usize,
+) -> Result<(TiledDcsr, ConversionStats), FarmError> {
+    convert_view(csc.view(), tile_w, tile_h)
 }
 
 /// CSR → tiled-**DCSC** conversion "using the same engine" (§4.1).
@@ -546,24 +360,18 @@ pub fn convert_matrix(
 /// wide matrices whose CSC `colptr` would dominate storage: keep CSR in
 /// memory and let SM-side DCSC kernels consume the engine's output.
 ///
-/// Returns the tiles of `Aᵀ` (strip-major over `A`'s *rows*) plus the
-/// engine counters; interpret each [`DcsrTile`]'s `rowidx` as non-empty
-/// **columns** of `A` and `colidx` as **rows** of `A`. Runs through the
-/// farm exactly as [`convert_matrix`] does.
+/// Returns the tiling of `Aᵀ` (strip-major over `A`'s *rows*) plus the
+/// engine counters; read each tile's `rowidx` as non-empty **columns** of
+/// `A` and `colidx` as **rows** of `A`. Runs through the farm exactly as
+/// [`convert_matrix`] does.
 pub fn convert_matrix_dcsc(
     csr: &nmt_formats::Csr,
     tile_w: usize,
     tile_h: usize,
-) -> (Vec<Vec<DcsrTile>>, ConversionStats) {
+) -> Result<(TiledDcsr, ConversionStats), FarmError> {
     // Reinterpret the CSR arrays as CSC of the transpose — a zero-copy
     // borrow, exactly what the hardware would see.
-    owned_tiles(convert_matrix_farm_obs(
-        CscView::transpose_of_csr(csr),
-        tile_w,
-        tile_h,
-        SINGLE_ENGINE,
-        &nmt_obs::ObsContext::disabled(),
-    ))
+    convert_view(CscView::transpose_of_csr(csr), tile_w, tile_h)
 }
 
 #[cfg(test)]
@@ -589,18 +397,20 @@ mod tests {
     fn figure13_walkthrough() {
         let csc = figure13_csc();
         let mut conv = StripConverter::new(&csc, 0, 3);
-        let tile = conv.next_tile(0, 5);
+        let strip = conv.next_tile(0, 5);
+        let tile = strip.tile(0);
         // Expected DCSR (Figure 13, bottom right):
         // value  = a0 b0 c0 | b1 | a2 c2 | a4 b4
         // colidx = 0  1  2  | 1  | 0  2  | 0  1
         // rowptr = 0 3 4 6 8 ; rowidx = 0 1 2 4
         assert_eq!(
             tile.values,
-            vec![10.0, 20.0, 30.0, 21.0, 12.0, 32.0, 14.0, 24.0]
+            [10.0, 20.0, 30.0, 21.0, 12.0, 32.0, 14.0, 24.0]
         );
-        assert_eq!(tile.colidx, vec![0, 1, 2, 1, 0, 2, 0, 1]);
-        assert_eq!(tile.rowptr, vec![0, 3, 4, 6, 8]);
-        assert_eq!(tile.rowidx, vec![0, 1, 2, 4]);
+        assert_eq!(tile.colidx, [0, 1, 2, 1, 0, 2, 0, 1]);
+        assert_eq!(tile.rowptr, [0, 3, 4, 6, 8]);
+        assert_eq!(tile.rowidx, [0, 1, 2, 4]);
+        assert_eq!(ConversionStats::of_tile(&tile, 3, true), conv.stats());
         let st = conv.stats();
         assert_eq!(st.elements, 8);
         assert_eq!(st.rows_emitted, 4);
@@ -637,7 +447,7 @@ mod tests {
     #[test]
     fn publish_conversion_bridges_to_registry() {
         let csc = figure13_csc();
-        let (_, stats) = convert_matrix(&csc, 3, 5);
+        let (_, stats) = convert_matrix(&csc, 3, 5).unwrap();
         let obs = nmt_obs::ObsContext::disabled();
         publish_conversion(&obs, &stats);
         assert_eq!(obs.metrics.counter("engine.convert.elements"), 8);
@@ -677,11 +487,8 @@ mod tests {
             let csr = random_csr(n, nnz, n as u64);
             let csc = csr.to_csc();
             let offline = TiledDcsr::from_csr(&csr, tile, tile).unwrap();
-            let (online, stats) = convert_matrix(&csc, tile, tile);
-            assert_eq!(online.len(), offline.strips().len());
-            for (s, strip) in offline.strips().iter().enumerate() {
-                assert_eq!(&online[s], strip, "strip {s} differs (n={n})");
-            }
+            let (online, stats) = convert_matrix(&csc, tile, tile).unwrap();
+            assert_eq!(online, offline, "n={n}");
             assert_eq!(stats.elements as usize, csr.nnz());
         }
     }
@@ -690,12 +497,13 @@ mod tests {
     fn sequential_tiles_share_frontier_state() {
         let csc = figure13_csc();
         let mut conv = StripConverter::new(&csc, 0, 3);
-        let t0 = conv.next_tile(0, 2); // rows 0..2
-        let t1 = conv.next_tile(2, 2); // rows 2..4
-        let t2 = conv.next_tile(4, 2); // row 4
-        assert_eq!(t0.rowidx, vec![0, 1]);
-        assert_eq!(t1.rowidx, vec![0]); // row 2 local
-        assert_eq!(t2.rowidx, vec![0]); // row 4 local
+        let s0 = conv.next_tile(0, 2); // rows 0..2
+        let s1 = conv.next_tile(2, 2); // rows 2..4
+        let s2 = conv.next_tile(4, 2); // row 4
+        let (t0, t1, t2) = (s0.tile(0), s1.tile(0), s2.tile(0));
+        assert_eq!(t0.rowidx, [0, 1]);
+        assert_eq!(t1.rowidx, [0]); // row 2 local
+        assert_eq!(t2.rowidx, [0]); // row 4 local
         assert_eq!(
             t0.nnz() + t1.nnz() + t2.nnz(),
             csc.nnz(),
@@ -709,13 +517,14 @@ mod tests {
         // Jump straight to the tile at rows 2..4 without converting 0..2.
         let mut conv = StripConverter::new(&csc, 0, 3);
         conv.seek(2);
-        let tile = conv.next_tile(2, 2);
-        assert_eq!(tile.rowidx, vec![0]);
-        assert_eq!(tile.values, vec![12.0, 32.0]); // a2, c2
-                                                   // Seek back to the top reproduces the first tile.
+        let strip = conv.next_tile(2, 2);
+        assert_eq!(strip.tile(0).rowidx, [0]);
+        assert_eq!(strip.tile(0).values, [12.0, 32.0]); // a2, c2
+
+        // Seek back to the top reproduces the first tile.
         conv.seek(0);
-        let t0 = conv.next_tile(0, 2);
-        assert_eq!(t0.values, vec![10.0, 20.0, 30.0, 21.0]);
+        let strip = conv.next_tile(0, 2);
+        assert_eq!(strip.tile(0).values, [10.0, 20.0, 30.0, 21.0]);
     }
 
     #[test]
@@ -737,9 +546,9 @@ mod tests {
         let coo = Coo::from_triplets(8, 8, &[0, 3], &[0, 0], &[1.0, 2.0]).unwrap();
         let csc = Csc::from_coo(&coo);
         let mut conv = StripConverter::new(&csc, 1, 4);
-        let tiles = conv.convert_strip(4).to_tiles();
-        assert_eq!(tiles.len(), 2);
-        assert!(tiles.iter().all(nmt_formats::DcsrTile::is_empty));
+        let strip = conv.convert_strip(4);
+        assert_eq!(strip.num_tiles(), 2);
+        assert!(strip.tiles().all(|t| t.nnz() == 0));
         assert_eq!(conv.stats().elements, 0);
         // Still pays the pointer-array load and one concluding pass/tile.
         assert_eq!(conv.stats().comparator_passes, 2);
@@ -749,7 +558,8 @@ mod tests {
     fn output_bytes_match_tile_footprint() {
         let csc = figure13_csc();
         let mut conv = StripConverter::new(&csc, 0, 3);
-        let tile = conv.next_tile(0, 5);
+        let strip = conv.next_tile(0, 5);
+        let tile = strip.tile(0);
         let expected = tile.metadata_bytes() + tile.data_bytes();
         assert_eq!(conv.stats().output_bytes as usize, expected);
     }
@@ -757,16 +567,13 @@ mod tests {
     #[test]
     fn dcsc_conversion_is_tiling_of_the_transpose() {
         let csr = random_csr(48, 150, 21);
-        let (tiles, stats) = convert_matrix_dcsc(&csr, 16, 16);
+        let (tiles, stats) = convert_matrix_dcsc(&csr, 16, 16).unwrap();
         let expected = TiledDcsr::from_csr(&csr.transpose(), 16, 16).unwrap();
-        assert_eq!(tiles.len(), expected.strips().len());
-        for (s, strip) in expected.strips().iter().enumerate() {
-            assert_eq!(&tiles[s], strip, "strip {s}");
-        }
+        assert_eq!(tiles, expected);
         assert_eq!(stats.elements as usize, csr.nnz());
         // Reassembling the tiles yields A transposed; its non-empty rows
         // are A's non-empty columns (the DCSC semantics).
-        let back = expected.to_csr();
+        let back = tiles.to_csr();
         assert_eq!(back.transpose(), csr);
     }
 
@@ -776,13 +583,12 @@ mod tests {
         // large converts through its compact CSR image instead.
         let coo = Coo::from_triplets(4, 200, &[0, 1, 3], &[5, 150, 5], &[1.0, 2.0, 3.0]).unwrap();
         let csr = Csr::from_coo(&coo);
-        let (tiles, stats) = convert_matrix_dcsc(&csr, 4, 64);
+        let (tiles, stats) = convert_matrix_dcsc(&csr, 4, 64).unwrap();
         assert_eq!(stats.elements, 3);
         // One strip over A's 4 rows; tiles cover A's 200 columns.
-        assert_eq!(tiles.len(), 1);
-        assert_eq!(tiles[0].len(), 200usize.div_ceil(64));
-        let nnz: usize = tiles[0].iter().map(nmt_formats::DcsrTile::nnz).sum();
-        assert_eq!(nnz, 3);
+        assert_eq!(tiles.num_strips(), 1);
+        assert_eq!(tiles.tiles_per_strip(), 200usize.div_ceil(64));
+        assert_eq!(tiles.nnz(), 3);
     }
 
     #[test]
@@ -790,10 +596,11 @@ mod tests {
         let csr = random_csr(20, 60, 3);
         let csc = csr.to_csc();
         // 20 cols with 16-wide strips: strip 1 is 4 wide.
-        let (tiles, _) = convert_matrix(&csc, 16, 16);
-        assert_eq!(tiles.len(), 2);
+        let (tiles, _) = convert_matrix(&csc, 16, 16).unwrap();
+        assert_eq!(tiles.num_strips(), 2);
+        assert_eq!(tiles.strips()[1].width(), 4);
         let offline = TiledDcsr::from_csr(&csr, 16, 16).unwrap();
-        assert_eq!(tiles[1], offline.strips()[1]);
+        assert_eq!(tiles.strips()[1], offline.strips()[1]);
     }
 }
 
@@ -807,17 +614,17 @@ mod regression_tests {
         // Review regression: a zero-column CSC used to panic initializing
         // the frontier pointers.
         let csc = Csc::new(4, 0, vec![0], vec![], vec![]).unwrap();
-        let (tiles, stats) = convert_matrix(&csc, 16, 16);
-        assert_eq!(tiles.len(), 1);
-        assert!(tiles[0].iter().all(nmt_formats::DcsrTile::is_empty));
+        let (tiles, stats) = convert_matrix(&csc, 16, 16).unwrap();
+        assert_eq!(tiles.num_strips(), 1);
+        assert!(tiles.strips()[0].tiles().all(|t| t.nnz() == 0));
         assert_eq!(stats.elements, 0);
     }
 
     #[test]
     fn zero_row_matrix_converts_to_empty_tiles() {
         let csc = Csc::new(0, 8, vec![0; 9], vec![], vec![]).unwrap();
-        let (tiles, stats) = convert_matrix(&csc, 4, 4);
-        assert_eq!(tiles.len(), 2);
+        let (tiles, stats) = convert_matrix(&csc, 4, 4).unwrap();
+        assert_eq!(tiles.num_strips(), 2);
         assert_eq!(stats.elements, 0);
     }
 }

@@ -14,17 +14,23 @@
 //! ascending order and partitions in ascending order, so the merge order
 //! (and therefore every sum) never depends on scheduling.
 
-use crate::convert::{ConversionStats, DcsrStrip, StripConverter};
+use crate::comparator::{ComparatorError, MAX_LANES};
+use crate::convert::{ConversionStats, StripConverter};
 use crate::placement::{Layout, PlacementError, SwitchCost};
 use nmt_fault::{FaultPlan, FaultRecord, FaultSite};
-use nmt_formats::{Csc, CscView, SparseMatrix};
+use nmt_formats::{Csc, CscView, DcsrStrip, DcsrTileView, SparseMatrix};
 use nmt_obs::{EventSite, FlightRecorder};
 use rayon::prelude::*;
 
-/// Errors produced by a farm conversion: a placement misconfiguration, or
-/// an injected fault that escalated past the per-strip retry policy.
+/// Errors produced by a farm conversion: a tile geometry the engine cannot
+/// convert, a placement misconfiguration, or an injected fault that
+/// escalated past the per-strip retry policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FarmError {
+    /// The strip width is not a lane count the comparator tree supports.
+    Lanes(ComparatorError),
+    /// The tile height was zero.
+    ZeroTileHeight,
     /// The placement configuration was invalid.
     Placement(PlacementError),
     /// An injected fault survived its retry and must escalate to the
@@ -42,6 +48,8 @@ pub enum FarmError {
 impl std::fmt::Display for FarmError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            FarmError::Lanes(e) => write!(f, "{e}"),
+            FarmError::ZeroTileHeight => write!(f, "tile height must be positive"),
             FarmError::Placement(e) => write!(f, "{e}"),
             FarmError::Fault { site, key, detail } => {
                 write!(f, "injected fault at {site}#{key}: {detail}")
@@ -185,11 +193,11 @@ pub fn publish_farm(obs: &nmt_obs::ObsContext, farm: &FarmRun) {
 
 /// Convert one strip under a fault plan, applying the local degraded-mode
 /// policy: a `ConvertStrip` fault is retried once (a distinct deterministic
-/// draw); a `MetadataCorruption` fault corrupts an owned copy of a
-/// produced tile and must be rejected by
-/// [`nmt_formats::DcsrTile::validate`] with a typed error,
-/// after which the strip's (uncorrupted) output is used and the event is
-/// recorded as a retry. Only a failed retry escalates to [`FarmError`].
+/// draw); a `MetadataCorruption` fault validates a view of the first tile
+/// whose `rowptr` is a corrupted copy, which [`DcsrTileView::validate`]
+/// must reject with a typed error, after which the strip's (uncorrupted)
+/// output is used and the event is recorded as a retry. Only a failed
+/// retry escalates to [`FarmError`].
 fn convert_strip_faulted(
     csc: CscView<'_>,
     strip_id: usize,
@@ -229,10 +237,13 @@ fn convert_strip_faulted(
         if plan.fires(FaultSite::MetadataCorruption, key) {
             // Corrupt a copy — never the real output — and require the
             // validator to reject it with a typed FormatError.
-            let mut corrupted = out.tile(0).to_tile();
-            corrupted
-                .rowptr
-                .push(corrupted.rowptr.last().copied().unwrap_or(0) + 1);
+            let tile = out.tile(0);
+            let mut rowptr = tile.rowptr.to_vec();
+            rowptr.push(rowptr.last().copied().unwrap_or(0) + 1);
+            let corrupted = DcsrTileView {
+                rowptr: &rowptr,
+                ..tile
+            };
             match corrupted.validate() {
                 Err(e) => {
                     flight.record(EventSite::FaultMetadataCorruption, 1, key, 0);
@@ -296,6 +307,12 @@ pub fn convert_matrix_farm_obs(
     obs: &nmt_obs::ObsContext,
 ) -> Result<FarmRun, FarmError> {
     let _farm_span = obs.span("engine.farm");
+    if !(1..=MAX_LANES).contains(&tile_w) {
+        return Err(FarmError::Lanes(ComparatorError::LaneCount { got: tile_w }));
+    }
+    if tile_h == 0 {
+        return Err(FarmError::ZeroTileHeight);
+    }
     if config.partitions == 0 {
         return Err(PlacementError::NoPartitions.into());
     }
@@ -356,21 +373,25 @@ pub fn convert_matrix_farm_obs(
     let mut total = ConversionStats::default();
     let mut switches = 0u64;
     let mut strips = Vec::with_capacity(nstrips);
+    // A zero-column matrix's phantom strip is one column wide but has no
+    // live comparator lanes.
+    let ncols = csc.shape().ncols;
     for (s, res) in outputs.into_iter().enumerate() {
         let (strip, strip_faults) = res?;
         faults.extend(strip_faults);
+        let lanes = strip.width().min(ncols);
         let mut prev_partition = None;
         let mut strip_total = ConversionStats::default();
-        for (t, header) in strip.headers().iter().enumerate() {
-            let delta = &header.stats;
+        for (t, tile) in strip.tiles().enumerate() {
+            let delta = ConversionStats::of_tile(&tile, lanes, t == 0);
             // nmt-lint: allow(slice-index) — partition_index reduces modulo active.len(), so the index is always in bounds
             let p = active[config.layout.partition_index(s, t, active.len())];
             if let Some(slot) = per_partition.get_mut(p) {
                 slot.tiles += 1;
-                slot.stats.merge(delta);
+                slot.stats.merge(&delta);
             }
-            strip_total.merge(delta);
-            total.merge(delta);
+            strip_total.merge(&delta);
+            total.merge(&delta);
             if prev_partition.is_some_and(|prev| prev != p) {
                 switches += 1;
             }
@@ -501,6 +522,24 @@ mod tests {
         assert_eq!(
             convert_matrix_farm(&csc, 8, 8, FarmConfig::for_partitions(0)),
             Err(FarmError::Placement(PlacementError::NoPartitions))
+        );
+    }
+
+    #[test]
+    fn bad_tile_geometry_is_a_typed_error() {
+        let csc = sample_csc(16, 1);
+        let cfg = FarmConfig::for_partitions(2);
+        assert_eq!(
+            convert_matrix_farm(&csc, 65, 8, cfg),
+            Err(FarmError::Lanes(ComparatorError::LaneCount { got: 65 }))
+        );
+        assert_eq!(
+            convert_matrix_farm(&csc, 0, 8, cfg),
+            Err(FarmError::Lanes(ComparatorError::LaneCount { got: 0 }))
+        );
+        assert_eq!(
+            convert_matrix_farm(&csc, 8, 0, cfg),
+            Err(FarmError::ZeroTileHeight)
         );
     }
 

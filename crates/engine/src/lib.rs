@@ -25,7 +25,7 @@
 //!   rayon-parallel with a deterministic partition-ordered reduction; the
 //!   one loop that converts a whole matrix.
 //! * [`artifact`] — reusable conversion artifacts: pre-converted operands
-//!   a serve-layer plan cache stores, byte-costed and pool-recyclable.
+//!   a serve-layer plan cache stores, byte-costed.
 
 #![warn(missing_docs)]
 
@@ -43,8 +43,7 @@ pub use area_energy::{conversion_energy_pj, AreaEnergyModel};
 pub use artifact::ConversionArtifact;
 pub use comparator::{ComparatorError, ComparatorTree, MinResult, MinScratch, TreeStructure};
 pub use convert::{
-    convert_matrix, convert_matrix_dcsc, publish_conversion, ConversionStats, DcsrStrip,
-    DcsrTileView, StripConverter, TileHeader,
+    convert_matrix, convert_matrix_dcsc, publish_conversion, ConversionStats, StripConverter,
 };
 pub use farm::{
     convert_matrix_farm, convert_matrix_farm_obs, publish_farm, FarmConfig, FarmError, FarmRun,

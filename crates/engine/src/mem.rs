@@ -22,14 +22,12 @@
 //! so pooled and unpooled runs produce bitwise-identical output — only
 //! capacities (never serialized) differ.
 
-use crate::convert::{DcsrStrip, TileHeader};
-use nmt_formats::DcsrTile;
+use nmt_formats::{DcsrStrip, StripBuffers, TileHeader};
 use nmt_mem::{PoolStats, SharedSlicePool};
 
-/// Strip index arrays (`rowidx`/`rowptr`/`colidx`, three per strip) and
-/// recycled tile and DCSR index buffers. Sized generously: a matrix's
-/// worth of strip buffers must fit idle so the next matrix reuses all of
-/// them.
+/// Strip index arrays (`rowidx`/`rowptr`/`colidx`, three per strip).
+/// Sized generously: a matrix's worth of strip buffers must fit idle so
+/// the next matrix reuses all of them.
 static IDX_POOL: SharedSlicePool<u32> = SharedSlicePool::with_max_idle(8192);
 /// Strip value arrays and kernel accumulators.
 static VAL_POOL: SharedSlicePool<f32> = SharedSlicePool::with_max_idle(8192);
@@ -63,19 +61,16 @@ pool_pair!(pub take_idx, put_idx, IDX_POOL, u32, "tile-index (`u32`)");
 pool_pair!(pub take_val, put_val, VAL_POOL, f32, "value (`f32`)");
 pool_pair!(pub(crate) take_headers, put_headers, HEADER_POOL, TileHeader, "tile-header");
 
-/// Return one tile's four buffers to the pools.
-pub fn recycle_tile(tile: DcsrTile) {
-    let DcsrTile {
-        rowidx,
-        rowptr,
-        colidx,
-        values,
-        ..
-    } = tile;
-    put_idx(true, rowidx);
-    put_idx(true, rowptr);
-    put_idx(true, colidx);
-    put_val(true, values);
+/// Buffers for one strip of `elems` elements, at most `rows` non-empty
+/// rows and `ntiles` tiles, sized so the strip never grows.
+pub(crate) fn take_strip(pooled: bool, elems: usize, rows: usize, ntiles: usize) -> StripBuffers {
+    StripBuffers {
+        rowidx: take_idx(pooled, rows),
+        rowptr: take_idx(pooled, rows + ntiles),
+        colidx: take_idx(pooled, elems),
+        values: take_val(pooled, elems),
+        tiles: take_headers(pooled, ntiles),
+    }
 }
 
 /// Recycle a whole farm output (`FarmRun::strips`): every strip's buffers
@@ -84,7 +79,12 @@ pub fn recycle_tile(tile: DcsrTile) {
 /// after the online kernel's launch).
 pub fn recycle_strips(strips: Vec<DcsrStrip>) {
     for strip in strips {
-        strip.recycle();
+        let b = strip.into_buffers();
+        put_idx(true, b.rowidx);
+        put_idx(true, b.rowptr);
+        put_idx(true, b.colidx);
+        put_val(true, b.values);
+        put_headers(true, b.tiles);
     }
 }
 
@@ -134,19 +134,6 @@ mod tests {
         let v = take_val(false, 7);
         assert!(v.is_empty() && v.capacity() >= 7);
         put_val(false, v);
-    }
-
-    #[test]
-    fn recycle_tile_reshelves_all_buffers() {
-        let reclaimed_before = pool_stats().reclaimed;
-        recycle_tile(DcsrTile {
-            rowidx: Vec::with_capacity(4),
-            rowptr: Vec::with_capacity(5),
-            colidx: Vec::with_capacity(4),
-            values: Vec::with_capacity(4),
-            ..DcsrTile::default()
-        });
-        assert!(pool_stats().reclaimed >= reclaimed_before + 4);
     }
 
     #[test]

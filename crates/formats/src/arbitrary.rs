@@ -10,7 +10,7 @@
 //! panic. Corruptions are deterministic functions of the input (no RNG):
 //! the same matrix corrupted the same way yields the same rejection.
 
-use crate::{Coo, Csc, Csr, DcsrTile, FormatError, SparseMatrix, TiledDcsr};
+use crate::{Coo, Csc, Csr, DcsrTileView, FormatError, Index, SparseMatrix, TiledDcsr};
 use proptest::Strategy;
 
 /// Strategy: a canonical COO matrix with dims in `[1, 64]` and up to 200
@@ -151,35 +151,56 @@ pub fn corrupt_csc(csc: &Csc, kind: Corruption) -> Option<Result<Csc, FormatErro
     Some(Csc::new(shape.nrows, shape.ncols, colptr, rowidx, values))
 }
 
-/// Apply `kind` to a copy of one [`DcsrTile`] and return `validate()`'s
-/// verdict (`None` when the tile cannot express the corruption).
-pub fn corrupt_tile(tile: &DcsrTile, kind: Corruption) -> Option<Result<(), FormatError>> {
-    let mut t = tile.clone();
-    match kind {
-        Corruption::ShuffledIndices => {
-            if t.rowidx.len() >= 2 {
-                t.rowidx.swap(0, 1);
-            } else {
-                let seg =
-                    (0..t.rowidx.len()).find(|&i| (t.rowptr[i + 1] - t.rowptr[i]) >= 2)?;
-                let lo = t.rowptr[seg] as usize;
-                t.colidx.swap(lo, lo + 1);
+/// Apply `kind` to one tile and return `validate()`'s verdict on a view
+/// whose one corrupted slice is a copy (`None` when the tile cannot
+/// express the corruption).
+pub fn corrupt_tile(tile: DcsrTileView<'_>, kind: Corruption) -> Option<Result<(), FormatError>> {
+    let verdict = match kind {
+        Corruption::ShuffledIndices if tile.rowidx.len() >= 2 => {
+            let mut rowidx = tile.rowidx.to_vec();
+            rowidx.swap(0, 1);
+            DcsrTileView {
+                rowidx: &rowidx,
+                ..tile
             }
+            .validate()
+        }
+        Corruption::ShuffledIndices => {
+            let seg =
+                (0..tile.rowidx.len()).find(|&i| (tile.rowptr[i + 1] - tile.rowptr[i]) >= 2)?;
+            let lo = tile.rowptr[seg] as usize;
+            let mut colidx = tile.colidx.to_vec();
+            colidx.swap(lo, lo + 1);
+            DcsrTileView {
+                colidx: &colidx,
+                ..tile
+            }
+            .validate()
         }
         Corruption::TruncatedPtr => {
-            t.rowptr.pop()?;
+            let (_, rowptr) = tile.rowptr.split_last()?;
+            DcsrTileView { rowptr, ..tile }.validate()
         }
         Corruption::DanglingPtr => {
-            *t.rowptr.last_mut()? += 1;
+            let mut rowptr = tile.rowptr.to_vec();
+            *rowptr.last_mut()? += 1;
+            DcsrTileView {
+                rowptr: &rowptr,
+                ..tile
+            }
+            .validate()
         }
         Corruption::OutOfBoundsIndex => {
-            if t.rowidx.is_empty() {
-                return None;
+            let mut rowidx = tile.rowidx.to_vec();
+            *rowidx.first_mut()? = tile.height as Index;
+            DcsrTileView {
+                rowidx: &rowidx,
+                ..tile
             }
-            t.rowidx[0] = t.height as u32;
+            .validate()
         }
-    }
-    Some(t.validate())
+    };
+    Some(verdict)
 }
 
 #[cfg(test)]

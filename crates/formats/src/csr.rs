@@ -264,15 +264,6 @@ impl Csr {
     pub fn row_nnz_counts(&self) -> Vec<usize> {
         (0..self.nrows).map(|r| self.row_nnz(r)).collect()
     }
-
-    /// Histogram of per-column nnz counts.
-    pub fn col_nnz_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.ncols];
-        for &c in &self.colidx {
-            counts[c as usize] += 1;
-        }
-        counts
-    }
 }
 
 impl SparseMatrix for Csr {
@@ -397,7 +388,6 @@ mod tests {
     fn nnz_count_vectors() {
         let m = figure1();
         assert_eq!(m.row_nnz_counts(), vec![3, 0, 2]);
-        assert_eq!(m.col_nnz_counts(), vec![1, 2, 1, 1]);
     }
 
     #[test]

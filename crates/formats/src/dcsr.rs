@@ -216,13 +216,6 @@ impl Dcsr {
         self.rowidx.len()
     }
 
-    /// Consume the matrix, returning its four arrays
-    /// `(rowidx, rowptr, colidx, values)` — the recycling path: buffer
-    /// pools want the allocations back once an artifact is evicted.
-    pub fn into_parts(self) -> (Vec<Index>, Vec<Index>, Vec<Index>, Vec<Value>) {
-        (self.rowidx, self.rowptr, self.colidx, self.values)
-    }
-
     /// The `i`-th densified row: `(global row index, columns, values)`.
     #[inline]
     pub fn dense_row(&self, i: usize) -> (Index, &[Index], &[Value]) {

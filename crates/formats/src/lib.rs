@@ -51,7 +51,9 @@ pub use dense::DenseMatrix;
 pub use error::FormatError;
 pub use storage::{size_ratio, StorageSize};
 pub use strips::{strip_count, strip_nonzero_row_fraction, tile_count, StripStats};
-pub use tiled::{CsrStrip, DcsrTile, TiledCsr, TiledDcsr, DEFAULT_TILE};
+pub use tiled::{
+    CsrStrip, DcsrStrip, DcsrTileView, StripBuffers, TileHeader, TiledCsr, TiledDcsr, DEFAULT_TILE,
+};
 pub use views::CscView;
 
 /// Row/column index type. 4 bytes, matching the paper's storage model where

@@ -8,9 +8,9 @@
 //! *tiled DCSR* removes (Figure 6).
 
 use crate::{
-    Csc, Csr, Dcsr, FormatError, Index, Shape, SparseMatrix, StorageSize, Value, INDEX_BYTES,
-    VALUE_BYTES,
+    Csc, Csr, FormatError, Index, Shape, SparseMatrix, StorageSize, Value, INDEX_BYTES, VALUE_BYTES,
 };
+use std::ops::Range;
 
 /// Default tile edge used throughout the paper: "We use B tile dimension of
 /// 64 × 64 to fully utilize the shared memory of an SM" (§5.1).
@@ -165,13 +165,180 @@ impl StorageSize for TiledCsr {
 // Tiled DCSR
 // ---------------------------------------------------------------------------
 
-/// One `tile_h × tile_w` DCSR tile: only non-empty row segments are stored,
-/// with row and column indices local to the tile.
+/// Where one tile sits inside its [`DcsrStrip`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TileHeader {
+    /// First global row covered by the tile.
+    pub row_start: Index,
+    /// Tile height (rows covered; ≤ nominal tile height at the bottom edge).
+    pub height: usize,
+    /// The tile's entries in the strip's `rowidx`; its `rowptr` segment
+    /// is the same range shifted by the tile index (one extra entry each).
+    rows: Range<usize>,
+    /// The tile's entries in the strip's `colidx` and `values`.
+    elems: Range<usize>,
+}
+
+/// The five buffers behind a [`DcsrStrip`]. Producers pass them in, so a
+/// caller with a buffer pool (the engine's `mem` module) can hand the
+/// strip recycled allocations and take them back with
+/// [`DcsrStrip::into_buffers`]; contents are cleared, capacity is kept.
+#[derive(Debug, Default)]
+pub struct StripBuffers {
+    /// Local indices of non-empty rows, tile after tile.
+    pub rowidx: Vec<Index>,
+    /// Per-tile row pointers, each tile's segment starting at 0.
+    pub rowptr: Vec<Index>,
+    /// Local column indices.
+    pub colidx: Vec<Index>,
+    /// Values.
+    pub values: Vec<Value>,
+    /// One header per tile.
+    pub tiles: Vec<TileHeader>,
+}
+
+/// One vertical strip of tiled DCSR: its tiles, top to bottom, stored
+/// back to back in one set of buffers. This is the unit an SM consumes
+/// (one block per strip, `GetDCSRTile` per tile, Figure 11), and the one
+/// layout both producers write: offline tiling ([`TiledDcsr::from_csr`])
+/// and the near-memory engine's strip converter. Tile `t`'s `rowptr`
+/// segment starts at 0, so [`Self::tile`] borrows it as a standalone
+/// DCSR tile.
 ///
-/// This is exactly the structure the near-memory engine streams to shared
-/// memory: `value`, `col_idx`, `row_ptr`, `row_idx` (Figure 11's outputs).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct DcsrTile {
+/// Producers append through [`Self::start_tile`], [`Self::push_row`],
+/// [`Self::push_elem`] and [`Self::finish_tile`], in that nesting.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DcsrStrip {
+    col_start: Index,
+    width: usize,
+    rowidx: Vec<Index>,
+    rowptr: Vec<Index>,
+    colidx: Vec<Index>,
+    values: Vec<Value>,
+    tiles: Vec<TileHeader>,
+}
+
+impl DcsrStrip {
+    /// An empty strip covering `width` columns from `col_start`, writing
+    /// into `buffers` (cleared first; their capacity is kept).
+    pub fn new(col_start: Index, width: usize, buffers: StripBuffers) -> Self {
+        let StripBuffers {
+            mut rowidx,
+            mut rowptr,
+            mut colidx,
+            mut values,
+            mut tiles,
+        } = buffers;
+        rowidx.clear();
+        rowptr.clear();
+        colidx.clear();
+        values.clear();
+        tiles.clear();
+        DcsrStrip {
+            col_start,
+            width,
+            rowidx,
+            rowptr,
+            colidx,
+            values,
+            tiles,
+        }
+    }
+
+    /// Open the next tile: `height` rows from global row `row_start`.
+    pub fn start_tile(&mut self, row_start: Index, height: usize) {
+        let (rows, elems) = (self.rowidx.len(), self.colidx.len());
+        self.rowptr.push(0);
+        self.tiles.push(TileHeader {
+            row_start,
+            height,
+            rows: rows..rows,
+            elems: elems..elems,
+        });
+    }
+
+    /// Open a non-empty row of the current tile (`local_row` is relative
+    /// to the tile's `row_start`); its elements follow via
+    /// [`Self::push_elem`].
+    pub fn push_row(&mut self, local_row: Index) {
+        self.rowidx.push(local_row);
+        let end = self.rowptr.last().copied().unwrap_or(0);
+        self.rowptr.push(end);
+    }
+
+    /// Append one element to the current row (`local_col` is relative to
+    /// the strip's `col_start`).
+    pub fn push_elem(&mut self, local_col: Index, value: Value) {
+        self.colidx.push(local_col);
+        self.values.push(value);
+        if let Some(end) = self.rowptr.last_mut() {
+            *end += 1;
+        }
+    }
+
+    /// Close the current tile.
+    pub fn finish_tile(&mut self) {
+        let (rows, elems) = (self.rowidx.len(), self.colidx.len());
+        if let Some(h) = self.tiles.last_mut() {
+            h.rows.end = rows;
+            h.elems.end = elems;
+        }
+    }
+
+    /// Give the strip's buffers back (for a pool to reshelve).
+    pub fn into_buffers(self) -> StripBuffers {
+        StripBuffers {
+            rowidx: self.rowidx,
+            rowptr: self.rowptr,
+            colidx: self.colidx,
+            values: self.values,
+            tiles: self.tiles,
+        }
+    }
+
+    /// Strip width (columns covered; ≤ nominal width at the right edge).
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of tiles in the strip.
+    pub fn num_tiles(&self) -> usize {
+        self.tiles.len()
+    }
+
+    /// Per-tile headers, top to bottom.
+    pub fn headers(&self) -> &[TileHeader] {
+        &self.tiles
+    }
+
+    /// Tile `t` (top to bottom), borrowed. Panics if `t` is out of range.
+    pub fn tile(&self, t: usize) -> DcsrTileView<'_> {
+        let h = &self.tiles[t];
+        DcsrTileView {
+            row_start: h.row_start,
+            col_start: self.col_start,
+            height: h.height,
+            width: self.width,
+            rowidx: &self.rowidx[h.rows.clone()],
+            rowptr: &self.rowptr[h.rows.start + t..h.rows.end + t + 1],
+            colidx: &self.colidx[h.elems.clone()],
+            values: &self.values[h.elems.clone()],
+        }
+    }
+
+    /// Every tile, top to bottom.
+    pub fn tiles(&self) -> impl Iterator<Item = DcsrTileView<'_>> {
+        (0..self.tiles.len()).map(move |t| self.tile(t))
+    }
+}
+
+/// One `height × width` DCSR tile of a [`DcsrStrip`], borrowed: only
+/// non-empty row segments are stored, with row and column indices local
+/// to the tile. These are exactly the arrays the near-memory engine
+/// streams to shared memory: `value`, `col_idx`, `row_ptr`, `row_idx`
+/// (Figure 11's outputs).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DcsrTileView<'a> {
     /// First global row covered by the tile.
     pub row_start: Index,
     /// First global column covered by the tile.
@@ -181,16 +348,16 @@ pub struct DcsrTile {
     /// Tile width (columns covered; ≤ nominal width at the right edge).
     pub width: usize,
     /// Local indices of non-empty rows within the tile, strictly increasing.
-    pub rowidx: Vec<Index>,
+    pub rowidx: &'a [Index],
     /// Row pointers over the densified rows (`rowidx.len() + 1` entries).
-    pub rowptr: Vec<Index>,
+    pub rowptr: &'a [Index],
     /// Local column indices (`0 .. width`).
-    pub colidx: Vec<Index>,
+    pub colidx: &'a [Index],
     /// Values.
-    pub values: Vec<Value>,
+    pub values: &'a [Value],
 }
 
-impl DcsrTile {
+impl DcsrTileView<'_> {
     /// Number of non-zeros in the tile.
     pub fn nnz(&self) -> usize {
         self.colidx.len()
@@ -199,11 +366,6 @@ impl DcsrTile {
     /// Number of non-empty row segments (`nnzrows` in the API of Fig. 11).
     pub fn nnz_rows(&self) -> usize {
         self.rowidx.len()
-    }
-
-    /// True when the tile stores nothing.
-    pub fn is_empty(&self) -> bool {
-        self.colidx.is_empty()
     }
 
     /// Metadata bytes: colidx + rowptr + rowidx, all 4-byte entries.
@@ -216,8 +378,8 @@ impl DcsrTile {
         self.values.len() * VALUE_BYTES
     }
 
-    /// Validate the tile's internal invariants (used by tests and by the
-    /// engine's self-checks).
+    /// Validate the tile's internal invariants — the one tile validator,
+    /// used by tests, the engine's self-checks and its fault drills.
     pub fn validate(&self) -> Result<(), FormatError> {
         if self.rowptr.len() != self.rowidx.len() + 1 {
             return Err(FormatError::LengthMismatch {
@@ -290,23 +452,23 @@ impl DcsrTile {
     }
 }
 
-/// The full matrix as strips of DCSR tiles: `strips[s][t]` is the tile at
+/// The full matrix as DCSR strips: `strips()[s].tile(t)` is the tile at
 /// strip `s` (column block) and vertical position `t` (row block).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TiledDcsr {
     nrows: usize,
     ncols: usize,
     tile_w: usize,
-    tile_h: usize,
-    strips: Vec<Vec<DcsrTile>>,
+    strips: Vec<DcsrStrip>,
 }
 
 impl TiledDcsr {
-    /// Offline tiling of a CSR matrix into `tile_h × tile_w` DCSR tiles.
+    /// Offline tiling of a CSR matrix into `tile_h × tile_w` DCSR tiles,
+    /// in one pass over the CSR rows.
     ///
     /// This is the *offline tiled-DCSR* configuration of §5.2 (2.03×
     /// speedup, preprocessing cost not counted); the engine produces the
-    /// same tiles online from CSC.
+    /// same strips online from CSC.
     pub fn from_csr(csr: &Csr, tile_w: usize, tile_h: usize) -> Result<Self, FormatError> {
         if tile_w == 0 || tile_h == 0 {
             return Err(FormatError::ShapeMismatch {
@@ -316,54 +478,57 @@ impl TiledDcsr {
         let shape = csr.shape();
         let nstrips = crate::strip_count(shape.ncols, tile_w);
         let ntiles = crate::tile_count(shape.nrows, tile_h);
-        let mut strips: Vec<Vec<DcsrTile>> = (0..nstrips)
-            .map(|s| {
-                (0..ntiles)
-                    .map(|t| DcsrTile {
-                        row_start: (t * tile_h) as Index,
-                        col_start: (s * tile_w) as Index,
-                        height: tile_h.min(shape.nrows.saturating_sub(t * tile_h)).max(1),
-                        width: tile_w.min(shape.ncols.saturating_sub(s * tile_w)).max(1),
-                        ..DcsrTile::default()
-                    })
-                    .collect()
+        // Element counts per strip size the value arrays exactly.
+        let mut elems = vec![0usize; nstrips];
+        for &c in csr.colidx() {
+            elems[c as usize / tile_w] += 1;
+        }
+        let mut strips: Vec<DcsrStrip> = elems
+            .iter()
+            .enumerate()
+            .map(|(s, &n)| {
+                let buffers = StripBuffers {
+                    colidx: Vec::with_capacity(n),
+                    values: Vec::with_capacity(n),
+                    tiles: Vec::with_capacity(ntiles),
+                    ..StripBuffers::default()
+                };
+                let width = tile_w.min(shape.ncols.saturating_sub(s * tile_w)).max(1);
+                DcsrStrip::new((s * tile_w) as Index, width, buffers)
             })
             .collect();
-        for r in 0..shape.nrows {
-            let t = r / tile_h;
-            let local_r = (r - t * tile_h) as Index;
-            let (cols, vals) = csr.row(r);
-            // Row-major CSR gives columns sorted, so per-strip segments are
-            // contiguous runs; emit one densified row per touched strip.
-            let mut k = 0;
-            while k < cols.len() {
-                let s = cols[k] as usize / tile_w;
-                let strip_end = ((s + 1) * tile_w) as Index;
-                let tile = &mut strips[s][t];
-                tile.rowidx.push(local_r);
-                while k < cols.len() && cols[k] < strip_end {
-                    tile.colidx.push(cols[k] - (s * tile_w) as Index);
-                    tile.values.push(vals[k]);
-                    k += 1;
-                }
-                tile.rowptr.push(tile.colidx.len() as Index);
+        for t in 0..ntiles {
+            let row_start = t * tile_h;
+            let height = tile_h.min(shape.nrows.saturating_sub(row_start)).max(1);
+            for strip in &mut strips {
+                strip.start_tile(row_start as Index, height);
             }
-        }
-        for strip in &mut strips {
-            for tile in strip {
-                // rowptr built without the leading 0; prepend it.
-                tile.rowptr.insert(0, 0);
-                if tile.rowptr.len() == 1 {
-                    // completely empty tile: canonical empty rowptr = [0]
-                    debug_assert!(tile.rowidx.is_empty());
+            for r in row_start..(row_start + height).min(shape.nrows) {
+                let local_r = (r - row_start) as Index;
+                let (cols, vals) = csr.row(r);
+                // Row-major CSR gives columns sorted, so per-strip segments
+                // are contiguous runs; emit one densified row per touched
+                // strip.
+                let mut k = 0;
+                while k < cols.len() {
+                    let s = cols[k] as usize / tile_w;
+                    let col_start = s * tile_w;
+                    let strip = &mut strips[s];
+                    strip.push_row(local_r);
+                    while k < cols.len() && (cols[k] as usize) < col_start + tile_w {
+                        strip.push_elem(cols[k] - col_start as Index, vals[k]);
+                        k += 1;
+                    }
                 }
+            }
+            for strip in &mut strips {
+                strip.finish_tile();
             }
         }
         let out = Self {
             nrows: shape.nrows,
             ncols: shape.ncols,
             tile_w,
-            tile_h,
             strips,
         };
         debug_assert!(
@@ -374,18 +539,48 @@ impl TiledDcsr {
         Ok(out)
     }
 
+    /// Wrap strips a producer already wrote for an `nrows × ncols` matrix
+    /// at strip width `tile_w` (the engine farm's output) without copying
+    /// them. The grid is checked in debug builds only; call
+    /// [`Self::validate`] on untrusted strips.
+    pub fn from_strips_unchecked(
+        nrows: usize,
+        ncols: usize,
+        tile_w: usize,
+        strips: Vec<DcsrStrip>,
+    ) -> Self {
+        let out = Self {
+            nrows,
+            ncols,
+            tile_w,
+            strips,
+        };
+        debug_assert!(
+            out.validate().is_ok(),
+            "strips do not tile the matrix: {:?}",
+            out.validate().err()
+        );
+        out
+    }
+
     /// Check the whole tile grid: the strip/tile counts match the matrix
-    /// dimensions, every tile sits at its grid position with the correct
-    /// (edge-clamped) extent, and every tile's internal invariants hold
-    /// ([`DcsrTile::validate`]).
+    /// dimensions, every strip and tile sits at its grid position with the
+    /// correct (edge-clamped) extent, and every tile's internal invariants
+    /// hold ([`DcsrTileView::validate`]). The nominal tile height is the
+    /// first tile's.
     pub fn validate(&self) -> Result<(), FormatError> {
-        if self.tile_w == 0 || self.tile_h == 0 {
+        let tile_h = self
+            .strips
+            .first()
+            .and_then(|s| s.headers().first())
+            .map_or(0, |h| h.height);
+        if self.tile_w == 0 || tile_h == 0 {
             return Err(FormatError::ShapeMismatch {
                 detail: "tile dims must be > 0".into(),
             });
         }
         let nstrips = crate::strip_count(self.ncols, self.tile_w);
-        let ntiles = crate::tile_count(self.nrows, self.tile_h);
+        let ntiles = crate::tile_count(self.nrows, tile_h);
         if self.strips.len() != nstrips {
             return Err(FormatError::LengthMismatch {
                 expected: nstrips,
@@ -394,17 +589,17 @@ impl TiledDcsr {
             });
         }
         for (s, strip) in self.strips.iter().enumerate() {
-            if strip.len() != ntiles {
+            if strip.num_tiles() != ntiles {
                 return Err(FormatError::LengthMismatch {
                     expected: ntiles,
-                    found: strip.len(),
+                    found: strip.num_tiles(),
                     name: "tiles per strip",
                 });
             }
-            for (t, tile) in strip.iter().enumerate() {
-                let row_start = t * self.tile_h;
+            for (t, tile) in strip.tiles().enumerate() {
+                let row_start = t * tile_h;
                 let col_start = s * self.tile_w;
-                let height = self.tile_h.min(self.nrows.saturating_sub(row_start)).max(1);
+                let height = tile_h.min(self.nrows.saturating_sub(row_start)).max(1);
                 let width = self.tile_w.min(self.ncols.saturating_sub(col_start)).max(1);
                 if tile.row_start as usize != row_start
                     || tile.col_start as usize != col_start
@@ -430,26 +625,14 @@ impl TiledDcsr {
         Self::from_csr(&csc.to_csr(), tile_w, tile_h)
     }
 
-    /// The strips, each a top-to-bottom vector of tiles.
-    pub fn strips(&self) -> &[Vec<DcsrTile>] {
+    /// The strips, left to right.
+    pub fn strips(&self) -> &[DcsrStrip] {
         &self.strips
-    }
-
-    /// Consume the tiling, returning the owned strips — the recycling
-    /// path: evicted conversion artifacts hand their tile buffers back
-    /// to the engine pools via `recycle_strips`.
-    pub fn into_strips(self) -> Vec<Vec<DcsrTile>> {
-        self.strips
     }
 
     /// Tile width.
     pub fn tile_width(&self) -> usize {
         self.tile_w
-    }
-
-    /// Tile height.
-    pub fn tile_height(&self) -> usize {
-        self.tile_h
     }
 
     /// Number of vertical strips.
@@ -459,21 +642,21 @@ impl TiledDcsr {
 
     /// Number of tiles per strip.
     pub fn tiles_per_strip(&self) -> usize {
-        self.strips.first().map_or(0, Vec::len)
+        self.strips.first().map_or(0, DcsrStrip::num_tiles)
     }
 
     /// Iterate all tiles with their `(strip, tile)` coordinates.
-    pub fn iter_tiles(&self) -> impl Iterator<Item = (usize, usize, &DcsrTile)> {
+    pub fn iter_tiles(&self) -> impl Iterator<Item = (usize, usize, DcsrTileView<'_>)> {
         self.strips
             .iter()
             .enumerate()
-            .flat_map(|(s, tiles)| tiles.iter().enumerate().map(move |(t, tile)| (s, t, tile)))
+            .flat_map(|(s, strip)| strip.tiles().enumerate().map(move |(t, tile)| (s, t, tile)))
     }
 
     /// Total number of non-empty row segments across all tiles — the
     /// quantity that inflates tiled metadata for scattered distributions.
     pub fn total_row_segments(&self) -> usize {
-        self.iter_tiles().map(|(_, _, t)| t.nnz_rows()).sum()
+        self.strips.iter().map(|s| s.rowidx.len()).sum()
     }
 
     /// Reassemble the original CSR (inverse of `from_csr`).
@@ -496,36 +679,6 @@ impl TiledDcsr {
         }
         Csr::from_parts_unchecked(self.nrows, self.ncols, rowptr, colidx, values)
     }
-
-    /// Reassemble one strip as an untiled [`Dcsr`] over local columns
-    /// (used by tests comparing against the engine's per-strip output).
-    pub fn strip_as_dcsr(&self, s: usize) -> Dcsr {
-        let strip = &self.strips[s];
-        let width = strip.first().map_or(1, |t| t.width);
-        let mut rows: Vec<(Index, Vec<Index>, Vec<Value>)> = Vec::new();
-        for tile in strip {
-            for i in 0..tile.rowidx.len() {
-                let (lo, hi) = (tile.rowptr[i] as usize, tile.rowptr[i + 1] as usize);
-                rows.push((
-                    tile.row_start + tile.rowidx[i],
-                    tile.colidx[lo..hi].to_vec(),
-                    tile.values[lo..hi].to_vec(),
-                ));
-            }
-        }
-        rows.sort_unstable_by_key(|&(r, _, _)| r);
-        let mut rowidx = Vec::with_capacity(rows.len());
-        let mut rowptr = vec![0 as Index];
-        let mut colidx = Vec::new();
-        let mut values = Vec::new();
-        for (r, cols, vals) in rows {
-            rowidx.push(r);
-            colidx.extend(cols);
-            values.extend(vals);
-            rowptr.push(colidx.len() as Index);
-        }
-        Dcsr::from_parts_unchecked(self.nrows, width, rowidx, rowptr, colidx, values)
-    }
 }
 
 impl SparseMatrix for TiledDcsr {
@@ -534,17 +687,23 @@ impl SparseMatrix for TiledDcsr {
     }
 
     fn nnz(&self) -> usize {
-        self.iter_tiles().map(|(_, _, t)| t.nnz()).sum()
+        self.strips.iter().map(|s| s.colidx.len()).sum()
     }
 }
 
 impl StorageSize for TiledDcsr {
     fn metadata_bytes(&self) -> usize {
-        self.iter_tiles().map(|(_, _, t)| t.metadata_bytes()).sum()
+        self.strips
+            .iter()
+            .map(|s| (s.colidx.len() + s.rowptr.len() + s.rowidx.len()) * INDEX_BYTES)
+            .sum()
     }
 
     fn data_bytes(&self) -> usize {
-        self.iter_tiles().map(|(_, _, t)| t.data_bytes()).sum()
+        self.strips
+            .iter()
+            .map(|s| s.values.len() * VALUE_BYTES)
+            .sum()
     }
 }
 
@@ -600,9 +759,9 @@ mod tests {
         let m = sample(8, &[(5, 6)]);
         let tiled = TiledDcsr::from_csr(&m, 4, 4).unwrap();
         // (5,6) lands in strip 1, tile 1, local (1, 2).
-        let tile = &tiled.strips()[1][1];
-        assert_eq!(tile.rowidx, vec![1]);
-        assert_eq!(tile.colidx, vec![2]);
+        let tile = tiled.strips()[1].tile(1);
+        assert_eq!(tile.rowidx, [1]);
+        assert_eq!(tile.colidx, [2]);
         assert_eq!(tile.row_start, 4);
         assert_eq!(tile.col_start, 4);
         let g: Vec<_> = tile.iter_global().collect();
@@ -647,18 +806,9 @@ mod tests {
         let tiled = TiledDcsr::from_csr(&m, 4, 4).unwrap();
         // Row 2 contributes a row segment to strip 0 (col 1) and strip 1
         // (cols 5, 7).
-        assert_eq!(tiled.strips()[0][0].nnz(), 1);
-        assert_eq!(tiled.strips()[1][0].nnz(), 2);
+        assert_eq!(tiled.strips()[0].tile(0).nnz(), 1);
+        assert_eq!(tiled.strips()[1].tile(0).nnz(), 2);
         assert_eq!(tiled.total_row_segments(), 2);
-    }
-
-    #[test]
-    fn strip_as_dcsr_merges_tiles() {
-        let m = sample(8, &[(1, 0), (6, 1), (3, 2)]);
-        let tiled = TiledDcsr::from_csr(&m, 4, 4).unwrap();
-        let strip = tiled.strip_as_dcsr(0);
-        assert_eq!(strip.rowidx(), &[1, 3, 6]);
-        assert_eq!(strip.nnz(), 3);
     }
 
     #[test]
@@ -682,7 +832,7 @@ mod tests {
         // 10x10 with 4-wide tiles -> last strip/tile is 2 wide/tall.
         let m = sample(10, &[(9, 9), (8, 8)]);
         let tiled = TiledDcsr::from_csr(&m, 4, 4).unwrap();
-        let tile = &tiled.strips()[2][2];
+        let tile = tiled.strips()[2].tile(2);
         assert_eq!(tile.width, 2);
         assert_eq!(tile.height, 2);
         tile.validate().unwrap();

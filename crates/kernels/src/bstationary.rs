@@ -209,7 +209,6 @@ pub fn bstat_tiled_dcsr_offline(
     let c_dev = DenseDevice::upload(gpu, &DenseMatrix::zeros(n, k), TrafficClass::MatC);
 
     let mut c = DenseMatrix::zeros(n, k);
-    let tiles_per_strip = tiled.tiles_per_strip();
     // One block per strip: B tile resident in shared memory across all of
     // the strip's tiles.
     let num_blocks = tiled.num_strips();
@@ -217,11 +216,10 @@ pub fn bstat_tiled_dcsr_offline(
     let mut acc = nmt_engine::mem::take_val(true, k);
     let stats = gpu.launch(shared, num_blocks, |ctx| {
         let s = ctx.block_id;
-        let first_width = tiled.strips()[s].first().map_or(tile_w, |t| t.width);
-        let b_rows = first_width.min(b.nrows().saturating_sub(s * tile_w));
+        let strip = &tiled.strips()[s];
+        let b_rows = strip.width().min(b.nrows().saturating_sub(s * tile_w));
         load_b_tile(ctx, &b_dev, s * tile_w, b_rows, k);
-        for t in 0..tiles_per_strip {
-            let tile = &tiled.strips()[s][t];
+        for (t, tile) in strip.tiles().enumerate() {
             // Tile directory entry + the tile's packed bytes.
             let (off, len) = a_dev.offsets[s][t];
             let dir_bytes = 8.min(a_dev.data.len);
@@ -295,7 +293,6 @@ pub fn bstat_tiled_dcsr_traversal(
 
     let mut c = DenseMatrix::zeros(n, k);
     let nstrips = tiled.num_strips();
-    let tiles_per_strip = tiled.tiles_per_strip();
     let num_blocks = nstrips * kc_tiles;
     let shared = tile_w * tile_w * WORD as usize;
     let mut acc = nmt_engine::mem::take_val(true, tile_w);
@@ -310,15 +307,14 @@ pub fn bstat_tiled_dcsr_traversal(
         let k_hi = (k_lo + tile_w).min(k);
         let kw = k_hi - k_lo;
         // Load the (s, kc) tile of B into shared memory.
-        let first_width = tiled.strips()[s].first().map_or(tile_w, |t| t.width);
-        let b_rows = first_width.min(b.nrows().saturating_sub(s * tile_w));
+        let strip = &tiled.strips()[s];
+        let b_rows = strip.width().min(b.nrows().saturating_sub(s * tile_w));
         for i in 0..b_rows {
             let (off, bytes) = b_dev.row_segment((s * tile_w + i) as u64, k_lo as u64, kw as u64);
             ctx.ld_global(&b_dev.buf, off, bytes, false);
             ctx.shared_op(bytes, warp.min(kw));
         }
-        for t in 0..tiles_per_strip {
-            let tile = &tiled.strips()[s][t];
+        for (t, tile) in strip.tiles().enumerate() {
             let (off, len) = a_dev.offsets[s][t];
             let dir_bytes = 8.min(a_dev.data.len);
             ctx.ld_global(
@@ -393,12 +389,13 @@ pub fn bstat_tiled_dcsr_online(
 }
 
 /// [`bstat_tiled_dcsr_online`] with an observability context threaded
-/// through: the conversion pre-run and the kernel launch are wrapped in
-/// spans (`engine.convert` with one child per strip, `kernels.launch`),
-/// per-strip FLOP/element/stream-byte histograms land in the metric
-/// registry, and — when the context is enabled — each strip additionally
-/// runs the cycle-level prefetch pipeline so
-/// `engine.pipeline.prefetch_hit_rate` reflects this matrix.
+/// through: the farm records its own spans (`engine.farm`, one
+/// `engine.farm.strip` per strip on the worker that ran it), the
+/// post-farm bookkeeping runs under `engine.convert` and the launch under
+/// `kernels.launch`; each strip records a `KernelStrip` flight event and
+/// per-strip FLOP/element/stream-byte histograms in the metric registry,
+/// and — when the context is enabled — runs the cycle-level prefetch
+/// pipeline so `engine.pipeline.prefetch_hit_rate` reflects this matrix.
 pub fn bstat_tiled_dcsr_online_obs(
     gpu: &mut Gpu,
     csc: &Csc,
@@ -420,7 +417,6 @@ pub fn bstat_tiled_dcsr_online_obs(
     // reduction is partition-index-ordered, so `engine` and every obs
     // counter below are byte-identical at any thread count.
     let nstrips = nmt_formats::strip_count(shape.ncols, tile_w);
-    let tiles_per_strip = nmt_formats::tile_count(n, tile_h);
     let farm_cfg =
         FarmConfig::for_partitions(gpu.config().num_partitions).with_fault(gpu.fault_plan());
     let farm = convert_matrix_farm_obs(csc.view(), tile_w, tile_h, farm_cfg, obs);
@@ -491,8 +487,7 @@ pub fn bstat_tiled_dcsr_online_obs(
             false,
         );
         let mut consumed_before = 0u64;
-        for t in 0..tiles_per_strip {
-            let tile = strip.tile(t);
+        for tile in strip.tiles() {
             // GetDCSRTile request: much like a warp vector store (Fig. 11).
             ctx.warp_instr(InstrClass::Memory, ctx.warp_size(), 1);
             // Engine streams the tile's CSC elements from DRAM inside the

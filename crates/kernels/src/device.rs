@@ -111,8 +111,8 @@ impl TiledDcsrDevice {
         let mut offsets = Vec::with_capacity(tiled.num_strips());
         let mut cursor = 0u64;
         for strip in tiled.strips() {
-            let mut row = Vec::with_capacity(strip.len());
-            for tile in strip {
+            let mut row = Vec::with_capacity(strip.num_tiles());
+            for tile in strip.tiles() {
                 let bytes = (tile.metadata_bytes() + tile.data_bytes()) as u64;
                 row.push((cursor, bytes));
                 cursor += bytes;

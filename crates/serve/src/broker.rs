@@ -28,7 +28,6 @@
 //! `serve.*` metrics/flight events.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
 use nmt::{MatrixFingerprint, PlannerConfig, SpmmPlanner};
 use nmt_engine::ConversionArtifact;
@@ -290,16 +289,11 @@ fn execute_one(
     let (acquire_allocs, _bytes) = scope.finish();
     let acquire_ns = obs.flight.now_ns().saturating_sub(t0);
 
-    // Evicted artifacts whose last handle just dropped go back to the
-    // engine pools; ones still pinned by a concurrent request are freed
-    // by that request's Arc instead.
-    let mut evicted = 0u64;
-    for victim in lookup.evicted {
-        evicted += 1;
-        if let Ok(plan) = Arc::try_unwrap(victim) {
-            plan.artifact.recycle();
-        }
-    }
+    // Evicted artifacts are freed here (or by a concurrent request still
+    // holding one), not shelved in the engine pools: see
+    // `nmt_engine::artifact`.
+    let evicted = lookup.evicted.len() as u64;
+    drop(lookup.evicted);
     let cache_code = match lookup.how {
         Acquire::Hit => 0,
         Acquire::Computed => 1,

@@ -23,8 +23,8 @@
 //!   when an insert pushes residency over the budget, least-recently-used
 //!   entries are evicted (never in-flight markers, never the entry just
 //!   inserted — the budget is soft by at most the newest entry). Evicted
-//!   values are handed back to the caller so conversion buffers can be
-//!   recycled into the `nmt-mem` pools.
+//!   values are handed back to the caller, which drops them outside the
+//!   lock.
 //!
 //! Hit/miss/wait counters are *observability*: `waits` (and the
 //! hit-vs-wait split) depend on the schedule, but `misses == computes`
@@ -73,8 +73,8 @@ pub enum Acquire {
 }
 
 /// A resolved lookup: the shared value, how it was obtained, and any
-/// entries the byte budget evicted during the insert (callers recycle
-/// the ones they can reclaim exclusively).
+/// entries the byte budget evicted during the insert (callers count and
+/// drop them).
 #[derive(Debug)]
 pub struct Lookup<V> {
     /// The cached (or just-computed) value.

@@ -10,8 +10,8 @@
 //!   replay bit-identical workloads anywhere.
 //! * [`cache`] — [`PlanCache`], the content-keyed single-flight cache:
 //!   concurrent requests for one matrix cost one SSF profile + one
-//!   conversion; LRU + byte-budget eviction recycles artifact buffers
-//!   into the engine pools.
+//!   conversion; LRU + byte-budget eviction drops the evicted
+//!   artifacts.
 //! * [`broker`] — [`serve_trace`]: deterministic admission (bounded
 //!   queue, typed rejections, deficit-round-robin tenant fairness),
 //!   then parallel execution over the cache.

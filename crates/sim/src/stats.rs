@@ -262,15 +262,6 @@ impl KernelStats {
             other: other / total,
         }
     }
-
-    /// Achieved DRAM bandwidth in GB/s.
-    pub fn achieved_bandwidth_gbps(&self) -> f64 {
-        if self.total_ns <= 0.0 {
-            0.0
-        } else {
-            self.dram_traffic.total() as f64 / self.total_ns
-        }
-    }
 }
 
 #[cfg(test)]
@@ -382,7 +373,6 @@ mod tests {
         };
         stats.dram_traffic.add(TrafficClass::MatB, 500);
         assert!((stats.bytes_per_flop() - 5.0).abs() < 1e-12);
-        assert!((stats.achieved_bandwidth_gbps() - 50.0).abs() < 1e-12);
         stats.l2_hits = 3;
         stats.l2_misses = 1;
         assert!((stats.l2_hit_rate() - 0.75).abs() < 1e-12);

@@ -100,16 +100,6 @@ impl TraceBuffer {
             .sum()
     }
 
-    /// Addresses (start of each access) for `class`, in arrival order —
-    /// the input for access-pattern assertions (stride detection etc.).
-    pub fn addresses_for(&self, class: TrafficClass) -> Vec<u64> {
-        self.events()
-            .into_iter()
-            .filter(|e| e.class == class)
-            .map(|e| e.addr)
-            .collect()
-    }
-
     /// The window capacity (0 = disabled).
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -209,7 +199,6 @@ mod tests {
         t.record(ev(256));
         assert_eq!(t.bytes_for(TrafficClass::MatB), 256);
         assert_eq!(t.bytes_for(TrafficClass::MatA), 4);
-        assert_eq!(t.addresses_for(TrafficClass::MatB), vec![0, 256]);
     }
 
     #[test]

@@ -62,7 +62,8 @@ fn main() {
 
     // The full converter produces the tile in one call.
     let mut conv = StripConverter::new(&csc, 0, 3);
-    let tile = conv.next_tile(0, 5);
+    let strip = conv.next_tile(0, 5);
+    let tile = strip.tile(0);
     println!("tiled DCSR output (Figure 13, right):");
     println!("  value   = {:?}", tile.values);
     println!("  col_idx = {:?}", tile.colidx);

@@ -339,13 +339,13 @@ fn cmd_convert(rest: &[&String]) -> Result<(), String> {
     let tile = parse_tile(rest, 64)?;
     let a = load(rest)?;
     let csc = a.to_csc();
-    let (tiles, stats) = convert_matrix(&csc, tile, tile);
+    let (tiles, stats) = convert_matrix(&csc, tile, tile).map_err(|e| e.to_string())?;
     let tree = ComparatorTree::new(tile)
         .map_err(|e| e.to_string())?
         .structure();
     let timing = EngineTiming::fp32(13.6, &tree);
-    let per_strip_ns = timing.conversion_time_ns(&stats) / tiles.len().max(1) as f64;
-    println!("strips           : {}", tiles.len());
+    let per_strip_ns = timing.conversion_time_ns(&stats) / tiles.num_strips().max(1) as f64;
+    println!("strips           : {}", tiles.num_strips());
     println!("tiles            : {}", stats.tiles);
     println!("elements         : {}", stats.elements);
     println!("DCSR rows        : {}", stats.rows_emitted);

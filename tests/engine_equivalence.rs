@@ -8,7 +8,7 @@ use spmm_nmt::engine::comparator::ComparatorTree;
 use spmm_nmt::engine::{
     convert_matrix, convert_matrix_farm, ConversionStats, EngineTiming, FarmConfig, StripConverter,
 };
-use spmm_nmt::formats::{Coo, Csr, SparseMatrix, TiledDcsr};
+use spmm_nmt::formats::{Coo, Csr, DcsrStrip, SparseMatrix, StorageSize, TiledDcsr};
 
 fn csr_strategy() -> impl Strategy<Value = Csr> {
     (2usize..=48, 2usize..=48).prop_flat_map(|(nrows, ncols)| {
@@ -57,41 +57,49 @@ fn edge_csr(nrows: usize, ncols: usize, filled_cols: usize, entries: &[(u32, u32
     Csr::from_coo(&coo)
 }
 
-/// The farm's strips against offline tiling: owned copies equal
-/// `TiledDcsr::from_csc` bit for bit, every borrowed view reports its
-/// owned tile's sizes, and the per-tile header deltas sum to the farm's
-/// per-strip and total counters.
+/// The farm's strips against offline tiling: equal to
+/// `TiledDcsr::from_csc` bit for bit, headers included, and every tile
+/// valid. The counters the farm derives per tile sum to each strip
+/// converter's own `stats()`, and to the farm's per-strip, per-partition
+/// and total counters.
 fn check_strips(csr: &Csr, tile_w: usize, tile_h: usize) -> Result<(), TestCaseError> {
     let csc = csr.to_csc();
     let offline = TiledDcsr::from_csc(&csc, tile_w, tile_h).expect("tiling");
     let farm = convert_matrix_farm(&csc, tile_w, tile_h, FarmConfig::for_partitions(4))
         .expect("clean farm");
-    prop_assert_eq!(farm.strips.len(), offline.strips().len());
+    prop_assert_eq!(&farm.strips[..], offline.strips());
+    let bits = |strip: &DcsrStrip| -> Vec<u32> {
+        strip
+            .tiles()
+            .flat_map(|t| t.values.iter().map(|x| x.to_bits()))
+            .collect()
+    };
     let mut total = ConversionStats::default();
     for (s, strip) in farm.strips.iter().enumerate() {
-        let owned = strip.to_tiles();
-        let expected = &offline.strips()[s];
-        prop_assert_eq!(&owned, expected, "strip {}", s);
-        for (tile, want) in owned.iter().zip(expected) {
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&tile.values), bits(&want.values));
+        prop_assert_eq!(
+            bits(strip),
+            bits(&offline.strips()[s]),
+            "strip {} values",
+            s
+        );
+        let mut conv = StripConverter::new(&csc, s, tile_w);
+        prop_assert_eq!(&conv.convert_strip(tile_h), strip, "strip {} converter", s);
+        let lanes = strip.width().min(csc.shape().ncols);
+        let mut derived = ConversionStats::default();
+        for (t, tile) in strip.tiles().enumerate() {
+            prop_assert!(tile.validate().is_ok(), "strip {} tile {} invalid", s, t);
+            derived.merge(&ConversionStats::of_tile(&tile, lanes, t == 0));
         }
-        for (t, tile) in owned.iter().enumerate() {
-            let view = strip.tile(t);
-            prop_assert_eq!(view.nnz(), tile.nnz());
-            prop_assert_eq!(view.nnz_rows(), tile.nnz_rows());
-            prop_assert_eq!(view.metadata_bytes(), tile.metadata_bytes());
-            prop_assert_eq!(view.data_bytes(), tile.data_bytes());
-            prop_assert!(view.validate().is_ok(), "strip {} tile {} invalid", s, t);
-        }
-        let mut strip_sum = ConversionStats::default();
-        for header in strip.headers() {
-            strip_sum.merge(&header.stats);
-        }
-        prop_assert_eq!(strip_sum, farm.per_strip[s], "strip {} header deltas", s);
-        total.merge(&strip_sum);
+        prop_assert_eq!(derived, conv.stats(), "strip {} converter counters", s);
+        prop_assert_eq!(derived, farm.per_strip[s], "strip {} farm counters", s);
+        total.merge(&derived);
     }
     prop_assert_eq!(total, farm.stats);
+    let mut partitions = ConversionStats::default();
+    for p in &farm.per_partition {
+        partitions.merge(&p.stats);
+    }
+    prop_assert_eq!(partitions, farm.stats);
     Ok(())
 }
 
@@ -128,11 +136,8 @@ proptest! {
     fn online_equals_offline(csr in csr_strategy(), tile_w in 1usize..=32, tile_h in 1usize..=32) {
         let csc = csr.to_csc();
         let offline = TiledDcsr::from_csr(&csr, tile_w, tile_h).expect("tiling");
-        let (online, stats) = convert_matrix(&csc, tile_w.min(64), tile_h);
-        prop_assert_eq!(online.len(), offline.strips().len());
-        for (s, strip) in offline.strips().iter().enumerate() {
-            prop_assert_eq!(&online[s], strip);
-        }
+        let (online, stats) = convert_matrix(&csc, tile_w, tile_h).expect("engine geometry");
+        prop_assert_eq!(&online, &offline);
         prop_assert_eq!(stats.elements as usize, csr.nnz());
         prop_assert_eq!(stats.tiles as usize, offline.num_strips() * offline.tiles_per_strip());
     }
@@ -147,13 +152,13 @@ proptest! {
         for s in 0..nstrips {
             // Sequential pass.
             let mut seq = StripConverter::new(&csc, s, tile_w);
-            let seq_tiles = seq.convert_strip(tile_h).to_tiles();
+            let seq_strip = seq.convert_strip(tile_h);
             // Reverse-order random access via seek.
             let mut rnd = StripConverter::new(&csc, s, tile_w);
             for t in (0..ntiles).rev() {
                 rnd.seek((t * tile_h) as u32);
-                let tile = rnd.next_tile((t * tile_h) as u32, tile_h);
-                prop_assert_eq!(&tile, &seq_tiles[t], "strip {} tile {}", s, t);
+                let one = rnd.next_tile((t * tile_h) as u32, tile_h);
+                prop_assert_eq!(one.tile(0), seq_strip.tile(t), "strip {} tile {}", s, t);
             }
         }
     }
@@ -161,23 +166,15 @@ proptest! {
     #[test]
     fn conversion_stats_invariants(csr in csr_strategy()) {
         let csc = csr.to_csc();
-        let (tiles, stats) = convert_matrix(&csc, 8, 8);
+        let (tiles, stats) = convert_matrix(&csc, 8, 8).expect("engine geometry");
         // Each emitted row costs one comparator pass; each tile one more
         // concluding pass.
         prop_assert_eq!(stats.comparator_passes, stats.rows_emitted + stats.tiles);
         // 8 bytes per streamed element + 2 pointer words per lane per strip.
-        let strip_lanes: u64 = tiles
-            .iter()
-            .map(|s| s.first().map_or(0, |t| t.width as u64))
-            .sum();
+        let strip_lanes: u64 = tiles.strips().iter().map(|s| s.width() as u64).sum();
         prop_assert_eq!(stats.input_bytes, 8 * stats.elements + 8 * strip_lanes);
         // Output stream is exactly the tiles' storage footprint.
-        let tile_bytes: u64 = tiles
-            .iter()
-            .flatten()
-            .map(|t| (t.metadata_bytes() + t.data_bytes()) as u64)
-            .sum();
-        prop_assert_eq!(stats.output_bytes, tile_bytes);
+        prop_assert_eq!(stats.output_bytes, tiles.storage_bytes() as u64);
         // Rows emitted can never exceed elements (a row has >= 1 element).
         prop_assert!(stats.rows_emitted <= stats.elements);
     }
@@ -207,7 +204,7 @@ proptest! {
         // channel, even in the worst (single-element-row) case — as long
         // as there is enough work to amortize the pipeline fill.
         let csc = csr.to_csc();
-        let (_, stats) = convert_matrix(&csc, 8, 8);
+        let (_, stats) = convert_matrix(&csc, 8, 8).expect("engine geometry");
         if stats.elements >= 64 {
             let tree = ComparatorTree::new(8).unwrap().structure();
             let t = EngineTiming::fp32(13.6, &tree);

@@ -167,11 +167,46 @@ fn planner_handles_zero_dimension_matrix() {
     // The engine side of the same convention: one phantom strip holding
     // one phantom (empty) tile, mirroring `strip_count`/`tile_count`.
     let csc = a.to_csc();
-    let (strips, stats) = spmm_nmt::engine::convert_matrix(&csc, 16, 16);
-    assert_eq!(strips.len(), 1, "zero-width matrix still owns one strip");
-    assert_eq!(strips[0].len(), 1, "zero-height strip still owns one tile");
-    assert_eq!(strips[0][0].nnz(), 0);
+    let (tiled, stats) = spmm_nmt::engine::convert_matrix(&csc, 16, 16).expect("16x16 tiles");
+    assert_eq!(
+        tiled.num_strips(),
+        1,
+        "zero-width matrix still owns one strip"
+    );
+    assert_eq!(
+        tiled.tiles_per_strip(),
+        1,
+        "zero-height strip still owns one tile"
+    );
+    assert_eq!(tiled.strips()[0].tile(0).nnz(), 0);
     assert_eq!(stats.elements, 0);
+}
+
+#[test]
+fn planner_rejects_unconvertible_tile_geometry() {
+    // The engine is 1..=64 lanes wide and tiles are at least one row
+    // tall: anything else is a typed configuration error, not a panic in
+    // a farm worker.
+    let a = generators::generate(&MatrixDesc::new(
+        "m",
+        96,
+        GenKind::Uniform { density: 0.05 },
+        5,
+    ));
+    let b = random_dense(96, 8, 6);
+    for (tile_w, tile_h) in [(65, 16), (16, 0)] {
+        let p = SpmmPlanner::new(PlannerConfig {
+            tile_w,
+            tile_h,
+            ..PlannerConfig::test_small()
+        });
+        let explained = p.explain("m", &a, &b, &spmm_nmt::obs::ObsContext::disabled());
+        assert!(
+            matches!(explained, Err(SimError::BadConfig(_))),
+            "tile {tile_w}x{tile_h}: {:?}",
+            explained.map(|r| r.chosen)
+        );
+    }
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! Serve-layer determinism: a replayed request trace must produce a
 //! byte-identical response ledger under a 1-thread and a 4-thread pool,
-//! the schedule-invariant cache counters must agree exactly, and the
-//! single-flight cache must collapse N concurrent identical requests
-//! into one plan computation. In-process counterpart of the CI `serve`
-//! job's 1-vs-4-thread `cmp` leg.
+//! the schedule-invariant cache counters must agree exactly, a tight
+//! cache budget must evict without shelving the evicted artifacts in the
+//! engine pools, and the single-flight cache must collapse N concurrent
+//! identical requests into one plan computation. In-process counterpart
+//! of the CI `serve` job's 1-vs-4-thread `cmp` legs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -73,7 +74,46 @@ fn serve_replay_is_thread_count_invariant() {
     // A single-threaded pool cannot overlap two computations of one key.
     assert_eq!(a.cache_waits, 0, "serial replay never waits on itself");
 
-    // 3. Single-flight under real contention: N concurrent identical
+    // 3. Eviction under a tight budget. Evicted artifacts are dropped, not
+    // shelved: the only engine-pool buffer the serve path takes is the
+    // offline kernel's k-wide accumulator, so after a replay from empty
+    // pools the shelves hold at most one per worker. (The engine pools
+    // are process-wide, which is why this binary has one test function.)
+    let trace = synth_trace(&SynthSpec::quick(0x5E12));
+    let tight = BrokerConfig {
+        cache_budget_bytes: 16 << 10,
+        ..BrokerConfig::test_small()
+    };
+    let max_k = trace.iter().map(|r| r.k).max().unwrap_or(0);
+    let evicting: Vec<ServeLedger> = [1, 4]
+        .into_iter()
+        .map(|threads| {
+            with_threads(threads, || {
+                spmm_nmt::engine::mem::reset_pools();
+                let ledger = serve_trace(&trace, &tight, &ObsContext::disabled(), true)
+                    .expect("replay serves");
+                let stats = ledger.stats.as_ref().expect("stats were requested");
+                assert!(
+                    stats.cache_evictions > 0,
+                    "{threads} thread(s): the budget must evict"
+                );
+                assert!(
+                    stats.pool_idle_capacity <= threads as u64 * max_k,
+                    "{threads} thread(s): {} idle pool elements, more than one {max_k}-wide \
+                     accumulator per worker",
+                    stats.pool_idle_capacity
+                );
+                ledger
+            })
+        })
+        .collect();
+    assert_eq!(
+        evicting[0].canonical_json(),
+        evicting[1].canonical_json(),
+        "evicting replays must not depend on the worker count"
+    );
+
+    // 4. Single-flight under real contention: N concurrent identical
     // requests perform exactly one plan computation.
     let cache: Arc<PlanCache<u64>> = Arc::new(PlanCache::new(1 << 20));
     let computes = Arc::new(AtomicU64::new(0));
