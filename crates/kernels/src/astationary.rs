@@ -27,7 +27,7 @@ pub fn astat_tiled(
         .map_err(|e| SimError::BadConfig(format!("bad tile dims: {e}")))?;
     let a_dev = TiledDcsrDevice::upload(gpu, &tiled);
     let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::upload(gpu, &DenseMatrix::zeros(n, k), TrafficClass::MatC);
+    let c_dev = DenseDevice::alloc(gpu, n, k, TrafficClass::MatC);
 
     let mut c = DenseMatrix::zeros(n, k);
     let tiles_per_strip = tiled.tiles_per_strip();

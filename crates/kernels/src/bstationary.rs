@@ -54,15 +54,15 @@ fn process_tile_row(
     for (&cl, &v) in cols.iter().zip(vals) {
         let col = (col_base + cl) as usize;
         ctx.warp_instr(InstrClass::Integer, k.min(warp), 1);
+        let brow = b.row(col);
         let mut kc = 0;
         while kc < k {
             let chunk = (k - kc).min(warp);
             // B comes from shared memory: issue cost only, no global traffic.
             ctx.shared_op(chunk as u64 * WORD, chunk);
             ctx.fma(chunk, 1);
-            let brow = b.row(col);
-            for x in kc..kc + chunk {
-                acc[x] += v * brow[x];
+            for (a, &bv) in acc[kc..kc + chunk].iter_mut().zip(&brow[kc..kc + chunk]) {
+                *a += v * bv;
             }
             kc += chunk;
         }
@@ -128,7 +128,7 @@ pub fn bstat_tiled_csr(
         strip_elems.push(gpu.alloc((strip.nnz().max(1) as u64) * 2 * WORD, TrafficClass::MatA));
     }
     let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::upload(gpu, &DenseMatrix::zeros(n, k), TrafficClass::MatC);
+    let c_dev = DenseDevice::alloc(gpu, n, k, TrafficClass::MatC);
 
     let mut c = DenseMatrix::zeros(n, k);
     let tiles_per_strip = nmt_formats::tile_count(n, tile_h);
@@ -206,7 +206,7 @@ pub fn bstat_tiled_dcsr_offline(
     let tile_w = tiled.tile_width();
     let a_dev = TiledDcsrDevice::upload(gpu, tiled);
     let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::upload(gpu, &DenseMatrix::zeros(n, k), TrafficClass::MatC);
+    let c_dev = DenseDevice::alloc(gpu, n, k, TrafficClass::MatC);
 
     let mut c = DenseMatrix::zeros(n, k);
     // One block per strip: B tile resident in shared memory across all of
@@ -289,7 +289,7 @@ pub fn bstat_tiled_dcsr_traversal(
     let kc_tiles = k.div_ceil(tile_w).max(1);
     let a_dev = TiledDcsrDevice::upload(gpu, tiled);
     let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::upload(gpu, &DenseMatrix::zeros(n, k), TrafficClass::MatC);
+    let c_dev = DenseDevice::alloc(gpu, n, k, TrafficClass::MatC);
 
     let mut c = DenseMatrix::zeros(n, k);
     let nstrips = tiled.num_strips();
@@ -410,7 +410,7 @@ pub fn bstat_tiled_dcsr_online_obs(
     let k = b.ncols();
     let a_dev = CscDevice::upload(gpu, csc);
     let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::upload(gpu, &DenseMatrix::zeros(n, k), TrafficClass::MatC);
+    let c_dev = DenseDevice::alloc(gpu, n, k, TrafficClass::MatC);
 
     // Pre-run the functional converters: one engine per FB partition,
     // strips sharded rayon-parallel across the farm (§6.1). The farm's

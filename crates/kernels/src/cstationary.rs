@@ -33,7 +33,7 @@ pub fn csrmm_cusparse(gpu: &mut Gpu, a: &Csr, b: &DenseMatrix) -> Result<KernelR
     // Column-major images of B and C: element (row, col) lives at
     // (col * nrows + row) * 4.
     let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::upload(gpu, &DenseMatrix::zeros(n, k), TrafficClass::MatC);
+    let c_dev = DenseDevice::alloc(gpu, n, k, TrafficClass::MatC);
     // One column of the column-major B apart.
     let k_stride = b.nrows() as u64 * WORD;
 
@@ -95,7 +95,7 @@ pub fn csrmm_row_per_warp(gpu: &mut Gpu, a: &Csr, b: &DenseMatrix) -> Result<Ker
     let k = b.ncols();
     let a_dev = CsrDevice::upload(gpu, a);
     let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::upload(gpu, &DenseMatrix::zeros(n, k), TrafficClass::MatC);
+    let c_dev = DenseDevice::alloc(gpu, n, k, TrafficClass::MatC);
 
     let mut c = DenseMatrix::zeros(n, k);
     let num_blocks = n.div_ceil(WARPS_PER_BLOCK).max(1);
@@ -124,15 +124,15 @@ pub fn csrmm_row_per_warp(gpu: &mut Gpu, a: &Csr, b: &DenseMatrix) -> Result<Ker
                 ctx.warp_instr(InstrClass::Integer, k.min(warp), 1);
                 // Fetch the B row in warp-wide column chunks; the address
                 // depends on colidx -> dependent load.
+                let brow = b.row(col as usize);
                 let mut kc = 0;
                 while kc < k {
                     let chunk = (k - kc).min(warp);
                     let (off, bytes) = b_dev.row_segment(col as u64, kc as u64, chunk as u64);
                     ctx.ld_global(&b_dev.buf, off, bytes, true);
                     ctx.fma(chunk, 1);
-                    let brow = b.row(col as usize);
-                    for i in kc..kc + chunk {
-                        out[i] += v * brow[i];
+                    for (o, &bv) in out[kc..kc + chunk].iter_mut().zip(&brow[kc..kc + chunk]) {
+                        *o += v * bv;
                     }
                     kc += chunk;
                 }
@@ -159,7 +159,7 @@ pub fn csrmm_row_per_thread(
     let k = b.ncols();
     let a_dev = CsrDevice::upload(gpu, a);
     let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::upload(gpu, &DenseMatrix::zeros(n, k), TrafficClass::MatC);
+    let c_dev = DenseDevice::alloc(gpu, n, k, TrafficClass::MatC);
 
     let mut c = DenseMatrix::zeros(n, k);
     // A warp covers 32 consecutive rows for one column of B; blocks cover
@@ -228,7 +228,7 @@ pub fn dcsrmm_row_per_warp(
     let k = b.ncols();
     let a_dev = DcsrDevice::upload(gpu, a);
     let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::upload(gpu, &DenseMatrix::zeros(n, k), TrafficClass::MatC);
+    let c_dev = DenseDevice::alloc(gpu, n, k, TrafficClass::MatC);
 
     let mut c = DenseMatrix::zeros(n, k);
     let dense_rows = a.num_dense_rows();
@@ -250,15 +250,15 @@ pub fn dcsrmm_row_per_warp(
             let out = c.row_mut(r as usize);
             for (&col, &v) in cols.iter().zip(vals) {
                 ctx.warp_instr(InstrClass::Integer, k.min(warp), 1);
+                let brow = b.row(col as usize);
                 let mut kc = 0;
                 while kc < k {
                     let chunk = (k - kc).min(warp);
                     let (off, bytes) = b_dev.row_segment(col as u64, kc as u64, chunk as u64);
                     ctx.ld_global(&b_dev.buf, off, bytes, true);
                     ctx.fma(chunk, 1);
-                    let brow = b.row(col as usize);
-                    for x in kc..kc + chunk {
-                        out[x] += v * brow[x];
+                    for (o, &bv) in out[kc..kc + chunk].iter_mut().zip(&brow[kc..kc + chunk]) {
+                        *o += v * bv;
                     }
                     kc += chunk;
                 }

@@ -136,12 +136,18 @@ pub struct DenseDevice {
 }
 
 impl DenseDevice {
-    /// Allocate a dense matrix under the given class (B or C).
-    pub fn upload(gpu: &mut Gpu, m: &DenseMatrix, class: TrafficClass) -> Self {
+    /// Allocate an `nrows × ncols` dense matrix under the given class (B
+    /// or C) — only the shape matters, so an output needs no host copy.
+    pub fn alloc(gpu: &mut Gpu, nrows: usize, ncols: usize, class: TrafficClass) -> Self {
         Self {
-            buf: gpu.alloc((m.nrows() * m.ncols()) as u64 * WORD, class),
-            ncols: m.ncols() as u64,
+            buf: gpu.alloc((nrows * ncols) as u64 * WORD, class),
+            ncols: ncols as u64,
         }
+    }
+
+    /// Allocate a dense matrix shaped like `m` under the given class.
+    pub fn upload(gpu: &mut Gpu, m: &DenseMatrix, class: TrafficClass) -> Self {
+        Self::alloc(gpu, m.nrows(), m.ncols(), class)
     }
 
     /// Byte offset of element `(row, col)`.

@@ -31,7 +31,7 @@ pub fn csrmm_merge_based(gpu: &mut Gpu, a: &Csr, b: &DenseMatrix) -> Result<Kern
     let nnz = a.nnz();
     let a_dev = CsrDevice::upload(gpu, a);
     let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::upload(gpu, &DenseMatrix::zeros(n, k), TrafficClass::MatC);
+    let c_dev = DenseDevice::alloc(gpu, n, k, TrafficClass::MatC);
 
     // Size the grid like the row-per-warp kernels would for this matrix,
     // then hand each warp an equal element share.

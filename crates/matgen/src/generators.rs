@@ -103,6 +103,20 @@ impl MatrixDesc {
             seed,
         }
     }
+
+    /// Check that [`try_generate`] accepts this descriptor, without
+    /// generating it.
+    pub fn validate(&self) -> Result<(), MatgenError> {
+        if self.n > u32::MAX as usize {
+            return Err(MatgenError::DimensionTooLarge { n: self.n });
+        }
+        if let GenKind::Rmat { a, b, c, .. } = self.kind {
+            if a + b + c > 1.0 + 1e-9 {
+                return Err(MatgenError::BadRmatProbabilities { a, b, c });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A descriptor that cannot be generated. Returned by [`try_generate`]
@@ -145,14 +159,7 @@ impl std::error::Error for MatgenError {}
 /// Validate `desc` and generate its CSR matrix, reporting a malformed
 /// descriptor as a typed error rather than panicking.
 pub fn try_generate(desc: &MatrixDesc) -> Result<Csr, MatgenError> {
-    if desc.n > u32::MAX as usize {
-        return Err(MatgenError::DimensionTooLarge { n: desc.n });
-    }
-    if let GenKind::Rmat { a, b, c, .. } = desc.kind {
-        if a + b + c > 1.0 + 1e-9 {
-            return Err(MatgenError::BadRmatProbabilities { a, b, c });
-        }
-    }
+    desc.validate()?;
     Ok(generate_validated(desc))
 }
 

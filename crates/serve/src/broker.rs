@@ -18,8 +18,11 @@
 //!   ([`MatrixFingerprint`]), and acquires the plan through the
 //!   single-flight [`PlanCache`] — so N concurrent requests for one
 //!   matrix cost one SSF profile + one conversion. The kernel then runs
-//!   against the cached [`ConversionArtifact`] on a fresh simulated GPU;
-//!   simulated time and the result checksum are schedule-invariant.
+//!   against the cached [`ConversionArtifact`]: the plan's first run with
+//!   a given `k` simulates it on a fresh GPU and memoizes its
+//!   `KernelStats`; later runs replay the same kernel values-only and
+//!   return the memoized stats ([`CachedPlan::run`]). Simulated time and
+//!   the result checksum are schedule-invariant.
 //!
 //! Which request *actually* populated the cache is a race; ledgers
 //! instead carry the canonical label (first dispatch of a fingerprint =
@@ -28,15 +31,16 @@
 //! `serve.*` metrics/flight events.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Mutex, PoisonError};
 
 use nmt::{MatrixFingerprint, PlannerConfig, SpmmPlanner};
 use nmt_engine::ConversionArtifact;
-use nmt_kernels::{bstat_tiled_dcsr_offline, dcsrmm_row_per_warp};
-use nmt_formats::SparseMatrix;
+use nmt_formats::{DenseMatrix, SparseMatrix};
+use nmt_kernels::{bstat_tiled_dcsr_offline, dcsrmm_row_per_warp, KernelRun};
 use nmt_matgen::{generators, random_dense};
 use nmt_model::ssf::Choice;
 use nmt_obs::{AllocScope, EventSite, ObsContext};
-use nmt_sim::{Gpu, SimError};
+use nmt_sim::{Gpu, GpuConfig, KernelStats, SimError};
 use rayon::prelude::*;
 
 use crate::cache::{Acquire, PlanCache};
@@ -117,14 +121,68 @@ impl From<SimError> for ServeError {
     }
 }
 
-/// What the plan cache stores per fingerprint: the decision and the
-/// pre-converted operand it selects.
+/// What the plan cache stores per fingerprint: the decision, the
+/// pre-converted operand it selects, and the simulated cost of running
+/// the kernel against it.
 #[derive(Debug)]
 pub struct CachedPlan {
     /// Heuristic decision for this matrix.
     pub choice: Choice,
     /// The converted operand the offline kernels execute against.
     pub artifact: ConversionArtifact,
+    /// The `KernelStats` of the first run against `artifact`, keyed by
+    /// `k`. Exact: no accounting call reads a value of A or B, so a
+    /// launch's stats are a function of the artifact, `k` and the GPU
+    /// config — one config per `serve_trace`, and serve GPUs never carry
+    /// a fault plan. Not charged to the cache budget (eviction order is
+    /// unchanged); dropped with the plan.
+    sim_memo: Mutex<BTreeMap<u64, KernelStats>>,
+}
+
+impl CachedPlan {
+    /// A plan with an empty simulation memo.
+    pub fn new(choice: Choice, artifact: ConversionArtifact) -> Self {
+        Self {
+            choice,
+            artifact,
+            sim_memo: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// Run the dataflow-matched kernel against `b`. The first run with a
+    /// given `k = b.ncols()` simulates on a fresh GPU and memoizes its
+    /// stats; later runs replay the kernel values-only on
+    /// [`Gpu::replay`], so C is bit-identical and the stats are the
+    /// memoized ones. Returns the run and whether it replayed.
+    ///
+    /// Concurrent first runs may both simulate; each stores identical
+    /// stats, so which one fills the memo does not matter.
+    pub fn run(&self, config: &GpuConfig, b: &DenseMatrix) -> Result<(KernelRun, bool), SimError> {
+        let k = b.ncols() as u64;
+        let memo = self.memo().get(&k).cloned();
+        let replayed = memo.is_some();
+        let mut gpu = match memo {
+            Some(stats) => Gpu::replay(config.clone(), stats)?,
+            None => Gpu::new(config.clone())?,
+        };
+        // A fault plan perturbs accounting per launch, which would make
+        // the memo inexact.
+        debug_assert!(gpu.fault_plan().is_none(), "serve GPUs carry no fault plan");
+        let run = match &self.artifact {
+            ConversionArtifact::RowMajor(d) => dcsrmm_row_per_warp(&mut gpu, d, b)?,
+            ConversionArtifact::Tiled(t) => bstat_tiled_dcsr_offline(&mut gpu, t, b)?,
+        };
+        if !replayed {
+            self.memo().entry(k).or_insert_with(|| run.stats.clone());
+        }
+        Ok((run, replayed))
+    }
+
+    fn memo(&self) -> std::sync::MutexGuard<'_, BTreeMap<u64, KernelStats>> {
+        // The map is valid at every step; a poisoned lock only means
+        // another worker unwound.
+        self.sim_memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Phase-A output: the deterministic schedule.
@@ -242,6 +300,7 @@ struct Outcome {
     acquire_ns: u64,
     acquire_allocs: u64,
     evicted: u64,
+    replayed: bool,
 }
 
 /// FNV-1a over the result matrix's f32 bit patterns.
@@ -270,7 +329,8 @@ fn execute_one(
     let desc = req
         .desc()
         .map_err(|m| ServeError::Config(format!("dispatched malformed request: {m}")))?;
-    let a = generators::generate(&desc);
+    let a = generators::try_generate(&desc)
+        .map_err(|e| ServeError::Config(format!("dispatched malformed request: {e}")))?;
     let fp = MatrixFingerprint::of(&a, cfg.tile_w);
     let key = fp.key();
 
@@ -284,7 +344,7 @@ fn execute_one(
             Choice::CStationary => ConversionArtifact::row_major(&a),
         };
         let bytes = artifact.storage_bytes() as u64;
-        Ok((CachedPlan { choice, artifact }, bytes))
+        Ok((CachedPlan::new(choice, artifact), bytes))
     })?;
     let (acquire_allocs, _bytes) = scope.finish();
     let acquire_ns = obs.flight.now_ns().saturating_sub(t0);
@@ -308,11 +368,7 @@ fn execute_one(
 
     let plan = lookup.value;
     let b = random_dense(a.shape().ncols, req.k as usize, req.b_seed);
-    let mut gpu = Gpu::new(cfg.gpu.clone())?;
-    let run = match &plan.artifact {
-        ConversionArtifact::RowMajor(d) => dcsrmm_row_per_warp(&mut gpu, d, &b)?,
-        ConversionArtifact::Tiled(t) => bstat_tiled_dcsr_offline(&mut gpu, t, &b)?,
-    };
+    let (run, replayed) = plan.run(&cfg.gpu, &b)?;
     let sim_ns = run.stats.total_ns as u64;
     obs.flight.record(
         EventSite::ServeResponse,
@@ -333,6 +389,7 @@ fn execute_one(
         acquire_ns,
         acquire_allocs,
         evicted,
+        replayed,
     })
 }
 
@@ -455,6 +512,7 @@ pub fn serve_trace(
         miss_p50_ns: median(miss_ns),
         hit_p50_allocs: median(hit_allocs),
         miss_p50_allocs: median(miss_allocs),
+        sim_replays: done.iter().filter(|o| o.replayed).count() as u64,
     };
 
     let m = &obs.metrics;
@@ -466,6 +524,7 @@ pub fn serve_trace(
     m.counter_add("serve.cache.computes", stats.cache_computes);
     m.counter_add("serve.cache.waits", stats.cache_waits);
     m.counter_add("serve.cache.evictions", stats.cache_evictions);
+    m.counter_add("serve.sim.replays", stats.sim_replays);
     m.gauge_set("serve.cache.resident_bytes", stats.resident_bytes as f64);
     m.gauge_set("serve.queue.high_water", counts.max_queue_depth as f64);
     for o in &done {
@@ -565,6 +624,43 @@ mod tests {
     }
 
     #[test]
+    fn sim_memo_is_keyed_by_k() {
+        // One matrix at two widths, interleaved: each response must equal
+        // a cold replay of its request alone, so a memo entry recorded at
+        // one k never answers the other.
+        let trace: Vec<Request> = [4u64, 40, 4, 40]
+            .into_iter()
+            .enumerate()
+            .map(|(i, k)| Request {
+                id: i as u64,
+                tick: i as u64,
+                tenant: "t".into(),
+                gen: "uniform".into(),
+                n: 64,
+                density: 0.05,
+                exponent: 0.0,
+                seed: 3,
+                k,
+                b_seed: 10 + i as u64,
+            })
+            .collect();
+        let cfg = BrokerConfig::test_small();
+        let ledger = serve_trace(&trace, &cfg, &obs(), true).unwrap();
+        assert!(ledger.stats.as_ref().unwrap().sim_replays <= 2);
+        for (req, row) in trace.iter().zip(&ledger.responses) {
+            let alone = serve_trace(std::slice::from_ref(req), &cfg, &obs(), true).unwrap();
+            assert_eq!(alone.stats.as_ref().unwrap().sim_replays, 0);
+            let cold = &alone.responses[0];
+            assert_eq!(
+                (row.sim_ns, row.checksum),
+                (cold.sim_ns, cold.checksum),
+                "k = {}",
+                req.k
+            );
+        }
+    }
+
+    #[test]
     fn tiny_queue_rejects_with_typed_reason() {
         let trace = synth_trace(&SynthSpec::quick(5));
         let mut cfg = BrokerConfig::test_small();
@@ -583,15 +679,21 @@ mod tests {
         let mut trace = synth_trace(&SynthSpec::quick(6));
         trace[0].gen = "mystery".into();
         trace[3].density = 0.0;
+        // Past the u32 index space: admitted before, it panicked a worker.
+        trace[5].n = 5_000_000_000;
         let ledger = serve_trace(&trace, &BrokerConfig::test_small(), &obs(), false).unwrap();
-        assert_eq!(ledger.counts.rejected_malformed, 2);
+        assert_eq!(ledger.counts.rejected_malformed, 3);
         let reasons: Vec<&str> = ledger
             .rejections
             .iter()
             .filter(|r| r.reason.starts_with("malformed"))
             .map(|r| r.reason.as_str())
             .collect();
-        assert_eq!(reasons.len(), 2);
+        assert_eq!(reasons.len(), 3);
+        assert!(
+            reasons.iter().any(|r| r.contains("u32 index space")),
+            "{reasons:?}"
+        );
     }
 
     #[test]

@@ -133,6 +133,9 @@ pub struct ServeStats {
     pub hit_p50_allocs: u64,
     /// Median allocation count on the miss path.
     pub miss_p50_allocs: u64,
+    /// Responses whose kernel replayed values-only against its plan's
+    /// memoized `KernelStats` instead of simulating.
+    pub sim_replays: u64,
 }
 
 /// A full service replay: what `nmt-cli serve` writes.
@@ -261,8 +264,13 @@ impl ServeLedger {
         ));
         if let Some(s) = &self.stats {
             out.push_str(&format!(
-                "  cache: {} hits, {} computes, {} waits, {} evictions, {} B resident\n",
-                s.cache_hits, s.cache_computes, s.cache_waits, s.cache_evictions, s.resident_bytes
+                "  cache: {} hits, {} computes, {} waits, {} evictions, {} B resident; {} sim replays\n",
+                s.cache_hits,
+                s.cache_computes,
+                s.cache_waits,
+                s.cache_evictions,
+                s.resident_bytes,
+                s.sim_replays
             ));
             out.push_str(&format!(
                 "  latency p50: hit {} ns / miss {} ns; allocs p50: hit {} / miss {}; pool idle {} B\n",
@@ -402,6 +410,7 @@ mod tests {
             miss_p50_ns: 90,
             hit_p50_allocs: 0,
             miss_p50_allocs: 12,
+            sim_replays: 1,
         });
         let without = sample();
         assert_eq!(ledger.canonical_json(), without.canonical_json());
@@ -422,6 +431,7 @@ mod tests {
             miss_p50_ns: 2,
             hit_p50_allocs: 0,
             miss_p50_allocs: 0,
+            sim_replays: 99,
         });
         assert!(ours.gate(&sample()).is_ok(), "stats must never gate");
 

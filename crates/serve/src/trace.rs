@@ -78,7 +78,9 @@ impl Request {
             other => return Err(format!("unknown generator kind `{other}`")),
         };
         let name = format!("{}-n{}-s{}", self.gen, self.n, self.seed);
-        Ok(MatrixDesc::new(name, self.n as usize, kind, self.seed))
+        let desc = MatrixDesc::new(name, self.n as usize, kind, self.seed);
+        desc.validate().map_err(|e| e.to_string())?;
+        Ok(desc)
     }
 }
 

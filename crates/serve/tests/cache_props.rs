@@ -1,6 +1,6 @@
 //! Property tests for the serve-layer plan cache and its key.
 //!
-//! Three families, over arbitrary valid CSR matrices:
+//! Four families, over arbitrary valid CSR matrices:
 //!
 //! 1. **Stability** — fingerprinting is a pure function of matrix
 //!    content and tile width: the same matrix always yields the same
@@ -12,18 +12,22 @@
 //!    kernel bitwise-identically to the cold plan it was computed from:
 //!    same choice, same artifact kind, same simulated time, same output
 //!    matrix down to the f32 bit patterns.
+//! 4. **The simulation memo's premise** — both serve kernels' `KernelStats`
+//!    depend only on structure (not on any value of A or B), and a
+//!    [`Gpu::replay`] launch reproduces the full run's C bit for bit and
+//!    returns the stats it was given, once.
 
 use std::sync::Arc;
 
 use nmt::{MatrixFingerprint, PlannerConfig, SpmmPlanner};
 use nmt_engine::artifact::ConversionArtifact;
 use nmt_formats::arbitrary::{corrupt_csr_parts, csr_strategy, Corruption};
-use nmt_formats::{Csr, SparseMatrix};
+use nmt_formats::{Csr, DenseMatrix, SparseMatrix};
 use nmt_kernels::{bstat_tiled_dcsr_offline, dcsrmm_row_per_warp, KernelRun};
 use nmt_matgen::random_dense;
 use nmt_model::ssf::Choice;
 use nmt_serve::{CachedPlan, PlanCache};
-use nmt_sim::Gpu;
+use nmt_sim::{Gpu, GpuConfig, SimError};
 use proptest::prelude::*;
 
 const TILE_W: usize = 8;
@@ -38,18 +42,57 @@ fn cold_plan(planner: &SpmmPlanner, a: &Csr) -> CachedPlan {
         }
         Choice::CStationary => ConversionArtifact::row_major(a),
     };
-    CachedPlan { choice, artifact }
+    CachedPlan::new(choice, artifact)
 }
 
-/// Run the dataflow-matched kernel for `plan` against a fixed dense B.
-fn execute(cfg: &PlannerConfig, plan: &CachedPlan, a: &Csr, b_seed: u64) -> KernelRun {
+/// Run `plan` against a fixed dense B as the broker does; also returns
+/// whether the run replayed the plan's memoized stats.
+fn execute(cfg: &PlannerConfig, plan: &CachedPlan, a: &Csr, b_seed: u64) -> (KernelRun, bool) {
     let b = random_dense(a.shape().ncols, 4, b_seed);
-    let mut gpu = Gpu::new(cfg.gpu.clone()).expect("gpu config");
-    match &plan.artifact {
-        ConversionArtifact::RowMajor(d) => dcsrmm_row_per_warp(&mut gpu, d, &b),
-        ConversionArtifact::Tiled(t) => bstat_tiled_dcsr_offline(&mut gpu, t, &b),
+    plan.run(&cfg.gpu, &b).expect("kernel run")
+}
+
+/// Run the serve kernel matching `artifact` on `gpu`.
+fn kernel(
+    gpu: &mut Gpu,
+    artifact: &ConversionArtifact,
+    b: &DenseMatrix,
+) -> Result<KernelRun, SimError> {
+    match artifact {
+        ConversionArtifact::RowMajor(d) => dcsrmm_row_per_warp(gpu, d, b),
+        ConversionArtifact::Tiled(t) => bstat_tiled_dcsr_offline(gpu, t, b),
     }
-    .expect("kernel run")
+}
+
+/// Both serve kernels' operands for `a`: untiled and offline-tiled DCSR.
+fn serve_artifacts(a: &Csr) -> [ConversionArtifact; 2] {
+    [
+        ConversionArtifact::row_major(a),
+        ConversionArtifact::tiled(a, TILE_W, TILE_W).expect("valid tiling"),
+    ]
+}
+
+/// A full simulated run on a fresh GPU.
+fn simulate(artifact: &ConversionArtifact, b: &DenseMatrix) -> KernelRun {
+    let mut gpu = Gpu::new(GpuConfig::test_small()).expect("gpu config");
+    kernel(&mut gpu, artifact, b).expect("kernel run")
+}
+
+/// `a`'s structure carrying `values` instead of its own.
+fn revalue(a: &Csr, values: Vec<f32>) -> Csr {
+    let shape = a.shape();
+    Csr::new(
+        shape.nrows,
+        shape.ncols,
+        a.rowptr().to_vec(),
+        a.colidx().to_vec(),
+        values,
+    )
+    .expect("same structure is valid")
+}
+
+fn f32_bits(m: &DenseMatrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -135,17 +178,74 @@ proptest! {
             .expect("warm lookup");
         prop_assert!(Arc::ptr_eq(&cold.value, &hit.value), "hit returns the cached artifact");
 
+        // The first run simulates and fills the memo; the hit replays it.
         let cfg = planner.config();
-        let first = execute(cfg, &cold.value, &a, b_seed);
-        let second = execute(cfg, &hit.value, &a, b_seed);
-        prop_assert_eq!(second.c.as_slice(), first.c.as_slice());
+        let (first, replayed) = execute(cfg, &cold.value, &a, b_seed);
+        prop_assert!(!replayed, "a fresh plan has no memoized stats");
+        let (second, replayed) = execute(cfg, &hit.value, &a, b_seed);
+        prop_assert!(replayed, "the hit replays the memoized stats");
+        prop_assert_eq!(f32_bits(&second.c), f32_bits(&first.c));
         prop_assert_eq!(second.stats.total_ns.to_bits(), first.stats.total_ns.to_bits());
 
         // And against a from-scratch plan (no cache at all): the cached
-        // artifact is not just self-consistent but equal to recomputing.
+        // artifact is not just self-consistent but equal to recomputing,
+        // and the replayed stats equal a fresh simulation's.
         let fresh = cold_plan(&planner, &a);
         prop_assert_eq!(fresh.choice, cold.value.choice);
-        let third = execute(cfg, &fresh, &a, b_seed);
-        prop_assert_eq!(third.c.as_slice(), first.c.as_slice());
+        let (third, replayed) = execute(cfg, &fresh, &a, b_seed);
+        prop_assert!(!replayed);
+        prop_assert_eq!(f32_bits(&third.c), f32_bits(&first.c));
+        prop_assert_eq!(&second.stats, &third.stats);
+    }
+
+    /// No accounting call reads a value of A or B: both serve kernels'
+    /// `KernelStats` are equal for random, all-zero and negated B, and
+    /// for A with its values permuted or negated. (The strategy's values
+    /// are all positive, so a permutation alone would miss a sign test.)
+    #[test]
+    fn kernel_stats_depend_only_on_structure(
+        a in csr_strategy(),
+        k in 1usize..48,
+        b_seed in 0u64..1024,
+        shift in 0usize..64,
+    ) {
+        let ncols = a.shape().ncols;
+        let b = random_dense(ncols, k, b_seed);
+        let zeros = DenseMatrix::zeros(ncols, k);
+        let mut negated = b.clone();
+        negated.as_mut_slice().iter_mut().for_each(|v| *v = -*v);
+        let mut rotated = a.values().to_vec();
+        if !rotated.is_empty() {
+            let len = rotated.len();
+            rotated.rotate_left(shift % len);
+        }
+        let permuted = serve_artifacts(&revalue(&a, rotated));
+        let flipped = serve_artifacts(&revalue(&a, a.values().iter().map(|v| -v).collect()));
+        for (i, artifact) in serve_artifacts(&a).iter().enumerate() {
+            let stats = simulate(artifact, &b).stats;
+            prop_assert_eq!(&simulate(artifact, &zeros).stats, &stats);
+            prop_assert_eq!(&simulate(artifact, &negated).stats, &stats);
+            prop_assert_eq!(&simulate(&permuted[i], &b).stats, &stats);
+            prop_assert_eq!(&simulate(&flipped[i], &b).stats, &stats);
+        }
+    }
+
+    /// A replay launch computes the full run's C bit for bit and returns
+    /// exactly the stats it was given; its GPU refuses a second launch.
+    #[test]
+    fn replay_reproduces_the_full_run(a in csr_strategy(), k in 1usize..48, b_seed in 0u64..1024) {
+        let b = random_dense(a.shape().ncols, k, b_seed);
+        for artifact in &serve_artifacts(&a) {
+            let full = simulate(artifact, &b);
+            let mut gpu = Gpu::replay(GpuConfig::test_small(), full.stats.clone())
+                .expect("gpu config");
+            let replay = kernel(&mut gpu, artifact, &b).expect("replay run");
+            prop_assert_eq!(f32_bits(&replay.c), f32_bits(&full.c));
+            prop_assert_eq!(&replay.stats, &full.stats);
+            prop_assert_eq!(
+                kernel(&mut gpu, artifact, &b).err(),
+                Some(SimError::ReplayRelaunched)
+            );
+        }
     }
 }

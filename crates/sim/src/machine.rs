@@ -15,6 +15,12 @@
 //!
 //! `total = max(compute, memory, latency) + overhead`, the standard
 //! roofline-with-latency approximation for throughput processors.
+//!
+//! No accounting call reads a value of A or B, so a launch's
+//! [`KernelStats`] depend only on the operands' structure. A GPU built with
+//! [`Gpu::replay`] exploits that: its one launch runs the same block bodies
+//! with accounting switched off (values only) and returns the stats an
+//! earlier full run of that kernel recorded.
 
 use crate::config::GpuConfig;
 use crate::memory::{MemSnapshot, MemorySubsystem};
@@ -57,6 +63,9 @@ pub enum SimError {
         /// Human-readable description of what was injected.
         detail: String,
     },
+    /// A [`Gpu::replay`] GPU was launched a second time; it holds the
+    /// recorded stats of exactly one launch.
+    ReplayRelaunched,
 }
 
 impl std::fmt::Display for SimError {
@@ -75,6 +84,9 @@ impl std::fmt::Display for SimError {
             SimError::ShapeMismatch { detail } => write!(f, "shape mismatch: {detail}"),
             SimError::InjectedFault { site, key, detail } => {
                 write!(f, "injected fault at {site}#{key}: {detail}")
+            }
+            SimError::ReplayRelaunched => {
+                write!(f, "a replay gpu holds the stats of one launch only")
             }
         }
     }
@@ -118,6 +130,9 @@ pub struct Gpu {
     /// instructions per SM, and the memory counters at launch start.
     sm_instrs: Vec<u64>,
     before: MemSnapshot,
+    /// `Some` on a [`Gpu::replay`] GPU: the stats its one launch returns,
+    /// taken by that launch.
+    replay: Option<Option<KernelStats>>,
 }
 
 impl Gpu {
@@ -135,7 +150,20 @@ impl Gpu {
             config,
             mem,
             next_addr: 0,
+            replay: None,
         })
+    }
+
+    /// A values-only GPU whose one [`launch`](Gpu::launch) runs the block
+    /// bodies with accounting off and returns `stats` instead of
+    /// simulating. `stats` must be what a [`Gpu::new`] run of the same
+    /// kernel on the same operand structure, `k` and `config` returned;
+    /// the kernel's output is computed exactly as in that run. A second
+    /// launch is [`SimError::ReplayRelaunched`].
+    pub fn replay(config: GpuConfig, stats: KernelStats) -> Result<Self, SimError> {
+        let mut gpu = Self::new(config)?;
+        gpu.replay = Some(Some(stats));
+        Ok(gpu)
     }
 
     /// The configuration.
@@ -192,7 +220,8 @@ impl Gpu {
     /// Run a kernel of `num_blocks` thread blocks, each requiring
     /// `shared_bytes` of shared memory, with body `f` called once per block.
     /// Blocks are assigned to SMs round-robin. Returns the integrated
-    /// timing/traffic statistics for this launch only.
+    /// timing/traffic statistics for this launch only, or on a
+    /// [`Gpu::replay`] GPU the recorded ones.
     pub fn launch<F>(
         &mut self,
         shared_bytes: usize,
@@ -208,6 +237,11 @@ impl Gpu {
                 available: self.config.shared_mem_bytes,
             });
         }
+        let replayed = match &mut self.replay {
+            Some(stats) => Some(stats.take().ok_or(SimError::ReplayRelaunched)?),
+            None => None,
+        };
+        let timing = replayed.is_none();
         self.before.capture(&self.mem);
         self.sm_instrs.fill(0);
         let mut warp_exec = WarpExecStats::default();
@@ -218,6 +252,7 @@ impl Gpu {
         for block_id in 0..num_blocks {
             let mut ctx = BlockCtx {
                 block_id,
+                timing,
                 warp_size: self.config.warp_size,
                 line_shift: self.config.l2_line_bytes.trailing_zeros(),
                 mem: &mut self.mem,
@@ -234,6 +269,9 @@ impl Gpu {
             chain_loads += ctx.chain_loads;
             flops += ctx.flops;
             xbar_bytes += ctx.xbar_bytes;
+        }
+        if let Some(stats) = replayed {
+            return Ok(stats);
         }
 
         let before = &self.before;
@@ -336,6 +374,9 @@ pub fn publish_kernel_stats(obs: &nmt_obs::ObsContext, prefix: &str, stats: &Ker
 pub struct BlockCtx<'a> {
     /// This block's index within the grid.
     pub block_id: usize,
+    /// Off on a [`Gpu::replay`] launch: every accounting method below
+    /// returns at once and the body computes values only.
+    timing: bool,
     warp_size: usize,
     /// log2 of the L2 line size (a validated power of two).
     line_shift: u32,
@@ -382,6 +423,9 @@ impl BlockCtx<'_> {
         atomic: bool,
         dependent: bool,
     ) {
+        if !self.timing {
+            return;
+        }
         debug_assert!(
             offset + nbytes <= buf.len,
             "access [{offset}, {}) beyond buffer length {}",
@@ -417,7 +461,7 @@ impl BlockCtx<'_> {
         elem_bytes: u64,
         dependent: bool,
     ) {
-        if offsets.is_empty() || count == 0 {
+        if !self.timing || offsets.is_empty() || count == 0 {
             return;
         }
         debug_assert!(
@@ -458,7 +502,7 @@ impl BlockCtx<'_> {
         count: usize,
         elem_bytes: u64,
     ) {
-        if count == 0 {
+        if !self.timing || count == 0 {
             return;
         }
         debug_assert!(
@@ -489,7 +533,7 @@ impl BlockCtx<'_> {
     /// memory (the engine's tiled-DCSR output path, Figure 10): consumes
     /// crossbar bandwidth and issue slots but no DRAM bandwidth.
     pub fn xbar_stream(&mut self, nbytes: u64) {
-        if nbytes == 0 {
+        if !self.timing || nbytes == 0 {
             return;
         }
         self.xbar_bytes += nbytes;
@@ -502,6 +546,9 @@ impl BlockCtx<'_> {
     /// A shared-memory load/store of `nbytes`: costs issue slots but no
     /// global traffic.
     pub fn shared_op(&mut self, nbytes: u64, active_lanes: usize) {
+        if !self.timing {
+            return;
+        }
         let instrs = nbytes.div_ceil((self.warp_size * 4) as u64).max(1);
         self.warp_exec.record_n(
             InstrClass::Memory,
@@ -515,6 +562,9 @@ impl BlockCtx<'_> {
     /// Record `count` warp instructions of `class` with `active_lanes`
     /// lanes doing useful work (the rest are predicated off / divergent).
     pub fn warp_instr(&mut self, class: InstrClass, active_lanes: usize, count: u64) {
+        if !self.timing {
+            return;
+        }
         let lanes = active_lanes.min(self.warp_size);
         self.warp_exec.record_n(class, lanes, self.warp_size, count);
         self.warp_instrs += count;
@@ -523,6 +573,9 @@ impl BlockCtx<'_> {
     /// `count` fused multiply-add warp instructions with `active_lanes`
     /// active lanes: records FP issue and 2 FLOPs per active lane.
     pub fn fma(&mut self, active_lanes: usize, count: u64) {
+        if !self.timing {
+            return;
+        }
         let lanes = active_lanes.min(self.warp_size);
         self.warp_exec
             .record_n(InstrClass::Fp, lanes, self.warp_size, count);
@@ -702,6 +755,37 @@ mod tests {
         // Publishing twice accumulates counters (they are monotonic).
         publish_kernel_stats(&obs, "sim.test", &stats);
         assert_eq!(obs.metrics.counter("sim.test.flops"), 2 * stats.flops);
+    }
+
+    #[test]
+    fn replay_runs_every_body_values_only_and_returns_the_recorded_stats() {
+        let body = |buf: &Buffer, ctx: &mut BlockCtx<'_>| {
+            ctx.ld_global(buf, 0, 4096, true);
+            ctx.atomic_add_global(buf, 0, 128);
+            ctx.fma(32, 10);
+        };
+        let mut g = gpu();
+        let buf = g.alloc(4096, TrafficClass::MatB);
+        let recorded = g.launch(0, 4, |ctx| body(&buf, ctx)).unwrap();
+
+        let mut r = Gpu::replay(GpuConfig::test_small(), recorded.clone()).unwrap();
+        let buf = r.alloc(4096, TrafficClass::MatB);
+        let mut visited = Vec::new();
+        let stats = r
+            .launch(0, 4, |ctx| {
+                visited.push(ctx.block_id);
+                body(&buf, ctx);
+            })
+            .unwrap();
+        assert_eq!(stats, recorded);
+        assert_eq!(visited, [0, 1, 2, 3]);
+        // Accounting was off: the memory model saw no access.
+        assert_eq!(r.memory().dram_traffic().total(), 0);
+        assert_eq!(r.memory().atomics(), 0);
+        assert_eq!(
+            r.launch(0, 1, |_| {}).unwrap_err(),
+            SimError::ReplayRelaunched
+        );
     }
 
     #[test]

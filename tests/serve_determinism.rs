@@ -1,6 +1,7 @@
 //! Serve-layer determinism: a replayed request trace must produce a
 //! byte-identical response ledger under a 1-thread and a 4-thread pool,
-//! the schedule-invariant cache counters must agree exactly, a tight
+//! the schedule-invariant cache counters must agree exactly, a serial
+//! replay must skip the simulator on every cached response, a tight
 //! cache budget must evict without shelving the evicted artifacts in the
 //! engine pools, and the single-flight cache must collapse N concurrent
 //! identical requests into one plan computation. In-process counterpart
@@ -73,6 +74,32 @@ fn serve_replay_is_thread_count_invariant() {
     assert_eq!(a.cache_evictions, b.cache_evictions);
     // A single-threaded pool cannot overlap two computations of one key.
     assert_eq!(a.cache_waits, 0, "serial replay never waits on itself");
+    // Serially, each plan's first run memoizes its stats before any
+    // later request reaches it, so every cached response replays (the
+    // trace uses one k). In parallel a waiter may beat the memo.
+    assert_eq!(
+        a.sim_replays, s1.counts.cached_responses,
+        "a serial replay simulates each plan once"
+    );
+    assert!(b.sim_replays <= s4.counts.cached_responses);
+    // A one-byte budget keeps only the newest plan (the budget is soft by
+    // one entry). An evicted plan's memo goes with it, so a recomputed
+    // plan simulates again: only hits on the resident plan replay.
+    let starved = with_threads(1, || {
+        let cfg = BrokerConfig {
+            cache_budget_bytes: 1,
+            ..BrokerConfig::test_small()
+        };
+        let trace = synth_trace(&SynthSpec::quick(0x5E12));
+        serve_trace(&trace, &cfg, &ObsContext::disabled(), true).expect("replay serves")
+    });
+    let st = starved.stats.as_ref().unwrap();
+    assert_eq!(st.sim_replays, st.cache_hits);
+    assert!(st.sim_replays < starved.counts.cached_responses);
+    assert_eq!(
+        starved.responses, s1.responses,
+        "the memo must not move a response byte"
+    );
 
     // 3. Eviction under a tight budget. Evicted artifacts are dropped, not
     // shelved: the only engine-pool buffer the serve path takes is the
