@@ -1,7 +1,8 @@
 //! `microbench` — statistical microbenchmarks for the hot paths the
 //! profiler attributes most time to: the parallel conversion farm (alone
 //! and nested under an outer parallel map), the B-stationary online kernel, the comparator tree's frontier min-scan,
-//! and the simulator's per-probe memory path. Each target runs through
+//! the simulator's per-probe memory path, and the serve front end's
+//! operand generation and fingerprint. Each target runs through
 //! the harness (warmup, fixed iteration count, MAD outlier rejection,
 //! bootstrap CIs) and prints one table row; CI runs the reduced
 //! `--iters`/`--warmup` variant as a smoke check.
@@ -19,6 +20,7 @@
 //!            [--budgets <ALLOC_BUDGETS.json>] [--write-budgets <file>]
 //! ```
 
+use nmt::MatrixFingerprint;
 use nmt_bench::harness::{run, BenchConfig};
 use nmt_bench::{experiment_gpu, print_table, EXPERIMENT_SEED};
 use nmt_engine::{convert_matrix_farm, ComparatorTree, FarmConfig, MinScratch};
@@ -115,7 +117,7 @@ fn run_benches() -> Result<(), String> {
     let write_budgets_path = flag(&args, "--write-budgets");
 
     // One deterministic operand set shared by every target.
-    let a = nmt_matgen::generate(&MatrixDesc::new(
+    let desc = MatrixDesc::new(
         "microbench",
         n,
         GenKind::ZipfRows {
@@ -123,7 +125,8 @@ fn run_benches() -> Result<(), String> {
             exponent: 1.1,
         },
         EXPERIMENT_SEED,
-    ));
+    );
+    let a = nmt_matgen::generate(&desc);
     let csc = a.to_csc();
     let b = random_dense(a.shape().ncols, k, EXPERIMENT_SEED ^ 0x16);
 
@@ -269,6 +272,22 @@ fn run_benches() -> Result<(), String> {
     let stats = run(&cfg, &mut replay);
     let alloc = measure_alloc(&mut replay);
     add_row("sim_probe", stats, alloc);
+
+    // 5. The serve request front end: regenerate the operand, then
+    // fingerprint it (one profile pass plus the content digest).
+    let generate = || {
+        std::hint::black_box(nmt_matgen::generate(&desc));
+    };
+    let stats = run(&cfg, generate);
+    let alloc = measure_alloc(generate);
+    add_row("matgen_generate", stats, alloc);
+
+    let fingerprint = || {
+        std::hint::black_box(MatrixFingerprint::of(&a, tile));
+    };
+    let stats = run(&cfg, fingerprint);
+    let alloc = measure_alloc(fingerprint);
+    add_row("fingerprint", stats, alloc);
 
     print_table(
         &[

@@ -20,7 +20,7 @@
 //! deterministic float, so the fingerprint is bitwise-reproducible
 //! across runs, thread counts, and platforms.
 
-use nmt_formats::{Csr, Index, SparseMatrix, StripStats, Value};
+use nmt_formats::{Csr, Index, SparseMatrix, Value};
 use nmt_model::SsfProfile;
 
 /// FNV-1a 64-bit offset basis.
@@ -66,22 +66,37 @@ pub struct MatrixFingerprint {
 
 impl MatrixFingerprint {
     /// Fingerprint a matrix as the planner would see it under `tile_w`
-    /// strips: profiles it ([`SsfProfile::compute`]), bins the strip
-    /// occupancy histogram ([`StripStats::figure5_histogram`]), and
+    /// strips: profiles it ([`SsfProfile::compute_with_strips`]), bins the
+    /// strip occupancy histogram
+    /// ([`StripStats::figure5_histogram`](nmt_formats::StripStats::figure5_histogram)), and
     /// digests both together with the raw CSR arrays.
     pub fn of(a: &Csr, tile_w: usize) -> Self {
+        Self::profiled(a, tile_w).0
+    }
+
+    /// [`Self::of`], also handing back the profile it digested, so a
+    /// caller that goes on to plan the matrix profiles it once.
+    pub fn profiled(a: &Csr, tile_w: usize) -> (Self, SsfProfile) {
         let shape = a.shape();
-        let profile = SsfProfile::compute(a, tile_w);
-        let hist = StripStats::compute(a, tile_w).figure5_histogram();
-        let mut h = content_digest(shape.nrows, shape.ncols, tile_w, a.rowptr(), a.colidx(), a.values());
+        let (profile, strips) = SsfProfile::compute_with_strips(a, tile_w);
+        let hist = strips.figure5_histogram();
+        let mut h = content_digest(
+            shape.nrows,
+            shape.ncols,
+            tile_w,
+            a.rowptr(),
+            a.colidx(),
+            a.values(),
+        );
         digest_profile(&mut h, &profile, &hist);
-        MatrixFingerprint {
+        let fp = MatrixFingerprint {
             nrows: shape.nrows,
             ncols: shape.ncols,
             nnz: a.nnz(),
             tile_w,
             digest: h.0,
-        }
+        };
+        (fp, profile)
     }
 
     /// Fingerprint raw CSR arrays *without validating them* — the

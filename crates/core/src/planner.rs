@@ -128,8 +128,13 @@ impl SpmmPlanner {
     /// anything.
     pub fn plan(&self, a: &Csr) -> (SsfProfile, Choice) {
         let profile = SsfProfile::compute(a, self.config.tile_w);
-        let choice = classify(profile.ssf, &self.config.threshold);
-        (profile, choice)
+        (profile, self.decide(&profile))
+    }
+
+    /// The heuristic decision for an already-computed profile (one taken
+    /// under this planner's `tile_w`).
+    pub fn decide(&self, profile: &SsfProfile) -> Choice {
+        classify(profile.ssf, &self.config.threshold)
     }
 
     /// Profile, choose, execute and compare against the baseline.

@@ -32,9 +32,6 @@ pub fn tile_count(nrows: usize, tile_h: usize) -> usize {
 pub fn strip_nonzero_row_fraction(csr: &Csr, tile_w: usize) -> Vec<f64> {
     assert!(tile_w > 0, "tile width must be positive");
     let shape = csr.shape();
-    if shape.nrows == 0 {
-        return vec![0.0; strip_count(shape.ncols, tile_w)];
-    }
     let nstrips = strip_count(shape.ncols, tile_w);
     let mut nonzero_rows = vec![0usize; nstrips];
     let mut touched = vec![usize::MAX; nstrips]; // last row that touched strip s
@@ -48,9 +45,18 @@ pub fn strip_nonzero_row_fraction(csr: &Csr, tile_w: usize) -> Vec<f64> {
             }
         }
     }
+    fractions_of(shape.nrows, nonzero_rows)
+}
+
+/// Per-strip counts of non-zero rows as fractions of `nrows` (all zero
+/// when `nrows == 0`).
+fn fractions_of(nrows: usize, nonzero_rows: Vec<usize>) -> Vec<f64> {
+    if nrows == 0 {
+        return vec![0.0; nonzero_rows.len()];
+    }
     nonzero_rows
         .into_iter()
-        .map(|n| n as f64 / shape.nrows as f64)
+        .map(|n| n as f64 / nrows as f64)
         .collect()
 }
 
@@ -71,7 +77,18 @@ pub struct StripStats {
 impl StripStats {
     /// Compute strip statistics for a CSR matrix.
     pub fn compute(csr: &Csr, tile_w: usize) -> Self {
-        let fractions = strip_nonzero_row_fraction(csr, tile_w);
+        Self::from_fractions(tile_w, strip_nonzero_row_fraction(csr, tile_w))
+    }
+
+    /// Statistics from per-strip counts of rows with at least one
+    /// non-zero in the strip, for a matrix of `nrows` rows — for callers
+    /// that already counted them in their own pass. Equal to
+    /// [`Self::compute`] given the same counts.
+    pub fn from_nonzero_rows(tile_w: usize, nrows: usize, nonzero_rows: Vec<usize>) -> Self {
+        Self::from_fractions(tile_w, fractions_of(nrows, nonzero_rows))
+    }
+
+    fn from_fractions(tile_w: usize, fractions: Vec<f64>) -> Self {
         let mean_fraction = if fractions.is_empty() {
             0.0
         } else {

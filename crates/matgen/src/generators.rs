@@ -1,4 +1,30 @@
 //! Individual matrix generators.
+//!
+//! # Exact output
+//!
+//! A generator is a pure function of its descriptor: one `StdRng` seeded
+//! from `desc.seed`, drawn in a fixed order. Plan-cache keys and ledger
+//! rows are built from the bytes it returns, so how it stores what it
+//! draws may change only where the bytes cannot; `tests/golden.rs` pins
+//! them for every family.
+//!
+//! * `uniform`, `zipf-rows`/`zipf-both`, `banded` and `block-diag` without
+//!   a background never draw a coordinate twice. They write
+//!   `rowptr`/`colidx`/`values` directly and finish with the validating
+//!   `Csr::new`. A row's columns are sampled into a reusable bitmap
+//!   (`ColumnSet`) and read back by scanning its set bits, which is the
+//!   ascending order a sorted set yields. Zipf rows are drawn in rank
+//!   order, so they are drawn out of row order and copied into it at the
+//!   end.
+//! * `row-bursts`, `rmat` and `block-diag` with a background draw
+//!   coordinates that can repeat, and keep [`Coo::canonicalize`]: sorted
+//!   row-major, duplicates summed. Three or more `f32` addends can round
+//!   differently by order, and that order is whatever the unstable sort in
+//!   `canonicalize` leaves, so any other merge could change a value.
+//!
+//! Capacity hints are expectations capped at what an `n × n` matrix can
+//! hold, so a descriptor with an out-of-range band or block width still
+//! allocates no more than its matrix.
 
 use nmt_formats::{Coo, Csr};
 use rand::rngs::StdRng;
@@ -175,7 +201,7 @@ pub fn generate(desc: &MatrixDesc) -> Csr {
 fn generate_validated(desc: &MatrixDesc) -> Csr {
     let mut rng = StdRng::seed_from_u64(desc.seed);
     let n = desc.n;
-    let coo = match &desc.kind {
+    match &desc.kind {
         GenKind::Uniform { density } => uniform(n, *density, &mut rng),
         GenKind::ZipfRows { density, exponent } => {
             zipf_rows(n, *density, *exponent, false, &mut rng)
@@ -189,57 +215,141 @@ fn generate_validated(desc: &MatrixDesc) -> Csr {
             fill,
             background,
         } => block_diag(n, *block, *fill, *background, &mut rng),
-        GenKind::RowBursts { density, burst_len } => row_bursts(n, *density, *burst_len, &mut rng),
+        GenKind::RowBursts { density, burst_len } => {
+            Csr::from_coo(&row_bursts(n, *density, *burst_len, &mut rng))
+        }
         GenKind::Rmat {
             a,
             b,
             c,
             edge_factor,
-        } => rmat(n, *a, *b, *c, *edge_factor, &mut rng),
-    };
-    Csr::from_coo(&coo)
+        } => Csr::from_coo(&rmat(n, *a, *b, *c, *edge_factor, &mut rng)),
+    }
 }
 
-/// Sample `k` distinct values in `0..n`, sorted. Uses Floyd's algorithm for
-/// small `k`, dense rejection-free selection when `k` approaches `n`.
-fn sample_distinct(n: usize, k: usize, rng: &mut StdRng) -> Vec<u32> {
-    let k = k.min(n);
-    if k == 0 {
-        return Vec::new();
+/// The CSR arrays of an `n × n` matrix, written one row at a time in
+/// row order with each row's columns ascending.
+struct CsrWriter {
+    n: usize,
+    rowptr: Vec<u32>,
+    colidx: Vec<u32>,
+    values: Vec<f32>,
+}
+
+impl CsrWriter {
+    /// `nnz_hint` is only a capacity; see [`nnz_hint`].
+    fn new(n: usize, nnz_hint: usize) -> Self {
+        let mut rowptr = Vec::with_capacity(n + 1);
+        rowptr.push(0);
+        Self {
+            n,
+            rowptr,
+            colidx: Vec::with_capacity(nnz_hint),
+            values: Vec::with_capacity(nnz_hint),
+        }
     }
-    if k * 3 >= n {
-        // Dense case: partial Fisher-Yates over the full index range.
-        let mut all: Vec<u32> = (0..n as u32).collect();
-        all.partial_shuffle(rng, k);
-        let mut out = all[..k].to_vec();
-        out.sort_unstable();
-        out
-    } else {
-        // Floyd's sampling: k iterations, O(k) expected set operations.
-        let mut set = std::collections::BTreeSet::new();
-        for j in (n - k)..n {
-            let t = rng.random_range(0..=j as u64) as u32;
-            if !set.insert(t) {
-                set.insert(j as u32);
+
+    fn end_row(&mut self) {
+        self.rowptr.push(self.colidx.len() as u32);
+    }
+
+    /// Draw one value for every column appended since the last row
+    /// ended, in column order, and close the row.
+    fn end_row_with_values(&mut self, rng: &mut StdRng) {
+        for _ in self.values.len()..self.colidx.len() {
+            self.values.push(value(rng));
+        }
+        self.end_row();
+    }
+
+    fn finish(self) -> Csr {
+        Csr::new(self.n, self.n, self.rowptr, self.colidx, self.values)
+            .expect("generators write sorted, distinct, in-bounds columns")
+    }
+}
+
+/// A capacity for `n` rows of `per_row` expected non-zeros each, capped
+/// at the `n` per row a row can hold.
+fn nnz_hint(n: usize, per_row: f64) -> usize {
+    (per_row.clamp(0.0, n as f64) * n as f64) as usize
+}
+
+/// A set of columns in `0..n` as an `n`-bit bitmap, reused across rows.
+/// Draining it yields the members in ascending order and leaves it empty.
+struct ColumnSet {
+    words: Vec<u64>,
+    /// Identity permutation scratch for the dense sampling path.
+    pool: Vec<u32>,
+}
+
+impl ColumnSet {
+    fn new(n: usize) -> Self {
+        Self {
+            words: vec![0; n.div_ceil(64)],
+            pool: Vec::new(),
+        }
+    }
+
+    /// Insert `c`; returns whether it was absent.
+    fn insert(&mut self, c: u32) -> bool {
+        let (word, bit) = (c as usize / 64, 1u64 << (c % 64));
+        let absent = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        absent
+    }
+
+    /// Append the members to `out` in ascending order and clear the set.
+    fn drain_into(&mut self, out: &mut Vec<u32>) {
+        for (i, word) in self.words.iter_mut().enumerate() {
+            let mut w = std::mem::take(word);
+            while w != 0 {
+                out.push((i * 64) as u32 + w.trailing_zeros());
+                w &= w - 1;
             }
         }
-        set.into_iter().collect()
     }
-}
 
-fn uniform(n: usize, density: f64, rng: &mut StdRng) -> Coo {
-    let per_row = density * n as f64;
-    let mut coo = Coo::new(n, n).expect("dims validated by caller");
-    for r in 0..n as u32 {
-        let k = stochastic_round(per_row, rng);
-        for c in sample_distinct(n, k, rng) {
-            coo.push(r, c, value(rng)).unwrap();
+    /// Sample `k` distinct values in `0..n` and append them to `out` in
+    /// ascending order. Floyd's algorithm for small `k`; a partial
+    /// Fisher-Yates shuffle when `k` approaches `n`.
+    fn sample_distinct(&mut self, n: usize, k: usize, rng: &mut StdRng, out: &mut Vec<u32>) {
+        let k = k.min(n);
+        if k == 0 {
+            return;
         }
+        if k * 3 >= n {
+            self.pool.clear();
+            self.pool.extend(0..n as u32);
+            self.pool.partial_shuffle(rng, k);
+            for i in 0..k {
+                let c = self.pool[i];
+                self.insert(c);
+            }
+        } else {
+            for j in (n - k)..n {
+                let t = rng.random_range(0..=j as u64) as u32;
+                if !self.insert(t) {
+                    self.insert(j as u32);
+                }
+            }
+        }
+        self.drain_into(out);
     }
-    coo
 }
 
-fn zipf_rows(n: usize, density: f64, exponent: f64, zipf_cols: bool, rng: &mut StdRng) -> Coo {
+fn uniform(n: usize, density: f64, rng: &mut StdRng) -> Csr {
+    let per_row = density * n as f64;
+    let mut csr = CsrWriter::new(n, nnz_hint(n, per_row));
+    let mut cols = ColumnSet::new(n);
+    for _ in 0..n {
+        let k = stochastic_round(per_row, rng);
+        cols.sample_distinct(n, k, rng, &mut csr.colidx);
+        csr.end_row_with_values(rng);
+    }
+    csr.finish()
+}
+
+fn zipf_rows(n: usize, density: f64, exponent: f64, zipf_cols: bool, rng: &mut StdRng) -> Csr {
     let target_nnz = (density * n as f64 * n as f64).round() as usize;
     // Zipf weights over ranks, assigned to a random row permutation so the
     // heavy rows are scattered through the matrix as in real datasets.
@@ -254,77 +364,101 @@ fn zipf_rows(n: usize, density: f64, exponent: f64, zipf_cols: bool, rng: &mut S
     } else {
         None
     };
-    let mut coo = Coo::new(n, n).expect("dims validated by caller");
+    // Rows are drawn in rank order, so they land in `drawn` out of row
+    // order; `spans[row]` records where, and the rows are copied into
+    // row order at the end.
+    let mut drawn = CsrWriter::new(n, nnz_hint(n, density * n as f64));
+    let mut spans = vec![(0u32, 0u32); n];
+    let mut cols = ColumnSet::new(n);
     for (rank, &row) in perm.iter().enumerate() {
         let share = weights[rank] / total * target_nnz as f64;
         let k = stochastic_round(share, rng).min(n);
         if k == 0 {
             continue;
         }
+        let start = drawn.colidx.len();
         match &col_sampler {
-            None => {
-                for c in sample_distinct(n, k, rng) {
-                    coo.push(row, c, value(rng)).unwrap();
-                }
-            }
+            None => cols.sample_distinct(n, k, rng, &mut drawn.colidx),
             Some(sampler) => {
                 // Column ranks share the row permutation reversed, so heavy
                 // rows and heavy columns differ.
-                let mut seen = std::collections::BTreeSet::new();
+                let mut seen = 0;
                 let mut attempts = 0;
-                while seen.len() < k && attempts < 8 * k {
+                while seen < k && attempts < 8 * k {
                     let rank = sampler.sample(rng);
-                    seen.insert(perm[n - 1 - rank]);
+                    seen += usize::from(cols.insert(perm[n - 1 - rank]));
                     attempts += 1;
                 }
-                for c in seen {
-                    coo.push(row, c, value(rng)).unwrap();
-                }
+                cols.drain_into(&mut drawn.colidx);
             }
         }
+        drawn.end_row_with_values(rng);
+        spans[row as usize] = (start as u32, (drawn.colidx.len() - start) as u32);
     }
-    coo
+    let mut csr = CsrWriter::new(n, drawn.colidx.len());
+    for &(start, len) in &spans {
+        let range = start as usize..(start + len) as usize;
+        csr.colidx.extend_from_slice(&drawn.colidx[range.clone()]);
+        csr.values.extend_from_slice(&drawn.values[range]);
+        csr.end_row();
+    }
+    csr.finish()
 }
 
-fn banded(n: usize, bandwidth: usize, fill: f64, rng: &mut StdRng) -> Coo {
-    let mut coo = Coo::new(n, n).expect("dims validated by caller");
+fn banded(n: usize, bandwidth: usize, fill: f64, rng: &mut StdRng) -> Csr {
+    // A band wider than the matrix covers every column, as a band of `n`
+    // does; capping it keeps `r + bandwidth + 1` from overflowing.
+    let bandwidth = bandwidth.min(n);
+    let mut csr = CsrWriter::new(n, nnz_hint(n, (2 * bandwidth + 1) as f64 * fill));
     for r in 0..n {
         let lo = r.saturating_sub(bandwidth);
         let hi = (r + bandwidth + 1).min(n);
         for c in lo..hi {
             if rng.random_bool(fill) {
-                coo.push(r as u32, c as u32, value(rng)).unwrap();
+                csr.colidx.push(c as u32);
+                csr.values.push(value(rng));
             }
         }
+        csr.end_row();
     }
-    coo
+    csr.finish()
 }
 
-fn block_diag(n: usize, block: usize, fill: f64, background: f64, rng: &mut StdRng) -> Coo {
+fn block_diag(n: usize, block: usize, fill: f64, background: f64, rng: &mut StdRng) -> Csr {
     let block = block.max(1);
-    let mut coo = Coo::new(n, n).expect("dims validated by caller");
-    let nblocks = n.div_ceil(block);
-    for b in 0..nblocks {
+    // Blocks cover disjoint, ascending row ranges, so their draws arrive
+    // in row-major order with no duplicates.
+    let mut csr = CsrWriter::new(n, nnz_hint(n, block as f64 * fill));
+    for b in 0..n.div_ceil(block) {
         let lo = b * block;
         let hi = ((b + 1) * block).min(n);
-        for r in lo..hi {
+        for _ in lo..hi {
             for c in lo..hi {
                 if rng.random_bool(fill) {
-                    coo.push(r as u32, c as u32, value(rng)).unwrap();
+                    csr.colidx.push(c as u32);
+                    csr.values.push(value(rng));
                 }
             }
+            csr.end_row();
         }
     }
+    let blocks = csr.finish();
     if background > 0.0 {
+        // The background lands anywhere, blocks included.
+        let mut coo = Coo::new(n, n).expect("dims validated by caller");
+        for (r, c, v) in blocks.iter() {
+            coo.push(r, c, v).unwrap();
+        }
         let bg_nnz = (background * n as f64 * n as f64).round() as usize;
         for _ in 0..bg_nnz {
             let r = rng.random_range(0..n as u32);
             let c = rng.random_range(0..n as u32);
             coo.push(r, c, value(rng)).unwrap();
         }
+        coo.canonicalize();
+        return Csr::from_coo(&coo);
     }
-    coo.canonicalize();
-    coo
+    blocks
 }
 
 fn row_bursts(n: usize, density: f64, burst_len: usize, rng: &mut StdRng) -> Coo {
@@ -434,6 +568,38 @@ mod tests {
             ..d.clone()
         };
         assert_ne!(generate(&d2), generate(&d));
+    }
+
+    #[test]
+    fn widths_past_n_equal_widths_of_n() {
+        // A band or block wider than the matrix draws the same stream as
+        // one exactly `n` wide, and reserves no more than the matrix holds.
+        let n = 300;
+        for wide in [n + 1, 1 << 40, usize::MAX] {
+            let band = |bandwidth| {
+                gen(
+                    GenKind::Banded {
+                        bandwidth,
+                        fill: 1.0,
+                    },
+                    n,
+                )
+            };
+            assert_eq!(band(wide), band(n), "bandwidth {wide}");
+            let blocks = |block| {
+                gen(
+                    GenKind::BlockDiag {
+                        block,
+                        fill: 0.5,
+                        background: 0.01,
+                    },
+                    n,
+                )
+            };
+            assert_eq!(blocks(wide), blocks(n), "block {wide}");
+        }
+        assert_eq!(nnz_hint(n, 1e12), n * n);
+        assert_eq!(nnz_hint(n, f64::NAN), 0);
     }
 
     #[test]
@@ -592,10 +758,58 @@ mod tests {
     fn sample_distinct_is_distinct_and_sorted() {
         let mut rng = StdRng::seed_from_u64(1);
         for &(n, k) in &[(100usize, 5usize), (100, 90), (10, 10), (5, 0)] {
-            let s = sample_distinct(n, k, &mut rng);
+            let mut s = Vec::new();
+            ColumnSet::new(n).sample_distinct(n, k, &mut rng, &mut s);
             assert_eq!(s.len(), k.min(n));
             assert!(s.windows(2).all(|w| w[0] < w[1]));
             assert!(s.iter().all(|&x| (x as usize) < n));
+        }
+    }
+
+    /// The set-based sampler the bitmap replaced: a fresh shuffled
+    /// identity vector on the dense path, a `BTreeSet` on Floyd's path.
+    fn sample_distinct_reference(n: usize, k: usize, rng: &mut StdRng) -> Vec<u32> {
+        let k = k.min(n);
+        if k == 0 {
+            return Vec::new();
+        }
+        if k * 3 >= n {
+            let mut all: Vec<u32> = (0..n as u32).collect();
+            all.partial_shuffle(rng, k);
+            let mut out = all[..k].to_vec();
+            out.sort_unstable();
+            out
+        } else {
+            let mut set = std::collections::BTreeSet::new();
+            for j in (n - k)..n {
+                let t = rng.random_range(0..=j as u64) as u32;
+                if !set.insert(t) {
+                    set.insert(j as u32);
+                }
+            }
+            set.into_iter().collect()
+        }
+    }
+
+    #[test]
+    fn bitmap_sampler_matches_set_sampler() {
+        // One reused set across calls of every size, as a generator uses
+        // it: same output and same number of draws, on both paths and on
+        // bitmap tails that are not a multiple of 64.
+        for n in [1usize, 63, 64, 65, 200, 1000] {
+            let mut set = ColumnSet::new(n);
+            let mut fast = StdRng::seed_from_u64(n as u64);
+            let mut slow = StdRng::seed_from_u64(n as u64);
+            for k in [0, 1, 2, n / 7, n / 3, n / 2, n - 1, n, n + 5] {
+                let mut got = Vec::new();
+                set.sample_distinct(n, k, &mut fast, &mut got);
+                assert_eq!(
+                    got,
+                    sample_distinct_reference(n, k, &mut slow),
+                    "n={n} k={k}"
+                );
+                assert_eq!(fast.random::<u64>(), slow.random::<u64>(), "n={n} k={k}");
+            }
         }
     }
 

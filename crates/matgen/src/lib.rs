@@ -35,7 +35,11 @@ use rand::{Rng, SeedableRng};
 /// the multi-vector operand `B` of SpMM.
 pub fn random_dense(nrows: usize, ncols: usize, seed: u64) -> DenseMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
-    DenseMatrix::from_fn(nrows, ncols, |_, _| rng.random_range(-1.0f32..1.0))
+    let mut b = DenseMatrix::zeros(nrows, ncols);
+    for v in b.as_mut_slice() {
+        *v = rng.random_range(-1.0f32..1.0);
+    }
+    b
 }
 
 #[cfg(test)]

@@ -8,30 +8,43 @@
 
 use nmt_formats::{Csr, SparseMatrix};
 
-/// Per-row-segment non-zero counts for a tiling of width `tile_w`.
+/// Per-row-segment non-zero counts for a tiling of width `tile_w`, in
+/// row-major order.
 ///
 /// A row segment is the run of one matrix row inside one vertical strip —
 /// the granularity at which tiled DCSR stores rows (`t.rows` in Eq. 1; the
 /// tile height does not split segments further because a row intersects
 /// exactly one tile per strip).
 pub fn row_segment_counts(csr: &Csr, tile_w: usize) -> Vec<usize> {
-    assert!(tile_w > 0, "tile width must be positive");
     let mut out = Vec::new();
-    for r in 0..csr.shape().nrows {
-        let (cols, _) = csr.row(r);
-        let mut i = 0;
-        while i < cols.len() {
-            let strip = cols[i] as usize / tile_w;
-            let end = ((strip + 1) * tile_w) as u32;
-            let mut len = 0;
-            while i < cols.len() && cols[i] < end {
-                len += 1;
-                i += 1;
-            }
-            out.push(len);
-        }
-    }
+    for_each_segment(csr, tile_w, |_, len| out.push(len));
     out
+}
+
+/// Visit every row segment ([`row_segment_counts`]) of `csr` under
+/// `tile_w`-wide strips, in row-major order, as `f(strip, len)`.
+pub(crate) fn for_each_segment(csr: &Csr, tile_w: usize, mut f: impl FnMut(usize, usize)) {
+    assert!(tile_w > 0, "tile width must be positive");
+    for r in 0..csr.shape().nrows {
+        row_segments(csr.row(r).0, tile_w, &mut f);
+    }
+}
+
+/// Visit the segments of one row's columns, left to right. CSR rows hold
+/// sorted, distinct columns, so each strip the row touches is exactly one
+/// segment.
+pub(crate) fn row_segments(cols: &[u32], tile_w: usize, mut f: impl FnMut(usize, usize)) {
+    let mut i = 0;
+    while i < cols.len() {
+        let strip = cols[i] as usize / tile_w;
+        let end = ((strip + 1) * tile_w) as u32;
+        let mut len = 0;
+        while i < cols.len() && cols[i] < end {
+            len += 1;
+            i += 1;
+        }
+        f(strip, len);
+    }
 }
 
 /// Normalized entropy over arbitrary segment counts.
@@ -55,9 +68,63 @@ pub fn normalized_entropy_of(segments: &[usize]) -> f64 {
     (h / totalf.ln()).clamp(0.0, 1.0)
 }
 
+/// Eq. 1 over a matrix's segments without materializing them.
+///
+/// Segments are at most `tile_w` long and their lengths sum to `nnz`, so
+/// the `-p·ln p` term takes at most `min(tile_w, nnz)` distinct values:
+/// they are tabulated once by length. [`Self::add`] folds the terms in the
+/// order the segments arrive, from the start value `Iterator::sum` uses,
+/// so the result is bit-identical to [`normalized_entropy_of`] over
+/// [`row_segment_counts`].
+pub(crate) struct EntropyAccumulator {
+    /// `terms[len]` is `-p·ln p` for `p = len / nnz`; empty when the
+    /// entropy is degenerate (≤ 1 non-zero).
+    terms: Vec<f64>,
+    totalf: f64,
+    h: f64,
+}
+
+impl EntropyAccumulator {
+    pub(crate) fn new(nnz: usize, tile_w: usize) -> Self {
+        let totalf = nnz as f64;
+        let terms = if nnz <= 1 {
+            Vec::new()
+        } else {
+            (0..=tile_w.min(nnz))
+                .map(|len| {
+                    let p = len as f64 / totalf;
+                    -p * p.ln()
+                })
+                .collect()
+        };
+        Self {
+            terms,
+            totalf,
+            h: std::iter::empty::<f64>().sum(),
+        }
+    }
+
+    /// Add one segment of `len` non-zeros.
+    pub(crate) fn add(&mut self, len: usize) {
+        if let Some(&t) = self.terms.get(len) {
+            self.h += t;
+        }
+    }
+
+    /// `H_norm` of the segments added so far.
+    pub(crate) fn finish(&self) -> f64 {
+        if self.terms.is_empty() {
+            return 0.0;
+        }
+        (self.h / self.totalf.ln()).clamp(0.0, 1.0)
+    }
+}
+
 /// `H_norm` of a matrix under `tile_w`-wide strips (Eq. 1).
 pub fn normalized_entropy(csr: &Csr, tile_w: usize) -> f64 {
-    normalized_entropy_of(&row_segment_counts(csr, tile_w))
+    let mut acc = EntropyAccumulator::new(csr.nnz(), tile_w);
+    for_each_segment(csr, tile_w, |_, len| acc.add(len));
+    acc.finish()
 }
 
 #[cfg(test)]

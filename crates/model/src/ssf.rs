@@ -11,7 +11,7 @@
 //! ~4,000 SuiteSparse matrices, rising to ~96 % once online tiling removes
 //! the DCSR metadata penalty the heuristic cannot see.
 
-use crate::entropy::normalized_entropy;
+use crate::entropy::{for_each_segment, row_segments, EntropyAccumulator};
 use nmt_formats::{Csr, SparseMatrix, StripStats};
 use serde::{Deserialize, Serialize};
 
@@ -34,25 +34,41 @@ pub struct SsfProfile {
 impl SsfProfile {
     /// Profile a matrix under `tile_w`-wide strips.
     pub fn compute(csr: &Csr, tile_w: usize) -> Self {
+        Self::compute_with_strips(csr, tile_w).0
+    }
+
+    /// Profile a matrix and hand back the [`StripStats`] the profile's
+    /// `mean_strip_frac` came from. One pass over the row segments yields
+    /// both terms: a (row, strip) pair holds a non-zero exactly when it
+    /// is a segment, so counting segments per strip counts each strip's
+    /// non-zero rows.
+    pub fn compute_with_strips(csr: &Csr, tile_w: usize) -> (Self, StripStats) {
         let shape = csr.shape();
+        let mut strip_rows = vec![0usize; nmt_formats::strip_count(shape.ncols, tile_w)];
+        let mut entropy = EntropyAccumulator::new(csr.nnz(), tile_w);
+        for_each_segment(csr, tile_w, |strip, len| {
+            strip_rows[strip] += 1;
+            entropy.add(len);
+        });
+        let stats = StripStats::from_nonzero_rows(tile_w, shape.nrows, strip_rows);
         let n = shape.nrows.max(1) as f64;
         let nnzrow_frac = csr.nonzero_rows() as f64 / n;
-        let stats = StripStats::compute(csr, tile_w);
         let mean_strip_frac = stats.mean_fraction;
         let nnz = csr.nnz() as f64;
-        let h_norm = normalized_entropy(csr, tile_w);
+        let h_norm = entropy.finish();
         let ssf = if mean_strip_frac > 0.0 {
             nnzrow_frac / mean_strip_frac * nnz * (1.0 - h_norm)
         } else {
             0.0
         };
-        Self {
+        let profile = Self {
             nnzrow_frac,
             mean_strip_frac,
             nnz,
             h_norm,
             ssf,
-        }
+        };
+        (profile, stats)
     }
 }
 
@@ -117,18 +133,10 @@ impl SsfProfile {
             if !cols.is_empty() {
                 sampled_nonempty += 1;
                 sampled_nnz += cols.len();
-                let mut i = 0;
-                while i < cols.len() {
-                    let strip = cols[i] as usize / tile_w;
-                    let end = ((strip + 1) * tile_w) as u32;
-                    let mut len = 0;
-                    while i < cols.len() && cols[i] < end {
-                        len += 1;
-                        i += 1;
-                    }
+                row_segments(cols, tile_w, |strip, len| {
                     strip_hits[strip] += 1;
                     segments.push(len);
-                }
+                });
             }
             row = (row + stride.max(1)) % n;
         }

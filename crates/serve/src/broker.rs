@@ -331,13 +331,13 @@ fn execute_one(
         .map_err(|m| ServeError::Config(format!("dispatched malformed request: {m}")))?;
     let a = generators::try_generate(&desc)
         .map_err(|e| ServeError::Config(format!("dispatched malformed request: {e}")))?;
-    let fp = MatrixFingerprint::of(&a, cfg.tile_w);
+    let (fp, profile) = MatrixFingerprint::profiled(&a, cfg.tile_w);
     let key = fp.key();
 
     let t0 = obs.flight.now_ns();
     let scope = AllocScope::begin();
     let lookup = cache.get_or_compute(&key, || -> Result<(CachedPlan, u64), ServeError> {
-        let (_profile, choice) = planner.plan(&a);
+        let choice = planner.decide(&profile);
         let artifact = match choice {
             Choice::BStationary => ConversionArtifact::tiled(&a, cfg.tile_w, cfg.tile_h)
                 .map_err(|e| ServeError::Convert(format!("{e:?}")))?,
@@ -421,6 +421,9 @@ pub fn serve_trace(
     }
     if config.queue_depth == 0 {
         return Err(ServeError::Config("queue_depth must be ≥ 1".into()));
+    }
+    if config.planner.tile_w == 0 || config.planner.tile_h == 0 {
+        return Err(ServeError::Config("tile_w and tile_h must be ≥ 1".into()));
     }
 
     let plan = schedule(trace, config, obs);
@@ -567,6 +570,51 @@ mod tests {
         let mut cfg = BrokerConfig::test_small();
         cfg.service_rate = 0;
         assert!(serve_trace(&trace, &cfg, &obs(), false).is_err());
+        // An empty tile: a zero width used to panic a worker inside the
+        // fingerprint, and a zero height failed only once some request
+        // chose B-stationary.
+        for (tile_w, tile_h) in [(0, 16), (16, 0)] {
+            let mut cfg = BrokerConfig::test_small();
+            cfg.planner.tile_w = tile_w;
+            cfg.planner.tile_h = tile_h;
+            assert!(
+                matches!(
+                    serve_trace(&trace, &cfg, &obs(), false),
+                    Err(ServeError::Config(_))
+                ),
+                "tile {tile_w}x{tile_h}"
+            );
+        }
+        // Serve's B-stationary path tiles offline, which takes any
+        // non-zero width, so a tile wider than the engine's 64 lanes runs.
+        let mut cfg = BrokerConfig::test_small();
+        cfg.planner.tile_w = 65;
+        assert!(serve_trace(&trace, &cfg, &obs(), false).is_ok());
+    }
+
+    #[test]
+    fn band_wider_than_matrix_is_answered() {
+        // The band half-width comes straight from the trace's `exponent`.
+        // A band past `n` covers the whole row, as a band of `n` does; it
+        // must neither abort the process reserving the nominal band nor
+        // change the matrix.
+        let request = |id: u64, exponent: f64| Request {
+            id,
+            tick: 0,
+            tenant: "t".into(),
+            gen: "banded".into(),
+            n: 64,
+            density: 0.5,
+            exponent,
+            seed: 2,
+            k: 4,
+            b_seed: 9,
+        };
+        let trace = vec![request(0, 64.0), request(1, 1e12), request(2, 1e30)];
+        let ledger = serve_trace(&trace, &BrokerConfig::test_small(), &obs(), false).unwrap();
+        assert_eq!(ledger.counts.admitted, 3);
+        let rows = &ledger.responses;
+        assert!(rows.iter().all(|r| r.checksum == rows[0].checksum));
     }
 
     #[test]
