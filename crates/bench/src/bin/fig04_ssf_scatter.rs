@@ -1,18 +1,11 @@
 //! Figure 4 — performance vs. SSF value, and the learned threshold.
 //!
-//! For every suite matrix, run both algorithms (C-stationary untiled DCSR,
-//! B-stationary online-tiled DCSR), plot `t_C / t_B` against the SSF value,
-//! learn the split threshold, and report the classification accuracy
-//! (paper: >93 %).
+//! Reads the ledger sweep, which already runs both algorithms
+//! (C-stationary untiled DCSR, B-stationary online-tiled DCSR) on every
+//! suite matrix: plot `t_C / t_B` against the SSF value, learn the split
+//! threshold, and report the classification accuracy (paper: >93 %).
 
-use nmt::planner::{PlannerConfig, SpmmPlanner};
-use nmt_bench::{
-    banner, build_suite, experiment_k, experiment_scale, experiment_tile, par_map_suite,
-    print_table,
-};
-use nmt_formats::SparseMatrix;
-use nmt_matgen::random_dense;
-use nmt_model::ssf::SsfProfile;
+use nmt_bench::{banner, experiment_scale, print_table, sweep_ledger, LedgerRow};
 use nmt_model::{classify, learn_threshold};
 
 fn main() {
@@ -20,34 +13,28 @@ fn main() {
         "fig04_ssf_scatter",
         "Figure 4: performance vs SSF value + learned SSF_th",
     );
-    let suite = build_suite();
-    let scale = experiment_scale();
-    let tile = experiment_tile(scale);
-    let k = experiment_k(scale);
-
-    let points = par_map_suite(&suite, |desc, a| {
-        let profile = SsfProfile::compute(a, tile);
-        let b = random_dense(a.shape().ncols, k, desc.seed ^ 0x4);
-        let planner = SpmmPlanner::new(PlannerConfig {
-            gpu: nmt_bench::experiment_gpu(experiment_scale()),
-            tile_w: tile,
-            tile_h: tile,
-            threshold: nmt::DEFAULT_SSF_THRESHOLD,
-            fault: None,
-        });
-        let (tc, tb) = planner.profile_both(a, &b).expect("both kernels run");
-        (desc.name.clone(), profile, tc / tb)
+    let ledger = sweep_ledger(experiment_scale()).unwrap_or_else(|e| {
+        eprintln!("error: ledger sweep: {e}");
+        std::process::exit(1);
     });
+    if !ledger.errors.is_empty() {
+        for row in &ledger.errors {
+            eprintln!("error: {}: {}", row.matrix, row.error);
+        }
+        std::process::exit(1);
+    }
 
-    let mut rows: Vec<Vec<String>> = points
+    let ratio = |r: &LedgerRow| r.cstat_ns / r.bstat_ns;
+    let mut rows: Vec<Vec<String>> = ledger
+        .rows
         .iter()
-        .map(|(name, p, ratio)| {
+        .map(|r| {
             vec![
-                name.clone(),
-                format!("{:.3e}", p.ssf),
-                format!("{:.3}", p.h_norm),
-                format!("{:.3}", ratio),
-                if *ratio > 1.0 { "B-stat" } else { "C-stat" }.into(),
+                r.matrix.clone(),
+                format!("{:.3e}", r.ssf),
+                format!("{:.3}", r.h_norm),
+                format!("{:.3}", ratio(r)),
+                if ratio(r) > 1.0 { "B-stat" } else { "C-stat" }.into(),
             ]
         })
         .collect();
@@ -58,7 +45,7 @@ fn main() {
     });
     print_table(&["matrix", "SSF", "H_norm", "t_C/t_B", "winner"], &rows);
 
-    let samples: Vec<(f64, f64)> = points.iter().map(|(_, p, r)| (p.ssf, *r)).collect();
+    let samples: Vec<(f64, f64)> = ledger.rows.iter().map(|r| (r.ssf, ratio(r))).collect();
     let th = learn_threshold(&samples);
     let correct = samples
         .iter()

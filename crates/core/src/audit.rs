@@ -119,8 +119,8 @@ pub struct DecisionAudit {
     pub threshold: f64,
     /// Heuristic pick.
     pub chosen: Choice,
-    /// Measured-best pick (`profile_both` winner; ties go C-stationary,
-    /// which never pays atomics).
+    /// Measured-best pick (the faster of the two candidates; ties go
+    /// C-stationary, which never pays atomics).
     pub oracle: Choice,
     /// Whether the heuristic disagreed with the oracle.
     pub mispick: bool,

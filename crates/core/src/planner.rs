@@ -337,17 +337,6 @@ impl SpmmPlanner {
         Ok(audit)
     }
 
-    /// Run *both* algorithms and report `(t_cstationary, t_bstationary)` —
-    /// the measurement behind Figure 4's y-axis and threshold learning.
-    /// Under a fault plan the B-stationary side falls back exactly as in
-    /// [`execute`](Self::execute), so its time is then the fallback's.
-    pub fn profile_both(&self, a: &Csr, b: &DenseMatrix) -> Result<(f64, f64), SimError> {
-        let obs = ObsContext::disabled();
-        let c_side = self.run_candidate(Choice::CStationary, a, b, &obs)?;
-        let b_side = self.run_candidate(Choice::BStationary, a, b, &obs)?;
-        Ok((c_side.run.stats.total_ns, b_side.run.stats.total_ns))
-    }
-
     /// The cuSPARSE-baseline stand-in on a fresh GPU with no fault plan.
     fn run_baseline(&self, a: &Csr, b: &DenseMatrix) -> Result<KernelRun, SimError> {
         csrmm_cusparse(&mut Gpu::new(self.config.gpu.clone())?, a, b)
@@ -621,6 +610,15 @@ mod tests {
         assert_eq!(audit1, audit2, "explain must be reproducible");
         assert_eq!(audit1.to_json(), audit2.to_json());
 
+        // Simulated time depends on B's shape, never on its values, so a
+        // B seeded `^0x4`, one seeded `^0x16` as the ledger sweep seeds it
+        // and an all-zero B give the same audit. Figure 4 relies on this
+        // when it reads both candidates' times from the ledger.
+        let audit_of = |b: &DenseMatrix| p.explain("t", &a, b, &ObsContext::disabled()).unwrap();
+        let seeded_4 = audit_of(&random_dense(128, 16, 12 ^ 0x4));
+        assert_eq!(seeded_4, audit_of(&random_dense(128, 16, 12 ^ 0x16)));
+        assert_eq!(seeded_4, audit_of(&DenseMatrix::zeros(128, 16)));
+
         // The audit's chosen side matches what execute actually runs.
         let report = p.execute(&a, &b).unwrap();
         assert_eq!(audit1.chosen, report.choice);
@@ -782,26 +780,5 @@ mod tests {
         assert_eq!(clean.algorithm, planned.algorithm);
         assert!((clean.speedup - planned.speedup).abs() < 1e-12);
         assert!(planned.fault.is_none());
-    }
-
-    #[test]
-    fn profile_both_returns_positive_times() {
-        let a = generators::generate(&MatrixDesc::new(
-            "t",
-            96,
-            GenKind::BlockDiag {
-                block: 16,
-                fill: 0.3,
-                background: 0.001,
-            },
-            6,
-        ));
-        let b = random_dense(96, 16, 7);
-        let p = planner();
-        let (tc, tb) = p.profile_both(&a, &b).unwrap();
-        assert!(tc > 0.0 && tb > 0.0);
-        let audit = p.explain("t", &a, &b, &ObsContext::disabled()).unwrap();
-        assert_eq!(tc.to_bits(), audit.cstationary.time_ns.to_bits());
-        assert_eq!(tb.to_bits(), audit.bstationary.time_ns.to_bits());
     }
 }

@@ -317,25 +317,6 @@ const SINGLE_ENGINE: FarmConfig = FarmConfig {
     pool: false,
 };
 
-/// Run a [`SINGLE_ENGINE`] farm over `csc` and wrap its strips, uncopied,
-/// as a [`TiledDcsr`].
-fn convert_view(
-    csc: CscView<'_>,
-    tile_w: usize,
-    tile_h: usize,
-) -> Result<(TiledDcsr, ConversionStats), FarmError> {
-    let shape = csc.shape();
-    let run = convert_matrix_farm_obs(
-        csc,
-        tile_w,
-        tile_h,
-        SINGLE_ENGINE,
-        &nmt_obs::ObsContext::disabled(),
-    )?;
-    let tiled = TiledDcsr::from_strips_unchecked(shape.nrows, shape.ncols, tile_w, run.strips);
-    Ok((tiled, run.stats))
-}
-
 /// Convert an entire CSC matrix to tiled DCSR through the engine model —
 /// the online equivalent of [`TiledDcsr::from_csr`]. Returns the tiling
 /// and the merged hardware-activity counters.
@@ -348,30 +329,16 @@ pub fn convert_matrix(
     tile_w: usize,
     tile_h: usize,
 ) -> Result<(TiledDcsr, ConversionStats), FarmError> {
-    convert_view(csc.view(), tile_w, tile_h)
-}
-
-/// CSR → tiled-**DCSC** conversion "using the same engine" (§4.1).
-///
-/// A CSR image of `A` is, byte for byte, a CSC image of `Aᵀ`
-/// (`rowptr → colptr`, `colidx → rowidx`), so feeding it to the engine
-/// produces DCSR tiles of `Aᵀ` — which are exactly DCSC tiles of `A` with
-/// the roles of `rowidx`/`colidx` swapped. This is the escape hatch for
-/// wide matrices whose CSC `colptr` would dominate storage: keep CSR in
-/// memory and let SM-side DCSC kernels consume the engine's output.
-///
-/// Returns the tiling of `Aᵀ` (strip-major over `A`'s *rows*) plus the
-/// engine counters; read each tile's `rowidx` as non-empty **columns** of
-/// `A` and `colidx` as **rows** of `A`. Runs through the farm exactly as
-/// [`convert_matrix`] does.
-pub fn convert_matrix_dcsc(
-    csr: &nmt_formats::Csr,
-    tile_w: usize,
-    tile_h: usize,
-) -> Result<(TiledDcsr, ConversionStats), FarmError> {
-    // Reinterpret the CSR arrays as CSC of the transpose — a zero-copy
-    // borrow, exactly what the hardware would see.
-    convert_view(CscView::transpose_of_csr(csr), tile_w, tile_h)
+    let shape = csc.shape();
+    let run = convert_matrix_farm_obs(
+        csc.view(),
+        tile_w,
+        tile_h,
+        SINGLE_ENGINE,
+        &nmt_obs::ObsContext::disabled(),
+    )?;
+    let tiled = TiledDcsr::from_strips_unchecked(shape.nrows, shape.ncols, tile_w, run.strips);
+    Ok((tiled, run.stats))
 }
 
 #[cfg(test)]
@@ -562,33 +529,6 @@ mod tests {
         let tile = strip.tile(0);
         let expected = tile.metadata_bytes() + tile.data_bytes();
         assert_eq!(conv.stats().output_bytes as usize, expected);
-    }
-
-    #[test]
-    fn dcsc_conversion_is_tiling_of_the_transpose() {
-        let csr = random_csr(48, 150, 21);
-        let (tiles, stats) = convert_matrix_dcsc(&csr, 16, 16).unwrap();
-        let expected = TiledDcsr::from_csr(&csr.transpose(), 16, 16).unwrap();
-        assert_eq!(tiles, expected);
-        assert_eq!(stats.elements as usize, csr.nnz());
-        // Reassembling the tiles yields A transposed; its non-empty rows
-        // are A's non-empty columns (the DCSC semantics).
-        let back = tiles.to_csr();
-        assert_eq!(back.transpose(), csr);
-    }
-
-    #[test]
-    fn dcsc_of_wide_matrix() {
-        // The §4.1 motivation: a wide matrix whose CSC colptr would be
-        // large converts through its compact CSR image instead.
-        let coo = Coo::from_triplets(4, 200, &[0, 1, 3], &[5, 150, 5], &[1.0, 2.0, 3.0]).unwrap();
-        let csr = Csr::from_coo(&coo);
-        let (tiles, stats) = convert_matrix_dcsc(&csr, 4, 64).unwrap();
-        assert_eq!(stats.elements, 3);
-        // One strip over A's 4 rows; tiles cover A's 200 columns.
-        assert_eq!(tiles.num_strips(), 1);
-        assert_eq!(tiles.tiles_per_strip(), 200usize.div_ceil(64));
-        assert_eq!(tiles.nnz(), 3);
     }
 
     #[test]

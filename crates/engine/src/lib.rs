@@ -42,9 +42,7 @@ pub mod timing;
 pub use area_energy::{conversion_energy_pj, AreaEnergyModel};
 pub use artifact::ConversionArtifact;
 pub use comparator::{ComparatorError, ComparatorTree, MinResult, MinScratch, TreeStructure};
-pub use convert::{
-    convert_matrix, convert_matrix_dcsc, publish_conversion, ConversionStats, StripConverter,
-};
+pub use convert::{convert_matrix, publish_conversion, ConversionStats, StripConverter};
 pub use farm::{
     convert_matrix_farm, convert_matrix_farm_obs, publish_farm, FarmConfig, FarmError, FarmRun,
     PartitionWork,

@@ -3,20 +3,16 @@
 //! The conversion engine reads a CSC image — it never mutates or keeps
 //! it — so handing it owned arrays forces copies exactly where the paper
 //! wants streaming. [`CscView`] borrows the three CSC arrays instead:
-//! a [`Csc`] lends itself via [`Csc::view`] at zero cost, and a CSR
-//! matrix lends its arrays *reinterpreted* as the CSC image of its
-//! transpose via [`CscView::transpose_of_csr`] (byte-for-byte the same
-//! data — the §4.1 DCSC escape hatch), which previously required
-//! cloning all three arrays.
+//! a [`Csc`] lends itself via [`Csc::view`] at zero cost.
 //!
 //! Borrowing rules: views are read-only, short-lived (the borrow pins
 //! the source for the conversion call), and carry the same structural
 //! invariants as the owned type — checked constructors validate, the
-//! `from_validated`/`transpose_of_csr` fast paths inherit validity from
-//! a source that already proved it (re-checked in debug builds).
+//! `from_validated` fast path inherits validity from a source that
+//! already proved it (re-checked in debug builds).
 
 use crate::csc::validate_csc_parts;
-use crate::{Csc, Csr, FormatError, Index, Shape, SparseMatrix, Value};
+use crate::{Csc, FormatError, Index, Shape, SparseMatrix, Value};
 
 /// A borrowed CSC image: `colptr`/`rowidx`/`values` slices plus the
 /// dimensions, upholding every [`Csc`] invariant.
@@ -50,8 +46,7 @@ impl<'a> CscView<'a> {
     }
 
     /// Build from arrays whose invariants the caller has already proved
-    /// (a validated `Csc`, a validated `Csr` transpose image). Debug
-    /// builds re-check.
+    /// (a validated `Csc`). Debug builds re-check.
     pub(crate) fn from_validated(
         nrows: usize,
         ncols: usize,
@@ -70,21 +65,6 @@ impl<'a> CscView<'a> {
             rowidx,
             values,
         }
-    }
-
-    /// The CSC image of `Aᵀ`, borrowed straight from a CSR image of `A`:
-    /// `rowptr → colptr`, `colidx → rowidx`, no data movement. The CSR
-    /// invariants of `A` *are* the CSC invariants of `Aᵀ`, so no
-    /// revalidation is needed.
-    pub fn transpose_of_csr(csr: &'a Csr) -> Self {
-        let shape = csr.shape();
-        Self::from_validated(
-            shape.ncols,
-            shape.nrows,
-            csr.rowptr(),
-            csr.colidx(),
-            csr.values(),
-        )
     }
 
     /// Column pointer array (`ncols + 1` entries).
@@ -135,7 +115,6 @@ impl SparseMatrix for CscView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Coo;
 
     fn sample_csc() -> Csc {
         Csc::new(
@@ -166,19 +145,6 @@ mod tests {
         assert!(CscView::new(2, 1, &[0, 1], &[7], &[1.0]).is_err()); // row oob
         assert!(CscView::new(3, 1, &[0, 2], &[1, 1], &[1.0, 2.0]).is_err()); // dup
         assert!(CscView::new(5, 0, &[0], &[], &[]).is_ok());
-    }
-
-    #[test]
-    fn transpose_of_csr_matches_owned_conversion() {
-        let coo =
-            Coo::from_triplets(4, 6, &[0, 1, 1, 3], &[2, 0, 5, 3], &[1.0, 2.0, 3.0, 4.0]).unwrap();
-        let csr = Csr::from_coo(&coo);
-        let v = CscView::transpose_of_csr(&csr);
-        assert_eq!(v.shape(), Shape::new(6, 4));
-        assert!(std::ptr::eq(v.colptr(), csr.rowptr()), "no copy");
-        // The borrowed image equals the materialized CSC of Aᵀ.
-        let owned = v.to_owned_csc();
-        assert_eq!(owned, Csc::from_coo(&csr.transpose().to_coo()));
     }
 
     #[test]

@@ -3,8 +3,6 @@
 //!
 //! * [`csrmm_row_per_warp`] — the cuSPARSE-baseline stand-in: untiled CSR,
 //!   one row per warp, lanes spread across the K columns of B.
-//! * [`csrmm_row_per_thread`] — the alternative mapping whose per-thread
-//!   nnz imbalance §3.1.1 rejects.
 //! * [`dcsrmm_row_per_warp`] — untiled DCSR: warps are devoted to non-empty
 //!   rows only (the orange-dot configuration of Figure 16).
 
@@ -145,76 +143,6 @@ pub fn csrmm_row_per_warp(gpu: &mut Gpu, a: &Csr, b: &DenseMatrix) -> Result<Ker
     Ok(KernelRun { c, stats })
 }
 
-/// Row-per-thread C-stationary CSR: each thread owns one row for one B
-/// column. §3.1.1: "variation in the number of non-zero elements across
-/// rows imbalances the load for each thread", and per-lane B accesses do
-/// not coalesce — this kernel exists to demonstrate why row-per-warp wins.
-pub fn csrmm_row_per_thread(
-    gpu: &mut Gpu,
-    a: &Csr,
-    b: &DenseMatrix,
-) -> Result<KernelRun, SimError> {
-    crate::check_inner_dims(a.shape().ncols, b.nrows())?;
-    let n = a.shape().nrows;
-    let k = b.ncols();
-    let a_dev = CsrDevice::upload(gpu, a);
-    let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::alloc(gpu, n, k, TrafficClass::MatC);
-
-    let mut c = DenseMatrix::zeros(n, k);
-    // A warp covers 32 consecutive rows for one column of B; blocks cover
-    // WARPS_PER_BLOCK warps.
-    let rows_per_block = 32 * WARPS_PER_BLOCK;
-    let num_blocks = n.div_ceil(rows_per_block).max(1) * k.max(1);
-    let stats = gpu.launch(0, num_blocks, |ctx| {
-        let warp = ctx.warp_size();
-        let col_b = ctx.block_id % k.max(1);
-        let row_base = (ctx.block_id / k.max(1)) * rows_per_block;
-        for w in 0..WARPS_PER_BLOCK {
-            let warp_lo = row_base + w * warp;
-            if warp_lo >= n {
-                break;
-            }
-            let rows: Vec<usize> = (warp_lo..(warp_lo + warp).min(n)).collect();
-            // Each lane reads its own rowptr pair (coalesced across lanes).
-            ctx.ld_global(
-                &a_dev.rowptr,
-                rows[0] as u64 * WORD,
-                (rows.len() as u64 + 1) * WORD,
-                false,
-            );
-            let max_nnz = rows.iter().map(|&r| a.row_nnz(r)).max().unwrap_or(0);
-            // Lock-step iterations: lanes with shorter rows go inactive —
-            // the nnz-imbalance penalty.
-            for j in 0..max_nnz {
-                let active: Vec<usize> =
-                    rows.iter().copied().filter(|&r| a.row_nnz(r) > j).collect();
-                // Per-lane element loads (uncoalesced: one narrow access
-                // per active lane for colidx/value and for B).
-                for &r in &active {
-                    let off = (a.rowptr()[r] as u64 + j as u64) * WORD;
-                    ctx.ld_global(&a_dev.colidx, off, WORD, false);
-                    ctx.ld_global(&a_dev.values, off, WORD, false);
-                    let (cols, vals) = a.row(r);
-                    let col = cols[j] as u64;
-                    ctx.ld_global(&b_dev.buf, b_dev.offset(col, col_b as u64), WORD, true);
-                    c.add(r, col_b, vals[j] * b.get(cols[j] as usize, col_b));
-                }
-                ctx.fma(active.len(), 1);
-            }
-            // Each lane writes its C cell.
-            if !rows.is_empty() {
-                ctx.st_global(
-                    &c_dev.buf,
-                    c_dev.offset(rows[0] as u64, col_b as u64),
-                    rows.len() as u64 * WORD,
-                );
-            }
-        }
-    })?;
-    Ok(KernelRun { c, stats })
-}
-
 /// Untiled DCSR, C-stationary, row-per-warp: identical to the baseline but
 /// warps enumerate only the non-empty rows through the `rowidx`
 /// indirection — no cycles are spent discovering empty rows.
@@ -296,14 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn row_per_thread_matches_host_reference() {
-        let a = matrix(96, 0.03, 3);
-        let b = random_dense(96, 4, 4);
-        let run = csrmm_row_per_thread(&mut gpu(), &a, &b).unwrap();
-        assert!(run.c.approx_eq(&host::spmm_csr(&a, &b), 1e-4));
-    }
-
-    #[test]
     fn dcsr_matches_host_reference() {
         let a = matrix(128, 0.01, 5);
         let d = Dcsr::from_csr(&a);
@@ -350,29 +270,6 @@ mod tests {
         assert!(
             dcsr_run.stats.requested_traffic.get(TrafficClass::MatA)
                 <= csr_run.stats.requested_traffic.get(TrafficClass::MatA)
-        );
-    }
-
-    #[test]
-    fn row_per_thread_suffers_from_imbalance() {
-        // Skewed rows: row-per-thread lock-steps to the heaviest lane.
-        let a = generators::generate(&MatrixDesc::new(
-            "skew",
-            128,
-            GenKind::ZipfRows {
-                density: 0.02,
-                exponent: 1.4,
-            },
-            13,
-        ));
-        let b = random_dense(128, 4, 14);
-        let per_warp = csrmm_row_per_warp(&mut gpu(), &a, &b).unwrap();
-        let per_thread = csrmm_row_per_thread(&mut gpu(), &a, &b).unwrap();
-        assert!(per_thread.c.approx_eq(&per_warp.c, 1e-4));
-        assert!(
-            per_thread.stats.warp_exec.inactive_fraction()
-                > per_warp.stats.warp_exec.inactive_fraction(),
-            "row-per-thread should show more divergence"
         );
     }
 

@@ -5,7 +5,7 @@
 //! owns disjoint rows of C, so no synchronization is needed — the same
 //! property that makes GPU C-stationary atomic-free).
 
-use nmt_formats::{Csc, Csr, Dcsr, DenseMatrix, SparseMatrix, TiledDcsr};
+use nmt_formats::{Csr, DenseMatrix, SparseMatrix};
 use rayon::prelude::*;
 
 /// Dense reference: `C = A_dense × B` (O(n²·k); tests only).
@@ -43,74 +43,11 @@ pub fn spmm_csr(a: &Csr, b: &DenseMatrix) -> DenseMatrix {
     c
 }
 
-/// CSC SpMM: scatter along columns (sequential; used to validate that CSC
-/// carries the same information as CSR).
-pub fn spmm_csc(a: &Csc, b: &DenseMatrix) -> DenseMatrix {
-    assert_eq!(a.shape().ncols, b.nrows(), "inner dimensions must agree");
-    let k = b.ncols();
-    let mut c = DenseMatrix::zeros(a.shape().nrows, k);
-    for col in 0..a.shape().ncols {
-        let (rows, vals) = a.col(col);
-        let brow = b.row(col);
-        for (&r, &v) in rows.iter().zip(vals) {
-            let out = c.row_mut(r as usize);
-            for (o, &bv) in out.iter_mut().zip(brow) {
-                *o += v * bv;
-            }
-        }
-    }
-    c
-}
-
-/// Untiled DCSR SpMM, parallel over densified rows.
-pub fn spmm_dcsr(a: &Dcsr, b: &DenseMatrix) -> DenseMatrix {
-    assert_eq!(a.shape().ncols, b.nrows(), "inner dimensions must agree");
-    let k = b.ncols();
-    let n = a.shape().nrows;
-    let results: Vec<(u32, Vec<f32>)> = (0..a.num_dense_rows())
-        .into_par_iter()
-        .map(|i| {
-            let (r, cols, vals) = a.dense_row(i);
-            let mut acc = vec![0.0f32; k];
-            for (&col, &v) in cols.iter().zip(vals) {
-                let brow = b.row(col as usize);
-                for (a, &bv) in acc.iter_mut().zip(brow) {
-                    *a += v * bv;
-                }
-            }
-            (r, acc)
-        })
-        .collect();
-    let mut c = DenseMatrix::zeros(n, k);
-    for (r, acc) in results {
-        c.row_mut(r as usize).copy_from_slice(&acc);
-    }
-    c
-}
-
-/// Tiled DCSR SpMM: per strip, accumulate each tile's partial contributions
-/// (the host analogue of the B-stationary kernel, without atomics).
-pub fn spmm_tiled_dcsr(a: &TiledDcsr, b: &DenseMatrix) -> DenseMatrix {
-    assert_eq!(a.shape().ncols, b.nrows(), "inner dimensions must agree");
-    let k = b.ncols();
-    let mut c = DenseMatrix::zeros(a.shape().nrows, k);
-    for (_, _, tile) in a.iter_tiles() {
-        for (r, col, v) in tile.iter_global() {
-            let brow = b.row(col as usize);
-            let out = c.row_mut(r as usize);
-            for (o, &bv) in out.iter_mut().zip(brow) {
-                *o += v * bv;
-            }
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nmt_formats::Coo;
-    use nmt_matgen::{generators, random_dense, GenKind, MatrixDesc};
+    use nmt_matgen::random_dense;
 
     fn sample_csr() -> Csr {
         let coo = Coo::from_triplets(
@@ -134,25 +71,11 @@ mod tests {
     }
 
     #[test]
-    fn all_formats_agree_on_random_matrix() {
-        let desc = MatrixDesc::new("t", 96, GenKind::Uniform { density: 0.05 }, 5);
-        let a = generators::generate(&desc);
-        let b = random_dense(96, 16, 2);
-        let reference = spmm_csr(&a, &b);
-        assert!(spmm_csc(&a.to_csc(), &b).approx_eq(&reference, 1e-4));
-        assert!(spmm_dcsr(&Dcsr::from_csr(&a), &b).approx_eq(&reference, 1e-4));
-        let tiled = TiledDcsr::from_csr(&a, 16, 16).unwrap();
-        assert!(spmm_tiled_dcsr(&tiled, &b).approx_eq(&reference, 1e-4));
-    }
-
-    #[test]
     fn empty_matrix_gives_zero_output() {
         let a = Csr::new(4, 4, vec![0; 5], vec![], vec![]).unwrap();
         let b = random_dense(4, 4, 3);
         let c = spmm_csr(&a, &b);
         assert!(c.as_slice().iter().all(|&v| v == 0.0));
-        let d = spmm_dcsr(&Dcsr::from_csr(&a), &b);
-        assert!(d.as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]

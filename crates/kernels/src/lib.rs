@@ -8,13 +8,11 @@
 //! |---|---|---|---|
 //! | [`csrmm_cusparse`] | C-stationary | untiled CSR, col-major B/C | cuSPARSE-baseline stand-in |
 //! | [`csrmm_row_per_warp`] | C-stationary | untiled CSR | best custom untiled CSR kernel |
-//! | [`csrmm_row_per_thread`] | C-stationary | untiled CSR | rejected mapping (§3.1.1) |
 //! | [`dcsrmm_row_per_warp`] | C-stationary | untiled DCSR | orange dots of Fig. 16 |
 //! | [`bstat_tiled_csr`] | B-stationary | tiled CSR | Fig. 7's inactive-thread foil |
 //! | [`bstat_tiled_dcsr_offline`] | B-stationary | tiled DCSR (DRAM) | 2.03× offline config (§5.2) |
 //! | [`bstat_tiled_dcsr_online`] | B-stationary | CSC + engine | **the proposal** (blue dots) |
 //! | [`astat_tiled`] | A-stationary | tiled DCSR | Table 1 completeness |
-//! | [`csrmm_merge_based`] | C-stationary | untiled CSR | merge-based balance (ref. \[21\], §5.2) |
 //!
 //! All kernels functionally compute `C = A × B` (verified against
 //! [`host`]) while recording traffic, warp occupancy and timing.
@@ -26,17 +24,13 @@ pub mod bstationary;
 pub mod cstationary;
 pub mod device;
 pub mod host;
-pub mod merge;
 
 pub use astationary::astat_tiled;
 pub use bstationary::{
     bstat_tiled_csr, bstat_tiled_dcsr_offline, bstat_tiled_dcsr_online,
     bstat_tiled_dcsr_online_obs, bstat_tiled_dcsr_traversal, OnlineRun, Traversal,
 };
-pub use cstationary::{
-    csrmm_cusparse, csrmm_row_per_thread, csrmm_row_per_warp, dcsrmm_row_per_warp,
-};
-pub use merge::csrmm_merge_based;
+pub use cstationary::{csrmm_cusparse, csrmm_row_per_warp, dcsrmm_row_per_warp};
 
 use nmt_formats::DenseMatrix;
 use nmt_sim::KernelStats;

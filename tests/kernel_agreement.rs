@@ -9,10 +9,8 @@ use spmm_nmt::fault::FaultPlan;
 use spmm_nmt::formats::{Coo, Csr, Dcsr, DenseMatrix, SparseMatrix, TiledCsr, TiledDcsr};
 use spmm_nmt::kernels::{
     astat_tiled, bstat_tiled_csr, bstat_tiled_dcsr_offline, bstat_tiled_dcsr_online,
-    csrmm_cusparse, csrmm_merge_based, csrmm_row_per_thread, csrmm_row_per_warp,
-    dcsrmm_row_per_warp, host,
+    csrmm_cusparse, csrmm_row_per_warp, dcsrmm_row_per_warp, host,
 };
-use spmm_nmt::matgen::{generators, random_dense, GenKind, MatrixDesc};
 use spmm_nmt::model::ssf::SsfThreshold;
 use spmm_nmt::planner::planner::{Algorithm, PlannerConfig, SpmmPlanner};
 use spmm_nmt::sim::{Gpu, GpuConfig, TrafficClass};
@@ -54,9 +52,6 @@ proptest! {
         let r = csrmm_row_per_warp(&mut gpu(), &a, &b).expect("rpw");
         prop_assert!(r.c.approx_eq(&reference, tol), "row-per-warp diverged");
 
-        let r = csrmm_row_per_thread(&mut gpu(), &a, &b).expect("rpt");
-        prop_assert!(r.c.approx_eq(&reference, tol), "row-per-thread diverged");
-
         let dcsr = Dcsr::from_csr(&a);
         let r = dcsrmm_row_per_warp(&mut gpu(), &dcsr, &b).expect("dcsr");
         prop_assert!(r.c.approx_eq(&reference, tol), "dcsr diverged");
@@ -75,45 +70,6 @@ proptest! {
 
         let r = astat_tiled(&mut gpu(), &a, &b, 8).expect("astat");
         prop_assert!(r.c.approx_eq(&reference, tol), "astat diverged");
-
-        let r = csrmm_merge_based(&mut gpu(), &a, &b).expect("merge");
-        prop_assert!(r.c.approx_eq(&reference, tol), "merge-based diverged");
-    }
-
-    /// Differential case on row-skewed matrices: the merge-based kernel
-    /// must agree with the C-stationary row-per-warp kernel (and the host
-    /// reference) on exactly the Zipf-row inputs where their scheduling
-    /// differs most — a few monster rows amid many near-empty ones. The
-    /// two kernels partition the same non-zeros differently, so agreement
-    /// here is a genuine differential check, not a re-run of one path.
-    #[test]
-    fn merge_based_matches_cstationary_on_row_skew(
-        seed in 0u64..256,
-        exponent in 1u32..4,
-        k in 1usize..16,
-    ) {
-        let n = 160;
-        let a = generators::generate(&MatrixDesc::new(
-            "skew-diff",
-            n,
-            GenKind::ZipfRows { density: 0.03, exponent: f64::from(exponent) },
-            seed,
-        ));
-        let b = random_dense(n, k, seed ^ 0xB5EED);
-        let reference = host::spmm_csr(&a, &b);
-        let tol = 1e-3;
-
-        let rpw = csrmm_row_per_warp(&mut gpu(), &a, &b).expect("rpw");
-        let merge = csrmm_merge_based(&mut gpu(), &a, &b).expect("merge");
-        prop_assert!(rpw.c.approx_eq(&reference, tol), "row-per-warp diverged");
-        prop_assert!(merge.c.approx_eq(&reference, tol), "merge-based diverged");
-        prop_assert!(merge.c.approx_eq(&rpw.c, tol), "dataflows disagree with each other");
-
-        // Both are C-stationary in output traffic terms and do identical
-        // FP work; merge-based pays for balance with carry-out atomics
-        // while row-per-warp never issues any.
-        prop_assert_eq!(merge.stats.flops, rpw.stats.flops);
-        prop_assert_eq!(rpw.stats.atomics, 0);
     }
 
     #[test]
