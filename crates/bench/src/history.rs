@@ -181,8 +181,8 @@ const CHANGE_SCORE_MIN: f64 = 0.5;
 const CHANGE_SHIFT_MIN: f64 = 0.05;
 
 /// Least-squares two-segment scan over one series. Returns the best
-/// split when it removes at least [`CHANGE_SCORE_MIN`] of the squared
-/// deviation *and* moves the mean by at least [`CHANGE_SHIFT_MIN`]
+/// split when it removes at least `CHANGE_SCORE_MIN` of the squared
+/// deviation *and* moves the mean by at least `CHANGE_SHIFT_MIN`
 /// relative — otherwise the series is judged level.
 pub fn change_point(series: &[f64]) -> Option<ChangePoint> {
     let n = series.len();

@@ -165,7 +165,7 @@ impl ComparatorTree {
     /// Three sweeps, each a straight-line loop the compiler vectorizes:
     ///
     /// 1. **Leaf encode** — coordinates into `scratch.keys`, exhausted
-    ///    lanes as [`EXHAUSTED`], plus a validity count.
+    ///    lanes as `EXHAUSTED`, plus a validity count.
     /// 2. **Halving fold** — `keys[i] = min(keys[i], keys[i + half])`
     ///    until one key remains. Same value the Figure 15 (b) pairwise
     ///    tree produces (min is associative/commutative); the structural

@@ -22,7 +22,7 @@ use crate::comparator::{ComparatorTree, MinScratch, MAX_LANES};
 use crate::farm::{convert_matrix_farm_obs, FarmConfig, FarmError};
 use crate::mem;
 use crate::placement::Layout;
-use nmt_formats::{Csc, CscView, DcsrStrip, DcsrTileView, Index, SparseMatrix, TiledDcsr};
+use nmt_formats::{Csc, DcsrStrip, DcsrTileView, Index, SparseMatrix, TiledDcsr};
 
 /// Byte cost of one streamed CSC element: a 4-byte row index plus a 4-byte
 /// fp32 value ("8-byte input data", §5.3).
@@ -114,7 +114,7 @@ pub fn publish_conversion(obs: &nmt_obs::ObsContext, stats: &ConversionStats) {
 /// Stateful converter for one vertical strip of a CSC matrix.
 #[derive(Debug, Clone)]
 pub struct StripConverter<'a> {
-    csc: CscView<'a>,
+    csc: &'a Csc,
     strip_id: usize,
     col_start: usize,
     width: usize,
@@ -138,17 +138,11 @@ pub struct StripConverter<'a> {
 
 impl<'a> StripConverter<'a> {
     /// Position a converter at the top of strip `strip_id` (width
-    /// `tile_w`). Panics if the strip is outside the matrix.
-    /// Unpooled: strip buffers are freshly allocated (the farm's hot path
-    /// uses [`Self::with_view`]).
-    pub fn new(csc: &'a Csc, strip_id: usize, tile_w: usize) -> Self {
-        Self::with_view(csc.view(), strip_id, tile_w, false)
-    }
-
-    /// [`Self::new`] over a borrowed [`CscView`]; with `pooled`,
-    /// [`Self::convert_strip`] checks its buffers out of the global
-    /// pools — return them with [`crate::mem::recycle_strips`].
-    pub fn with_view(csc: CscView<'a>, strip_id: usize, tile_w: usize, pooled: bool) -> Self {
+    /// `tile_w`). Panics if the strip is outside the matrix. With
+    /// `pooled`, [`Self::convert_strip`] checks its buffers out of the
+    /// global pools — return them with [`crate::mem::recycle_strips`];
+    /// otherwise they are freshly allocated.
+    pub fn new(csc: &'a Csc, strip_id: usize, tile_w: usize, pooled: bool) -> Self {
         assert!(
             tile_w > 0 && tile_w <= MAX_LANES,
             "engine width is 1..=64 columns"
@@ -331,7 +325,7 @@ pub fn convert_matrix(
 ) -> Result<(TiledDcsr, ConversionStats), FarmError> {
     let shape = csc.shape();
     let run = convert_matrix_farm_obs(
-        csc.view(),
+        csc,
         tile_w,
         tile_h,
         SINGLE_ENGINE,
@@ -363,7 +357,7 @@ mod tests {
     #[test]
     fn figure13_walkthrough() {
         let csc = figure13_csc();
-        let mut conv = StripConverter::new(&csc, 0, 3);
+        let mut conv = StripConverter::new(&csc, 0, 3, false);
         let strip = conv.next_tile(0, 5);
         let tile = strip.tile(0);
         // Expected DCSR (Figure 13, bottom right):
@@ -393,7 +387,7 @@ mod tests {
     #[test]
     fn stats_merge_accumulates_all_fields() {
         let csc = figure13_csc();
-        let mut a = StripConverter::new(&csc, 0, 3);
+        let mut a = StripConverter::new(&csc, 0, 3, false);
         a.next_tile(0, 5);
         let st = a.stats();
         let mut merged = ConversionStats::default();
@@ -463,7 +457,7 @@ mod tests {
     #[test]
     fn sequential_tiles_share_frontier_state() {
         let csc = figure13_csc();
-        let mut conv = StripConverter::new(&csc, 0, 3);
+        let mut conv = StripConverter::new(&csc, 0, 3, false);
         let s0 = conv.next_tile(0, 2); // rows 0..2
         let s1 = conv.next_tile(2, 2); // rows 2..4
         let s2 = conv.next_tile(4, 2); // row 4
@@ -482,7 +476,7 @@ mod tests {
     fn seek_supports_random_tile_access() {
         let csc = figure13_csc();
         // Jump straight to the tile at rows 2..4 without converting 0..2.
-        let mut conv = StripConverter::new(&csc, 0, 3);
+        let mut conv = StripConverter::new(&csc, 0, 3, false);
         conv.seek(2);
         let strip = conv.next_tile(2, 2);
         assert_eq!(strip.tile(0).rowidx, [0]);
@@ -498,7 +492,7 @@ mod tests {
     fn second_strip_has_local_columns() {
         let csr = random_csr(40, 120, 9);
         let csc = csr.to_csc();
-        let mut conv = StripConverter::new(&csc, 1, 16);
+        let mut conv = StripConverter::new(&csc, 1, 16, false);
         let strip = conv.convert_strip(16);
         for t in 0..strip.num_tiles() {
             let tile = strip.tile(t);
@@ -512,7 +506,7 @@ mod tests {
         // Matrix with entries only in column 0; strip 1 is empty.
         let coo = Coo::from_triplets(8, 8, &[0, 3], &[0, 0], &[1.0, 2.0]).unwrap();
         let csc = Csc::from_coo(&coo);
-        let mut conv = StripConverter::new(&csc, 1, 4);
+        let mut conv = StripConverter::new(&csc, 1, 4, false);
         let strip = conv.convert_strip(4);
         assert_eq!(strip.num_tiles(), 2);
         assert!(strip.tiles().all(|t| t.nnz() == 0));
@@ -524,7 +518,7 @@ mod tests {
     #[test]
     fn output_bytes_match_tile_footprint() {
         let csc = figure13_csc();
-        let mut conv = StripConverter::new(&csc, 0, 3);
+        let mut conv = StripConverter::new(&csc, 0, 3, false);
         let strip = conv.next_tile(0, 5);
         let tile = strip.tile(0);
         let expected = tile.metadata_bytes() + tile.data_bytes();

@@ -18,7 +18,7 @@ use crate::comparator::{ComparatorError, MAX_LANES};
 use crate::convert::{ConversionStats, StripConverter};
 use crate::placement::{Layout, PlacementError, SwitchCost};
 use nmt_fault::{FaultPlan, FaultRecord, FaultSite};
-use nmt_formats::{Csc, CscView, DcsrStrip, DcsrTileView, SparseMatrix};
+use nmt_formats::{Csc, DcsrStrip, DcsrTileView, SparseMatrix};
 use nmt_obs::{EventSite, FlightRecorder};
 use rayon::prelude::*;
 
@@ -199,7 +199,7 @@ pub fn publish_farm(obs: &nmt_obs::ObsContext, farm: &FarmRun) {
 /// output is used and the event is recorded as a retry. Only a failed
 /// retry escalates to [`FarmError`].
 fn convert_strip_faulted(
-    csc: CscView<'_>,
+    csc: &Csc,
     strip_id: usize,
     tile_w: usize,
     tile_h: usize,
@@ -232,7 +232,7 @@ fn convert_strip_faulted(
             });
         }
     }
-    let out = StripConverter::with_view(csc, strip_id, tile_w, pool).convert_strip(tile_h);
+    let out = StripConverter::new(csc, strip_id, tile_w, pool).convert_strip(tile_h);
     if let Some(plan) = plan {
         if plan.fires(FaultSite::MetadataCorruption, key) {
             // Corrupt a copy — never the real output — and require the
@@ -283,7 +283,7 @@ pub fn convert_matrix_farm(
     config: FarmConfig,
 ) -> Result<FarmRun, FarmError> {
     convert_matrix_farm_obs(
-        csc.view(),
+        csc,
         tile_w,
         tile_h,
         config,
@@ -300,7 +300,7 @@ pub fn convert_matrix_farm(
 /// outputs stay byte-identical to [`convert_matrix_farm`] at any thread
 /// count, with or without a live recorder.
 pub fn convert_matrix_farm_obs(
-    csc: CscView<'_>,
+    csc: &Csc,
     tile_w: usize,
     tile_h: usize,
     config: FarmConfig,

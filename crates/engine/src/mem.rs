@@ -140,8 +140,7 @@ mod tests {
     fn recycle_strips_then_take_reuses() {
         let csc = nmt_formats::Csc::new(4, 2, vec![0, 2, 3], vec![0, 3, 1], vec![1.0, 2.0, 3.0])
             .expect("valid csc");
-        let strip =
-            crate::convert::StripConverter::with_view(csc.view(), 0, 2, true).convert_strip(2);
+        let strip = crate::convert::StripConverter::new(&csc, 0, 2, true).convert_strip(2);
         let hits_before = pool_stats().hits;
         let reclaimed_before = pool_stats().reclaimed;
         recycle_strips(vec![strip]);

@@ -337,7 +337,7 @@ mod tests {
         let csc = uniform(64, 100);
         let config = PipelineConfig::paper_fp32(8);
         let r = simulate_strip(&csc, 0, &config);
-        let mut conv = StripConverter::new(&csc, 0, 8);
+        let mut conv = StripConverter::new(&csc, 0, 8, false);
         let _ = conv.convert_strip(64);
         let analytic = EngineTiming::fp32(13.6, &ComparatorTree::new(8).unwrap().structure())
             .conversion_time_ns(&conv.stats());

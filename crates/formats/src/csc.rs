@@ -71,17 +71,63 @@ impl Csc {
 
     /// Check every structural CSC invariant: monotone `colptr` spanning
     /// `0..nnz`, bounded and strictly increasing row indices within each
-    /// column, and matching `rowidx`/`values` lengths. Shared with
-    /// [`crate::views::CscView`], which validates the same invariants
-    /// over borrowed arrays.
+    /// column, and matching `rowidx`/`values` lengths.
     pub fn validate(&self) -> Result<(), FormatError> {
-        validate_csc_parts(
-            self.nrows,
-            self.ncols,
-            &self.colptr,
-            &self.rowidx,
-            self.values.len(),
-        )
+        let (nrows, ncols) = (self.nrows, self.ncols);
+        let (colptr, rowidx, values_len) = (&self.colptr, &self.rowidx, self.values.len());
+        check_dims(nrows, ncols)?;
+        if colptr.len() != ncols + 1 {
+            return Err(FormatError::LengthMismatch {
+                expected: ncols + 1,
+                found: colptr.len(),
+                name: "colptr",
+            });
+        }
+        if rowidx.len() != values_len {
+            return Err(FormatError::LengthMismatch {
+                expected: rowidx.len(),
+                found: values_len,
+                name: "values",
+            });
+        }
+        if colptr.first() != Some(&0) {
+            return Err(FormatError::MalformedPointerArray {
+                name: "colptr",
+                detail: "must start at 0".into(),
+            });
+        }
+        let last = colptr.last().copied().unwrap_or(0);
+        if last as usize != rowidx.len() {
+            return Err(FormatError::MalformedPointerArray {
+                name: "colptr",
+                detail: format!("last entry {} must equal nnz {}", last, rowidx.len()),
+            });
+        }
+        if colptr.windows(2).any(|w| w[0] > w[1]) {
+            return Err(FormatError::MalformedPointerArray {
+                name: "colptr",
+                detail: "must be non-decreasing".into(),
+            });
+        }
+        for (c, w) in colptr.windows(2).enumerate() {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
+            let col_rows = &rowidx[lo..hi];
+            for &r in col_rows {
+                if r as usize >= nrows {
+                    return Err(FormatError::IndexOutOfBounds {
+                        axis: "row",
+                        index: r,
+                        bound: nrows,
+                    });
+                }
+            }
+            if col_rows.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(FormatError::NotCanonical {
+                    detail: format!("column {c} has unsorted or duplicate row indices"),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Build from a COO matrix.
@@ -183,83 +229,6 @@ impl Csc {
         let (lo, hi) = (self.colptr[c] as usize, self.colptr[c + 1] as usize);
         lo + self.rowidx[lo..hi].partition_point(|&r| r < row_start)
     }
-
-    /// Borrow this matrix as a zero-copy [`crate::views::CscView`] — the
-    /// form the conversion engine consumes, so engine code is agnostic to
-    /// whether the arrays are owned here or borrowed from a CSR image.
-    pub fn view(&self) -> crate::views::CscView<'_> {
-        crate::views::CscView::from_validated(
-            self.nrows,
-            self.ncols,
-            &self.colptr,
-            &self.rowidx,
-            &self.values,
-        )
-    }
-}
-
-/// The CSC structural invariants over raw (borrowed) arrays — the single
-/// implementation behind [`Csc::validate`] and `CscView::new`.
-pub(crate) fn validate_csc_parts(
-    nrows: usize,
-    ncols: usize,
-    colptr: &[Index],
-    rowidx: &[Index],
-    values_len: usize,
-) -> Result<(), FormatError> {
-    check_dims(nrows, ncols)?;
-    if colptr.len() != ncols + 1 {
-        return Err(FormatError::LengthMismatch {
-            expected: ncols + 1,
-            found: colptr.len(),
-            name: "colptr",
-        });
-    }
-    if rowidx.len() != values_len {
-        return Err(FormatError::LengthMismatch {
-            expected: rowidx.len(),
-            found: values_len,
-            name: "values",
-        });
-    }
-    if colptr.first() != Some(&0) {
-        return Err(FormatError::MalformedPointerArray {
-            name: "colptr",
-            detail: "must start at 0".into(),
-        });
-    }
-    let last = colptr.last().copied().unwrap_or(0);
-    if last as usize != rowidx.len() {
-        return Err(FormatError::MalformedPointerArray {
-            name: "colptr",
-            detail: format!("last entry {} must equal nnz {}", last, rowidx.len()),
-        });
-    }
-    if colptr.windows(2).any(|w| w[0] > w[1]) {
-        return Err(FormatError::MalformedPointerArray {
-            name: "colptr",
-            detail: "must be non-decreasing".into(),
-        });
-    }
-    for (c, w) in colptr.windows(2).enumerate() {
-        let (lo, hi) = (w[0] as usize, w[1] as usize);
-        let col_rows = &rowidx[lo..hi];
-        for &r in col_rows {
-            if r as usize >= nrows {
-                return Err(FormatError::IndexOutOfBounds {
-                    axis: "row",
-                    index: r,
-                    bound: nrows,
-                });
-            }
-        }
-        if col_rows.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(FormatError::NotCanonical {
-                detail: format!("column {c} has unsorted or duplicate row indices"),
-            });
-        }
-    }
-    Ok(())
 }
 
 impl SparseMatrix for Csc {

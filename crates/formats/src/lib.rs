@@ -41,7 +41,6 @@ pub mod ops;
 pub mod storage;
 pub mod strips;
 pub mod tiled;
-pub mod views;
 
 pub use coo::{Coo, CooEntry};
 pub use csc::Csc;
@@ -54,7 +53,6 @@ pub use strips::{strip_count, strip_nonzero_row_fraction, tile_count, StripStats
 pub use tiled::{
     CsrStrip, DcsrStrip, DcsrTileView, StripBuffers, TileHeader, TiledCsr, TiledDcsr, DEFAULT_TILE,
 };
-pub use views::CscView;
 
 /// Row/column index type. 4 bytes, matching the paper's storage model where
 /// each `rowptr`/`colidx` entry costs 4 bytes (§2).
@@ -88,11 +86,6 @@ impl Shape {
     /// Total number of (dense) cells.
     pub fn cells(&self) -> usize {
         self.nrows * self.ncols
-    }
-
-    /// True when the matrix is square.
-    pub fn is_square(&self) -> bool {
-        self.nrows == self.ncols
     }
 }
 
@@ -130,8 +123,6 @@ mod tests {
         let s = Shape::new(3, 4);
         assert_eq!(s.cells(), 12);
         assert_eq!(s.to_string(), "3x4");
-        assert!(!s.is_square());
-        assert!(Shape::new(5, 5).is_square());
     }
 
     #[test]

@@ -3,18 +3,24 @@
 //! (column-major traversal, §3.1.3) and commit partial sums of C with
 //! atomics (2× channel occupancy).
 //!
-//! Three variants of the A-side tile format:
-//! * [`bstat_tiled_csr`] — strips kept in CSR: every tile scans a full
-//!   `tile_h + 1` row-pointer window and burns a 1-active-lane check per
-//!   empty row (the Figure 6/7 pathology).
+//! Every DCSR variant is one strip loop over `&[DcsrStrip]` that differs
+//! only in where A's bytes come from (a private `ASource`):
 //! * [`bstat_tiled_dcsr_offline`] — tiles pre-converted to DCSR and stored
-//!   in DRAM: compute-efficient but pays the tiled-metadata footprint of
-//!   Figure 9 on every read (and, in reality, an offline conversion pass
-//!   this kernel does not charge — §5.2 calls its results optimistic).
+//!   in DRAM, each read as a directory word plus its packed bytes:
+//!   compute-efficient but pays the tiled-metadata footprint of Figure 9
+//!   on every read (and, in reality, an offline conversion pass this
+//!   kernel does not charge — §5.2 calls its results optimistic).
+//! * [`bstat_tiled_dcsr_traversal`] — the same packed tiles with `K` split
+//!   into `tile_w`-wide tiles and an explicit B-tile [`Traversal`] order;
+//!   the offline kernel is this loop with one K tile.
 //! * [`bstat_tiled_dcsr_online`] — the paper's proposal: DRAM holds only
 //!   the compact CSC; the near-memory engine streams freshly-minted DCSR
 //!   tiles to the SM over the crossbar, so the DRAM-side cost is the CSC
 //!   elements themselves.
+//!
+//! [`bstat_tiled_csr`] keeps strips in CSR and has its own launch: every
+//! tile scans a full `tile_h + 1` row-pointer window and burns a
+//! 1-active-lane check per empty row (the Figure 6/7 pathology).
 
 use crate::device::{CscDevice, DenseDevice, TiledDcsrDevice, WORD};
 use crate::KernelRun;
@@ -22,13 +28,35 @@ use nmt_engine::{
     convert_matrix_farm_obs, publish_conversion, publish_farm, publish_pipeline, simulate_strip,
     ConversionStats, FarmConfig, PipelineConfig, PipelineResult,
 };
-use nmt_formats::{Csc, DenseMatrix, SparseMatrix, TiledCsr, TiledDcsr};
+use nmt_formats::{Csc, DcsrStrip, DenseMatrix, SparseMatrix, TiledCsr, TiledDcsr};
 use nmt_obs::ObsContext;
 use nmt_sim::{BlockCtx, Gpu, InstrClass, SimError, TrafficClass};
 
+/// B and C as a B-stationary launch sees them: B's values, the device
+/// images of both, and C's row count.
+struct Operands<'a> {
+    b: &'a DenseMatrix,
+    b_dev: DenseDevice,
+    c_dev: DenseDevice,
+    n: usize,
+}
+
+impl<'a> Operands<'a> {
+    /// Allocate B's and then C's (`n × K`) device images.
+    fn upload(gpu: &mut Gpu, b: &'a DenseMatrix, n: usize) -> Self {
+        Self {
+            b,
+            b_dev: DenseDevice::upload(gpu, b, TrafficClass::MatB),
+            c_dev: DenseDevice::alloc(gpu, n, b.ncols(), TrafficClass::MatC),
+            n,
+        }
+    }
+}
+
 /// Per-row inner loop shared by every B-stationary variant: FMA the row
-/// segment against the shared-memory B tile and atomically add the partial
-/// C row. Returns nothing; updates the functional output.
+/// segment against the shared-memory B tile, which holds output columns
+/// `k_lo .. k_lo + kw`, and atomically add that slice of the partial C
+/// row.
 ///
 /// `cols` are tile-local column indices; `col_base` rebases them to global
 /// columns in-register, so callers hand the tile's `colidx` slice straight
@@ -39,55 +67,54 @@ use nmt_sim::{BlockCtx, Gpu, InstrClass, SimError, TrafficClass};
 fn process_tile_row(
     ctx: &mut BlockCtx<'_>,
     c: &mut DenseMatrix,
-    c_dev: &DenseDevice,
-    b: &DenseMatrix,
+    ops: &Operands<'_>,
     global_row: usize,
     cols: &[u32],
     col_base: u32,
     vals: &[f32],
-    k: usize,
+    (k_lo, kw): (usize, usize),
     acc: &mut Vec<f32>,
 ) {
     let warp = ctx.warp_size();
     acc.clear();
-    acc.resize(k, 0.0);
+    acc.resize(kw, 0.0);
     for (&cl, &v) in cols.iter().zip(vals) {
-        let col = (col_base + cl) as usize;
-        ctx.warp_instr(InstrClass::Integer, k.min(warp), 1);
-        let brow = b.row(col);
-        let mut kc = 0;
-        while kc < k {
-            let chunk = (k - kc).min(warp);
+        let brow = &ops.b.row((col_base + cl) as usize)[k_lo..k_lo + kw];
+        ctx.warp_instr(InstrClass::Integer, kw.min(warp), 1);
+        let mut x = 0;
+        while x < kw {
+            let chunk = (kw - x).min(warp);
             // B comes from shared memory: issue cost only, no global traffic.
             ctx.shared_op(chunk as u64 * WORD, chunk);
             ctx.fma(chunk, 1);
-            for (a, &bv) in acc[kc..kc + chunk].iter_mut().zip(&brow[kc..kc + chunk]) {
+            for (a, &bv) in acc[x..x + chunk].iter_mut().zip(&brow[x..x + chunk]) {
                 *a += v * bv;
             }
-            kc += chunk;
+            x += chunk;
         }
     }
-    // Partial contribution: atomic adds over the C row (Table 1's 2x).
-    let (off, bytes) = c_dev.row_segment(global_row as u64, 0, k as u64);
+    // Partial contribution: atomic adds over the C row slice (Table 1's 2x).
+    let c_dev = &ops.c_dev;
+    let (off, bytes) = c_dev.row_segment(global_row as u64, k_lo as u64, kw as u64);
     ctx.atomic_add_global(&c_dev.buf, off, bytes);
-    let out = c.row_mut(global_row);
+    let out = &mut c.row_mut(global_row)[k_lo..k_lo + kw];
     for (o, a) in out.iter_mut().zip(acc.iter()) {
         *o += a;
     }
 }
 
-/// Load the strip's B tile (tile_w rows × K columns) into shared memory.
+/// Load the `rows × kw` B tile at (`strip_row0`, `k_lo`) into shared memory.
 fn load_b_tile(
     ctx: &mut BlockCtx<'_>,
     b_dev: &DenseDevice,
     strip_row0: usize,
     rows: usize,
-    k: usize,
+    (k_lo, kw): (usize, usize),
 ) {
     for i in 0..rows {
-        let (off, bytes) = b_dev.row_segment((strip_row0 + i) as u64, 0, k as u64);
+        let (off, bytes) = b_dev.row_segment((strip_row0 + i) as u64, k_lo as u64, kw as u64);
         ctx.ld_global(&b_dev.buf, off, bytes, false);
-        ctx.shared_op(bytes, ctx.warp_size().min(k));
+        ctx.shared_op(bytes, ctx.warp_size().min(kw));
     }
 }
 
@@ -127,8 +154,7 @@ pub fn bstat_tiled_csr(
         strip_rowptr.push(gpu.alloc((n as u64 + 1) * WORD, TrafficClass::MatA));
         strip_elems.push(gpu.alloc((strip.nnz().max(1) as u64) * 2 * WORD, TrafficClass::MatA));
     }
-    let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::alloc(gpu, n, k, TrafficClass::MatC);
+    let ops = Operands::upload(gpu, b, n);
 
     let mut c = DenseMatrix::zeros(n, k);
     let tiles_per_strip = nmt_formats::tile_count(n, tile_h);
@@ -141,13 +167,8 @@ pub fn bstat_tiled_csr(
     let stats = gpu.launch(shared, num_blocks, |ctx| {
         let s = ctx.block_id;
         let strip = &tiled.strips()[s];
-        load_b_tile(
-            ctx,
-            &b_dev,
-            s * tile_w,
-            strip.width.min(b.nrows() - s * tile_w),
-            k,
-        );
+        let b_rows = strip.width.min(b.nrows() - s * tile_w);
+        load_b_tile(ctx, &ops.b_dev, s * tile_w, b_rows, (0, k));
         for t in 0..tiles_per_strip {
             let row0 = t * tile_h;
             let row1 = (row0 + tile_h).min(n);
@@ -177,75 +198,12 @@ pub fn bstat_tiled_csr(
                 process_tile_row(
                     ctx,
                     &mut c,
-                    &c_dev,
-                    b,
+                    &ops,
                     r,
                     &strip.colidx[lo..hi],
                     strip.col_start,
                     &strip.values[lo..hi],
-                    k,
-                    &mut acc,
-                );
-            }
-        }
-    })?;
-    nmt_engine::mem::put_val(true, acc);
-    Ok(KernelRun { c, stats })
-}
-
-/// B-stationary over offline-tiled **DCSR** (stored pre-tiled in DRAM).
-pub fn bstat_tiled_dcsr_offline(
-    gpu: &mut Gpu,
-    tiled: &TiledDcsr,
-    b: &DenseMatrix,
-) -> Result<KernelRun, SimError> {
-    let shape = tiled.shape();
-    check_dims(shape, b, tiled.tile_width())?;
-    let n = shape.nrows;
-    let k = b.ncols();
-    let tile_w = tiled.tile_width();
-    let a_dev = TiledDcsrDevice::upload(gpu, tiled);
-    let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::alloc(gpu, n, k, TrafficClass::MatC);
-
-    let mut c = DenseMatrix::zeros(n, k);
-    // One block per strip: B tile resident in shared memory across all of
-    // the strip's tiles.
-    let num_blocks = tiled.num_strips();
-    let shared = tile_w * k * WORD as usize;
-    let mut acc = nmt_engine::mem::take_val(true, k);
-    let stats = gpu.launch(shared, num_blocks, |ctx| {
-        let s = ctx.block_id;
-        let strip = &tiled.strips()[s];
-        let b_rows = strip.width().min(b.nrows().saturating_sub(s * tile_w));
-        load_b_tile(ctx, &b_dev, s * tile_w, b_rows, k);
-        for (t, tile) in strip.tiles().enumerate() {
-            // Tile directory entry + the tile's packed bytes.
-            let (off, len) = a_dev.offsets[s][t];
-            let dir_bytes = 8.min(a_dev.data.len);
-            ctx.ld_global(
-                &a_dev.data,
-                off.min(a_dev.data.len - dir_bytes),
-                dir_bytes,
-                false,
-            );
-            if len > 0 {
-                ctx.ld_global(&a_dev.data, off, len, false);
-            }
-            for i in 0..tile.nnz_rows() {
-                let (lo, hi) = (tile.rowptr[i] as usize, tile.rowptr[i + 1] as usize);
-                ctx.warp_instr(InstrClass::ControlFlow, 1, 1);
-                let global_row = (tile.row_start + tile.rowidx[i]) as usize;
-                process_tile_row(
-                    ctx,
-                    &mut c,
-                    &c_dev,
-                    b,
-                    global_row,
-                    &tile.colidx[lo..hi],
-                    tile.col_start,
-                    &tile.values[lo..hi],
-                    k,
+                    (0, k),
                     &mut acc,
                 );
             }
@@ -272,6 +230,141 @@ pub enum Traversal {
     ColumnMajor,
 }
 
+/// Where the strip loop's A tiles come from; the only thing the offline
+/// and online kernels do differently.
+#[derive(Clone, Copy)]
+enum ASource<'a> {
+    /// Offline tiles packed in DRAM: each is read as a directory word plus
+    /// its packed bytes.
+    Packed(&'a TiledDcsrDevice),
+    /// The near-memory engine over the CSC in DRAM: the strip's `colptr`
+    /// window is read once, then each tile is one `GetDCSRTile` request,
+    /// its CSC elements streamed inside the FB partition and its DCSR
+    /// bytes over the crossbar (Figure 11).
+    Engine { csc: &'a Csc, dev: &'a CscDevice },
+}
+
+/// The one B-stationary launch over DCSR strips: one block per (strip,
+/// `k_tile`-wide output-column tile) pair, ordered by `traversal`. Each
+/// block loads its B tile into shared memory once, then fetches the
+/// strip's tiles top to bottom from `a` and runs [`process_tile_row`]
+/// over their rows.
+fn launch_strips(
+    gpu: &mut Gpu,
+    strips: &[DcsrStrip],
+    a: ASource<'_>,
+    ops: &Operands<'_>,
+    tile_w: usize,
+    k_tile: usize,
+    traversal: Traversal,
+) -> Result<KernelRun, SimError> {
+    let b = ops.b;
+    let k = b.ncols();
+    let nstrips = strips.len();
+    let k_tiles = k.div_ceil(k_tile.max(1)).max(1);
+    let shared = tile_w * k_tile * WORD as usize;
+    let mut c = DenseMatrix::zeros(ops.n, k);
+    let mut acc = nmt_engine::mem::take_val(true, k_tile);
+    let stats = gpu.launch(shared, nstrips * k_tiles, |ctx| {
+        // Block order implements the traversal.
+        let (s, kt) = match traversal {
+            Traversal::RowMajor => (ctx.block_id / k_tiles, ctx.block_id % k_tiles),
+            Traversal::ColumnMajor => (ctx.block_id % nstrips, ctx.block_id / nstrips),
+        };
+        let k_lo = kt * k_tile;
+        let k_range = (k_lo, k_tile.min(k - k_lo));
+        let strip = &strips[s];
+        let b_rows = strip.width().min(b.nrows().saturating_sub(s * tile_w));
+        load_b_tile(ctx, &ops.b_dev, s * tile_w, b_rows, k_range);
+        // The engine's cursor into the strip's contiguous CSC elements.
+        let mut elem = 0;
+        if let ASource::Engine { csc, dev } = a {
+            // Boundary/frontier pointers come from col_ptr once per strip
+            // (Figure 14 ❶).
+            ctx.ld_global(
+                &dev.colptr,
+                (s * tile_w) as u64 * WORD,
+                (strip.width() as u64 + 1) * WORD,
+                false,
+            );
+            elem = csc.colptr()[s * tile_w] as u64;
+        }
+        for (t, tile) in strip.tiles().enumerate() {
+            match a {
+                ASource::Packed(dev) => {
+                    let (off, len) = dev.offsets[s][t];
+                    let dir_bytes = 8.min(dev.data.len);
+                    let dir_off = off.min(dev.data.len - dir_bytes);
+                    ctx.ld_global(&dev.data, dir_off, dir_bytes, false);
+                    if len > 0 {
+                        ctx.ld_global(&dev.data, off, len, false);
+                    }
+                }
+                ASource::Engine { dev, .. } => {
+                    // GetDCSRTile request: much like a warp vector store.
+                    ctx.warp_instr(InstrClass::Memory, ctx.warp_size(), 1);
+                    // The tile consumes the strip's next `nnz` elements,
+                    // rowidx + value each (sequential frontier advance).
+                    if tile.nnz() > 0 {
+                        let bytes = tile.nnz() as u64 * WORD;
+                        ctx.ld_global(&dev.rowidx, elem * WORD, bytes, false);
+                        ctx.ld_global(&dev.values, elem * WORD, bytes, false);
+                        elem += tile.nnz() as u64;
+                    }
+                    // Converted rows arrive over the Xbar into shared
+                    // memory: crossbar bandwidth and issue slots, but no
+                    // DRAM bandwidth — the engine's whole point.
+                    ctx.xbar_stream((tile.metadata_bytes() + tile.data_bytes()) as u64);
+                }
+            }
+            for i in 0..tile.nnz_rows() {
+                let (lo, hi) = (tile.rowptr[i] as usize, tile.rowptr[i + 1] as usize);
+                ctx.warp_instr(InstrClass::ControlFlow, 1, 1);
+                process_tile_row(
+                    ctx,
+                    &mut c,
+                    ops,
+                    (tile.row_start + tile.rowidx[i]) as usize,
+                    &tile.colidx[lo..hi],
+                    tile.col_start,
+                    &tile.values[lo..hi],
+                    k_range,
+                    &mut acc,
+                );
+            }
+        }
+    })?;
+    nmt_engine::mem::put_val(true, acc);
+    Ok(KernelRun { c, stats })
+}
+
+/// The strip loop over offline-tiled DCSR packed in DRAM.
+fn launch_packed(
+    gpu: &mut Gpu,
+    tiled: &TiledDcsr,
+    b: &DenseMatrix,
+    k_tile: usize,
+    traversal: Traversal,
+) -> Result<KernelRun, SimError> {
+    let tile_w = tiled.tile_width();
+    check_dims(tiled.shape(), b, tile_w)?;
+    let a_dev = TiledDcsrDevice::upload(gpu, tiled);
+    let ops = Operands::upload(gpu, b, tiled.shape().nrows);
+    let a = ASource::Packed(&a_dev);
+    launch_strips(gpu, tiled.strips(), a, &ops, tile_w, k_tile, traversal)
+}
+
+/// B-stationary over offline-tiled **DCSR** (stored pre-tiled in DRAM):
+/// one block per strip, its B tile resident in shared memory across all
+/// of the strip's tiles.
+pub fn bstat_tiled_dcsr_offline(
+    gpu: &mut Gpu,
+    tiled: &TiledDcsr,
+    b: &DenseMatrix,
+) -> Result<KernelRun, SimError> {
+    launch_packed(gpu, tiled, b, b.ncols(), Traversal::ColumnMajor)
+}
+
 /// B-stationary over offline-tiled DCSR with an explicit B-tile traversal
 /// order and `K` split into `tile_w`-wide output-column tiles — the
 /// experiment kernel behind §3.1.3's row- vs column-major comparison.
@@ -281,85 +374,7 @@ pub fn bstat_tiled_dcsr_traversal(
     b: &DenseMatrix,
     traversal: Traversal,
 ) -> Result<KernelRun, SimError> {
-    let shape = tiled.shape();
-    check_dims(shape, b, tiled.tile_width())?;
-    let n = shape.nrows;
-    let k = b.ncols();
-    let tile_w = tiled.tile_width();
-    let kc_tiles = k.div_ceil(tile_w).max(1);
-    let a_dev = TiledDcsrDevice::upload(gpu, tiled);
-    let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::alloc(gpu, n, k, TrafficClass::MatC);
-
-    let mut c = DenseMatrix::zeros(n, k);
-    let nstrips = tiled.num_strips();
-    let num_blocks = nstrips * kc_tiles;
-    let shared = tile_w * tile_w * WORD as usize;
-    let mut acc = nmt_engine::mem::take_val(true, tile_w);
-    let stats = gpu.launch(shared, num_blocks, |ctx| {
-        // Block order implements the traversal.
-        let (s, kc) = match traversal {
-            Traversal::RowMajor => (ctx.block_id / kc_tiles, ctx.block_id % kc_tiles),
-            Traversal::ColumnMajor => (ctx.block_id % nstrips, ctx.block_id / nstrips),
-        };
-        let warp = ctx.warp_size();
-        let k_lo = kc * tile_w;
-        let k_hi = (k_lo + tile_w).min(k);
-        let kw = k_hi - k_lo;
-        // Load the (s, kc) tile of B into shared memory.
-        let strip = &tiled.strips()[s];
-        let b_rows = strip.width().min(b.nrows().saturating_sub(s * tile_w));
-        for i in 0..b_rows {
-            let (off, bytes) = b_dev.row_segment((s * tile_w + i) as u64, k_lo as u64, kw as u64);
-            ctx.ld_global(&b_dev.buf, off, bytes, false);
-            ctx.shared_op(bytes, warp.min(kw));
-        }
-        for (t, tile) in strip.tiles().enumerate() {
-            let (off, len) = a_dev.offsets[s][t];
-            let dir_bytes = 8.min(a_dev.data.len);
-            ctx.ld_global(
-                &a_dev.data,
-                off.min(a_dev.data.len - dir_bytes),
-                dir_bytes,
-                false,
-            );
-            if len > 0 {
-                ctx.ld_global(&a_dev.data, off, len, false);
-            }
-            for i in 0..tile.nnz_rows() {
-                let (lo, hi) = (tile.rowptr[i] as usize, tile.rowptr[i + 1] as usize);
-                ctx.warp_instr(InstrClass::ControlFlow, 1, 1);
-                let global_row = (tile.row_start + tile.rowidx[i]) as usize;
-                acc.clear();
-                acc.resize(kw, 0.0);
-                for e in lo..hi {
-                    let col = (tile.col_start + tile.colidx[e]) as usize;
-                    let v = tile.values[e];
-                    ctx.warp_instr(InstrClass::Integer, kw.min(warp), 1);
-                    let mut x = 0;
-                    while x < kw {
-                        let chunk = (kw - x).min(warp);
-                        ctx.shared_op(chunk as u64 * WORD, chunk);
-                        ctx.fma(chunk, 1);
-                        let brow = b.row(col);
-                        for j in x..x + chunk {
-                            acc[j] += v * brow[k_lo + j];
-                        }
-                        x += chunk;
-                    }
-                }
-                // Atomic update of this row's kc column slice.
-                let (off, bytes) = c_dev.row_segment(global_row as u64, k_lo as u64, kw as u64);
-                ctx.atomic_add_global(&c_dev.buf, off, bytes);
-                let out = c.row_mut(global_row);
-                for (j, a) in acc.iter().enumerate() {
-                    out[k_lo + j] += a;
-                }
-            }
-        }
-    })?;
-    nmt_engine::mem::put_val(true, acc);
-    Ok(KernelRun { c, stats })
+    launch_packed(gpu, tiled, b, tiled.tile_width(), traversal)
 }
 
 /// Result of the online kernel: the run plus the engine activity.
@@ -406,11 +421,9 @@ pub fn bstat_tiled_dcsr_online_obs(
 ) -> Result<OnlineRun, SimError> {
     let shape = csc.shape();
     check_dims(shape, b, tile_w)?;
-    let n = shape.nrows;
     let k = b.ncols();
     let a_dev = CscDevice::upload(gpu, csc);
-    let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::alloc(gpu, n, k, TrafficClass::MatC);
+    let ops = Operands::upload(gpu, b, shape.nrows);
 
     // Pre-run the functional converters: one engine per FB partition,
     // strips sharded rayon-parallel across the farm (§6.1). The farm's
@@ -419,7 +432,7 @@ pub fn bstat_tiled_dcsr_online_obs(
     let nstrips = nmt_formats::strip_count(shape.ncols, tile_w);
     let farm_cfg =
         FarmConfig::for_partitions(gpu.config().num_partitions).with_fault(gpu.fault_plan());
-    let farm = convert_matrix_farm_obs(csc.view(), tile_w, tile_h, farm_cfg, obs);
+    let farm = convert_matrix_farm_obs(csc, tile_w, tile_h, farm_cfg, obs);
     let farm = farm.map_err(|e| match e {
         nmt_engine::FarmError::Fault { site, key, detail } => {
             SimError::InjectedFault { site, key, detail }
@@ -462,71 +475,14 @@ pub fn bstat_tiled_dcsr_online_obs(
     publish_farm(obs, &farm);
     let strips = farm.strips;
 
-    let mut c = DenseMatrix::zeros(n, k);
     // One block per strip, exactly the device loop of Figure 11: the block
     // initializes col_frontier, loads its B tile once, then issues one
     // GetDCSRTile per DCSR_HEIGHT rows.
-    let num_blocks = nstrips;
-    let shared = tile_w * k * WORD as usize;
     let launch_span = obs.span("kernels.launch");
     obs.flight
         .record(nmt_obs::EventSite::KernelLaunch, 0, nstrips as u64, k as u64);
-    let mut acc = nmt_engine::mem::take_val(farm_cfg.pool, k);
-    let stats = gpu.launch(shared, num_blocks, |ctx| {
-        let s = ctx.block_id;
-        let strip = &strips[s];
-        let first_width = strip.width();
-        let b_rows = first_width.min(b.nrows().saturating_sub(s * tile_w));
-        load_b_tile(ctx, &b_dev, s * tile_w, b_rows, k);
-        // Engine loads boundary/frontier pointers from col_ptr once per
-        // strip (Figure 14 ❶).
-        ctx.ld_global(
-            &a_dev.colptr,
-            (s * tile_w) as u64 * WORD,
-            (first_width as u64 + 1) * WORD,
-            false,
-        );
-        let mut consumed_before = 0u64;
-        for tile in strip.tiles() {
-            // GetDCSRTile request: much like a warp vector store (Fig. 11).
-            ctx.warp_instr(InstrClass::Memory, ctx.warp_size(), 1);
-            // Engine streams the tile's CSC elements from DRAM inside the
-            // FB partition: rowidx + value per element. The strip's
-            // elements are contiguous; this tile consumes the next `nnz`
-            // of them (sequential frontier advance).
-            if tile.nnz() > 0 {
-                let first = csc.colptr()[s * tile_w] as u64;
-                let lo = (first + consumed_before) * WORD;
-                let bytes = tile.nnz() as u64 * WORD;
-                ctx.ld_global(&a_dev.rowidx, lo, bytes, false);
-                ctx.ld_global(&a_dev.values, lo, bytes, false);
-                consumed_before += tile.nnz() as u64;
-            }
-            // Converted rows arrive over the Xbar into shared memory: they
-            // consume crossbar bandwidth and issue slots, but no DRAM
-            // bandwidth — the engine's whole point.
-            let stream_bytes = (tile.metadata_bytes() + tile.data_bytes()) as u64;
-            ctx.xbar_stream(stream_bytes);
-            for i in 0..tile.nnz_rows() {
-                let (lo, hi) = (tile.rowptr[i] as usize, tile.rowptr[i + 1] as usize);
-                ctx.warp_instr(InstrClass::ControlFlow, 1, 1);
-                let global_row = (tile.row_start + tile.rowidx[i]) as usize;
-                process_tile_row(
-                    ctx,
-                    &mut c,
-                    &c_dev,
-                    b,
-                    global_row,
-                    &tile.colidx[lo..hi],
-                    tile.col_start,
-                    &tile.values[lo..hi],
-                    k,
-                    &mut acc,
-                );
-            }
-        }
-    })?;
-    nmt_engine::mem::put_val(farm_cfg.pool, acc);
+    let a = ASource::Engine { csc, dev: &a_dev };
+    let run = launch_strips(gpu, &strips, a, &ops, tile_w, k, Traversal::ColumnMajor)?;
     // The freshly-minted strips have been consumed; hand their buffers
     // back so the next online conversion of a similar matrix allocates
     // nothing.
@@ -534,10 +490,7 @@ pub fn bstat_tiled_dcsr_online_obs(
         nmt_engine::mem::recycle_strips(strips);
     }
     drop(launch_span);
-    Ok(OnlineRun {
-        run: KernelRun { c, stats },
-        engine,
-    })
+    Ok(OnlineRun { run, engine })
 }
 
 #[cfg(test)]
@@ -575,6 +528,11 @@ mod tests {
         assert!(run.c.approx_eq(&host::spmm_csr(&a, &b), 1e-4));
     }
 
+    /// An output's bit patterns (`==` on `f32` would let -0.0 match 0.0).
+    fn bits(m: &DenseMatrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn online_matches_reference_and_offline() {
         let a = matrix(128, 0.02, 5);
@@ -586,6 +544,49 @@ mod tests {
         let offline = bstat_tiled_dcsr_offline(&mut gpu(), &tiled, &b).unwrap();
         assert!(online.run.c.approx_eq(&offline.c, 1e-5));
         assert_eq!(online.engine.elements as usize, a.nnz());
+    }
+
+    #[test]
+    fn online_and_offline_differ_only_on_the_a_side() {
+        // Same tiles, same B, same C: only where A's bytes come from (the
+        // packed DRAM tiles vs the engine's CSC stream) may differ.
+        for (n, density, seed) in [(128, 0.02, 31), (200, 0.01, 32), (96, 0.1, 33)] {
+            let a = matrix(n, density, seed);
+            let b = random_dense(n, 24, seed + 100);
+            let online = bstat_tiled_dcsr_online(&mut gpu(), &a.to_csc(), &b, 16, 16).unwrap();
+            let tiled = TiledDcsr::from_csr(&a, 16, 16).unwrap();
+            let offline = bstat_tiled_dcsr_offline(&mut gpu(), &tiled, &b).unwrap();
+            let (on, off) = (&online.run.stats, &offline.stats);
+            let same = bits(&online.run.c) == bits(&offline.c);
+            assert!(same, "n={n}: C bits differ");
+            for class in [TrafficClass::MatB, TrafficClass::MatC] {
+                assert_eq!(
+                    on.requested_traffic.get(class),
+                    off.requested_traffic.get(class),
+                    "n={n}: requested {class:?} bytes differ"
+                );
+            }
+            assert_eq!(on.atomics, off.atomics, "n={n}");
+            assert_eq!(on.flops, off.flops, "n={n}");
+        }
+    }
+
+    #[test]
+    fn offline_is_traversal_with_one_k_tile() {
+        // For k <= tile_w both traversal orders map block b to (b, 0), so
+        // the traversal kernel computes exactly what the offline one does.
+        for (k, seed) in [(16, 41), (9, 42), (1, 43)] {
+            let a = matrix(144, 0.03, seed);
+            let tiled = TiledDcsr::from_csr(&a, 16, 16).unwrap();
+            let b = random_dense(144, k, seed + 100);
+            let offline = bstat_tiled_dcsr_offline(&mut gpu(), &tiled, &b).unwrap();
+            for order in [Traversal::RowMajor, Traversal::ColumnMajor] {
+                let run = bstat_tiled_dcsr_traversal(&mut gpu(), &tiled, &b, order).unwrap();
+                assert_eq!(run.stats, offline.stats, "k={k} {order:?}: stats differ");
+                let same = bits(&run.c) == bits(&offline.c);
+                assert!(same, "k={k} {order:?}: C bits differ");
+            }
+        }
     }
 
     #[test]

@@ -5,11 +5,16 @@
 //!   one row per warp, lanes spread across the K columns of B.
 //! * [`dcsrmm_row_per_warp`] — untiled DCSR: warps are devoted to non-empty
 //!   rows only (the orange-dot configuration of Figure 16).
+//!
+//! The two row-per-warp kernels differ only in how a warp finds its row;
+//! they share one launch and row body. The cuSPARSE stand-in
+//! [`csrmm_cusparse`] keeps its own, because its column-major gathers are
+//! the point of the baseline.
 
 use crate::device::{CsrDevice, DcsrDevice, DenseDevice, WORD};
 use crate::KernelRun;
-use nmt_formats::{Csr, Dcsr, DenseMatrix, SparseMatrix};
-use nmt_sim::{Gpu, InstrClass, SimError, TrafficClass};
+use nmt_formats::{Csr, Dcsr, DenseMatrix, Index, SparseMatrix, Value};
+use nmt_sim::{BlockCtx, Buffer, Gpu, InstrClass, SimError, TrafficClass};
 
 /// Rows (= warps) per thread block for the row-per-warp kernels.
 const WARPS_PER_BLOCK: usize = 8;
@@ -90,57 +95,20 @@ pub fn csrmm_cusparse(gpu: &mut Gpu, a: &Csr, b: &DenseMatrix) -> Result<KernelR
 pub fn csrmm_row_per_warp(gpu: &mut Gpu, a: &Csr, b: &DenseMatrix) -> Result<KernelRun, SimError> {
     crate::check_inner_dims(a.shape().ncols, b.nrows())?;
     let n = a.shape().nrows;
-    let k = b.ncols();
     let a_dev = CsrDevice::upload(gpu, a);
-    let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::alloc(gpu, n, k, TrafficClass::MatC);
-
-    let mut c = DenseMatrix::zeros(n, k);
-    let num_blocks = n.div_ceil(WARPS_PER_BLOCK).max(1);
-    let stats = gpu.launch(0, num_blocks, |ctx| {
-        let warp = ctx.warp_size();
-        let row_lo = ctx.block_id * WARPS_PER_BLOCK;
-        let row_hi = (row_lo + WARPS_PER_BLOCK).min(n);
-        for r in row_lo..row_hi {
-            // Row bounds from rowptr (two adjacent words).
-            ctx.ld_global(&a_dev.rowptr, r as u64 * WORD, 2 * WORD, false);
-            ctx.warp_instr(InstrClass::ControlFlow, 1, 1);
-            let (cols, vals) = a.row(r);
-            if cols.is_empty() {
-                // One lane discovers the row is empty; 31 lanes idle — the
-                // CSR inefficiency of Figure 6 ②.
-                ctx.warp_instr(InstrClass::Integer, 1, 1);
-                continue;
-            }
-            // Stream the row's metadata and values (coalesced).
-            let lo = (a.rowptr()[r] as u64) * WORD;
-            let len = cols.len() as u64 * WORD;
-            ctx.ld_global(&a_dev.colidx, lo, len, false);
-            ctx.ld_global(&a_dev.values, lo, len, false);
-            let out = c.row_mut(r);
-            for (&col, &v) in cols.iter().zip(vals) {
-                ctx.warp_instr(InstrClass::Integer, k.min(warp), 1);
-                // Fetch the B row in warp-wide column chunks; the address
-                // depends on colidx -> dependent load.
-                let brow = b.row(col as usize);
-                let mut kc = 0;
-                while kc < k {
-                    let chunk = (k - kc).min(warp);
-                    let (off, bytes) = b_dev.row_segment(col as u64, kc as u64, chunk as u64);
-                    ctx.ld_global(&b_dev.buf, off, bytes, true);
-                    ctx.fma(chunk, 1);
-                    for (o, &bv) in out[kc..kc + chunk].iter_mut().zip(&brow[kc..kc + chunk]) {
-                        *o += v * bv;
-                    }
-                    kc += chunk;
-                }
-            }
-            // Single write of the finished C row.
-            let (off, bytes) = c_dev.row_segment(r as u64, 0, k as u64);
-            ctx.st_global(&c_dev.buf, off, bytes);
+    row_per_warp(gpu, [a_dev.colidx, a_dev.values], n, n, b, |ctx, r| {
+        // Row bounds from rowptr (two adjacent words).
+        ctx.ld_global(&a_dev.rowptr, r as u64 * WORD, 2 * WORD, false);
+        ctx.warp_instr(InstrClass::ControlFlow, 1, 1);
+        let (cols, vals) = a.row(r);
+        if cols.is_empty() {
+            // One lane discovers the row is empty; 31 lanes idle — the
+            // CSR inefficiency of Figure 6 ②.
+            ctx.warp_instr(InstrClass::Integer, 1, 1);
+            return None;
         }
-    })?;
-    Ok(KernelRun { c, stats })
+        Some((r, a.rowptr()[r] as usize, cols, vals))
+    })
 }
 
 /// Untiled DCSR, C-stationary, row-per-warp: identical to the baseline but
@@ -152,30 +120,53 @@ pub fn dcsrmm_row_per_warp(
     b: &DenseMatrix,
 ) -> Result<KernelRun, SimError> {
     crate::check_inner_dims(a.shape().ncols, b.nrows())?;
-    let n = a.shape().nrows;
-    let k = b.ncols();
+    let (rows, n) = (a.num_dense_rows(), a.shape().nrows);
     let a_dev = DcsrDevice::upload(gpu, a);
+    let elems = [a_dev.colidx, a_dev.values];
+    row_per_warp(gpu, elems, rows, n, b, |ctx, i| {
+        // rowidx + rowptr pair for this densified row.
+        ctx.ld_global(&a_dev.rowidx, i as u64 * WORD, WORD, false);
+        ctx.ld_global(&a_dev.rowptr, i as u64 * WORD, 2 * WORD, false);
+        ctx.warp_instr(InstrClass::ControlFlow, 1, 1);
+        let (r, cols, vals) = a.dense_row(i);
+        Some((r as usize, a.rowptr()[i] as usize, cols, vals))
+    })
+}
+
+/// The launch both row-per-warp kernels share, [`WARPS_PER_BLOCK`] of A's
+/// `rows` stored rows per block. `row(ctx, i)` charges stored row `i`'s
+/// index loads and returns its output row, the offset of its first
+/// element in `colidx`/`values` (`a_elems`) and its elements, or `None`
+/// for an empty row. The row body then streams the row's `colidx`/`values`
+/// (coalesced), fetches for each non-zero the B row in warp-wide column
+/// chunks — a *dependent* load, its address comes from `colidx` (the §2
+/// indirection) — FMAs into per-lane accumulators, and writes the finished
+/// C row once.
+fn row_per_warp<'a>(
+    gpu: &mut Gpu,
+    a_elems: [Buffer; 2],
+    rows: usize,
+    n: usize,
+    b: &DenseMatrix,
+    mut row: impl FnMut(&mut BlockCtx<'_>, usize) -> Option<(usize, usize, &'a [Index], &'a [Value])>,
+) -> Result<KernelRun, SimError> {
+    let k = b.ncols();
     let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
     let c_dev = DenseDevice::alloc(gpu, n, k, TrafficClass::MatC);
-
     let mut c = DenseMatrix::zeros(n, k);
-    let dense_rows = a.num_dense_rows();
-    let num_blocks = dense_rows.div_ceil(WARPS_PER_BLOCK).max(1);
+    let num_blocks = rows.div_ceil(WARPS_PER_BLOCK).max(1);
     let stats = gpu.launch(0, num_blocks, |ctx| {
         let warp = ctx.warp_size();
         let i_lo = ctx.block_id * WARPS_PER_BLOCK;
-        let i_hi = (i_lo + WARPS_PER_BLOCK).min(dense_rows);
-        for i in i_lo..i_hi {
-            // rowidx + rowptr pair for this densified row.
-            ctx.ld_global(&a_dev.rowidx, i as u64 * WORD, WORD, false);
-            ctx.ld_global(&a_dev.rowptr, i as u64 * WORD, 2 * WORD, false);
-            ctx.warp_instr(InstrClass::ControlFlow, 1, 1);
-            let (r, cols, vals) = a.dense_row(i);
-            let lo = (a.rowptr()[i] as u64) * WORD;
-            let len = cols.len() as u64 * WORD;
-            ctx.ld_global(&a_dev.colidx, lo, len, false);
-            ctx.ld_global(&a_dev.values, lo, len, false);
-            let out = c.row_mut(r as usize);
+        for i in i_lo..(i_lo + WARPS_PER_BLOCK).min(rows) {
+            let Some((r, first, cols, vals)) = row(ctx, i) else {
+                continue;
+            };
+            let (lo, len) = (first as u64 * WORD, cols.len() as u64 * WORD);
+            for buf in &a_elems {
+                ctx.ld_global(buf, lo, len, false);
+            }
+            let out = c.row_mut(r);
             for (&col, &v) in cols.iter().zip(vals) {
                 ctx.warp_instr(InstrClass::Integer, k.min(warp), 1);
                 let brow = b.row(col as usize);

@@ -84,15 +84,6 @@ impl CscDevice {
             values: gpu.alloc(nnz.max(1) * WORD, TrafficClass::MatA),
         }
     }
-
-    /// Byte range of the element arrays for columns `[c0, c1)`, relative
-    /// to `rowidx`/`values`: CSC keeps a strip's elements contiguous —
-    /// the property that makes online strip extraction cheap (§4.1).
-    pub fn strip_elem_range(csc: &Csc, c0: usize, c1: usize) -> (u64, u64) {
-        let lo = csc.colptr()[c0] as u64 * WORD;
-        let hi = csc.colptr()[c1] as u64 * WORD;
-        (lo, hi - lo)
-    }
 }
 
 /// Device image of an offline-tiled DCSR matrix: one contiguous buffer with
@@ -188,16 +179,6 @@ mod tests {
         assert_eq!(d.colidx.len, 4 * 4);
         assert_eq!(d.values.len, 4 * 4);
         assert_eq!(d.rowptr.class, TrafficClass::MatA);
-    }
-
-    #[test]
-    fn csc_strip_ranges_are_contiguous() {
-        let csc = sample().to_csc();
-        let (lo0, len0) = CscDevice::strip_elem_range(&csc, 0, 4);
-        let (lo1, len1) = CscDevice::strip_elem_range(&csc, 4, 8);
-        assert_eq!(lo0, 0);
-        assert_eq!(lo0 + len0, lo1);
-        assert_eq!((len0 + len1) / 4, 4); // all nnz covered
     }
 
     #[test]

@@ -11,8 +11,17 @@
 //! | [`dcsrmm_row_per_warp`] | C-stationary | untiled DCSR | orange dots of Fig. 16 |
 //! | [`bstat_tiled_csr`] | B-stationary | tiled CSR | Fig. 7's inactive-thread foil |
 //! | [`bstat_tiled_dcsr_offline`] | B-stationary | tiled DCSR (DRAM) | 2.03× offline config (§5.2) |
+//! | [`bstat_tiled_dcsr_traversal`] | B-stationary | tiled DCSR (DRAM), K tiled | §3.1.3 traversal orders |
 //! | [`bstat_tiled_dcsr_online`] | B-stationary | CSC + engine | **the proposal** (blue dots) |
 //! | [`astat_tiled`] | A-stationary | tiled DCSR | Table 1 completeness |
+//!
+//! Each dataflow has one kernel body. The two row-per-warp kernels share
+//! one launch and row body and differ only in how a warp finds its row.
+//! The three tiled-DCSR B-stationary kernels are one strip loop over
+//! `DcsrStrip`s with a K-tile width, a [`Traversal`] and an A-side source:
+//! packed tiles in DRAM (offline and traversal) or the near-memory engine
+//! streaming the CSC (online). Offline is the traversal loop with one K
+//! tile.
 //!
 //! All kernels functionally compute `C = A × B` (verified against
 //! [`host`]) while recording traffic, warp occupancy and timing.

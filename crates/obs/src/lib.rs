@@ -5,7 +5,7 @@
 //! * **Flight recorder** ([`FlightRecorder`], [`recorder`]) — the one
 //!   event ring: per-thread buffers of fixed-size [`Event`]s, plus crash
 //!   diagnostics bundles for `nmt-cli doctor`.
-//! * **Spans** ([`Span`], [`span!`], [`span`]) — hierarchical wall-clock
+//! * **Spans** ([`Span`], [`span!`], [`span`](mod@span)) — hierarchical wall-clock
 //!   regions, recorded as begin/end events in the flight recorder.
 //! * **Metrics** ([`MetricRegistry`]) — named monotonic counters, gauges,
 //!   and log₂-bucketed histograms. Names follow

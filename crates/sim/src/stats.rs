@@ -167,12 +167,6 @@ impl WarpExecStats {
         self.active[class.idx()]
     }
 
-    /// Total warp *instructions* implied, assuming full warps
-    /// (`total_slots / warp_size`).
-    pub fn warp_instructions(&self, warp_size: usize) -> u64 {
-        self.total_slots() / warp_size as u64
-    }
-
     /// Merge another counter into this one.
     pub fn merge(&mut self, other: &WarpExecStats) {
         for (mine, theirs) in self.active.iter_mut().zip(&other.active) {
@@ -320,7 +314,6 @@ mod tests {
         assert_eq!(w.active_for(InstrClass::Fp), 32);
         assert_eq!(w.total_slots(), 64);
         assert!((w.inactive_fraction() - 31.0 / 64.0).abs() < 1e-12);
-        assert_eq!(w.warp_instructions(32), 2);
     }
 
     #[test]
@@ -329,7 +322,6 @@ mod tests {
         w.record_n(InstrClass::Memory, 7, 32, 3);
         assert_eq!(w.active_for(InstrClass::Memory), 3 * 7);
         assert_eq!(w.inactive, 3 * 25);
-        assert_eq!(w.warp_instructions(32), 3);
         w.record_n(InstrClass::Fp, 32, 32, 0);
         assert_eq!(w.total_slots(), 3 * 32, "n = 0 records nothing");
     }

@@ -61,7 +61,7 @@ fn main() {
     println!();
 
     // The full converter produces the tile in one call.
-    let mut conv = StripConverter::new(&csc, 0, 3);
+    let mut conv = StripConverter::new(&csc, 0, 3, false);
     let strip = conv.next_tile(0, 5);
     let tile = strip.tile(0);
     println!("tiled DCSR output (Figure 13, right):");

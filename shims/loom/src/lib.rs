@@ -2,7 +2,7 @@
 //!
 //! The real `loom` explores thread interleavings by running the model
 //! body on cooperative generators inside one OS thread. This shim keeps
-//! the same *contract* — [`model`] runs a closure under **every**
+//! the same *contract* — [`model`](fn@model) runs a closure under **every**
 //! sequentially-consistent interleaving of its synchronization
 //! operations, up to a preemption bound — but implements it with real OS
 //! threads and a token-passing scheduler:

@@ -116,8 +116,8 @@ impl<T> DerefMut for MutexGuard<'_, T> {
 /// through the scheduler.
 ///
 /// `wait` releases the guard's mutex and blocks on the condvar's address
-/// *without an intervening scheduling point*: [`sched::unblock`] marks
-/// mutex waiters runnable but keeps the token, and [`sched::block_on`]
+/// *without an intervening scheduling point*: `sched::unblock` marks
+/// mutex waiters runnable but keeps the token, and `sched::block_on`
 /// is the next hand-off, so no other model thread can run (and notify)
 /// between the release and the block — the atomic release-and-sleep that
 /// real condvars guarantee. `notify_all`/`notify_one` mark every waiter

@@ -163,7 +163,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// Acceptable size arguments to [`vec`]: a fixed size or a range.
+    /// Acceptable size arguments to [`vec`](fn@vec): a fixed size or a range.
     pub trait IntoSizeRange {
         /// Resolve to `(min, max)` inclusive bounds.
         fn bounds(&self) -> (usize, usize);

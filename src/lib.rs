@@ -14,7 +14,7 @@
 //! * [`obs`] — flight-recorder event ring, spans, metric registry,
 //!   Chrome-trace/flamegraph export.
 //! * [`planner`] — the auto-tuned SpMM planner (core crate `nmt`).
-//! * [`bench`] — experiment harness: suite sweeps, run ledger, gate.
+//! * [`bench`](mod@bench) — experiment harness: suite sweeps, run ledger, gate.
 //! * [`serve`] — SpMM-as-a-service broker: single-flight plan cache,
 //!   admission control, deterministic replay ledger.
 

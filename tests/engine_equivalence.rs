@@ -82,7 +82,7 @@ fn check_strips(csr: &Csr, tile_w: usize, tile_h: usize) -> Result<(), TestCaseE
             "strip {} values",
             s
         );
-        let mut conv = StripConverter::new(&csc, s, tile_w);
+        let mut conv = StripConverter::new(&csc, s, tile_w, false);
         prop_assert_eq!(&conv.convert_strip(tile_h), strip, "strip {} converter", s);
         let lanes = strip.width().min(csc.shape().ncols);
         let mut derived = ConversionStats::default();
@@ -151,10 +151,10 @@ proptest! {
         let ntiles = csc.shape().nrows.div_ceil(tile_h);
         for s in 0..nstrips {
             // Sequential pass.
-            let mut seq = StripConverter::new(&csc, s, tile_w);
+            let mut seq = StripConverter::new(&csc, s, tile_w, false);
             let seq_strip = seq.convert_strip(tile_h);
             // Reverse-order random access via seek.
-            let mut rnd = StripConverter::new(&csc, s, tile_w);
+            let mut rnd = StripConverter::new(&csc, s, tile_w, false);
             for t in (0..ntiles).rev() {
                 rnd.seek((t * tile_h) as u32);
                 let one = rnd.next_tile((t * tile_h) as u32, tile_h);
@@ -223,6 +223,6 @@ fn engine_width_is_bounded_at_64() {
     // The hardware is a 64-lane unit; wider strips must be rejected loudly.
     let coo = Coo::from_triplets(4, 128, &[0], &[100], &[1.0]).expect("valid");
     let csc = Csr::from_coo(&coo).to_csc();
-    let result = std::panic::catch_unwind(|| StripConverter::new(&csc, 0, 128));
+    let result = std::panic::catch_unwind(|| StripConverter::new(&csc, 0, 128, false));
     assert!(result.is_err(), "65+-lane converter must panic");
 }
