@@ -1,48 +1,31 @@
 //! Figure 2 — stall reasons of SpMM.
 //!
 //! The paper's NVPROF profile attributes 75.1 % of baseline-SpMM stall
-//! time to Memory, 23.3 % to the SM and 1.5 % to Other. This binary runs
-//! the cuSPARSE-baseline stand-in over the suite and prints the simulator's
-//! stall attribution.
+//! time to Memory, 23.3 % to the SM and 1.5 % to Other. This binary reads
+//! the ledger sweep, whose rows carry the stall attribution of the
+//! cuSPARSE-baseline stand-in run, and prints it per matrix.
 
-use nmt_bench::{
-    banner, build_suite, experiment_k, experiment_scale, mean, par_map_suite, print_table,
-};
-use nmt_formats::SparseMatrix;
-use nmt_kernels::csrmm_cusparse;
-use nmt_matgen::random_dense;
-use nmt_sim::Gpu;
+use nmt_bench::{banner, experiment_scale, mean, print_table, sweep_ledger_or_exit};
 
 fn main() {
     banner("fig02_stalls", "Figure 2: stall reasons of SpMM (NVPROF)");
-    let suite = build_suite();
-    let k = experiment_k(experiment_scale());
+    let ledger = sweep_ledger_or_exit(experiment_scale());
 
-    let rows = par_map_suite(&suite, |desc, a| {
-        let b = random_dense(a.shape().ncols, k, desc.seed ^ 0xB);
-        let mut gpu =
-            Gpu::new(nmt_bench::experiment_gpu(experiment_scale())).expect("valid preset");
-        let run = csrmm_cusparse(&mut gpu, a, &b).expect("kernel runs");
-        let s = run.stats.stall_breakdown();
-        (desc.name.clone(), s.memory, s.sm, s.other)
-    });
-
-    let table: Vec<Vec<String>> = rows
+    let pct = |x: f64| format!("{:.1}%", x * 100.0);
+    let table: Vec<Vec<String>> = ledger
+        .rows
         .iter()
-        .map(|(name, m, s, o)| {
-            vec![
-                name.clone(),
-                format!("{:.1}%", m * 100.0),
-                format!("{:.1}%", s * 100.0),
-                format!("{:.1}%", o * 100.0),
-            ]
+        .map(|r| {
+            let s = r.baseline_stall;
+            vec![r.matrix.clone(), pct(s.memory), pct(s.sm), pct(s.other)]
         })
         .collect();
     print_table(&["matrix", "memory", "sm", "other"], &table);
 
-    let mem = mean(&rows.iter().map(|r| r.1).collect::<Vec<_>>()) * 100.0;
-    let sm = mean(&rows.iter().map(|r| r.2).collect::<Vec<_>>()) * 100.0;
-    let other = mean(&rows.iter().map(|r| r.3).collect::<Vec<_>>()) * 100.0;
+    let avg = |f: fn(&nmt_sim::StallBreakdown) -> f64| {
+        mean(&ledger.rows.iter().map(|r| f(&r.baseline_stall)).collect::<Vec<_>>()) * 100.0
+    };
+    let (mem, sm, other) = (avg(|s| s.memory), avg(|s| s.sm), avg(|s| s.other));
     println!();
     println!("suite average      : Memory {mem:.1}%  SM {sm:.1}%  Other {other:.1}%");
     println!("paper (Figure 2)   : Memory 75.1%  SM 23.3%  Other 1.5%");

@@ -5,7 +5,7 @@
 //! suite matrix: plot `t_C / t_B` against the SSF value, learn the split
 //! threshold, and report the classification accuracy (paper: >93 %).
 
-use nmt_bench::{banner, experiment_scale, print_table, sweep_ledger, LedgerRow};
+use nmt_bench::{banner, experiment_scale, print_table, sweep_ledger_or_exit, LedgerRow};
 use nmt_model::{classify, learn_threshold};
 
 fn main() {
@@ -13,16 +13,7 @@ fn main() {
         "fig04_ssf_scatter",
         "Figure 4: performance vs SSF value + learned SSF_th",
     );
-    let ledger = sweep_ledger(experiment_scale()).unwrap_or_else(|e| {
-        eprintln!("error: ledger sweep: {e}");
-        std::process::exit(1);
-    });
-    if !ledger.errors.is_empty() {
-        for row in &ledger.errors {
-            eprintln!("error: {}: {}", row.matrix, row.error);
-        }
-        std::process::exit(1);
-    }
+    let ledger = sweep_ledger_or_exit(experiment_scale());
 
     let ratio = |r: &LedgerRow| r.cstat_ns / r.bstat_ns;
     let mut rows: Vec<Vec<String>> = ledger

@@ -1,70 +1,49 @@
 //! Figure 16 — speedup over cuSPARSE vs. the SSF heuristic; the paper's
 //! headline result.
 //!
-//! Per matrix: the baseline (cuSPARSE stand-in), the offline untiled
-//! CSR/DCSR C-stationary upper bound (orange dots), the online-tiled DCSR
-//! B-stationary proposal (blue dots), and offline-tiled DCSR. Aggregates:
+//! Reads the ledger sweep for the baseline (cuSPARSE stand-in), untiled
+//! DCSR C-stationary and online-tiled DCSR B-stationary (blue dots) times
+//! and for the SSF decision, and simulates only the two kernels the
+//! ledger does not run: untiled CSR row-per-warp, for the orange dots'
+//! better-of-CSR/DCSR upper bound, and offline-tiled DCSR. Aggregates:
 //!
 //! * all-tiling (blind CSC + engine)         — paper: 1.63×
 //! * offline tiled DCSR + SSF                — paper: 2.03× (optimistic)
 //! * **hybrid: SSF picks C-stat / online B** — paper: 2.26×
 //! * oracle (perfect classification)         — paper: 2.30×
+//!
+//! The hybrid, oracle, accuracy and improved-fraction lines are the
+//! ledger summary's, at [`DEFAULT_SSF_THRESHOLD`], so each scale has one
+//! headline.
 
+use nmt::planner::DEFAULT_SSF_THRESHOLD;
 use nmt_bench::{
     banner, build_suite, experiment_k, experiment_scale, experiment_tile, geomean, par_map_suite,
-    print_table,
+    print_table, sweep_ledger_or_exit,
 };
-use nmt_formats::{Dcsr, SparseMatrix, TiledDcsr};
-use nmt_kernels::{
-    bstat_tiled_dcsr_offline, bstat_tiled_dcsr_online, csrmm_cusparse, csrmm_row_per_warp,
-    dcsrmm_row_per_warp,
-};
+use nmt_formats::{SparseMatrix, TiledDcsr};
+use nmt_kernels::{bstat_tiled_dcsr_offline, csrmm_row_per_warp};
 use nmt_matgen::random_dense;
-use nmt_model::ssf::SsfProfile;
-use nmt_model::{classify, learn_threshold, ssf::Choice};
 use nmt_sim::Gpu;
-
-struct Row {
-    name: String,
-    ssf: f64,
-    sp_cstat: f64,
-    sp_online: f64,
-    sp_offline_tiled: f64,
-}
 
 fn main() {
     banner(
         "fig16_speedup",
         "Figure 16: speedup over cuSPARSE vs SSF (hybrid 2.26x)",
     );
-    let suite = build_suite();
     let scale = experiment_scale();
+    let ledger = sweep_ledger_or_exit(scale);
+    let suite = build_suite();
     let tile = experiment_tile(scale);
     let k = experiment_k(scale);
 
-    let results: Vec<Row> = par_map_suite(&suite, |desc, a| {
+    // (CSR C-stationary, offline-tiled B-stationary) times, in suite order
+    // like the ledger rows; B is the ledger sweep's operand.
+    let extra: Vec<(f64, f64)> = par_map_suite(&suite, |desc, a| {
         let b = random_dense(a.shape().ncols, k, desc.seed ^ 0x16);
-        let profile = SsfProfile::compute(a, tile);
-        let gpu = || Gpu::new(nmt_bench::experiment_gpu(experiment_scale())).expect("preset");
-
-        let base = csrmm_cusparse(&mut gpu(), a, &b)
-            .expect("baseline")
-            .stats
-            .total_ns;
+        let gpu = || Gpu::new(nmt_bench::experiment_gpu(scale)).expect("preset");
         let t_csr = csrmm_row_per_warp(&mut gpu(), a, &b)
             .expect("csr")
-            .stats
-            .total_ns;
-        let t_dcsr = dcsrmm_row_per_warp(&mut gpu(), &Dcsr::from_csr(a), &b)
-            .expect("dcsr")
-            .stats
-            .total_ns;
-        // "We plot the better results from CSR and DCSR to show its
-        // upperbound for each matrix" (orange dots).
-        let t_cstat = t_csr.min(t_dcsr);
-        let t_online = bstat_tiled_dcsr_online(&mut gpu(), &a.to_csc(), &b, tile, tile)
-            .expect("online")
-            .run
             .stats
             .total_ns;
         let tiled = TiledDcsr::from_csr(a, tile, tile).expect("tiling");
@@ -72,32 +51,35 @@ fn main() {
             .expect("offline")
             .stats
             .total_ns;
-        Row {
-            name: desc.name.clone(),
-            ssf: profile.ssf,
-            sp_cstat: base / t_cstat,
-            sp_online: base / t_online,
-            sp_offline_tiled: base / t_offline,
-        }
+        (t_csr, t_offline)
     });
+    assert!(
+        suite
+            .iter()
+            .map(|(d, _)| &d.name)
+            .eq(ledger.rows.iter().map(|r| &r.matrix)),
+        "ledger rows follow suite order"
+    );
 
-    let mut table: Vec<Vec<String>> = results
+    let mut table: Vec<(f64, Vec<String>)> = ledger
+        .rows
         .iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
+        .zip(&extra)
+        .map(|(r, &(t_csr, t_offline))| {
+            // "We plot the better results from CSR and DCSR to show its
+            // upperbound for each matrix" (orange dots).
+            let t_cstat = t_csr.min(r.cstat_ns);
+            let cells = vec![
+                r.matrix.clone(),
                 format!("{:.3e}", r.ssf),
-                format!("{:.2}x", r.sp_cstat),
-                format!("{:.2}x", r.sp_online),
-                format!("{:.2}x", r.sp_offline_tiled),
-            ]
+                format!("{:.2}x", r.baseline_ns / t_cstat),
+                format!("{:.2}x", r.baseline_ns / r.bstat_ns),
+                format!("{:.2}x", r.baseline_ns / t_offline),
+            ];
+            (r.ssf, cells)
         })
         .collect();
-    table.sort_by(|a, b| {
-        let av: f64 = a[1].parse().unwrap_or(0.0);
-        let bv: f64 = b[1].parse().unwrap_or(0.0);
-        av.partial_cmp(&bv).expect("finite SSF")
-    });
+    table.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite SSF"));
     print_table(
         &[
             "matrix",
@@ -106,42 +88,31 @@ fn main() {
             "online tiled (B)",
             "offline tiled (B)",
         ],
-        &table,
+        &table.into_iter().map(|(_, cells)| cells).collect::<Vec<_>>(),
     );
 
-    // Learn the threshold from the measured ratios (t_C/t_B = sp_online/sp_cstat).
-    let samples: Vec<(f64, f64)> = results
+    let all_tiling: Vec<f64> = ledger
+        .rows
         .iter()
-        .map(|r| (r.ssf, r.sp_online / r.sp_cstat))
+        .map(|r| r.baseline_ns / r.bstat_ns)
         .collect();
-    let th = learn_threshold(&samples);
-
-    let hybrid: Vec<f64> = results
+    // The hybrid with the engine's online tiles swapped for offline ones.
+    let hybrid_offline: Vec<f64> = ledger
+        .rows
         .iter()
-        .map(|r| match classify(r.ssf, &th) {
-            Choice::BStationary => r.sp_online,
-            Choice::CStationary => r.sp_cstat,
+        .zip(&extra)
+        .map(|(r, &(_, t_offline))| match r.chosen.as_str() {
+            "b-stationary" => r.baseline_ns / t_offline,
+            _ => r.baseline_ns / r.cstat_ns,
         })
         .collect();
-    let hybrid_offline: Vec<f64> = results
-        .iter()
-        .map(|r| match classify(r.ssf, &th) {
-            Choice::BStationary => r.sp_offline_tiled,
-            Choice::CStationary => r.sp_cstat,
-        })
-        .collect();
-    let all_tiling: Vec<f64> = results.iter().map(|r| r.sp_online).collect();
-    let oracle: Vec<f64> = results
-        .iter()
-        .map(|r| r.sp_cstat.max(r.sp_online))
-        .collect();
-    let improved = hybrid.iter().filter(|&&s| s > 1.0).count() as f64 / hybrid.len().max(1) as f64;
+    let s = &ledger.summary;
 
     println!();
     println!(
-        "learned SSF_th                         : {:.3e} (accuracy {:.1}%)",
-        th.threshold,
-        th.accuracy * 100.0
+        "SSF_th (fixed default)                 : {:.3e} (accuracy {:.1}%)",
+        DEFAULT_SSF_THRESHOLD.threshold,
+        s.ssf_accuracy * 100.0
     );
     println!(
         "all-tiling (blind CSC+engine)  geomean : {:.2}x   (paper 1.63x)",
@@ -153,14 +124,14 @@ fn main() {
     );
     println!(
         "HYBRID (SSF: C-stat | online)  geomean : {:.2}x   (paper 2.26x)",
-        geomean(&hybrid)
+        s.geomean_speedup
     );
     println!(
         "oracle (perfect classifier)    geomean : {:.2}x   (paper 2.30x)",
-        geomean(&oracle)
+        s.oracle_geomean_speedup
     );
     println!(
-        "matrices improved by the scheme        : {:.0}%  (paper ~95%)",
-        improved * 100.0
+        "matrices improved by the scheme        : {:.1}%  (paper ~95%)",
+        s.improved_fraction * 100.0
     );
 }

@@ -476,6 +476,7 @@ mod tests {
                 mispick: false,
                 mispick_cost: 1.0,
                 baseline_ns: 100.0,
+                baseline_stall: Default::default(),
                 cstat_ns: 50.0,
                 bstat_ns: 50.0,
                 speedup: *s,

@@ -20,7 +20,7 @@ use nmt_formats::SparseMatrix;
 use nmt_matgen::{random_dense, SuiteScale, SuiteSpec};
 use nmt_model::ssf::Choice;
 use nmt_obs::{MetricRegistry, ObsContext, Phase, Profiler};
-use nmt_sim::SimError;
+use nmt_sim::{SimError, StallBreakdown};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -48,7 +48,11 @@ use std::collections::BTreeMap;
 /// [`LedgerEvent`]). Clean sweeps have no error rows, so baseline ledger
 /// bytes are unchanged, and `Option` fields parse as `None` from older
 /// files that lack the key.
-pub const LEDGER_SCHEMA_VERSION: u32 = 4;
+///
+/// v5: rows carry `baseline_stall`, the baseline run's stall breakdown,
+/// so Figure 2 renders the ledger instead of re-running the baseline.
+/// Every v4 field keeps its bytes.
+pub const LEDGER_SCHEMA_VERSION: u32 = 5;
 
 /// One scrubbed flight-recorder event attached to an [`ErrorRow`].
 ///
@@ -109,6 +113,8 @@ pub struct LedgerRow {
     pub mispick_cost: f64,
     /// Baseline time in ns.
     pub baseline_ns: f64,
+    /// Where the baseline's time went (Figure 2's stall taxonomy).
+    pub baseline_stall: StallBreakdown,
     /// C-stationary candidate time in ns.
     pub cstat_ns: f64,
     /// B-stationary (online) candidate time in ns.
@@ -142,6 +148,7 @@ impl LedgerRow {
             mispick: a.mispick,
             mispick_cost: a.mispick_cost,
             baseline_ns: a.baseline_ns,
+            baseline_stall: a.baseline_stall,
             cstat_ns: a.cstationary.time_ns,
             bstat_ns: a.bstationary.time_ns,
             speedup: chosen.speedup,

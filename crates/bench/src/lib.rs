@@ -70,6 +70,23 @@ pub fn experiment_scale() -> SuiteScale {
     }
 }
 
+/// The ledger sweep at `scale`, for a figure binary that renders it. A
+/// failed sweep or any per-matrix error row is printed and exits with
+/// status 1, so a figure never renders a partial suite.
+pub fn sweep_ledger_or_exit(scale: SuiteScale) -> Ledger {
+    let ledger = sweep_ledger(scale).unwrap_or_else(|e| {
+        eprintln!("error: ledger sweep: {e}");
+        std::process::exit(1);
+    });
+    if !ledger.errors.is_empty() {
+        for row in &ledger.errors {
+            eprintln!("error: {}: {}", row.matrix, row.error);
+        }
+        std::process::exit(1);
+    }
+    ledger
+}
+
 /// Tile edge used by the experiments: the paper's 64 at paper scale,
 /// scaled down with the matrices otherwise so tiles stay meaningful.
 pub fn experiment_tile(scale: SuiteScale) -> usize {

@@ -4,6 +4,7 @@
 //!
 //! [`SpmmPlanner::explain`](crate::planner::SpmmPlanner::explain) produces
 //! a [`DecisionAudit`] per matrix: the SSF inputs behind the heuristic,
+//! the baseline's time and stall breakdown (Figure 2),
 //! both candidate kernels' measured times and per-[`TrafficClass`] DRAM
 //! bytes, the analytical predictions for each, signed relative errors per
 //! operand, the chosen and oracle dataflows, and the cost of a mispick.
@@ -14,7 +15,7 @@ use nmt_fault::FaultRecord;
 use nmt_model::ssf::{Choice, SsfProfile};
 use nmt_model::TrafficEstimate;
 use nmt_obs::ObsContext;
-use nmt_sim::{KernelStats, TrafficClass};
+use nmt_sim::{KernelStats, StallBreakdown, TrafficClass};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -129,6 +130,8 @@ pub struct DecisionAudit {
     pub mispick_cost: f64,
     /// Baseline (cuSPARSE stand-in) time in ns.
     pub baseline_ns: f64,
+    /// Where the baseline run's time went (Figure 2's stall taxonomy).
+    pub baseline_stall: StallBreakdown,
     /// The C-stationary candidate (untiled DCSR, row per warp).
     pub cstationary: KernelAudit,
     /// The B-stationary candidate (online-tiled DCSR via the engine).

@@ -1,78 +1,10 @@
-//! Structural and algebraic operations on CSR matrices.
+//! Structural operations on CSR matrices.
 //!
-//! Utilities a downstream SpMM user needs around the core formats:
-//! scaling, sparse addition, row/column permutation (the knob that moves
-//! a matrix between the clustered and scattered regimes of the SSF
-//! heuristic), filtering and diagonal access.
+//! Row/column permutation (the knob that moves a matrix between the
+//! clustered and scattered regimes of the SSF heuristic) and entry
+//! filtering (magnitude pruning), as the matrix perturbations use them.
 
 use crate::{Coo, Csr, FormatError, Index, SparseMatrix, Value};
-
-/// Multiply every stored value by `factor` (structure unchanged).
-pub fn scale(csr: &Csr, factor: Value) -> Csr {
-    Csr::from_parts_unchecked(
-        csr.shape().nrows,
-        csr.shape().ncols,
-        csr.rowptr().to_vec(),
-        csr.colidx().to_vec(),
-        csr.values().iter().map(|v| v * factor).collect(),
-    )
-}
-
-/// Sparse matrix addition `A + B` (shapes must match). Coincident entries
-/// sum; zeros arising from cancellation are kept as explicit entries,
-/// matching Matrix Market semantics.
-pub fn add(a: &Csr, b: &Csr) -> Result<Csr, FormatError> {
-    if a.shape() != b.shape() {
-        return Err(FormatError::ShapeMismatch {
-            detail: format!("{} + {}", a.shape(), b.shape()),
-        });
-    }
-    let shape = a.shape();
-    let mut rowptr = vec![0 as Index; shape.nrows + 1];
-    let mut colidx = Vec::with_capacity(a.nnz() + b.nnz());
-    let mut values = Vec::with_capacity(a.nnz() + b.nnz());
-    for r in 0..shape.nrows {
-        let (ac, av) = a.row(r);
-        let (bc, bv) = b.row(r);
-        let (mut i, mut j) = (0, 0);
-        while i < ac.len() || j < bc.len() {
-            let next = match (ac.get(i), bc.get(j)) {
-                (Some(&ca), Some(&cb)) if ca == cb => {
-                    let e = (ca, av[i] + bv[j]);
-                    i += 1;
-                    j += 1;
-                    e
-                }
-                (Some(&ca), Some(&cb)) if ca < cb => {
-                    let e = (ca, av[i]);
-                    i += 1;
-                    e
-                }
-                (Some(_), Some(&cb)) => {
-                    let e = (cb, bv[j]);
-                    j += 1;
-                    e
-                }
-                (Some(&ca), None) => {
-                    let e = (ca, av[i]);
-                    i += 1;
-                    e
-                }
-                (None, Some(&cb)) => {
-                    let e = (cb, bv[j]);
-                    j += 1;
-                    e
-                }
-                // nmt-lint: allow(panic) — the while condition guarantees i or j is in range
-                (None, None) => unreachable!("loop condition guarantees one side"),
-            };
-            colidx.push(next.0);
-            values.push(next.1);
-        }
-        rowptr[r + 1] = colidx.len() as Index;
-    }
-    Csr::new(shape.nrows, shape.ncols, rowptr, colidx, values)
-}
 
 /// Permute rows: output row `i` is input row `perm[i]`. `perm` must be a
 /// permutation of `0..nrows`.
@@ -129,22 +61,6 @@ pub fn filter(csr: &Csr, mut keep: impl FnMut(Index, Index, Value) -> bool) -> C
     Csr::from_parts_unchecked(shape.nrows, shape.ncols, rowptr, colidx, values)
 }
 
-/// The main diagonal as a dense vector (`min(nrows, ncols)` entries,
-/// zero where absent).
-pub fn diagonal(csr: &Csr) -> Vec<Value> {
-    let shape = csr.shape();
-    let n = shape.nrows.min(shape.ncols);
-    let mut d = vec![0.0; n];
-    #[allow(clippy::needless_range_loop)] // r is also the diagonal column key
-    for r in 0..n {
-        let (cs, vs) = csr.row(r);
-        if let Ok(k) = cs.binary_search(&(r as Index)) {
-            d[r] = vs[k];
-        }
-    }
-    d
-}
-
 fn validate_permutation(perm: &[usize], n: usize) -> Result<(), FormatError> {
     if perm.len() != n {
         return Err(FormatError::LengthMismatch {
@@ -183,45 +99,6 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0, 5.0],
         )
         .unwrap()
-    }
-
-    #[test]
-    fn scale_preserves_structure() {
-        let s = scale(&sample(), 2.0);
-        assert_eq!(s.rowptr(), sample().rowptr());
-        assert_eq!(s.values(), &[2.0, 4.0, 6.0, 8.0, 10.0]);
-    }
-
-    #[test]
-    fn add_merges_and_sums() {
-        let a = sample();
-        let b = Csr::new(4, 4, vec![0, 1, 1, 2, 2], vec![0, 2], vec![10.0, 7.0]).unwrap();
-        let c = add(&a, &b).unwrap();
-        let d = c.to_dense();
-        assert_eq!(d.get(0, 0), 11.0); // merged
-        assert_eq!(d.get(2, 2), 7.0); // from b only
-        assert_eq!(d.get(3, 3), 5.0); // from a only
-        assert_eq!(c.nnz(), 6);
-        // Shape mismatch rejected.
-        let wrong = Csr::new(3, 4, vec![0, 0, 0, 0], vec![], vec![]).unwrap();
-        assert!(add(&a, &wrong).is_err());
-    }
-
-    #[test]
-    fn add_is_commutative() {
-        let a = sample();
-        let b = Csr::new(
-            4,
-            4,
-            vec![0, 1, 2, 2, 3],
-            vec![3, 1, 0],
-            vec![1.5, -3.0, 2.5],
-        )
-        .unwrap();
-        assert_eq!(
-            add(&a, &b).unwrap().to_dense(),
-            add(&b, &a).unwrap().to_dense()
-        );
     }
 
     #[test]
@@ -267,10 +144,5 @@ mod tests {
         assert_eq!(f.values(), &[3.0, 4.0, 5.0]);
         let none = filter(&sample(), |_, _, _| false);
         assert_eq!(none.nnz(), 0);
-    }
-
-    #[test]
-    fn diagonal_reads_stored_diagonal() {
-        assert_eq!(diagonal(&sample()), vec![1.0, 3.0, 0.0, 5.0]);
     }
 }

@@ -34,6 +34,8 @@ pub fn astat_tiled(
     let num_blocks = tiled.num_strips() * tiles_per_strip;
     // Shared memory holds the A tile (8 bytes per element worst case).
     let shared = (tile * 16).min(gpu.config().shared_mem_bytes);
+    // One row accumulator for the whole launch, cleared per tile row.
+    let mut acc = vec![0.0f32; k];
     let stats = gpu.launch(shared, num_blocks, |ctx| {
         let warp = ctx.warp_size();
         let s = ctx.block_id / tiles_per_strip;
@@ -57,7 +59,8 @@ pub fn astat_tiled(
             let (lo, hi) = (tile_ref.rowptr[i] as usize, tile_ref.rowptr[i + 1] as usize);
             ctx.warp_instr(InstrClass::ControlFlow, 1, 1);
             let global_row = (tile_ref.row_start + tile_ref.rowidx[i]) as usize;
-            let mut acc = vec![0.0f32; k];
+            acc.clear();
+            acc.resize(k, 0.0);
             for e in lo..hi {
                 let col = (tile_ref.col_start + tile_ref.colidx[e]) as usize;
                 let v = tile_ref.values[e];

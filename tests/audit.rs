@@ -3,15 +3,18 @@
 //! cost, and stability of `explain()` and the ledger across runs.
 
 use spmm_nmt::bench::{
-    experiment_gpu, experiment_k, experiment_tile, Ledger, LEDGER_SCHEMA_VERSION,
+    experiment_gpu, experiment_k, experiment_tile, sweep_ledger, Ledger, EXPERIMENT_SEED,
+    LEDGER_SCHEMA_VERSION,
 };
-use spmm_nmt::formats::{Csr, SparseMatrix};
+use spmm_nmt::formats::{Csr, Dcsr, SparseMatrix};
+use spmm_nmt::kernels::{bstat_tiled_dcsr_online, csrmm_cusparse, dcsrmm_row_per_warp};
 use spmm_nmt::matgen::generators::{generate, GenKind, MatrixDesc};
-use spmm_nmt::matgen::{random_dense, SuiteScale};
+use spmm_nmt::matgen::{random_dense, SuiteScale, SuiteSpec};
 use spmm_nmt::model::ssf::{Choice, SsfThreshold};
 use spmm_nmt::obs::ObsContext;
 use spmm_nmt::planner::planner::{PlannerConfig, SpmmPlanner};
 use spmm_nmt::planner::DecisionAudit;
+use spmm_nmt::sim::Gpu;
 
 fn fixture(kind: GenKind, n: usize, seed: u64) -> Csr {
     generate(&MatrixDesc::new("fixture", n, kind, seed))
@@ -165,4 +168,49 @@ fn ledger_from_fixture_audits_is_byte_stable_and_gates_itself() {
 
     let parsed = Ledger::from_json(&one.to_json()).expect("round-trips");
     assert_eq!(parsed, one);
+}
+
+/// Figures 2 and 16 render ledger rows instead of re-running kernels. That
+/// holds only if a row's baseline stall breakdown and candidate times are
+/// exactly what a direct run of the same kernel on a fresh experiment GPU
+/// gives — with any B, since the timing model never reads B's values.
+#[test]
+fn ledger_rows_equal_direct_kernel_runs() {
+    let scale = SuiteScale::Small;
+    let ledger = sweep_ledger(scale).expect("small sweep runs");
+    assert!(ledger.errors.is_empty(), "clean sweep");
+    let suite = SuiteSpec::new(scale, EXPERIMENT_SEED).build();
+    assert_eq!(suite.len(), ledger.rows.len());
+    let (k, tile) = (experiment_k(scale), experiment_tile(scale));
+    let gpu = || Gpu::new(experiment_gpu(scale)).expect("preset");
+    for ((desc, a), row) in suite.iter().zip(&ledger.rows).step_by(11) {
+        assert_eq!(desc.name, row.matrix);
+        // The sweep's B is seeded `desc.seed ^ 0x16`; use another one.
+        let b = random_dense(a.shape().ncols, k, desc.seed ^ 0xB);
+        let base = csrmm_cusparse(&mut gpu(), a, &b).expect("baseline");
+        let stall = base.stats.stall_breakdown();
+        for (what, direct, ledger) in [
+            ("baseline_ns", base.stats.total_ns, row.baseline_ns),
+            ("stall.memory", stall.memory, row.baseline_stall.memory),
+            ("stall.sm", stall.sm, row.baseline_stall.sm),
+            ("stall.other", stall.other, row.baseline_stall.other),
+        ] {
+            assert_eq!(direct.to_bits(), ledger.to_bits(), "{}: {what}", row.matrix);
+        }
+        let cstat = dcsrmm_row_per_warp(&mut gpu(), &Dcsr::from_csr(a), &b).expect("dcsr");
+        assert_eq!(
+            cstat.stats.total_ns.to_bits(),
+            row.cstat_ns.to_bits(),
+            "{}: cstat_ns",
+            row.matrix
+        );
+        let online =
+            bstat_tiled_dcsr_online(&mut gpu(), &a.to_csc(), &b, tile, tile).expect("online");
+        assert_eq!(
+            online.run.stats.total_ns.to_bits(),
+            row.bstat_ns.to_bits(),
+            "{}: bstat_ns",
+            row.matrix
+        );
+    }
 }
