@@ -3,33 +3,35 @@
 //!
 //! The control flow is **deterministic in structure**: iteration counts
 //! come from [`BenchConfig`] and are never adapted from elapsed time, and
-//! the bootstrap resampling uses a splitmix64 stream seeded from the
-//! config — so two runs of the same build execute the identical sequence
-//! of work and differ only in the measured nanoseconds. The statistics
-//! ([`summarize`]) are a pure function of the sample vector, which is
-//! what the ledger's perf section and the noise-aware gate consume.
+//! the bootstrap resampling uses a splitmix64 stream seeded with
+//! [`EXPERIMENT_SEED`] — so two runs of the same build execute the
+//! identical sequence of work and differ only in the measured
+//! nanoseconds. The statistics ([`summarize`]) are a pure function of the
+//! sample vector, which is what the ledger's perf section and the
+//! noise-aware gate consume.
 //!
 //! This file is the workspace's sanctioned wall-clock timer core outside
 //! `nmt-obs` (named in nmt-lint's wallclock allow-list): everything else
 //! that wants a duration either calls [`run`] or derives it from recorder
 //! spans.
 
+use crate::EXPERIMENT_SEED;
 use std::time::Instant;
 
-/// Iteration plan and statistics knobs for one benchmark.
+/// Bootstrap resamples behind every confidence interval.
+pub const RESAMPLES: u32 = 200;
+
+/// Outlier cut: samples farther than `MAD_K` scaled-MADs from the median
+/// are rejected before the interval is computed.
+pub const MAD_K: f64 = 5.0;
+
+/// Iteration plan for one benchmark.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchConfig {
     /// Untimed warmup iterations (cache/branch-predictor settling).
     pub warmup: u32,
     /// Timed iterations; each contributes one sample.
     pub iters: u32,
-    /// Bootstrap resamples for the confidence interval.
-    pub resamples: u32,
-    /// Seed for the bootstrap's splitmix64 stream.
-    pub seed: u64,
-    /// Outlier cut: samples farther than `mad_k` scaled-MADs from the
-    /// median are rejected before the interval is computed.
-    pub mad_k: f64,
 }
 
 impl Default for BenchConfig {
@@ -37,21 +39,6 @@ impl Default for BenchConfig {
         BenchConfig {
             warmup: 3,
             iters: 30,
-            resamples: 200,
-            seed: crate::EXPERIMENT_SEED,
-            mad_k: 5.0,
-        }
-    }
-}
-
-impl BenchConfig {
-    /// A reduced-iteration plan for CI smoke runs.
-    pub fn smoke() -> Self {
-        BenchConfig {
-            warmup: 1,
-            iters: 8,
-            resamples: 100,
-            ..Self::default()
         }
     }
 }
@@ -123,16 +110,16 @@ pub fn median(xs: &[f64]) -> f64 {
 
 /// Fold raw samples into [`BenchStats`]: median → MAD outlier cut →
 /// bootstrap CI of the median over the survivors. Pure and deterministic
-/// (the bootstrap stream is seeded from `cfg.seed`), so the gate's
-/// behavior is reproducible from a ledger file alone.
-pub fn summarize(samples: &[f64], cfg: &BenchConfig) -> BenchStats {
+/// (the bootstrap stream is seeded with [`EXPERIMENT_SEED`]), so the
+/// gate's behavior is reproducible from a ledger file alone.
+pub fn summarize(samples: &[f64]) -> BenchStats {
     if samples.is_empty() {
         return BenchStats::empty();
     }
     let raw_median = median(samples);
     let abs_dev: Vec<f64> = samples.iter().map(|&x| (x - raw_median).abs()).collect();
     // 1.4826 makes the MAD estimate the standard deviation under
-    // normality, so `mad_k` reads in sigma-like units.
+    // normality, so `MAD_K` reads in sigma-like units.
     let scaled_mad = median(&abs_dev) * 1.4826;
 
     // With a zero MAD (over half the samples identical) every deviation
@@ -141,7 +128,7 @@ pub fn summarize(samples: &[f64], cfg: &BenchConfig) -> BenchStats {
         samples
             .iter()
             .copied()
-            .filter(|&x| (x - raw_median).abs() <= cfg.mad_k * scaled_mad)
+            .filter(|&x| (x - raw_median).abs() <= MAD_K * scaled_mad)
             .collect()
     } else {
         samples.to_vec()
@@ -155,10 +142,10 @@ pub fn summarize(samples: &[f64], cfg: &BenchConfig) -> BenchStats {
 
     // Bootstrap: resample the retained set with replacement, take each
     // resample's median, and report the central 95% of those medians.
-    let mut state = cfg.seed;
+    let mut state = EXPERIMENT_SEED;
     let n = sorted.len();
-    let mut boot_medians = Vec::with_capacity(cfg.resamples.max(1) as usize);
-    for _ in 0..cfg.resamples.max(1) {
+    let mut boot_medians = Vec::with_capacity(RESAMPLES as usize);
+    for _ in 0..RESAMPLES {
         let mut resample: Vec<f64> = (0..n)
             .map(|_| sorted[(splitmix64(&mut state) % n as u64) as usize])
             .collect();
@@ -195,7 +182,7 @@ pub fn run<F: FnMut()>(cfg: &BenchConfig, mut f: F) -> BenchStats {
         f();
         samples.push(t0.elapsed().as_nanos() as f64);
     }
-    summarize(&samples, cfg)
+    summarize(&samples)
 }
 
 #[cfg(test)]
@@ -211,19 +198,17 @@ mod tests {
 
     #[test]
     fn summarize_is_deterministic() {
-        let cfg = BenchConfig::default();
         let samples: Vec<f64> = (0..40).map(|i| 1000.0 + (i * 37 % 97) as f64).collect();
-        let a = summarize(&samples, &cfg);
-        let b = summarize(&samples, &cfg);
+        let a = summarize(&samples);
+        let b = summarize(&samples);
         assert_eq!(a, b, "same samples + seed => identical stats");
     }
 
     #[test]
     fn outliers_are_rejected_by_mad() {
-        let cfg = BenchConfig::default();
         let mut samples: Vec<f64> = (0..29).map(|i| 1000.0 + (i % 7) as f64).collect();
         samples.push(1_000_000.0); // a GC-pause-style spike
-        let stats = summarize(&samples, &cfg);
+        let stats = summarize(&samples);
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.samples, 29);
         assert!(stats.median_ns < 1010.0);
@@ -232,9 +217,8 @@ mod tests {
 
     #[test]
     fn zero_mad_keeps_all_samples() {
-        let cfg = BenchConfig::default();
         let samples = vec![500.0; 20];
-        let stats = summarize(&samples, &cfg);
+        let stats = summarize(&samples);
         assert_eq!(stats.rejected, 0);
         assert_eq!(stats.samples, 20);
         assert_eq!(stats.median_ns, 500.0);
@@ -244,9 +228,8 @@ mod tests {
 
     #[test]
     fn ci_brackets_the_median() {
-        let cfg = BenchConfig::default();
         let samples: Vec<f64> = (0..50).map(|i| 900.0 + (i * 53 % 211) as f64).collect();
-        let stats = summarize(&samples, &cfg);
+        let stats = summarize(&samples);
         assert!(stats.ci_lo_ns <= stats.median_ns);
         assert!(stats.median_ns <= stats.ci_hi_ns);
         assert!(stats.mad_ns > 0.0);
@@ -254,11 +237,10 @@ mod tests {
 
     #[test]
     fn wider_spread_means_wider_ci() {
-        let cfg = BenchConfig::default();
         let tight: Vec<f64> = (0..30).map(|i| 1000.0 + (i % 3) as f64).collect();
         let wide: Vec<f64> = (0..30).map(|i| 1000.0 + (i * 97 % 500) as f64).collect();
-        let t = summarize(&tight, &cfg);
-        let w = summarize(&wide, &cfg);
+        let t = summarize(&tight);
+        let w = summarize(&wide);
         assert!(
             w.ci_hi_ns - w.ci_lo_ns > t.ci_hi_ns - t.ci_lo_ns,
             "bootstrap CI tracks dispersion"
@@ -270,7 +252,6 @@ mod tests {
         let cfg = BenchConfig {
             warmup: 2,
             iters: 9,
-            ..BenchConfig::default()
         };
         let mut calls = 0u32;
         let stats = run(&cfg, || calls += 1);

@@ -10,15 +10,13 @@
 //! the same suite at the same seed twice produces **byte-identical**
 //! files — which is what makes [`Ledger::gate`] a meaningful diff.
 
-use crate::harness::{summarize, BenchConfig};
-use crate::progress::ProgressReporter;
+use crate::harness::{summarize, BenchConfig, RESAMPLES};
 use crate::{experiment_gpu, experiment_k, experiment_tile, geomean, EXPERIMENT_SEED};
 use nmt::planner::{PlannerConfig, SpmmPlanner, DEFAULT_SSF_THRESHOLD};
 use nmt::DecisionAudit;
 use nmt_fault::{FaultPlan, FaultRecord};
 use nmt_formats::SparseMatrix;
 use nmt_matgen::{random_dense, SuiteScale, SuiteSpec};
-use nmt_model::ssf::Choice;
 use nmt_obs::{MetricRegistry, ObsContext, Phase, Profiler};
 use nmt_sim::{SimError, StallBreakdown};
 use rayon::prelude::*;
@@ -132,10 +130,6 @@ pub struct LedgerRow {
 impl LedgerRow {
     /// Flatten a [`DecisionAudit`] into a ledger row.
     pub fn from_audit(a: &DecisionAudit) -> Self {
-        let label = |c: Choice| match c {
-            Choice::BStationary => "b-stationary".to_string(),
-            Choice::CStationary => "c-stationary".to_string(),
-        };
         let chosen = a.chosen_audit();
         Self {
             matrix: a.matrix.clone(),
@@ -143,8 +137,8 @@ impl LedgerRow {
             nnz: a.nnz,
             ssf: a.profile.ssf,
             h_norm: a.profile.h_norm,
-            chosen: label(a.chosen),
-            oracle: label(a.oracle),
+            chosen: a.chosen.label().to_string(),
+            oracle: a.oracle.label().to_string(),
             mispick: a.mispick,
             mispick_cost: a.mispick_cost,
             baseline_ns: a.baseline_ns,
@@ -750,43 +744,52 @@ impl LedgerRow {
     }
 }
 
-/// Sweep the synthetic suite at `scale` through the audited planner and
-/// aggregate the ledger. Deterministic: the suite, the dense operands,
-/// and the simulator all derive from [`EXPERIMENT_SEED`].
+/// What one ledger sweep runs: the suite scale, plus an optional fault
+/// plan and an optional wall-time pass. A bare [`SuiteScale`] converts
+/// into the plain clean sweep.
+#[derive(Debug, Clone, Copy)]
+pub struct Sweep {
+    /// Suite scale to sweep.
+    pub scale: SuiteScale,
+    /// A [`FaultPlan`] installed in every per-matrix planner. Faults fire
+    /// at `(seed, site, key)`-determined points, so the faulted ledger is
+    /// just as byte-reproducible as the clean one; engine faults that
+    /// exhaust their retry are absorbed per-matrix by the B→C
+    /// degraded-mode fallback (visible in the audit), and any error that
+    /// still stops a matrix carries its fault attribution in
+    /// [`ErrorRow::fault`].
+    pub fault: Option<FaultPlan>,
+    /// When set, a **serial** wall-time measurement pass runs after the
+    /// deterministic sweep and attaches a [`PerfSection`] (per-matrix,
+    /// per-phase medians + bootstrap CIs over `iters` instrumented
+    /// repetitions, with allocation counters gathered by the counting
+    /// allocator when it is installed). The pass is serial so one
+    /// matrix's timing never contends with another's; the audit rows are
+    /// still the parallel sweep's byte-identical output.
+    pub perf: Option<BenchConfig>,
+}
+
+impl From<SuiteScale> for Sweep {
+    fn from(scale: SuiteScale) -> Self {
+        Sweep {
+            scale,
+            fault: None,
+            perf: None,
+        }
+    }
+}
+
+/// Sweep the synthetic suite through the audited planner and aggregate
+/// the ledger. Deterministic: the suite, the dense operands, and the
+/// simulator all derive from [`EXPERIMENT_SEED`] (and the fault plan's
+/// seed, when [`Sweep::fault`] is set).
 ///
 /// Matrices run in parallel across the rayon pool; a matrix whose run
 /// fails lands in [`Ledger::errors`] instead of aborting the sweep, and
 /// both rows and error rows come out in suite order regardless of
 /// thread count.
-pub fn sweep_ledger(scale: SuiteScale) -> Result<Ledger, SimError> {
-    sweep_ledger_instrumented(scale, None, None, None)
-}
-
-/// [`sweep_ledger`] with a [`FaultPlan`] installed in every per-matrix
-/// planner and the observability extras wired in.
-///
-/// * `fault` — faults fire at `(seed, site, key)`-determined points, so
-///   the faulted ledger is just as byte-reproducible as the clean one;
-///   engine faults that exhaust their retry are absorbed per-matrix by
-///   the B→C degraded-mode fallback (visible in the audit), and any error
-///   that still stops a matrix carries its fault attribution in
-///   [`ErrorRow::fault`].
-/// * `progress` — a [`ProgressReporter`] fed from inside the parallel
-///   sweep (per-matrix phase updates + completion counts). Reporting only
-///   observes; the ledger bytes are unaffected.
-/// * `perf` — when set, a **serial** wall-time measurement pass runs
-///   after the deterministic sweep and attaches a [`PerfSection`]
-///   (per-matrix, per-phase medians + bootstrap CIs over `perf.iters`
-///   instrumented repetitions, with allocation counters gathered by the
-///   counting allocator when it is installed). The pass is serial so one
-///   matrix's timing never contends with another's; the audit rows are
-///   still the parallel sweep's byte-identical output.
-pub fn sweep_ledger_instrumented(
-    scale: SuiteScale,
-    fault: Option<FaultPlan>,
-    perf: Option<&BenchConfig>,
-    progress: Option<&ProgressReporter>,
-) -> Result<Ledger, SimError> {
+pub fn sweep_ledger(sweep: impl Into<Sweep>) -> Result<Ledger, SimError> {
+    let Sweep { scale, fault, perf } = sweep.into();
     let tile = experiment_tile(scale);
     let k = experiment_k(scale);
     let config = PlannerConfig {
@@ -806,9 +809,6 @@ pub fn sweep_ledger_instrumented(
         .enumerate()
         .into_par_iter()
         .map(|(idx, (desc, built))| {
-            if let Some(p) = progress {
-                p.update(&desc.name, "audit");
-            }
             let audit = match built {
                 Err(e) => Err((e.to_string(), None, None)),
                 Ok(a) => {
@@ -847,9 +847,6 @@ pub fn sweep_ledger_instrumented(
                     }
                 }
             };
-            if let Some(p) = progress {
-                p.matrix_done(&desc.name);
-            }
             (desc.name.clone(), audit)
         })
         .collect();
@@ -870,7 +867,7 @@ pub fn sweep_ledger_instrumented(
     ledger.fault_seed = fault.map(|p| p.seed);
     ledger.fault_rate_ppm = fault.map(|p| p.rate_ppm);
     if let Some(cfg) = perf {
-        ledger.perf = Some(measure_perf(&suite, &config, k, cfg, progress));
+        ledger.perf = Some(measure_perf(&suite, &config, k, &cfg));
     }
     Ok(ledger)
 }
@@ -920,7 +917,6 @@ fn measure_perf(
     config: &PlannerConfig,
     k: usize,
     cfg: &BenchConfig,
-    progress: Option<&ProgressReporter>,
 ) -> PerfSection {
     let was_counting = nmt_obs::alloc::enable_counting(true);
     // Start the engine's buffer pools from a reproducible (empty) state:
@@ -930,9 +926,6 @@ fn measure_perf(
     let mut matrices = Vec::new();
     for (desc, built) in suite {
         let Ok(a) = built else { continue };
-        if let Some(p) = progress {
-            p.update(&desc.name, "perf");
-        }
         let planner = SpmmPlanner::new(config.clone());
         // One instrumented repetition: span events land in a fresh
         // flight recorder, then the profiler folds them into per-phase
@@ -972,13 +965,13 @@ fn measure_perf(
         if window_samples.len() < cfg.iters as usize {
             continue;
         }
-        let total = summarize(&window_samples, cfg);
+        let total = summarize(&window_samples);
         let n = window_samples.len() as f64;
         let phases = phase_samples
             .iter()
             .filter(|(_, samples)| samples.iter().any(|&s| s > 0.0))
             .map(|(phase, samples)| {
-                let stats = summarize(samples, cfg);
+                let stats = summarize(samples);
                 let (count, bytes) = phase_allocs.get(phase).copied().unwrap_or_default();
                 PhasePerf {
                     phase: phase.name().to_string(),
@@ -1005,7 +998,7 @@ fn measure_perf(
     PerfSection {
         warmup: u64::from(cfg.warmup),
         iters: u64::from(cfg.iters),
-        resamples: u64::from(cfg.resamples),
+        resamples: u64::from(RESAMPLES),
         matrices,
     }
 }
@@ -1441,10 +1434,11 @@ mod tests {
             .into_iter()
             .map(|(desc, csr)| (desc, Ok(csr)))
             .collect();
-        let mut cfg = BenchConfig::smoke();
-        cfg.warmup = 1;
-        cfg.iters = 3;
-        let section = measure_perf(&suite, &config, 8, &cfg, None);
+        let cfg = BenchConfig {
+            warmup: 1,
+            iters: 3,
+        };
+        let section = measure_perf(&suite, &config, 8, &cfg);
         assert_eq!(section.iters, 3);
         assert_eq!(section.matrices.len(), suite.len(), "quick suite all builds");
         for m in &section.matrices {

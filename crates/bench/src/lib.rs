@@ -10,7 +10,6 @@ pub mod diff;
 pub mod harness;
 pub mod history;
 pub mod ledger;
-pub mod progress;
 
 pub use diff::{diff_ledgers, DiffReport};
 pub use harness::{median, summarize, BenchConfig, BenchStats};
@@ -19,11 +18,10 @@ pub use history::{
     HistoryRecord, ServeRun,
 };
 pub use ledger::{
-    ledger_filename, scale_label, sweep_ledger, sweep_ledger_instrumented,
-    CorpusSummary, ErrorRow, LatencyPercentiles, Ledger, LedgerEvent, LedgerRow,
-    MatrixPerf, PerfSection, PhasePerf, LEDGER_SCHEMA_VERSION,
+    ledger_filename, scale_label, sweep_ledger, CorpusSummary, ErrorRow, LatencyPercentiles,
+    Ledger, LedgerEvent, LedgerRow, MatrixPerf, PerfSection, PhasePerf, Sweep,
+    LEDGER_SCHEMA_VERSION,
 };
-pub use progress::ProgressReporter;
 
 /// The seed shared by every experiment so figures are reproducible.
 pub const EXPERIMENT_SEED: u64 = 0x5C19;

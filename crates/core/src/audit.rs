@@ -206,10 +206,6 @@ impl DecisionAudit {
     /// prints.
     pub fn render_text(&self) -> String {
         let mut s = String::new();
-        let choice_label = |c: Choice| match c {
-            Choice::CStationary => "c-stationary",
-            Choice::BStationary => "b-stationary",
-        };
         let _ = writeln!(
             s,
             "matrix           : {} ({}x{}, nnz {})",
@@ -233,8 +229,8 @@ impl DecisionAudit {
         let _ = writeln!(
             s,
             "decision         : {} | oracle: {} | {}",
-            choice_label(self.chosen),
-            choice_label(self.oracle),
+            self.chosen.label(),
+            self.oracle.label(),
             verdict
         );
         if let Some(fault) = &self.fault {

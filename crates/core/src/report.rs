@@ -2,7 +2,6 @@
 //! for the CLI's `--json` output.
 
 use crate::planner::{Algorithm, PlanReport};
-use nmt_model::ssf::Choice;
 use nmt_obs::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -56,10 +55,7 @@ impl RunRecord {
             nnz,
             ssf: r.profile.ssf,
             h_norm: r.profile.h_norm,
-            choice: match r.choice {
-                Choice::BStationary => "b-stationary".into(),
-                Choice::CStationary => "c-stationary".into(),
-            },
+            choice: r.choice.label().into(),
             algorithm: match r.algorithm {
                 Algorithm::CStationaryDcsr => "cstat-dcsr".into(),
                 Algorithm::BStationaryOnline => "bstat-online".into(),

@@ -300,13 +300,12 @@ mod trace_tests {
         let b = random_dense(n, 8, 6);
 
         let mut gpu = Gpu::new(GpuConfig::test_small()).unwrap();
-        gpu.enable_trace(100_000);
+        gpu.enable_trace();
         csrmm_row_per_warp(&mut gpu, &a, &b).unwrap();
-        let trace = gpu.take_trace().unwrap();
+        let trace = gpu.take_trace();
         // Every B access in the custom kernel is one whole K-row: 32 bytes.
         let b_events: Vec<_> = trace
-            .events()
-            .into_iter()
+            .iter()
             .filter(|e| e.class == TrafficClass::MatB)
             .collect();
         assert!(!b_events.is_empty());
@@ -316,14 +315,13 @@ mod trace_tests {
         );
 
         let mut gpu = Gpu::new(GpuConfig::test_small()).unwrap();
-        gpu.enable_trace(100_000);
+        gpu.enable_trace();
         csrmm_cusparse(&mut gpu, &a, &b).unwrap();
-        let trace = gpu.take_trace().unwrap();
+        let trace = gpu.take_trace();
         // The column-major model issues 4-byte element gathers; for one
         // non-zero the per-k addresses stride by n rows.
         let b4: Vec<u64> = trace
-            .events()
-            .into_iter()
+            .iter()
             .filter(|e| e.class == TrafficClass::MatB && e.bytes == 4)
             .map(|e| e.addr)
             .collect();
@@ -332,6 +330,6 @@ mod trace_tests {
         let k_stride = detect_stride(&b4[..8]);
         assert_eq!(k_stride, Some(n as i64 * 4), "column-major stride");
         // Atomics never appear in either C-stationary baseline.
-        assert!(trace.events().iter().all(|e| e.kind != AccessKind::Atomic));
+        assert!(trace.iter().all(|e| e.kind != AccessKind::Atomic));
     }
 }

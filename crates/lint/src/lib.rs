@@ -93,7 +93,6 @@ pub const HOT_PATH_SCOPED: &[&str] = &[
 /// comment (`Relaxed` only for monotone counters).
 pub const CONCURRENCY_SCOPED: &[&str] = &[
     "crates/bench/src/diff.rs",
-    "crates/bench/src/progress.rs",
     "crates/mem/src/lib.rs",
     "crates/obs/src/alloc.rs",
     "crates/obs/src/recorder.rs",

@@ -209,6 +209,17 @@ pub enum Choice {
     CStationary,
 }
 
+impl Choice {
+    /// The stable kebab-case name reports and ledgers print
+    /// (`b-stationary` / `c-stationary`).
+    pub fn label(self) -> &'static str {
+        match self {
+            Choice::BStationary => "b-stationary",
+            Choice::CStationary => "c-stationary",
+        }
+    }
+}
+
 /// Classify a matrix given its SSF value and a threshold.
 pub fn classify(ssf: f64, th: &SsfThreshold) -> Choice {
     if ssf > th.threshold {

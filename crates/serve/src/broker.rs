@@ -451,10 +451,7 @@ pub fn serve_trace(
             tenant: o.request.tenant.clone(),
             key: o.key.clone(),
             kind: o.kind.to_string(),
-            choice: match o.choice {
-                Choice::BStationary => "b-stationary".to_string(),
-                Choice::CStationary => "c-stationary".to_string(),
-            },
+            choice: o.choice.label().to_string(),
             plan_source: if cold { "cold" } else { "cached" }.to_string(),
             dispatch: o.dispatch,
             sim_ns: o.sim_ns,

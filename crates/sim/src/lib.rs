@@ -37,4 +37,4 @@ pub use memory::{FbPartition, MemorySubsystem, PartitionCounters};
 pub use stats::{
     InstrClass, KernelStats, StallBreakdown, TrafficBytes, TrafficClass, WarpExecStats,
 };
-pub use trace::{detect_stride, AccessKind, TraceBuffer, TraceEvent};
+pub use trace::{detect_stride, AccessKind, TraceEvent};

@@ -207,13 +207,14 @@ impl Gpu {
         self.mem.flush_l2();
     }
 
-    /// Start recording memory accesses into a bounded trace window.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.mem.enable_trace(capacity);
+    /// Start recording every memory access, in order.
+    pub fn enable_trace(&mut self) {
+        self.mem.enable_trace();
     }
 
-    /// Stop recording and return the trace, if one was active.
-    pub fn take_trace(&mut self) -> Option<crate::trace::TraceBuffer> {
+    /// Stop recording and return the accesses recorded since
+    /// [`enable_trace`](Self::enable_trace) (empty when tracing was off).
+    pub fn take_trace(&mut self) -> Vec<crate::trace::TraceEvent> {
         self.mem.take_trace()
     }
 

@@ -11,7 +11,7 @@
 use crate::cache::{L2Slice, Probe};
 use crate::config::GpuConfig;
 use crate::stats::{TrafficBytes, TrafficClass};
-use crate::trace::{AccessKind, TraceBuffer, TraceEvent};
+use crate::trace::{AccessKind, TraceEvent};
 use nmt_fault::{FaultPlan, FaultSite};
 
 /// DRAM/L2 transfer granularity within a cache line. GPU L2s are sectored:
@@ -134,7 +134,7 @@ pub struct MemorySubsystem {
     /// Bytes transferred from/to DRAM (post-L2), per traffic class.
     dram: TrafficBytes,
     atomics: u64,
-    trace: Option<TraceBuffer>,
+    trace: Option<Vec<TraceEvent>>,
     /// Active fault plan, if any (see [`MemorySubsystem::set_fault_plan`]).
     fault: Option<FaultPlan>,
     /// Monotone ordinal of `access` calls — the fault key for the memory
@@ -145,6 +145,35 @@ pub struct MemorySubsystem {
     fault_prefetch_overflows: u64,
     /// [`MemorySubsystem::gather`]'s run addresses, reused across calls.
     runs: Vec<u64>,
+}
+
+/// Append one access to an enabled trace. Out of line and cold so the
+/// tracing-off path of [`MemorySubsystem::access`] stays small enough for
+/// the compiler to inline it into the per-lane loop of
+/// [`MemorySubsystem::gather`].
+#[cold]
+#[inline(never)]
+fn record_trace(
+    trace: &mut Vec<TraceEvent>,
+    addr: u64,
+    bytes: u64,
+    class: TrafficClass,
+    write: bool,
+    atomic: bool,
+) {
+    let kind = if atomic {
+        AccessKind::Atomic
+    } else if write {
+        AccessKind::Write
+    } else {
+        AccessKind::Read
+    };
+    trace.push(TraceEvent {
+        addr,
+        bytes,
+        class,
+        kind,
+    });
 }
 
 impl MemorySubsystem {
@@ -202,19 +231,17 @@ impl MemorySubsystem {
         self.fault_prefetch_overflows
     }
 
-    /// Start recording accesses into a ring of `capacity` events.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceBuffer::new(capacity));
+    /// Start recording every access, in order.
+    pub fn enable_trace(&mut self) {
+        // nmt-lint: allow(hot-alloc) — tracing is a test-only debugging switch, off on every measured path
+        self.trace = Some(Vec::new());
     }
 
-    /// Stop recording and return the trace so far, if any.
-    pub fn take_trace(&mut self) -> Option<TraceBuffer> {
-        self.trace.take()
-    }
-
-    /// The live trace, if recording.
-    pub fn trace(&self) -> Option<&TraceBuffer> {
-        self.trace.as_ref()
+    /// Stop recording and return the accesses recorded since
+    /// [`enable_trace`](Self::enable_trace), oldest first (empty when
+    /// tracing was off).
+    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
+        self.trace.take().unwrap_or_default()
     }
 
     /// The partition owning byte address `addr`.
@@ -248,19 +275,7 @@ impl MemorySubsystem {
             self.atomics += 1;
         }
         if let Some(trace) = &mut self.trace {
-            let kind = if atomic {
-                AccessKind::Atomic
-            } else if write {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            trace.record(TraceEvent {
-                addr,
-                bytes: nbytes,
-                class,
-                kind,
-            });
+            record_trace(trace, addr, nbytes, class, write, atomic);
         }
         let mut cost = if atomic { self.atomic_cost_factor } else { 1.0 };
         // Memory-site faults key off the per-subsystem access ordinal,

@@ -424,7 +424,7 @@ fn assert_same_counters(
     let stride = conflict_stride(config);
     let mut dut = MemorySubsystem::new(config);
     dut.set_fault_plan(fault);
-    dut.enable_trace(stream.len());
+    dut.enable_trace();
     let mut reference = RefMemory::new(config, fault);
     for &((j, off, nbytes), (class, write, atomic)) in stream {
         let class = TrafficClass::ALL[class];
@@ -479,9 +479,7 @@ fn assert_same_state(
     prop_assert_eq!(dut.atomics(), reference.atomics);
     prop_assert_eq!(dut.fault_dram_spikes(), reference.spikes);
     prop_assert_eq!(dut.fault_prefetch_overflows(), reference.overflows);
-    let trace = dut.take_trace().unwrap();
-    prop_assert_eq!(trace.dropped(), 0);
-    prop_assert_eq!(&trace.events(), &reference.trace);
+    prop_assert_eq!(&dut.take_trace(), &reference.trace);
     Ok(())
 }
 
@@ -523,10 +521,7 @@ fn assert_gather_matches_reference(
     let line = config.l2_line_bytes as u64;
     let mut dut = MemorySubsystem::new(config);
     dut.set_fault_plan(fault);
-    let events = stream
-        .iter()
-        .map(|(_, (lanes, count, ..))| lanes.len() * count);
-    dut.enable_trace(events.sum());
+    dut.enable_trace();
     let mut reference = RefMemory::new(config, fault);
     let mut offsets = Vec::new();
     for &((base, stride_kind, lines, words), (ref lanes, count, elem, class)) in stream {
@@ -606,13 +601,13 @@ proptest! {
 fn empty_gathers_touch_nothing() {
     let config = GpuConfig::test_small();
     let mut m = MemorySubsystem::new(&config);
-    m.enable_trace(16);
+    m.enable_trace();
     m.gather(0, &[], 128, 8, 4, TrafficClass::MatB);
     m.gather(0, &[0, 4, 512], 128, 0, 4, TrafficClass::MatB);
     m.gather(0, &[0, 4, 512], 100, 0, 4, TrafficClass::MatB);
     assert_eq!(m.requested_traffic().total(), 0);
     assert_eq!(m.aggregate(), PartitionCounters::default());
-    assert!(m.take_trace().unwrap().events().is_empty());
+    assert!(m.take_trace().is_empty());
 }
 
 #[test]

@@ -270,8 +270,7 @@ fn run_miri(args: &[String]) -> ExitCode {
         cmd.args(["-p", c]);
     }
     cmd.current_dir(&parsed.root);
-    // Span timing and the progress reporter's isatty probe need host
-    // clock/fd access under the interpreter.
+    // Span timing needs host clock access under the interpreter.
     cmd.env(
         "MIRIFLAGS",
         std::env::var("MIRIFLAGS").unwrap_or_else(|_| "-Zmiri-disable-isolation".to_string()),

@@ -7,9 +7,8 @@
 //! Each subcommand rejects any `--flag` it does not read ([`FLAGS`]).
 
 use spmm_nmt::bench::{
-    append_history, diff_ledgers, load_history, parse_scale, render_history,
-    sweep_ledger_instrumented, BenchConfig, HistoryRecord, Ledger, ProgressReporter, ServeRun,
-    EXPERIMENT_SEED,
+    append_history, diff_ledgers, load_history, parse_scale, render_history, sweep_ledger,
+    BenchConfig, HistoryRecord, Ledger, ServeRun, Sweep, EXPERIMENT_SEED,
 };
 use spmm_nmt::fault::FaultPlan;
 use spmm_nmt::engine::{conversion_energy_pj, convert_matrix, ComparatorTree, EngineTiming};
@@ -102,7 +101,7 @@ USAGE:
   nmt-cli bench   [--scale small|medium|paper] [--threads N] [--out <BENCH.json>]
                   [--baseline <BENCH.json>]
                   [--perf] [--perf-iters N] [--perf-warmup N] [--perf-margin F]
-                  [--progress] [--fault-seed N [--fault-rate F]]
+                  [--fault-seed N [--fault-rate F]]
                   [--history <HISTORY.jsonl>] [--diag-dir <dir>]
                                           sweep the synthetic suite into a
                                           schema-versioned run ledger; with
@@ -124,9 +123,6 @@ USAGE:
                                           per-phase alloc.count/alloc.bytes
                                           may exceed the baseline by 50%
                                           plus a fixed slack
-                                          --progress draws a live done/total
-                                          + ETA line on stderr (auto-off when
-                                          stderr is not a TTY)
                                           --history appends one row (commit,
                                           geomean, per-phase medians + CIs)
                                           to a JSONL history file
@@ -196,7 +192,7 @@ const FLAGS: &[(&str, &str)] = &[
               --fault-seed --fault-rate"),
     ("audit", "--k --tile --threads --json --metrics-json --fault-seed --fault-rate"),
     ("bench", "--scale --threads --out --baseline --perf --perf-iters --perf-warmup \
-               --perf-margin --progress --fault-seed --fault-rate --history --diag-dir"),
+               --perf-margin --fault-seed --fault-rate --history --diag-dir"),
     ("serve", "--requests --synth --threads --matrices --tenants --seed --n --k --tile \
                --queue-depth --quantum --service-rate --cache-bytes --stats --out \
                --baseline --trace-out --history --diag-dir"),
@@ -489,7 +485,7 @@ fn cmd_bench(rest: &[&String]) -> Result<(), String> {
     // Generous by default for same-machine runs; CI hosts are not the
     // baseline host and pass a wider margin.
     let perf_margin: f64 = parse_flag(rest, "--perf-margin", 0.5)?;
-    let perf_cfg = if perf_requested {
+    let perf = if perf_requested {
         let mut cfg = BenchConfig::default();
         cfg.iters = parse_flag(rest, "--perf-iters", cfg.iters)?;
         cfg.warmup = parse_flag(rest, "--perf-warmup", cfg.warmup)?;
@@ -506,10 +502,6 @@ fn cmd_bench(rest: &[&String]) -> Result<(), String> {
         None
     };
     arm_diagnostics(rest, fault);
-    let progress = ProgressReporter::new(
-        SuiteSpec::new(scale, EXPERIMENT_SEED).descriptors().len(),
-        rest.iter().any(|x| x.as_str() == "--progress"),
-    );
     match fault {
         Some(plan) => eprintln!(
             "sweeping {scale:?} suite with fault injection (seed {:#x}, rate {:.4})...",
@@ -518,9 +510,7 @@ fn cmd_bench(rest: &[&String]) -> Result<(), String> {
         ),
         None => eprintln!("sweeping {scale:?} suite through the audited planner..."),
     }
-    let ledger = sweep_ledger_instrumented(scale, fault, perf_cfg.as_ref(), Some(&progress))
-        .map_err(|e| e.to_string())?;
-    progress.finish();
+    let ledger = sweep_ledger(Sweep { scale, fault, perf }).map_err(|e| e.to_string())?;
     println!("{}", ledger.render_summary());
     if let Some(path) = &out {
         std::fs::write(path, ledger.to_json())

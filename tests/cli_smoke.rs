@@ -267,6 +267,10 @@ fn unknown_and_retired_flags_are_rejected() {
             vec!["bench", "--perf-margn", "9"],
             "unknown flag --perf-margn for bench",
         ),
+        (
+            vec!["bench", "--progress"],
+            "unknown flag --progress for bench",
+        ),
     ] {
         let out = cli().args(&args).output().expect("spawn");
         assert!(!out.status.success(), "{args:?} must fail");

@@ -208,12 +208,18 @@ fn panic_bundle_doctor_and_thread_invariant_event_content() {
     // harvesting in the closure) stays byte-identical across thread
     // counts, clean and faulted. ---
     let faulted_1 = with_threads(1, || {
-        spmm_nmt::bench::sweep_ledger_instrumented(SuiteScale::Small, Some(plan), None, None)
-            .expect("sweeps")
+        spmm_nmt::bench::sweep_ledger(spmm_nmt::bench::Sweep {
+            fault: Some(plan),
+            ..SuiteScale::Small.into()
+        })
+        .expect("sweeps")
     });
     let faulted_4 = with_threads(4, || {
-        spmm_nmt::bench::sweep_ledger_instrumented(SuiteScale::Small, Some(plan), None, None)
-            .expect("sweeps")
+        spmm_nmt::bench::sweep_ledger(spmm_nmt::bench::Sweep {
+            fault: Some(plan),
+            ..SuiteScale::Small.into()
+        })
+        .expect("sweeps")
     });
     assert_eq!(
         faulted_1.to_json(),

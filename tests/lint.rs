@@ -124,3 +124,21 @@ fn workspace_lints_clean() {
         report.render()
     );
 }
+
+#[test]
+fn every_scoped_path_exists() {
+    // A deleted or renamed module must take its scope entry with it, or
+    // the rule it named silently stops applying to anything.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for p in nmt_lint::DETERMINISM_SCOPED
+        .iter()
+        .chain(nmt_lint::WALLCLOCK_ALLOWED)
+        .chain(nmt_lint::HOT_PATH_SCOPED)
+        .chain(nmt_lint::CONCURRENCY_SCOPED)
+    {
+        assert!(
+            root.join(p).is_file(),
+            "lint scope names a missing file: {p}"
+        );
+    }
+}
