@@ -53,10 +53,6 @@ pub fn scale_from_env(value: Option<&str>) -> Result<SuiteScale, String> {
 /// dimension filter. An unrecognized value aborts rather than silently
 /// falling back to Small — a mis-spelled `NMT_SCALE=papr` would otherwise
 /// publish small-scale numbers as a paper run.
-// nmt-lint: sanitize(determinism-flow) — NMT_SCALE is an explicit
-//   configuration input: the chosen scale is validated, recorded in every
-//   artifact header, and identical runs use identical values, so it does
-//   not make outputs nondeterministic.
 pub fn experiment_scale() -> SuiteScale {
     let value = std::env::var("NMT_SCALE").ok();
     match scale_from_env(value.as_deref()) {

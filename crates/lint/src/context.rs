@@ -141,18 +141,7 @@ pub fn contexts(tokens: &[Token]) -> Vec<TokenCtx> {
     out
 }
 
-/// What a `// nmt-lint: ...` directive asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DirectiveKind {
-    /// `allow(<rule>)`: suppress a matching diagnostic on the next line.
-    Allow,
-    /// `sanitize(<rule>)`: the function annotated on the next line
-    /// launders taint — dataflow passes stop propagating through it.
-    Sanitize,
-}
-
-/// One `// nmt-lint: allow(<rule>) — <reason>` (or `sanitize(...)`)
-/// escape hatch.
+/// One `// nmt-lint: allow(<rule>) — <reason>` escape hatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowDirective {
     /// 1-based line the comment starts on.
@@ -160,16 +149,13 @@ pub struct AllowDirective {
     /// 1-based line the directive ends on (equal to `line` unless the
     /// reason continues onto indented follow-up comment lines).
     pub end_line: u32,
-    /// Allow or sanitize.
-    pub kind: DirectiveKind,
     /// The rule being allowed.
     pub rule: String,
     /// The justification after the separator (may be empty = invalid).
     pub reason: String,
 }
 
-/// Parse `nmt-lint: allow(...)` / `nmt-lint: sanitize(...)` directives
-/// out of a file's comments.
+/// Parse `nmt-lint: allow(...)` directives out of a file's comments.
 ///
 /// A directive must be the *start* of its comment (modulo whitespace), so
 /// prose that merely mentions the syntax — including doc comments, whose
@@ -206,16 +192,10 @@ pub fn allow_directives(comments: &[Comment]) -> Vec<AllowDirective> {
         let malformed = AllowDirective {
             line: c.line,
             end_line: c.line,
-            kind: DirectiveKind::Allow,
             rule: String::new(),
             reason: String::new(),
         };
-        let rest = rest.trim_start();
-        let (kind, body) = if let Some(b) = rest.strip_prefix("allow(") {
-            (DirectiveKind::Allow, b)
-        } else if let Some(b) = rest.strip_prefix("sanitize(") {
-            (DirectiveKind::Sanitize, b)
-        } else {
+        let Some(body) = rest.trim_start().strip_prefix("allow(") else {
             // `nmt-lint:` with anything else is a malformed directive;
             // surface it as an empty-rule allow so `bad-allow` fires.
             out.push(malformed);
@@ -233,7 +213,6 @@ pub fn allow_directives(comments: &[Comment]) -> Vec<AllowDirective> {
         out.push(AllowDirective {
             line: c.line,
             end_line: c.line,
-            kind,
             rule: rule.trim().to_string(),
             reason,
         });
@@ -376,15 +355,5 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].end_line, 1);
         assert_eq!(d[0].reason, "checked");
-    }
-
-    #[test]
-    fn sanitize_directives_are_parsed() {
-        let lexed = lex("// nmt-lint: sanitize(determinism-flow) — output is sorted\n");
-        let d = allow_directives(&lexed.comments);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].kind, DirectiveKind::Sanitize);
-        assert_eq!(d[0].rule, "determinism-flow");
-        assert_eq!(d[0].reason, "output is sorted");
     }
 }

@@ -16,6 +16,7 @@
 //! | `slice-index`   | plain-`pub` fns, lib crates   | warning (error when determinism-scoped) |
 //! | `hot-alloc`     | allocation-hot-path modules   | error    |
 //! | `metric-name`   | all library sources           | error    |
+//! | `atomic-ordering` | concurrency-scoped modules  | error    |
 //! | `bad-allow`     | allow-comment hygiene         | error    |
 //! | `unused-allow`  | allow-comment hygiene         | warning  |
 //!
@@ -24,20 +25,18 @@
 //! every suppression is counted in the JSON report.
 //!
 //! There is no `syn` in the offline dependency set (see `shims/`), so the
-//! analysis runs on a purpose-built lexer plus a structural context pass —
-//! see [`lexer`] and [`context`]. Run it via `cargo xtask lint`.
+//! analysis is one per-file pass over a purpose-built lexer plus a
+//! structural context scan — see [`lexer`] and [`context`]. Every rule is
+//! a token rule; none follows values across functions. Run it via
+//! `cargo xtask lint`.
 
-pub mod callgraph;
 pub mod context;
 pub mod lexer;
-pub mod parse;
 pub mod report;
 pub mod rules;
-pub mod taint;
 
 pub use report::{Diagnostic, Report, Severity, SuppressionRecord, Summary};
-pub use rules::{check_source, rule_info, rules_markdown, FileClass, RulePass, RULES};
-pub use taint::{analyze_crate, AnalyzeReport, CrateStats, FileInput, ANALYZE_SCHEMA_VERSION};
+pub use rules::{check_source, rule_info, rules_markdown, FileClass, RULES};
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -263,96 +262,6 @@ pub fn lint_paths(root: &Path, paths: &[PathBuf]) -> Result<Report, LintError> {
         }
     }
     lint_file_list(root, &files)
-}
-
-/// Which crate a workspace-relative path belongs to, for per-crate
-/// call-graph construction. Taint never crosses a crate boundary (the
-/// analysis is intra-crate); the root `src/` tree counts as one crate.
-fn crate_of(rel: &str) -> String {
-    if let Some(rest) = rel.strip_prefix("crates/") {
-        if let Some((name, _)) = rest.split_once('/') {
-            return name.to_string();
-        }
-    }
-    if rel.starts_with("src/") {
-        return "root".to_string();
-    }
-    // Fixture and ad-hoc paths group by their parent directory.
-    match rel.rsplit_once('/') {
-        Some((dir, _)) => dir.rsplit('/').next().unwrap_or(dir).to_string(),
-        None => "adhoc".to_string(),
-    }
-}
-
-fn analyze_file_list(root: &Path, files: &[PathBuf]) -> Result<AnalyzeReport, LintError> {
-    use std::collections::BTreeMap;
-    let mut by_crate: BTreeMap<String, Vec<FileInput>> = BTreeMap::new();
-    for path in files {
-        let rel = relative(root, path);
-        let src = read_to_string(path)?;
-        by_crate.entry(crate_of(&rel)).or_default().push(FileInput {
-            class: classify(&rel),
-            rel,
-            src,
-        });
-    }
-    let mut crates = Vec::new();
-    let mut diagnostics = Vec::new();
-    let mut suppressions = Vec::new();
-    for (name, inputs) in &by_crate {
-        let (stats, diags, supp) = analyze_crate(name, inputs);
-        crates.push(stats);
-        diagnostics.extend(diags);
-        suppressions.extend(supp);
-    }
-    // The atomic-ordering rule rides along: it is token-detectable, so
-    // the ordinary per-file pass produces it; analyze surfaces it next
-    // to the flow findings so one command owns the concurrency story.
-    for inputs in by_crate.values() {
-        for f in inputs {
-            let (diags, used) = check_source(&f.rel, &f.src, f.class);
-            diagnostics.extend(diags.into_iter().filter(|d| d.rule == "atomic-ordering"));
-            suppressions.extend(
-                used.into_iter()
-                    .filter(|d| d.rule == "atomic-ordering")
-                    .map(|d| SuppressionRecord {
-                        path: f.rel.clone(),
-                        line: d.line,
-                        rule: d.rule,
-                        reason: d.reason,
-                    }),
-            );
-        }
-    }
-    Ok(AnalyzeReport {
-        schema_version: taint::ANALYZE_SCHEMA_VERSION,
-        crates,
-        report: Report::new(files.len() as u64, diagnostics, suppressions),
-    })
-}
-
-/// Run the determinism dataflow analysis (plus the `atomic-ordering`
-/// rule) over the whole workspace rooted at `root`.
-pub fn analyze_workspace(root: &Path) -> Result<AnalyzeReport, LintError> {
-    let files = workspace_sources(root)?;
-    analyze_file_list(root, &files)
-}
-
-/// Analyze an explicit set of files/directories (e.g. the fixtures
-/// under `tests/analyze_fixtures/`).
-pub fn analyze_paths(root: &Path, paths: &[PathBuf]) -> Result<AnalyzeReport, LintError> {
-    let mut files = Vec::new();
-    for p in paths {
-        let abs = if p.is_absolute() { p.clone() } else { root.join(p) };
-        if abs.is_dir() {
-            collect_rs(&abs, &mut files)?;
-        } else if abs.is_file() {
-            files.push(abs);
-        } else {
-            return Err(LintError::BadPath(abs));
-        }
-    }
-    analyze_file_list(root, &files)
 }
 
 #[cfg(test)]

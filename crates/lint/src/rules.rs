@@ -5,7 +5,7 @@
 //! while staying dependency-free. Each rule is documented in DESIGN.md
 //! ("Invariants & static analysis"); keep the two in sync.
 
-use crate::context::{allow_directives, contexts, AllowDirective, DirectiveKind, TokenCtx};
+use crate::context::{allow_directives, contexts, AllowDirective, TokenCtx};
 use crate::lexer::{lex, Comment, Token, TokenKind};
 use crate::report::{Diagnostic, Severity};
 
@@ -30,32 +30,11 @@ pub struct FileClass {
     pub concurrency_scoped: bool,
 }
 
-/// Which analysis pass produces a rule's diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RulePass {
-    /// The per-file token/context pass (`cargo xtask lint`).
-    Token,
-    /// The call-graph dataflow pass (`cargo xtask analyze`).
-    Dataflow,
-}
-
-impl RulePass {
-    /// Lowercase label for tables and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            RulePass::Token => "token",
-            RulePass::Dataflow => "dataflow",
-        }
-    }
-}
-
 /// Static description of one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
     /// Rule name as used in diagnostics and allow comments.
     pub name: &'static str,
-    /// Which pass emits it.
-    pub pass: RulePass,
     /// Default severity, as prose (`slice-index` escalates by scope).
     pub severity: &'static str,
     /// Where the rule applies.
@@ -71,7 +50,6 @@ pub struct RuleInfo {
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "unordered-map",
-        pass: RulePass::Token,
         severity: "error",
         scope: "all library sources",
         rationale: "HashMap/HashSet iteration order is seed-randomized; \
@@ -79,7 +57,6 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "wallclock",
-        pass: RulePass::Token,
         severity: "error",
         scope: "all except sanctioned clock readers",
         rationale: "Instant/SystemTime readings differ per run; only obs spans \
@@ -87,7 +64,6 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "thread-order",
-        pass: RulePass::Token,
         severity: "error",
         scope: "determinism-scoped modules",
         rationale: "atomic read-modify-write and channel drains commit results in \
@@ -95,7 +71,6 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "panic",
-        pass: RulePass::Token,
         severity: "error",
         scope: "plain-pub fns, lib crates",
         rationale: "pub APIs on the sweep path return typed errors instead of \
@@ -103,7 +78,6 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "slice-index",
-        pass: RulePass::Token,
         severity: "warning (error when determinism-scoped)",
         scope: "plain-pub fns, lib crates",
         rationale: "direct indexing can panic; prefer get()/iterators in pub APIs \
@@ -111,7 +85,6 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "hot-alloc",
-        pass: RulePass::Token,
         severity: "error",
         scope: "allocation-hot-path modules",
         rationale: "hot-path modules must draw buffers from the `nmt_engine::mem` \
@@ -120,7 +93,6 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "metric-name",
-        pass: RulePass::Token,
         severity: "error",
         scope: "all library sources",
         rationale: "obs metric names must be lowercase dotted `crate.subsystem.name` \
@@ -128,7 +100,6 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "atomic-ordering",
-        pass: RulePass::Token,
         severity: "error",
         scope: "concurrency-scoped modules",
         rationale: "every atomic op must justify its memory ordering with a \
@@ -136,24 +107,13 @@ pub const RULES: &[RuleInfo] = &[
                     counters whose value never gates cross-thread data visibility",
     },
     RuleInfo {
-        name: "determinism-flow",
-        pass: RulePass::Dataflow,
-        severity: "error",
-        scope: "library sources (cargo xtask analyze)",
-        rationale: "a nondeterminism source (wall clock, thread id, unordered \
-                    iteration, observed atomic RMW, env read, parallel reduction) \
-                    must not reach a serialization sink; sanitize or justify",
-    },
-    RuleInfo {
         name: "bad-allow",
-        pass: RulePass::Token,
         severity: "error",
         scope: "allow-comment hygiene",
         rationale: "nmt-lint allow comments must name a known rule and give a reason",
     },
     RuleInfo {
         name: "unused-allow",
-        pass: RulePass::Token,
         severity: "warning",
         scope: "allow-comment hygiene",
         rationale: "an allow comment that suppresses nothing is stale and should be removed",
@@ -169,13 +129,12 @@ pub fn rule_info(name: &str) -> Option<&'static RuleInfo> {
 /// DESIGN.md §6d (between the `nmt-lint:rules-table` markers).
 pub fn rules_markdown() -> String {
     let mut out = String::new();
-    out.push_str("| rule | pass | severity | scope | rationale |\n");
-    out.push_str("|------|------|----------|-------|-----------|\n");
+    out.push_str("| rule | severity | scope | rationale |\n");
+    out.push_str("|------|----------|-------|-----------|\n");
     for r in RULES {
         out.push_str(&format!(
-            "| `{}` | {} | {} | {} | {} |\n",
+            "| `{}` | {} | {} | {} |\n",
             r.name,
-            r.pass.label(),
             r.severity,
             r.scope,
             r.rationale
@@ -587,8 +546,7 @@ pub fn check_source(
     let mut used = vec![false; directives.len()];
     diags.retain(|d| {
         for (dir, used_flag) in directives.iter().zip(used.iter_mut()) {
-            if dir.kind == DirectiveKind::Allow
-                && dir.rule == d.rule
+            if dir.rule == d.rule
                 && !dir.reason.is_empty()
                 && (dir.line..=dir.end_line + 1).contains(&d.line)
             {
@@ -609,43 +567,28 @@ pub fn check_source(
     };
     let mut used_dirs = Vec::new();
     for (dir, &was_used) in directives.iter().zip(used.iter()) {
-        let info = rule_info(&dir.rule);
-        if info.is_none() {
+        if rule_info(&dir.rule).is_none() {
             diags.push(Diagnostic {
                 rule: "bad-allow".to_string(),
                 severity: Severity::Error,
                 path: path.to_string(),
                 line: dir.line,
                 col: 1,
-                message: format!(
-                    "{} comment names unknown rule `{}` (known: {})",
-                    match dir.kind {
-                        DirectiveKind::Allow => "allow",
-                        DirectiveKind::Sanitize => "sanitize",
-                    },
-                    dir.rule,
-                    RULES
-                        .iter()
-                        .map(|r| r.name)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-                snippet: snippet_of(dir.line),
-            });
-        } else if dir.kind == DirectiveKind::Sanitize
-            && info.is_some_and(|r| r.pass != RulePass::Dataflow)
-        {
-            diags.push(Diagnostic {
-                rule: "bad-allow".to_string(),
-                severity: Severity::Error,
-                path: path.to_string(),
-                line: dir.line,
-                col: 1,
-                message: format!(
-                    "`sanitize({})` is invalid: sanitize comments only apply to \
-                     dataflow rules (use `allow({})` instead)",
-                    dir.rule, dir.rule
-                ),
+                message: if dir.rule.is_empty() {
+                    "malformed nmt-lint directive; the only form is \
+                     `// nmt-lint: allow(<rule>) — <reason>`"
+                        .to_string()
+                } else {
+                    format!(
+                        "allow comment names unknown rule `{}` (known: {})",
+                        dir.rule,
+                        RULES
+                            .iter()
+                            .map(|r| r.name)
+                            .collect::<Vec<_>>()
+                            .join(", ")
+                    )
+                },
                 snippet: snippet_of(dir.line),
             });
         } else if dir.reason.is_empty() {
@@ -663,25 +606,18 @@ pub fn check_source(
                 snippet: snippet_of(dir.line),
             });
         } else if !was_used {
-            // Directives consumed by the dataflow pass (`cargo xtask
-            // analyze`) are invisible to this token pass; analyze does
-            // its own staleness accounting for them.
-            let dataflow_owned = dir.kind == DirectiveKind::Sanitize
-                || info.is_some_and(|r| r.pass == RulePass::Dataflow);
-            if !dataflow_owned {
-                diags.push(Diagnostic {
-                    rule: "unused-allow".to_string(),
-                    severity: Severity::Warning,
-                    path: path.to_string(),
-                    line: dir.line,
-                    col: 1,
-                    message: format!(
-                        "allow comment for `{}` suppresses nothing here; remove it",
-                        dir.rule
-                    ),
-                    snippet: snippet_of(dir.line),
-                });
-            }
+            diags.push(Diagnostic {
+                rule: "unused-allow".to_string(),
+                severity: Severity::Warning,
+                path: path.to_string(),
+                line: dir.line,
+                col: 1,
+                message: format!(
+                    "allow comment for `{}` suppresses nothing here; remove it",
+                    dir.rule
+                ),
+                snippet: snippet_of(dir.line),
+            });
         } else {
             used_dirs.push(dir.clone());
         }
@@ -951,34 +887,12 @@ mod tests {
     }
 
     #[test]
-    fn sanitize_of_token_rule_is_bad_allow() {
-        let got = errs("// nmt-lint: sanitize(panic) — nope\n");
-        assert_eq!(got, vec![("bad-allow".to_string(), 1)]);
-    }
-
-    #[test]
-    fn dataflow_allows_are_not_flagged_unused_by_the_token_pass() {
-        let (diags, _) = check_source(
-            "t.rs",
-            "// nmt-lint: allow(determinism-flow) — timing header is a measurement\n\
-             pub fn emit() {}\n\
-             // nmt-lint: sanitize(determinism-flow) — sorted output\n\
-             pub fn normalize() {}\n",
-            FileClass {
-                panic_checked: true,
-                ..FileClass::default()
-            },
-        );
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
     fn rules_markdown_lists_every_rule() {
         let md = rules_markdown();
         for r in RULES {
             assert!(md.contains(&format!("| `{}` |", r.name)), "{} missing", r.name);
         }
-        assert!(md.starts_with("| rule | pass | severity | scope | rationale |"));
+        assert!(md.starts_with("| rule | severity | scope | rationale |"));
     }
 
     #[test]

@@ -737,10 +737,6 @@ pub fn write_bundle_file(
     // name so concurrent writers never clobber each other.
     let seq = BUNDLE_SEQ.fetch_add(1, Ordering::Relaxed);
     let path = dir.join(format!("nmt-diag-{}-{seq}-{ns}.json", std::process::id()));
-    // nmt-lint: allow(determinism-flow) — the fetch_add above reaches this
-    //   sink only through the file *name* (pid + sequence + clock are
-    //   forensic identifiers by design); the bundle *bytes* are built from
-    //   content-ordered snapshots and stay byte-identical across runs.
     std::fs::write(&path, bundle.to_json())?;
     Ok(path)
 }

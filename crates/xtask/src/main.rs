@@ -3,7 +3,6 @@
 //! ```text
 //! cargo xtask lint [--json <path>] [--deny-warnings] [--root <dir>] [PATH...]
 //! cargo xtask lint --rules-md [--write]
-//! cargo xtask analyze [--json <path>] [--deny-warnings] [--root <dir>] [PATH...]
 //! cargo xtask miri [--root <dir>]
 //! ```
 //!
@@ -13,10 +12,6 @@
 //! checked instead when given. `--rules-md` prints the generated rule
 //! catalogue (DESIGN.md §6d); `--write` splices it into DESIGN.md
 //! between the `nmt-lint:rules-table` markers.
-//!
-//! `analyze` runs the determinism dataflow pass (source→sink taint over
-//! the intra-crate call graph) plus the `atomic-ordering` rule, and can
-//! emit the call-graph/taint statistics as a JSON artifact.
 //!
 //! `miri` drives `cargo miri test` over the unsafe-bearing crates when
 //! the Miri component is installed, and skips cleanly (exit 0, loud
@@ -33,7 +28,6 @@ usage: cargo xtask <command> [options]
 commands:
   lint     [--json <path>] [--deny-warnings] [--root <dir>] [PATH...]
            [--rules-md [--write]]
-  analyze  [--json <path>] [--deny-warnings] [--root <dir>] [PATH...]
   miri     [--root <dir>]
 
 common options:
@@ -198,46 +192,11 @@ fn run_lint(args: &[String]) -> ExitCode {
     }
 }
 
-fn run_analyze(args: &[String]) -> ExitCode {
-    let parsed = match parse_args(args) {
-        Ok(p) => p,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}");
-            }
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let result = if parsed.paths.is_empty() {
-        nmt_lint::analyze_workspace(&parsed.root)
-    } else {
-        nmt_lint::analyze_paths(&parsed.root, &parsed.paths)
-    };
-    let report = match result {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    print!("{}", report.render());
-    if let Some(json_path) = &parsed.json_out {
-        if let Err(code) = write_json(json_path, &report.to_json()) {
-            return code;
-        }
-    }
-    if report.failed(parsed.deny_warnings) {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 /// Crates with `unsafe` code that Miri should interpret. Kept explicit
 /// so a Miri run does not drag the whole workspace (and its build
-/// scripts) through the interpreter.
-const MIRI_CRATES: &[&str] = &["nmt-obs", "nmt-mem", "nmt-bench"];
+/// scripts) through the interpreter; a unit test holds it equal to the
+/// set of `crates/*` whose sources contain the `unsafe` keyword.
+const MIRI_CRATES: &[&str] = &["nmt-obs"];
 
 fn run_miri(args: &[String]) -> ExitCode {
     let parsed = match parse_args(args) {
@@ -289,11 +248,55 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(&args[1..]),
-        Some("analyze") => run_analyze(&args[1..]),
         Some("miri") => run_miri(&args[1..]),
         _ => {
             eprintln!("{USAGE}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+    use std::path::Path;
+
+    /// The `[package]` name of the crate rooted at `dir`.
+    fn package_name(dir: &Path) -> String {
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("crate manifest");
+        manifest
+            .lines()
+            .find_map(|l| l.strip_prefix("name = "))
+            .map(|v| v.trim().trim_matches('"').to_string())
+            .expect("manifest names its package")
+    }
+
+    #[test]
+    fn miri_crates_are_exactly_the_crates_with_unsafe() {
+        // Lexing (not grepping) means only the keyword counts: a string
+        // or comment that says "unsafe" does not put a crate under Miri.
+        // The root crate's one `unsafe` block is the CLI binary's libc
+        // `signal` call in `main`, which no test runs in-process, so only
+        // `crates/*` is scanned.
+        let root = default_root();
+        let crates = root.join("crates");
+        let mut with_unsafe = BTreeSet::new();
+        for file in nmt_lint::workspace_sources(&root).expect("workspace sources") {
+            let Ok(rel) = file.strip_prefix(&crates) else {
+                continue;
+            };
+            let src = std::fs::read_to_string(&file).expect("readable source");
+            let tokens = nmt_lint::lexer::lex(&src).tokens;
+            if tokens.iter().any(|t| t.is_ident("unsafe")) {
+                let dir = rel.iter().next().expect("crate directory");
+                with_unsafe.insert(package_name(&crates.join(dir)));
+            }
+        }
+        let listed: BTreeSet<String> = MIRI_CRATES.iter().copied().map(String::from).collect();
+        assert_eq!(
+            listed, with_unsafe,
+            "MIRI_CRATES must list exactly the crates whose sources use `unsafe`"
+        );
     }
 }

@@ -10,8 +10,12 @@
 use nmt_lint::{Severity, RULES};
 use std::path::{Path, PathBuf};
 
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
 fn fixture_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/lint_fixtures")
+    root().join("tests/lint_fixtures")
 }
 
 fn fixture_files() -> Vec<PathBuf> {
@@ -88,12 +92,6 @@ fn fixtures_cover_every_rule() {
     covered.sort();
     covered.dedup();
     for rule in RULES {
-        // Dataflow-pass rules are exercised by `tests/analyze.rs` over
-        // `tests/analyze_fixtures/`; the token-pass harness here cannot
-        // trigger them.
-        if rule.pass != nmt_lint::RulePass::Token {
-            continue;
-        }
         assert!(
             covered.contains(&rule.name.to_string()),
             "no fixture exercises rule `{}`",
@@ -141,4 +139,26 @@ fn every_scoped_path_exists() {
             "lint scope names a missing file: {p}"
         );
     }
+}
+
+#[test]
+fn design_doc_rule_table_matches_rule_info() {
+    // DESIGN.md §6d is generated from `rule_info()` via
+    // `cargo xtask lint --rules-md --write`; this test fails on drift.
+    const START: &str = "<!-- nmt-lint:rules-table:start (generated; run `cargo xtask lint --rules-md --write`) -->";
+    const END: &str = "<!-- nmt-lint:rules-table:end -->";
+    let design = std::fs::read_to_string(root().join("DESIGN.md")).expect("DESIGN.md");
+    let start = design
+        .find(START)
+        .expect("DESIGN.md must carry the rules-table start marker");
+    let end = design
+        .find(END)
+        .expect("DESIGN.md must carry the rules-table end marker");
+    let between = &design[start + START.len()..end];
+    let expected = nmt_lint::rules_markdown();
+    assert_eq!(
+        between.trim(),
+        expected.trim(),
+        "DESIGN.md rule table is stale; run `cargo xtask lint --rules-md --write`"
+    );
 }
