@@ -105,8 +105,12 @@ impl Csr {
         }
         for (r, w) in self.rowptr.windows(2).enumerate() {
             let (lo, hi) = (w[0] as usize, w[1] as usize);
-            let row_cols = &self.colidx[lo..hi];
-            for &c in row_cols {
+            // One pass per row. An out-of-bounds column is reported at
+            // once; an unsorted pair only after the row has none, so a
+            // row's bounds error wins over its order error.
+            let mut prev = -1i64;
+            let mut sorted = true;
+            for &c in &self.colidx[lo..hi] {
                 if c as usize >= self.ncols {
                     return Err(FormatError::IndexOutOfBounds {
                         axis: "col",
@@ -114,8 +118,10 @@ impl Csr {
                         bound: self.ncols,
                     });
                 }
+                sorted &= prev < i64::from(c);
+                prev = i64::from(c);
             }
-            if row_cols.windows(2).any(|w| w[0] >= w[1]) {
+            if !sorted {
                 return Err(FormatError::NotCanonical {
                     detail: format!("row {r} has unsorted or duplicate column indices"),
                 });
@@ -324,6 +330,28 @@ mod tests {
         assert!(Csr::new(2, 2, vec![0, 2, 1], vec![0], vec![1.0]).is_err()); // decreasing
         assert!(Csr::new(2, 2, vec![0, 1], vec![0], vec![1.0]).is_err()); // short
         assert!(Csr::new(2, 2, vec![0, 0, 2], vec![0], vec![1.0]).is_err()); // end != nnz
+    }
+
+    #[test]
+    fn validation_reports_the_first_row_fault_bounds_before_order() {
+        let oob = |e: FormatError| matches!(e, FormatError::IndexOutOfBounds { index: 7, .. });
+        let unsorted_row = |r: usize, e: FormatError| {
+            matches!(e, FormatError::NotCanonical { ref detail }
+                if detail.starts_with(&format!("row {r} ")))
+        };
+        let err = |rowptr: Vec<Index>, colidx: Vec<Index>| {
+            let values = vec![1.0; colidx.len()];
+            Csr::new(3, 4, rowptr, colidx, values).unwrap_err()
+        };
+        // Within a row, an out-of-bounds column wins over an unsorted
+        // pair on either side of it.
+        assert!(oob(err(vec![0, 3, 3, 3], vec![2, 1, 7])));
+        assert!(oob(err(vec![0, 3, 3, 3], vec![7, 2, 1])));
+        assert!(oob(err(vec![0, 3, 3, 3], vec![1, 1, 7])));
+        // Across rows, the earlier row's fault wins, whichever kind.
+        assert!(unsorted_row(0, err(vec![0, 2, 3, 3], vec![2, 1, 7])));
+        assert!(oob(err(vec![0, 1, 3, 3], vec![7, 2, 1])));
+        assert!(unsorted_row(2, err(vec![0, 1, 1, 3], vec![3, 3, 3])));
     }
 
     #[test]

@@ -14,10 +14,16 @@
 //!   downstream artifact is keyed on.
 //!
 //! * **Phase B — execution (parallel).** Dispatched requests fan out
-//!   over rayon. Each regenerates its operand, fingerprints it
-//!   ([`MatrixFingerprint`]), and acquires the plan through the
-//!   single-flight [`PlanCache`] — so N concurrent requests for one
-//!   matrix cost one SSF profile + one conversion. The kernel then runs
+//!   over rayon. The first request for an operand spec generates A,
+//!   fingerprints it ([`MatrixFingerprint`]) and remembers the plan key
+//!   for that spec; a later request with the same spec takes the key
+//!   from that memo and neither generates nor profiles A. A generator is
+//!   a pure function of its spec and the key a pure function of A's
+//!   bytes, so the memo cannot move a key. Each request then acquires
+//!   the plan through the single-flight [`PlanCache`] — so N concurrent
+//!   requests for one matrix cost one SSF profile + one conversion. A
+//!   plan that was evicted is rebuilt from a regenerated A, whose key is
+//!   checked against the memoized one. The kernel then runs
 //!   against the cached [`ConversionArtifact`]: the plan's first run with
 //!   a given `k` simulates it on a fresh GPU and memoizes its
 //!   `KernelStats`; later runs replay the same kernel values-only and
@@ -35,10 +41,10 @@ use std::sync::{Mutex, PoisonError};
 
 use nmt::{MatrixFingerprint, PlannerConfig, SpmmPlanner};
 use nmt_engine::ConversionArtifact;
-use nmt_formats::{DenseMatrix, SparseMatrix};
+use nmt_formats::{Csr, DenseMatrix};
 use nmt_kernels::{bstat_tiled_dcsr_offline, dcsrmm_row_per_warp, KernelRun};
-use nmt_matgen::{generators, random_dense};
-use nmt_model::ssf::Choice;
+use nmt_matgen::{generators, random_dense, MatrixDesc};
+use nmt_model::ssf::{Choice, SsfProfile};
 use nmt_obs::{AllocScope, EventSite, ObsContext};
 use nmt_sim::{Gpu, GpuConfig, KernelStats, SimError};
 use rayon::prelude::*;
@@ -101,6 +107,14 @@ pub enum ServeError {
     Sim(String),
     /// A conversion error while building a plan artifact.
     Convert(String),
+    /// An operand regenerated to rebuild an evicted plan fingerprinted to
+    /// a different key than the one memoized for its spec.
+    OperandKey {
+        /// The key memoized for the spec.
+        memoized: String,
+        /// The key of the regenerated operand.
+        regenerated: String,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -109,6 +123,13 @@ impl std::fmt::Display for ServeError {
             ServeError::Config(m) => write!(f, "serve config: {m}"),
             ServeError::Sim(m) => write!(f, "serve sim: {m}"),
             ServeError::Convert(m) => write!(f, "serve convert: {m}"),
+            ServeError::OperandKey {
+                memoized,
+                regenerated,
+            } => write!(
+                f,
+                "serve operand: regenerated key {regenerated} differs from memoized {memoized}"
+            ),
         }
     }
 }
@@ -287,6 +308,34 @@ fn schedule(trace: &[Request], config: &BrokerConfig, obs: &ObsContext) -> Sched
     out
 }
 
+/// The fields of a request that pin its sparse operand: exactly what
+/// [`Request::desc`] reads to build A (`k` is only validated there). The
+/// f64 knobs are keyed by their bits, so equal keys mean equal specs.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct OperandSpec {
+    gen: String,
+    n: u64,
+    density: u64,
+    exponent: u64,
+    seed: u64,
+}
+
+impl OperandSpec {
+    fn of(req: &Request) -> Self {
+        OperandSpec {
+            gen: req.gen.clone(),
+            n: req.n,
+            density: req.density.to_bits(),
+            exponent: req.exponent.to_bits(),
+            seed: req.seed,
+        }
+    }
+}
+
+/// Plan key per operand spec, for one `serve_trace` call. Holds at most
+/// one entry per distinct spec in the trace.
+type OperandKeys = Mutex<BTreeMap<OperandSpec, String>>;
+
 /// Phase-B output for one request (pre-labelling).
 struct Outcome {
     request: Request,
@@ -301,6 +350,8 @@ struct Outcome {
     acquire_allocs: u64,
     evicted: u64,
     replayed: bool,
+    /// The plan key came from the operand memo: A was not generated.
+    operand_reused: bool,
 }
 
 /// FNV-1a over the result matrix's f32 bit patterns.
@@ -317,26 +368,61 @@ fn checksum_f32(values: &[f32]) -> u64 {
     h
 }
 
+/// Generate A from its descriptor and fingerprint it, keeping the
+/// profile the fingerprint digested.
+fn build_operand(
+    desc: &MatrixDesc,
+    tile_w: usize,
+) -> Result<(Csr, String, SsfProfile), ServeError> {
+    let a = generators::try_generate(desc)
+        .map_err(|e| ServeError::Config(format!("dispatched malformed request: {e}")))?;
+    let (fp, profile) = MatrixFingerprint::profiled(&a, tile_w);
+    Ok((a, fp.key(), profile))
+}
+
 /// Execute one dispatched request against the shared plan cache.
 fn execute_one(
     dispatch: usize,
     req: &Request,
     planner: &SpmmPlanner,
     cache: &PlanCache<CachedPlan>,
+    operands: &OperandKeys,
     obs: &ObsContext,
 ) -> Result<Outcome, ServeError> {
     let cfg = planner.config();
     let desc = req
         .desc()
         .map_err(|m| ServeError::Config(format!("dispatched malformed request: {m}")))?;
-    let a = generators::try_generate(&desc)
-        .map_err(|e| ServeError::Config(format!("dispatched malformed request: {e}")))?;
-    let (fp, profile) = MatrixFingerprint::profiled(&a, cfg.tile_w);
-    let key = fp.key();
+    let spec = OperandSpec::of(req);
+    let memoized = lock(operands).get(&spec).cloned();
+    let operand_reused = memoized.is_some();
+    // A spec hit leaves A unbuilt; the plan compute below builds it only
+    // if the plan itself was evicted.
+    let (key, mut built) = match memoized {
+        Some(key) => (key, None),
+        None => {
+            let (a, key, profile) = build_operand(&desc, cfg.tile_w)?;
+            lock(operands).insert(spec, key.clone());
+            (key, Some((a, profile)))
+        }
+    };
 
     let t0 = obs.flight.now_ns();
     let scope = AllocScope::begin();
     let lookup = cache.get_or_compute(&key, || -> Result<(CachedPlan, u64), ServeError> {
+        let (a, profile) = match built.take() {
+            Some(operand) => operand,
+            None => {
+                let (a, regenerated, profile) = build_operand(&desc, cfg.tile_w)?;
+                if regenerated != key {
+                    return Err(ServeError::OperandKey {
+                        memoized: key.clone(),
+                        regenerated,
+                    });
+                }
+                (a, profile)
+            }
+        };
         let choice = planner.decide(&profile);
         let artifact = match choice {
             Choice::BStationary => ConversionArtifact::tiled(&a, cfg.tile_w, cfg.tile_h)
@@ -367,7 +453,8 @@ fn execute_one(
     );
 
     let plan = lookup.value;
-    let b = random_dense(a.shape().ncols, req.k as usize, req.b_seed);
+    // A is square, so B has `n` rows whether or not A was built.
+    let b = random_dense(desc.n, req.k as usize, req.b_seed);
     let (run, replayed) = plan.run(&cfg.gpu, &b)?;
     let sim_ns = run.stats.total_ns as u64;
     obs.flight.record(
@@ -390,7 +477,14 @@ fn execute_one(
         acquire_allocs,
         evicted,
         replayed,
+        operand_reused,
     })
+}
+
+/// Lock the operand memo. The map is valid at every step; a poisoned
+/// lock only means another worker unwound.
+fn lock(operands: &OperandKeys) -> std::sync::MutexGuard<'_, BTreeMap<OperandSpec, String>> {
+    operands.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Median of an unsorted sample (0 when empty).
@@ -429,11 +523,12 @@ pub fn serve_trace(
     let plan = schedule(trace, config, obs);
     let planner = SpmmPlanner::new(config.planner.clone());
     let cache: PlanCache<CachedPlan> = PlanCache::new(config.cache_budget_bytes);
+    let operands: OperandKeys = Mutex::new(BTreeMap::new());
 
     let work: Vec<(usize, Request)> = plan.dispatched.into_iter().enumerate().collect();
     let outcomes: Vec<Result<Outcome, ServeError>> = work
         .into_par_iter()
-        .map(|(dispatch, req)| execute_one(dispatch, &req, &planner, &cache, obs))
+        .map(|(dispatch, req)| execute_one(dispatch, &req, &planner, &cache, &operands, obs))
         .collect();
     let mut done = Vec::with_capacity(outcomes.len());
     for outcome in outcomes {
@@ -513,6 +608,7 @@ pub fn serve_trace(
         hit_p50_allocs: median(hit_allocs),
         miss_p50_allocs: median(miss_allocs),
         sim_replays: done.iter().filter(|o| o.replayed).count() as u64,
+        operand_reuses: done.iter().filter(|o| o.operand_reused).count() as u64,
     };
 
     let m = &obs.metrics;
@@ -525,6 +621,7 @@ pub fn serve_trace(
     m.counter_add("serve.cache.waits", stats.cache_waits);
     m.counter_add("serve.cache.evictions", stats.cache_evictions);
     m.counter_add("serve.sim.replays", stats.sim_replays);
+    m.counter_add("serve.operand.reuses", stats.operand_reuses);
     m.gauge_set("serve.cache.resident_bytes", stats.resident_bytes as f64);
     m.gauge_set("serve.queue.high_water", counts.max_queue_depth as f64);
     for o in &done {

@@ -136,6 +136,13 @@ pub struct ServeStats {
     /// Responses whose kernel replayed values-only against its plan's
     /// memoized `KernelStats` instead of simulating.
     pub sim_replays: u64,
+    /// Responses whose plan key came from the broker's per-spec operand
+    /// memo, so A was neither generated nor fingerprinted for them. A
+    /// serial replay has `admitted - distinct specs`; workers racing on a
+    /// new spec may each build it. Absent in ledgers written before the
+    /// memo, which parse as 0.
+    #[serde(default)]
+    pub operand_reuses: u64,
 }
 
 /// A full service replay: what `nmt-cli serve` writes.
@@ -264,13 +271,14 @@ impl ServeLedger {
         ));
         if let Some(s) = &self.stats {
             out.push_str(&format!(
-                "  cache: {} hits, {} computes, {} waits, {} evictions, {} B resident; {} sim replays\n",
+                "  cache: {} hits, {} computes, {} waits, {} evictions, {} B resident; {} sim replays, {} operand reuses\n",
                 s.cache_hits,
                 s.cache_computes,
                 s.cache_waits,
                 s.cache_evictions,
                 s.resident_bytes,
-                s.sim_replays
+                s.sim_replays,
+                s.operand_reuses
             ));
             out.push_str(&format!(
                 "  latency p50: hit {} ns / miss {} ns; allocs p50: hit {} / miss {}; pool idle {} B\n",
@@ -396,10 +404,8 @@ mod tests {
         assert!(err.contains("schema"), "{err}");
     }
 
-    #[test]
-    fn canonical_json_strips_stats() {
-        let mut ledger = sample();
-        ledger.stats = Some(ServeStats {
+    fn sample_stats() -> ServeStats {
+        ServeStats {
             cache_hits: 1,
             cache_computes: 1,
             cache_waits: 0,
@@ -411,10 +417,30 @@ mod tests {
             hit_p50_allocs: 0,
             miss_p50_allocs: 12,
             sim_replays: 1,
-        });
+            operand_reuses: 1,
+        }
+    }
+
+    #[test]
+    fn canonical_json_strips_stats() {
+        let mut ledger = sample();
+        ledger.stats = Some(sample_stats());
         let without = sample();
         assert_eq!(ledger.canonical_json(), without.canonical_json());
         assert_ne!(ledger.to_json(), without.to_json());
+    }
+
+    #[test]
+    fn stats_written_before_the_operand_memo_parse_with_zero_reuses() {
+        let mut ledger = sample();
+        ledger.stats = Some(sample_stats());
+        let json = ledger.to_json();
+        let old = json.replace(",\n    \"operand_reuses\": 1\n", "\n");
+        assert_ne!(old, json, "the field must be present to strip");
+        let parsed = ServeLedger::from_json(&old).unwrap();
+        let stats = parsed.stats.expect("stats parse");
+        assert_eq!(stats.operand_reuses, 0);
+        assert_eq!(stats.sim_replays, 1);
     }
 
     #[test]
@@ -432,6 +458,7 @@ mod tests {
             hit_p50_allocs: 0,
             miss_p50_allocs: 0,
             sim_replays: 99,
+            operand_reuses: 99,
         });
         assert!(ours.gate(&sample()).is_ok(), "stats must never gate");
 

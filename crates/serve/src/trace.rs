@@ -6,7 +6,10 @@
 //! deterministic, so the spec IS the matrix, the trace stays tiny, and a
 //! replay regenerates bit-identical operands on any machine — the same
 //! discipline the bench suite uses. Production traffic would carry real
-//! matrices; the fingerprint layer is payload-based either way.
+//! matrices; the fingerprint layer is payload-based either way. The
+//! plan key is still derived from the generated payload, once per
+//! distinct spec per replay: the broker remembers each spec's key, so a
+//! repeated spec is neither regenerated nor re-fingerprinted.
 //!
 //! [`synth_trace`] builds seeded schedules whose matrix pool is smaller
 //! than the request count, so replayed workloads exercise the plan cache

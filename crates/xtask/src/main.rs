@@ -30,7 +30,7 @@ commands:
            [--rules-md [--write]]
   miri     [--root <dir>]
 
-common options:
+options (miri takes only --root):
   --json <path>     also write the machine-readable report to <path>
   --deny-warnings   treat warning-severity findings as failures
   --root <dir>      workspace root (default: ancestor of this binary's manifest)
@@ -198,9 +198,24 @@ fn run_lint(args: &[String]) -> ExitCode {
 /// set of `crates/*` whose sources contain the `unsafe` keyword.
 const MIRI_CRATES: &[&str] = &["nmt-obs"];
 
+/// `miri`'s one option is `--root <dir>`; every other argument is an
+/// error, so a lint flag given to it is not silently ignored.
+fn parse_miri_args(args: &[String]) -> Result<PathBuf, String> {
+    let mut root = default_root();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--root" => root = PathBuf::from(it.next().ok_or("--root needs a directory")?),
+            "--help" | "-h" => return Err(String::new()),
+            other => return Err(format!("miri takes only --root, not {other}")),
+        }
+    }
+    Ok(root)
+}
+
 fn run_miri(args: &[String]) -> ExitCode {
-    let parsed = match parse_args(args) {
-        Ok(p) => p,
+    let root = match parse_miri_args(args) {
+        Ok(root) => root,
         Err(msg) => {
             if !msg.is_empty() {
                 eprintln!("error: {msg}");
@@ -228,7 +243,7 @@ fn run_miri(args: &[String]) -> ExitCode {
     for c in MIRI_CRATES {
         cmd.args(["-p", c]);
     }
-    cmd.current_dir(&parsed.root);
+    cmd.current_dir(&root);
     // Span timing needs host clock access under the interpreter.
     cmd.env(
         "MIRIFLAGS",
@@ -270,6 +285,29 @@ mod tests {
             .find_map(|l| l.strip_prefix("name = "))
             .map(|v| v.trim().trim_matches('"').to_string())
             .expect("manifest names its package")
+    }
+
+    #[test]
+    fn miri_rejects_every_argument_but_root() {
+        let args = |xs: &[&str]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            parse_miri_args(&args(&["--root", "some/dir"])),
+            Ok(PathBuf::from("some/dir"))
+        );
+        assert_eq!(parse_miri_args(&args(&[])), Ok(default_root()));
+        assert!(parse_miri_args(&args(&["--root"])).is_err());
+        for stray in [
+            &["--json", "out.json"][..],
+            &["--deny-warnings"],
+            &["--rules-md"],
+            &["--write"],
+            &["--root", "d", "--write"],
+            &["crates/obs"],
+        ] {
+            assert!(parse_miri_args(&args(stray)).is_err(), "{stray:?}");
+            // Rejected before `cargo miri` is probed, with exit code 2.
+            assert_eq!(run_miri(&args(stray)), ExitCode::from(2), "{stray:?}");
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! parsing (no syn/quote, which are unavailable offline).
 //!
 //! Supported input shapes — exactly what this workspace uses:
-//! * structs with named fields (no generics, no `#[serde(...)]` attrs),
+//! * structs with named fields (no generics); the one field attribute is
+//!   `#[serde(default)]`, which deserializes an absent field as
+//!   `Default::default()`,
 //! * enums whose variants are all unit variants.
 //!
 //! The generated impls target the shim `serde`'s value-tree model:
@@ -12,9 +14,16 @@
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
+/// One named struct field.
+struct Field {
+    name: String,
+    /// Marked `#[serde(default)]`.
+    default: bool,
+}
+
 enum Shape {
     /// Named struct fields, in declaration order.
-    Struct(Vec<String>),
+    Struct(Vec<Field>),
     /// Unit enum variants, in declaration order.
     Enum(Vec<String>),
 }
@@ -71,14 +80,36 @@ fn parse_input(input: TokenStream) -> Input {
     Input { name, shape }
 }
 
-fn parse_named_fields(ts: TokenStream, ty: &str) -> Vec<String> {
+/// Whether an attribute's bracket group reads `serde(default)`; any
+/// other `serde(...)` attribute is unsupported.
+fn is_serde_default(attr: &TokenTree, ty: &str) -> bool {
+    let TokenTree::Group(g) = attr else {
+        return false;
+    };
+    let mut inner = g.stream().into_iter();
+    match inner.next() {
+        Some(TokenTree::Ident(id)) if id.to_string() == "serde" => {}
+        _ => return false,
+    }
+    match inner.next() {
+        Some(TokenTree::Group(args)) if args.stream().to_string() == "default" => true,
+        other => {
+            panic!("shim serde derive supports only `#[serde(default)]` in `{ty}`, got {other:?}")
+        }
+    }
+}
+
+fn parse_named_fields(ts: TokenStream, ty: &str) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut iter = ts.into_iter().peekable();
     loop {
-        // Skip attributes / doc comments.
+        // Attributes / doc comments: only `#[serde(default)]` matters.
+        let mut default = false;
         while matches!(iter.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
             iter.next();
-            iter.next();
+            if let Some(attr) = iter.next() {
+                default |= is_serde_default(&attr, ty);
+            }
         }
         // Skip visibility (`pub`, `pub(crate)`, ...).
         if matches!(iter.peek(), Some(TokenTree::Ident(id)) if id.to_string() == "pub") {
@@ -91,7 +122,10 @@ fn parse_named_fields(ts: TokenStream, ty: &str) -> Vec<String> {
             }
         }
         match iter.next() {
-            Some(TokenTree::Ident(id)) => fields.push(id.to_string()),
+            Some(TokenTree::Ident(id)) => fields.push(Field {
+                name: id.to_string(),
+                default,
+            }),
             None => break,
             other => panic!("unexpected token in fields of `{ty}`: {other:?}"),
         }
@@ -150,17 +184,15 @@ fn parse_unit_variants(ts: TokenStream, ty: &str) -> Vec<String> {
     variants
 }
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let Input { name, shape } = parse_input(input);
     let body = match &shape {
         Shape::Struct(fields) => {
             let pairs: String = fields
                 .iter()
-                .map(|f| {
-                    format!(
-                        "(\"{f}\".to_string(), ::serde::Serialize::to_value(&self.{f})),"
-                    )
+                .map(|Field { name: f, .. }| {
+                    format!("(\"{f}\".to_string(), ::serde::Serialize::to_value(&self.{f})),")
                 })
                 .collect();
             format!("::serde::Value::Object(vec![{pairs}])")
@@ -182,18 +214,27 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     .expect("generated Serialize impl parses")
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let Input { name, shape } = parse_input(input);
     let body = match &shape {
         Shape::Struct(fields) => {
             let inits: String = fields
                 .iter()
-                .map(|f| {
-                    format!(
-                        "{f}: ::serde::Deserialize::from_value(__v.field(\"{f}\"))\
-                             .map_err(|e| e.in_field(\"{f}\"))?,"
-                    )
+                .map(|Field { name: f, default }| {
+                    let parse = format!(
+                        "::serde::Deserialize::from_value(__f).map_err(|e| e.in_field(\"{f}\"))?"
+                    );
+                    if *default {
+                        format!(
+                            "{f}: match __v.get(\"{f}\") {{ \
+                                 ::core::option::Option::Some(__f) => {parse}, \
+                                 ::core::option::Option::None => ::core::default::Default::default(), \
+                             }},"
+                        )
+                    } else {
+                        format!("{f}: {{ let __f = __v.field(\"{f}\"); {parse} }},")
+                    }
                 })
                 .collect();
             format!("::core::result::Result::Ok({name} {{ {inits} }})")

@@ -142,6 +142,24 @@ fn every_scoped_path_exists() {
 }
 
 #[test]
+fn design_doc_names_every_determinism_scoped_file() {
+    // The DESIGN.md §6d paragraph that lists the determinism-scoped files
+    // must name every entry of `DETERMINISM_SCOPED`.
+    const LEAD: &str = "**Determinism-scoped files**";
+    let design = std::fs::read_to_string(root().join("DESIGN.md")).expect("DESIGN.md");
+    let start = design
+        .find(LEAD)
+        .expect("DESIGN.md §6d must list the determinism-scoped files");
+    let paragraph = design[start..].split("\n\n").next().unwrap_or_default();
+    for p in nmt_lint::DETERMINISM_SCOPED {
+        assert!(
+            paragraph.contains(&format!("`{p}`")),
+            "DESIGN.md's determinism-scoped list does not name {p}"
+        );
+    }
+}
+
+#[test]
 fn design_doc_rule_table_matches_rule_info() {
     // DESIGN.md §6d is generated from `rule_info()` via
     // `cargo xtask lint --rules-md --write`; this test fails on drift.
