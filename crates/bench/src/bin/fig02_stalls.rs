@@ -23,7 +23,13 @@ fn main() {
     print_table(&["matrix", "memory", "sm", "other"], &table);
 
     let avg = |f: fn(&nmt_sim::StallBreakdown) -> f64| {
-        mean(&ledger.rows.iter().map(|r| f(&r.baseline_stall)).collect::<Vec<_>>()) * 100.0
+        mean(
+            &ledger
+                .rows
+                .iter()
+                .map(|r| f(&r.baseline_stall))
+                .collect::<Vec<_>>(),
+        ) * 100.0
     };
     let (mem, sm, other) = (avg(|s| s.memory), avg(|s| s.sm), avg(|s| s.other));
     println!();

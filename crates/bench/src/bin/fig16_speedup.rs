@@ -88,7 +88,10 @@ fn main() {
             "online tiled (B)",
             "offline tiled (B)",
         ],
-        &table.into_iter().map(|(_, cells)| cells).collect::<Vec<_>>(),
+        &table
+            .into_iter()
+            .map(|(_, cells)| cells)
+            .collect::<Vec<_>>(),
     );
 
     let all_tiling: Vec<f64> = ledger

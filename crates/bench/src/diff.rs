@@ -253,7 +253,10 @@ pub fn diff_ledgers(a: &Ledger, b: &Ledger) -> Result<DiffReport, String> {
     let rows_b: BTreeMap<&str, &LedgerRow> =
         b.rows.iter().map(|r| (r.matrix.as_str(), r)).collect();
     let only = |x: &BTreeMap<&str, &LedgerRow>, y: &BTreeMap<&str, &LedgerRow>| -> Vec<String> {
-        x.keys().filter(|k| !y.contains_key(*k)).map(|k| (*k).to_string()).collect()
+        x.keys()
+            .filter(|k| !y.contains_key(*k))
+            .map(|k| (*k).to_string())
+            .collect()
     };
     let (only_in_a, only_in_b) = (only(&rows_a, &rows_b), only(&rows_b, &rows_a));
 
@@ -317,7 +320,9 @@ pub fn diff_ledgers(a: &Ledger, b: &Ledger) -> Result<DiffReport, String> {
             Vec::new(),
             Vec::new(),
             Vec::new(),
-            Some(format!("{why} — wall-time comparison skipped (run bench with --perf)")),
+            Some(format!(
+                "{why} — wall-time comparison skipped (run bench with --perf)"
+            )),
         ),
     };
 
@@ -429,7 +434,10 @@ mod tests {
             warmup: 1,
             iters: 8,
             resamples: 100,
-            matrices: vec![perf_matrix("m0", 1_000_000.0), perf_matrix("m1", 2_000_000.0)],
+            matrices: vec![
+                perf_matrix("m0", 1_000_000.0),
+                perf_matrix("m1", 2_000_000.0),
+            ],
         });
         ledger
     }
@@ -538,8 +546,14 @@ mod tests {
         let report = diff_ledgers(&a, &b).expect("diffs");
         assert_eq!(report.only_in_a, vec!["gone".to_string()]);
         assert_eq!(report.only_in_b, vec!["new".to_string()]);
-        assert!(report.identity_notes.iter().any(|n| n.contains("seed 1 vs 7")));
-        assert!(report.identity_notes.iter().any(|n| n.contains("fault plan")));
+        assert!(report
+            .identity_notes
+            .iter()
+            .any(|n| n.contains("seed 1 vs 7")));
+        assert!(report
+            .identity_notes
+            .iter()
+            .any(|n| n.contains("fault plan")));
     }
 
     #[test]
@@ -603,8 +617,7 @@ mod tests {
         let text = report.render_text();
         assert!(text.contains("REGRESSED"));
         assert!(text.contains("m1"));
-        let parsed: DiffReport =
-            serde_json::from_str(&report.to_json()).expect("JSON roundtrips");
+        let parsed: DiffReport = serde_json::from_str(&report.to_json()).expect("JSON roundtrips");
         assert_eq!(parsed, report);
     }
 
@@ -649,7 +662,9 @@ mod tests {
         let victim = vec![("m0".to_string(), "total".to_string())];
         assert_eq!(flagged, victim, "diff flags exactly the doctored total");
         assert!(report.perf_improvements.is_empty());
-        let errs = doctored.perf_gate(&a, 0.5).expect_err("doctored run must fail the gate");
+        let errs = doctored
+            .perf_gate(&a, 0.5)
+            .expect_err("doctored run must fail the gate");
         assert_eq!(gate_flagged(&errs), victim, "{errs:?}");
 
         // A x1.2 median wobble clears A's CI (the differ reports it) but

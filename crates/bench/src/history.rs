@@ -99,13 +99,20 @@ impl HistoryRecord {
     /// until [`append_history`] assigns the real ordinal.
     pub fn from_ledger(ledger: &Ledger, commit: &str) -> Self {
         let mut phases: BTreeMap<String, PhaseMedian> = BTreeMap::new();
-        for p in ledger.perf.iter().flat_map(|perf| &perf.matrices).flat_map(|m| &m.phases) {
-            let entry = phases.entry(p.phase.clone()).or_insert_with(|| PhaseMedian {
-                phase: p.phase.clone(),
-                median_ns: 0.0,
-                ci_lo_ns: 0.0,
-                ci_hi_ns: 0.0,
-            });
+        for p in ledger
+            .perf
+            .iter()
+            .flat_map(|perf| &perf.matrices)
+            .flat_map(|m| &m.phases)
+        {
+            let entry = phases
+                .entry(p.phase.clone())
+                .or_insert_with(|| PhaseMedian {
+                    phase: p.phase.clone(),
+                    median_ns: 0.0,
+                    ci_lo_ns: 0.0,
+                    ci_hi_ns: 0.0,
+                });
             entry.median_ns += p.median_ns;
             entry.ci_lo_ns += p.ci_lo_ns;
             entry.ci_hi_ns += p.ci_hi_ns;
@@ -262,8 +269,10 @@ pub fn render_history(records: &[HistoryRecord]) -> String {
         return "history: no records\n".to_string();
     }
     let mut out = String::new();
-    let bench: Vec<(&HistoryRecord, &BenchRun)> =
-        records.iter().filter_map(|r| Some((r, r.bench.as_ref()?))).collect();
+    let bench: Vec<(&HistoryRecord, &BenchRun)> = records
+        .iter()
+        .filter_map(|r| Some((r, r.bench.as_ref()?)))
+        .collect();
     if !bench.is_empty() {
         out.push_str(&format!(
             "{:>4}  {:<12} {:<8} {:>8} {:>9}  phases\n",
@@ -297,8 +306,10 @@ pub fn render_history(records: &[HistoryRecord]) -> String {
             }
         }
     }
-    let serve: Vec<(&HistoryRecord, &ServeRun)> =
-        records.iter().filter_map(|r| Some((r, r.serve.as_ref()?))).collect();
+    let serve: Vec<(&HistoryRecord, &ServeRun)> = records
+        .iter()
+        .filter_map(|r| Some((r, r.serve.as_ref()?)))
+        .collect();
     if !serve.is_empty() {
         out.push_str(&format!("serve history: {} run(s)\n", serve.len()));
         out.push_str(
@@ -447,7 +458,9 @@ mod tests {
     #[test]
     fn missing_file_is_an_empty_timeline() {
         let path = temp_history("none").join("NOPE.jsonl");
-        assert!(load_history(&path).expect("missing file is empty").is_empty());
+        assert!(load_history(&path)
+            .expect("missing file is empty")
+            .is_empty());
     }
 
     #[test]
@@ -471,7 +484,10 @@ mod tests {
     #[test]
     fn mixed_file_loads_renders_both_tables_and_scans_bench_rows_only() {
         let path = temp_history("mixed");
-        assert_eq!(append_history(&path, record(2.0, 1000.0)).expect("appends"), 0);
+        assert_eq!(
+            append_history(&path, record(2.0, 1000.0)).expect("appends"),
+            0
+        );
         assert_eq!(append_history(&path, serve_record(48)).expect("appends"), 1);
         append_torn_line(&path);
         let rows = load_history(&path).expect("loads");
@@ -479,14 +495,18 @@ mod tests {
         assert_eq!((rows[0].run, rows[1].run), (0, 1));
         assert!(rows[0].bench.is_some() && rows[1].serve.is_some());
         let text = render_history(&rows);
-        assert!(text.contains("geomean") && text.contains("deadbeef"), "{text}");
+        assert!(
+            text.contains("geomean") && text.contains("deadbeef"),
+            "{text}"
+        );
         assert!(text.contains("serve history: 1 run(s)"), "{text}");
         let _ = std::fs::remove_dir_all(path.parent().expect("dir"));
 
         // Serve rows interleaved into a stepped bench series leave the
         // scan exactly as over the bench rows alone.
-        let bench: Vec<HistoryRecord> =
-            (0..8).map(|i| record(2.0, if i < 4 { 1000.0 } else { 2000.0 })).collect();
+        let bench: Vec<HistoryRecord> = (0..8)
+            .map(|i| record(2.0, if i < 4 { 1000.0 } else { 2000.0 }))
+            .collect();
         let mixed: Vec<HistoryRecord> = bench
             .iter()
             .flat_map(|r| [r.clone(), serve_record(48)])

@@ -601,9 +601,8 @@ pub(crate) fn identity_mismatches(
     base: &Ledger,
     run: &Ledger,
 ) -> Vec<(&'static str, String, String)> {
-    let fault = |v: Option<u64>| {
-        v.map_or_else(|| "none (no fault plan)".to_string(), |v| v.to_string())
-    };
+    let fault =
+        |v: Option<u64>| v.map_or_else(|| "none (no fault plan)".to_string(), |v| v.to_string());
     [
         ("scale", base.scale.clone(), run.scale.clone()),
         ("seed", base.seed.to_string(), run.seed.to_string()),
@@ -631,7 +630,11 @@ pub(crate) fn perf_sections<'a>(
         (Some(b), Some(r)) => Ok((b, r)),
         (b, r) => {
             let state = |s: &Option<PerfSection>| if s.is_some() { "present" } else { "absent" };
-            Err(format!("perf section {} in run, {} in baseline", state(r), state(b)))
+            Err(format!(
+                "perf section {} in run, {} in baseline",
+                state(r),
+                state(b)
+            ))
         }
     }
 }
@@ -913,7 +916,10 @@ fn harvest_events(obs: &ObsContext) -> Vec<LedgerEvent> {
 /// or to run are simply absent from the section — their failure is already
 /// recorded in the ledger's error rows.
 fn measure_perf(
-    suite: &[(nmt_matgen::MatrixDesc, Result<nmt_formats::Csr, nmt_matgen::MatgenError>)],
+    suite: &[(
+        nmt_matgen::MatrixDesc,
+        Result<nmt_formats::Csr, nmt_matgen::MatgenError>,
+    )],
     config: &PlannerConfig,
     k: usize,
     cfg: &BenchConfig,
@@ -1044,10 +1050,7 @@ mod tests {
         // The oracle bounds the hybrid from above by construction.
         assert!(s.oracle_geomean_speedup >= s.geomean_speedup - 1e-12);
         assert!((0.0..=1.0).contains(&s.ssf_accuracy));
-        assert_eq!(
-            s.mispicks,
-            ledger.rows.iter().filter(|r| r.mispick).count()
-        );
+        assert_eq!(s.mispicks, ledger.rows.iter().filter(|r| r.mispick).count());
         assert!(s.traffic_bytes.values().sum::<u64>() > 0);
         assert!(s.chosen_latency_ns.p50 <= s.chosen_latency_ns.p95);
         assert!(s.chosen_latency_ns.p95 <= s.chosen_latency_ns.p99);
@@ -1066,9 +1069,7 @@ mod tests {
         // Injected speedup regression beyond tolerance fails.
         let mut slow = ledger.clone();
         slow.summary.geomean_speedup *= 0.80;
-        let errs = slow
-            .gate(&ledger)
-            .expect_err("regression must fire");
+        let errs = slow.gate(&ledger).expect_err("regression must fire");
         assert!(errs.iter().any(|e| e.contains("geomean speedup regressed")));
 
         // Injected accuracy regression fails.
@@ -1090,17 +1091,13 @@ mod tests {
         let ledger = quick_ledger(9);
         let mut other_schema = ledger.clone();
         other_schema.schema_version += 1;
-        let errs = other_schema
-            .gate(&ledger)
-            .expect_err("schema mismatch");
+        let errs = other_schema.gate(&ledger).expect_err("schema mismatch");
         assert!(errs[0].contains("schema version"));
 
         let mut other_suite = ledger.clone();
         other_suite.seed ^= 1;
         other_suite.rows.pop();
-        let errs = other_suite
-            .gate(&ledger)
-            .expect_err("identity mismatch");
+        let errs = other_suite.gate(&ledger).expect_err("identity mismatch");
         assert!(errs.iter().any(|e| e.contains("seed")));
         assert!(errs.iter().any(|e| e.contains("matrix count")));
     }
@@ -1144,15 +1141,11 @@ mod tests {
             fault: None,
             events: None,
         });
-        let errs = errored
-            .gate(&clean)
-            .expect_err("new error row must gate");
+        let errs = errored.gate(&clean).expect_err("new error row must gate");
         assert!(errs.iter().any(|e| e.contains("error-row count")));
         // Symmetric: a baseline with errors and a clean run also mismatch
         // (the baseline must be consciously refreshed).
-        let errs = clean
-            .gate(&errored)
-            .expect_err("count mismatch either way");
+        let errs = clean.gate(&errored).expect_err("count mismatch either way");
         assert!(errs.iter().any(|e| e.contains("error-row count")));
     }
 
@@ -1227,7 +1220,8 @@ mod tests {
         for i in 0..60u64 {
             obs.flight.record(EventSite::FarmStrip, 0, i, 0);
         }
-        obs.flight.record(EventSite::FaultConvertStrip, 2, 7, 0xBEEF);
+        obs.flight
+            .record(EventSite::FaultConvertStrip, 2, 7, 0xBEEF);
         obs.flight.record(EventSite::FaultPartitionDropout, 1, 3, 0);
         let harvested = harvest_events(&obs);
         assert_eq!(harvested.len(), ERROR_ROW_EVENT_CAP);
@@ -1243,8 +1237,10 @@ mod tests {
         for i in 0..60u64 {
             obs2.flight.record(EventSite::FarmStrip, 0, i, 0);
         }
-        obs2.flight.record(EventSite::FaultConvertStrip, 2, 7, 0xBEEF);
-        obs2.flight.record(EventSite::FaultPartitionDropout, 1, 3, 0);
+        obs2.flight
+            .record(EventSite::FaultConvertStrip, 2, 7, 0xBEEF);
+        obs2.flight
+            .record(EventSite::FaultPartitionDropout, 1, 3, 0);
         assert_eq!(harvested, harvest_events(&obs2));
     }
 
@@ -1334,10 +1330,11 @@ mod tests {
     fn perf_gate_passes_identical_and_fires_on_doctored_baseline() {
         let mut run = quick_ledger(19);
         run.perf = Some(perf_section(1.0));
-        let notes = run
-            .perf_gate(&run, 0.5)
-            .expect("identical run passes");
-        assert!(notes.iter().any(|n| n.contains("within ceiling")), "{notes:?}");
+        let notes = run.perf_gate(&run, 0.5).expect("identical run passes");
+        assert!(
+            notes.iter().any(|n| n.contains("within ceiling")),
+            "{notes:?}"
+        );
 
         // Median drift above the baseline CI but inside the noise margin
         // still passes: 1.2 ms median vs a 1.1 ms CI-hi * 1.5 ceiling.
@@ -1354,8 +1351,14 @@ mod tests {
         let errs = run
             .perf_gate(&doctored, 0.5)
             .expect_err("doctored baseline must fire");
-        assert!(errs.iter().any(|e| e.contains("total regressed")), "{errs:?}");
-        assert!(errs.iter().any(|e| e.contains("phase regressed")), "{errs:?}");
+        assert!(
+            errs.iter().any(|e| e.contains("total regressed")),
+            "{errs:?}"
+        );
+        assert!(
+            errs.iter().any(|e| e.contains("phase regressed")),
+            "{errs:?}"
+        );
     }
 
     #[test]
@@ -1374,11 +1377,13 @@ mod tests {
             .perf_gate(&base, 0.5)
             .expect_err("alloc blowup must fire");
         assert!(
-            errs.iter().any(|e| e.contains("allocation count regressed")),
+            errs.iter()
+                .any(|e| e.contains("allocation count regressed")),
             "{errs:?}"
         );
         assert!(
-            errs.iter().any(|e| e.contains("allocation bytes regressed")),
+            errs.iter()
+                .any(|e| e.contains("allocation bytes regressed")),
             "{errs:?}"
         );
 
@@ -1440,9 +1445,17 @@ mod tests {
         };
         let section = measure_perf(&suite, &config, 8, &cfg);
         assert_eq!(section.iters, 3);
-        assert_eq!(section.matrices.len(), suite.len(), "quick suite all builds");
+        assert_eq!(
+            section.matrices.len(),
+            suite.len(),
+            "quick suite all builds"
+        );
         for m in &section.matrices {
-            assert!(m.total_median_ns > 0.0, "{}: window must be timed", m.matrix);
+            assert!(
+                m.total_median_ns > 0.0,
+                "{}: window must be timed",
+                m.matrix
+            );
             assert!(m.total_ci_lo_ns <= m.total_median_ns);
             assert!(m.total_median_ns <= m.total_ci_hi_ns);
             assert!(!m.phases.is_empty(), "{}: phases attributed", m.matrix);

@@ -166,7 +166,12 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
         }
         println!("{s}");
     };
-    line(&headers.iter().map(std::string::ToString::to_string).collect::<Vec<_>>());
+    line(
+        &headers
+            .iter()
+            .map(std::string::ToString::to_string)
+            .collect::<Vec<_>>(),
+    );
     line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
     for row in rows {
         line(row);

@@ -4,9 +4,7 @@ use crate::audit::{DecisionAudit, KernelAudit};
 use nmt_engine::{conversion_energy_pj, ConversionStats};
 use nmt_fault::{FaultPlan, FaultRecord, FaultSite};
 use nmt_formats::{Csr, Dcsr, DenseMatrix, SparseMatrix};
-use nmt_kernels::{
-    bstat_tiled_dcsr_online_obs, csrmm_cusparse, dcsrmm_row_per_warp, KernelRun,
-};
+use nmt_kernels::{bstat_tiled_dcsr_online_obs, csrmm_cusparse, dcsrmm_row_per_warp, KernelRun};
 use nmt_model::ssf::{classify, Choice, SsfProfile, SsfThreshold};
 use nmt_model::{Dataflow, TrafficModel};
 use nmt_obs::ObsContext;
@@ -198,7 +196,8 @@ impl SpmmPlanner {
             obs.metrics.counter_add("fault.fallbacks", 1);
         }
         if chosen.dram_spikes > 0 {
-            obs.metrics.counter_add("fault.dram_spikes", chosen.dram_spikes);
+            obs.metrics
+                .counter_add("fault.dram_spikes", chosen.dram_spikes);
         }
         if chosen.prefetch_overflows > 0 {
             obs.metrics
@@ -271,8 +270,7 @@ impl SpmmPlanner {
             self.run_candidate(Choice::BStationary, a, b, obs)?
         };
         debug_assert!(
-            c_side.run.c.approx_eq(&baseline.c, 1e-3)
-                && b_side.run.c.approx_eq(&baseline.c, 1e-3),
+            c_side.run.c.approx_eq(&baseline.c, 1e-3) && b_side.run.c.approx_eq(&baseline.c, 1e-3),
             "audited kernel disagrees with baseline output"
         );
 
@@ -405,7 +403,13 @@ impl SpmmPlanner {
             let _s = obs.span("kernels.launch");
             dcsrmm_row_per_warp(&mut gpu, &dcsr, b)?
         };
-        Ok(CandidateRun::new(Algorithm::CStationaryDcsr, run, None, fault, &gpu))
+        Ok(CandidateRun::new(
+            Algorithm::CStationaryDcsr,
+            run,
+            None,
+            fault,
+            &gpu,
+        ))
     }
 }
 
@@ -629,10 +633,7 @@ mod tests {
         assert!((audit1.chosen_audit().speedup - report.speedup).abs() < 1e-9);
 
         // Oracle bookkeeping is internally consistent.
-        let faster = audit1
-            .cstationary
-            .time_ns
-            .min(audit1.bstationary.time_ns);
+        let faster = audit1.cstationary.time_ns.min(audit1.bstationary.time_ns);
         assert!((audit1.oracle_audit().time_ns - faster).abs() < 1e-9);
         assert_eq!(audit1.mispick, audit1.chosen != audit1.oracle);
         assert!(audit1.mispick_cost >= 1.0 - 1e-12);
@@ -660,10 +661,7 @@ mod tests {
                 .is_some());
         }
         assert_eq!(obs.metrics.counter("audit.decisions"), 1);
-        assert_eq!(
-            obs.metrics.counter("audit.mispicks"),
-            audit.mispick as u64
-        );
+        assert_eq!(obs.metrics.counter("audit.mispicks"), audit.mispick as u64);
         let snap = obs.metrics.snapshot();
         assert_eq!(snap.histograms["audit.model.abs_rel_err_pct"].count, 6);
         // Both kernels produced per-class DRAM byte maps and validations.
@@ -694,7 +692,11 @@ mod tests {
             .execute(&a, &b)
             .unwrap();
         assert_eq!(faulted.choice, Choice::BStationary, "heuristic unchanged");
-        assert_eq!(faulted.algorithm, Algorithm::CStationaryDcsr, "ran fallback");
+        assert_eq!(
+            faulted.algorithm,
+            Algorithm::CStationaryDcsr,
+            "ran fallback"
+        );
         let rec = faulted.fault.as_ref().expect("fault audited");
         assert!(rec.fell_back);
         assert!(faulted.engine.is_none());

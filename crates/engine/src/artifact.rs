@@ -33,7 +33,9 @@ impl ConversionArtifact {
 
     /// Convert for the B-stationary path: `tile_h × tile_w` DCSR tiles.
     pub fn tiled(a: &Csr, tile_w: usize, tile_h: usize) -> Result<Self, FormatError> {
-        Ok(ConversionArtifact::Tiled(TiledDcsr::from_csr(a, tile_w, tile_h)?))
+        Ok(ConversionArtifact::Tiled(TiledDcsr::from_csr(
+            a, tile_w, tile_h,
+        )?))
     }
 
     /// Storage footprint in bytes — what a byte-budgeted cache charges.

@@ -273,9 +273,7 @@ mod tests {
         assert_eq!(r.min, u32::MAX);
         assert_eq!(r.mask, 0b1010);
         // ...and it still loses to any smaller coordinate.
-        let r = t
-            .find_min(&[Some(u32::MAX), Some(3), None, None])
-            .unwrap();
+        let r = t.find_min(&[Some(u32::MAX), Some(3), None, None]).unwrap();
         assert_eq!(r.min, 3);
         assert_eq!(r.mask, 0b0010);
     }

@@ -105,10 +105,7 @@ pub fn publish_conversion(obs: &nmt_obs::ObsContext, stats: &ConversionStats) {
     m.counter_add("engine.convert.output_bytes", stats.output_bytes);
     m.counter_add("engine.comparator.passes", stats.comparator_passes);
     m.counter_add("engine.comparator.lane_slots", stats.lane_slots);
-    m.gauge_set(
-        "engine.comparator.occupancy",
-        stats.comparator_occupancy(),
-    );
+    m.gauge_set("engine.comparator.occupancy", stats.comparator_occupancy());
 }
 
 /// Stateful converter for one vertical strip of a CSC matrix.

@@ -341,8 +341,12 @@ pub fn convert_matrix_farm_obs(
         }
     }
     if active.is_empty() {
-        obs.flight
-            .record(EventSite::FaultPartitionDropout, 2, 0, config.partitions as u64);
+        obs.flight.record(
+            EventSite::FaultPartitionDropout,
+            2,
+            0,
+            config.partitions as u64,
+        );
         return Err(FarmError::Fault {
             site: FaultSite::PartitionDropout,
             key: 0,
@@ -355,7 +359,15 @@ pub fn convert_matrix_farm_obs(
         .map(|s| {
             let _strip_span = obs.span("engine.farm.strip");
             obs.flight.record(EventSite::FarmStrip, 0, s as u64, 0);
-            convert_strip_faulted(csc, s, tile_w, tile_h, config.fault, config.pool, &obs.flight)
+            convert_strip_faulted(
+                csc,
+                s,
+                tile_w,
+                tile_h,
+                config.fault,
+                config.pool,
+                &obs.flight,
+            )
         })
         .collect();
 
@@ -364,8 +376,12 @@ pub fn convert_matrix_farm_obs(
     // failed strip surfaces as the *lowest-strip-id* error regardless of
     // which worker hit it first in wall-clock terms.
     let _reduce_span = obs.span("engine.farm.reduce");
-    obs.flight
-        .record(EventSite::FarmReduce, 0, nstrips as u64, active.len() as u64);
+    obs.flight.record(
+        EventSite::FarmReduce,
+        0,
+        nstrips as u64,
+        active.len() as u64,
+    );
     let cost = SwitchCost { lanes: tile_w };
     // nmt-lint: allow(hot-alloc) — one partition-table allocation per matrix, size known only here
     let mut per_partition = vec![PartitionWork::default(); config.partitions];
@@ -420,9 +436,13 @@ mod tests {
         let mut entries = Vec::new();
         let mut state = seed | 1;
         for _ in 0..n * 4 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let r = (state >> 33) as usize % n;
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let c = (state >> 33) as usize % n;
             entries.push((r as u32, c as u32, (1 + r + c) as f32));
         }
@@ -625,7 +645,10 @@ mod tests {
             let cfg = FarmConfig::for_partitions(4).with_fault(Some(plan));
             if let Ok(run) = convert_matrix_farm(&csc, 8, 8, cfg) {
                 for &p in &dropped {
-                    assert_eq!(run.per_partition[p].tiles, 0, "dropped partition {p} served");
+                    assert_eq!(
+                        run.per_partition[p].tiles, 0,
+                        "dropped partition {p} served"
+                    );
                 }
                 assert_eq!(run.stats, {
                     let clean =

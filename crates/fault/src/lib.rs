@@ -144,15 +144,14 @@ impl FaultPlan {
         if self.rate_ppm >= PPM_SCALE {
             return true;
         }
-        let h = mix(
-            self.seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(site.code())
-                .wrapping_mul(0xbf58_476d_1ce4_e5b9)
-                .wrapping_add(key)
-                .wrapping_mul(0x94d0_49bb_1331_11eb)
-                .wrapping_add(salt),
-        );
+        let h = mix(self
+            .seed
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(site.code())
+            .wrapping_mul(0xbf58_476d_1ce4_e5b9)
+            .wrapping_add(key)
+            .wrapping_mul(0x94d0_49bb_1331_11eb)
+            .wrapping_add(salt));
         (h % u64::from(PPM_SCALE)) < u64::from(self.rate_ppm)
     }
 }
@@ -239,7 +238,10 @@ mod tests {
         let diverged = (0..1_000).any(|key| {
             a.fires(FaultSite::ConvertStrip, key) != b.fires(FaultSite::ConvertStrip, key)
         });
-        assert!(diverged, "distinct seeds should produce distinct fault sets");
+        assert!(
+            diverged,
+            "distinct seeds should produce distinct fault sets"
+        );
     }
 
     #[test]
@@ -254,11 +256,10 @@ mod tests {
     #[test]
     fn retry_is_a_distinct_draw() {
         let plan = FaultPlan::from_rate(11, 0.5);
-        let diverged =
-            (0..1_000).any(|key| {
-                plan.fires(FaultSite::ConvertStrip, key)
-                    != plan.retry_fires(FaultSite::ConvertStrip, key)
-            });
+        let diverged = (0..1_000).any(|key| {
+            plan.fires(FaultSite::ConvertStrip, key)
+                != plan.retry_fires(FaultSite::ConvertStrip, key)
+        });
         assert!(diverged, "retry rolls should not mirror the original roll");
     }
 

@@ -92,10 +92,7 @@ pub fn corrupt_csr(csr: &Csr, kind: Corruption) -> Option<Result<Csr, FormatErro
 /// under every mutation even though the validating constructor would
 /// reject it — use this; [`corrupt_csr`] layers the constructor verdict
 /// on top.
-pub fn corrupt_csr_parts(
-    csr: &Csr,
-    kind: Corruption,
-) -> Option<(Vec<u32>, Vec<u32>, Vec<f32>)> {
+pub fn corrupt_csr_parts(csr: &Csr, kind: Corruption) -> Option<(Vec<u32>, Vec<u32>, Vec<f32>)> {
     let shape = csr.shape();
     let mut rowptr = csr.rowptr().to_vec();
     let mut colidx = csr.colidx().to_vec();
@@ -130,8 +127,7 @@ pub fn corrupt_csc(csc: &Csc, kind: Corruption) -> Option<Result<Csc, FormatErro
     let values = csc.values().to_vec();
     match kind {
         Corruption::ShuffledIndices => {
-            let col = (0..shape.ncols)
-                .find(|&c| (colptr[c + 1] - colptr[c]) >= 2)?;
+            let col = (0..shape.ncols).find(|&c| (colptr[c + 1] - colptr[c]) >= 2)?;
             let lo = colptr[col] as usize;
             rowidx.swap(lo, lo + 1);
         }
@@ -242,14 +238,7 @@ mod tests {
     #[test]
     fn corruption_kinds_yield_expected_variants() {
         // A concrete anchor so variant drift is visible, not just "some Err".
-        let csr = Csr::new(
-            2,
-            4,
-            vec![0, 2, 3],
-            vec![0, 2, 1],
-            vec![1.0, 2.0, 3.0],
-        )
-        .unwrap();
+        let csr = Csr::new(2, 4, vec![0, 2, 3], vec![0, 2, 1], vec![1.0, 2.0, 3.0]).unwrap();
         assert!(matches!(
             corrupt_csr(&csr, Corruption::ShuffledIndices),
             Some(Err(FormatError::NotCanonical { .. }))

@@ -322,9 +322,7 @@ mod tests {
     #[test]
     fn rejects_non_finite_values() {
         for bad in ["NaN", "nan", "inf", "-inf", "Infinity"] {
-            let text = format!(
-                "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 {bad}\n"
-            );
+            let text = format!("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 {bad}\n");
             let err = read_market(text.as_bytes()).unwrap_err();
             match err {
                 FormatError::NonFiniteValue { line, ref token } => {
@@ -371,15 +369,9 @@ mod tests {
     #[test]
     fn rejects_overflowing_dimensions() {
         let big = u32::MAX as u64 + 1;
-        let text =
-            format!("%%MatrixMarket matrix coordinate real general\n{big} 2 0\n");
+        let text = format!("%%MatrixMarket matrix coordinate real general\n{big} 2 0\n");
         let err = read_market(text.as_bytes()).unwrap_err();
-        assert_eq!(
-            err,
-            FormatError::DimensionOverflow {
-                dim: big as usize
-            }
-        );
+        assert_eq!(err, FormatError::DimensionOverflow { dim: big as usize });
         // A dimension too large even for usize is a parse error, not a panic.
         let text = "%%MatrixMarket matrix coordinate real general\n\
                     99999999999999999999999999 2 0\n";

@@ -118,11 +118,7 @@ fn load_b_tile(
     }
 }
 
-fn check_dims(
-    a_shape: nmt_formats::Shape,
-    b: &DenseMatrix,
-    tile_w: usize,
-) -> Result<(), SimError> {
+fn check_dims(a_shape: nmt_formats::Shape, b: &DenseMatrix, tile_w: usize) -> Result<(), SimError> {
     crate::check_inner_dims(a_shape.ncols, b.nrows())?;
     // The B tile (tile_w rows x K columns) must be a plausible shared-
     // memory resident; the launch itself enforces the hard capacity limit.
@@ -464,7 +460,10 @@ pub fn bstat_tiled_dcsr_online_obs(
                 .record(nmt_obs::EventSite::KernelStrip, 0, s as u64, st.elements);
             let m = &obs.metrics;
             m.histogram_record("kernels.bstat_online.strip_elements", st.elements);
-            m.histogram_record("kernels.bstat_online.strip_flops", 2 * k as u64 * st.elements);
+            m.histogram_record(
+                "kernels.bstat_online.strip_flops",
+                2 * k as u64 * st.elements,
+            );
             m.histogram_record("kernels.bstat_online.strip_stream_bytes", st.output_bytes);
             if let Some(pipe) = pipeline_runs.get(s) {
                 publish_pipeline(obs, pipe);
@@ -479,8 +478,12 @@ pub fn bstat_tiled_dcsr_online_obs(
     // initializes col_frontier, loads its B tile once, then issues one
     // GetDCSRTile per DCSR_HEIGHT rows.
     let launch_span = obs.span("kernels.launch");
-    obs.flight
-        .record(nmt_obs::EventSite::KernelLaunch, 0, nstrips as u64, k as u64);
+    obs.flight.record(
+        nmt_obs::EventSite::KernelLaunch,
+        0,
+        nstrips as u64,
+        k as u64,
+    );
     let a = ASource::Engine { csc, dev: &a_dev };
     let run = launch_strips(gpu, &strips, a, &ops, tile_w, k, Traversal::ColumnMajor)?;
     // The freshly-minted strips have been consumed; hand their buffers

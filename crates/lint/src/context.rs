@@ -331,12 +331,10 @@ mod tests {
 
     #[test]
     fn split_reason_continues_on_indented_comment_lines() {
-        let lexed = lex(
-            "// nmt-lint: allow(panic) — the input is validated two\n\
+        let lexed = lex("// nmt-lint: allow(panic) — the input is validated two\n\
              //   frames up, so the unwrap cannot fire; splitting the\n\
              //   justification keeps lines under the width limit\n\
-             x.unwrap();\n",
-        );
+             x.unwrap();\n");
         let d = allow_directives(&lexed.comments);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].line, 1);
@@ -347,10 +345,8 @@ mod tests {
 
     #[test]
     fn unindented_comment_does_not_continue_a_directive() {
-        let lexed = lex(
-            "// nmt-lint: allow(panic) — checked\n\
-             // an ordinary comment, not a continuation\n",
-        );
+        let lexed = lex("// nmt-lint: allow(panic) — checked\n\
+             // an ordinary comment, not a continuation\n");
         let d = allow_directives(&lexed.comments);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].end_line, 1);

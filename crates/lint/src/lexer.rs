@@ -319,7 +319,8 @@ fn lex_string(cur: &mut Cursor, line: u32, col: u32) -> Token {
 /// Lex a `'`-introduced token: lifetime or char literal. The quote is
 /// pending at the cursor.
 fn lex_quote(cur: &mut Cursor, line: u32, col: u32) -> Token {
-    cur.bump(); // the quote (or leading `b` was consumed by caller)
+    // The quote (or leading `b` was consumed by caller).
+    cur.bump();
     // Lifetime: `'` identifier not closed by another `'` (`'a'` is a char).
     if cur.peek(0).is_some_and(is_ident_start) && cur.peek(1) != Some('\'') {
         let mut text = String::from("'");

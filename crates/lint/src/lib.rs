@@ -35,7 +35,7 @@ pub mod lexer;
 pub mod report;
 pub mod rules;
 
-pub use report::{Diagnostic, Report, Severity, SuppressionRecord, Summary};
+pub use report::{Diagnostic, Report, Severity, Summary, SuppressionRecord};
 pub use rules::{check_source, rule_info, rules_markdown, FileClass, RULES};
 
 use std::fmt;
@@ -139,14 +139,13 @@ pub fn classify(rel_path: &str) -> FileClass {
     let normalized = rel_path.replace('\\', "/");
     let file_name = normalized.rsplit('/').next().unwrap_or(&normalized);
     let is_binary = normalized.contains("/bin/") || file_name == "main.rs";
-    let determinism_scoped = DETERMINISM_SCOPED.contains(&normalized.as_str())
-        || file_name.starts_with("scoped_");
+    let determinism_scoped =
+        DETERMINISM_SCOPED.contains(&normalized.as_str()) || file_name.starts_with("scoped_");
     FileClass {
         determinism_scoped,
         wallclock_allowed: WALLCLOCK_ALLOWED.contains(&normalized.as_str()),
         panic_checked: !is_binary,
-        hot_path: HOT_PATH_SCOPED.contains(&normalized.as_str())
-            || file_name.starts_with("hot_"),
+        hot_path: HOT_PATH_SCOPED.contains(&normalized.as_str()) || file_name.starts_with("hot_"),
         concurrency_scoped: determinism_scoped
             || CONCURRENCY_SCOPED.contains(&normalized.as_str())
             || file_name.starts_with("atomic_"),
@@ -252,7 +251,11 @@ pub fn lint_workspace(root: &Path) -> Result<Report, LintError> {
 pub fn lint_paths(root: &Path, paths: &[PathBuf]) -> Result<Report, LintError> {
     let mut files = Vec::new();
     for p in paths {
-        let abs = if p.is_absolute() { p.clone() } else { root.join(p) };
+        let abs = if p.is_absolute() {
+            p.clone()
+        } else {
+            root.join(p)
+        };
         if abs.is_dir() {
             collect_rs(&abs, &mut files)?;
         } else if abs.is_file() {
@@ -289,7 +292,10 @@ mod tests {
         let c = classify("crates/obs/src/alloc.rs");
         assert!(c.wallclock_allowed, "alloc scope rides the span clock");
         let c = classify("crates/bench/src/harness.rs");
-        assert!(c.wallclock_allowed, "the microbench timer core is sanctioned");
+        assert!(
+            c.wallclock_allowed,
+            "the microbench timer core is sanctioned"
+        );
         let c = classify("crates/kernels/src/bstationary.rs");
         assert!(
             !c.wallclock_allowed,

@@ -121,8 +121,12 @@ impl Report {
         suppressions: Vec<SuppressionRecord>,
     ) -> Self {
         diagnostics.sort_by(|a, b| {
-            (a.path.as_str(), a.line, a.col, a.rule.as_str())
-                .cmp(&(b.path.as_str(), b.line, b.col, b.rule.as_str()))
+            (a.path.as_str(), a.line, a.col, a.rule.as_str()).cmp(&(
+                b.path.as_str(),
+                b.line,
+                b.col,
+                b.rule.as_str(),
+            ))
         });
         let mut summary = Summary {
             files_scanned,
@@ -211,7 +215,11 @@ mod tests {
 
     #[test]
     fn warnings_fail_only_when_denied() {
-        let r = Report::new(1, vec![diag("slice-index", Severity::Warning, "a.rs", 2)], vec![]);
+        let r = Report::new(
+            1,
+            vec![diag("slice-index", Severity::Warning, "a.rs", 2)],
+            vec![],
+        );
         assert!(!r.failed(false));
         assert!(r.failed(true));
     }

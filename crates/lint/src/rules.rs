@@ -134,10 +134,7 @@ pub fn rules_markdown() -> String {
     for r in RULES {
         out.push_str(&format!(
             "| `{}` | {} | {} | {} |\n",
-            r.name,
-            r.severity,
-            r.scope,
-            r.rationale
+            r.name, r.severity, r.scope, r.rationale
         ));
     }
     out
@@ -146,9 +143,8 @@ pub fn rules_markdown() -> String {
 /// Keywords that can directly precede `[` without forming an index
 /// expression (`&mut [f32]`, `dyn [..]`-ish positions, `return [..]`).
 const NON_INDEX_KEYWORDS: &[&str] = &[
-    "mut", "ref", "dyn", "as", "in", "return", "break", "continue", "else", "match", "if",
-    "while", "for", "loop", "move", "unsafe", "const", "static", "where", "impl", "box", "let",
-    "yield",
+    "mut", "ref", "dyn", "as", "in", "return", "break", "continue", "else", "match", "if", "while",
+    "for", "loop", "move", "unsafe", "const", "static", "where", "impl", "box", "let", "yield",
 ];
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
@@ -342,8 +338,8 @@ impl FileCheck<'_> {
         // atomic-ordering: every atomic op in a concurrency-scoped file
         // must justify its memory ordering in a `// ordering:` comment.
         if self.class.concurrency_scoped && prev_dot && next_paren {
-            let is_atomic = ATOMIC_METHODS.contains(&tok.text.as_str())
-                || tok.text.starts_with("fetch_");
+            let is_atomic =
+                ATOMIC_METHODS.contains(&tok.text.as_str()) || tok.text.starts_with("fetch_");
             if is_atomic {
                 if let Some(orderings) = self.call_orderings(i) {
                     self.check_atomic_ordering(tok, &orderings);
@@ -387,8 +383,7 @@ impl FileCheck<'_> {
                 if depth == 0 {
                     break;
                 }
-            } else if t.kind == TokenKind::Ident && ORDERING_VARIANTS.contains(&t.text.as_str())
-            {
+            } else if t.kind == TokenKind::Ident && ORDERING_VARIANTS.contains(&t.text.as_str()) {
                 found.push(t.text.clone());
             }
         }
@@ -423,9 +418,7 @@ impl FileCheck<'_> {
             }
         }
         block.reverse(); // top-to-bottom order
-        let opener = block
-            .iter()
-            .rposition(|t| t.starts_with("ordering:"))?;
+        let opener = block.iter().rposition(|t| t.starts_with("ordering:"))?;
         let mut reason = block[opener]
             .strip_prefix("ordering:")
             .unwrap_or("")
@@ -582,11 +575,7 @@ pub fn check_source(
                     format!(
                         "allow comment names unknown rule `{}` (known: {})",
                         dir.rule,
-                        RULES
-                            .iter()
-                            .map(|r| r.name)
-                            .collect::<Vec<_>>()
-                            .join(", ")
+                        RULES.iter().map(|r| r.name).collect::<Vec<_>>().join(", ")
                     )
                 },
                 snippet: snippet_of(dir.line),
@@ -707,10 +696,14 @@ mod tests {
     #[test]
     fn slice_index_severity_depends_on_scope() {
         let src = "pub fn f(v: &[u8], i: usize) -> u8 { v[i] }";
-        let (diags, _) = check_source("t.rs", src, FileClass {
-            panic_checked: true,
-            ..FileClass::default()
-        });
+        let (diags, _) = check_source(
+            "t.rs",
+            src,
+            FileClass {
+                panic_checked: true,
+                ..FileClass::default()
+            },
+        );
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].severity, Severity::Warning);
         let got = scoped_errs(src);
@@ -772,10 +765,14 @@ mod tests {
                    \x20   // nmt-lint: allow(panic) — input validated above\n\
                    \x20   x.unwrap()\n\
                    }\n";
-        let (diags, used) = check_source("t.rs", src, FileClass {
-            panic_checked: true,
-            ..FileClass::default()
-        });
+        let (diags, used) = check_source(
+            "t.rs",
+            src,
+            FileClass {
+                panic_checked: true,
+                ..FileClass::default()
+            },
+        );
         assert!(diags.is_empty(), "{diags:?}");
         assert_eq!(used.len(), 1);
         assert_eq!(used[0].rule, "panic");
@@ -890,7 +887,11 @@ mod tests {
     fn rules_markdown_lists_every_rule() {
         let md = rules_markdown();
         for r in RULES {
-            assert!(md.contains(&format!("| `{}` |", r.name)), "{} missing", r.name);
+            assert!(
+                md.contains(&format!("| `{}` |", r.name)),
+                "{} missing",
+                r.name
+            );
         }
         assert!(md.starts_with("| rule | severity | scope | rationale |"));
     }

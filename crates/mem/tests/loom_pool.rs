@@ -50,7 +50,10 @@ fn poisoned_lock_recovers_on_every_interleaving() {
         let pool: Arc<SharedSlicePool<u8>> = Arc::new(SharedSlicePool::new());
         let p = pool.clone();
         let poisoner = thread::spawn(move || p.poison_for_model());
-        assert!(poisoner.join().is_err(), "the poisoner must report its panic");
+        assert!(
+            poisoner.join().is_err(),
+            "the poisoner must report its panic"
+        );
         // Every pool entry point goes through the same recovery; none
         // may deadlock or propagate the poison.
         let buf = pool.take(4);

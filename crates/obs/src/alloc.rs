@@ -189,7 +189,9 @@ mod tests {
 
     #[test]
     fn gate_toggles_and_restores() {
-        let _g = GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _g = GATE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let prev = enable_counting(true);
         assert!(counting_enabled());
         enable_counting(prev);
@@ -226,7 +228,9 @@ mod tests {
 
     #[test]
     fn scope_measures_delta_only_when_enabled() {
-        let _g = GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _g = GATE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let prev = enable_counting(false);
         let off = AllocScope::begin();
         record(32);

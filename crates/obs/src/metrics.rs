@@ -75,37 +75,59 @@ impl MetricRegistry {
 
     /// Add `delta` to the monotonic counter `name` (created at 0).
     pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = self
+            .inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         *inner.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
     /// Current value of counter `name` (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let inner = self
+            .inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         inner.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Set gauge `name` to `value` (last write wins).
     pub fn gauge_set(&self, name: &str, value: f64) {
-        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = self
+            .inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         inner.gauges.insert(name.to_string(), value);
     }
 
     /// Current value of gauge `name`.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let inner = self
+            .inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         inner.gauges.get(name).copied()
     }
 
     /// Record one observation of `value` in histogram `name`.
     pub fn histogram_record(&self, name: &str, value: u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.histograms.entry(name.to_string()).or_default().record(value);
+        let mut inner = self
+            .inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        inner
+            .histograms
+            .entry(name.to_string())
+            .or_default()
+            .record(value);
     }
 
     /// Copy the registry into a serializable snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let inner = self
+            .inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         MetricsSnapshot {
             counters: inner.counters.clone(),
             gauges: inner.gauges.clone(),

@@ -32,12 +32,12 @@
 
 use crate::metrics::MetricsSnapshot;
 use crate::span::{self, Clock};
+use crate::sync::Mutex;
 use crate::ObsContext;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use crate::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once, PoisonError, Weak};
 
@@ -404,7 +404,12 @@ impl FlightRecorder {
     pub fn dropped(&self) -> u64 {
         let bufs = self.bufs.lock().unwrap_or_else(PoisonError::into_inner);
         bufs.iter()
-            .map(|b| b.ring.lock().unwrap_or_else(PoisonError::into_inner).dropped)
+            .map(|b| {
+                b.ring
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .dropped
+            })
             .sum()
     }
 
@@ -412,7 +417,13 @@ impl FlightRecorder {
     pub fn len(&self) -> usize {
         let bufs = self.bufs.lock().unwrap_or_else(PoisonError::into_inner);
         bufs.iter()
-            .map(|b| b.ring.lock().unwrap_or_else(PoisonError::into_inner).events.len())
+            .map(|b| {
+                b.ring
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .events
+                    .len()
+            })
             .sum()
     }
 
@@ -527,7 +538,10 @@ impl DiagnosticsBundle {
         if self.active_spans.is_empty() {
             out.push_str("active spans: (none)\n");
         } else {
-            out.push_str(&format!("active spans: {}\n", self.active_spans.join(" > ")));
+            out.push_str(&format!(
+                "active spans: {}\n",
+                self.active_spans.join(" > ")
+            ));
         }
         if self.dropped_events > 0 {
             out.push_str(&format!(
@@ -719,7 +733,13 @@ pub fn write_bundle_now(reason: &str) -> Option<PathBuf> {
         Some((name, obs)) => (name.as_str(), obs),
         None => ("", &target.obs),
     };
-    let bundle = build_bundle(reason, matrix, obs, target.fault_seed, target.fault_rate_ppm);
+    let bundle = build_bundle(
+        reason,
+        matrix,
+        obs,
+        target.fault_seed,
+        target.fault_rate_ppm,
+    );
     let ns = obs.flight.now_ns();
     let dir = target.dir.clone();
     drop(guard);
@@ -854,7 +874,10 @@ mod tests {
         let text = bundle.render_postmortem();
         assert!(text.contains("fault site fault-convert-strip"), "{text}");
         assert!(text.contains("strip 3"), "{text}");
-        assert!(text.contains(&format!("on thread {}", bundle.thread)), "{text}");
+        assert!(
+            text.contains(&format!("on thread {}", bundle.thread)),
+            "{text}"
+        );
         assert!(text.contains("matrix: mat-y"), "{text}");
     }
 
@@ -872,7 +895,10 @@ mod tests {
         let bundle = build_bundle("r", "", &obs, None, None);
         assert_eq!(bundle.dropped_events, 1);
         let text = bundle.render_postmortem();
-        assert!(text.contains("1 flight-recorder event(s) dropped"), "{text}");
+        assert!(
+            text.contains("1 flight-recorder event(s) dropped"),
+            "{text}"
+        );
         // The dropped-event gauge was published into the snapshot too.
         assert_eq!(bundle.metrics.gauges.get("obs.dropped_events"), Some(&1.0));
     }

@@ -193,7 +193,11 @@ impl<V> PlanCache<V> {
                     st.stats.hits += 1;
                     return Ok(Lookup {
                         value,
-                        how: if waited { Acquire::Waited } else { Acquire::Hit },
+                        how: if waited {
+                            Acquire::Waited
+                        } else {
+                            Acquire::Hit
+                        },
                         evicted: Vec::new(),
                     });
                 }
@@ -356,7 +360,10 @@ mod tests {
         cache.get_or_compute("a", ok(1, 60)).unwrap();
         cache.get_or_compute("b", ok(2, 30)).unwrap();
         // Touch "a" so "b" is the LRU entry.
-        assert_eq!(cache.get_or_compute("a", ok(0, 0)).unwrap().how, Acquire::Hit);
+        assert_eq!(
+            cache.get_or_compute("a", ok(0, 0)).unwrap().how,
+            Acquire::Hit
+        );
         let third = cache.get_or_compute("c", ok(3, 40)).unwrap();
         // 60 + 30 + 40 > 100: evict LRU ("b"), leaving a + c = 100.
         assert_eq!(third.evicted.len(), 1);
@@ -365,7 +372,10 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         // "b" now misses again.
-        assert_eq!(cache.get_or_compute("b", ok(2, 30)).unwrap().how, Acquire::Computed);
+        assert_eq!(
+            cache.get_or_compute("b", ok(2, 30)).unwrap().how,
+            Acquire::Computed
+        );
     }
 
     #[test]
@@ -373,7 +383,11 @@ mod tests {
         let cache: PlanCache<u32> = PlanCache::new(50);
         cache.get_or_compute("a", ok(1, 40)).unwrap();
         let big = cache.get_or_compute("big", ok(2, 500)).unwrap();
-        assert_eq!(big.evicted.len(), 1, "the budget is soft only for the newest entry");
+        assert_eq!(
+            big.evicted.len(),
+            1,
+            "the budget is soft only for the newest entry"
+        );
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.resident_bytes(), 500);
     }
@@ -409,6 +423,9 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.misses, 1);
         assert_eq!(s.computes, 1);
-        assert_eq!(s.hits, 7, "every non-leader resolves to the one computed value");
+        assert_eq!(
+            s.hits, 7,
+            "every non-leader resolves to the one computed value"
+        );
     }
 }

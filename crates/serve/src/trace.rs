@@ -109,8 +109,8 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Request>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let req: Request = serde_json::from_str(line)
-            .map_err(|e| format!("trace line {}: {e:?}", lineno + 1))?;
+        let req: Request =
+            serde_json::from_str(line).map_err(|e| format!("trace line {}: {e:?}", lineno + 1))?;
         trace.push(req);
     }
     trace.sort_by_key(|r| (r.tick, r.id));

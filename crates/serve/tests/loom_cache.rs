@@ -149,7 +149,10 @@ fn poisoned_lock_recovers_on_every_interleaving() {
         let cache: Arc<PlanCache<u32>> = Arc::new(PlanCache::new(64));
         let c = Arc::clone(&cache);
         let poisoner = thread::spawn(move || c.poison_for_model());
-        assert!(poisoner.join().is_err(), "the poisoner must report its panic");
+        assert!(
+            poisoner.join().is_err(),
+            "the poisoner must report its panic"
+        );
         // Every entry point recovers the inner state; none may deadlock
         // or propagate the poison.
         let got = cache.get_or_compute("k", ok(3, 16)).unwrap();

@@ -634,10 +634,7 @@ mod tests {
         faulted.access(0, 128, TrafficClass::MatB, false, false);
         assert_eq!(faulted.fault_dram_spikes(), 1);
         // Same bytes moved, strictly more channel time.
-        assert_eq!(
-            faulted.dram_traffic().total(),
-            clean.dram_traffic().total()
-        );
+        assert_eq!(faulted.dram_traffic().total(), clean.dram_traffic().total());
         assert!(faulted.max_partition_busy_ns() > clean.max_partition_busy_ns());
     }
 

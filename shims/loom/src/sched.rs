@@ -159,7 +159,10 @@ pub(crate) fn point() {
     if abort_if_failed(&s) {
         return;
     }
-    debug_assert_eq!(s.current, me, "a non-current thread reached a scheduling point");
+    debug_assert_eq!(
+        s.current, me,
+        "a non-current thread reached a scheduling point"
+    );
     let mut s = s;
     pick_next(&mut s);
     wait_for_token(s, me);
@@ -330,8 +333,7 @@ fn run_one(
     // execution's state reset would strand them on the condvar.
     {
         let mut s = st();
-        while !(s.done
-            || (s.failed.is_some() && s.threads.iter().all(|t| *t == Status::Finished)))
+        while !(s.done || (s.failed.is_some() && s.threads.iter().all(|t| *t == Status::Finished)))
         {
             s = CV.wait(s).unwrap_or_else(PoisonError::into_inner);
         }

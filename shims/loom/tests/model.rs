@@ -34,8 +34,14 @@ fn finds_the_lost_update() {
         sink.lock().unwrap().insert(a.load(Ordering::SeqCst));
     });
     let seen = outcomes.lock().unwrap();
-    assert!(seen.contains(&1), "lost-update interleaving never explored: {seen:?}");
-    assert!(seen.contains(&2), "fully-ordered interleaving never explored: {seen:?}");
+    assert!(
+        seen.contains(&1),
+        "lost-update interleaving never explored: {seen:?}"
+    );
+    assert!(
+        seen.contains(&2),
+        "fully-ordered interleaving never explored: {seen:?}"
+    );
 }
 
 /// Mutex-protected increments never lose an update, on any interleaving.
@@ -86,7 +92,10 @@ fn detects_abba_deadlock() {
             .cloned()
             .unwrap_or_default(),
     };
-    assert!(msg.contains("deadlock"), "unexpected failure message: {msg}");
+    assert!(
+        msg.contains("deadlock"),
+        "unexpected failure message: {msg}"
+    );
 }
 
 /// A thread panicking while holding the lock poisons it; the survivor
@@ -102,12 +111,18 @@ fn poison_is_recoverable() {
             *g = 8;
             panic!("poison the lock");
         });
-        assert!(h.join().is_err(), "the poisoning thread must report its panic");
+        assert!(
+            h.join().is_err(),
+            "the poisoning thread must report its panic"
+        );
         let g = match m.lock() {
             Ok(_) => panic!("lock must be poisoned after the holder panicked"),
             Err(poisoned) => poisoned.into_inner(),
         };
-        assert_eq!(*g, 8, "the write before the panic is visible after recovery");
+        assert_eq!(
+            *g, 8,
+            "the write before the panic is visible after recovery"
+        );
     });
 }
 

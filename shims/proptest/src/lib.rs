@@ -300,7 +300,10 @@ pub fn run_prop_test(
     for i in 0..config.cases {
         let mut rng = TestRng::seed_from_u64(seed.wrapping_add(i as u64));
         if let Err(e) = case(&mut rng) {
-            panic!("proptest case {i}/{} failed at {file}:{line}: {e}", config.cases);
+            panic!(
+                "proptest case {i}/{} failed at {file}:{line}: {e}",
+                config.cases
+            );
         }
     }
 }

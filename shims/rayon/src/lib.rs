@@ -379,11 +379,9 @@ mod tests {
     fn for_each_visits_every_item_once() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let hits: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
-        (0..hits.len())
-            .into_par_iter()
-            .for_each(|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
+        (0..hits.len()).into_par_iter().for_each(|i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
@@ -400,8 +398,7 @@ mod tests {
             })
             .collect();
         assert_eq!(r, Err("bad 7".to_string()));
-        let ok: Result<Vec<usize>, String> =
-            (0..10usize).into_par_iter().map(Ok).collect();
+        let ok: Result<Vec<usize>, String> = (0..10usize).into_par_iter().map(Ok).collect();
         assert_eq!(ok.as_deref(), Ok(&(0..10).collect::<Vec<_>>()[..]));
     }
 

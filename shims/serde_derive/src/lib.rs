@@ -167,9 +167,7 @@ fn parse_unit_variants(ts: TokenStream, ty: &str) -> Vec<String> {
         loop {
             match iter.next() {
                 Some(TokenTree::Punct(p)) if p.as_char() == ',' => break,
-                Some(TokenTree::Group(g))
-                    if g.delimiter() != Delimiter::Bracket =>
-                {
+                Some(TokenTree::Group(g)) if g.delimiter() != Delimiter::Bracket => {
                     panic!(
                         "shim serde derive supports only unit variants; \
                          `{ty}::{}` has data",

@@ -70,9 +70,17 @@ fn write_value(v: &Value, indent: Option<usize>, level: usize, out: &mut String)
         }
         Value::Str(s) => write_string(s, out),
         Value::Array(items) => {
-            write_seq(items.iter(), indent, level, out, '[', ']', |item, lvl, o| {
-                write_value(item, indent, lvl, o);
-            });
+            write_seq(
+                items.iter(),
+                indent,
+                level,
+                out,
+                '[',
+                ']',
+                |item, lvl, o| {
+                    write_value(item, indent, lvl, o);
+                },
+            );
         }
         Value::Object(members) => {
             write_seq(
@@ -269,7 +277,9 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            let b = self.peek().ok_or_else(|| self.error("unterminated string"))?;
+            let b = self
+                .peek()
+                .ok_or_else(|| self.error("unterminated string"))?;
             self.pos += 1;
             match b {
                 b'"' => return Ok(out),
@@ -323,8 +333,7 @@ impl<'a> Parser<'a> {
                             .get(start..end)
                             .ok_or_else(|| self.error("truncated UTF-8"))?;
                         out.push_str(
-                            std::str::from_utf8(slice)
-                                .map_err(|_| self.error("invalid UTF-8"))?,
+                            std::str::from_utf8(slice).map_err(|_| self.error("invalid UTF-8"))?,
                         );
                         self.pos = end;
                     }

@@ -10,8 +10,8 @@ use spmm_nmt::bench::{
     append_history, diff_ledgers, load_history, parse_scale, render_history, sweep_ledger,
     BenchConfig, HistoryRecord, Ledger, ServeRun, Sweep, EXPERIMENT_SEED,
 };
-use spmm_nmt::fault::FaultPlan;
 use spmm_nmt::engine::{conversion_energy_pj, convert_matrix, ComparatorTree, EngineTiming};
+use spmm_nmt::fault::FaultPlan;
 use spmm_nmt::formats::{market, Csr, Dcsr, SparseMatrix, StorageSize, TiledDcsr};
 use spmm_nmt::matgen::{random_dense, SuiteScale, SuiteSpec};
 use spmm_nmt::model::ssf::SsfProfile;
@@ -188,14 +188,26 @@ USAGE:
 const FLAGS: &[(&str, &str)] = &[
     ("profile", "--tile"),
     ("convert", "--tile"),
-    ("spmm", "--k --tile --threads --json --trace-out --flame-out --metrics-json \
-              --fault-seed --fault-rate"),
-    ("audit", "--k --tile --threads --json --metrics-json --fault-seed --fault-rate"),
-    ("bench", "--scale --threads --out --baseline --perf --perf-iters --perf-warmup \
-               --perf-margin --fault-seed --fault-rate --history --diag-dir"),
-    ("serve", "--requests --synth --threads --matrices --tenants --seed --n --k --tile \
+    (
+        "spmm",
+        "--k --tile --threads --json --trace-out --flame-out --metrics-json \
+              --fault-seed --fault-rate",
+    ),
+    (
+        "audit",
+        "--k --tile --threads --json --metrics-json --fault-seed --fault-rate",
+    ),
+    (
+        "bench",
+        "--scale --threads --out --baseline --perf --perf-iters --perf-warmup \
+               --perf-margin --fault-seed --fault-rate --history --diag-dir",
+    ),
+    (
+        "serve",
+        "--requests --synth --threads --matrices --tenants --seed --n --k --tile \
                --queue-depth --quantum --service-rate --cache-bytes --stats --out \
-               --baseline --trace-out --history --diag-dir"),
+               --baseline --trace-out --history --diag-dir",
+    ),
     ("doctor", ""),
     ("diff", "--json"),
     ("history", ""),
@@ -231,7 +243,10 @@ fn parse_flag<T: std::str::FromStr>(rest: &[&String], name: &str, default: T) ->
 /// Positional (non-flag) arguments, in order, for the subcommands whose
 /// only flags are bare `--switch`es.
 fn positionals<'a>(rest: &[&'a String]) -> Vec<&'a String> {
-    rest.iter().copied().filter(|a| !a.starts_with("--")).collect()
+    rest.iter()
+        .copied()
+        .filter(|a| !a.starts_with("--"))
+        .collect()
 }
 
 /// The commit a history row is stamped with: `NMT_COMMIT`, else CI's
@@ -549,9 +564,7 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
     arm_diagnostics(rest, None);
 
     let trace = match (flag(rest, "--requests"), flag(rest, "--synth")) {
-        (Some(_), Some(_)) => {
-            return Err("--requests and --synth are mutually exclusive".into())
-        }
+        (Some(_), Some(_)) => return Err("--requests and --synth are mutually exclusive".into()),
         (Some(path), None) => {
             let text = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read trace {path}: {e}"))?;
@@ -612,7 +625,12 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
             hit_p50_ns: s.map_or(0, |s| s.hit_p50_ns),
             miss_p50_ns: s.map_or(0, |s| s.miss_p50_ns),
         });
-        let record = HistoryRecord { run: 0, commit: commit_id(), bench: None, serve };
+        let record = HistoryRecord {
+            run: 0,
+            commit: commit_id(),
+            bench: None,
+            serve,
+        };
         let run = append_history(std::path::Path::new(&hist), record)?;
         eprintln!("serve history: appended run {run} to {hist}");
     }
@@ -654,7 +672,10 @@ fn report_gate(
                 eprintln!("{label}: REGRESSION: {r}");
             }
             write_failure_bundle(&format!("bench {label} failure vs {path}"));
-            Err(format!("{} {label} regression(s) vs baseline {path}", regressions.len()))
+            Err(format!(
+                "{} {label} regression(s) vs baseline {path}",
+                regressions.len()
+            ))
         }
     }
 }

@@ -163,8 +163,7 @@ fn ledger_from_fixture_audits_is_byte_stable_and_gates_itself() {
     assert_eq!(one.to_json(), two.to_json(), "ledger must be byte-stable");
     assert_eq!(one.schema_version, LEDGER_SCHEMA_VERSION);
     assert_eq!(one.summary.matrices, 2);
-    one.gate(&two)
-        .expect("identical ledgers pass the gate");
+    one.gate(&two).expect("identical ledgers pass the gate");
 
     let parsed = Ledger::from_json(&one.to_json()).expect("round-trips");
     assert_eq!(parsed, one);

@@ -181,7 +181,12 @@ fn bench_subcommand_writes_ledger_and_gates() {
         parsed["schema_version"].as_u64(),
         Some(u64::from(spmm_nmt::bench::LEDGER_SCHEMA_VERSION))
     );
-    assert!(parsed["summary"]["geomean_speedup"].as_f64().expect("geomean") > 0.0);
+    assert!(
+        parsed["summary"]["geomean_speedup"]
+            .as_f64()
+            .expect("geomean")
+            > 0.0
+    );
 
     // Gating against the ledger we just wrote passes...
     let out = cli()
@@ -216,7 +221,10 @@ fn bench_subcommand_writes_ledger_and_gates() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("REGRESSION"));
 
     // An unknown scale is rejected loudly instead of demoted to small.
-    let out = cli().args(["bench", "--scale", "papr"]).output().expect("spawn");
+    let out = cli()
+        .args(["bench", "--scale", "papr"])
+        .output()
+        .expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unrecognized scale"));
 }

@@ -82,11 +82,7 @@ fn faulted_sweep_is_deterministic_audited_and_thread_invariant() {
     );
     let csc = generators::generate(&desc).to_csc();
     let farm_cfg = FarmConfig::for_partitions(4).with_fault(Some(plan));
-    let run_farm = |threads| {
-        with_threads(threads, || {
-            convert_matrix_farm(&csc, 16, 16, farm_cfg)
-        })
-    };
+    let run_farm = |threads| with_threads(threads, || convert_matrix_farm(&csc, 16, 16, farm_cfg));
     match (run_farm(1), run_farm(4)) {
         (Ok(serial), Ok(parallel)) => {
             assert_eq!(serial.strips, parallel.strips);
@@ -100,9 +96,9 @@ fn faulted_sweep_is_deterministic_audited_and_thread_invariant() {
             // which worker hit it first.
             assert_eq!(serial.to_string(), parallel.to_string());
         }
-        (serial, parallel) => panic!(
-            "thread count changed the outcome: 1-thread {serial:?} vs 4-thread {parallel:?}"
-        ),
+        (serial, parallel) => {
+            panic!("thread count changed the outcome: 1-thread {serial:?} vs 4-thread {parallel:?}")
+        }
     }
 
     // 2. The faulted sweep completes with zero panics, and every audit
@@ -158,6 +154,11 @@ fn faulted_sweep_is_deterministic_audited_and_thread_invariant() {
     let clean = with_threads(4, || faulted_audits(None));
     let zeroed = with_threads(4, || faulted_audits(Some(zero)));
     for (c, z) in clean.iter().zip(&zeroed) {
-        assert_eq!(c.to_json(), z.to_json(), "zero-rate diverged for {}", c.matrix);
+        assert_eq!(
+            c.to_json(),
+            z.to_json(),
+            "zero-rate diverged for {}",
+            c.matrix
+        );
     }
 }

@@ -13,8 +13,7 @@ use spmm_nmt::fault::FaultPlan;
 use spmm_nmt::formats::SparseMatrix;
 use spmm_nmt::matgen::{random_dense, SuiteScale, SuiteSpec};
 use spmm_nmt::obs::{
-    install_diagnostics, uninstall_diagnostics, DiagScope, DiagnosticsBundle, EventSite,
-    ObsContext,
+    install_diagnostics, uninstall_diagnostics, DiagScope, DiagnosticsBundle, EventSite, ObsContext,
 };
 use spmm_nmt::planner::planner::{PlannerConfig, SpmmPlanner};
 use std::path::{Path, PathBuf};
@@ -86,13 +85,19 @@ fn panic_bundle_doctor_and_thread_invariant_event_content() {
     uninstall_diagnostics();
 
     let files = bundle_files(&dir);
-    assert!(!files.is_empty(), "panic hook must write at least one bundle");
+    assert!(
+        !files.is_empty(),
+        "panic hook must write at least one bundle"
+    );
     // The worker-thread bundle is the one that saw the fault event.
     let bundle = files
         .iter()
         .map(|p| {
             let json = std::fs::read_to_string(p).expect("bundle readable");
-            (p.clone(), DiagnosticsBundle::from_json(&json).expect("parses"))
+            (
+                p.clone(),
+                DiagnosticsBundle::from_json(&json).expect("parses"),
+            )
         })
         .find(|(_, b)| b.last_fault_event().is_some())
         .expect("one bundle carries the fault event");
@@ -128,7 +133,10 @@ fn panic_bundle_doctor_and_thread_invariant_event_content() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("rmat-crash"), "{text}");
-    assert!(text.contains("fault site fault-convert-strip at strip 5"), "{text}");
+    assert!(
+        text.contains("fault site fault-convert-strip at strip 5"),
+        "{text}"
+    );
     assert!(text.contains("seed=0xfa117"), "{text}");
 
     // --- 1b. A disabled context still names its open spans. ---

@@ -117,7 +117,8 @@ fn workspace_lints_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let report = nmt_lint::lint_workspace(root).expect("workspace lint runs");
     assert_eq!(
-        report.summary.errors, 0,
+        report.summary.errors,
+        0,
         "workspace has lint errors:\n{}",
         report.render()
     );

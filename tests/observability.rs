@@ -181,7 +181,10 @@ fn trace_round_trips_nesting_lanes_and_flamegraph_totals() {
         span_event_tids.insert(tid);
     }
     for (tid, lane) in &stacks {
-        assert!(lane.is_empty(), "unmatched B events on lane {tid}: {lane:?}");
+        assert!(
+            lane.is_empty(),
+            "unmatched B events on lane {tid}: {lane:?}"
+        );
     }
     // The other flight events ride along as instants.
     assert!(instants > 0, "flight events export as instants");
@@ -247,7 +250,11 @@ fn metrics_snapshot_holds_fault_counters_and_perf_gauges() {
         "the seeded plan must actually fire: {:?}",
         snap.counters
     );
-    for gauge in ["perf.window_ns", "perf.phase.kernel.self_ns", "perf.workers"] {
+    for gauge in [
+        "perf.window_ns",
+        "perf.phase.kernel.self_ns",
+        "perf.workers",
+    ] {
         assert!(
             snap.gauges.contains_key(gauge),
             "missing gauge {gauge} in {:?}",

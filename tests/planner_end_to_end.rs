@@ -213,7 +213,12 @@ fn planner_rejects_unconvertible_tile_geometry() {
 fn planner_rejects_mismatched_inner_dimensions() {
     // A is 64×64 but B has 48 rows: both entry points must return the
     // typed shape error from the baseline's pre-check, not panic.
-    let a = generators::generate(&MatrixDesc::new("m", 64, GenKind::Uniform { density: 0.05 }, 3));
+    let a = generators::generate(&MatrixDesc::new(
+        "m",
+        64,
+        GenKind::Uniform { density: 0.05 },
+        3,
+    ));
     let b = random_dense(48, 8, 4);
     let p = planner();
     let executed = p.execute(&a, &b);

@@ -177,5 +177,8 @@ fn serve_replay_is_thread_count_invariant() {
     let stats = cache.stats();
     assert_eq!(stats.computes, 1);
     assert_eq!(stats.misses, 1);
-    assert_eq!(stats.hits, 7, "every follower resolves to the single computed plan");
+    assert_eq!(
+        stats.hits, 7,
+        "every follower resolves to the single computed plan"
+    );
 }
