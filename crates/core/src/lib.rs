@@ -15,12 +15,15 @@
 //!   model-vs-measured traffic validation per matrix.
 //! * [`fingerprint`] — content fingerprints over the audit's decision
 //!   inputs: the serve-layer plan-cache key.
+//! * [`fnv`] — the FNV-1a hash behind that key and the serve ledger's
+//!   response checksums.
 //! * [`multi_gpu`] — the §6.2 large-scale streaming model.
 
 #![warn(missing_docs)]
 
 pub mod audit;
 pub mod fingerprint;
+pub mod fnv;
 pub mod multi_gpu;
 pub mod planner;
 pub mod report;

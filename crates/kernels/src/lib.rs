@@ -41,15 +41,16 @@ pub use bstationary::{
 };
 pub use cstationary::{csrmm_cusparse, csrmm_row_per_warp, dcsrmm_row_per_warp};
 
+use nmt_engine::ConversionArtifact;
 use nmt_formats::DenseMatrix;
-use nmt_sim::KernelStats;
+use nmt_sim::{Gpu, KernelStats, SimError};
 
 /// Validate the inner dimensions of `C = A × B`, as a typed error instead
 /// of the old `assert!` so one malformed matrix becomes a per-matrix error
 /// row in a corpus sweep rather than aborting the whole process.
-pub(crate) fn check_inner_dims(a_ncols: usize, b_nrows: usize) -> Result<(), nmt_sim::SimError> {
+pub(crate) fn check_inner_dims(a_ncols: usize, b_nrows: usize) -> Result<(), SimError> {
     if a_ncols != b_nrows {
-        return Err(nmt_sim::SimError::ShapeMismatch {
+        return Err(SimError::ShapeMismatch {
             detail: format!(
                 "inner dimensions must agree: A has {a_ncols} cols, B has {b_nrows} rows"
             ),
@@ -66,4 +67,18 @@ pub struct KernelRun {
     pub c: DenseMatrix,
     /// Timing/traffic/occupancy statistics for the launch.
     pub stats: KernelStats,
+}
+
+/// Run the kernel that matches a pre-converted operand: row-per-warp
+/// DCSR C-stationary for a row-major artifact, offline tiled-DCSR
+/// B-stationary for a tiled one. This is what a serve plan executes.
+pub fn run_artifact(
+    gpu: &mut Gpu,
+    artifact: &ConversionArtifact,
+    b: &DenseMatrix,
+) -> Result<KernelRun, SimError> {
+    match artifact {
+        ConversionArtifact::RowMajor(d) => dcsrmm_row_per_warp(gpu, d, b),
+        ConversionArtifact::Tiled(t) => bstat_tiled_dcsr_offline(gpu, t, b),
+    }
 }

@@ -23,7 +23,7 @@ use nmt::{MatrixFingerprint, PlannerConfig, SpmmPlanner};
 use nmt_engine::artifact::ConversionArtifact;
 use nmt_formats::arbitrary::{corrupt_csr_parts, csr_strategy, Corruption};
 use nmt_formats::{Csr, DenseMatrix, SparseMatrix};
-use nmt_kernels::{bstat_tiled_dcsr_offline, dcsrmm_row_per_warp, KernelRun};
+use nmt_kernels::{run_artifact, KernelRun};
 use nmt_matgen::random_dense;
 use nmt_model::ssf::Choice;
 use nmt_serve::{CachedPlan, PlanCache};
@@ -52,18 +52,6 @@ fn execute(cfg: &PlannerConfig, plan: &CachedPlan, a: &Csr, b_seed: u64) -> (Ker
     plan.run(&cfg.gpu, &b).expect("kernel run")
 }
 
-/// Run the serve kernel matching `artifact` on `gpu`.
-fn kernel(
-    gpu: &mut Gpu,
-    artifact: &ConversionArtifact,
-    b: &DenseMatrix,
-) -> Result<KernelRun, SimError> {
-    match artifact {
-        ConversionArtifact::RowMajor(d) => dcsrmm_row_per_warp(gpu, d, b),
-        ConversionArtifact::Tiled(t) => bstat_tiled_dcsr_offline(gpu, t, b),
-    }
-}
-
 /// Both serve kernels' operands for `a`: untiled and offline-tiled DCSR.
 fn serve_artifacts(a: &Csr) -> [ConversionArtifact; 2] {
     [
@@ -75,7 +63,7 @@ fn serve_artifacts(a: &Csr) -> [ConversionArtifact; 2] {
 /// A full simulated run on a fresh GPU.
 fn simulate(artifact: &ConversionArtifact, b: &DenseMatrix) -> KernelRun {
     let mut gpu = Gpu::new(GpuConfig::test_small()).expect("gpu config");
-    kernel(&mut gpu, artifact, b).expect("kernel run")
+    run_artifact(&mut gpu, artifact, b).expect("kernel run")
 }
 
 /// `a`'s structure carrying `values` instead of its own.
@@ -239,11 +227,11 @@ proptest! {
             let full = simulate(artifact, &b);
             let mut gpu = Gpu::replay(GpuConfig::test_small(), full.stats.clone())
                 .expect("gpu config");
-            let replay = kernel(&mut gpu, artifact, &b).expect("replay run");
+            let replay = run_artifact(&mut gpu, artifact, &b).expect("replay run");
             prop_assert_eq!(f32_bits(&replay.c), f32_bits(&full.c));
             prop_assert_eq!(&replay.stats, &full.stats);
             prop_assert_eq!(
-                kernel(&mut gpu, artifact, &b).err(),
+                run_artifact(&mut gpu, artifact, &b).err(),
                 Some(SimError::ReplayRelaunched)
             );
         }
