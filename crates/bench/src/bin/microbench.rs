@@ -237,31 +237,44 @@ fn run_benches() -> Result<(), String> {
     });
     add_row("find_min_x1024", stats, alloc);
 
-    // 4. The simulator's probe path: the B gathers of the cuSPARSE
-    // stand-in replayed through `ld_global_gather` on the small-scale GPU.
-    // For each 32-non-zero chunk of each row, one strided call gathers
-    // B[col][k] from column-major B for every lane and every k. The stream
-    // is built once; an iteration flushes the L2 and replays it in one
-    // launch, so it allocates nothing.
+    // 4. The simulator's probe path: the cuSPARSE stand-in's B gathers
+    // and column-major C stores replayed through `ld_global_gather` and
+    // `st_global_strided` on the small-scale GPU. For each 32-non-zero
+    // chunk of each row, one strided call gathers B[col][k] from
+    // column-major B for every lane and every k; each non-empty row then
+    // stores its C row, one lane per k at a stride of one C column. The
+    // stream is built once; an iteration flushes the L2 and replays it in
+    // one launch, so it allocates nothing.
     let mut gpu = Gpu::new(experiment_gpu(SuiteScale::Small)).map_err(|e| e.to_string())?;
     let warp = gpu.config().warp_size;
+    let n = a.shape().nrows as u64;
     let k_stride = a.shape().ncols as u64 * 4;
     let mut stream = Vec::new();
     let mut gathers = Vec::new();
+    // (row, its chunks' range of `gathers`), non-empty rows only.
+    let mut c_rows = Vec::new();
     for r in 0..a.shape().nrows {
+        let first = gathers.len();
         for chunk in a.row(r).0.chunks(warp) {
             let start = stream.len();
             stream.extend(chunk.iter().map(|&col| col as u64 * 4));
             gathers.push(start..stream.len());
         }
+        if gathers.len() > first {
+            c_rows.push((r as u64, first..gathers.len()));
+        }
     }
     let b_dev = gpu.alloc(k_stride * k as u64, TrafficClass::MatB);
+    let c_dev = gpu.alloc(n * 4 * k as u64, TrafficClass::MatC);
     let mut replay = || {
         gpu.flush_l2();
         let stats = gpu
             .launch(0, 1, |ctx| {
-                for g in &gathers {
-                    ctx.ld_global_gather(&b_dev, &stream[g.clone()], k_stride, k, 4, true);
+                for (r, chunks) in &c_rows {
+                    for g in &gathers[chunks.clone()] {
+                        ctx.ld_global_gather(&b_dev, &stream[g.clone()], k_stride, k, 4, true);
+                    }
+                    ctx.st_global_strided(&c_dev, r * 4, n * 4, k, 4);
                 }
             })
             .expect("a launch without shared memory cannot fail");

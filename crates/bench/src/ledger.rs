@@ -1472,7 +1472,7 @@ mod tests {
                 );
             }
             assert!(
-                m.phases.iter().any(|p| p.phase == Phase::Kernel.name()),
+                m.phases.iter().any(|p| p.phase == Phase::Baseline.name()),
                 "{}: the baseline kernel always runs",
                 m.matrix
             );

@@ -5,8 +5,8 @@
 //! into:
 //!
 //! * **per-phase self-time** — every span name maps onto the pipeline
-//!   phase taxonomy (parse → plan → convert → kernel → reduce, plus
-//!   `other` for orchestration shells) through
+//!   phase taxonomy (parse → plan → convert → baseline → kernel →
+//!   reduce, plus `other` for orchestration shells) through
 //!   [`SPAN_NAMES`](crate::span::SPAN_NAMES), and each span contributes
 //!   its *self* time (duration minus same-thread children) so nested
 //!   spans never double-count;
@@ -46,8 +46,12 @@ pub enum Phase {
     /// Near-memory strip conversion: the engine farm and its strips
     /// (`engine.farm`, `engine.farm.strip`) and `engine.convert`.
     Convert,
-    /// Simulated kernel execution, including the cuSPARSE baseline and
-    /// audit re-runs (`kernels.launch`, `planner.baseline`, `audit.*`).
+    /// The simulated cuSPARSE stand-in, the speedup baseline
+    /// (`planner.baseline`, `audit.baseline`). Neither span has children,
+    /// so its self time is the stand-in's whole run.
+    Baseline,
+    /// Simulated execution of the candidate kernels (`kernels.launch`,
+    /// `audit.cstationary`, `audit.bstationary`).
     Kernel,
     /// The farm's deterministic index-ordered reduction
     /// (`engine.farm.reduce`).
@@ -58,10 +62,11 @@ pub enum Phase {
 
 impl Phase {
     /// All phases in pipeline order.
-    pub const ALL: [Phase; 6] = [
+    pub const ALL: [Phase; 7] = [
         Phase::Parse,
         Phase::Plan,
         Phase::Convert,
+        Phase::Baseline,
         Phase::Kernel,
         Phase::Reduce,
         Phase::Other,
@@ -73,6 +78,7 @@ impl Phase {
             Phase::Parse => "parse",
             Phase::Plan => "plan",
             Phase::Convert => "convert",
+            Phase::Baseline => "baseline",
             Phase::Kernel => "kernel",
             Phase::Reduce => "reduce",
             Phase::Other => "other",
@@ -313,7 +319,9 @@ mod tests {
             ("engine.farm.strip", Phase::Convert),
             ("engine.farm.reduce", Phase::Reduce),
             ("kernels.launch", Phase::Kernel),
-            ("planner.baseline", Phase::Kernel),
+            ("planner.baseline", Phase::Baseline),
+            ("audit.baseline", Phase::Baseline),
+            ("audit.cstationary", Phase::Kernel),
             ("audit.bstationary", Phase::Kernel),
             ("planner.execute", Phase::Other),
             ("planner.chosen", Phase::Other),

@@ -24,10 +24,10 @@ use std::time::Instant;
 pub const SPAN_NAMES: [(&str, Phase); 14] = [
     ("planner.execute", Phase::Other),
     ("planner.plan", Phase::Plan),
-    ("planner.baseline", Phase::Kernel),
+    ("planner.baseline", Phase::Baseline),
     ("planner.chosen", Phase::Other),
     ("planner.explain", Phase::Plan),
-    ("audit.baseline", Phase::Kernel),
+    ("audit.baseline", Phase::Baseline),
     ("audit.cstationary", Phase::Kernel),
     ("audit.bstationary", Phase::Kernel),
     ("matgen.generate", Phase::Parse),

@@ -22,6 +22,17 @@ pub enum Probe {
 /// the shift loses no bit and no real line encodes to `u64::MAX`.
 const INVALID: u64 = u64::MAX;
 
+/// How [`L2Slice::access_line`] views a set, picked from the associativity
+/// at construction. The 16- and 8-way sets of every configured GPU scan a
+/// fixed-length array, so the scan has a constant trip count; any other
+/// associativity scans the slice. All three run the one [`scan_set`] body.
+#[derive(Debug, Clone, Copy)]
+enum SetWidth {
+    Sixteen,
+    Eight,
+    Any,
+}
+
 /// One L2 slice: `sets × ways` lines, LRU within a set.
 ///
 /// Each set is one contiguous run of ways kept in recency order, most
@@ -37,6 +48,7 @@ pub struct L2Slice {
     /// mask of the line number instead of a modulo.
     set_mask: Option<u64>,
     ways: usize,
+    width: SetWidth,
     /// ways[set * ways + way], each `line << 1 | dirty` or [`INVALID`].
     lines: Vec<u64>,
 }
@@ -61,6 +73,11 @@ impl L2Slice {
             sets,
             set_mask: sets.is_power_of_two().then_some(sets as u64 - 1),
             ways,
+            width: match ways {
+                16 => SetWidth::Sixteen,
+                8 => SetWidth::Eight,
+                _ => SetWidth::Any,
+            },
             // nmt-lint: allow(hot-alloc) — one allocation per slice, at GPU construction
             lines: vec![INVALID; lines],
         }
@@ -90,30 +107,14 @@ impl L2Slice {
             Some(mask) => (line & mask) as usize,
             None => (line % self.sets as u64) as usize,
         };
-        let base = set * self.ways;
-        let ways = &mut self.lines[base..base + self.ways];
         let key = line << 1;
-        let write = u64::from(write);
-        // Shift each way one place back while scanning; a hit stops the
-        // shift at its own way, and a miss shifts the tail way out.
-        let mut prev = ways[0];
-        if prev & !1 == key {
-            ways[0] = prev | write;
-            return Probe::Hit;
-        }
-        for way in &mut ways[1..] {
-            let cur = *way;
-            *way = prev;
-            if cur & !1 == key {
-                ways[0] = cur | write;
-                return Probe::Hit;
+        match self.width {
+            SetWidth::Sixteen => scan_set(&mut self.lines.as_chunks_mut::<16>().0[set], key, write),
+            SetWidth::Eight => scan_set(&mut self.lines.as_chunks_mut::<8>().0[set], key, write),
+            SetWidth::Any => {
+                let base = set * self.ways;
+                scan_set(&mut self.lines[base..base + self.ways], key, write)
             }
-            prev = cur;
-        }
-        ways[0] = key | write;
-        // Invalid ways are clean, so only a valid victim writes back.
-        Probe::Miss {
-            dirty_writeback: prev != INVALID && prev & 1 == 1,
         }
     }
 
@@ -126,6 +127,35 @@ impl L2Slice {
             .count();
         self.lines.fill(INVALID);
         dirty_lines
+    }
+}
+
+/// Probe one recency-ordered set for `key` (`line << 1`) and update it.
+/// Always inlined, so a fixed-length array argument gives the loop a
+/// constant trip count.
+#[inline(always)]
+fn scan_set(ways: &mut [u64], key: u64, write: bool) -> Probe {
+    let write = u64::from(write);
+    // Shift each way one place back while scanning; a hit stops the
+    // shift at its own way, and a miss shifts the tail way out.
+    let mut prev = ways[0];
+    if prev & !1 == key {
+        ways[0] = prev | write;
+        return Probe::Hit;
+    }
+    for way in &mut ways[1..] {
+        let cur = *way;
+        *way = prev;
+        if cur & !1 == key {
+            ways[0] = cur | write;
+            return Probe::Hit;
+        }
+        prev = cur;
+    }
+    ways[0] = key | write;
+    // Invalid ways are clean, so only a valid victim writes back.
+    Probe::Miss {
+        dirty_writeback: prev != INVALID && prev & 1 == 1,
     }
 }
 

@@ -523,16 +523,8 @@ impl BlockCtx<'_> {
             base + (count as u64 - 1) * stride + elem_bytes <= buf.len,
             "strided access beyond buffer"
         );
-        let mut last_line = u64::MAX;
-        for i in 0..count as u64 {
-            let addr = buf.at(base + i * stride);
-            let line = addr >> self.line_shift;
-            // Coalesce only exact same-line repeats from adjacent lanes.
-            if line != last_line {
-                self.mem.access(addr, elem_bytes, buf.class, true, false);
-                last_line = line;
-            }
-        }
+        self.mem
+            .store_strided(buf.at(base), stride, count, elem_bytes, buf.class);
         let instrs = (count as u64).div_ceil(self.warp_size as u64);
         self.warp_exec.record_n(
             InstrClass::Memory,

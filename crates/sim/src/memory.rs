@@ -176,6 +176,12 @@ fn record_trace(
     });
 }
 
+/// Whether `[addr, addr + elem_bytes)` lies inside one sector.
+#[inline]
+fn in_one_sector(addr: u64, elem_bytes: u64) -> bool {
+    addr % SECTOR_BYTES + elem_bytes <= SECTOR_BYTES
+}
+
 impl MemorySubsystem {
     /// Build from a validated config.
     pub fn new(config: &GpuConfig) -> Self {
@@ -326,7 +332,10 @@ impl MemorySubsystem {
     /// (a read) at the first of them, so each gather is one access per run
     /// of same-line lanes, issued in lane order, gather after gather.
     /// When `stride` is a whole number of lines, every gather splits into
-    /// the same runs, shifted by `i·stride`, so the runs are found once.
+    /// the same runs, shifted by `i·stride`, so the runs are found once,
+    /// and when each run's element also sits inside one sector and no
+    /// fault plan or trace is installed, the whole call probes each line
+    /// directly and pays the per-access bookkeeping once.
     pub fn gather(
         &mut self,
         base: u64,
@@ -348,6 +357,17 @@ impl MemorySubsystem {
                         runs.push(addr);
                     }
                 }
+                // A whole-line shift keeps every element of a later
+                // gather in the same place within its sector.
+                if whole_lines
+                    && self.batchable(elem_bytes)
+                    && runs.iter().all(|&addr| in_one_sector(addr, elem_bytes))
+                {
+                    let addrs =
+                        (0..count as u64).flat_map(|i| runs.iter().map(move |&a| a + i * stride));
+                    self.probe_batch(addrs, elem_bytes, class, false);
+                    break;
+                }
             }
             let shift = if whole_lines { i * stride } else { 0 };
             for &addr in &runs {
@@ -355,6 +375,80 @@ impl MemorySubsystem {
             }
         }
         self.runs = runs;
+    }
+
+    /// An uncoalesced store of `count` elements of `elem_bytes` at `addr,
+    /// addr + stride, addr + 2·stride, …`. An element whose line is the
+    /// previous element's coalesces into that element's
+    /// [`MemorySubsystem::access`] (a write); every other element is one
+    /// access, in order. A stride of at least one line puts every element
+    /// in a line of its own, so when each also sits inside one sector and
+    /// no fault plan or trace is installed, the whole call probes each line
+    /// directly and pays the per-access bookkeeping once.
+    pub fn store_strided(
+        &mut self,
+        addr: u64,
+        stride: u64,
+        count: usize,
+        elem_bytes: u64,
+        class: TrafficClass,
+    ) {
+        let addrs = (0..count as u64).map(|i| addr + i * stride);
+        if stride >= self.line_bytes
+            && self.batchable(elem_bytes)
+            && addrs.clone().all(|addr| in_one_sector(addr, elem_bytes))
+        {
+            self.probe_batch(addrs, elem_bytes, class, true);
+            return;
+        }
+        let mut last_line = u64::MAX;
+        for addr in addrs {
+            // Coalesce only exact same-line repeats from adjacent lanes.
+            if addr >> self.line_shift != last_line {
+                self.access(addr, elem_bytes, class, true, false);
+                last_line = addr >> self.line_shift;
+            }
+        }
+    }
+
+    /// Whether a batch of `elem_bytes` accesses may skip the per-access
+    /// path: no fault plan to roll and no trace to record, a non-empty
+    /// element, and lines no narrower than a sector (so an element inside
+    /// one sector is inside one line).
+    #[inline]
+    fn batchable(&self, elem_bytes: u64) -> bool {
+        self.fault.is_none()
+            && self.trace.is_none()
+            && elem_bytes > 0
+            && self.line_bytes >= SECTOR_BYTES
+    }
+
+    /// One non-atomic access of `elem_bytes` at each of `addrs`, each
+    /// inside one sector and so one line, none faulted or traced. This is
+    /// [`MemorySubsystem::access`] with the per-call bookkeeping paid once:
+    /// the requested bytes, access ordinals and DRAM bytes are summed over
+    /// the batch, and every probe touches one sector at cost 1, the same
+    /// lines in the same order as one access per address.
+    #[inline]
+    fn probe_batch(
+        &mut self,
+        addrs: impl Iterator<Item = u64>,
+        elem_bytes: u64,
+        class: TrafficClass,
+        write: bool,
+    ) {
+        let (mut calls, mut misses) = (0, 0);
+        for addr in addrs {
+            let line = addr >> self.line_shift;
+            let p = self.partition_of(line << self.line_shift);
+            if !self.partitions[p].access_line(line, write, 1.0, SECTOR_BYTES, false) {
+                misses += 1;
+            }
+            calls += 1;
+        }
+        self.requested.add(class, calls * elem_bytes);
+        self.access_ordinal += calls;
+        self.dram.add(class, misses * SECTOR_BYTES);
     }
 
     /// Route bytes `[lo, hi)` of line number `line` to the partition that

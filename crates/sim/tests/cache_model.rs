@@ -1,8 +1,8 @@
 //! Property tests: the L2 slice agrees with a brute-force reference model
 //! of a set-associative LRU cache on arbitrary access sequences, and the
 //! memory subsystem's fast path (shift/mask decode, single-line shortcut,
-//! recency-ordered sets, strided gathers) agrees bit for bit with the
-//! straightforward per-line model it replaced.
+//! recency-ordered sets, strided gathers and stores, batched probes)
+//! agrees bit for bit with the straightforward per-line model it replaced.
 
 use nmt_fault::{FaultPlan, FaultSite};
 use nmt_sim::cache::{L2Slice, Probe};
@@ -102,7 +102,8 @@ proptest! {
     fn l2_matches_reference_lru(
         accesses in proptest::collection::vec((0u64..8192, proptest::bool::ANY), 1..400)
     ) {
-        // 1 KB cache, 64 B lines, 4 ways => 4 sets.
+        // 1 KB cache, 64 B lines, 4 ways => 4 sets: the slice scan that
+        // every width but 16 and 8 takes.
         assert_matches_reference_lru(1024, 64, 4, &accesses)?;
     }
 
@@ -116,6 +117,25 @@ proptest! {
         stream.extend(accesses.iter().map(|&((line, off), write)| (line * 128 + off, write)));
         let (dirty, clean) = assert_matches_reference_lru(16 * 128, 128, 16, &stream)?;
         prop_assert!(dirty >= 8 && clean >= 8, "dirty {} clean {}", dirty, clean);
+    }
+
+    #[test]
+    fn l2_matches_reference_lru_on_sixteen_sets_of_eight_ways(
+        accesses in proptest::collection::vec(
+            ((0u64..24, 0u64..3, 0u64..128), proptest::bool::ANY),
+            1..400,
+        )
+    ) {
+        // The test GPU's slice (the serve broker's): 16 sets of 8 ways,
+        // the fixed 8-wide scan. Lines `j·16 + s` crowd three sets.
+        let mut stream = dirty_and_clean_evictions(16, 128, 8);
+        stream.extend(
+            accesses
+                .iter()
+                .map(|&((j, set, off), write)| ((j * 16 + set) * 128 + off, write)),
+        );
+        let (dirty, clean) = assert_matches_reference_lru(16 * 8 * 128, 128, 8, &stream)?;
+        prop_assert!(dirty >= 4 && clean >= 4, "dirty {} clean {}", dirty, clean);
     }
 
     #[test]
@@ -422,23 +442,23 @@ fn assert_same_counters(
     stream: &[Access],
 ) -> Result<(), TestCaseError> {
     let stride = conflict_stride(config);
-    let mut dut = MemorySubsystem::new(config);
-    dut.set_fault_plan(fault);
-    dut.enable_trace();
+    let mut dut = subsystem(config, fault, true);
     let mut reference = RefMemory::new(config, fault);
     for &((j, off, nbytes), (class, write, atomic)) in stream {
         let class = TrafficClass::ALL[class];
         dut.access(j * stride + off, nbytes, class, write, atomic);
         reference.access(j * stride + off, nbytes, class, write, atomic);
     }
-    assert_same_state(&mut dut, &reference)
+    assert_same_state(&mut dut, &reference, true)
 }
 
 /// Require every counter of `dut` and `reference` to agree exactly, `f64`
-/// busy times to the bit, and the trace to hold the reference's events.
+/// busy times to the bit, and the trace to hold the reference's events
+/// when `traced`, else nothing.
 fn assert_same_state(
     dut: &mut MemorySubsystem,
     reference: &RefMemory,
+    traced: bool,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(dut.partitions().len(), reference.partitions.len());
     for (p, (got, want)) in dut
@@ -479,12 +499,33 @@ fn assert_same_state(
     prop_assert_eq!(dut.atomics(), reference.atomics);
     prop_assert_eq!(dut.fault_dram_spikes(), reference.spikes);
     prop_assert_eq!(dut.fault_prefetch_overflows(), reference.overflows);
-    prop_assert_eq!(&dut.take_trace(), &reference.trace);
+    if traced {
+        prop_assert_eq!(&dut.take_trace(), &reference.trace);
+    } else {
+        prop_assert!(dut.take_trace().is_empty());
+    }
     Ok(())
 }
 
 fn fault_plan() -> FaultPlan {
     FaultPlan::from_rate(0x5eed, 0.3)
+}
+
+/// The ways a strided call can run: `(fault plan, trace on)`. With
+/// neither it may take the batched path; a plan or a trace forces one
+/// `access` per line.
+fn modes() -> [(Option<FaultPlan>, bool); 3] {
+    [(None, false), (Some(fault_plan()), false), (None, true)]
+}
+
+/// Install `fault` and, when `traced`, a trace on a fresh subsystem.
+fn subsystem(config: &GpuConfig, fault: Option<FaultPlan>, traced: bool) -> MemorySubsystem {
+    let mut dut = MemorySubsystem::new(config);
+    dut.set_fault_plan(fault);
+    if traced {
+        dut.enable_trace();
+    }
+    dut
 }
 
 /// One strided gather: `((base, stride kind, stride lines, stride words),
@@ -514,14 +555,12 @@ fn gather_stream() -> impl Strategy<Value = Vec<Gather>> {
 /// of the `count` gathers; then require the same state.
 fn assert_gather_matches_reference(
     config: &GpuConfig,
-    fault: Option<FaultPlan>,
+    (fault, traced): (Option<FaultPlan>, bool),
     stream: &[Gather],
 ) -> Result<(), TestCaseError> {
     let conflict = conflict_stride(config);
     let line = config.l2_line_bytes as u64;
-    let mut dut = MemorySubsystem::new(config);
-    dut.set_fault_plan(fault);
-    dut.enable_trace();
+    let mut dut = subsystem(config, fault, traced);
     let mut reference = RefMemory::new(config, fault);
     let mut offsets = Vec::new();
     for &((base, stride_kind, lines, words), (ref lanes, count, elem, class)) in stream {
@@ -557,7 +596,59 @@ fn assert_gather_matches_reference(
             }
         }
     }
-    assert_same_state(&mut dut, &reference)
+    assert_same_state(&mut dut, &reference, traced)
+}
+
+/// One strided store: `((base, nudge, stride kind, stride lines),
+/// (stride words, count, elem_bytes choice, class))`.
+type Store = ((u64, usize, u8, u64), (u64, usize, usize, usize));
+
+fn store_stream() -> impl Strategy<Value = Vec<Store>> {
+    proptest::collection::vec(
+        (
+            (0u64..64, 0usize..3, 0u8..4, 1u64..40),
+            (1u64..32, 0usize..40, 0usize..4, 0usize..TrafficClass::COUNT),
+        ),
+        1..12,
+    )
+}
+
+/// Replay `stream` as strided stores through the model, and through the
+/// reference as one write `access` per element whose line differs from
+/// the previous element's; then require the same state.
+fn assert_store_matches_reference(
+    config: &GpuConfig,
+    (fault, traced): (Option<FaultPlan>, bool),
+    stream: &[Store],
+) -> Result<(), TestCaseError> {
+    let conflict = conflict_stride(config);
+    let line = config.l2_line_bytes as u64;
+    let mut dut = subsystem(config, fault, traced);
+    let mut reference = RefMemory::new(config, fault);
+    for &((base, nudge, stride_kind, lines), (words, count, elem, class)) in stream {
+        // A nudge of 30 B puts a 4 B element across a sector boundary.
+        let addr = base * 96 + [0, 4, 30][nudge];
+        // Below a line, one line, lines plus a few words, or the conflict
+        // stride.
+        let stride = match stride_kind {
+            0 => words * 4,
+            1 => line,
+            2 => lines * line + words * 4,
+            _ => lines * conflict,
+        };
+        let elem_bytes = [4, 8, 48, 0][elem];
+        let class = TrafficClass::ALL[class];
+        dut.store_strided(addr, stride, count, elem_bytes, class);
+        let mut last_line = None;
+        for i in 0..count as u64 {
+            let addr = addr + i * stride;
+            if last_line != Some(addr / line) {
+                last_line = Some(addr / line);
+                reference.access(addr, elem_bytes, class, true, false);
+            }
+        }
+    }
+    assert_same_state(&mut dut, &reference, traced)
 }
 
 proptest! {
@@ -591,8 +682,18 @@ proptest! {
     #[test]
     fn strided_gather_matches_per_run_accesses(stream in gather_stream()) {
         for config in [small_scale_gv100(), GpuConfig::test_small(), GpuConfig::gv100()] {
-            assert_gather_matches_reference(&config, None, &stream)?;
-            assert_gather_matches_reference(&config, Some(fault_plan()), &stream)?;
+            for mode in modes() {
+                assert_gather_matches_reference(&config, mode, &stream)?;
+            }
+        }
+    }
+
+    #[test]
+    fn strided_store_matches_per_line_writes(stream in store_stream()) {
+        for config in [small_scale_gv100(), GpuConfig::test_small(), GpuConfig::gv100()] {
+            for mode in modes() {
+                assert_store_matches_reference(&config, mode, &stream)?;
+            }
         }
     }
 }

@@ -155,9 +155,16 @@ fn write_string(s: &str, out: &mut String) {
 
 // ---- parser -----------------------------------------------------------
 
+/// The deepest nesting of arrays and objects [`parse`] accepts, as in
+/// serde_json. The parser recurses once per level, so without a limit a
+/// deeply nested input overflows the stack and aborts the process.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 /// Parse JSON text into a [`Value`].
@@ -165,6 +172,7 @@ pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -218,11 +226,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_literal("true", Value::Bool(true)),
             Some(b'f') => self.eat_literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object with `container`, one level deeper;
+    /// past [`MAX_DEPTH`] levels, fail instead.
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -436,6 +456,28 @@ mod tests {
         assert!(from_str::<Value>("[1,]").is_err());
         assert!(from_str::<Value>("nul").is_err());
         assert!(from_str::<Value>("1 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nest = |levels: usize| {
+            let open: String = (0..levels)
+                .map(|i| if i % 2 == 0 { "[" } else { "{\"a\":" })
+                .collect();
+            let close: String = (0..levels)
+                .rev()
+                .map(|i| if i % 2 == 0 { "]" } else { "}" })
+                .collect();
+            format!("{open}0{close}")
+        };
+        assert!(from_str::<Value>(&nest(MAX_DEPTH)).is_ok());
+        for levels in [MAX_DEPTH + 1, 40_000] {
+            let err = from_str::<Value>(&nest(levels)).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        }
+        // Siblings do not add up: only open containers count.
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1); 3].join(","));
+        assert!(from_str::<Value>(&wide).is_ok());
     }
 
     #[test]

@@ -318,3 +318,39 @@ fn doctor_rejects_old_and_broken_bundles() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+    // 40,000 open containers would overflow the main thread's stack in a
+    // parser that recursed without a limit; an overflow aborts, so only
+    // the real binary can show it does not happen.
+    let dir = std::env::temp_dir().join(format!("nmt_cli_deep_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let arrays = dir.join("arrays.json");
+    std::fs::write(&arrays, "[".repeat(40_000)).expect("write arrays");
+    let objects = dir.join("objects.jsonl");
+    std::fs::write(&objects, "{\"a\":".repeat(40_000) + "\n").expect("write objects");
+    let (arrays, objects) = (
+        arrays.to_str().expect("utf8 path"),
+        objects.to_str().expect("utf8 path"),
+    );
+    for (args, expected) in [
+        (vec!["diff", arrays, arrays], "malformed ledger"),
+        (vec!["doctor", arrays], "malformed bundle"),
+        (vec!["serve", "--requests", objects], "trace line 1"),
+    ] {
+        let out = cli().args(&args).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.code().is_some_and(|code| code != 0),
+            "{args:?} must exit with an error code, not a signal: {:?}\n{stderr}",
+            out.status
+        );
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("nesting deeper than 128 levels"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

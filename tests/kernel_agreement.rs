@@ -2,25 +2,32 @@
 //! (and therefore with each other) on arbitrary inputs, while exhibiting
 //! the hardware behaviours the paper attributes to them — including the
 //! degraded-mode path: a faulted-then-fallback plan must produce the
-//! bitwise-identical `C` of the fault-free C-stationary reference.
+//! bitwise-identical `C` of the fault-free C-stationary reference — and
+//! the simulator's batched probes must price a run exactly as its
+//! per-access path does.
 
 use proptest::prelude::*;
 use spmm_nmt::fault::FaultPlan;
 use spmm_nmt::formats::{Coo, Csr, Dcsr, DenseMatrix, SparseMatrix, TiledCsr, TiledDcsr};
 use spmm_nmt::kernels::{
     astat_tiled, bstat_tiled_csr, bstat_tiled_dcsr_offline, bstat_tiled_dcsr_online,
-    csrmm_cusparse, csrmm_row_per_warp, dcsrmm_row_per_warp, host,
+    csrmm_cusparse, csrmm_row_per_warp, dcsrmm_row_per_warp, host, KernelRun,
 };
 use spmm_nmt::model::ssf::SsfThreshold;
 use spmm_nmt::planner::planner::{Algorithm, PlannerConfig, SpmmPlanner};
-use spmm_nmt::sim::{Gpu, GpuConfig, TrafficClass};
+use spmm_nmt::sim::{Gpu, GpuConfig, KernelStats, SimError, TrafficClass};
 
 fn gpu() -> Gpu {
     Gpu::new(GpuConfig::test_small()).expect("test config valid")
 }
 
 fn case_strategy() -> impl Strategy<Value = (Csr, DenseMatrix)> {
-    (8usize..=48, 1usize..=24).prop_flat_map(|(n, k)| {
+    cases(8usize..=48)
+}
+
+/// Square A of `n` rows with up to 120 non-zeros, and B of `n × (1..=24)`.
+fn cases(n: impl Strategy<Value = usize>) -> impl Strategy<Value = (Csr, DenseMatrix)> {
+    (n, 1usize..=24).prop_flat_map(|(n, k)| {
         let entry = (0..n as u32, 0..n as u32, 1i32..50);
         let entries = proptest::collection::vec(entry, 0..120);
         let bvals = proptest::collection::vec(-10i32..10, n * k);
@@ -152,6 +159,99 @@ proptest! {
         let bound = s.requested_traffic.total() + 64 * s.l2_misses;
         prop_assert!(s.dram_traffic.total() <= bound,
             "dram {} > bound {}", s.dram_traffic.total(), bound);
+    }
+}
+
+/// A kernel run with its GPU's cumulative DRAM, then requested, bytes
+/// per traffic class.
+type RunTraffic = (KernelRun, [u64; 2 * TrafficClass::COUNT]);
+
+/// Run `kernel` on a fresh `config` GPU, with `plan` installed.
+fn run_on(
+    config: &GpuConfig,
+    plan: Option<FaultPlan>,
+    kernel: impl FnOnce(&mut Gpu) -> Result<KernelRun, SimError>,
+) -> RunTraffic {
+    let mut gpu = Gpu::new(config.clone()).expect("config valid");
+    gpu.set_fault_plan(plan);
+    let run = kernel(&mut gpu).expect("kernel runs");
+    let mut traffic = [0; 2 * TrafficClass::COUNT];
+    for (i, class) in TrafficClass::ALL.into_iter().enumerate() {
+        traffic[i] = gpu.memory().dram_traffic().get(class);
+        traffic[TrafficClass::COUNT + i] = gpu.memory().requested_traffic().get(class);
+    }
+    (run, traffic)
+}
+
+/// Require two runs of one kernel to agree exactly: every stats field
+/// (`f64` ones by bits), the GPU's traffic and every element of C.
+fn assert_same_run(
+    what: &str,
+    (x, x_traffic): &RunTraffic,
+    (y, y_traffic): &RunTraffic,
+) -> Result<(), TestCaseError> {
+    let times = |s: &KernelStats| {
+        [
+            s.t_compute_ns,
+            s.t_memory_ns,
+            s.t_latency_ns,
+            s.t_xbar_ns,
+            s.t_overhead_ns,
+            s.total_ns,
+        ]
+        .map(f64::to_bits)
+    };
+    prop_assert_eq!(times(&x.stats), times(&y.stats), "{} times", what);
+    prop_assert_eq!(&x.stats, &y.stats, "{} stats", what);
+    prop_assert_eq!(x_traffic, y_traffic, "{} DRAM and requested traffic", what);
+    let bits = |r: &KernelRun| {
+        r.c.as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>()
+    };
+    prop_assert_eq!(bits(x), bits(y), "{} C", what);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A zero-rate fault plan never fires, but it forces every strided
+    /// gather and store through the per-access path; the batched path a
+    /// plan-free GPU takes must give the same bits. With n = 32 or 64,
+    /// one column of the stand-in's column-major B is a whole number of
+    /// 128 B lines, so its gathers batch too, not only its C stores.
+    #[test]
+    fn batched_probes_match_per_access_probes(
+        (a, b) in cases((0usize..3, 8usize..=48).prop_map(|(pick, n)| [32, 64, n][pick])),
+        seed in 0u64..u64::MAX,
+    ) {
+        let small_scale_gv100 = GpuConfig { l2_bytes: 128 * 1024, ..GpuConfig::gv100() };
+        let plan = Some(FaultPlan::new(seed, 0));
+        let dcsr = Dcsr::from_csr(&a);
+        let csc = a.to_csc();
+        for config in [GpuConfig::test_small(), small_scale_gv100] {
+            let cusparse = |gpu: &mut Gpu| csrmm_cusparse(gpu, &a, &b);
+            assert_same_run(
+                "csrmm_cusparse",
+                &run_on(&config, None, cusparse),
+                &run_on(&config, plan, cusparse),
+            )?;
+            let dcsr_rpw = |gpu: &mut Gpu| dcsrmm_row_per_warp(gpu, &dcsr, &b);
+            assert_same_run(
+                "dcsrmm_row_per_warp",
+                &run_on(&config, None, dcsr_rpw),
+                &run_on(&config, plan, dcsr_rpw),
+            )?;
+            let online =
+                |gpu: &mut Gpu| bstat_tiled_dcsr_online(gpu, &csc, &b, 8, 8).map(|o| o.run);
+            assert_same_run(
+                "bstat_tiled_dcsr_online",
+                &run_on(&config, None, online),
+                &run_on(&config, plan, online),
+            )?;
+        }
     }
 }
 
