@@ -905,7 +905,8 @@ fn harvest_events(obs: &ObsContext) -> Vec<LedgerEvent> {
 
 /// The serial wall-time pass behind `--perf`: rerun each buildable suite
 /// matrix through [`SpmmPlanner::explain`] — the path that produces its
-/// ledger row — with observability on, `cfg.warmup + cfg.iters` times,
+/// ledger row — with observability on, which adds span events and
+/// changes nothing it simulates, `cfg.warmup + cfg.iters` times,
 /// attribute each repetition's spans to phases with [`Profiler::analyze`],
 /// and summarize the per-phase self-time samples with the statistical
 /// harness.

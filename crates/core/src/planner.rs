@@ -147,10 +147,10 @@ impl SpmmPlanner {
     /// [`execute`](Self::execute) with an observability context: the run is
     /// decomposed into spans (`planner.execute` → `planner.plan`,
     /// `planner.baseline`, `planner.chosen`, with the chosen kernel's
-    /// `engine.convert`/`kernels.launch` nested below), per-phase wall
-    /// clock lands in `planner.phase.*_ns` gauges, and both kernels'
-    /// [`KernelStats`] are bridged into the registry under
-    /// `kernels.baseline.*` / `kernels.chosen.*`.
+    /// `engine.convert`/`kernels.launch` nested below; the spans are the
+    /// per-phase wall clock), each phase boundary leaves a `PlannerPhase`
+    /// flight event, and both kernels' [`KernelStats`] are bridged into the
+    /// registry under `kernels.baseline.*` / `kernels.chosen.*`.
     pub fn execute_with_obs(
         &self,
         a: &Csr,
@@ -167,12 +167,10 @@ impl SpmmPlanner {
             );
         };
 
-        let t0 = obs.flight.now_ns();
         let (profile, choice) = {
             let _s = obs.span("planner.plan");
             self.plan(a)
         };
-        let t_plan = obs.flight.now_ns();
         phase(0);
 
         let baseline = {
@@ -180,14 +178,12 @@ impl SpmmPlanner {
             self.run_baseline(a, b)?
         };
         publish_kernel_stats(obs, "kernels.baseline", &baseline.stats);
-        let t_baseline = obs.flight.now_ns();
         phase(1);
 
         let chosen = {
             let _s = obs.span("planner.chosen");
             self.run_candidate(choice, a, b, obs)?
         };
-        let t_chosen = obs.flight.now_ns();
         phase(2);
 
         let stats = chosen.run.stats;
@@ -203,12 +199,6 @@ impl SpmmPlanner {
             obs.metrics
                 .counter_add("fault.prefetch_overflows", chosen.prefetch_overflows);
         }
-        obs.metrics
-            .gauge_set("planner.phase.plan_ns", (t_plan - t0) as f64);
-        obs.metrics
-            .gauge_set("planner.phase.baseline_ns", (t_baseline - t_plan) as f64);
-        obs.metrics
-            .gauge_set("planner.phase.chosen_ns", (t_chosen - t_baseline) as f64);
 
         debug_assert!(
             chosen.run.c.approx_eq(&baseline.c, 1e-3),
@@ -542,15 +532,16 @@ mod tests {
         let mut paths = Vec::new();
         nmt_obs::span::walk(&obs.flight.lanes(), |step| {
             if let nmt_obs::span::Step::End { span, path } = step {
-                paths.push((span.name, path.to_vec()));
+                paths.push((span.name, path.to_vec(), span.end_ns - span.start_ns));
             }
         });
-        let path_of = |n: &str| {
+        let find = |n: &str| {
             paths
                 .iter()
-                .find(|(name, _)| *name == n)
-                .map_or_else(|| panic!("missing span {n}"), |(_, path)| path.clone())
+                .find(|(name, ..)| *name == n)
+                .unwrap_or_else(|| panic!("missing span {n}"))
         };
+        let path_of = |n: &str| find(n).1.clone();
         assert!(path_of("planner.execute").is_empty());
         for child in ["planner.plan", "planner.baseline", "planner.chosen"] {
             assert_eq!(path_of(child), ["planner.execute"], "{child}");
@@ -563,20 +554,28 @@ mod tests {
             );
         }
 
-        // Per-phase wall clock and both kernel-stat bridges landed.
-        for g in [
-            "planner.phase.plan_ns",
-            "planner.phase.baseline_ns",
-            "planner.phase.chosen_ns",
-        ] {
-            assert!(obs.metrics.gauge(g).is_some(), "missing gauge {g}");
-        }
+        // The phase spans are the per-phase wall clock: they fit inside the
+        // root, and each phase boundary left its PlannerPhase event.
+        let phases_ns: u64 = ["planner.plan", "planner.baseline", "planner.chosen"]
+            .iter()
+            .map(|n| find(n).2)
+            .sum();
+        assert!(phases_ns <= find("planner.execute").2);
+        let phase_codes: Vec<u32> = obs
+            .flight
+            .snapshot()
+            .iter()
+            .filter(|e| e.site == nmt_obs::EventSite::PlannerPhase)
+            .map(|e| e.code)
+            .collect();
+        assert_eq!(phase_codes, [0, 1, 2]);
+        // Both kernel-stat bridges and the conversion bridge landed.
         assert!(obs.metrics.counter("kernels.baseline.dram_bytes.mat_a") > 0);
         assert!(obs.metrics.counter("kernels.chosen.dram_bytes.mat_a") > 0);
-        assert!(obs
-            .metrics
-            .gauge("engine.pipeline.prefetch_hit_rate")
-            .is_some());
+        assert_eq!(
+            obs.metrics.counter("engine.convert.elements"),
+            a.nnz() as u64
+        );
         assert!(obs.metrics.gauge("engine.comparator.occupancy").is_some());
     }
 

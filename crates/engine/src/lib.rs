@@ -47,7 +47,7 @@ pub use farm::{
     convert_matrix_farm, convert_matrix_farm_obs, publish_farm, FarmConfig, FarmError, FarmRun,
     PartitionWork,
 };
-pub use pipeline::{publish_pipeline, simulate_strip, PipelineConfig, PipelineResult};
+pub use pipeline::{simulate_strip, PipelineConfig, PipelineResult};
 pub use placement::{imbalance, partition_loads, Layout, PlacementError, SwitchCost};
 pub use timing::{EngineTiming, PrefetchBuffer};
 

@@ -73,55 +73,6 @@ impl PipelineResult {
     pub fn time_ns(&self, config: &PipelineConfig) -> f64 {
         self.cycles as f64 * config.cycle_ns
     }
-
-    /// Cycles the comparator advanced because every needed frontier
-    /// element was already buffered — the prefetch-hit count. Every
-    /// non-stall cycle emits a row, so hits are `cycles - stall_cycles`.
-    pub fn prefetch_hits(&self) -> u64 {
-        self.cycles - self.stall_cycles
-    }
-
-    /// Fraction of comparator cycles served from the prefetch buffers
-    /// (1.0 = the §5.3 buffer fully hides refill latency).
-    pub fn prefetch_hit_rate(&self) -> f64 {
-        if self.cycles == 0 {
-            // An empty strip never touched the buffers; count that as
-            // fully hidden rather than 0% hit.
-            1.0
-        } else {
-            self.prefetch_hits() as f64 / self.cycles as f64
-        }
-    }
-
-    /// Accumulate another strip's result into this one.
-    pub fn merge(&mut self, other: &PipelineResult) {
-        self.cycles += other.cycles;
-        self.stall_cycles += other.stall_cycles;
-        self.elements += other.elements;
-        self.rows += other.rows;
-    }
-}
-
-/// Bridge a pipeline run into the observability registry under
-/// `engine.pipeline.*`: frontier-walk stalls are prefetch misses, emitting
-/// cycles are prefetch hits.
-pub fn publish_pipeline(obs: &nmt_obs::ObsContext, result: &PipelineResult) {
-    let m = &obs.metrics;
-    m.counter_add("engine.pipeline.cycles", result.cycles);
-    m.counter_add("engine.pipeline.prefetch_miss", result.stall_cycles);
-    m.counter_add("engine.pipeline.prefetch_hit", result.prefetch_hits());
-    m.counter_add("engine.pipeline.elements", result.elements);
-    m.counter_add("engine.pipeline.rows", result.rows);
-    // Recompute the rate from the accumulated counters so repeated
-    // publishes (one per strip) converge on the whole-matrix rate.
-    let hits = m.counter("engine.pipeline.prefetch_hit");
-    let cycles = m.counter("engine.pipeline.cycles");
-    let rate = if cycles == 0 {
-        1.0
-    } else {
-        hits as f64 / cycles as f64
-    };
-    m.gauge_set("engine.pipeline.prefetch_hit_rate", rate);
 }
 
 /// One lane's state: buffered elements (their row coordinates), the number
@@ -388,8 +339,6 @@ mod tests {
         assert!((r.throughput() - 0.9).abs() < 1e-12);
         let cfg = PipelineConfig::paper_fp32(8);
         assert!((r.time_ns(&cfg) - 100.0 * cfg.cycle_ns).abs() < 1e-9);
-        assert_eq!(r.prefetch_hits(), 90);
-        assert!((r.prefetch_hit_rate() - 0.9).abs() < 1e-12);
         let zero = PipelineResult {
             cycles: 0,
             stall_cycles: 0,
@@ -397,33 +346,5 @@ mod tests {
             rows: 0,
         };
         assert_eq!(zero.throughput(), 0.0);
-        assert_eq!(zero.prefetch_hit_rate(), 1.0, "empty strip is fully hidden");
-        let mut acc = zero;
-        acc.merge(&r);
-        acc.merge(&r);
-        assert_eq!(acc.cycles, 200);
-        assert_eq!(acc.stall_cycles, 20);
-        assert_eq!(acc.elements, 180);
-        assert_eq!(acc.rows, 90);
-    }
-
-    #[test]
-    fn publish_pipeline_accumulates_hit_rate() {
-        let csc = single_column(500);
-        let config = PipelineConfig::paper_fp32(8);
-        let r = simulate_strip(&csc, 0, &config);
-        let obs = nmt_obs::ObsContext::disabled();
-        publish_pipeline(&obs, &r);
-        publish_pipeline(&obs, &r);
-        assert_eq!(obs.metrics.counter("engine.pipeline.cycles"), 2 * r.cycles);
-        assert_eq!(
-            obs.metrics.counter("engine.pipeline.prefetch_miss"),
-            2 * r.stall_cycles
-        );
-        let rate = obs
-            .metrics
-            .gauge("engine.pipeline.prefetch_hit_rate")
-            .unwrap();
-        assert!((rate - r.prefetch_hit_rate()).abs() < 1e-12);
     }
 }

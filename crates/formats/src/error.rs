@@ -36,6 +36,16 @@ pub enum FormatError {
         /// The oversized dimension.
         dim: usize,
     },
+    /// A Matrix Market size line names a dimension above
+    /// [`MAX_MARKET_DIM`](crate::market::MAX_MARKET_DIM).
+    DimensionTooLarge {
+        /// Which dimension ("rows" / "cols").
+        axis: &'static str,
+        /// The dimension the stream asked for.
+        dim: usize,
+        /// The largest dimension the reader accepts.
+        limit: usize,
+    },
     /// Entries within a row (CSR) or column (CSC) are not sorted or contain
     /// duplicates where a canonical format was requested.
     NotCanonical {
@@ -96,6 +106,12 @@ impl fmt::Display for FormatError {
             }
             FormatError::DimensionOverflow { dim } => {
                 write!(f, "dimension {dim} exceeds u32 index space")
+            }
+            FormatError::DimensionTooLarge { axis, dim, limit } => {
+                write!(
+                    f,
+                    "{axis} dimension {dim} exceeds the Matrix Market reader's limit of {limit}"
+                )
             }
             FormatError::NotCanonical { detail } => write!(f, "not canonical: {detail}"),
             FormatError::ShapeMismatch { detail } => write!(f, "shape mismatch: {detail}"),

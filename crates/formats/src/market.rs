@@ -43,7 +43,14 @@ pub struct MarketHeader {
     pub symmetry: MarketSymmetry,
 }
 
-/// Read a Matrix Market stream into a canonical [`Coo`].
+/// Largest row or column count [`read_market`] accepts (2^24). Consumers
+/// size pointer arrays from the size line, so unbounded, a one-entry file
+/// could ask for tens of GB; at 2^24 a CSR row pointer stays at 64 MiB,
+/// ~380× the paper's largest matrix (44k rows).
+pub const MAX_MARKET_DIM: usize = 1 << 24;
+
+/// Read a Matrix Market stream into a canonical [`Coo`]. A dimension above
+/// [`MAX_MARKET_DIM`] fails on the size line, before anything is sized.
 pub fn read_market<R: Read>(reader: R) -> Result<(Coo, MarketHeader), FormatError> {
     let mut lines = BufReader::new(reader).lines();
     let header_line = lines
@@ -77,6 +84,12 @@ pub fn read_market<R: Read>(reader: R) -> Result<(Coo, MarketHeader), FormatErro
     let nnz: usize = parse_tok(it.next(), lineno, "nnz")?;
 
     let mut coo = Coo::new(nrows, ncols)?;
+    for (axis, dim) in [("rows", nrows), ("cols", ncols)] {
+        let limit = MAX_MARKET_DIM;
+        if dim > limit {
+            return Err(FormatError::DimensionTooLarge { axis, dim, limit });
+        }
+    }
     let mut read = 0usize;
     // Duplicate detection: Matrix Market leaves duplicate-coordinate
     // semantics to the consumer, so accepting them would silently commit
@@ -91,8 +104,9 @@ pub fn read_market<R: Read>(reader: R) -> Result<(Coo, MarketHeader), FormatErro
             continue;
         }
         let mut it = trimmed.split_whitespace();
-        let r: usize = parse_tok(it.next(), lineno, "row")?;
-        let c: usize = parse_tok(it.next(), lineno, "col")?;
+        // Parsed as u32, so a huge index cannot wrap into range.
+        let r: u32 = parse_tok(it.next(), lineno, "row")?;
+        let c: u32 = parse_tok(it.next(), lineno, "col")?;
         if r == 0 || c == 0 {
             return Err(FormatError::Parse {
                 line: lineno,
@@ -113,7 +127,7 @@ pub fn read_market<R: Read>(reader: R) -> Result<(Coo, MarketHeader), FormatErro
                 v
             }
         };
-        let (r0, c0) = ((r - 1) as u32, (c - 1) as u32);
+        let (r0, c0) = (r - 1, c - 1);
         if !seen.insert((r0, c0)) {
             return Err(FormatError::DuplicateEntry {
                 line: lineno,
@@ -379,6 +393,49 @@ mod tests {
             read_market(text.as_bytes()).unwrap_err(),
             FormatError::Parse { .. }
         ));
+    }
+
+    #[test]
+    fn rejects_dimensions_past_the_limit_before_sizing_anything() {
+        // Header-only streams: the limit fires on the size line, so
+        // nothing proportional to the dimension is ever allocated.
+        let over = MAX_MARKET_DIM + 1;
+        for (size, axis) in [
+            (format!("{over} 2 1"), "rows"),
+            (format!("2 {over} 1"), "cols"),
+        ] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n{size}\n");
+            let err = read_market(text.as_bytes()).unwrap_err();
+            assert_eq!(
+                err,
+                FormatError::DimensionTooLarge {
+                    axis,
+                    dim: over,
+                    limit: MAX_MARKET_DIM
+                }
+            );
+            let msg = err.to_string();
+            assert!(msg.contains(&over.to_string()) && msg.contains(&MAX_MARKET_DIM.to_string()));
+        }
+        // The limit itself is accepted.
+        let text = format!(
+            "%%MatrixMarket matrix coordinate pattern general\n{MAX_MARKET_DIM} 1 1\n1 1\n"
+        );
+        let (coo, _) = read_market(text.as_bytes()).unwrap();
+        assert_eq!(coo.shape().nrows, MAX_MARKET_DIM);
+    }
+
+    #[test]
+    fn rejects_indices_that_would_wrap_into_range() {
+        // Narrowed from a wider integer, 2^32 + 1 would land on row 0 of
+        // a 2x2 matrix.
+        let text = "%%MatrixMarket matrix coordinate real general\n\
+                    2 2 1\n4294967297 1 1.0\n";
+        let err = read_market(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, FormatError::Parse { line: 3, ref detail } if detail.contains("row")),
+            "got {err:?}"
+        );
     }
 
     #[test]

@@ -25,8 +25,7 @@
 use crate::device::{CscDevice, DenseDevice, TiledDcsrDevice, WORD};
 use crate::KernelRun;
 use nmt_engine::{
-    convert_matrix_farm_obs, publish_conversion, publish_farm, publish_pipeline, simulate_strip,
-    ConversionStats, FarmConfig, PipelineConfig, PipelineResult,
+    convert_matrix_farm_obs, publish_conversion, publish_farm, ConversionStats, FarmConfig,
 };
 use nmt_formats::{Csc, DcsrStrip, DenseMatrix, SparseMatrix, TiledCsr, TiledDcsr};
 use nmt_obs::ObsContext;
@@ -404,9 +403,9 @@ pub fn bstat_tiled_dcsr_online(
 /// `engine.farm.strip` per strip on the worker that ran it), the
 /// post-farm bookkeeping runs under `engine.convert` and the launch under
 /// `kernels.launch`; each strip records a `KernelStrip` flight event and
-/// per-strip FLOP/element/stream-byte histograms in the metric registry,
-/// and — when the context is enabled — runs the cycle-level prefetch
-/// pipeline so `engine.pipeline.prefetch_hit_rate` reflects this matrix.
+/// per-strip FLOP/element/stream-byte histograms in the metric registry.
+/// An enabled and a disabled context run the same simulation and publish
+/// the same metrics; they differ only in span events.
 pub fn bstat_tiled_dcsr_online_obs(
     gpu: &mut Gpu,
     csc: &Csc,
@@ -438,21 +437,6 @@ pub fn bstat_tiled_dcsr_online_obs(
     let engine = farm.stats;
     {
         let _convert_span = obs.span("engine.convert");
-        // The discrete prefetch-pipeline model is priced per strip only
-        // when someone is watching; it does not change the run. It is pure
-        // per strip, so it runs in the same parallel fashion as the farm
-        // and publishes serially below in strip order.
-        let pipeline_runs: Vec<PipelineResult> = if obs.is_enabled() {
-            use rayon::prelude::*;
-            let pipe_cfg = PipelineConfig::paper_fp32(tile_w.clamp(1, 64));
-            (0..nstrips)
-                .into_par_iter()
-                .map(|s| simulate_strip(csc, s, &pipe_cfg))
-                .collect()
-        } else {
-            // nmt-lint: allow(hot-alloc) — cold branch, empty Vec never allocates
-            Vec::new()
-        };
         // Record events and histograms serially, strips ascending: their
         // order and contents stay identical to a serial run.
         for (s, st) in farm.per_strip.iter().enumerate() {
@@ -465,9 +449,6 @@ pub fn bstat_tiled_dcsr_online_obs(
                 2 * k as u64 * st.elements,
             );
             m.histogram_record("kernels.bstat_online.strip_stream_bytes", st.output_bytes);
-            if let Some(pipe) = pipeline_runs.get(s) {
-                publish_pipeline(obs, pipe);
-            }
         }
     }
     publish_conversion(obs, &engine);
@@ -710,14 +691,12 @@ mod tests {
         assert_eq!(h.sum, a.nnz() as u64);
         let flops = &snap.histograms["kernels.bstat_online.strip_flops"];
         assert_eq!(flops.sum, 2 * 16 * a.nnz() as u64);
-        // The enabled context priced the prefetch pipeline per strip.
-        assert!(obs.metrics.counter("engine.pipeline.cycles") > 0);
-        let rate = obs
-            .metrics
-            .gauge("engine.pipeline.prefetch_hit_rate")
-            .unwrap();
-        assert!((0.0..=1.0).contains(&rate));
-        // ...and the conversion bridge published whole-matrix totals.
+        // A disabled context publishes exactly the same metrics: observing
+        // the run adds span events and nothing else.
+        let quiet = ObsContext::disabled();
+        bstat_tiled_dcsr_online_obs(&mut gpu(), &csc, &b, 16, 16, &quiet).unwrap();
+        assert_eq!(quiet.metrics.snapshot().flat(), snap.flat());
+        // The conversion bridge published whole-matrix totals.
         assert_eq!(
             obs.metrics.counter("engine.convert.elements"),
             a.nnz() as u64

@@ -9,7 +9,7 @@
 //!   regions, recorded as begin/end events in the flight recorder.
 //! * **Metrics** ([`MetricRegistry`]) — named monotonic counters, gauges,
 //!   and log₂-bucketed histograms. Names follow
-//!   `<crate>.<component>.<name>` (e.g. `engine.pipeline.prefetch_miss`).
+//!   `<crate>.<component>.<name>` (e.g. `engine.comparator.occupancy`).
 //! * **Export** ([`export`]) — a Chrome trace-event file loadable in
 //!   Perfetto / `chrome://tracing`, and a folded-stack flamegraph
 //!   ([`flamegraph_folded`]).
@@ -20,6 +20,7 @@
 //!
 //! Instrumented code takes an [`ObsContext`] (cheaply cloneable); callers
 //! that don't care pass [`ObsContext::disabled()`], which records no spans.
+//! Only spans read that switch, so observing a run cannot change it.
 
 pub mod alloc;
 pub mod export;
@@ -77,21 +78,10 @@ impl ObsContext {
         Self::new(false)
     }
 
-    /// Whether spans are recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Open a span named `name` (an entry of [`span::SPAN_NAMES`]);
     /// prefer the [`span!`] macro.
     pub fn span(&self, name: &'static str) -> Span<'_> {
         Span::open(name, self.enabled.then_some(&*self.flight))
-    }
-}
-
-impl Default for ObsContext {
-    fn default() -> Self {
-        Self::disabled()
     }
 }
 

@@ -322,6 +322,9 @@ impl<'a> Parser<'a> {
                                 self.eat(b'\\')?;
                                 self.eat(b'u')?;
                                 let lo = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(self.error("unpaired surrogate"));
+                                }
                                 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                             } else {
                                 hi
@@ -490,5 +493,13 @@ mod tests {
             from_str::<Value>(r#""😀""#).unwrap(),
             Value::Str("\u{1F600}".into())
         );
+        assert_eq!(
+            from_str::<Value>(r#""\ud83d\ude00""#).unwrap(),
+            Value::Str("\u{1F600}".into())
+        );
+        // A high surrogate must pair with a low one, not any escape.
+        for text in [r#""\ud800\u0041""#, r#""\ud800\uffff""#, r#""\udc00""#] {
+            assert!(from_str::<Value>(text).is_err(), "{text}");
+        }
     }
 }

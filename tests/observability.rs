@@ -1,26 +1,27 @@
 //! End-to-end observability acceptance: a planner run with an enabled
 //! [`ObsContext`] must yield (a) a Chrome trace with nested
-//! plan → convert → kernel spans and (b) a metrics snapshot carrying the
-//! engine prefetch hit rate, comparator occupancy, per-traffic-class
-//! bytes, and per-phase wall clock — both in-process and through the CLI
-//! `--trace-out` / `--metrics-json` flags.
+//! plan → convert → kernel spans, whose plan/baseline/chosen phases are the
+//! per-phase wall clock, and (b) a metrics snapshot carrying the engine's
+//! comparator occupancy and converted elements and per-traffic-class
+//! bytes — both in-process and through the CLI `--trace-out` /
+//! `--metrics-json` flags.
 
 use spmm_nmt::fault::FaultPlan;
 use spmm_nmt::formats::SparseMatrix;
-use spmm_nmt::matgen::{generators, random_dense, GenKind, MatrixDesc};
+use spmm_nmt::matgen::{generators, random_dense, GenKind, MatrixDesc, SuiteSpec};
 use spmm_nmt::model::ssf::SsfThreshold;
 use spmm_nmt::obs::span::{walk, Step};
 use spmm_nmt::obs::{
     chrome_trace_json, flamegraph_folded, Event, ObsContext, Profiler, SpanRecord,
 };
-use spmm_nmt::planner::planner::{Algorithm, PlannerConfig, SpmmPlanner};
-use std::collections::BTreeSet;
+use spmm_nmt::planner::planner::{Algorithm, PlanReport, PlannerConfig, SpmmPlanner};
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::Command;
 
 fn bstationary_planner() -> SpmmPlanner {
     let mut cfg = PlannerConfig::test_small();
-    // Force the online path: it exercises the engine, the prefetch
-    // pipeline, and the kernel launch in one run.
+    // Force the online path: it exercises the engine's conversion farm
+    // and the kernel launch in one run.
     cfg.threshold = SsfThreshold {
         threshold: -1.0,
         accuracy: 1.0,
@@ -113,10 +114,11 @@ fn planner_run_produces_nested_trace_and_acceptance_metrics() {
 
     // --- Metrics: the acceptance keys, with sane values. ---
     let m = &obs.metrics;
-    let hit_rate = m
-        .gauge("engine.pipeline.prefetch_hit_rate")
-        .expect("prefetch hit rate");
-    assert!((0.0..=1.0).contains(&hit_rate));
+    // Every comparator pass emits one DCSR row or closes one tile.
+    assert_eq!(
+        m.counter("engine.comparator.passes"),
+        m.counter("engine.convert.rows_emitted") + m.counter("engine.convert.tiles")
+    );
     let occupancy = m
         .gauge("engine.comparator.occupancy")
         .expect("comparator occupancy");
@@ -128,17 +130,70 @@ fn planner_run_produces_nested_trace_and_acceptance_metrics() {
     }
     assert!(m.counter("kernels.chosen.dram_bytes.mat_a") > 0);
     assert!(m.counter("kernels.baseline.dram_bytes.mat_a") > 0);
+    // Per-phase wall clock is the phase spans, which partition no more
+    // than the root's time.
+    let mut phases_ns = 0;
     for phase in ["plan", "baseline", "chosen"] {
-        let g = m
-            .gauge(&format!("planner.phase.{phase}_ns"))
-            .unwrap_or_else(|| panic!("missing planner.phase.{phase}_ns"));
-        assert!(g >= 0.0);
+        let (s, _) = find(&format!("planner.{phase}"));
+        assert!(s.start_ns >= root.start_ns && s.end_ns <= root.end_ns);
+        phases_ns += s.end_ns - s.start_ns;
     }
+    assert!(phases_ns <= root.end_ns - root.start_ns);
     assert_eq!(
         m.counter("engine.convert.elements"),
         a.nnz() as u64,
         "engine converted every nonzero exactly once"
     );
+}
+
+/// What a run leaves behind apart from its span events: the flattened
+/// metrics and the content keys of every other flight event, in content
+/// order.
+type Observed = (BTreeMap<String, f64>, Vec<(u32, u32, u64, u64)>);
+
+fn observed(obs: &ObsContext) -> Observed {
+    let events = obs
+        .flight
+        .snapshot()
+        .iter()
+        .filter(|e| !e.site.is_span())
+        .map(Event::content_key)
+        .collect();
+    (obs.metrics.snapshot().flat(), events)
+}
+
+/// A report by bits: its `Debug` form prints every float in shortest
+/// round-trip form, and C is compared element by element.
+fn report_bits(r: &PlanReport) -> (String, Vec<u32>) {
+    let c = r.c.as_slice().iter().map(|v| v.to_bits()).collect();
+    (format!("{r:?}"), c)
+}
+
+#[test]
+fn observing_a_run_changes_only_its_span_events() {
+    let planner = SpmmPlanner::new(PlannerConfig::test_small());
+    for (desc, a) in SuiteSpec::quick(29).build().iter() {
+        let b = random_dense(a.shape().ncols, 8, desc.seed ^ 0x16);
+        let (on, off) = (ObsContext::enabled(), ObsContext::disabled());
+        let audit_on = planner.explain(&desc.name, a, &b, &on).expect("audit runs");
+        let audit_off = planner
+            .explain(&desc.name, a, &b, &off)
+            .expect("audit runs");
+        assert_eq!(audit_on, audit_off, "{}: audit", desc.name);
+        assert_eq!(observed(&on), observed(&off), "{}: explain", desc.name);
+
+        let (on, off) = (ObsContext::enabled(), ObsContext::disabled());
+        let report_on = planner.execute_with_obs(a, &b, &on).expect("runs");
+        let report_off = planner.execute_with_obs(a, &b, &off).expect("runs");
+        assert_eq!(
+            report_bits(&report_on),
+            report_bits(&report_off),
+            "{}: report",
+            desc.name
+        );
+        assert_eq!(observed(&on), observed(&off), "{}: execute", desc.name);
+        assert!(on.flight.snapshot().iter().any(|e| e.site.is_span()));
+    }
 }
 
 /// Split one folded-flamegraph line into (stack, self_ns).
@@ -365,10 +420,11 @@ fn cli_writes_trace_and_metrics_artifacts() {
         .get("kernels.chosen.dram_bytes.mat_a")
         .and_then(serde_json::Value::as_u64)
         .is_some());
-    assert!(metrics["gauges"].get("planner.phase.chosen_ns").is_some());
+    assert!(metrics["gauges"].get("kernels.chosen.total_ns").is_some());
     if record["algorithm"].as_str() == Some("bstat-online") {
-        assert!(metrics["gauges"]
-            .get("engine.pipeline.prefetch_hit_rate")
+        assert!(metrics["counters"]
+            .get("engine.convert.elements")
+            .and_then(serde_json::Value::as_u64)
             .is_some());
         assert!(metrics["gauges"]
             .get("engine.comparator.occupancy")
@@ -379,5 +435,5 @@ fn cli_writes_trace_and_metrics_artifacts() {
     let embedded = record["metrics"]
         .as_object()
         .expect("metrics embedded in --json record");
-    assert!(embedded.iter().any(|(k, _)| k == "planner.phase.plan_ns"));
+    assert!(embedded.iter().any(|(k, _)| k == "kernels.chosen.total_ns"));
 }
