@@ -26,7 +26,6 @@ fn main() {
         let tiled = TiledDcsr::from_csr(a, tile, tile).expect("tiling");
         let tile_bytes: Vec<Vec<u64>> = tiled
             .strips()
-            .iter()
             .map(|s| {
                 s.tiles()
                     .map(|t| (t.metadata_bytes() + t.data_bytes()) as u64)

@@ -9,10 +9,9 @@
 //! `--iters`/`--warmup` variant as a smoke check.
 //!
 //! Besides wall time, every target is measured for **steady-state
-//! allocation pressure**: pools are reset, one warm iteration shelves its
-//! buffers, then a second iteration's process-wide `alloc.count` /
-//! `alloc.bytes` delta (all threads — the farm's workers included) lands
-//! in the table. With `--budgets <file>` the measured numbers gate
+//! allocation pressure**: after one warm iteration, an iteration's
+//! process-wide `alloc.count` / `alloc.bytes` delta (all threads — the
+//! farm's workers included) lands in the table. With `--budgets <file>` the measured numbers gate
 //! against the committed per-target ceilings and the run fails on any
 //! increase; `--write-budgets <file>` regenerates the file with headroom.
 //!
@@ -65,15 +64,10 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> 
 }
 
 /// Steady-state allocation delta of one iteration of `f`, across all
-/// threads: reset the engine pools to a reproducible empty state, then
-/// run warm iterations until the delta stops shrinking and report the
-/// last one. Several warm passes are needed because pooled buffers grow
-/// toward their steady-state capacities over the first few runs (a
-/// checked-out buffer smaller than its eventual need reallocs once, then
-/// reshelves at the grown capacity — shelf capacities only ratchet up).
+/// threads: after one warm iteration, run iterations until the delta
+/// stops shrinking and report the smallest.
 fn measure_alloc(mut f: impl FnMut()) -> (u64, u64) {
     const MAX_WARM: usize = 8;
-    nmt_engine::mem::reset_pools();
     let prev = nmt_obs::alloc::enable_counting(true);
     f();
     let mut best = (u64::MAX, u64::MAX);
@@ -164,8 +158,6 @@ fn run_benches() -> Result<(), String> {
     };
 
     // 1. The conversion farm: CSC -> tiled DCSR across FB partitions.
-    // The alloc pass recycles each run's output so the pools reach their
-    // steady state — exactly how the online kernel consumes the farm.
     let farm_cfg = FarmConfig::paper_default();
     let stats = run(&cfg, || {
         let farm = convert_matrix_farm(&csc, tile, tile, farm_cfg)
@@ -176,7 +168,6 @@ fn run_benches() -> Result<(), String> {
         let farm = convert_matrix_farm(&csc, tile, tile, farm_cfg)
             .expect("clean farm conversion cannot fail");
         std::hint::black_box(farm.stats.elements);
-        nmt_engine::mem::recycle_strips(farm.strips);
     });
     add_row("farm_convert", stats, alloc);
 
@@ -198,7 +189,6 @@ fn run_benches() -> Result<(), String> {
     let alloc = measure_alloc(|| {
         for farm in nested() {
             std::hint::black_box(farm.stats.elements);
-            nmt_engine::mem::recycle_strips(farm.strips);
         }
     });
     add_row("farm_convert_nested", stats, alloc);
@@ -346,10 +336,10 @@ fn run_benches() -> Result<(), String> {
     );
 
     if let Some(path) = write_budgets_path {
-        // Headroom: 50% relative + small absolute slack, so pool shelving
-        // wobble and allocator-internal variance never flake the gate. A
-        // target that allocates nothing keeps a zero budget: it has no
-        // pool to wobble, and any allocation there is a regression.
+        // Headroom: 50% relative + small absolute slack, so thread
+        // scheduling and allocator-internal variance never flake the gate.
+        // A target that allocates nothing keeps a zero budget: nothing
+        // there can wobble, and any allocation is a regression.
         let with_headroom: BTreeMap<String, AllocBudget> = measured
             .iter()
             .map(|(name, m)| {

@@ -10,9 +10,7 @@
 //!
 //! Artifacts know their byte footprint (the cache's eviction currency,
 //! from the same [`StorageSize`] accounting Figures 8/9 use). An evicted
-//! artifact is dropped, not shelved in the engine pools: nothing on the
-//! serve path takes artifact-sized buffers from those pools, so shelving
-//! would only keep every evicted artifact's memory alive.
+//! artifact is dropped, which frees its memory at once.
 
 use nmt_formats::{Csr, Dcsr, FormatError, StorageSize, TiledDcsr};
 
@@ -54,8 +52,8 @@ impl ConversionArtifact {
         }
     }
 
-    /// Release an evicted artifact: its buffers are freed, not returned
-    /// to the engine pools (see the module docs).
+    /// Release an evicted artifact: its buffers are freed. The host-time
+    /// benchmark still calls this; it is a plain drop.
     pub fn recycle(self) {
         drop(self);
     }

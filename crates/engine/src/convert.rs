@@ -13,20 +13,34 @@
 //! 4. repeat until the lanes sweep the designated tile, then return the
 //!    tile (④ of Figure 13).
 //!
+//! The model emits that sequence without stepping the tree. A *bucket
+//! pass* walks each lane's frontier through a window of at most 64 tile
+//! rows, setting the lane's bit in a row → lane-mask table. It then emits
+//! the window's non-empty rows in ascending order, each row's lanes
+//! ascending. Every lane's column is sorted, so this is exactly the
+//! (minimum row, tie mask) sequence the tree yields, one pass per row.
+//! [`ConversionStats::of_tile`] prices the passes the hardware makes, and
+//! [`crate::comparator::ComparatorTree`] stays as the reference the tests
+//! replay each tile's frontiers through.
+//!
 //! The converter is *stateful across tiles* in a strip: walking tiles
 //! top-to-bottom needs no re-scanning (sequential access), and random tile
 //! access repositions the frontier by binary search on the CSC columns —
 //! both properties §4.1 credits to the CSC baseline format.
 
-use crate::comparator::{ComparatorTree, MinScratch, MAX_LANES};
+use crate::comparator::MAX_LANES;
 use crate::farm::{convert_matrix_farm_obs, FarmConfig, FarmError};
-use crate::mem;
 use crate::placement::Layout;
-use nmt_formats::{Csc, DcsrStrip, DcsrTileView, Index, SparseMatrix, TiledDcsr};
+use nmt_formats::{
+    Csc, DcsrTileView, Index, SparseMatrix, StripSize, StripWriter, TiledDcsr, Value,
+};
 
 /// Byte cost of one streamed CSC element: a 4-byte row index plus a 4-byte
 /// fp32 value ("8-byte input data", §5.3).
 pub const INPUT_BYTES_PER_ELEM: u64 = 8;
+
+/// Rows one bucket pass covers: one bit each in the occupancy mask.
+const WINDOW: usize = 64;
 
 /// Running hardware-activity counters for one converter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -68,15 +82,23 @@ impl ConversionStats {
     /// tile also carries its pointer loads (Figure 14 ❶), so a strip's
     /// tiles sum to its [`StripConverter::stats`].
     pub fn of_tile(tile: &DcsrTileView<'_>, lanes: usize, first: bool) -> ConversionStats {
-        let (rows, elems) = (tile.nnz_rows() as u64, tile.nnz() as u64);
-        let passes = rows + 1;
         let pointer_loads = if first { 2 * tile.width as u64 * 4 } else { 0 };
+        let mut stats = Self::of_rows(tile.nnz_rows(), tile.nnz(), lanes);
+        stats.input_bytes += pointer_loads;
+        stats
+    }
+
+    /// [`Self::of_tile`] for a tile of `rows` rows and `elems` elements,
+    /// without the pointer loads.
+    fn of_rows(rows: usize, elems: usize, lanes: usize) -> ConversionStats {
+        let (rows, elems) = (rows as u64, elems as u64);
+        let passes = rows + 1;
         ConversionStats {
             comparator_passes: passes,
             elements: elems,
             rows_emitted: rows,
             tiles: 1,
-            input_bytes: elems * INPUT_BYTES_PER_ELEM + pointer_loads,
+            input_bytes: elems * INPUT_BYTES_PER_ELEM,
             output_bytes: 4 * (2 * elems + 2 * rows + 1),
             lane_slots: passes * lanes as u64,
         }
@@ -108,6 +130,70 @@ pub fn publish_conversion(obs: &nmt_obs::ObsContext, stats: &ConversionStats) {
     m.gauge_set("engine.comparator.occupancy", stats.comparator_occupancy());
 }
 
+/// Where the converter writes a tile's rows: a strip of the farm's arena,
+/// or the converter's own buffers for one random-access tile.
+trait RowSink {
+    fn push_row(&mut self, local_row: Index);
+    fn push_elem(&mut self, lane: Index, value: Value);
+}
+
+impl RowSink for StripWriter<'_> {
+    fn push_row(&mut self, local_row: Index) {
+        StripWriter::push_row(self, local_row);
+    }
+
+    fn push_elem(&mut self, lane: Index, value: Value) {
+        StripWriter::push_elem(self, lane, value);
+    }
+}
+
+/// The arrays of one tile [`StripConverter::next_tile`] converts.
+#[derive(Debug, Clone, Default)]
+struct TileBuf {
+    rowidx: Vec<Index>,
+    rowptr: Vec<Index>,
+    colidx: Vec<Index>,
+    values: Vec<Value>,
+}
+
+impl RowSink for TileBuf {
+    fn push_row(&mut self, local_row: Index) {
+        self.rowidx.push(local_row);
+        self.rowptr.push(self.colidx.len() as Index);
+    }
+
+    fn push_elem(&mut self, lane: Index, value: Value) {
+        self.colidx.push(lane);
+        self.values.push(value);
+    }
+}
+
+/// One bucket pass over rows `lo..hi`: advance each lane's `scan` cursor
+/// past its rows there, setting the lane's bit in `masks[row - lo]` and
+/// bit `row - lo` of the returned occupancy. Also returns the smallest
+/// row a lane holds at or past `hi` (`Index::MAX` when none does).
+fn bucket(
+    rowidx: &[Index],
+    scan: &mut [usize],
+    ends: &[usize],
+    (lo, hi): (Index, Index),
+    masks: &mut [u64; WINDOW],
+) -> (u64, Index) {
+    let (mut occupied, mut next) = (0u64, Index::MAX);
+    for (lane, (f, &end)) in scan.iter_mut().zip(ends).enumerate() {
+        while *f < end && rowidx[*f] < hi {
+            let r = (rowidx[*f] - lo) as usize;
+            masks[r] |= 1 << lane;
+            occupied |= 1 << r;
+            *f += 1;
+        }
+        if *f < end {
+            next = next.min(rowidx[*f]);
+        }
+    }
+    (occupied, next)
+}
+
 /// Stateful converter for one vertical strip of a CSC matrix.
 #[derive(Debug, Clone)]
 pub struct StripConverter<'a> {
@@ -120,26 +206,26 @@ pub struct StripConverter<'a> {
     lanes: usize,
     /// Absolute index of each lane's next element in the CSC arrays.
     frontier: [usize; MAX_LANES],
+    /// Each lane's bucket-pass cursor: equal to its frontier between
+    /// windows, ahead of it while a window's rows are emitted.
+    scan: [usize; MAX_LANES],
     /// Absolute end index of each lane's column.
     boundary: [usize; MAX_LANES],
-    /// Lane-coordinate staging reused across every comparator pass.
-    coords: [Option<u32>; MAX_LANES],
-    /// Comparator reduction scratch (fixed-size, stack-style).
-    min_scratch: MinScratch,
-    /// Whether [`Self::convert_strip`] checks its strip buffers out of
-    /// the engine pools ([`crate::mem`]).
-    pooled: bool,
-    tree: ComparatorTree,
+    /// The smallest row any lane's frontier holds (`Index::MAX` once all
+    /// are exhausted): where the next non-empty row can start.
+    next_row: Index,
+    /// The bucket pass's row → lane-mask table, window-relative; entries
+    /// are cleared as their rows are emitted.
+    masks: [u64; WINDOW],
+    /// Buffers behind [`Self::next_tile`]'s tile.
+    tile: TileBuf,
     stats: ConversionStats,
 }
 
 impl<'a> StripConverter<'a> {
     /// Position a converter at the top of strip `strip_id` (width
-    /// `tile_w`). Panics if the strip is outside the matrix. With
-    /// `pooled`, [`Self::convert_strip`] checks its buffers out of the
-    /// global pools — return them with [`crate::mem::recycle_strips`];
-    /// otherwise they are freshly allocated.
-    pub fn new(csc: &'a Csc, strip_id: usize, tile_w: usize, pooled: bool) -> Self {
+    /// `tile_w`). Panics if the strip is outside the matrix.
+    pub fn new(csc: &'a Csc, strip_id: usize, tile_w: usize) -> Self {
         assert!(
             tile_w > 0 && tile_w <= MAX_LANES,
             "engine width is 1..=64 columns"
@@ -148,8 +234,7 @@ impl<'a> StripConverter<'a> {
         let col_start = strip_id * tile_w;
         assert!(col_start < ncols.max(1), "strip {strip_id} beyond matrix");
         // A zero-column matrix yields a zero-lane converter that emits
-        // only empty tiles (the comparator tree still needs >= 1 lane, so
-        // clamp and guard the pointer loads).
+        // only empty tiles (clamp the width and guard the pointer loads).
         let width = tile_w
             .min(ncols.saturating_sub(col_start))
             .max(1)
@@ -171,21 +256,22 @@ impl<'a> StripConverter<'a> {
         // Loading boundary_ptr + frontier_ptr from col_ptr: 2 N-element
         // 4-byte arrays (Figure 14 ❶).
         stats.input_bytes += 2 * width as u64 * 4;
-        Self {
+        let mut conv = Self {
             csc,
             strip_id,
             col_start,
             width,
             lanes,
             frontier,
+            scan: frontier,
             boundary,
-            coords: [None; MAX_LANES],
-            min_scratch: MinScratch::new(),
-            pooled,
-            // nmt-lint: allow(panic) — lanes is clamped to 1..=64 two lines up, within ComparatorTree's bound
-            tree: ComparatorTree::new(lanes.max(1)).expect("lanes clamped to 1..=64"),
+            next_row: Index::MAX,
+            masks: [0; WINDOW],
+            tile: TileBuf::default(),
             stats,
-        }
+        };
+        conv.find_next_row();
+        conv
     }
 
     /// The strip index this converter serves.
@@ -204,108 +290,127 @@ impl<'a> StripConverter<'a> {
         for (lane, f) in self.frontier.iter_mut().enumerate().take(self.lanes) {
             *f = self.csc.col_frontier_at(self.col_start + lane, row_start);
         }
+        self.scan = self.frontier;
+        self.find_next_row();
     }
 
-    /// Elements left between the lanes' frontiers and their column ends —
-    /// an upper bound on what the converter can still emit, and exactly
-    /// the strip's element count on a fresh converter.
-    fn remaining(&self) -> usize {
-        (0..self.lanes)
+    fn find_next_row(&mut self) {
+        let rowidx = self.csc.rowidx();
+        self.next_row = (0..self.lanes)
+            .filter(|&lane| self.frontier[lane] < self.boundary[lane])
+            .map(|lane| rowidx[self.frontier[lane]])
+            .min()
+            .unwrap_or(Index::MAX);
+    }
+
+    /// The strip's exact share of a [`TiledDcsr`]'s arrays, from a fresh
+    /// converter: its elements come from `col_ptr`, and its non-empty rows
+    /// are the bits the bucket pass's occupancy masks set. A row lands in
+    /// exactly one tile, so the count does not depend on the tile height.
+    pub fn size(&self) -> StripSize {
+        let rowidx = self.csc.rowidx();
+        let mut scan = self.frontier;
+        let mut masks = [0; WINDOW];
+        let (mut lo, mut rows) = (self.next_row, 0);
+        while lo != Index::MAX {
+            let window = (lo, lo.saturating_add(WINDOW as Index));
+            let ends = &self.boundary[..self.lanes];
+            let (occupied, next) =
+                bucket(rowidx, &mut scan[..self.lanes], ends, window, &mut masks);
+            rows += occupied.count_ones() as usize;
+            lo = next;
+        }
+        let elems = (0..self.lanes)
             .map(|lane| self.boundary[lane] - self.frontier[lane])
-            .sum()
+            .sum();
+        StripSize { rows, elems }
     }
 
-    /// Convert the next `tile_h` rows starting at `row_start` into a
-    /// one-tile strip (the `GetDCSRTile` operation of Figure 11, minus
-    /// the request plumbing). Lanes must already be at or past
-    /// `row_start` (they are, after sequential use or `seek`).
-    pub fn next_tile(&mut self, row_start: Index, tile_h: usize) -> DcsrStrip {
-        let elems = self.remaining();
-        let buffers = mem::take_strip(false, elems, elems.min(tile_h), 1);
-        let mut strip = DcsrStrip::new(self.col_start as Index, self.width, buffers);
-        self.push_tile(row_start, tile_h, &mut strip);
-        strip
+    /// Convert the `tile_h` rows starting at `row_start` as one tile (the
+    /// `GetDCSRTile` operation of Figure 11, minus the request plumbing)
+    /// into buffers this converter keeps for it. Lanes must already be at
+    /// or past `row_start` (they are, after sequential use or `seek`).
+    pub fn next_tile(&mut self, row_start: Index, tile_h: usize) -> DcsrTileView<'_> {
+        let mut tile = std::mem::take(&mut self.tile);
+        tile.rowidx.clear();
+        tile.rowptr.clear();
+        tile.colidx.clear();
+        tile.values.clear();
+        let height = self.push_tile(row_start, tile_h, &mut tile);
+        tile.rowptr.push(tile.colidx.len() as Index);
+        self.tile = tile;
+        DcsrTileView {
+            row_start,
+            col_start: self.col_start as Index,
+            height,
+            width: self.width,
+            rowidx: &self.tile.rowidx,
+            rowptr: &self.tile.rowptr,
+            colidx: &self.tile.colidx,
+            values: &self.tile.values,
+        }
     }
 
     /// Convert the whole strip as consecutive `tile_h`-tall tiles into
-    /// one set of buffers, sized up front: the element count is exact
-    /// from `col_ptr`, and a tile emits at most one row per element and
-    /// per covered row, so the rows total at most `min(nnz, nrows)`.
-    pub fn convert_strip(&mut self, tile_h: usize) -> DcsrStrip {
-        let nrows = self.csc.shape().nrows;
-        let ntiles = nmt_formats::tile_count(nrows, tile_h);
-        let elems = self.remaining();
-        let buffers = mem::take_strip(self.pooled, elems, elems.min(nrows), ntiles);
-        let mut strip = DcsrStrip::new(self.col_start as Index, self.width, buffers);
+    /// `out`, which must be sized by [`Self::size`].
+    pub fn convert_strip(&mut self, tile_h: usize, out: &mut StripWriter<'_>) {
+        let ntiles = nmt_formats::tile_count(self.csc.shape().nrows, tile_h);
         for t in 0..ntiles {
-            self.push_tile((t * tile_h) as Index, tile_h, &mut strip);
+            self.push_tile((t * tile_h) as Index, tile_h, out);
+            out.finish_tile();
         }
-        strip
     }
 
-    /// The converter loop: append the tile of `tile_h` rows starting at
-    /// `row_start` to `strip`, one comparator pass per emitted row.
-    fn push_tile(&mut self, row_start: Index, tile_h: usize, strip: &mut DcsrStrip) {
+    /// The converter loop: write the rows of the tile of `tile_h` rows
+    /// starting at `row_start` to `out`, one bucket pass per window of at
+    /// most 64 rows from the next non-empty row. Returns the tile height.
+    fn push_tile(&mut self, row_start: Index, tile_h: usize, out: &mut impl RowSink) -> usize {
         let nrows = self.csc.shape().nrows;
         let height = tile_h.min(nrows.saturating_sub(row_start as usize)).max(1);
         let row_end = row_start + height as Index;
-        let (mut rows, mut elems) = (0usize, 0usize);
-        let rowidx = self.csc.rowidx();
-        let values = self.csc.values();
+        let (rowidx, values) = (self.csc.rowidx(), self.csc.values());
         let lanes = self.lanes;
-        strip.start_tile(row_start, height);
-        loop {
-            self.stats.comparator_passes += 1;
-            self.stats.lane_slots += lanes as u64;
-            // Present each lane's frontier row (masked to the tile) to
-            // the tree. A zero-lane converter keeps its one `None`.
-            for lane in 0..lanes {
-                let f = self.frontier[lane];
-                self.coords[lane] = (f < self.boundary[lane])
-                    .then(|| rowidx[f])
-                    .filter(|&r| r < row_end);
+        let (mut rows, mut elems) = (0usize, 0usize);
+        while self.next_row < row_end {
+            let lo = self.next_row;
+            let window = (lo, row_end.min(lo.saturating_add(WINDOW as Index)));
+            let (mut occupied, next) = bucket(
+                rowidx,
+                &mut self.scan[..lanes],
+                &self.boundary[..lanes],
+                window,
+                &mut self.masks,
+            );
+            self.next_row = next;
+            // Emit the window's rows ascending, each row's lanes (=
+            // columns) ascending.
+            while occupied != 0 {
+                let r = occupied.trailing_zeros() as usize;
+                occupied &= occupied - 1;
+                let mut mask = std::mem::take(&mut self.masks[r]);
+                out.push_row(lo - row_start + r as Index);
+                elems += mask.count_ones() as usize;
+                while mask != 0 {
+                    let lane = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    out.push_elem(lane as Index, values[self.frontier[lane]]);
+                    self.frontier[lane] += 1;
+                }
+                rows += 1;
             }
-            let Some(min) = self
-                .tree
-                .find_min_in(&self.coords[..lanes.max(1)], &mut self.min_scratch)
-            else {
-                break;
-            };
-            // Emit one DCSR row: all lanes at the minimum row coordinate,
-            // in ascending lane (= column) order.
-            strip.push_row(min.min - row_start);
-            let mut mask = min.mask;
-            while mask != 0 {
-                let lane = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                strip.push_elem(lane as Index, values[self.frontier[lane]]);
-                self.frontier[lane] += 1;
-            }
-            let emitted = min.mask.count_ones() as usize;
-            self.stats.elements += emitted as u64;
-            self.stats.input_bytes += emitted as u64 * INPUT_BYTES_PER_ELEM;
-            self.stats.rows_emitted += 1;
-            rows += 1;
-            elems += emitted;
         }
-        strip.finish_tile();
-        self.stats.tiles += 1;
-        // values + colidx + rowidx + rowptr, 4 bytes each.
-        self.stats.output_bytes += 4 * (2 * elems + 2 * rows + 1) as u64;
-        debug_assert!(
-            strip.tile(strip.num_tiles() - 1).validate().is_ok(),
-            "engine produced an invalid tile"
-        );
+        self.stats
+            .merge(&ConversionStats::of_rows(rows, elems, lanes));
+        height
     }
 }
 
-/// One engine, fresh buffers, no fault plan: the farm configuration behind
-/// the whole-matrix conversions below.
+/// One engine, no fault plan: the farm configuration behind the
+/// whole-matrix conversions below.
 const SINGLE_ENGINE: FarmConfig = FarmConfig {
     partitions: 1,
     layout: Layout::TileRotated,
     fault: None,
-    pool: false,
 };
 
 /// Convert an entire CSC matrix to tiled DCSR through the engine model —
@@ -320,7 +425,6 @@ pub fn convert_matrix(
     tile_w: usize,
     tile_h: usize,
 ) -> Result<(TiledDcsr, ConversionStats), FarmError> {
-    let shape = csc.shape();
     let run = convert_matrix_farm_obs(
         csc,
         tile_w,
@@ -328,8 +432,7 @@ pub fn convert_matrix(
         SINGLE_ENGINE,
         &nmt_obs::ObsContext::disabled(),
     )?;
-    let tiled = TiledDcsr::from_strips_unchecked(shape.nrows, shape.ncols, tile_w, run.strips);
-    Ok((tiled, run.stats))
+    Ok((run.strips, run.stats))
 }
 
 #[cfg(test)]
@@ -354,9 +457,9 @@ mod tests {
     #[test]
     fn figure13_walkthrough() {
         let csc = figure13_csc();
-        let mut conv = StripConverter::new(&csc, 0, 3, false);
-        let strip = conv.next_tile(0, 5);
-        let tile = strip.tile(0);
+        let mut conv = StripConverter::new(&csc, 0, 3);
+        let tile = conv.next_tile(0, 5);
+        let derived = ConversionStats::of_tile(&tile, 3, true);
         // Expected DCSR (Figure 13, bottom right):
         // value  = a0 b0 c0 | b1 | a2 c2 | a4 b4
         // colidx = 0  1  2  | 1  | 0  2  | 0  1
@@ -368,7 +471,7 @@ mod tests {
         assert_eq!(tile.colidx, [0, 1, 2, 1, 0, 2, 0, 1]);
         assert_eq!(tile.rowptr, [0, 3, 4, 6, 8]);
         assert_eq!(tile.rowidx, [0, 1, 2, 4]);
-        assert_eq!(ConversionStats::of_tile(&tile, 3, true), conv.stats());
+        assert_eq!(derived, conv.stats());
         let st = conv.stats();
         assert_eq!(st.elements, 8);
         assert_eq!(st.rows_emitted, 4);
@@ -384,7 +487,7 @@ mod tests {
     #[test]
     fn stats_merge_accumulates_all_fields() {
         let csc = figure13_csc();
-        let mut a = StripConverter::new(&csc, 0, 3, false);
+        let mut a = StripConverter::new(&csc, 0, 3);
         a.next_tile(0, 5);
         let st = a.stats();
         let mut merged = ConversionStats::default();
@@ -454,45 +557,39 @@ mod tests {
     #[test]
     fn sequential_tiles_share_frontier_state() {
         let csc = figure13_csc();
-        let mut conv = StripConverter::new(&csc, 0, 3, false);
-        let s0 = conv.next_tile(0, 2); // rows 0..2
-        let s1 = conv.next_tile(2, 2); // rows 2..4
-        let s2 = conv.next_tile(4, 2); // row 4
-        let (t0, t1, t2) = (s0.tile(0), s1.tile(0), s2.tile(0));
-        assert_eq!(t0.rowidx, [0, 1]);
-        assert_eq!(t1.rowidx, [0]); // row 2 local
-        assert_eq!(t2.rowidx, [0]); // row 4 local
-        assert_eq!(
-            t0.nnz() + t1.nnz() + t2.nnz(),
-            csc.nnz(),
-            "tiles must partition the strip"
-        );
+        let mut conv = StripConverter::new(&csc, 0, 3);
+        let mut nnz = 0;
+        // Rows 0..2, then 2..4 (row 2 local 0), then row 4 (local 0).
+        for (row_start, rowidx) in [(0, &[0, 1][..]), (2, &[0]), (4, &[0])] {
+            let tile = conv.next_tile(row_start, 2);
+            assert_eq!(tile.rowidx, rowidx);
+            nnz += tile.nnz();
+        }
+        assert_eq!(nnz, csc.nnz(), "tiles must partition the strip");
     }
 
     #[test]
     fn seek_supports_random_tile_access() {
         let csc = figure13_csc();
         // Jump straight to the tile at rows 2..4 without converting 0..2.
-        let mut conv = StripConverter::new(&csc, 0, 3, false);
+        let mut conv = StripConverter::new(&csc, 0, 3);
         conv.seek(2);
-        let strip = conv.next_tile(2, 2);
-        assert_eq!(strip.tile(0).rowidx, [0]);
-        assert_eq!(strip.tile(0).values, [12.0, 32.0]); // a2, c2
+        let tile = conv.next_tile(2, 2);
+        assert_eq!(tile.rowidx, [0]);
+        assert_eq!(tile.values, [12.0, 32.0]); // a2, c2
 
         // Seek back to the top reproduces the first tile.
         conv.seek(0);
-        let strip = conv.next_tile(0, 2);
-        assert_eq!(strip.tile(0).values, [10.0, 20.0, 30.0, 21.0]);
+        let tile = conv.next_tile(0, 2);
+        assert_eq!(tile.values, [10.0, 20.0, 30.0, 21.0]);
     }
 
     #[test]
     fn second_strip_has_local_columns() {
         let csr = random_csr(40, 120, 9);
         let csc = csr.to_csc();
-        let mut conv = StripConverter::new(&csc, 1, 16, false);
-        let strip = conv.convert_strip(16);
-        for t in 0..strip.num_tiles() {
-            let tile = strip.tile(t);
+        let (tiles, _) = convert_matrix(&csc, 16, 16).unwrap();
+        for tile in tiles.strip(1).tiles() {
             assert_eq!(tile.col_start, 16);
             tile.validate().unwrap();
         }
@@ -503,21 +600,30 @@ mod tests {
         // Matrix with entries only in column 0; strip 1 is empty.
         let coo = Coo::from_triplets(8, 8, &[0, 3], &[0, 0], &[1.0, 2.0]).unwrap();
         let csc = Csc::from_coo(&coo);
-        let mut conv = StripConverter::new(&csc, 1, 4, false);
-        let strip = conv.convert_strip(4);
-        assert_eq!(strip.num_tiles(), 2);
-        assert!(strip.tiles().all(|t| t.nnz() == 0));
-        assert_eq!(conv.stats().elements, 0);
+        let sizes = [0, 1].map(|s| StripConverter::new(&csc, s, 4).size());
+        assert_eq!(
+            sizes,
+            [StripSize { rows: 2, elems: 2 }, StripSize::default()]
+        );
+        let (tiles, stats) = TiledDcsr::build(csc.shape(), 4, 4, &sizes, |mut strips| {
+            StripConverter::new(&csc, 0, 4).convert_strip(4, &mut strips[0]);
+            let mut conv = StripConverter::new(&csc, 1, 4);
+            conv.convert_strip(4, &mut strips[1]);
+            conv.stats()
+        });
+        assert_eq!(tiles.strip(1).num_tiles(), 2);
+        assert!(tiles.strip(1).tiles().all(|t| t.nnz() == 0));
+        assert_eq!(stats.elements, 0);
         // Still pays the pointer-array load and one concluding pass/tile.
-        assert_eq!(conv.stats().comparator_passes, 2);
+        assert_eq!(stats.comparator_passes, 2);
+        assert_eq!(stats.input_bytes, 2 * 4 * 4);
     }
 
     #[test]
     fn output_bytes_match_tile_footprint() {
         let csc = figure13_csc();
-        let mut conv = StripConverter::new(&csc, 0, 3, false);
-        let strip = conv.next_tile(0, 5);
-        let tile = strip.tile(0);
+        let mut conv = StripConverter::new(&csc, 0, 3);
+        let tile = conv.next_tile(0, 5);
         let expected = tile.metadata_bytes() + tile.data_bytes();
         assert_eq!(conv.stats().output_bytes as usize, expected);
     }
@@ -529,9 +635,9 @@ mod tests {
         // 20 cols with 16-wide strips: strip 1 is 4 wide.
         let (tiles, _) = convert_matrix(&csc, 16, 16).unwrap();
         assert_eq!(tiles.num_strips(), 2);
-        assert_eq!(tiles.strips()[1].width(), 4);
+        assert_eq!(tiles.strip(1).width(), 4);
         let offline = TiledDcsr::from_csr(&csr, 16, 16).unwrap();
-        assert_eq!(tiles.strips()[1], offline.strips()[1]);
+        assert_eq!(tiles.strip(1), offline.strip(1));
     }
 }
 
@@ -547,7 +653,7 @@ mod regression_tests {
         let csc = Csc::new(4, 0, vec![0], vec![], vec![]).unwrap();
         let (tiles, stats) = convert_matrix(&csc, 16, 16).unwrap();
         assert_eq!(tiles.num_strips(), 1);
-        assert!(tiles.strips()[0].tiles().all(|t| t.nnz() == 0));
+        assert!(tiles.strip(0).tiles().all(|t| t.nnz() == 0));
         assert_eq!(stats.elements, 0);
     }
 

@@ -18,7 +18,7 @@ use crate::comparator::{ComparatorError, MAX_LANES};
 use crate::convert::{ConversionStats, StripConverter};
 use crate::placement::{Layout, PlacementError, SwitchCost};
 use nmt_fault::{FaultPlan, FaultRecord, FaultSite};
-use nmt_formats::{Csc, DcsrStrip, DcsrTileView, SparseMatrix};
+use nmt_formats::{Csc, DcsrTileView, SparseMatrix, StripSize, StripWriter, TiledDcsr};
 use nmt_obs::{EventSite, FlightRecorder};
 use rayon::prelude::*;
 
@@ -77,23 +77,12 @@ pub struct FarmConfig {
     /// strip/partition id)` only, so a faulted farm is as deterministic
     /// as a clean one.
     pub fault: Option<FaultPlan>,
-    /// Draw each strip's buffer set from the global pools
-    /// ([`crate::mem`]). Pooling is output-invariant — pooled buffers
-    /// are always handed out empty — so this only changes allocator
-    /// traffic; `false` is the reference path the determinism proptests
-    /// compare against.
-    pub pool: bool,
 }
 
 impl FarmConfig {
     /// The paper's configuration: 64 FB partitions with tile rotation.
     pub fn paper_default() -> Self {
-        Self {
-            partitions: 64,
-            layout: Layout::TileRotated,
-            fault: None,
-            pool: true,
-        }
+        Self::for_partitions(64)
     }
 
     /// A farm sized to a simulated GPU's partition count, with rotation.
@@ -102,20 +91,12 @@ impl FarmConfig {
             partitions,
             layout: Layout::TileRotated,
             fault: None,
-            pool: true,
         }
     }
 
     /// The same farm with a fault plan installed.
     pub fn with_fault(mut self, plan: Option<FaultPlan>) -> Self {
         self.fault = plan;
-        self
-    }
-
-    /// The same farm with buffer pooling disabled (fresh allocations per
-    /// strip — the pre-pool reference behaviour).
-    pub fn without_pool(mut self) -> Self {
-        self.pool = false;
         self
     }
 }
@@ -132,8 +113,8 @@ pub struct PartitionWork {
 /// Result of a whole-matrix farm conversion.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FarmRun {
-    /// The converted strips; tile `t` of strip `s` is `strips[s].tile(t)`.
-    pub strips: Vec<DcsrStrip>,
+    /// The converted matrix; tile `t` of strip `s` is `strips.tile(s, t)`.
+    pub strips: TiledDcsr,
     /// Totals across every engine.
     pub stats: ConversionStats,
     /// Merged counters per strip, index = strip id — the kernel layer's
@@ -204,11 +185,10 @@ fn convert_strip_faulted(
     tile_w: usize,
     tile_h: usize,
     plan: Option<FaultPlan>,
-    pool: bool,
+    out: &mut StripWriter<'_>,
     flight: &FlightRecorder,
-) -> Result<(DcsrStrip, Vec<FaultRecord>), FarmError> {
+) -> Result<Vec<FaultRecord>, FarmError> {
     let key = strip_id as u64;
-    // nmt-lint: allow(hot-alloc) — Vec::new defers allocation until a fault actually fires (cold path)
     let mut faults = Vec::new();
     if let Some(plan) = plan {
         if plan.fires(FaultSite::ConvertStrip, key) {
@@ -232,12 +212,12 @@ fn convert_strip_faulted(
             });
         }
     }
-    let out = StripConverter::new(csc, strip_id, tile_w, pool).convert_strip(tile_h);
+    StripConverter::new(csc, strip_id, tile_w).convert_strip(tile_h, out);
     if let Some(plan) = plan {
         if plan.fires(FaultSite::MetadataCorruption, key) {
             // Corrupt a copy — never the real output — and require the
             // validator to reject it with a typed FormatError.
-            let tile = out.tile(0);
+            let tile = out.first_tile();
             let mut rowptr = tile.rowptr.to_vec();
             rowptr.push(rowptr.last().copied().unwrap_or(0) + 1);
             let corrupted = DcsrTileView {
@@ -268,7 +248,7 @@ fn convert_strip_faulted(
             }
         }
     }
-    Ok((out, faults))
+    Ok(faults)
 }
 
 /// Convert an entire CSC matrix through the parallel engine farm.
@@ -319,7 +299,6 @@ pub fn convert_matrix_farm_obs(
     // Partition dropout rolls once per partition id, before any strip work:
     // surviving engines absorb the dropped partitions' placements. All
     // partitions dropping is unrecoverable and escalates.
-    // nmt-lint: allow(hot-alloc) — once per matrix, populated only when faults fire
     let mut faults = Vec::new();
     let mut active: Vec<usize> = Vec::with_capacity(config.partitions);
     for p in 0..config.partitions {
@@ -353,23 +332,25 @@ pub fn convert_matrix_farm_obs(
             detail: format!("all {} partitions dropped", config.partitions),
         });
     }
+    // Size the arena exactly, then convert every strip in parallel into
+    // its own ranges of it: elements per strip come from `col_ptr`, rows
+    // from the bucket pass's occupancy masks. Sizing is a fraction of a
+    // conversion, so it runs serially rather than spawning workers twice.
     let nstrips = nmt_formats::strip_count(csc.shape().ncols, tile_w);
-    let outputs: Vec<Result<(DcsrStrip, Vec<FaultRecord>), FarmError>> = (0..nstrips)
-        .into_par_iter()
-        .map(|s| {
-            let _strip_span = obs.span("engine.farm.strip");
-            obs.flight.record(EventSite::FarmStrip, 0, s as u64, 0);
-            convert_strip_faulted(
-                csc,
-                s,
-                tile_w,
-                tile_h,
-                config.fault,
-                config.pool,
-                &obs.flight,
-            )
-        })
+    let sizes: Vec<StripSize> = (0..nstrips)
+        .map(|s| StripConverter::new(csc, s, tile_w).size())
         .collect();
+    let (strips, outputs) = TiledDcsr::build(csc.shape(), tile_w, tile_h, &sizes, |writers| {
+        writers
+            .into_par_iter()
+            .map(|mut out| {
+                let s = out.strip();
+                let _strip_span = obs.span("engine.farm.strip");
+                obs.flight.record(EventSite::FarmStrip, 0, s as u64, 0);
+                convert_strip_faulted(csc, s, tile_w, tile_h, config.fault, &mut out, &obs.flight)
+            })
+            .collect::<Vec<_>>()
+    });
 
     // Deterministic reduction: strips ascending, tiles ascending within a
     // strip, partition collectors indexed (not ordered by completion). A
@@ -383,18 +364,15 @@ pub fn convert_matrix_farm_obs(
         active.len() as u64,
     );
     let cost = SwitchCost { lanes: tile_w };
-    // nmt-lint: allow(hot-alloc) — one partition-table allocation per matrix, size known only here
     let mut per_partition = vec![PartitionWork::default(); config.partitions];
     let mut per_strip = Vec::with_capacity(nstrips);
     let mut total = ConversionStats::default();
     let mut switches = 0u64;
-    let mut strips = Vec::with_capacity(nstrips);
     // A zero-column matrix's phantom strip is one column wide but has no
     // live comparator lanes.
     let ncols = csc.shape().ncols;
-    for (s, res) in outputs.into_iter().enumerate() {
-        let (strip, strip_faults) = res?;
-        faults.extend(strip_faults);
+    for (s, (strip, res)) in strips.strips().zip(outputs).enumerate() {
+        faults.extend(res?);
         let lanes = strip.width().min(ncols);
         let mut prev_partition = None;
         let mut strip_total = ConversionStats::default();
@@ -414,8 +392,12 @@ pub fn convert_matrix_farm_obs(
             prev_partition = Some(p);
         }
         per_strip.push(strip_total);
-        strips.push(strip);
     }
+    debug_assert!(
+        strips.validate().is_ok(),
+        "the farm wrote an invalid tiling: {:?}",
+        strips.validate().err()
+    );
     Ok(FarmRun {
         strips,
         stats: total,
@@ -485,7 +467,6 @@ mod tests {
                 partitions: 4,
                 layout: Layout::TileRotated,
                 fault: None,
-                pool: true,
             },
         )
         .unwrap();
@@ -497,7 +478,6 @@ mod tests {
                 partitions: 4,
                 layout: Layout::StripPerPartition,
                 fault: None,
-                pool: true,
             },
         )
         .unwrap();
@@ -507,7 +487,7 @@ mod tests {
         assert_eq!(naive.switch_bytes, 0);
         let tile_steps: u64 = rotated
             .strips
-            .iter()
+            .strips()
             .map(|s| (s.num_tiles() as u64).saturating_sub(1))
             .sum();
         assert_eq!(rotated.switches, tile_steps);
@@ -528,7 +508,6 @@ mod tests {
             partitions: 4,
             layout: Layout::TileRotated,
             fault: None,
-            pool: true,
         };
         let farm = convert_matrix_farm(&csc, 8, 8, cfg).unwrap();
         let loads = farm.partition_loads();
@@ -567,9 +546,13 @@ mod tests {
     fn empty_matrix_gets_one_phantom_strip() {
         let csc = Csc::new(0, 0, vec![0], vec![], vec![]).unwrap();
         let farm = convert_matrix_farm(&csc, 8, 8, FarmConfig::for_partitions(2)).unwrap();
-        assert_eq!(farm.strips.len(), 1, "phantom strip for ncols == 0");
-        assert_eq!(farm.strips[0].num_tiles(), 1, "phantom tile for nrows == 0");
-        assert_eq!(farm.strips[0].tile(0).nnz(), 0);
+        assert_eq!(farm.strips.num_strips(), 1, "phantom strip for ncols == 0");
+        assert_eq!(
+            farm.strips.tiles_per_strip(),
+            1,
+            "phantom tile for nrows == 0"
+        );
+        assert_eq!(farm.strips.tile(0, 0).nnz(), 0);
         assert_eq!(farm.stats.elements, 0);
         assert_eq!(farm.switches, 0);
     }

@@ -188,7 +188,7 @@ pub fn simulate_strip(csc: &Csc, strip_id: usize, config: &PipelineConfig) -> Pi
 mod tests {
     use super::*;
     use crate::comparator::ComparatorTree;
-    use crate::convert::StripConverter;
+    use crate::farm::{convert_matrix_farm, FarmConfig};
     use crate::timing::EngineTiming;
     use nmt_formats::{Coo, Csr};
 
@@ -288,10 +288,9 @@ mod tests {
         let csc = uniform(64, 100);
         let config = PipelineConfig::paper_fp32(8);
         let r = simulate_strip(&csc, 0, &config);
-        let mut conv = StripConverter::new(&csc, 0, 8, false);
-        let _ = conv.convert_strip(64);
+        let farm = convert_matrix_farm(&csc, 8, 64, FarmConfig::for_partitions(1)).unwrap();
         let analytic = EngineTiming::fp32(13.6, &ComparatorTree::new(8).unwrap().structure())
-            .conversion_time_ns(&conv.stats());
+            .conversion_time_ns(&farm.per_strip[0]);
         let simulated = r.time_ns(&config);
         let rel = (simulated - analytic).abs() / analytic;
         assert!(

@@ -51,7 +51,7 @@ pub use error::FormatError;
 pub use storage::{size_ratio, StorageSize};
 pub use strips::{strip_count, strip_nonzero_row_fraction, tile_count, StripStats};
 pub use tiled::{
-    CsrStrip, DcsrStrip, DcsrTileView, StripBuffers, TileHeader, TiledCsr, TiledDcsr, DEFAULT_TILE,
+    CsrStrip, DcsrStrip, DcsrTileView, StripSize, StripWriter, TiledCsr, TiledDcsr, DEFAULT_TILE,
 };
 
 /// Row/column index type. 4 bytes, matching the paper's storage model where

@@ -10,7 +10,6 @@
 use crate::{
     Csc, Csr, FormatError, Index, Shape, SparseMatrix, StorageSize, Value, INDEX_BYTES, VALUE_BYTES,
 };
-use std::ops::Range;
 
 /// Default tile edge used throughout the paper: "We use B tile dimension of
 /// 64 × 64 to fully utilize the shared memory of an SM" (§5.1).
@@ -165,170 +164,167 @@ impl StorageSize for TiledCsr {
 // Tiled DCSR
 // ---------------------------------------------------------------------------
 
-/// Where one tile sits inside its [`DcsrStrip`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TileHeader {
-    /// First global row covered by the tile.
-    pub row_start: Index,
-    /// Tile height (rows covered; ≤ nominal tile height at the bottom edge).
-    pub height: usize,
-    /// The tile's entries in the strip's `rowidx`; its `rowptr` segment
-    /// is the same range shifted by the tile index (one extra entry each).
-    rows: Range<usize>,
-    /// The tile's entries in the strip's `colidx` and `values`.
-    elems: Range<usize>,
+/// Where one tile starts in its [`TiledDcsr`]'s arrays: `rows` in
+/// `rowidx` and `elems` in `colidx`/`values`. Tile `i` (strip-major) runs
+/// to header `i + 1`, and its `rowptr` segment is its `rows` range shifted
+/// by `i` (one extra entry per tile). A last header closes the arrays.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct TileHeader {
+    rows: Index,
+    elems: Index,
 }
 
-/// The five buffers behind a [`DcsrStrip`]. Producers pass them in, so a
-/// caller with a buffer pool (the engine's `mem` module) can hand the
-/// strip recycled allocations and take them back with
-/// [`DcsrStrip::into_buffers`]; contents are cleared, capacity is kept.
-#[derive(Debug, Default)]
-pub struct StripBuffers {
-    /// Local indices of non-empty rows, tile after tile.
-    pub rowidx: Vec<Index>,
-    /// Per-tile row pointers, each tile's segment starting at 0.
-    pub rowptr: Vec<Index>,
-    /// Local column indices.
-    pub colidx: Vec<Index>,
-    /// Values.
-    pub values: Vec<Value>,
-    /// One header per tile.
-    pub tiles: Vec<TileHeader>,
+impl TileHeader {
+    fn rows(self) -> usize {
+        self.rows as usize
+    }
+
+    fn elems(self) -> usize {
+        self.elems as usize
+    }
 }
 
-/// One vertical strip of tiled DCSR: its tiles, top to bottom, stored
-/// back to back in one set of buffers. This is the unit an SM consumes
-/// (one block per strip, `GetDCSRTile` per tile, Figure 11), and the one
-/// layout both producers write: offline tiling ([`TiledDcsr::from_csr`])
-/// and the near-memory engine's strip converter. Tile `t`'s `rowptr`
-/// segment starts at 0, so [`Self::tile`] borrows it as a standalone
-/// DCSR tile.
-///
-/// Producers append through [`Self::start_tile`], [`Self::push_row`],
-/// [`Self::push_elem`] and [`Self::finish_tile`], in that nesting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DcsrStrip {
-    col_start: Index,
+/// Exact sizes of one strip's share of a [`TiledDcsr`]'s arrays.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StripSize {
+    /// Non-empty row segments across the strip's tiles.
+    pub rows: usize,
+    /// Elements in the strip.
+    pub elems: usize,
+}
+
+/// Writes one strip of a [`TiledDcsr`] under construction into the
+/// strip's own ranges of the matrix-level arrays (see
+/// [`TiledDcsr::build`]). Tiles are written top to bottom: per non-empty
+/// row, [`Self::push_row`] and then its [`Self::push_elem`]s, and
+/// [`Self::finish_tile`] after each tile, empty ones included.
+#[derive(Debug)]
+pub struct StripWriter<'a> {
+    strip: usize,
+    tile_w: usize,
     width: usize,
-    rowidx: Vec<Index>,
-    rowptr: Vec<Index>,
-    colidx: Vec<Index>,
-    values: Vec<Value>,
-    tiles: Vec<TileHeader>,
+    /// Height of the strip's first tile.
+    first_height: usize,
+    /// Where the strip starts in the matrix-level arrays.
+    base: TileHeader,
+    rowidx: &'a mut [Index],
+    rowptr: &'a mut [Index],
+    colidx: &'a mut [Index],
+    values: &'a mut [Value],
+    /// The headers that close each of the strip's tiles.
+    ends: &'a mut [TileHeader],
+    rows: usize,
+    elems: usize,
+    tiles: usize,
+    /// `elems` when the current tile started.
+    tile_elems: usize,
 }
 
-impl DcsrStrip {
-    /// An empty strip covering `width` columns from `col_start`, writing
-    /// into `buffers` (cleared first; their capacity is kept).
-    pub fn new(col_start: Index, width: usize, buffers: StripBuffers) -> Self {
-        let StripBuffers {
-            mut rowidx,
-            mut rowptr,
-            mut colidx,
-            mut values,
-            mut tiles,
-        } = buffers;
-        rowidx.clear();
-        rowptr.clear();
-        colidx.clear();
-        values.clear();
-        tiles.clear();
-        DcsrStrip {
-            col_start,
-            width,
-            rowidx,
-            rowptr,
-            colidx,
-            values,
-            tiles,
-        }
-    }
-
-    /// Open the next tile: `height` rows from global row `row_start`.
-    pub fn start_tile(&mut self, row_start: Index, height: usize) {
-        let (rows, elems) = (self.rowidx.len(), self.colidx.len());
-        self.rowptr.push(0);
-        self.tiles.push(TileHeader {
-            row_start,
-            height,
-            rows: rows..rows,
-            elems: elems..elems,
-        });
-    }
-
+impl StripWriter<'_> {
     /// Open a non-empty row of the current tile (`local_row` is relative
-    /// to the tile's `row_start`); its elements follow via
+    /// to the tile's first row); its elements follow via
     /// [`Self::push_elem`].
     pub fn push_row(&mut self, local_row: Index) {
-        self.rowidx.push(local_row);
-        let end = self.rowptr.last().copied().unwrap_or(0);
-        self.rowptr.push(end);
+        self.rowptr[self.rows + self.tiles] = (self.elems - self.tile_elems) as Index;
+        self.rowidx[self.rows] = local_row;
+        self.rows += 1;
     }
 
     /// Append one element to the current row (`local_col` is relative to
-    /// the strip's `col_start`).
+    /// the strip's first column).
     pub fn push_elem(&mut self, local_col: Index, value: Value) {
-        self.colidx.push(local_col);
-        self.values.push(value);
-        if let Some(end) = self.rowptr.last_mut() {
-            *end += 1;
-        }
+        self.colidx[self.elems] = local_col;
+        self.values[self.elems] = value;
+        self.elems += 1;
     }
 
     /// Close the current tile.
     pub fn finish_tile(&mut self) {
-        let (rows, elems) = (self.rowidx.len(), self.colidx.len());
-        if let Some(h) = self.tiles.last_mut() {
-            h.rows.end = rows;
-            h.elems.end = elems;
-        }
+        self.rowptr[self.rows + self.tiles] = (self.elems - self.tile_elems) as Index;
+        self.ends[self.tiles] = TileHeader {
+            rows: self.base.rows + self.rows as Index,
+            elems: self.base.elems + self.elems as Index,
+        };
+        self.tiles += 1;
+        self.tile_elems = self.elems;
     }
 
-    /// Give the strip's buffers back (for a pool to reshelve).
-    pub fn into_buffers(self) -> StripBuffers {
-        StripBuffers {
-            rowidx: self.rowidx,
-            rowptr: self.rowptr,
-            colidx: self.colidx,
-            values: self.values,
-            tiles: self.tiles,
+    /// The index of the strip this writer fills.
+    pub fn strip(&self) -> usize {
+        self.strip
+    }
+
+    /// The strip's first tile, borrowed. Panics before the first
+    /// [`Self::finish_tile`].
+    pub fn first_tile(&self) -> DcsrTileView<'_> {
+        assert!(self.tiles > 0, "the first tile is not finished");
+        let rows = self.ends[0].rows() - self.base.rows();
+        let elems = self.ends[0].elems() - self.base.elems();
+        DcsrTileView {
+            row_start: 0,
+            col_start: (self.strip * self.tile_w) as Index,
+            height: self.first_height,
+            width: self.width,
+            rowidx: &self.rowidx[..rows],
+            rowptr: &self.rowptr[..rows + 1],
+            colidx: &self.colidx[..elems],
+            values: &self.values[..elems],
         }
+    }
+}
+
+/// One vertical strip of a [`TiledDcsr`], borrowed: its tiles, top to
+/// bottom. This is the unit an SM consumes (one block per strip,
+/// `GetDCSRTile` per tile, Figure 11). Two strips are equal when they
+/// cover the same columns with equal tiles.
+#[derive(Clone, Copy)]
+pub struct DcsrStrip<'a> {
+    tiled: &'a TiledDcsr,
+    strip: usize,
+}
+
+impl<'a> DcsrStrip<'a> {
+    /// First global column covered by the strip.
+    pub fn col_start(&self) -> Index {
+        (self.strip * self.tiled.tile_w) as Index
     }
 
     /// Strip width (columns covered; ≤ nominal width at the right edge).
     pub fn width(&self) -> usize {
-        self.width
+        self.tiled.strip_width(self.strip)
     }
 
     /// Number of tiles in the strip.
     pub fn num_tiles(&self) -> usize {
-        self.tiles.len()
+        self.tiled.tiles_per_strip()
     }
 
-    /// Per-tile headers, top to bottom.
-    pub fn headers(&self) -> &[TileHeader] {
-        &self.tiles
-    }
-
-    /// Tile `t` (top to bottom), borrowed. Panics if `t` is out of range.
-    pub fn tile(&self, t: usize) -> DcsrTileView<'_> {
-        let h = &self.tiles[t];
-        DcsrTileView {
-            row_start: h.row_start,
-            col_start: self.col_start,
-            height: h.height,
-            width: self.width,
-            rowidx: &self.rowidx[h.rows.clone()],
-            rowptr: &self.rowptr[h.rows.start + t..h.rows.end + t + 1],
-            colidx: &self.colidx[h.elems.clone()],
-            values: &self.values[h.elems.clone()],
-        }
+    /// Tile `t` (top to bottom). Panics if `t` is out of range.
+    pub fn tile(&self, t: usize) -> DcsrTileView<'a> {
+        self.tiled.tile(self.strip, t)
     }
 
     /// Every tile, top to bottom.
-    pub fn tiles(&self) -> impl Iterator<Item = DcsrTileView<'_>> {
-        (0..self.tiles.len()).map(move |t| self.tile(t))
+    pub fn tiles(self) -> impl Iterator<Item = DcsrTileView<'a>> {
+        (0..self.num_tiles()).map(move |t| self.tile(t))
+    }
+}
+
+impl PartialEq for DcsrStrip<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.col_start() == other.col_start()
+            && self.width() == other.width()
+            && self.tiles().eq(other.tiles())
+    }
+}
+
+impl std::fmt::Debug for DcsrStrip<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DcsrStrip")
+            .field("col_start", &self.col_start())
+            .field("width", &self.width())
+            .field("tiles", &self.tiles().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -452,23 +448,114 @@ impl DcsrTileView<'_> {
     }
 }
 
-/// The full matrix as DCSR strips: `strips()[s].tile(t)` is the tile at
-/// strip `s` (column block) and vertical position `t` (row block).
+/// The full matrix as tiled DCSR: `tile_h × tile_w` tiles on a regular
+/// grid (clamped at the bottom and right edges), stored strip after
+/// strip and tile after tile in one set of matrix-level arrays. Every
+/// strip and tile is an offset range into them, and each tile's `rowptr`
+/// segment starts at 0, so [`Self::tile`] borrows it as a standalone
+/// DCSR tile. Both producers write this layout: offline tiling
+/// ([`Self::from_csr`]) and the near-memory engine's farm, through
+/// [`Self::build`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TiledDcsr {
     nrows: usize,
     ncols: usize,
     tile_w: usize,
-    strips: Vec<DcsrStrip>,
+    tile_h: usize,
+    /// Local indices of non-empty rows, tile after tile.
+    rowidx: Vec<Index>,
+    /// Per-tile row pointers, each tile's segment starting at 0.
+    rowptr: Vec<Index>,
+    /// Local column indices.
+    colidx: Vec<Index>,
+    /// Values.
+    values: Vec<Value>,
+    /// One header per tile, strip-major, plus the closing one.
+    headers: Vec<TileHeader>,
 }
 
 impl TiledDcsr {
+    /// Allocate the arrays of a `shape` matrix tiled `tile_h × tile_w`
+    /// whose strip `s` holds exactly `sizes[s]`, and hand `fill` one
+    /// [`StripWriter`] per strip, left to right, over that strip's
+    /// disjoint ranges. Writers may run in parallel. Returns the tiling
+    /// and `fill`'s result.
+    ///
+    /// Each writer must write every tile of its strip; call
+    /// [`Self::validate`] on the result of an untrusted producer. Panics
+    /// if a tile dimension is 0 or `sizes` does not have one entry per
+    /// strip.
+    pub fn build<R>(
+        shape: Shape,
+        tile_w: usize,
+        tile_h: usize,
+        sizes: &[StripSize],
+        fill: impl FnOnce(Vec<StripWriter<'_>>) -> R,
+    ) -> (Self, R) {
+        assert!(tile_w > 0 && tile_h > 0, "tile dims must be > 0");
+        assert_eq!(sizes.len(), crate::strip_count(shape.ncols, tile_w));
+        let ntiles = crate::tile_count(shape.nrows, tile_h);
+        let rows: usize = sizes.iter().map(|s| s.rows).sum();
+        let elems: usize = sizes.iter().map(|s| s.elems).sum();
+        let mut out = Self {
+            nrows: shape.nrows,
+            ncols: shape.ncols,
+            tile_w,
+            tile_h,
+            rowidx: vec![0; rows],
+            rowptr: vec![0; rows + sizes.len() * ntiles],
+            colidx: vec![0; elems],
+            values: vec![0.0; elems],
+            headers: vec![TileHeader::default(); sizes.len() * ntiles + 1],
+        };
+        let first_height = tile_h.min(shape.nrows).max(1);
+        let mut rowidx = &mut out.rowidx[..];
+        let mut rowptr = &mut out.rowptr[..];
+        let mut colidx = &mut out.colidx[..];
+        let mut values = &mut out.values[..];
+        let mut ends = &mut out.headers[1..];
+        let mut base = TileHeader::default();
+        let mut writers = Vec::with_capacity(sizes.len());
+        for (s, size) in sizes.iter().enumerate() {
+            let strip_rowidx;
+            let strip_rowptr;
+            let strip_colidx;
+            let strip_values;
+            let strip_ends;
+            (strip_rowidx, rowidx) = std::mem::take(&mut rowidx).split_at_mut(size.rows);
+            (strip_rowptr, rowptr) = std::mem::take(&mut rowptr).split_at_mut(size.rows + ntiles);
+            (strip_colidx, colidx) = std::mem::take(&mut colidx).split_at_mut(size.elems);
+            (strip_values, values) = std::mem::take(&mut values).split_at_mut(size.elems);
+            (strip_ends, ends) = std::mem::take(&mut ends).split_at_mut(ntiles);
+            writers.push(StripWriter {
+                strip: s,
+                tile_w,
+                width: tile_w.min(shape.ncols.saturating_sub(s * tile_w)).max(1),
+                first_height,
+                base,
+                rowidx: strip_rowidx,
+                rowptr: strip_rowptr,
+                colidx: strip_colidx,
+                values: strip_values,
+                ends: strip_ends,
+                rows: 0,
+                elems: 0,
+                tiles: 0,
+                tile_elems: 0,
+            });
+            base.rows += size.rows as Index;
+            base.elems += size.elems as Index;
+        }
+        let result = fill(writers);
+        (out, result)
+    }
+
     /// Offline tiling of a CSR matrix into `tile_h × tile_w` DCSR tiles,
-    /// in one pass over the CSR rows.
+    /// in one pass over the CSR rows after one that sizes each strip.
     ///
     /// This is the *offline tiled-DCSR* configuration of §5.2 (2.03×
     /// speedup, preprocessing cost not counted); the engine produces the
-    /// same strips online from CSC.
+    /// same tiling online from CSC.
     pub fn from_csr(csr: &Csr, tile_w: usize, tile_h: usize) -> Result<Self, FormatError> {
         if tile_w == 0 || tile_h == 0 {
             return Err(FormatError::ShapeMismatch {
@@ -476,61 +563,44 @@ impl TiledDcsr {
             });
         }
         let shape = csr.shape();
-        let nstrips = crate::strip_count(shape.ncols, tile_w);
-        let ntiles = crate::tile_count(shape.nrows, tile_h);
-        // Element counts per strip size the value arrays exactly.
-        let mut elems = vec![0usize; nstrips];
-        for &c in csr.colidx() {
-            elems[c as usize / tile_w] += 1;
-        }
-        let mut strips: Vec<DcsrStrip> = elems
-            .iter()
-            .enumerate()
-            .map(|(s, &n)| {
-                let buffers = StripBuffers {
-                    colidx: Vec::with_capacity(n),
-                    values: Vec::with_capacity(n),
-                    tiles: Vec::with_capacity(ntiles),
-                    ..StripBuffers::default()
-                };
-                let width = tile_w.min(shape.ncols.saturating_sub(s * tile_w)).max(1);
-                DcsrStrip::new((s * tile_w) as Index, width, buffers)
-            })
-            .collect();
-        for t in 0..ntiles {
-            let row_start = t * tile_h;
-            let height = tile_h.min(shape.nrows.saturating_sub(row_start)).max(1);
-            for strip in &mut strips {
-                strip.start_tile(row_start as Index, height);
-            }
-            for r in row_start..(row_start + height).min(shape.nrows) {
-                let local_r = (r - row_start) as Index;
-                let (cols, vals) = csr.row(r);
-                // Row-major CSR gives columns sorted, so per-strip segments
-                // are contiguous runs; emit one densified row per touched
-                // strip.
-                let mut k = 0;
-                while k < cols.len() {
-                    let s = cols[k] as usize / tile_w;
-                    let col_start = s * tile_w;
-                    let strip = &mut strips[s];
-                    strip.push_row(local_r);
-                    while k < cols.len() && (cols[k] as usize) < col_start + tile_w {
-                        strip.push_elem(cols[k] - col_start as Index, vals[k]);
-                        k += 1;
-                    }
+        // A row adds one row segment to every strip it touches and one
+        // element per entry. Row-major CSR gives columns sorted, so per-
+        // strip segments are contiguous runs.
+        let mut sizes = vec![StripSize::default(); crate::strip_count(shape.ncols, tile_w)];
+        for r in 0..shape.nrows {
+            let mut prev = usize::MAX;
+            for &c in csr.row(r).0 {
+                let s = c as usize / tile_w;
+                sizes[s].elems += 1;
+                if s != prev {
+                    sizes[s].rows += 1;
+                    prev = s;
                 }
             }
-            for strip in &mut strips {
-                strip.finish_tile();
-            }
         }
-        let out = Self {
-            nrows: shape.nrows,
-            ncols: shape.ncols,
-            tile_w,
-            strips,
-        };
+        let (out, ()) = Self::build(shape, tile_w, tile_h, &sizes, |mut strips| {
+            for t in 0..crate::tile_count(shape.nrows, tile_h) {
+                let row_start = t * tile_h;
+                for r in row_start..(row_start + tile_h).min(shape.nrows) {
+                    let local_r = (r - row_start) as Index;
+                    let (cols, vals) = csr.row(r);
+                    let mut k = 0;
+                    while k < cols.len() {
+                        let s = cols[k] as usize / tile_w;
+                        let col_start = s * tile_w;
+                        let strip = &mut strips[s];
+                        strip.push_row(local_r);
+                        while k < cols.len() && (cols[k] as usize) < col_start + tile_w {
+                            strip.push_elem(cols[k] - col_start as Index, vals[k]);
+                            k += 1;
+                        }
+                    }
+                }
+                for strip in &mut strips {
+                    strip.finish_tile();
+                }
+            }
+        });
         debug_assert!(
             out.validate().is_ok(),
             "tiling produced an invalid TiledDcsr: {:?}",
@@ -539,85 +609,48 @@ impl TiledDcsr {
         Ok(out)
     }
 
-    /// Wrap strips a producer already wrote for an `nrows × ncols` matrix
-    /// at strip width `tile_w` (the engine farm's output) without copying
-    /// them. The grid is checked in debug builds only; call
-    /// [`Self::validate`] on untrusted strips.
-    pub fn from_strips_unchecked(
-        nrows: usize,
-        ncols: usize,
-        tile_w: usize,
-        strips: Vec<DcsrStrip>,
-    ) -> Self {
-        let out = Self {
-            nrows,
-            ncols,
-            tile_w,
-            strips,
-        };
-        debug_assert!(
-            out.validate().is_ok(),
-            "strips do not tile the matrix: {:?}",
-            out.validate().err()
-        );
-        out
-    }
-
-    /// Check the whole tile grid: the strip/tile counts match the matrix
-    /// dimensions, every strip and tile sits at its grid position with the
-    /// correct (edge-clamped) extent, and every tile's internal invariants
-    /// hold ([`DcsrTileView::validate`]). The nominal tile height is the
-    /// first tile's.
+    /// Check the arrays: one header per tile of the grid plus the closing
+    /// one, headers rising from 0 to the array lengths, one `rowptr`
+    /// entry per row segment and per tile, and every tile's internal
+    /// invariants ([`DcsrTileView::validate`]).
     pub fn validate(&self) -> Result<(), FormatError> {
-        let tile_h = self
-            .strips
-            .first()
-            .and_then(|s| s.headers().first())
-            .map_or(0, |h| h.height);
-        if self.tile_w == 0 || tile_h == 0 {
+        if self.tile_w == 0 || self.tile_h == 0 {
             return Err(FormatError::ShapeMismatch {
                 detail: "tile dims must be > 0".into(),
             });
         }
-        let nstrips = crate::strip_count(self.ncols, self.tile_w);
-        let ntiles = crate::tile_count(self.nrows, tile_h);
-        if self.strips.len() != nstrips {
-            return Err(FormatError::LengthMismatch {
-                expected: nstrips,
-                found: self.strips.len(),
-                name: "strips",
-            });
-        }
-        for (s, strip) in self.strips.iter().enumerate() {
-            if strip.num_tiles() != ntiles {
+        let ntiles = self.num_strips() * self.tiles_per_strip();
+        for (found, expected, name) in [
+            (self.headers.len(), ntiles + 1, "tile headers"),
+            (self.rowptr.len(), self.rowidx.len() + ntiles, "rowptr"),
+            (self.values.len(), self.colidx.len(), "values"),
+        ] {
+            if found != expected {
                 return Err(FormatError::LengthMismatch {
-                    expected: ntiles,
-                    found: strip.num_tiles(),
-                    name: "tiles per strip",
+                    expected,
+                    found,
+                    name,
                 });
             }
-            for (t, tile) in strip.tiles().enumerate() {
-                let row_start = t * tile_h;
-                let col_start = s * self.tile_w;
-                let height = tile_h.min(self.nrows.saturating_sub(row_start)).max(1);
-                let width = self.tile_w.min(self.ncols.saturating_sub(col_start)).max(1);
-                if tile.row_start as usize != row_start
-                    || tile.col_start as usize != col_start
-                    || tile.height != height
-                    || tile.width != width
-                {
-                    return Err(FormatError::ShapeMismatch {
-                        detail: format!(
-                            "tile ({s},{t}) covers ({},{})+{}x{}, grid expects \
-                             ({row_start},{col_start})+{height}x{width}",
-                            tile.row_start, tile.col_start, tile.height, tile.width
-                        ),
-                    });
-                }
-                tile.validate()?;
-            }
         }
-        Ok(())
+        let end = TileHeader {
+            rows: self.rowidx.len() as Index,
+            elems: self.colidx.len() as Index,
+        };
+        if self.headers.first() != Some(&TileHeader::default())
+            || self.headers.last() != Some(&end)
+            || self
+                .headers
+                .windows(2)
+                .any(|w| w[1].rows < w[0].rows || w[1].elems < w[0].elems)
+        {
+            return Err(FormatError::MalformedPointerArray {
+                name: "tile headers",
+                detail: "must rise from 0 to the array lengths".into(),
+            });
+        }
+        self.iter_tiles()
+            .try_for_each(|(_, _, tile)| tile.validate())
     }
 
     /// Offline tiling from CSC (sanity mirror of the engine's online path).
@@ -626,8 +659,44 @@ impl TiledDcsr {
     }
 
     /// The strips, left to right.
-    pub fn strips(&self) -> &[DcsrStrip] {
-        &self.strips
+    pub fn strips(&self) -> impl ExactSizeIterator<Item = DcsrStrip<'_>> {
+        (0..self.num_strips()).map(move |strip| DcsrStrip { tiled: self, strip })
+    }
+
+    /// Strip `s`, borrowed. Panics if `s` is out of range.
+    pub fn strip(&self, s: usize) -> DcsrStrip<'_> {
+        assert!(s < self.num_strips(), "strip {s} out of range");
+        DcsrStrip {
+            tiled: self,
+            strip: s,
+        }
+    }
+
+    /// The tile at strip `s` (column block) and vertical position `t`
+    /// (row block), borrowed. Panics if either is out of range.
+    pub fn tile(&self, s: usize, t: usize) -> DcsrTileView<'_> {
+        let ntiles = self.tiles_per_strip();
+        assert!(t < ntiles, "tile {t} out of range");
+        let i = s * ntiles + t;
+        let (h, next) = (self.headers[i], self.headers[i + 1]);
+        let (rows, elems) = (h.rows()..next.rows(), h.elems()..next.elems());
+        let row_start = t * self.tile_h;
+        DcsrTileView {
+            row_start: row_start as Index,
+            col_start: (s * self.tile_w) as Index,
+            height: self.tile_h.min(self.nrows.saturating_sub(row_start)).max(1),
+            width: self.strip_width(s),
+            rowidx: &self.rowidx[rows.clone()],
+            rowptr: &self.rowptr[rows.start + i..rows.end + i + 1],
+            colidx: &self.colidx[elems.clone()],
+            values: &self.values[elems],
+        }
+    }
+
+    fn strip_width(&self, s: usize) -> usize {
+        self.tile_w
+            .min(self.ncols.saturating_sub(s * self.tile_w))
+            .max(1)
     }
 
     /// Tile width.
@@ -635,28 +704,31 @@ impl TiledDcsr {
         self.tile_w
     }
 
+    /// Nominal tile height.
+    pub fn tile_height(&self) -> usize {
+        self.tile_h
+    }
+
     /// Number of vertical strips.
     pub fn num_strips(&self) -> usize {
-        self.strips.len()
+        crate::strip_count(self.ncols, self.tile_w)
     }
 
     /// Number of tiles per strip.
     pub fn tiles_per_strip(&self) -> usize {
-        self.strips.first().map_or(0, DcsrStrip::num_tiles)
+        crate::tile_count(self.nrows, self.tile_h)
     }
 
     /// Iterate all tiles with their `(strip, tile)` coordinates.
     pub fn iter_tiles(&self) -> impl Iterator<Item = (usize, usize, DcsrTileView<'_>)> {
-        self.strips
-            .iter()
-            .enumerate()
-            .flat_map(|(s, strip)| strip.tiles().enumerate().map(move |(t, tile)| (s, t, tile)))
+        let ntiles = self.tiles_per_strip();
+        (0..self.num_strips()).flat_map(move |s| (0..ntiles).map(move |t| (s, t, self.tile(s, t))))
     }
 
     /// Total number of non-empty row segments across all tiles — the
     /// quantity that inflates tiled metadata for scattered distributions.
     pub fn total_row_segments(&self) -> usize {
-        self.strips.iter().map(|s| s.rowidx.len()).sum()
+        self.rowidx.len()
     }
 
     /// Reassemble the original CSR (inverse of `from_csr`).
@@ -687,23 +759,17 @@ impl SparseMatrix for TiledDcsr {
     }
 
     fn nnz(&self) -> usize {
-        self.strips.iter().map(|s| s.colidx.len()).sum()
+        self.colidx.len()
     }
 }
 
 impl StorageSize for TiledDcsr {
     fn metadata_bytes(&self) -> usize {
-        self.strips
-            .iter()
-            .map(|s| (s.colidx.len() + s.rowptr.len() + s.rowidx.len()) * INDEX_BYTES)
-            .sum()
+        (self.colidx.len() + self.rowptr.len() + self.rowidx.len()) * INDEX_BYTES
     }
 
     fn data_bytes(&self) -> usize {
-        self.strips
-            .iter()
-            .map(|s| s.values.len() * VALUE_BYTES)
-            .sum()
+        self.values.len() * VALUE_BYTES
     }
 }
 
@@ -759,7 +825,7 @@ mod tests {
         let m = sample(8, &[(5, 6)]);
         let tiled = TiledDcsr::from_csr(&m, 4, 4).unwrap();
         // (5,6) lands in strip 1, tile 1, local (1, 2).
-        let tile = tiled.strips()[1].tile(1);
+        let tile = tiled.tile(1, 1);
         assert_eq!(tile.rowidx, [1]);
         assert_eq!(tile.colidx, [2]);
         assert_eq!(tile.row_start, 4);
@@ -806,8 +872,8 @@ mod tests {
         let tiled = TiledDcsr::from_csr(&m, 4, 4).unwrap();
         // Row 2 contributes a row segment to strip 0 (col 1) and strip 1
         // (cols 5, 7).
-        assert_eq!(tiled.strips()[0].tile(0).nnz(), 1);
-        assert_eq!(tiled.strips()[1].tile(0).nnz(), 2);
+        assert_eq!(tiled.tile(0, 0).nnz(), 1);
+        assert_eq!(tiled.tile(1, 0).nnz(), 2);
         assert_eq!(tiled.total_row_segments(), 2);
     }
 
@@ -832,7 +898,7 @@ mod tests {
         // 10x10 with 4-wide tiles -> last strip/tile is 2 wide/tall.
         let m = sample(10, &[(9, 9), (8, 8)]);
         let tiled = TiledDcsr::from_csr(&m, 4, 4).unwrap();
-        let tile = tiled.strips()[2].tile(2);
+        let tile = tiled.tile(2, 2);
         assert_eq!(tile.width, 2);
         assert_eq!(tile.height, 2);
         tile.validate().unwrap();

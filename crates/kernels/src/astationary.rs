@@ -40,7 +40,7 @@ pub fn astat_tiled(
         let warp = ctx.warp_size();
         let s = ctx.block_id / tiles_per_strip;
         let t = ctx.block_id % tiles_per_strip;
-        let tile_ref = tiled.strips()[s].tile(t);
+        let tile_ref = tiled.tile(s, t);
         // Load the A tile into shared memory — single fetch of A overall.
         let (off, len) = a_dev.offsets[s][t];
         if len > 0 {

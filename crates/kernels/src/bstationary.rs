@@ -3,7 +3,7 @@
 //! (column-major traversal, §3.1.3) and commit partial sums of C with
 //! atomics (2× channel occupancy).
 //!
-//! Every DCSR variant is one strip loop over `&[DcsrStrip]` that differs
+//! Every DCSR variant is one strip loop over a [`TiledDcsr`] that differs
 //! only in where A's bytes come from (a private `ASource`):
 //! * [`bstat_tiled_dcsr_offline`] — tiles pre-converted to DCSR and stored
 //!   in DRAM, each read as a directory word plus its packed bytes:
@@ -27,7 +27,7 @@ use crate::KernelRun;
 use nmt_engine::{
     convert_matrix_farm_obs, publish_conversion, publish_farm, ConversionStats, FarmConfig,
 };
-use nmt_formats::{Csc, DcsrStrip, DenseMatrix, SparseMatrix, TiledCsr, TiledDcsr};
+use nmt_formats::{Csc, DenseMatrix, SparseMatrix, TiledCsr, TiledDcsr};
 use nmt_obs::ObsContext;
 use nmt_sim::{BlockCtx, Gpu, InstrClass, SimError, TrafficClass};
 
@@ -60,8 +60,8 @@ impl<'a> Operands<'a> {
 /// `cols` are tile-local column indices; `col_base` rebases them to global
 /// columns in-register, so callers hand the tile's `colidx` slice straight
 /// through instead of materializing a rebased copy per row. `acc` is
-/// caller-provided scratch (cleared and refilled here) so the per-row
-/// accumulator costs zero allocations across the whole launch.
+/// caller-provided scratch (cleared and refilled here), so the launch
+/// allocates its accumulator once.
 #[allow(clippy::too_many_arguments)]
 fn process_tile_row(
     ctx: &mut BlockCtx<'_>,
@@ -158,7 +158,7 @@ pub fn bstat_tiled_csr(
     // of B is loaded into the shared memory only once").
     let num_blocks = tiled.strips().len();
     let shared = tile_w * k * WORD as usize;
-    let mut acc = nmt_engine::mem::take_val(true, k);
+    let mut acc = Vec::with_capacity(k);
     let stats = gpu.launch(shared, num_blocks, |ctx| {
         let s = ctx.block_id;
         let strip = &tiled.strips()[s];
@@ -204,7 +204,6 @@ pub fn bstat_tiled_csr(
             }
         }
     })?;
-    nmt_engine::mem::put_val(true, acc);
     Ok(KernelRun { c, stats })
 }
 
@@ -246,7 +245,7 @@ enum ASource<'a> {
 /// over their rows.
 fn launch_strips(
     gpu: &mut Gpu,
-    strips: &[DcsrStrip],
+    tiled: &TiledDcsr,
     a: ASource<'_>,
     ops: &Operands<'_>,
     tile_w: usize,
@@ -255,11 +254,11 @@ fn launch_strips(
 ) -> Result<KernelRun, SimError> {
     let b = ops.b;
     let k = b.ncols();
-    let nstrips = strips.len();
+    let nstrips = tiled.num_strips();
     let k_tiles = k.div_ceil(k_tile.max(1)).max(1);
     let shared = tile_w * k_tile * WORD as usize;
     let mut c = DenseMatrix::zeros(ops.n, k);
-    let mut acc = nmt_engine::mem::take_val(true, k_tile);
+    let mut acc = Vec::with_capacity(k_tile);
     let stats = gpu.launch(shared, nstrips * k_tiles, |ctx| {
         // Block order implements the traversal.
         let (s, kt) = match traversal {
@@ -268,7 +267,7 @@ fn launch_strips(
         };
         let k_lo = kt * k_tile;
         let k_range = (k_lo, k_tile.min(k - k_lo));
-        let strip = &strips[s];
+        let strip = tiled.strip(s);
         let b_rows = strip.width().min(b.nrows().saturating_sub(s * tile_w));
         load_b_tile(ctx, &ops.b_dev, s * tile_w, b_rows, k_range);
         // The engine's cursor into the strip's contiguous CSC elements.
@@ -329,7 +328,6 @@ fn launch_strips(
             }
         }
     })?;
-    nmt_engine::mem::put_val(true, acc);
     Ok(KernelRun { c, stats })
 }
 
@@ -346,7 +344,7 @@ fn launch_packed(
     let a_dev = TiledDcsrDevice::upload(gpu, tiled);
     let ops = Operands::upload(gpu, b, tiled.shape().nrows);
     let a = ASource::Packed(&a_dev);
-    launch_strips(gpu, tiled.strips(), a, &ops, tile_w, k_tile, traversal)
+    launch_strips(gpu, tiled, a, &ops, tile_w, k_tile, traversal)
 }
 
 /// B-stationary over offline-tiled **DCSR** (stored pre-tiled in DRAM):
@@ -453,7 +451,6 @@ pub fn bstat_tiled_dcsr_online_obs(
     }
     publish_conversion(obs, &engine);
     publish_farm(obs, &farm);
-    let strips = farm.strips;
 
     // One block per strip, exactly the device loop of Figure 11: the block
     // initializes col_frontier, loads its B tile once, then issues one
@@ -466,13 +463,15 @@ pub fn bstat_tiled_dcsr_online_obs(
         k as u64,
     );
     let a = ASource::Engine { csc, dev: &a_dev };
-    let run = launch_strips(gpu, &strips, a, &ops, tile_w, k, Traversal::ColumnMajor)?;
-    // The freshly-minted strips have been consumed; hand their buffers
-    // back so the next online conversion of a similar matrix allocates
-    // nothing.
-    if farm_cfg.pool {
-        nmt_engine::mem::recycle_strips(strips);
-    }
+    let run = launch_strips(
+        gpu,
+        &farm.strips,
+        a,
+        &ops,
+        tile_w,
+        k,
+        Traversal::ColumnMajor,
+    )?;
     drop(launch_span);
     Ok(OnlineRun { run, engine })
 }

@@ -18,7 +18,7 @@
 //! Each dataflow has one kernel body. The two row-per-warp kernels share
 //! one launch and row body and differ only in how a warp finds its row.
 //! The three tiled-DCSR B-stationary kernels are one strip loop over
-//! `DcsrStrip`s with a K-tile width, a [`Traversal`] and an A-side source:
+//! the strips of a `TiledDcsr` with a K-tile width, a [`Traversal`] and an A-side source:
 //! packed tiles in DRAM (offline and traversal) or the near-memory engine
 //! streaming the CSC (online). Offline is the traversal loop with one K
 //! tile.

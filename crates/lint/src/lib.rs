@@ -14,7 +14,6 @@
 //! | `thread-order`  | determinism-scoped modules    | error    |
 //! | `panic`         | plain-`pub` fns, lib crates   | error    |
 //! | `slice-index`   | plain-`pub` fns, lib crates   | warning (error when determinism-scoped) |
-//! | `hot-alloc`     | allocation-hot-path modules   | error    |
 //! | `metric-name`   | all library sources           | error    |
 //! | `atomic-ordering` | concurrency-scoped modules  | error    |
 //! | `bad-allow`     | allow-comment hygiene         | error    |
@@ -67,25 +66,6 @@ pub const WALLCLOCK_ALLOWED: &[&str] = &[
     "crates/bench/src/harness.rs",
 ];
 
-/// The allocation hot paths: the conversion farm, the strip converter,
-/// the engine's buffer pools, the comparator tree, the simulator's per-probe path (L2 slice, memory
-/// subsystem, block context), the online B-stationary kernel and the
-/// C-stationary kernels. The engine draws its working buffers from the
-/// `nmt_engine::mem` pools; the `hot-alloc` rule bans ad-hoc
-/// `Vec::new`/`vec![]` here so per-strip and per-probe allocation churn
-/// cannot silently return.
-pub const HOT_PATH_SCOPED: &[&str] = &[
-    "crates/engine/src/comparator.rs",
-    "crates/engine/src/convert.rs",
-    "crates/engine/src/farm.rs",
-    "crates/engine/src/mem.rs",
-    "crates/kernels/src/bstationary.rs",
-    "crates/kernels/src/cstationary.rs",
-    "crates/sim/src/cache.rs",
-    "crates/sim/src/machine.rs",
-    "crates/sim/src/memory.rs",
-];
-
 /// Modules that coordinate across threads with atomics or feed the
 /// determinism-scoped set: the `atomic-ordering` rule requires every
 /// atomic operation here to carry a `// ordering:` justification
@@ -132,9 +112,8 @@ impl std::error::Error for LintError {}
 /// Binary targets (anything under a `bin/` directory or named `main.rs`)
 /// keep the determinism rules but are exempt from the pub-API panic
 /// rules — a CLI may legitimately die with a message. Fixture files with
-/// a `scoped_` name prefix are treated as determinism-scoped, and ones
-/// with a `hot_` prefix as allocation-hot-path, so the fixture suite can
-/// exercise those rules.
+/// a `scoped_` name prefix are treated as determinism-scoped, so the
+/// fixture suite can exercise those rules.
 pub fn classify(rel_path: &str) -> FileClass {
     let normalized = rel_path.replace('\\', "/");
     let file_name = normalized.rsplit('/').next().unwrap_or(&normalized);
@@ -145,7 +124,6 @@ pub fn classify(rel_path: &str) -> FileClass {
         determinism_scoped,
         wallclock_allowed: WALLCLOCK_ALLOWED.contains(&normalized.as_str()),
         panic_checked: !is_binary,
-        hot_path: HOT_PATH_SCOPED.contains(&normalized.as_str()) || file_name.starts_with("hot_"),
         concurrency_scoped: determinism_scoped
             || CONCURRENCY_SCOPED.contains(&normalized.as_str())
             || file_name.starts_with("atomic_"),
@@ -275,18 +253,8 @@ mod tests {
     fn classification_scopes_rules() {
         let c = classify("crates/engine/src/farm.rs");
         assert!(c.determinism_scoped && c.panic_checked && !c.wallclock_allowed);
-        assert!(c.hot_path, "the farm is an allocation hot path");
         let c = classify("crates/engine/src/convert.rs");
-        assert!(c.hot_path && !c.determinism_scoped);
-        let c = classify("crates/kernels/src/bstationary.rs");
-        assert!(c.hot_path);
-        let c = classify("tests/lint_fixtures/hot_alloc.rs");
-        assert!(c.hot_path && !c.determinism_scoped);
-        let c = classify("crates/engine/src/mem.rs");
-        assert!(
-            c.hot_path,
-            "the pools sit on the farm's per-strip path; a miss allocates via with_capacity"
-        );
+        assert!(!c.determinism_scoped);
         let c = classify("crates/obs/src/span.rs");
         assert!(c.wallclock_allowed && !c.determinism_scoped);
         let c = classify("crates/obs/src/alloc.rs");
@@ -313,11 +281,7 @@ mod tests {
 
     #[test]
     fn every_scoped_path_is_normalized() {
-        for p in DETERMINISM_SCOPED
-            .iter()
-            .chain(WALLCLOCK_ALLOWED)
-            .chain(HOT_PATH_SCOPED)
-        {
+        for p in DETERMINISM_SCOPED.iter().chain(WALLCLOCK_ALLOWED) {
             assert!(!p.contains('\\'), "{p} must use forward slashes");
             assert!(p.ends_with(".rs"));
         }

@@ -21,10 +21,6 @@ pub struct FileClass {
     /// Library source: the `panic` rule guards plain-`pub` functions.
     /// Binary targets (`src/bin`, `benches`) are exempt.
     pub panic_checked: bool,
-    /// Allocation hot path (conversion farm, comparator, online kernel):
-    /// the `hot-alloc` rule bans per-call `Vec::new`/`vec![]` in favor of
-    /// the `nmt_engine::mem` pools.
-    pub hot_path: bool,
     /// Cross-thread coordination module: the `atomic-ordering` rule
     /// requires a `// ordering:` justification on every atomic op.
     pub concurrency_scoped: bool,
@@ -82,14 +78,6 @@ pub const RULES: &[RuleInfo] = &[
         scope: "plain-pub fns, lib crates",
         rationale: "direct indexing can panic; prefer get()/iterators in pub APIs \
                     (error-level on determinism-scoped modules)",
-    },
-    RuleInfo {
-        name: "hot-alloc",
-        severity: "error",
-        scope: "allocation-hot-path modules",
-        rationale: "hot-path modules must draw buffers from the `nmt_engine::mem` \
-                    pools; a per-call `Vec::new`/`vec![]` reintroduces the per-strip \
-                    allocation churn the pools exist to remove",
     },
     RuleInfo {
         name: "metric-name",
@@ -305,32 +293,6 @@ impl FileCheck<'_> {
                     Severity::Error,
                     tok,
                     format!("`{}!` in a pub fn; return a typed error instead", tok.text),
-                );
-            }
-        }
-
-        // hot-alloc: hot-path modules must take buffers from the pools.
-        // `Vec::new` is the token run `Vec` `:` `:` `new` `(`; the `vec!`
-        // macro is `vec` `!`. `with_capacity` is deliberately exempt —
-        // a right-sized once-per-call reservation is not churn.
-        if self.class.hot_path {
-            let vec_new = tok.text == "Vec"
-                && self.tok(i + 1).map(|t| t.is_punct(':')) == Some(true)
-                && self.tok(i + 2).map(|t| t.is_punct(':')) == Some(true)
-                && self.tok(i + 3).map(|t| t.is_ident("new")) == Some(true)
-                && self.tok(i + 4).map(|t| t.is_punct('(')) == Some(true);
-            let vec_macro = tok.text == "vec" && next_bang;
-            if vec_new || vec_macro {
-                self.emit(
-                    "hot-alloc",
-                    Severity::Error,
-                    tok,
-                    format!(
-                        "`{}` on an allocation hot path; draw the buffer from the \
-                         `nmt_engine::mem` pools (or justify a cold site with an \
-                         nmt-lint allow comment)",
-                        if vec_new { "Vec::new()" } else { "vec![]" }
-                    ),
                 );
             }
         }
@@ -710,38 +672,6 @@ mod tests {
         assert_eq!(got, vec![("slice-index".to_string(), 1)]);
         // Slice *types* are not index expressions.
         assert!(errs("pub fn f(v: &mut [u8]) {}").is_empty());
-    }
-
-    #[test]
-    fn hot_alloc_only_on_hot_paths() {
-        let hot = |src: &str| {
-            let (diags, _) = check_source(
-                "hot.rs",
-                src,
-                FileClass {
-                    hot_path: true,
-                    ..FileClass::default()
-                },
-            );
-            diags
-                .into_iter()
-                .map(|d| (d.rule, d.line))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            hot("fn f() { let v: Vec<u32> = Vec::new(); }"),
-            vec![("hot-alloc".to_string(), 1)]
-        );
-        assert_eq!(
-            hot("fn f() -> Vec<f32> { vec![0.0; 8] }"),
-            vec![("hot-alloc".to_string(), 1)]
-        );
-        // Right-sized reservations and pool takes are fine; so is test code.
-        assert!(hot("fn f() { let v: Vec<u32> = Vec::with_capacity(8); }").is_empty());
-        assert!(hot("fn f(p: bool) { let v = mem::take_idx(p, 8); }").is_empty());
-        assert!(hot("#[cfg(test)] mod t { fn f() { let v = vec![1]; } }").is_empty());
-        // Off the hot path the same code is untouched.
-        assert!(errs("fn f() { let v: Vec<u32> = Vec::new(); }").is_empty());
     }
 
     #[test]

@@ -466,9 +466,8 @@ fn execute_one(
     let (acquire_allocs, _bytes) = scope.finish();
     let acquire_ns = obs.flight.now_ns().saturating_sub(t0);
 
-    // Evicted artifacts are freed here (or by a concurrent request still
-    // holding one), not shelved in the engine pools: see
-    // `nmt_engine::artifact`.
+    // Evicted artifacts are freed here, or by a concurrent request still
+    // holding one.
     let evicted = lookup.evicted.len() as u64;
     drop(lookup.evicted);
     let cache_code = match lookup.how {
@@ -635,7 +634,6 @@ pub fn serve_trace(
         cache_waits: cache_stats.waits,
         cache_evictions: done.iter().map(|o| o.evicted).sum(),
         resident_bytes: cache.resident_bytes(),
-        pool_idle_capacity: nmt_engine::mem::pool_idle_capacity() as u64,
         hit_p50_ns: median(hit_ns),
         miss_p50_ns: median(miss_ns),
         hit_p50_allocs: median(hit_allocs),

@@ -7,7 +7,7 @@
 //! the same trace at 1 and 4 rayon threads and `cmp`s the files.
 //!
 //! Schedule-dependent measurements (actual cache hits vs. single-flight
-//! waits, latency and allocation percentiles, pool occupancy) live in
+//! waits, latency and allocation percentiles) live in
 //! the optional [`stats`](ServeLedger::stats) section, excluded from
 //! [`canonical_json`](ServeLedger::canonical_json) and from the
 //! [`gate`](ServeLedger::gate) — the same discipline as the bench
@@ -123,8 +123,6 @@ pub struct ServeStats {
     pub cache_evictions: u64,
     /// Bytes resident in the cache after the run.
     pub resident_bytes: u64,
-    /// Idle capacity shelved in the serve-side slice pools after the run.
-    pub pool_idle_capacity: u64,
     /// Median wall-clock of hit-path requests (ns).
     pub hit_p50_ns: u64,
     /// Median wall-clock of miss-path (compute) requests (ns).
@@ -281,8 +279,8 @@ impl ServeLedger {
                 s.operand_reuses
             ));
             out.push_str(&format!(
-                "  latency p50: hit {} ns / miss {} ns; allocs p50: hit {} / miss {}; pool idle {} B\n",
-                s.hit_p50_ns, s.miss_p50_ns, s.hit_p50_allocs, s.miss_p50_allocs, s.pool_idle_capacity
+                "  latency p50: hit {} ns / miss {} ns; allocs p50: hit {} / miss {}\n",
+                s.hit_p50_ns, s.miss_p50_ns, s.hit_p50_allocs, s.miss_p50_allocs
             ));
         }
         out
@@ -411,7 +409,6 @@ mod tests {
             cache_waits: 0,
             cache_evictions: 0,
             resident_bytes: 64,
-            pool_idle_capacity: 0,
             hit_p50_ns: 10,
             miss_p50_ns: 90,
             hit_p50_allocs: 0,
@@ -452,7 +449,6 @@ mod tests {
             cache_waits: 0,
             cache_evictions: 0,
             resident_bytes: 0,
-            pool_idle_capacity: 0,
             hit_p50_ns: 1,
             miss_p50_ns: 2,
             hit_p50_allocs: 0,

@@ -78,7 +78,6 @@ impl L2Slice {
                 8 => SetWidth::Eight,
                 _ => SetWidth::Any,
             },
-            // nmt-lint: allow(hot-alloc) — one allocation per slice, at GPU construction
             lines: vec![INVALID; lines],
         }
     }

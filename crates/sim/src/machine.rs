@@ -144,7 +144,6 @@ impl Gpu {
         let mem = MemorySubsystem::new(&config);
         let before = mem.snapshot();
         Ok(Self {
-            // nmt-lint: allow(hot-alloc) — one per GPU, at construction; launches reuse it
             sm_instrs: vec![0; config.num_sms],
             before,
             config,

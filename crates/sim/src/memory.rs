@@ -209,7 +209,6 @@ impl MemorySubsystem {
             access_ordinal: 0,
             fault_dram_spikes: 0,
             fault_prefetch_overflows: 0,
-            // nmt-lint: allow(hot-alloc) — one per GPU, at construction; gathers reuse it
             runs: Vec::new(),
         }
     }
@@ -239,7 +238,6 @@ impl MemorySubsystem {
 
     /// Start recording every access, in order.
     pub fn enable_trace(&mut self) {
-        // nmt-lint: allow(hot-alloc) — tracing is a test-only debugging switch, off on every measured path
         self.trace = Some(Vec::new());
     }
 

@@ -288,20 +288,25 @@ pub fn run_prop_test(
     config: ProptestConfig,
     file: &str,
     line: u32,
+    name: &str,
     mut case: impl FnMut(&mut TestRng) -> Result<(), test_runner::TestCaseError>,
 ) {
-    // Stable per-test seed: FNV-1a over the call site, so adding tests
-    // elsewhere does not perturb this test's inputs.
+    // Stable per-test seed: FNV-1a over the call site and the property's
+    // name, so adding tests elsewhere does not perturb this test's inputs
+    // and the properties of one `proptest!` block draw distinct streams.
     let mut seed: u64 = 0xcbf29ce484222325;
     for b in file.bytes() {
         seed = (seed ^ b as u64).wrapping_mul(0x100000001b3);
     }
     seed = (seed ^ line as u64).wrapping_mul(0x100000001b3);
+    for b in name.bytes() {
+        seed = (seed ^ b as u64).wrapping_mul(0x100000001b3);
+    }
     for i in 0..config.cases {
         let mut rng = TestRng::seed_from_u64(seed.wrapping_add(i as u64));
         if let Err(e) = case(&mut rng) {
             panic!(
-                "proptest case {i}/{} failed at {file}:{line}: {e}",
+                "proptest case {i}/{} of {name} failed at {file}:{line}: {e}",
                 config.cases
             );
         }
@@ -331,7 +336,7 @@ macro_rules! __proptest_fns {
      $($rest:tt)*) => {
         $(#[$meta])*
         fn $name() {
-            $crate::run_prop_test($cfg, file!(), line!(), |__rng| {
+            $crate::run_prop_test($cfg, file!(), line!(), stringify!($name), |__rng| {
                 $(let $arg = $crate::Strategy::generate(&($strat), __rng);)+
                 let mut __case = || -> ::core::result::Result<(), $crate::test_runner::TestCaseError> {
                     $body
@@ -414,10 +419,28 @@ mod tests {
     }
 
     #[test]
+    fn properties_at_one_call_site_draw_distinct_inputs() {
+        let first_draw = |name: &str| {
+            let mut drawn = 0u64;
+            crate::run_prop_test(ProptestConfig::with_cases(1), file!(), 1, name, |rng| {
+                drawn = crate::Strategy::generate(&(0u64..u64::MAX), rng);
+                Ok(())
+            });
+            drawn
+        };
+        assert_eq!(first_draw("a"), first_draw("a"));
+        assert_ne!(first_draw("a"), first_draw("b"));
+    }
+
+    #[test]
     #[should_panic(expected = "proptest case")]
     fn failing_property_reports_case() {
-        crate::run_prop_test(ProptestConfig::with_cases(5), file!(), line!(), |_rng| {
-            Err(crate::test_runner::TestCaseError::fail("nope"))
-        });
+        crate::run_prop_test(
+            ProptestConfig::with_cases(5),
+            file!(),
+            line!(),
+            "nope",
+            |_rng| Err(crate::test_runner::TestCaseError::fail("nope")),
+        );
     }
 }

@@ -129,13 +129,11 @@ proptest! {
     #[test]
     fn arbitrary_tilings_validate_and_roundtrip(tdcsr in arbitrary::tiled_dcsr_strategy()) {
         prop_assert!(tdcsr.validate().is_ok());
-        // Untile then re-tile at the same edges: identity. The first
-        // tile's height is the nominal one, clamped only when the matrix
-        // is shorter than a tile, where it re-tiles identically.
+        // Untile then re-tile at the same edges: identity.
         let back = TiledDcsr::from_csr(
             &tdcsr.to_csr(),
             tdcsr.tile_width(),
-            tdcsr.strips()[0].headers()[0].height,
+            tdcsr.tile_height(),
         ).expect("retiling a valid matrix succeeds");
         prop_assert_eq!(back, tdcsr);
     }

@@ -132,7 +132,6 @@ fn every_scoped_path_exists() {
     for p in nmt_lint::DETERMINISM_SCOPED
         .iter()
         .chain(nmt_lint::WALLCLOCK_ALLOWED)
-        .chain(nmt_lint::HOT_PATH_SCOPED)
         .chain(nmt_lint::CONCURRENCY_SCOPED)
     {
         assert!(

@@ -178,7 +178,7 @@ fn planner_handles_zero_dimension_matrix() {
         1,
         "zero-height strip still owns one tile"
     );
-    assert_eq!(tiled.strips()[0].tile(0).nnz(), 0);
+    assert_eq!(tiled.tile(0, 0).nnz(), 0);
     assert_eq!(stats.elements, 0);
 }
 
